@@ -11,6 +11,7 @@ use ag_harness::bench::{fmt_ns, Runner};
 use std::hint::black_box;
 use std::sync::Arc;
 
+use sim_kernel::oracle::{run_matrix, Cell, Engine};
 use sim_kernel::{
     Backend, FnDecl, FnId, Insn, Op, Program, SimStats, Simulator, Time, Val, VarAddr,
 };
@@ -295,23 +296,6 @@ fn sparse_activity_compute(active: usize, total: usize) -> Program {
     p
 }
 
-/// Runs `p` to `deadline` at the given worker count and backend with a
-/// VCD observer attached, returning the full waveform text.
-fn vcd_run(p: &Program, deadline: u64, backend: Backend, jobs: usize) -> String {
-    let vcd = std::cell::RefCell::new(sim_kernel::io::Vcd::new("1fs"));
-    let vcd_ref = &vcd;
-    let mut sim = Simulator::new(p.clone());
-    sim.set_backend(backend);
-    sim.set_jobs(jobs);
-    sim.observe(Box::new(move |t, sig, name, v| {
-        vcd_ref.borrow_mut().change(t, sig, name, v);
-    }));
-    sim.run_until(Time::fs(deadline)).expect("runs");
-    let out = vcd.borrow().finish();
-    drop(sim);
-    out
-}
-
 /// Many processes sleeping on staggered `wait for` timeouts — calendar
 /// traffic plus a compute-bearing body: each wakeup grinds the LCG
 /// chain before sleeping again.
@@ -431,16 +415,19 @@ fn main() {
     let p = sparse_activity_compute(100, 1_000);
     let par_deadline = 200 * 1_000;
     {
-        // Byte-identity gate before the clock runs: jobs=4 must produce
-        // the same VCD as jobs=1 under both backends.
-        let seq = vcd_run(&p, par_deadline, Backend::Interp, 1);
-        assert!(!seq.is_empty());
-        for backend in [Backend::Interp, Backend::Compiled] {
-            let par = vcd_run(&p, par_deadline, backend, 4);
-            assert_eq!(
-                par, seq,
-                "jobs=4 VCD must be byte-identical to jobs=1 under {backend}"
-            );
+        // Byte-identity gate before the clock runs: jobs=4 must match
+        // jobs=1 under both backends.
+        let cells = [
+            Cell::solid(Engine::Interp, 1),
+            Cell::solid(Engine::Interp, 4),
+            Cell::solid(Engine::Compiled, 4),
+        ];
+        let out = run_matrix(&p, Time::fs(par_deadline), &[u64::MAX], &cells, None)
+            .expect("no checkpoint involved");
+        let seq = &out.runs[0].obs;
+        assert!(!seq.outcome.starts_with("err"), "{}", seq.outcome);
+        if let Some(d) = &out.divergence {
+            panic!("jobs=4 must be byte-identical to jobs=1: {d}");
         }
     }
     let mut wall = Vec::new();

@@ -180,7 +180,7 @@ fn cmd_run(o: &Opts) -> ExitCode {
                 println!(
                     "ok   {} ({} cells byte-identical, digest {digest:#x})",
                     case.name,
-                    vhdl_conform::matrix().len()
+                    vhdl_conform::oracle::CELLS.len()
                 );
             }
             CaseVerdict::DigestDrift { want, got } => {
@@ -307,11 +307,12 @@ fn cmd_triage(o: &Opts) -> ExitCode {
         }
         CaseVerdict::Diverged(d, out) => {
             println!("-- verdict: DIVERGED: {d}");
-            for (name, snap) in &out.snaps {
+            for run in &out.runs {
                 println!(
-                    "--   {name}: outcome {}, digest {:#x}",
-                    snap.outcome,
-                    snap.digest()
+                    "--   {}: outcome {}, digest {:#x}",
+                    run.cell.name(),
+                    run.obs.outcome,
+                    run.obs.digest()
                 );
             }
             ExitCode::FAILURE

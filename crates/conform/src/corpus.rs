@@ -21,10 +21,11 @@
 use std::path::{Path, PathBuf};
 
 use ag_harness::{parse_stream, render_stream, Source};
+use sim_kernel::oracle::{Divergence, MatrixOutcome};
 use sim_kernel::TestFault;
 
 use crate::gen::{gen_design, Design, Profile};
-use crate::oracle::{run_matrix, ConformError, Divergence, MatrixOutcome};
+use crate::oracle::{run_matrix, ConformError};
 
 /// One corpus case.
 #[derive(Clone, Debug)]

@@ -9,11 +9,12 @@
 //! to a small VHDL design that still fails the same way.
 
 use ag_harness::{shrink_stream, Failed, Source, TestResult};
+use sim_kernel::oracle::Divergence;
 use sim_kernel::TestFault;
 
 use crate::corpus::Case;
 use crate::gen::{gen_design, Design, Profile};
-use crate::oracle::{run_matrix, Divergence};
+use crate::oracle::run_matrix;
 
 /// Why one generated case failed conformance.
 #[derive(Clone, Debug)]

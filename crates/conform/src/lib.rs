@@ -4,9 +4,9 @@
 //! The kernel now executes designs under eight distinct configurations:
 //! {interpreter, compiled} process backends × {1, 4} workers ×
 //! {uninterrupted, checkpoint-and-restore}. Every one of them promises
-//! byte-identical observable behavior. Hand-written equivalence tests
-//! (`equiv.rs`, `par.rs`) check that promise on a fixed set of designs;
-//! this crate checks it on an open-ended set by *generating* well-typed
+//! byte-identical observable behavior. The kernel's own oracle suite
+//! checks that promise on random `Insn`-level programs; this crate
+//! checks it on an open-ended set by *generating* well-typed
 //! VHDL designs that aim at the kernel's hard corners — resolved
 //! multi-writer buses, inertial/transport collisions, zero-delay delta
 //! storms, cross-process sensitivity webs, runtime faults, recursion
@@ -18,8 +18,8 @@
 //! - [`gen`] — a seeded, deterministic design generator over the
 //!   ag-harness choice stream, so every design is replayable from a
 //!   small `u64` vector and *shrinkable* by stream surgery.
-//! - [`oracle`] — the configuration-matrix runner plus the byte-identity
-//!   comparison (the `equiv.rs` Snapshot pattern, exported).
+//! - [`oracle`] — elaboration plus the eight-cell matrix, run by the
+//!   kernel's differential oracle ([`sim_kernel::oracle`]).
 //! - [`corpus`] / [`fuzz`] — persisted cases with golden digests under
 //!   `tests/corpus/`, and the fuzz-shrink-triage loop that files new
 //!   minimized reproducers when a divergence appears.
@@ -35,4 +35,4 @@ pub mod oracle;
 pub use corpus::{load_dir, replay, Case, CaseVerdict};
 pub use fuzz::{fuzz, shrink_failure, Failure, Reproducer};
 pub use gen::{gen_design, Design, Profile};
-pub use oracle::{matrix, run_matrix, Cell, ConformError, Divergence, MatrixOutcome, Snap};
+pub use oracle::{run_matrix, ConformError};

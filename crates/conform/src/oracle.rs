@@ -1,208 +1,31 @@
-//! The configuration-matrix differential oracle.
+//! The configuration matrix for generated designs.
 //!
-//! One generated design is compiled once, then simulated under every
-//! execution configuration the kernel offers — {interpreter, compiled} ×
-//! {1 worker, 4 workers} × {uninterrupted, checkpoint-at-midpoint-then-
-//! restore} — and every observable the `equiv.rs` suite compares must be
-//! byte-identical across all eight cells: VCD text, core statistics,
-//! final signal values, Name-Server event/resumption counters, the
-//! report stream, and the run outcome (including error identity).
-//!
-//! A canonical rendering of the agreed snapshot is hashed (FNV-1a) into
-//! the corpus digest, so checked-in seeds also detect *semantic drift*:
-//! a future kernel change that alters observable behavior fails the
-//! corpus replay even if all configurations still agree with each other.
+//! One generated design is compiled once, then run through the kernel's
+//! differential oracle ([`sim_kernel::oracle`]) under eight cells —
+//! {interpreter, compiled} × {1 worker, 4 workers} × {uninterrupted,
+//! checkpoint-at-midpoint-then-restore} — and every observable must be
+//! byte-identical across them. The digest of the agreed observables pins
+//! each corpus case, so checked-in seeds also detect *semantic drift*: a
+//! kernel change that alters observable behavior fails the corpus replay
+//! even if all configurations still agree with each other.
 
-use std::cell::RefCell;
-
-use ag_harness::rng::fnv1a;
-use sim_kernel::io::Vcd;
-use sim_kernel::{Backend, Program, RunOutcome, SigId, SimError, Simulator, TestFault, Time, Val};
+use sim_kernel::oracle::{self, Cell, Engine, MatrixOutcome};
+use sim_kernel::{Program, TestFault, Time};
 use vhdl_driver::Compiler;
 
 use crate::gen::Design;
 
-/// One cell of the configuration matrix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Cell {
-    /// Process-execution backend.
-    pub backend: Backend,
-    /// Kernel worker count for the process phase.
-    pub jobs: usize,
-    /// Checkpoint at the cycle-budget midpoint, restore into a fresh
-    /// simulator, and finish there.
-    pub resume: bool,
-}
-
-impl Cell {
-    /// Short display name, e.g. `compiled/j4/resume`.
-    pub fn name(&self) -> String {
-        format!(
-            "{}/j{}/{}",
-            match self.backend {
-                Backend::Interp => "interp",
-                Backend::Compiled => "compiled",
-            },
-            self.jobs,
-            if self.resume { "resume" } else { "solid" }
-        )
-    }
-}
-
-/// The full eight-cell matrix. The first cell is the reference every
-/// other cell is compared against.
-pub fn matrix() -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for backend in [Backend::Interp, Backend::Compiled] {
-        for jobs in [1usize, 4] {
-            for resume in [false, true] {
-                cells.push(Cell {
-                    backend,
-                    jobs,
-                    resume,
-                });
-            }
-        }
-    }
-    cells
-}
-
-/// Everything observable about one finished configuration run — the
-/// `equiv.rs` Snapshot pattern, exported.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Snap {
-    /// `Ok(outcome)` or the error display.
-    pub outcome: String,
-    /// Full VCD text.
-    pub vcd: String,
-    /// Final simulation time (fs).
-    pub now_fs: u64,
-    /// Core stats: cycles, delta cycles, events, transactions,
-    /// resumptions, instructions. (Scheduler-introspection and
-    /// backend-specific counters are configuration-dependent by design
-    /// and excluded.)
-    pub stats: (u64, u64, u64, u64, u64, u64),
-    /// Final value of every signal, in elaboration order.
-    pub sig_vals: Vec<Val>,
-    /// Name-Server per-signal event counters.
-    pub sig_events: Vec<u64>,
-    /// Per-signal last-event times (fs; `u64::MAX` = never).
-    pub sig_last: Vec<u64>,
-    /// Name-Server per-process resumption counters.
-    pub proc_res: Vec<u64>,
-    /// The report stream: (fs, severity, text).
-    pub reports: Vec<(u64, i64, String)>,
-}
-
-/// The observable fields, in comparison order, for triage naming.
-pub const OBSERVABLES: [&str; 9] = [
-    "outcome",
-    "vcd",
-    "now",
-    "stats(cycles/deltas/events/txs/resumptions/insns)",
-    "signal-values",
-    "signal-event-counters",
-    "signal-last-event-times",
-    "process-resumption-counters",
-    "reports",
+/// The eight cells; the first is the reference.
+pub const CELLS: [Cell; 8] = [
+    Cell::solid(Engine::Interp, 1),
+    Cell::resume(Engine::Interp, 1, 1),
+    Cell::solid(Engine::Interp, 4),
+    Cell::resume(Engine::Interp, 4, 4),
+    Cell::solid(Engine::Compiled, 1),
+    Cell::resume(Engine::Compiled, 1, 1),
+    Cell::solid(Engine::Compiled, 4),
+    Cell::resume(Engine::Compiled, 4, 4),
 ];
-
-impl Snap {
-    /// The first observable differing from `other`, if any.
-    pub fn first_divergence(&self, other: &Snap) -> Option<(&'static str, String)> {
-        fn diff<T: PartialEq + std::fmt::Debug>(a: &T, b: &T) -> Option<String> {
-            (a != b).then(|| {
-                let (a, b) = (format!("{a:?}"), format!("{b:?}"));
-                // First differing position, with a short context window.
-                let at = a
-                    .bytes()
-                    .zip(b.bytes())
-                    .position(|(x, y)| x != y)
-                    .unwrap_or_else(|| a.len().min(b.len()));
-                let lo = at.saturating_sub(40);
-                let win = |s: &str| {
-                    let hi = (at + 40).min(s.len());
-                    // Stay on char boundaries (VCD/report text is ASCII,
-                    // but report strings could in principle carry UTF-8).
-                    let lo = (lo..=at.min(s.len()))
-                        .find(|i| s.is_char_boundary(*i))
-                        .unwrap_or(0);
-                    let hi = (hi..s.len() + 1)
-                        .find(|i| s.is_char_boundary(*i))
-                        .unwrap_or(s.len());
-                    s[lo..hi].to_string()
-                };
-                format!("at byte {at}: ...{:?} vs ...{:?}", win(&a), win(&b))
-            })
-        }
-        let pairs: [Option<String>; 9] = [
-            diff(&self.outcome, &other.outcome),
-            diff(&self.vcd, &other.vcd),
-            diff(&self.now_fs, &other.now_fs),
-            diff(&self.stats, &other.stats),
-            diff(&self.sig_vals, &other.sig_vals),
-            diff(&self.sig_events, &other.sig_events),
-            diff(&self.sig_last, &other.sig_last),
-            diff(&self.proc_res, &other.proc_res),
-            diff(&self.reports, &other.reports),
-        ];
-        pairs
-            .into_iter()
-            .zip(OBSERVABLES)
-            .find_map(|(d, name)| d.map(|detail| (name, detail)))
-    }
-
-    /// Canonical text rendering — the digest input. Explicit field tags
-    /// and `{:?}` over plain integers/strings only, so the rendering is
-    /// stable across platforms and compiler versions.
-    pub fn canonical(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "outcome {}", self.outcome);
-        let _ = writeln!(out, "now {}", self.now_fs);
-        let _ = writeln!(out, "stats {:?}", self.stats);
-        for v in &self.sig_vals {
-            let _ = writeln!(out, "val {v:?}");
-        }
-        let _ = writeln!(out, "events {:?}", self.sig_events);
-        let _ = writeln!(out, "last {:?}", self.sig_last);
-        let _ = writeln!(out, "res {:?}", self.proc_res);
-        for (t, sev, text) in &self.reports {
-            let _ = writeln!(out, "report {t} {sev} {text:?}");
-        }
-        out.push_str("vcd\n");
-        out.push_str(&self.vcd);
-        out
-    }
-
-    /// FNV-1a digest of the canonical rendering.
-    pub fn digest(&self) -> u64 {
-        fnv1a(&self.canonical())
-    }
-}
-
-/// A detected divergence between two matrix cells.
-#[derive(Clone, Debug)]
-pub struct Divergence {
-    /// Reference cell name.
-    pub base: String,
-    /// Diverging cell name.
-    pub cell: String,
-    /// First diverging observable (from [`OBSERVABLES`]).
-    pub observable: &'static str,
-    /// Byte-position context of the first difference.
-    pub detail: String,
-}
-
-impl std::fmt::Display for Divergence {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} vs {}: first diverging observable `{}` ({})",
-            self.base, self.cell, self.observable, self.detail
-        )
-    }
-}
 
 /// Why a conformance run could not even produce a matrix.
 #[derive(Clone, Debug)]
@@ -223,23 +46,6 @@ impl std::fmt::Display for ConformError {
             ConformError::Elab(m) => write!(f, "elaboration failed: {m}"),
             ConformError::Snapshot(m) => write!(f, "checkpoint/restore failed: {m}"),
         }
-    }
-}
-
-/// The outcome of running one design through the whole matrix.
-#[derive(Clone, Debug)]
-pub struct MatrixOutcome {
-    /// `(cell name, snapshot)` for every cell, reference first.
-    pub snaps: Vec<(String, Snap)>,
-    /// The first divergence found, if any.
-    pub divergence: Option<Divergence>,
-}
-
-impl MatrixOutcome {
-    /// Digest of the reference snapshot (meaningful when `divergence` is
-    /// `None`).
-    pub fn digest(&self) -> u64 {
-        self.snaps[0].1.digest()
     }
 }
 
@@ -264,122 +70,10 @@ pub fn elaborate(design: &Design) -> Result<Program, ConformError> {
     Ok(program)
 }
 
-/// Cycle budgets are the run bound (delta storms never advance time), so
-/// the deadline is simply unreachable.
-const FAR_FUTURE: Time = Time {
-    fs: u64::MAX / 4,
-    delta: 0,
-};
-
-/// Runs one configuration cell. `fault`, when set, arms the deliberate
-/// kernel misbehavior on multi-worker cells only — modeling a bug that a
-/// specific configuration (here: parallel commit) would introduce, which
-/// is exactly the shape the matrix exists to catch.
-///
-/// # Errors
-///
-/// [`ConformError::Snapshot`] when a checkpoint/restore step fails
-/// structurally (corrupt blob, fingerprint mismatch) — simulation errors
-/// are *data* (part of the [`Snap`]), not errors.
-pub fn run_cell(
-    program: &Program,
-    cycles: u64,
-    cell: Cell,
-    fault: Option<TestFault>,
-) -> Result<Snap, ConformError> {
-    let n_sigs = program.signals.len();
-    let n_procs = program.processes.len();
-    let vcd = RefCell::new(Vcd::new("1fs"));
-    let vcd_ref = &vcd;
-    let arm = |sim: &mut Simulator<'_>| {
-        sim.set_backend(cell.backend);
-        sim.set_jobs(cell.jobs);
-        if cell.jobs > 1 {
-            sim.set_test_fault(fault);
-        }
-    };
-    let mut sim = Simulator::new(program.clone());
-    arm(&mut sim);
-    sim.observe(Box::new(move |t, sig, name, v| {
-        vcd_ref.borrow_mut().change(t, sig, name, v);
-    }));
-    let outcome;
-    if !cell.resume {
-        outcome = sim.run_slice(FAR_FUTURE, cycles, &mut || false);
-    } else {
-        let mid = (cycles / 2).max(1);
-        let first = sim.run_slice(FAR_FUTURE, mid, &mut || false);
-        if matches!(first, Ok(RunOutcome::CycleBudget)) {
-            // Serialize, tear the simulator down completely, and resume
-            // in a fresh one — the vhdld migration path.
-            let blob = sim
-                .checkpoint()
-                .map_err(|e| ConformError::Snapshot(e.to_string()))?;
-            drop(sim);
-            sim = Simulator::restore(program.clone(), &blob)
-                .map_err(|e| ConformError::Snapshot(e.to_string()))?;
-            arm(&mut sim);
-            sim.observe(Box::new(move |t, sig, name, v| {
-                vcd_ref.borrow_mut().change(t, sig, name, v);
-            }));
-            outcome = sim.run_slice(FAR_FUTURE, cycles - mid, &mut || false);
-        } else {
-            outcome = first;
-        }
-    }
-    let snap = snap_of(&sim, &outcome, vcd.borrow().finish(), n_sigs, n_procs);
-    drop(sim);
-    Ok(snap)
-}
-
-fn snap_of(
-    sim: &Simulator<'_>,
-    outcome: &Result<RunOutcome, SimError>,
-    vcd: String,
-    n_sigs: usize,
-    n_procs: usize,
-) -> Snap {
-    let st = sim.stats();
-    Snap {
-        outcome: match outcome {
-            Ok(o) => format!("{o:?}"),
-            Err(e) => format!("err: {e}"),
-        },
-        vcd,
-        now_fs: sim.now().fs,
-        stats: (
-            st.cycles,
-            st.delta_cycles,
-            st.events,
-            st.transactions,
-            st.resumptions,
-            st.insns,
-        ),
-        sig_vals: (0..n_sigs)
-            .map(|i| sim.signal_value(SigId(i as u32)).clone())
-            .collect(),
-        sig_events: (0..n_sigs)
-            .map(|i| sim.signal_events(SigId(i as u32)))
-            .collect(),
-        sig_last: (0..n_sigs)
-            .map(|i| {
-                sim.signal_last_event(SigId(i as u32))
-                    .map_or(u64::MAX, |t| t.fs)
-            })
-            .collect(),
-        proc_res: (0..n_procs)
-            .map(|i| sim.process_resumptions(i as u32))
-            .collect(),
-        reports: sim
-            .reports()
-            .iter()
-            .map(|r| (r.time.fs, r.severity, r.text.clone()))
-            .collect(),
-    }
-}
-
-/// Runs a design through the full matrix and compares every cell to the
-/// reference.
+/// Runs a design through the eight cells. Cycle budgets bound the run
+/// (delta storms never advance time), so the deadline is unreachable;
+/// the budget is split at its midpoint, where resume cells checkpoint.
+/// `fault`, when set, arms on the multi-worker cells only.
 ///
 /// # Errors
 ///
@@ -390,24 +84,8 @@ pub fn run_matrix(
     fault: Option<TestFault>,
 ) -> Result<MatrixOutcome, ConformError> {
     let program = elaborate(design)?;
-    let cells = matrix();
-    let mut snaps: Vec<(String, Snap)> = Vec::with_capacity(cells.len());
-    for cell in &cells {
-        let snap = run_cell(&program, design.cycles, *cell, fault)?;
-        snaps.push((cell.name(), snap));
-    }
-    let (base_name, base) = &snaps[0];
-    let mut divergence = None;
-    for (name, snap) in &snaps[1..] {
-        if let Some((observable, detail)) = base.first_divergence(snap) {
-            divergence = Some(Divergence {
-                base: base_name.clone(),
-                cell: name.clone(),
-                observable,
-                detail,
-            });
-            break;
-        }
-    }
-    Ok(MatrixOutcome { snaps, divergence })
+    let mid = (design.cycles / 2).max(1);
+    let slices = [mid, design.cycles.saturating_sub(mid)];
+    oracle::run_matrix(&program, Time::fs(u64::MAX / 4), &slices, &CELLS, fault)
+        .map_err(|e| ConformError::Snapshot(e.to_string()))
 }

@@ -1185,6 +1185,45 @@ mod tests {
         assert_eq!(cp.n_fallback, 1);
     }
 
+    /// Both backends must exhaust their fuel budget on exactly the same
+    /// instruction: the budget is charged per instruction *before*
+    /// execution, and bulk-charged integer tapes may not smear that
+    /// boundary.
+    #[test]
+    fn fuel_exhaustion_boundary_identical_across_backends() {
+        use crate::sim::{Backend, Simulator};
+        use crate::value::Time;
+        // A runaway counter loop that never suspends: 5 instructions per
+        // iteration, so a 1000-instruction budget dies mid-iteration.
+        let mut prog = Program::default();
+        prog.add_process(
+            "top.spin",
+            1,
+            vec![
+                Insn::LoadVar(slot(0)),
+                Insn::PushInt(1),
+                Insn::Binop(Op::Add),
+                Insn::StoreVar(slot(0)),
+                Insn::Jump(0),
+            ],
+        );
+        let run = |backend: Backend| {
+            let mut sim = Simulator::new(prog.clone());
+            sim.set_backend(backend);
+            sim.set_fuel_budget(1000);
+            let outcome = sim.run_slice(Time::fs(10), u64::MAX, &mut || false);
+            let st = sim.stats();
+            (outcome.map_err(|e| e.to_string()), st.insns, st.cycles)
+        };
+        let interp = run(Backend::Interp);
+        assert_eq!(
+            interp.0,
+            Err("process top.spin looped without suspending".to_string())
+        );
+        assert_eq!(interp.1, 1000, "the exhausting instruction is charged");
+        assert_eq!(run(Backend::Compiled), interp);
+    }
+
     /// Values produced before a branch and consumed after it are
     /// materialized onto the real stack and combined via Raw steps.
     #[test]

@@ -16,21 +16,22 @@
 //!   code generator targets;
 //! - [`snapshot`] — versioned binary checkpoints of live simulation
 //!   state, so a session can suspend mid-run and resume byte-identically
-//!   elsewhere.
+//!   elsewhere;
+//! - [`oracle`] — the differential oracle: every execution configuration
+//!   (scan stepper, interpreter, compiled; worker counts; checkpoint and
+//!   restore) run and compared observable by observable.
 
 mod compile;
 pub mod io;
 pub mod isa;
 pub mod names;
+pub mod oracle;
 mod par;
 pub mod rts;
 pub mod sched;
 pub mod sim;
 pub mod snapshot;
 pub mod value;
-
-#[cfg(test)]
-mod equiv;
 
 pub use isa::{ArrAttrKind, FnDecl, FnId, Insn, Program, SigAttr, SigId, VarAddr};
 pub use names::{NameError, NameServer, NsEntry, NsObject};

@@ -16,8 +16,8 @@
 //! could actually care. Per cycle the kernel touches O(activity) state,
 //! not O(design size), while observable behavior (values, events,
 //! statistics, observer order) is identical to the scan-based seed kernel
-//! — which survives as the `ref_*` reference stepper under `#[cfg(test)]`
-//! and anchors the scheduler-equivalence property suite.
+//! — which survives as the `ref_*` reference stepper, the
+//! [`crate::oracle`]'s `Scan` engine.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -567,8 +567,8 @@ impl<'a> Simulator<'a> {
         Arc::get_mut(&mut self.signals).expect("signal state shared outside the process phase")
     }
 
-    /// Overrides the per-activation instruction budget (equivalence tests
-    /// pin the exhaustion boundary with small budgets).
+    /// Overrides the per-activation instruction budget (the backend
+    /// fuel-boundary test pins the exhaustion point with a small budget).
     #[cfg(test)]
     pub(crate) fn set_fuel_budget(&mut self, fuel: u64) {
         self.fuel_budget = fuel;
@@ -2501,14 +2501,14 @@ pub(crate) fn run_chunk(ctx: &par::Ctx, buf: &mut JobBuf) {
 }
 
 /// The seed kernel's scan-based scheduler, retained as the reference
-/// stepper for the scheduler-equivalence property suite (`equiv` module):
-/// `ref_next_time` scans every driver and process, `ref_step_to` re-walks
-/// the whole signal and process arrays. A simulator driven exclusively
+/// stepper (the [`crate::oracle`]'s `Scan` engine; no production path
+/// runs it): `ref_next_time` scans every driver and process,
+/// `ref_step_to` re-walks the whole signal and process arrays. A
+/// simulator driven exclusively
 /// through `ref_*` methods ignores the calendar and sensitivity index and
 /// must produce byte-identical observables to the event-driven path.
-#[cfg(test)]
 impl<'a> Simulator<'a> {
-    pub(crate) fn ref_next_time(&self) -> Option<Time> {
+    fn ref_next_time(&self) -> Option<Time> {
         let mut next: Option<Time> = None;
         for sig in self.signals.iter() {
             for d in &sig.drivers {
@@ -2528,7 +2528,7 @@ impl<'a> Simulator<'a> {
         next
     }
 
-    pub(crate) fn ref_step_to(&mut self, next: Time) -> Result<(), SimError> {
+    fn ref_step_to(&mut self, next: Time) -> Result<(), SimError> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }

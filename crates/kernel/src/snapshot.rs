@@ -9,7 +9,7 @@
 //! pending-event calendar. Restoring into a freshly elaborated program
 //! yields a simulator whose subsequent VCD output, statistics, and
 //! counters are byte-identical to an uninterrupted run, under either
-//! backend (`src/snapshot.rs` property suite).
+//! backend and worker count (the resume cells of `tests/oracle.rs`).
 //!
 //! ## Format
 //!
@@ -846,122 +846,11 @@ impl<'a> Simulator<'a> {
 
 #[cfg(test)]
 mod tests {
-    use std::cell::RefCell;
-
     use ag_harness::{check_eq, forall, Config};
 
     use super::*;
-    use crate::equiv::{gen_program, snapshot as observe, Snapshot as Observed};
-    use crate::io::Vcd;
-    use crate::sim::{RunOutcome, SimError, SimStats};
-
-    /// The uninterrupted oracle: two slices on one simulator, full
-    /// [`SimStats`] alongside the observable snapshot.
-    fn run_oracle(
-        prog: &Program,
-        deadline: Time,
-        cut: u64,
-        rest: u64,
-        backend: Backend,
-    ) -> (Observed, SimStats) {
-        let (n_sigs, n_procs) = (prog.signals.len(), prog.processes.len());
-        let vcd = RefCell::new(Vcd::new("1fs"));
-        let vcd_ref = &vcd;
-        let mut sim = Simulator::new(prog.clone());
-        sim.set_backend(backend);
-        sim.observe(Box::new(move |t, sig, name, v| {
-            vcd_ref.borrow_mut().change(t, sig, name, v);
-        }));
-        let mut outcome = sim.run_slice(deadline, cut, &mut || false);
-        if matches!(outcome, Ok(RunOutcome::CycleBudget)) {
-            outcome = sim.run_slice(deadline, rest, &mut || false);
-        }
-        let stats = sim.stats();
-        let obs = observe(&sim, &outcome, vcd.borrow().finish(), n_sigs, n_procs);
-        (obs, stats)
-    }
-
-    /// The resumed leg: run the first slice, checkpoint (kernel state plus
-    /// VCD writer state), tear everything down, restore into a brand-new
-    /// simulator and writer, run the second slice there.
-    fn run_checkpointed(
-        prog: &Program,
-        deadline: Time,
-        cut: u64,
-        rest: u64,
-        backend: Backend,
-    ) -> (Observed, SimStats, Vec<u8>) {
-        let (n_sigs, n_procs) = (prog.signals.len(), prog.processes.len());
-        let vcd = RefCell::new(Vcd::new("1fs"));
-        let (kernel_bytes, vcd_bytes, first) = {
-            let vcd_ref = &vcd;
-            let mut sim = Simulator::new(prog.clone());
-            sim.set_backend(backend);
-            sim.observe(Box::new(move |t, sig, name, v| {
-                vcd_ref.borrow_mut().change(t, sig, name, v);
-            }));
-            let outcome = sim.run_slice(deadline, cut, &mut || false);
-            if outcome.is_err() {
-                // The design failed inside the first slice; a failed run
-                // refuses to checkpoint, so the comparison is direct.
-                let stats = sim.stats();
-                let obs = observe(&sim, &outcome, vcd.borrow().finish(), n_sigs, n_procs);
-                return (obs, stats, Vec::new());
-            }
-            let kernel = sim.checkpoint().expect("checkpoint of a healthy run");
-            let mut e = Enc::new();
-            vcd.borrow().encode(&mut e);
-            (kernel, e.into_bytes(), outcome)
-        };
-
-        let vcd2 = RefCell::new(Vcd::decode(&mut Dec::new(&vcd_bytes)).expect("vcd state"));
-        let vcd2_ref = &vcd2;
-        let mut sim2 = Simulator::restore(prog.clone(), &kernel_bytes).expect("restore");
-        sim2.observe(Box::new(move |t, sig, name, v| {
-            vcd2_ref.borrow_mut().change(t, sig, name, v);
-        }));
-        let outcome = if matches!(first, Ok(RunOutcome::CycleBudget)) {
-            sim2.run_slice(deadline, rest, &mut || false)
-        } else {
-            first
-        };
-        let stats = sim2.stats();
-        let obs = observe(&sim2, &outcome, vcd2.borrow().finish(), n_sigs, n_procs);
-        drop(sim2);
-        (obs, stats, kernel_bytes)
-    }
-
-    /// The tentpole property: a run checkpointed mid-flight and restored
-    /// into a fresh simulator is byte-identical — VCD text, the full
-    /// statistics block (scheduler-introspection counters included), and
-    /// the Name Server's per-object event/resumption counters — to the
-    /// same run left uninterrupted, under both backends.
-    #[test]
-    fn checkpoint_restore_is_byte_identical_to_uninterrupted() {
-        forall!(
-            Config::new("checkpoint_restore_is_byte_identical").cases(96),
-            |s| {
-                let prog = gen_program(s);
-                let deadline = Time::fs(s.u64_in(5, 60));
-                let total = s.u64_in(20, 300);
-                let cut = s.u64_in(1, total - 1);
-                let backend = if s.bool() {
-                    Backend::Compiled
-                } else {
-                    Backend::Interp
-                };
-                let (oracle, oracle_stats) = run_oracle(&prog, deadline, cut, total - cut, backend);
-                let (resumed, resumed_stats, _) =
-                    run_checkpointed(&prog, deadline, cut, total - cut, backend);
-                check_eq!(resumed, oracle, "restored run vs uninterrupted oracle");
-                check_eq!(
-                    resumed_stats,
-                    oracle_stats,
-                    "full SimStats incl. calendar_ops/woken_procs/scanned_signals"
-                );
-            }
-        );
-    }
+    use crate::oracle::gen_program;
+    use crate::sim::SimError;
 
     /// Corruption rejection: every truncation of a real snapshot and a
     /// byte flip at every position must come back as a diagnostic, never

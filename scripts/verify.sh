@@ -7,46 +7,21 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-echo "==> cargo build --release --workspace"
-# --workspace: the steps below run the vhdlc and vhdld binaries from
-# crates/*, which a bare root-package build would not produce.
-cargo build --release --workspace
+echo "==> cargo build --release"
+# The workspace's default members are every crate, so a bare build
+# produces the vhdlc, vhdld and vhdlconform binaries the steps below run.
+cargo build --release
 
-echo "==> cargo test -q --workspace"
-cargo test -q --workspace
+echo "==> cargo test -q"
+# Every crate's tests, once: the kernel's differential oracle suite
+# (scan stepper, interpreter and compiled backend at several worker
+# counts, checkpoint and restore), the conformance corpus replay, the
+# VIFB and snapshot property suites, the driver CLI and the server e2e
+# tests.
+cargo test -q
 
 echo "==> cargo fmt --check"
 cargo fmt --check
-
-echo "==> dual-backend equivalence suite (scheduler oracle + compiled backend)"
-# The kernel's property suite replays randomized designs through the
-# event-driven scheduler, the retained full-scan reference stepper, AND
-# the block-compiled process backend, demanding byte-identical VCD
-# output, stats (including instruction counts and fuel boundaries), and
-# Name-Server counters across all of them.
-cargo test -q -p sim-kernel --lib equiv
-cargo test -q -p sim-kernel --test alloc_budget
-
-echo "==> checkpoint/resume round-trip suite (kernel snapshot + server sessions)"
-# The snapshot property suite checkpoints randomized designs mid-run,
-# restores them fresh, and demands the resumed run's VCD, stats, and
-# counters be byte-identical to an uninterrupted oracle — under both
-# backends — plus rejection of corrupted/truncated/stale-version blobs.
-# The server e2e tests cover the same contract end to end over TCP
-# (`restored_session_continues_byte_identical`) alongside the pooled
-# core's soak (every connection served or explicitly rejected) and a
-# drain with a session mid-run returning a `draining` outcome.
-cargo test -q -p sim-kernel --lib snapshot
-cargo test -q -p vhdl-server --test server
-
-echo "==> parallel delta-cycle byte-identity suite (jobs in {1,2,4,8}, both backends)"
-# The parallel property suite runs randomized wide designs (resolved
-# multi-writer buses, cross-partition drivers, delta storms, runtime
-# faults, compiled-fallback processes) at several worker counts and
-# demands VCD, full stats, reports, error identity, and checkpoint
-# blobs byte-identical to the sequential oracle — plus the 4-worker
-# steady state staying inside the sequential allocation budget.
-cargo test -q -p sim-kernel --test par
 
 echo "==> exp_kernel smoke incl. compiled backend + parallel series (low iters, scratch output dir)"
 # A quick pass over the kernel benchmarks proves they still run end to end
@@ -64,21 +39,6 @@ grep -q '"oscillator_speedup_compiled"' "$SMOKE_OUT/exp_kernel.json" \
 grep -q '"sparse_par_speedup_4w_critical_path"' "$SMOKE_OUT/exp_kernel.json" \
     || { echo "verify: exp_kernel did not emit the parallel speedup metric" >&2; exit 1; }
 rm -rf "$SMOKE_OUT"
-
-echo "==> VIFB binary equivalence + structural cache suites"
-# The binary-VIF property suite (DESIGN.md §16): decode∘encode must
-# re-print byte-identically to the canonical VIF text on arbitrary node
-# graphs (text is the oracle), sharing and foreign resolution must
-# match the text path, and corrupted/truncated/version-bumped buffers
-# must be rejected with typed errors — never panics — under shrinking.
-# The library suite covers sidecar repair, stale-sidecar fallback to
-# text, snapshot/fork sharing, deep content-hash invalidation, and the
-# malformed-dep-names-the-unit error contract; the driver suite pins
-# the warm plan cache (no parse, no re-print) and that every parallel
-# commit carries a hash-valid sidecar.
-cargo test -q -p vhdl-vif --test vifb_props
-cargo test -q -p vhdl-vif --lib
-cargo test -q -p vhdl-driver --lib batch
 
 echo "==> generative differential conformance (corpus replay + fresh fuzz + fault canary)"
 # Replay every checked-in corpus seed through the full eight-cell
