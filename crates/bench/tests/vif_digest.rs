@@ -1,0 +1,104 @@
+//! Pins what analysis emits: the VIF text of every unit of a fixed set of
+//! designs must hash to the digests recorded here.
+//!
+//! Type identity in VIF is a per-unit `fresh_uid` counter, so the order in
+//! which the attribute evaluator runs semantic rules is visible in the
+//! bytes. An evaluator change that reorders rules, drops a diagnostic or
+//! renames a uid fails here even when every design still analyzes
+//! cleanly. The set covers the full adder example, sixteen seeded conform
+//! designs (eight small, eight heavy) and the configuration-unit library.
+//!
+//! On an intended change to analysis output, the failure message prints
+//! the new table.
+
+use ag_harness::rng::fnv1a;
+use ag_harness::Source;
+use vhdl_conform::{gen_design, Profile};
+use vhdl_driver::Compiler;
+use vhdl_vif::write_vif;
+
+/// `(design, units, digest)`: the digest folds every unit's key,
+/// diagnostics and VIF text in compilation order.
+const GOLDEN: &[(&str, usize, u64)] = &[
+    ("full_adder", 10, 0xe6f551c2373a7ff8),
+    ("small-1", 6, 0x6cc8169a1758539a),
+    ("small-2", 6, 0x2d4e063eac65ced6),
+    ("small-3", 4, 0xe8266959451c9a95),
+    ("small-4", 6, 0x343d624e7357da44),
+    ("small-5", 6, 0x26d11531bf98aefc),
+    ("small-6", 4, 0xd11333cd4df090b2),
+    ("small-7", 4, 0x74967de6739bbd5e),
+    ("small-8", 6, 0x8b9a1eeb9e9ef872),
+    ("heavy-1", 6, 0x56203d0b94e3efe1),
+    ("heavy-2", 6, 0xfe1cd566e0adcbfb),
+    ("heavy-3", 6, 0xd006e58add28be9c),
+    ("heavy-4", 6, 0xdfd5c92a8bde8fc9),
+    ("heavy-5", 6, 0x92b89e6f9869f5df),
+    ("heavy-6", 6, 0x18d847456fd654ef),
+    ("heavy-7", 6, 0x6c36779e69db2711),
+    ("heavy-8", 6, 0x04e99f38050bd735),
+    ("config_library_4", 15, 0x9281de2a995fc78b),
+];
+
+/// Compiles `sources` in order into one in-memory work library and
+/// digests every analyzed unit.
+fn digest(sources: &[&str]) -> (usize, u64) {
+    let c = Compiler::in_memory();
+    let mut text = String::new();
+    let mut units = 0;
+    for src in sources {
+        let res = c.compile(src).expect("design parses");
+        for au in &res.units {
+            assert!(!au.msgs.has_errors(), "{}: {}", au.key, au.msgs);
+            units += 1;
+            text.push_str(&au.key);
+            text.push('\n');
+            text.push_str(&au.msgs.to_string());
+            text.push('\n');
+            text.push_str(&write_vif(&au.node));
+            text.push('\n');
+        }
+    }
+    (units, fnv1a(&text))
+}
+
+fn designs() -> Vec<(String, Vec<String>)> {
+    let full_adder = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/full_adder.vhd"),
+    )
+    .expect("examples/full_adder.vhd");
+    let mut out = vec![("full_adder".to_string(), vec![full_adder])];
+    for (profile, seeds) in [(Profile::Small, 1..=8u64), (Profile::Heavy, 1..=8u64)] {
+        for seed in seeds {
+            let d = gen_design(&mut Source::from_seed(seed), profile);
+            out.push((format!("{}-{seed}", profile.name()), vec![d.source]));
+        }
+    }
+    let (lib, top) = ag_bench::gen_config_library(4);
+    out.push(("config_library_4".to_string(), vec![lib, top]));
+    out
+}
+
+#[test]
+fn analysis_output_matches_recorded_digests() {
+    let got: Vec<(String, usize, u64)> = designs()
+        .into_iter()
+        .map(|(name, srcs)| {
+            let srcs: Vec<&str> = srcs.iter().map(String::as_str).collect();
+            let (units, h) = digest(&srcs);
+            (name, units, h)
+        })
+        .collect();
+    let same = got.len() == GOLDEN.len()
+        && got
+            .iter()
+            .zip(GOLDEN)
+            .all(|(g, w)| g.0 == w.0 && g.1 == w.1 && g.2 == w.2);
+    if !same {
+        let table: String = got
+            .iter()
+            .map(|(n, u, h)| format!("    ({n:?}, {u}, {h:#018x}),\n"))
+            .collect();
+        panic!("analysis output drifted from the recorded digests; now:\n{table}");
+    }
+}
