@@ -124,13 +124,6 @@ pub enum RuleOrigin {
     ImplicitMerge,
 }
 
-impl RuleOrigin {
-    /// `true` for any of the implicit kinds.
-    pub fn is_implicit(self) -> bool {
-        self != RuleOrigin::Explicit
-    }
-}
-
 /// A semantic rule: defines attribute `class` of occurrence `target_occ`
 /// from `deps`.
 #[derive(Clone)]
@@ -247,6 +240,13 @@ impl fmt::Display for AgError {
 }
 
 impl std::error::Error for AgError {}
+
+/// The empty cell of the dense `slot` and `rule` tables.
+pub(crate) const NO_ENTRY: u16 = u16::MAX;
+
+fn entry(cell: u16) -> Option<usize> {
+    (cell != NO_ENTRY).then_some(cell as usize)
+}
 
 /// Builds an [`AttrGrammar`] over an existing context-free grammar.
 pub struct AgBuilder<V> {
@@ -370,11 +370,15 @@ pub struct AttrGrammar<V> {
     pub(crate) classes: Vec<ClassInfo<V>>,
     pub(crate) class_by_name: HashMap<String, ClassId>,
     pub(crate) attrs_of: Vec<Vec<ClassId>>,
-    /// Slot of (symbol, class) in a node's attribute vector.
-    pub(crate) slot: HashMap<(SymbolId, ClassId), usize>,
-    /// Rules per production, and an index from (prod, occ, class).
+    /// Dense `symbol × class → slot` table ([`NO_ENTRY`] = not attached):
+    /// the position of the attribute in a node's attribute block.
+    pub(crate) slot_tab: Vec<u16>,
+    /// Rules per production.
     pub(crate) rules: Vec<Vec<Rule<V>>>,
-    pub(crate) rule_of: HashMap<(ProdId, usize, ClassId), usize>,
+    /// Dense per-production `occurrence × class → rule index` tables,
+    /// concatenated; production `p`'s table starts at `rule_base[p]`.
+    pub(crate) rule_tab: Vec<u16>,
+    pub(crate) rule_base: Vec<u32>,
     pub(crate) n_explicit: usize,
     pub(crate) n_implicit: usize,
 }
@@ -393,11 +397,6 @@ impl<V: Clone + 'static> AttrGrammar<V> {
     /// The underlying context-free grammar.
     pub fn grammar(&self) -> &Grammar {
         &self.grammar
-    }
-
-    /// Shared handle to the underlying grammar.
-    pub fn grammar_rc(&self) -> Rc<Grammar> {
-        Rc::clone(&self.grammar)
     }
 
     /// Number of declared attribute classes.
@@ -427,12 +426,13 @@ impl<V: Clone + 'static> AttrGrammar<V> {
 
     /// `true` if `class` is attached to `symbol`.
     pub fn has_attr(&self, symbol: SymbolId, class: ClassId) -> bool {
-        self.slot.contains_key(&(symbol, class))
+        self.slot(symbol, class).is_some()
     }
 
     /// Attribute-vector slot of `(symbol, class)`.
     pub fn slot(&self, symbol: SymbolId, class: ClassId) -> Option<usize> {
-        self.slot.get(&(symbol, class)).copied()
+        let i = symbol.index() * self.classes.len() + class.index();
+        entry(self.slot_tab[i])
     }
 
     /// All rules of a production (explicit and implicit).
@@ -442,9 +442,19 @@ impl<V: Clone + 'static> AttrGrammar<V> {
 
     /// The rule defining `(occ, class)` in `prod`, if any.
     pub fn rule_for(&self, prod: ProdId, occ: usize, class: ClassId) -> Option<&Rule<V>> {
-        self.rule_of
-            .get(&(prod, occ, class))
-            .map(|&i| &self.rules[prod.index()][i])
+        self.rule_index(prod, occ, class)
+            .map(|r| &self.rules[prod.index()][r])
+    }
+
+    /// Index in [`AttrGrammar::rules`] of the rule defining `(occ, class)`
+    /// in `prod`, if any.
+    pub fn rule_index(&self, prod: ProdId, occ: usize, class: ClassId) -> Option<usize> {
+        let p = prod.index();
+        let i = self.rule_base[p] as usize + occ * self.classes.len() + class.index();
+        if i >= self.rule_base[p + 1] as usize {
+            return None;
+        }
+        entry(self.rule_tab[i])
     }
 
     /// Number of explicit (author-written) rules.

@@ -97,12 +97,12 @@ impl<'a, V: Clone + 'static> PlanEval<'a, V> {
             .node(node)
             .prod
             .expect("visit only interior nodes");
-        let ops = self.plans.seq[prod.index()][(visit - 1) as usize].clone();
-        for op in ops {
+        let plans = self.plans;
+        for &op in &plans.seq[prod.index()][(visit - 1) as usize] {
             match op {
                 PlanOp::Eval(ri) => self.eval_rule(node, prod, ri)?,
                 PlanOp::Visit { occ, visit } => {
-                    let child = self.tree.node(node).children[occ - 1];
+                    let child = self.tree.child(node, occ);
                     self.visit(child, visit)?;
                 }
             }
@@ -121,7 +121,7 @@ impl<'a, V: Clone + 'static> PlanEval<'a, V> {
             if occ == 0 {
                 node
             } else {
-                self.tree.node(node).children[occ - 1]
+                self.tree.child(node, occ)
             }
         };
         let mut args = Vec::with_capacity(rule.deps.len());

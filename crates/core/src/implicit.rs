@@ -14,13 +14,12 @@
 //! - **merge rule** `X.A = m(Y.A, m(W.A, … Z.A)…)` — a fold of the class's
 //!   associative merge function over all RHS occurrences.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use ag_lalr::{ProdId, SymbolId};
 
 use crate::attr::{
-    AgBuilder, AgError, AttrDir, AttrGrammar, ClassId, Dep, Implicit, Rule, RuleOrigin,
+    AgBuilder, AgError, AttrDir, AttrGrammar, ClassId, Dep, Implicit, Rule, RuleOrigin, NO_ENTRY,
 };
 
 /// Validates `builder`'s explicit rules, synthesizes implicit rules, and
@@ -37,11 +36,12 @@ pub(crate) fn complete<V: Clone + 'static>(
     } = builder;
 
     // Slot assignment: position of each (symbol, class) in node attribute
-    // vectors.
-    let mut slot = HashMap::new();
+    // vectors, as a dense symbol × class table.
+    let n_cls = classes.len();
+    let mut slot_tab = vec![NO_ENTRY; grammar.n_symbols() * n_cls];
     for sym in grammar.symbol_ids() {
         for (i, &c) in attrs_of[sym.index()].iter().enumerate() {
-            slot.insert((sym, c), i);
+            slot_tab[sym.index() * n_cls + c.index()] = dense(i);
         }
         if grammar.is_terminal(sym) && !attrs_of[sym.index()].is_empty() {
             return Err(AgError::AttachToTerminal {
@@ -51,6 +51,16 @@ pub(crate) fn complete<V: Clone + 'static>(
         }
     }
 
+    let has = |sym: SymbolId, c: ClassId| slot_tab[sym.index() * n_cls + c.index()] != NO_ENTRY;
+    // The rule index: per production, one row of classes for each
+    // occurrence (LHS, then every RHS position).
+    let mut rule_base = vec![0u32];
+    for p in grammar.prod_ids() {
+        rule_base.push(rule_base[p.index()] + ((grammar.rhs(p).len() + 1) * n_cls) as u32);
+    }
+    let mut rule_tab = vec![NO_ENTRY; rule_base[grammar.n_prods()] as usize];
+    let cell =
+        |p: ProdId, occ: usize, c: ClassId| rule_base[p.index()] as usize + occ * n_cls + c.index();
     let occ_symbol = |p: ProdId, occ: usize| -> Option<SymbolId> {
         if occ == 0 {
             Some(grammar.lhs(p))
@@ -63,15 +73,14 @@ pub(crate) fn complete<V: Clone + 'static>(
     let mut n_explicit = 0usize;
     for p in grammar.prod_ids() {
         let plabel = grammar.prod_label(p).to_string();
-        let mut seen: HashMap<(usize, ClassId), ()> = HashMap::new();
-        for r in &rules[p.index()] {
+        for (i, r) in rules[p.index()].iter().enumerate() {
             n_explicit += 1;
             let sym = occ_symbol(p, r.target_occ).ok_or(AgError::BadOccurrence {
                 prod: plabel.clone(),
                 occ: r.target_occ,
             })?;
             let cname = classes[r.class.index()].name.clone();
-            if !slot.contains_key(&(sym, r.class)) {
+            if !has(sym, r.class) {
                 return Err(AgError::BadDep {
                     prod: plabel.clone(),
                     dep: format!("target {}.{cname} (class not attached)", r.target_occ),
@@ -89,13 +98,15 @@ pub(crate) fn complete<V: Clone + 'static>(
                     class: cname,
                 });
             }
-            if seen.insert((r.target_occ, r.class), ()).is_some() {
+            let at = cell(p, r.target_occ, r.class);
+            if rule_tab[at] != NO_ENTRY {
                 return Err(AgError::DuplicateRule {
                     prod: plabel.clone(),
                     occ: r.target_occ,
                     class: cname,
                 });
             }
+            rule_tab[at] = dense(i);
             for d in &r.deps {
                 match *d {
                     Dep::Attr(occ, c) => {
@@ -103,7 +114,7 @@ pub(crate) fn complete<V: Clone + 'static>(
                             prod: plabel.clone(),
                             occ,
                         })?;
-                        if !slot.contains_key(&(dsym, c)) {
+                        if !has(dsym, c) {
                             return Err(AgError::BadDep {
                                 prod: plabel.clone(),
                                 dep: format!(
@@ -162,12 +173,6 @@ pub(crate) fn complete<V: Clone + 'static>(
             continue;
         }
         let plabel = grammar.prod_label(p).to_string();
-        let defined: HashMap<(usize, ClassId), ()> = rules[p.index()]
-            .iter()
-            .map(|r| ((r.target_occ, r.class), ()))
-            .collect();
-        let mut new_rules: Vec<Rule<V>> = Vec::new();
-
         // Required occurrences: syn attrs of LHS…
         let lhs = grammar.lhs(p);
         let mut required: Vec<(usize, ClassId)> = attrs_of[lhs.index()]
@@ -188,26 +193,19 @@ pub(crate) fn complete<V: Clone + 'static>(
         }
 
         for (occ, class) in required {
-            if defined.contains_key(&(occ, class)) {
+            let at = cell(p, occ, class);
+            if rule_tab[at] != NO_ENTRY {
                 continue;
             }
             let info = &classes[class.index()];
             let rule = if info.dir == AttrDir::Inherited {
-                synth_inherited(&grammar, &slot, p, occ, class, info, &plabel)?
+                synth_inherited(&grammar, &has, p, occ, class, info, &plabel)?
             } else {
-                synth_synthesized(&grammar, &slot, p, class, info, &plabel)?
+                synth_synthesized(&grammar, &has, p, class, info, &plabel)?
             };
-            new_rules.push(rule);
+            rule_tab[at] = dense(rules[p.index()].len());
+            rules[p.index()].push(rule);
             n_implicit += 1;
-        }
-        rules[p.index()].extend(new_rules);
-    }
-
-    // Build the rule index.
-    let mut rule_of = HashMap::new();
-    for p in grammar.prod_ids() {
-        for (i, r) in rules[p.index()].iter().enumerate() {
-            rule_of.insert((p, r.target_occ, r.class), i);
         }
     }
 
@@ -216,9 +214,10 @@ pub(crate) fn complete<V: Clone + 'static>(
         classes,
         class_by_name,
         attrs_of,
-        slot,
+        slot_tab,
         rules,
-        rule_of,
+        rule_tab,
+        rule_base,
         n_explicit,
         n_implicit,
     })
@@ -226,7 +225,7 @@ pub(crate) fn complete<V: Clone + 'static>(
 
 fn synth_inherited<V: Clone + 'static>(
     grammar: &ag_lalr::Grammar,
-    slot: &HashMap<(SymbolId, ClassId), usize>,
+    has: &impl Fn(SymbolId, ClassId) -> bool,
     p: ProdId,
     occ: usize,
     class: ClassId,
@@ -234,7 +233,7 @@ fn synth_inherited<V: Clone + 'static>(
     plabel: &str,
 ) -> Result<Rule<V>, AgError> {
     let lhs = grammar.lhs(p);
-    let lhs_has = slot.contains_key(&(lhs, class));
+    let lhs_has = has(lhs, class);
     match &info.implicit {
         Implicit::None => Err(missing(
             plabel,
@@ -262,7 +261,7 @@ fn synth_inherited<V: Clone + 'static>(
 
 fn synth_synthesized<V: Clone + 'static>(
     grammar: &ag_lalr::Grammar,
-    slot: &HashMap<(SymbolId, ClassId), usize>,
+    has: &impl Fn(SymbolId, ClassId) -> bool,
     p: ProdId,
     class: ClassId,
     info: &crate::attr::ClassInfo<V>,
@@ -272,7 +271,7 @@ fn synth_synthesized<V: Clone + 'static>(
         .rhs(p)
         .iter()
         .enumerate()
-        .filter(|(_, sym)| slot.contains_key(&(**sym, class)))
+        .filter(|(_, sym)| has(**sym, class))
         .map(|(i, _)| i + 1)
         .collect();
     match &info.implicit {
@@ -322,6 +321,14 @@ fn synth_synthesized<V: Clone + 'static>(
             "no RHS occurrence and no unit element declared",
         )),
     }
+}
+
+/// A table cell for index `i`.
+fn dense(i: usize) -> u16 {
+    u16::try_from(i)
+        .ok()
+        .filter(|&c| c != NO_ENTRY)
+        .expect("attribute grammar exceeds the dense table's index range")
 }
 
 fn unit_rule<V: Clone + 'static>(occ: usize, class: ClassId, u: V) -> Rule<V> {

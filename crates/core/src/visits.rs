@@ -195,13 +195,6 @@ fn schedule<V: Clone + 'static>(
     let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut lower: Vec<u32> = vec![1; n];
 
-    // Rule index defining each (occ, class) — for Eval→Visit edges.
-    let rule_defining: HashMap<(usize, ClassId), usize> = rules
-        .iter()
-        .enumerate()
-        .map(|(i, r)| ((r.target_occ, r.class), i))
-        .collect();
-
     for (ri, r) in rules.iter().enumerate() {
         let eval = index[&Item::Eval(ri)];
         // Dependencies of the rule.
@@ -210,7 +203,7 @@ fn schedule<V: Clone + 'static>(
                 Dep::Attr(0, c) if ag.dir(c) == crate::attr::AttrDir::Synthesized => {
                     // A sibling rule of this production computes it: order
                     // the two evaluations.
-                    if let Some(&src) = rule_defining.get(&(0usize, c)) {
+                    if let Some(src) = ag.rule_index(p, 0, c) {
                         let from = index[&Item::Eval(src)];
                         edges[from].push(eval);
                     }
@@ -289,7 +282,6 @@ fn schedule<V: Clone + 'static>(
             // Pin it into its visit segment so the parent sees it on time.
             // (Scheduling it earlier than `s` is impossible; later than `v`
             // is wrong; anywhere in [s, v] works — use v.)
-            let _ = rule_defining;
         }
     }
 

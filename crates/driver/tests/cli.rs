@@ -253,3 +253,48 @@ fn batch_mode_compiles_out_of_order_files_in_parallel() {
     assert!(stderr.contains("cache hit 3 miss 0 cold 0"), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `--trace-phases` splits analysis into tree build and attribute
+/// evaluation, with the expression cascade inside evaluation.
+#[test]
+fn trace_phases_nest_analysis_spans() {
+    let src = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/full_adder.vhd");
+    let out = vhdlc()
+        .args(["--trace-phases", src.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    // Phase rows: two spaces of indent per nesting level, then the name
+    // and the call count.
+    let rows: Vec<(usize, &str, u64)> = stderr
+        .lines()
+        .take_while(|l| !l.is_empty())
+        .skip(2)
+        .map(|l| {
+            let mut f = l.split_whitespace();
+            let name = f.next().unwrap();
+            let calls = f.next().unwrap().parse().unwrap();
+            ((l.len() - l.trim_start().len()) / 2, name, calls)
+        })
+        .collect();
+    // The row of `name` and the name of its parent row.
+    let find = |name: &str| {
+        let i = rows
+            .iter()
+            .position(|r| r.1 == name)
+            .unwrap_or_else(|| panic!("no `{name}` row in:\n{stderr}"));
+        let parent = rows[..i].iter().rev().find(|r| r.0 + 1 == rows[i].0);
+        (rows[i], parent.map(|r| r.1))
+    };
+    let (principal, _) = find("principal-ag");
+    let (tree, tree_parent) = find("ag-tree");
+    let (eval, eval_parent) = find("ag-eval");
+    let (_, cascade_parent) = find("expr-eval-cascade");
+    assert_eq!(tree_parent, Some("principal-ag"), "{stderr}");
+    assert_eq!(eval_parent, Some("principal-ag"), "{stderr}");
+    assert_eq!(cascade_parent, Some("ag-eval"), "{stderr}");
+    // One tree and one evaluation per analyzed unit.
+    assert_eq!(tree.2, principal.2);
+    assert_eq!(eval.2, principal.2);
+}

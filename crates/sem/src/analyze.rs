@@ -169,10 +169,14 @@ impl Analyzer {
         });
         let env = self.unit_start_env(&actx);
         // Wrap the single unit as its own design file so the AG root is
-        // the start symbol.
-        let wrapped = wrap_unit(&self.grammar, unit.clone());
-        let values = tok_tree(&wrapped);
-        let tree = AttrTree::from_parse_tree(&self.grammar.grammar(), &values);
+        // the start symbol; leaves carry [`Value::Tok`], the AG's value
+        // type.
+        let tree = {
+            let _t = ag_harness::trace::span("ag-tree");
+            let wrap = [self.grammar.prod("df"), self.grammar.prod("dus_one")];
+            AttrTree::from_parse_tree_with(self.pag.ag.grammar(), &wrap, unit, |t| Value::Tok(*t))
+        };
+        let _t = ag_harness::trace::span("ag-eval");
         let eval = DemandEval::new(
             &self.pag.ag,
             &tree,
@@ -183,35 +187,31 @@ impl Analyzer {
             ],
         );
         let mut msgs = Msgs::none();
-        let units = match eval.root_value(self.pag.classes.units) {
-            Ok(v) => v.expect_list().to_vec(),
+        let unit = match eval.root_value(self.pag.classes.units) {
+            Ok(v) => v.expect_list().first().cloned(),
             Err(e) => {
                 msgs.push(Msg::error(Default::default(), format!("internal: {e}")));
-                Vec::new()
+                None
             }
         };
         if let Ok(m) = eval.root_value(self.pag.classes.msgs) {
             msgs = Msgs::concat(&msgs, m.as_msgs());
         }
-        let expr_evals = *actx.expr_evals.borrow();
-        match units.first() {
-            Some(Value::Node(node)) => AnalyzedUnit {
-                key: unit_key(node),
-                node: Rc::clone(node),
-                msgs,
-                expr_evals,
-            },
+        let (key, node) = match unit {
+            Some(Value::Node(node)) => (unit_key(&node), node),
             _ => {
                 if !msgs.has_errors() {
                     msgs.push(Msg::error(Default::default(), "no unit produced"));
                 }
-                AnalyzedUnit {
-                    key: String::new(),
-                    node: VifNode::build("error").done(),
-                    msgs,
-                    expr_evals,
-                }
+                (String::new(), VifNode::build("error").done())
             }
+        };
+        let expr_evals = *actx.expr_evals.borrow();
+        AnalyzedUnit {
+            key,
+            node,
+            msgs,
+            expr_evals,
         }
     }
 
@@ -303,33 +303,6 @@ fn split_units(cst: Cst) -> Vec<Cst> {
     units
 }
 
-/// Re-types a CST so leaves carry [`Value::Tok`] (the AG's value type).
-fn tok_tree(t: &Cst) -> ParseTree<Value> {
-    match t {
-        ParseTree::Leaf { term, value } => ParseTree::Leaf {
-            term: *term,
-            value: Value::Tok(value.clone()),
-        },
-        ParseTree::Node { prod, children } => ParseTree::Node {
-            prod: *prod,
-            children: children.iter().map(tok_tree).collect(),
-        },
-    }
-}
-
-/// Rebuilds a one-unit design file around a design-unit subtree.
-fn wrap_unit(g: &PrincipalGrammar, unit: Cst) -> Cst {
-    let dus_one = g.prod("dus_one");
-    let df = g.prod("df");
-    ParseTree::Node {
-        prod: df,
-        children: vec![ParseTree::Node {
-            prod: dus_one,
-            children: vec![unit],
-        }],
-    }
-}
-
 /// Library key of an analyzed unit node.
 pub fn unit_key(node: &VifNode) -> String {
     let name = node.name().unwrap_or("anon");
@@ -347,7 +320,7 @@ pub fn unit_key(node: &VifNode) -> String {
 }
 
 /// Collects the source tokens of a CST subtree in order (used by the
-/// principal AG's token-run attributes and by name resolution).
+/// batch driver's dependency scan).
 pub fn collect_toks(t: &Cst, out: &mut Vec<SrcTok>) {
     match t {
         ParseTree::Leaf { value, .. } => out.push(value.clone()),
@@ -363,20 +336,24 @@ pub fn collect_toks(t: &Cst, out: &mut Vec<SrcTok>) {
 /// uid scope of [`Analyzer::analyze_unit_with_loader`]. Whitespace and
 /// comments don't lex, so they never perturb uids.
 fn unit_scope_hash(unit: &Cst) -> u64 {
-    let mut toks = Vec::new();
-    collect_toks(unit, &mut toks);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
+    fn eat(h: &mut u64, bytes: &[u8]) {
         for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x100_0000_01b3);
         }
-    };
-    for t in &toks {
-        eat(t.kind.name().as_bytes());
-        eat(&[0x1f]);
-        eat(t.text.as_str().as_bytes());
-        eat(&[0x1e]);
     }
+    fn walk(t: &Cst, h: &mut u64) {
+        match t {
+            ParseTree::Leaf { value: t, .. } => {
+                eat(h, t.kind.name().as_bytes());
+                eat(h, &[0x1f]);
+                eat(h, t.text.as_str().as_bytes());
+                eat(h, &[0x1e]);
+            }
+            ParseTree::Node { children, .. } => children.iter().for_each(|c| walk(c, h)),
+        }
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    walk(unit, &mut h);
     h
 }

@@ -104,6 +104,10 @@ impl ExprAg {
             .collect();
 
         let mut ab = AgBuilder::<Value>::new(Rc::clone(&grammar));
+        let merge_list = || Implicit::Merge {
+            unit: Some(Value::empty_list()),
+            f: Rc::new(Value::concat_lists),
+        };
         let classes = ExprClasses {
             env: ab.class("ENV", AttrDir::Inherited, Implicit::Copy),
             expected: ab.class(
@@ -122,47 +126,12 @@ impl ExprAg {
                     f: Rc::new(Value::concat_msgs),
                 },
             ),
-            args: ab.class(
-                "ARGS",
-                AttrDir::Synthesized,
-                Implicit::Merge {
-                    unit: Some(Value::empty_list()),
-                    f: Rc::new(Value::concat_lists),
-                },
-            ),
+            args: ab.class("ARGS", AttrDir::Synthesized, merge_list()),
             expecteds: ab.class("EXPECTEDS", AttrDir::Inherited, Implicit::Copy),
-            info: ab.class(
-                "INFO",
-                AttrDir::Synthesized,
-                Implicit::Merge {
-                    unit: Some(Value::empty_list()),
-                    f: Rc::new(Value::concat_lists),
-                },
-            ),
-            irs: ab.class(
-                "IRS",
-                AttrDir::Synthesized,
-                Implicit::Merge {
-                    unit: Some(Value::empty_list()),
-                    f: Rc::new(Value::concat_lists),
-                },
-            ),
-            choice: ab.class(
-                "CHOICE",
-                AttrDir::Synthesized,
-                Implicit::Merge {
-                    unit: Some(Value::empty_list()),
-                    f: Rc::new(Value::concat_lists),
-                },
-            ),
-            tags: ab.class(
-                "TAGS",
-                AttrDir::Synthesized,
-                Implicit::Merge {
-                    unit: Some(Value::empty_list()),
-                    f: Rc::new(Value::concat_lists),
-                },
-            ),
+            info: ab.class("INFO", AttrDir::Synthesized, merge_list()),
+            irs: ab.class("IRS", AttrDir::Synthesized, merge_list()),
+            choice: ab.class("CHOICE", AttrDir::Synthesized, merge_list()),
+            tags: ab.class("TAGS", AttrDir::Synthesized, merge_list()),
         };
         expr_rules::install(&mut ab, &grammar, &classes);
         let ag = match ab.build() {
@@ -240,7 +209,6 @@ pub fn expr_eval(
 
     // The paper's trivial scanner: the next token is the head of the list.
     let parser = Parser::new(&ax.grammar, &ax.table);
-    let positions: Vec<Pos> = lef.iter().map(|t| t.pos).collect();
     let parsed = parser.parse(
         lef.iter()
             .map(|t| Token::new(ax.term_of[&t.kind], Value::Lef(Rc::new(vec![t.clone()])))),
@@ -248,7 +216,7 @@ pub fn expr_eval(
     let tree = match parsed {
         Ok(t) => t,
         Err(e) => {
-            let at = positions.get(e.at).copied().unwrap_or(pos);
+            let at = lef.get(e.at).map_or(pos, |t| t.pos);
             msgs.push(Msg::error(
                 at,
                 format!(
@@ -261,7 +229,7 @@ pub fn expr_eval(
         }
     };
 
-    let at = AttrTree::from_parse_tree(&ax.grammar, &tree);
+    let at = AttrTree::from_parse_tree_with(&ax.grammar, &[], &tree, Value::clone);
     let eval = DemandEval::new(
         &ax.ag,
         &at,

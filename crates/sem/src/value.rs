@@ -154,14 +154,6 @@ impl Value {
         }
     }
 
-    /// As LEF list.
-    pub fn expect_lef(&self) -> &[LefTok] {
-        match self {
-            Value::Lef(l) => l,
-            v => panic!("expected lef value, got {v:?}"),
-        }
-    }
-
     /// As integer.
     pub fn expect_int(&self) -> i64 {
         match self {
