@@ -8,12 +8,19 @@
 //! cleanly. The set covers the full adder example, sixteen seeded conform
 //! designs (eight small, eight heavy) and the configuration-unit library.
 //!
+//! Each design is compiled twice: through `Compiler::compile`, whose
+//! in-memory library keeps the analyzed trees, and through
+//! `compile_batch` at one job, which commits VIF text. Both must give the
+//! recorded digests, so the tree path and the byte path store the same
+//! units.
+//!
 //! On an intended change to analysis output, the failure message prints
 //! the new table.
 
 use ag_harness::rng::fnv1a;
 use ag_harness::Source;
 use vhdl_conform::{gen_design, Profile};
+use vhdl_driver::batch::BatchOptions;
 use vhdl_driver::Compiler;
 use vhdl_vif::write_vif;
 
@@ -40,23 +47,54 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("config_library_4", 15, 0x9281de2a995fc78b),
 ];
 
+/// How a design reaches the work library.
+#[derive(Clone, Copy, Debug)]
+enum Path {
+    /// `Compiler::compile`, one source at a time: the library stores trees.
+    Tree,
+    /// `compile_batch` over all sources at one job: the library stores text.
+    Batch,
+}
+
 /// Compiles `sources` in order into one in-memory work library and
 /// digests every analyzed unit.
-fn digest(sources: &[&str]) -> (usize, u64) {
+fn digest(sources: &[&str], path: Path) -> (usize, u64) {
     let c = Compiler::in_memory();
     let mut text = String::new();
     let mut units = 0;
-    for src in sources {
-        let res = c.compile(src).expect("design parses");
-        for au in &res.units {
-            assert!(!au.msgs.has_errors(), "{}: {}", au.key, au.msgs);
-            units += 1;
-            text.push_str(&au.key);
-            text.push('\n');
-            text.push_str(&au.msgs.to_string());
-            text.push('\n');
-            text.push_str(&write_vif(&au.node));
-            text.push('\n');
+    let mut fold = |key: &str, msgs: &str, vif: &str| {
+        units += 1;
+        for part in [key, "\n", msgs, "\n", vif, "\n"] {
+            text.push_str(part);
+        }
+    };
+    match path {
+        Path::Tree => {
+            for src in sources {
+                let res = c.compile(src).expect("design parses");
+                for au in &res.units {
+                    assert!(!au.msgs.has_errors(), "{}: {}", au.key, au.msgs);
+                    fold(&au.key, &au.msgs.to_string(), &write_vif(&au.node));
+                }
+            }
+        }
+        Path::Batch => {
+            let files: Vec<(String, String)> = sources
+                .iter()
+                .enumerate()
+                .map(|(i, src)| (format!("f{i}.vhd"), src.to_string()))
+                .collect();
+            let opts = BatchOptions {
+                jobs: 1,
+                incremental: false,
+            };
+            let res = c.compile_batch(&files, opts);
+            assert!(res.ok(), "{:?} {:?}", res.front_errors, res.units);
+            for u in &res.units {
+                let msgs: String = u.msgs.iter().map(|m| format!("{m}\n")).collect();
+                let vif = c.libs.work().peek_raw(&u.key).expect("committed");
+                fold(&u.key, &msgs, &vif);
+            }
         }
     }
     (units, fnv1a(&text))
@@ -81,12 +119,19 @@ fn designs() -> Vec<(String, Vec<String>)> {
 
 #[test]
 fn analysis_output_matches_recorded_digests() {
-    let got: Vec<(String, usize, u64)> = designs()
-        .into_iter()
+    let designs = designs();
+    for path in [Path::Tree, Path::Batch] {
+        check(&designs, path);
+    }
+}
+
+fn check(designs: &[(String, Vec<String>)], path: Path) {
+    let got: Vec<(String, usize, u64)> = designs
+        .iter()
         .map(|(name, srcs)| {
             let srcs: Vec<&str> = srcs.iter().map(String::as_str).collect();
-            let (units, h) = digest(&srcs);
-            (name, units, h)
+            let (units, h) = digest(&srcs, path);
+            (name.clone(), units, h)
         })
         .collect();
     let same = got.len() == GOLDEN.len()
@@ -99,6 +144,6 @@ fn analysis_output_matches_recorded_digests() {
             .iter()
             .map(|(n, u, h)| format!("    ({n:?}, {u}, {h:#018x}),\n"))
             .collect();
-        panic!("analysis output drifted from the recorded digests; now:\n{table}");
+        panic!("{path:?} analysis output drifted from the recorded digests; now:\n{table}");
     }
 }

@@ -2,7 +2,7 @@
 //! (§4.1: "the evaluator for the [principal AG] operates once per VHDL
 //! compilation unit") and stores the resulting VIF in the work library.
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
 
 use ag_core::{AttrTree, DemandEval};
@@ -107,13 +107,20 @@ pub struct AnalyzedUnit {
     pub expr_evals: u64,
 }
 
+thread_local! {
+    /// The principal grammar and AG, built once per thread and shared by
+    /// every analyzer on it: neither holds per-compilation state.
+    static PRINCIPAL: OnceCell<(Rc<PrincipalGrammar>, Rc<PrincipalAg>)> =
+        const { OnceCell::new() };
+}
+
 /// The compiler front half: principal grammar + principal AG, reusable
 /// across files.
 pub struct Analyzer {
-    /// The principal grammar and parse table.
-    pub grammar: PrincipalGrammar,
-    /// The principal attribute grammar.
-    pub pag: PrincipalAg,
+    /// The principal grammar and parse table (shared per thread).
+    pub grammar: Rc<PrincipalGrammar>,
+    /// The principal attribute grammar (shared per thread).
+    pub pag: Rc<PrincipalAg>,
     /// Predefined environment and types.
     pub std: Rc<Standard>,
     /// The environment representation this analyzer was built with.
@@ -121,10 +128,17 @@ pub struct Analyzer {
 }
 
 impl Analyzer {
-    /// Builds the analyzer (parse tables + AG; reuse across compilations).
+    /// Builds the analyzer (reuse across compilations). The parse tables
+    /// and AG are built by the first analyzer on a thread and shared after.
     pub fn new(env_kind: EnvKind) -> Analyzer {
-        let grammar = PrincipalGrammar::new();
-        let pag = PrincipalAg::build(&grammar);
+        let (grammar, pag) = PRINCIPAL.with(|p| {
+            p.get_or_init(|| {
+                let grammar = PrincipalGrammar::new();
+                let pag = PrincipalAg::build(&grammar);
+                (Rc::new(grammar), Rc::new(pag))
+            })
+            .clone()
+        });
         // Build the (thread-cached) expression AG now so the first unit's
         // timing doesn't absorb its construction.
         let _ = crate::expr_ag::ExprAg::shared();

@@ -44,7 +44,7 @@
 //! [`cache_lookup`]/[`cache_insert`] memoize decoded trees per thread,
 //! keyed by a caller-computed **content hash** (the unit's text hash
 //! combined with the content hashes of its resolved foreign dependencies —
-//! see `Library::content_hash`). Worker threads that rebuild mirror
+//! see `LibrarySet::content_hash`). Worker threads that rebuild mirror
 //! libraries every batch, and server sessions sharing a shard thread, turn
 //! repeated dependency loads into pointer shares. Counters are global
 //! atomics so `vhdlc --stats` and `vhdld stats` can report totals across

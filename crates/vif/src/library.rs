@@ -2,30 +2,36 @@
 //!
 //! The compiler "accepts … a working library where the successfully
 //! compiled units are placed and a reference library which can be
-//! referenced … but not updated" (§2). A [`Library`] stores one VIF file
-//! per unit plus a **usage history** — the compilation order — because the
+//! referenced … but not updated" (§2). A [`Library`] stores one VIF unit
+//! per key plus a **usage history** — the compilation order — because the
 //! default-binding rules depend on "the latest compiled architecture for
 //! that entity" (§3.3), which makes configuration defaults dependent on
 //! library history.
 //!
-//! Alongside the canonical VIF *text* every unit may carry a **VIFB
-//! sidecar** (see [`crate::binary`]): the same tree in the flat binary
-//! encoding, stamped with the FNV-1a hash of the text it mirrors. Text
-//! remains the interchange format and the golden oracle; the sidecar is a
-//! pure accelerator. A sidecar whose embedded hash does not match the
-//! current text (stale file, torn write) is ignored and re-encoded from
-//! text on the next load, so a wrong sidecar can cost time but never
-//! correctness.
+//! The VIF is both the symbol table and the interchange format (§2), and
+//! only the interchange role needs bytes. A library keeps one record per
+//! unit: [`Library::put`] keeps the analyzed tree (a *tree record*) whose
+//! text and VIFB sidecar are made only when asked for — a snapshot,
+//! [`Library::peek_raw`], [`Library::text_hash`], or a disk store. Units
+//! that arrive as bytes (disk files, [`Library::put_text`], snapshot
+//! mirrors) are *byte records*: text plus an optional VIFB sidecar (see
+//! [`crate::binary`]) stamped with the FNV-1a hash of the text it mirrors.
+//! Text remains the interchange format and the golden oracle; a sidecar
+//! whose embedded hash does not match the current text is ignored and
+//! re-encoded from text on the next load, so a wrong sidecar can cost time
+//! but never correctness.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::binary::{self, decode_vifb, encode_vifb, probe_vifb};
-use crate::node::VifNode;
-use crate::text::{read_vif, read_vif_unresolved, scan_foreign_refs, write_vif, VifError};
+use crate::node::{VifNode, VifValue};
+use crate::text::{
+    read_vif, read_vif_unresolved, scan_foreign_refs, write_vif, Resolver, VifError,
+};
 
 /// Key of a unit within a library: `"entity.<name>"`, `"arch.<entity>.<name>"`,
 /// `"pkg.<name>"`, `"pkgbody.<name>"`, or `"config.<name>"`.
@@ -37,6 +43,7 @@ pub type UnitKey = String;
 const MAX_LOAD_DEPTH: usize = 64;
 
 /// Cumulative VIF traffic statistics (for the phase-breakdown experiments).
+/// Bytes count only where bytes exist: tree records write and read none.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VifTraffic {
     /// Bytes of VIF text written.
@@ -49,29 +56,77 @@ pub struct VifTraffic {
     pub units_read: u64,
 }
 
-enum Backend {
-    Memory(RefCell<HashMap<UnitKey, Arc<str>>>),
-    Disk(PathBuf),
+/// One unit's record: the form it was stored in plus everything derived
+/// from it. A recompile replaces the whole record, so nothing derived
+/// from an old version can outlive it.
+struct Unit {
+    /// The analyzed tree with foreign references unresolved, for a unit
+    /// stored with [`Library::put`]; `None` for a byte record.
+    tree: Option<Rc<VifNode>>,
+    /// VIF text: given for a byte record, printed on first demand for a
+    /// tree record.
+    text: OnceCell<Arc<str>>,
+    /// VIFB sidecar, once known: given, encoded from the tree on first
+    /// demand, read from the disk library's `.vifb` file, or repaired by
+    /// a text-path load.
+    vifb: RefCell<Option<Arc<[u8]>>>,
+    /// FNV-1a hash of the text, which a valid sidecar embeds.
+    text_hash: OnceCell<u64>,
+    /// Foreign references in the text, which feed the deep content hash.
+    foreigns: OnceCell<Vec<Rc<str>>>,
+    /// Deep content hash, tagged with the library-set generation sum it
+    /// was computed under (a stale tag recomputes).
+    content_hash: Cell<Option<(u64, u64)>>,
+    /// The loaded tree (foreign references resolved); used only while
+    /// the library's cache is enabled.
+    resolved: RefCell<Option<Rc<VifNode>>>,
 }
 
-/// Per-unit facts derived from the current text, memoized until the unit
-/// is recompiled: the text hash (which keys the sidecar validity check)
-/// and the foreign references in first-occurrence order (which feed the
-/// deep content hash).
-#[derive(Clone)]
-struct Fingerprint {
-    text_hash: u64,
-    foreigns: Rc<[Rc<str>]>,
+impl Unit {
+    fn new(tree: Option<Rc<VifNode>>, text: Option<Arc<str>>, vifb: Option<Arc<[u8]>>) -> Unit {
+        Unit {
+            tree,
+            text: text.map_or_else(OnceCell::new, OnceCell::from),
+            vifb: RefCell::new(vifb),
+            text_hash: OnceCell::new(),
+            foreigns: OnceCell::new(),
+            content_hash: Cell::new(None),
+            resolved: RefCell::new(None),
+        }
+    }
+
+    fn text(&self) -> Arc<str> {
+        Arc::clone(self.text.get_or_init(|| {
+            let tree = self.tree.as_ref().expect("a byte record holds its text");
+            Arc::from(write_vif(tree))
+        }))
+    }
+
+    fn text_hash(&self) -> u64 {
+        *self
+            .text_hash
+            .get_or_init(|| binary::fnv1a(0, self.text().as_bytes()))
+    }
+
+    /// The sidecar this record has or can encode itself (no disk read).
+    fn own_vifb(&self) -> Option<Arc<[u8]>> {
+        if let Some(b) = &*self.vifb.borrow() {
+            return Some(Arc::clone(b));
+        }
+        let tree = self.tree.as_ref()?;
+        let b: Arc<[u8]> = encode_vifb(tree, self.text_hash()).into();
+        *self.vifb.borrow_mut() = Some(Arc::clone(&b));
+        Some(b)
+    }
 }
 
 /// A thread-transferable image of a library: unit texts plus the usage
-/// history, in history order. Unit texts are shared `Arc<str>` — taking a
-/// snapshot of an in-memory library copies no text, and cloning a snapshot
-/// (the batch compiler ships one per worker, each rebuilding a mirror with
-/// [`Library::from_snapshot`]; the server forks one per session workspace)
-/// only bumps reference counts. VIFB sidecars travel the same way as
-/// shared `Arc<[u8]>` buffers, so worker mirrors decode binary instead of
-/// re-lexing text.
+/// history, in history order. Unit texts and VIFB sidecars are shared
+/// `Arc`s — taking a snapshot again copies no bytes, and cloning a
+/// snapshot (the batch compiler ships one per worker, each rebuilding a
+/// mirror with [`Library::from_snapshot`]; the server forks one per
+/// session workspace) only bumps reference counts. Mirrors decode the
+/// sidecars instead of re-lexing text.
 #[derive(Clone, Debug)]
 pub struct LibrarySnapshot {
     /// Library logical name.
@@ -90,13 +145,13 @@ pub struct LibrarySnapshot {
 /// One design library.
 pub struct Library {
     name: String,
-    backend: Backend,
+    /// Root directory of an on-disk library; `None` in memory.
+    dir: Option<PathBuf>,
+    /// One record per unit. On disk this fills lazily from the unit files.
+    units: RefCell<HashMap<UnitKey, Rc<Unit>>>,
     /// Compilation order (usage history), oldest first.
     history: RefCell<Vec<UnitKey>>,
     traffic: RefCell<VifTraffic>,
-    /// Cache of resolved units (cleared never — units are immutable; a
-    /// recompile replaces the entry).
-    cache: RefCell<HashMap<UnitKey, Rc<VifNode>>>,
     /// Caching toggle: the paper's compiler re-read foreign VIF per
     /// compilation; disabling the cache reproduces that cost model for the
     /// performance experiments (and also bypasses the structural cache).
@@ -106,14 +161,6 @@ pub struct Library {
     /// the unit was last analyzed. A unit whose recomputed stamp matches
     /// needs no re-analysis.
     stamps: RefCell<HashMap<UnitKey, u64>>,
-    /// In-memory VIFB sidecars (disk libraries keep them in `<unit>.vifb`
-    /// files instead).
-    vifbs: RefCell<HashMap<UnitKey, Arc<[u8]>>>,
-    /// Memoized per-unit fingerprints (cleared on recompile).
-    fingerprints: RefCell<HashMap<UnitKey, Fingerprint>>,
-    /// Memoized deep content hashes, tagged with the library-set
-    /// generation sum they were computed under (stale tags recompute).
-    content_hashes: RefCell<HashMap<UnitKey, (u64, u64)>>,
     /// Bumped on every successful store; generation sums only grow, which
     /// is what makes the content-hash memo tag sound.
     generation: Cell<u64>,
@@ -124,45 +171,40 @@ impl Library {
     pub fn in_memory(name: &str) -> Library {
         Library {
             name: name.to_string(),
-            backend: Backend::Memory(RefCell::new(HashMap::new())),
+            dir: None,
+            units: RefCell::new(HashMap::new()),
             history: RefCell::new(Vec::new()),
             traffic: RefCell::new(VifTraffic::default()),
-            cache: RefCell::new(HashMap::new()),
             cache_enabled: Cell::new(true),
             stamps: RefCell::new(HashMap::new()),
-            vifbs: RefCell::new(HashMap::new()),
-            fingerprints: RefCell::new(HashMap::new()),
-            content_hashes: RefCell::new(HashMap::new()),
             generation: Cell::new(0),
         }
     }
 
-    /// Rebuilds an in-memory library from a [`LibrarySnapshot`] — the
-    /// worker-side mirror of the batch compiler.
+    /// Rebuilds an in-memory library of byte records from a
+    /// [`LibrarySnapshot`] — the worker-side mirror of the batch compiler.
     pub fn from_snapshot(snap: &LibrarySnapshot) -> Library {
-        let lib = Library::in_memory(&snap.name);
-        {
-            let mut m = match &lib.backend {
-                Backend::Memory(m) => m.borrow_mut(),
-                Backend::Disk(_) => unreachable!("in_memory"),
-            };
-            for (k, text) in &snap.units {
-                m.insert(k.clone(), Arc::clone(text));
-            }
-        }
-        *lib.history.borrow_mut() = snap.history.clone();
-        *lib.stamps.borrow_mut() = snap.stamps.iter().cloned().collect();
-        *lib.vifbs.borrow_mut() = snap
-            .vifbs
+        let mut lib = Library::in_memory(&snap.name);
+        let vifbs: HashMap<&str, &Arc<[u8]>> =
+            snap.vifbs.iter().map(|(k, b)| (k.as_str(), b)).collect();
+        *lib.units.get_mut() = snap
+            .units
             .iter()
-            .map(|(k, b)| (k.clone(), Arc::clone(b)))
+            .map(|(k, text)| {
+                let vifb = vifbs.get(k.as_str()).map(|b| Arc::clone(b));
+                let unit = Unit::new(None, Some(Arc::clone(text)), vifb);
+                (k.clone(), Rc::new(unit))
+            })
             .collect();
+        *lib.history.get_mut() = snap.history.clone();
+        *lib.stamps.get_mut() = snap.stamps.iter().cloned().collect();
         lib.generation.set(snap.units.len() as u64);
         lib
     }
 
-    /// Captures the library's current contents as plain text (no traffic
-    /// is counted; snapshots are a scheduling mechanism, not VIF reads).
+    /// Captures the library's current contents as text and sidecars,
+    /// making them for tree records that have none yet (no traffic is
+    /// counted; snapshots are a scheduling mechanism, not VIF reads).
     pub fn snapshot(&self) -> LibrarySnapshot {
         let history = self.history.borrow().clone();
         let mut seen = std::collections::HashSet::new();
@@ -172,9 +214,9 @@ impl Library {
             if !seen.insert(k.clone()) {
                 continue;
             }
-            if let Ok(text) = self.peek_shared(k) {
-                units.push((k.clone(), text));
-                if let Some(b) = self.peek_vifb(k) {
+            if let Ok(unit) = self.unit(k) {
+                units.push((k.clone(), unit.text()));
+                if let Some(b) = self.sidecar(k, &unit) {
                     vifbs.push((k.clone(), b));
                 }
             }
@@ -223,19 +265,11 @@ impl Library {
                 }
             }
         }
-        Ok(Library {
-            name: name.to_string(),
-            backend: Backend::Disk(dir),
-            history: RefCell::new(history),
-            traffic: RefCell::new(VifTraffic::default()),
-            cache: RefCell::new(HashMap::new()),
-            cache_enabled: Cell::new(true),
-            stamps: RefCell::new(stamps),
-            vifbs: RefCell::new(HashMap::new()),
-            fingerprints: RefCell::new(HashMap::new()),
-            content_hashes: RefCell::new(HashMap::new()),
-            generation: Cell::new(0),
-        })
+        let mut lib = Library::in_memory(name);
+        lib.dir = Some(dir);
+        *lib.history.get_mut() = history;
+        *lib.stamps.get_mut() = stamps;
+        Ok(lib)
     }
 
     /// The library's logical name.
@@ -250,24 +284,40 @@ impl Library {
         self.generation.get()
     }
 
+    /// Path of the unit's `ext` file, in an on-disk library.
+    fn file(&self, key: &str, ext: &str) -> Option<PathBuf> {
+        Some(self.dir.as_ref()?.join(format!("{}.{ext}", sanitize(key))))
+    }
+
+    /// The unit's record; on disk, read from the unit file on first use.
+    fn unit(&self, key: &str) -> Result<Rc<Unit>, VifError> {
+        if let Some(unit) = self.units.borrow().get(key) {
+            return Ok(Rc::clone(unit));
+        }
+        let path = self.file(key, "vif").filter(|p| p.exists());
+        let path = path.ok_or_else(|| VifError::MissingUnit(format!("{}.{key}", self.name)))?;
+        let text = Arc::from(std::fs::read_to_string(path)?);
+        let unit = Rc::new(Unit::new(None, Some(text), None));
+        self.units
+            .borrow_mut()
+            .insert(key.to_string(), Rc::clone(&unit));
+        Ok(unit)
+    }
+
     /// Stores a unit (replacing any previous version) and appends it to the
-    /// usage history.
+    /// usage history. In memory this keeps the tree and makes no bytes; on
+    /// disk the text and VIFB sidecar are written now.
     ///
     /// # Errors
     ///
     /// I/O errors on disk-backed libraries.
     pub fn put(&self, key: &str, node: &Rc<VifNode>) -> Result<(), VifError> {
-        let text = write_vif(node);
-        // Encoding straight from the tree matches encoding a reparse of
-        // the text (the canonicality property), so the sidecar is valid
-        // for the exact bytes being stored.
-        let vifb = crate::binary::encode_vifb(node, crate::binary::fnv1a(0, text.as_bytes()));
-        self.put_text_with_vifb(key, &text, &vifb)
+        self.store(key, Unit::new(Some(Rc::clone(node)), None, None))
     }
 
-    /// Stores a unit from its already-serialized VIF text. This is the
-    /// primitive `put` builds on; the batch compiler also uses it directly
-    /// so the committed bytes are exactly the worker-produced bytes.
+    /// Stores a unit from its already-serialized VIF text, as a byte
+    /// record; the batch compiler commits this way so the stored bytes are
+    /// exactly the worker-produced bytes.
     ///
     /// Any existing VIFB sidecar for the unit is dropped (it mirrors text
     /// that no longer exists); the next load re-encodes one. Use
@@ -275,15 +325,16 @@ impl Library {
     /// together.
     ///
     /// The store is atomic: on disk the text is written to a temp file and
-    /// renamed over the unit file, and no in-memory state (cache, history,
-    /// traffic, stamps) changes unless the write succeeded — a failed
-    /// `put` followed by [`Library::raw`] still sees the old version.
+    /// renamed over the unit file, and no in-memory state (records,
+    /// history, traffic, stamps) changes unless the write succeeded — a
+    /// failed `put` followed by [`Library::peek_raw`] still sees the old
+    /// version.
     ///
     /// # Errors
     ///
     /// I/O errors on disk-backed libraries.
     pub fn put_text(&self, key: &str, text: &str) -> Result<(), VifError> {
-        self.store(key, text, None)
+        self.store(key, Unit::new(None, Some(Arc::from(text)), None))
     }
 
     /// Stores a unit's VIF text together with its VIFB sidecar (produced
@@ -296,46 +347,38 @@ impl Library {
     ///
     /// I/O errors on disk-backed libraries (for the text store).
     pub fn put_text_with_vifb(&self, key: &str, text: &str, vifb: &[u8]) -> Result<(), VifError> {
-        self.store(key, text, Some(vifb))
+        self.store(
+            key,
+            Unit::new(None, Some(Arc::from(text)), Some(Arc::from(vifb))),
+        )
     }
 
-    fn store(&self, key: &str, text: &str, vifb: Option<&[u8]>) -> Result<(), VifError> {
-        match &self.backend {
-            Backend::Memory(m) => {
-                m.borrow_mut().insert(key.to_string(), Arc::from(text));
-            }
-            Backend::Disk(dir) => {
-                let path = dir.join(format!("{}.vif", sanitize(key)));
-                let tmp = dir.join(format!("{}.vif.tmp", sanitize(key)));
-                if let Err(e) = std::fs::write(&tmp, text) {
-                    let _ = std::fs::remove_file(&tmp);
-                    return Err(e.into());
-                }
-                if let Err(e) = std::fs::rename(&tmp, &path) {
-                    let _ = std::fs::remove_file(&tmp);
-                    return Err(e.into());
-                }
-            }
-        }
-        match vifb {
-            Some(b) => self.store_vifb_sidecar(key, b),
-            None => self.drop_vifb(key),
+    fn store(&self, key: &str, unit: Unit) -> Result<(), VifError> {
+        if let (Some(path), Some(side)) = (self.file(key, "vif"), self.file(key, "vifb")) {
+            write_atomic(&path, unit.text().as_bytes())?;
+            // Best-effort: the sidecar is an accelerator, never
+            // load-bearing.
+            let _ = match unit.own_vifb() {
+                Some(b) => write_atomic(&side, &b),
+                None => std::fs::remove_file(side).map_err(VifError::from),
+            };
         }
         {
             let mut t = self.traffic.borrow_mut();
-            t.bytes_written += text.len() as u64;
+            t.bytes_written += unit.text.get().map_or(0, |t| t.len() as u64);
             t.units_written += 1;
         }
-        self.cache.borrow_mut().remove(key);
-        self.fingerprints.borrow_mut().remove(key);
-        self.content_hashes.borrow_mut().remove(key);
+        self.units
+            .borrow_mut()
+            .insert(key.to_string(), Rc::new(unit));
         self.generation.set(self.generation.get() + 1);
         // A recompile invalidates any stamp from the previous analysis;
         // the incremental driver re-stamps after a successful commit.
         self.stamps.borrow_mut().remove(key);
         self.history.borrow_mut().push(key.to_string());
-        if let Backend::Disk(dir) = &self.backend {
-            if let Err(e) = write_atomic(dir, "history", &self.history.borrow().join("\n")) {
+        if let Some(dir) = &self.dir {
+            let history = self.history.borrow().join("\n");
+            if let Err(e) = write_atomic(&dir.join("history"), history.as_bytes()) {
                 self.history.borrow_mut().pop();
                 return Err(e);
             }
@@ -343,54 +386,23 @@ impl Library {
         Ok(())
     }
 
-    /// Installs (or repairs) the VIFB sidecar for a unit. Best-effort:
-    /// disk write failures are swallowed — the sidecar is an accelerator,
-    /// never load-bearing.
-    fn store_vifb_sidecar(&self, key: &str, vifb: &[u8]) {
-        match &self.backend {
-            Backend::Memory(_) => {
-                self.vifbs
-                    .borrow_mut()
-                    .insert(key.to_string(), Arc::from(vifb));
-            }
-            Backend::Disk(dir) => {
-                let path = dir.join(format!("{}.vifb", sanitize(key)));
-                let tmp = dir.join(format!("{}.vifb.tmp", sanitize(key)));
-                if std::fs::write(&tmp, vifb).is_ok() && std::fs::rename(&tmp, &path).is_err() {
-                    let _ = std::fs::remove_file(&tmp);
-                }
-            }
+    /// The unit's sidecar: the record's own, else (on disk) its `.vifb`
+    /// file, memoized in the record.
+    fn sidecar(&self, key: &str, unit: &Unit) -> Option<Arc<[u8]>> {
+        if let Some(b) = unit.own_vifb() {
+            return Some(b);
         }
-    }
-
-    fn drop_vifb(&self, key: &str) {
-        match &self.backend {
-            Backend::Memory(_) => {
-                self.vifbs.borrow_mut().remove(key);
-            }
-            Backend::Disk(dir) => {
-                let _ = std::fs::remove_file(dir.join(format!("{}.vifb", sanitize(key))));
-            }
-        }
+        let b: Arc<[u8]> = std::fs::read(self.file(key, "vifb")?).ok()?.into();
+        *unit.vifb.borrow_mut() = Some(Arc::clone(&b));
+        Some(b)
     }
 
     /// The unit's VIFB sidecar bytes, if present (no traffic is counted;
-    /// no validity check — callers verify the embedded text hash).
+    /// no validity check — callers verify the embedded text hash). A tree
+    /// record encodes its sidecar here on first demand.
     pub fn peek_vifb(&self, key: &str) -> Option<Arc<[u8]>> {
-        match &self.backend {
-            Backend::Memory(_) => self.vifbs.borrow().get(key).cloned(),
-            Backend::Disk(dir) => {
-                if let Some(b) = self.vifbs.borrow().get(key) {
-                    return Some(Arc::clone(b));
-                }
-                let bytes = std::fs::read(dir.join(format!("{}.vifb", sanitize(key)))).ok()?;
-                let shared: Arc<[u8]> = Arc::from(bytes);
-                self.vifbs
-                    .borrow_mut()
-                    .insert(key.to_string(), Arc::clone(&shared));
-                Some(shared)
-            }
-        }
+        let unit = self.unit(key).ok()?;
+        self.sidecar(key, &unit)
     }
 
     /// The unit's incremental stamp, if one was recorded.
@@ -406,7 +418,7 @@ impl Library {
     /// I/O errors persisting the stamp file.
     pub fn set_stamp(&self, key: &str, stamp: u64) -> Result<(), VifError> {
         self.stamps.borrow_mut().insert(key.to_string(), stamp);
-        if let Backend::Disk(dir) = &self.backend {
+        if let Some(dir) = &self.dir {
             let mut lines: Vec<String> = self
                 .stamps
                 .borrow()
@@ -414,13 +426,14 @@ impl Library {
                 .map(|(k, v)| format!("{k} {v:x}"))
                 .collect();
             lines.sort();
-            write_atomic(dir, "stamps", &lines.join("\n"))?;
+            write_atomic(&dir.join("stamps"), lines.join("\n").as_bytes())?;
         }
         Ok(())
     }
 
     /// Raw VIF text without touching the traffic counters (snapshots and
-    /// stamp hashing are bookkeeping, not compilation VIF traffic).
+    /// stamp hashing are bookkeeping, not compilation VIF traffic). A tree
+    /// record prints its text here on first demand.
     ///
     /// # Errors
     ///
@@ -429,100 +442,41 @@ impl Library {
         self.peek_shared(key).map(|t| t.to_string())
     }
 
-    /// Like [`Library::peek_raw`] but returns the shared text. For
-    /// in-memory libraries this is a reference-count bump, not a copy —
-    /// the server relies on this to fork session workspaces cheaply.
+    /// Like [`Library::peek_raw`] but returns the shared text, which the
+    /// record keeps: a reference-count bump, not a copy — the server
+    /// relies on this to fork session workspaces cheaply.
     ///
     /// # Errors
     ///
     /// [`VifError::MissingUnit`] if absent; I/O errors on disk.
     pub fn peek_shared(&self, key: &str) -> Result<Arc<str>, VifError> {
-        match &self.backend {
-            Backend::Memory(m) => m
-                .borrow()
-                .get(key)
-                .cloned()
-                .ok_or_else(|| VifError::MissingUnit(format!("{}.{key}", self.name))),
-            Backend::Disk(dir) => {
-                let path = dir.join(format!("{}.vif", sanitize(key)));
-                if !path.exists() {
-                    return Err(VifError::MissingUnit(format!("{}.{key}", self.name)));
-                }
-                Ok(Arc::from(std::fs::read_to_string(path)?.as_str()))
-            }
-        }
+        Ok(self.unit(key)?.text())
     }
 
-    /// FNV-1a hash of the unit's current VIF text (memoized until the
-    /// unit is recompiled). This is the hash a valid sidecar embeds, and
-    /// the per-dependency ingredient of incremental stamps — the batch
-    /// driver uses it instead of re-reading and re-hashing dep text.
+    /// FNV-1a hash of the unit's current VIF text (memoized in the record).
+    /// This is the hash a valid sidecar embeds, and the per-dependency
+    /// ingredient of incremental stamps — the batch driver uses it instead
+    /// of re-reading and re-hashing dep text.
     ///
     /// # Errors
     ///
     /// [`VifError::MissingUnit`] if absent; I/O errors on disk.
     pub fn text_hash(&self, key: &str) -> Result<u64, VifError> {
-        Ok(self.fingerprint(key)?.text_hash)
+        Ok(self.unit(key)?.text_hash())
     }
 
-    fn fingerprint(&self, key: &str) -> Result<Fingerprint, VifError> {
-        if let Some(fp) = self.fingerprints.borrow().get(key) {
-            return Ok(fp.clone());
-        }
-        let text = self.peek_shared(key)?;
-        let fp = Fingerprint {
-            text_hash: binary::fnv1a(0, text.as_bytes()),
-            foreigns: scan_foreign_refs(&text).into(),
-        };
-        self.fingerprints
-            .borrow_mut()
-            .insert(key.to_string(), fp.clone());
-        Ok(fp)
-    }
-
-    fn content_hash_memo(&self, key: &str, gen_tag: u64) -> Option<u64> {
-        match self.content_hashes.borrow().get(key) {
-            Some(&(tag, h)) if tag == gen_tag => Some(h),
-            _ => None,
-        }
-    }
-
-    fn set_content_hash_memo(&self, key: &str, gen_tag: u64, h: u64) {
-        self.content_hashes
-            .borrow_mut()
-            .insert(key.to_string(), (gen_tag, h));
-    }
-
-    /// Raw VIF text of a unit.
-    ///
-    /// # Errors
-    ///
-    /// [`VifError::MissingUnit`] if absent; I/O errors on disk.
-    pub fn raw(&self, key: &str) -> Result<String, VifError> {
-        self.raw_shared(key).map(|t| t.to_string())
-    }
-
-    /// Like [`Library::raw`] but returns the shared text (traffic is
-    /// counted; in-memory libraries copy nothing).
-    ///
-    /// # Errors
-    ///
-    /// [`VifError::MissingUnit`] if absent; I/O errors on disk.
-    pub fn raw_shared(&self, key: &str) -> Result<Arc<str>, VifError> {
-        let text = self.peek_shared(key)?;
-        {
-            let mut t = self.traffic.borrow_mut();
-            t.bytes_read += text.len() as u64;
-            t.units_read += 1;
-        }
-        Ok(text)
+    /// Counts one unit read of `bytes` bytes of VIF text.
+    fn note_read(&self, bytes: usize) {
+        let mut t = self.traffic.borrow_mut();
+        t.bytes_read += bytes as u64;
+        t.units_read += 1;
     }
 
     /// `true` if the unit exists.
     pub fn contains(&self, key: &str) -> bool {
-        match &self.backend {
-            Backend::Memory(m) => m.borrow().contains_key(key),
-            Backend::Disk(dir) => dir.join(format!("{}.vif", sanitize(key))).exists(),
+        match self.file(key, "vif") {
+            None => self.units.borrow().contains_key(key),
+            Some(path) => path.exists(),
         }
     }
 
@@ -555,40 +509,23 @@ impl Library {
     }
 
     /// Enables/disables the unit cache (see the performance experiments).
-    /// Disabling also bypasses the shared structural cache and the VIFB
-    /// fast path, reproducing the paper's re-read-foreign-VIF cost model.
+    /// Disabling also bypasses the shared structural cache, the VIFB fast
+    /// path and the tree copy, reproducing the paper's
+    /// re-read-foreign-VIF cost model: every load lexes the unit's text.
     pub fn set_cache_enabled(&self, on: bool) {
         self.cache_enabled.set(on);
-        if !on {
-            self.cache.borrow_mut().clear();
-        }
-    }
-
-    fn cache_on(&self) -> bool {
-        self.cache_enabled.get()
-    }
-
-    fn cache_get(&self, key: &str) -> Option<Rc<VifNode>> {
-        if !self.cache_enabled.get() {
-            return None;
-        }
-        self.cache.borrow().get(key).cloned()
-    }
-
-    fn cache_put(&self, key: &str, node: Rc<VifNode>) {
-        self.cache.borrow_mut().insert(key.to_string(), node);
     }
 }
 
-/// Writes `name` under `dir` atomically: temp file + rename, temp removed
-/// on failure.
-fn write_atomic(dir: &std::path::Path, name: &str, text: &str) -> Result<(), VifError> {
-    let tmp = dir.join(format!("{name}.tmp"));
-    if let Err(e) = std::fs::write(&tmp, text) {
+/// Writes `path` atomically: temp file + rename, temp removed on failure.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), VifError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    if let Err(e) = std::fs::write(&tmp, bytes) {
         let _ = std::fs::remove_file(&tmp);
         return Err(e.into());
     }
-    if let Err(e) = std::fs::rename(&tmp, dir.join(name)) {
+    if let Err(e) = std::fs::rename(&tmp, path) {
         let _ = std::fs::remove_file(&tmp);
         return Err(e.into());
     }
@@ -605,6 +542,51 @@ fn sanitize(key: &str) -> String {
             }
         })
         .collect()
+}
+
+/// Copies a stored tree the way printing and re-reading it would: nodes
+/// shared inside the tree stay shared, no node is shared with anything
+/// outside it, and foreign references resolve through `resolve`, as in
+/// [`read_vif`].
+fn local_copy(root: &Rc<VifNode>, resolve: &mut Resolver<'_>) -> Result<Rc<VifNode>, VifError> {
+    type Memo = HashMap<*const VifNode, Rc<VifNode>>;
+    fn copy(
+        v: &VifValue,
+        memo: &mut Memo,
+        resolve: &mut Resolver<'_>,
+    ) -> Result<VifValue, VifError> {
+        Ok(match v {
+            VifValue::Node(n) => VifValue::Node(node(n, memo, resolve)?),
+            VifValue::List(items) => VifValue::list(
+                items
+                    .iter()
+                    .map(|v| copy(v, memo, resolve))
+                    .collect::<Result<_, _>>()?,
+            ),
+            VifValue::Foreign(r) => VifValue::Node(resolve(r)?),
+            v => v.clone(),
+        })
+    }
+    fn node(
+        n: &Rc<VifNode>,
+        memo: &mut Memo,
+        resolve: &mut Resolver<'_>,
+    ) -> Result<Rc<VifNode>, VifError> {
+        if let Some(done) = memo.get(&Rc::as_ptr(n)) {
+            return Ok(Rc::clone(done));
+        }
+        let mut b = VifNode::build(n.kind_sym());
+        if let Some(name) = n.name_sym() {
+            b = b.name(name);
+        }
+        for (f, v) in n.fields() {
+            b = b.field(*f, copy(v, memo, resolve)?);
+        }
+        let done = b.done();
+        memo.insert(Rc::as_ptr(n), Rc::clone(&done));
+        Ok(done)
+    }
+    node(root, &mut HashMap::new(), resolve)
 }
 
 /// The library universe of one compilation: a writable work library plus
@@ -648,13 +630,15 @@ impl LibrarySet {
     }
 
     /// Loads a unit by full reference `lib.unit_key`, resolving nested
-    /// foreign references recursively (the §2.2 "fix-up" step). Results are
-    /// cached per library, and — when caching is enabled — shared across
-    /// libraries, sessions, and batch-worker mirrors on the same thread
-    /// through the structural [`NodeCache`](crate::binary), keyed by the
-    /// unit's deep content hash. Structural misses decode the VIFB
-    /// sidecar when a valid one exists and only fall back to text (then
-    /// re-encode the sidecar) when it doesn't.
+    /// foreign references recursively (the §2.2 "fix-up" step). The result
+    /// is kept in the unit's record. A tree record loads as a unit-local
+    /// copy of its tree, with no bytes involved. A byte record is shared
+    /// — when caching is enabled — across libraries, sessions, and
+    /// batch-worker mirrors on the same thread through the structural
+    /// [`NodeCache`](crate::binary), keyed by the unit's deep content hash;
+    /// structural misses decode the VIFB sidecar when a valid one exists
+    /// and only fall back to text (then re-encode the sidecar) when it
+    /// doesn't.
     ///
     /// # Errors
     ///
@@ -665,7 +649,9 @@ impl LibrarySet {
         self.load_at(full_ref, 0)
     }
 
-    fn load_at(&self, full_ref: &str, depth: usize) -> Result<Rc<VifNode>, VifError> {
+    /// The library and unit key a foreign reference `lib.unit_key` at
+    /// chain depth `depth` names.
+    fn locate<'r>(&self, full_ref: &'r str, depth: usize) -> Result<(&Library, &'r str), VifError> {
         if depth > MAX_LOAD_DEPTH {
             return Err(VifError::Unresolved(format!(
                 "reference chain deeper than {MAX_LOAD_DEPTH} at `{full_ref}` (cycle?)"
@@ -677,118 +663,111 @@ impl LibrarySet {
         let lib = self
             .library(lib_name)
             .ok_or_else(|| VifError::Unresolved(format!("no library `{lib_name}`")))?;
-        if let Some(hit) = lib.cache_get(key) {
+        Ok((lib, key))
+    }
+
+    fn load_at(&self, full_ref: &str, depth: usize) -> Result<Rc<VifNode>, VifError> {
+        let (lib, key) = self.locate(full_ref, depth)?;
+        let unit = lib.unit(key)?;
+        let resolve = &mut |nested: &str| self.load_at(nested, depth + 1);
+        if !lib.cache_enabled.get() {
+            // Ablation mode: the paper's cost model — re-read and re-lex
+            // the text every time, no sharing of any kind.
+            let text = unit.text();
+            lib.note_read(text.len());
+            binary::note_text_parse();
+            return read_vif(&text, resolve)
+                .map_err(|e| e.in_unit(format!("{}.{key}", lib.name())));
+        }
+        if let Some(hit) = unit.resolved.borrow().clone() {
             return Ok(hit);
         }
         // Every load is VIF traffic, structural hit or not — the traffic
         // counters measure interchange volume, not parse effort.
-        let text = lib.raw_shared(key)?;
-        let unit_name = || format!("{}.{key}", lib.name());
-
-        if !lib.cache_on() {
-            // Ablation mode: the paper's cost model — re-read and re-lex
-            // the text every time, no sharing of any kind.
-            binary::note_text_parse();
-            return read_vif(&text, &mut |nested| self.load_at(nested, depth + 1))
-                .map_err(|e| e.in_unit(unit_name()));
-        }
-
-        let chash = self.content_hash(lib, key, depth)?;
-        if let Some(node) = binary::cache_lookup(chash) {
-            lib.cache_put(key, Rc::clone(&node));
-            return Ok(node);
-        }
-
-        let node = match self.try_sidecar(lib, key, depth)? {
-            Some(node) => node,
-            None => self.parse_text_and_repair(lib, key, &text, depth)?,
+        let node = match &unit.tree {
+            Some(tree) => {
+                lib.note_read(0);
+                local_copy(tree, resolve)?
+            }
+            None => {
+                lib.note_read(unit.text().len());
+                let chash = self.content_hash(full_ref, depth)?;
+                match binary::cache_lookup(chash) {
+                    Some(node) => node,
+                    None => {
+                        let node = self.decode(lib, key, &unit, depth)?;
+                        binary::cache_insert(chash, &node);
+                        node
+                    }
+                }
+            }
         };
-        binary::cache_insert(chash, &node);
-        lib.cache_put(key, Rc::clone(&node));
+        *unit.resolved.borrow_mut() = Some(Rc::clone(&node));
         Ok(node)
     }
 
-    /// Decodes the unit's VIFB sidecar if one exists and its embedded
-    /// text hash matches the current text. Returns `Ok(None)` when the
-    /// sidecar is absent, stale, or corrupt (the text fallback covers
-    /// those); propagates real errors from nested loads.
-    fn try_sidecar(
+    /// A byte record's structural miss: decode the VIFB sidecar if one
+    /// exists and its embedded text hash matches the text. Otherwise
+    /// (absent, stale, or corrupt) lex the text, then re-encode a fresh
+    /// sidecar from the *unresolved* tree so foreign references stay
+    /// references in the binary form.
+    fn decode(
         &self,
-        lib: &Rc<Library>,
+        lib: &Library,
         key: &str,
-        depth: usize,
-    ) -> Result<Option<Rc<VifNode>>, VifError> {
-        let Some(vifb) = lib.peek_vifb(key) else {
-            return Ok(None);
-        };
-        let text_hash = lib.fingerprint(key)?.text_hash;
-        match probe_vifb(&vifb) {
-            Ok(header) if header.text_hash == text_hash => {}
-            // Stale (hash mismatch) or corrupt header: ignore the sidecar.
-            _ => return Ok(None),
-        }
-        match decode_vifb(&vifb, &mut |nested| self.load_at(nested, depth + 1)) {
-            Ok(node) => Ok(Some(node)),
-            // Corrupt body: fall back to text (which will re-encode).
-            Err(VifError::Binary(_)) => Ok(None),
-            // A nested load failed — that error is real either way.
-            Err(e) => Err(e.in_unit(format!("{}.{key}", lib.name()))),
-        }
-    }
-
-    /// The text path of a structural miss: lex the text (resolving nested
-    /// refs), then re-encode a fresh sidecar from the *unresolved* tree so
-    /// foreign references stay references in the binary form.
-    fn parse_text_and_repair(
-        &self,
-        lib: &Rc<Library>,
-        key: &str,
-        text: &str,
+        unit: &Unit,
         depth: usize,
     ) -> Result<Rc<VifNode>, VifError> {
+        let unit_name = || format!("{}.{key}", lib.name());
+        let resolve = &mut |nested: &str| self.load_at(nested, depth + 1);
+        let text_hash = unit.text_hash();
+        let valid = |b: &Arc<[u8]>| probe_vifb(b).is_ok_and(|h| h.text_hash == text_hash);
+        if let Some(vifb) = lib.sidecar(key, unit).filter(valid) {
+            match decode_vifb(&vifb, resolve) {
+                Ok(node) => return Ok(node),
+                // Corrupt body: fall back to text (which will re-encode).
+                Err(VifError::Binary(_)) => {}
+                // A nested load failed — that error is real either way.
+                Err(e) => return Err(e.in_unit(unit_name())),
+            }
+        }
         binary::note_text_parse();
-        let node = read_vif(text, &mut |nested| self.load_at(nested, depth + 1))
-            .map_err(|e| e.in_unit(format!("{}.{key}", lib.name())))?;
-        if let Ok(raw) = read_vif_unresolved(text) {
-            let text_hash = binary::fnv1a(0, text.as_bytes());
-            lib.store_vifb_sidecar(key, &encode_vifb(&raw, text_hash));
+        let text = unit.text();
+        let node = read_vif(&text, resolve).map_err(|e| e.in_unit(unit_name()))?;
+        if let Ok(raw) = read_vif_unresolved(&text) {
+            let vifb = encode_vifb(&raw, text_hash);
+            if let Some(side) = lib.file(key, "vifb") {
+                let _ = write_atomic(&side, &vifb);
+            }
+            *unit.vifb.borrow_mut() = Some(vifb.into());
         }
         Ok(node)
     }
 
     /// Deep content hash of a unit: the FNV-1a hash of its text combined
-    /// with the (sorted) foreign references and their deep hashes. Two
+    /// with its foreign references and their deep hashes. Two
     /// units with equal content hashes load to structurally identical
-    /// trees, so this keys the shared structural cache. Memoized per
-    /// library under the current generation sum.
-    fn content_hash(&self, lib: &Rc<Library>, key: &str, depth: usize) -> Result<u64, VifError> {
-        if depth > MAX_LOAD_DEPTH {
-            return Err(VifError::Unresolved(format!(
-                "reference chain deeper than {MAX_LOAD_DEPTH} at `{}.{key}` (cycle?)",
-                lib.name()
-            )));
-        }
+    /// trees, so this keys the shared structural cache. Memoized in the
+    /// record under the current generation sum.
+    fn content_hash(&self, full_ref: &str, depth: usize) -> Result<u64, VifError> {
+        let (lib, key) = self.locate(full_ref, depth)?;
         let gen_tag = self.generation();
-        if let Some(h) = lib.content_hash_memo(key, gen_tag) {
-            return Ok(h);
+        let unit = lib.unit(key)?;
+        if let Some((tag, h)) = unit.content_hash.get() {
+            if tag == gen_tag {
+                return Ok(h);
+            }
         }
-        let fp = lib.fingerprint(key)?;
-        let mut h = fp.text_hash;
-        // Sorted so sidecar-order and text-order fingerprints agree.
-        let mut foreigns: Vec<&Rc<str>> = fp.foreigns.iter().collect();
-        foreigns.sort();
-        for f in foreigns {
-            let (dlib_name, dkey) = f
-                .split_once('.')
-                .ok_or_else(|| VifError::Unresolved(f.to_string()))?;
-            let dlib = self
-                .library(dlib_name)
-                .ok_or_else(|| VifError::Unresolved(format!("no library `{dlib_name}`")))?;
-            let dh = self.content_hash(dlib, dkey, depth + 1)?;
+        let mut h = unit.text_hash();
+        for f in unit
+            .foreigns
+            .get_or_init(|| scan_foreign_refs(&unit.text()))
+        {
+            let dh = self.content_hash(f, depth + 1)?;
             h = binary::fnv1a(h, f.as_bytes());
             h = binary::fnv1a(h, &dh.to_le_bytes());
         }
-        lib.set_content_hash_memo(key, gen_tag, h);
+        unit.content_hash.set(Some((gen_tag, h)));
         Ok(h)
     }
 
@@ -817,10 +796,23 @@ impl LibrarySet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{VifNode, VifValue};
 
     fn unit(name: &str) -> Rc<VifNode> {
         VifNode::build("entity").name(name).done()
+    }
+
+    /// Builds the VIFB sidecar for a text the way the batch workers do:
+    /// encode the unresolved tree, stamped with the text's hash.
+    fn sidecar_for(text: &str) -> Vec<u8> {
+        let raw = read_vif_unresolved(text).unwrap();
+        encode_vifb(&raw, binary::fnv1a(0, text.as_bytes()))
+    }
+
+    /// Stores `node` as a byte record, the way a batch commit does.
+    fn put_bytes(lib: &Library, key: &str, node: &Rc<VifNode>) {
+        let text = write_vif(node);
+        lib.put_text_with_vifb(key, &text, &sidecar_for(&text))
+            .unwrap();
     }
 
     #[test]
@@ -847,17 +839,17 @@ mod tests {
         let lib2 = Rc::new(Library::in_memory("ieee"));
         // ieee.pkg.base is a leaf; work.pkg.mid references it; work.entity.top
         // references mid — loading top must pull in all three.
-        lib2.put("pkg.base", &unit("base")).unwrap();
+        put_bytes(&lib2, "pkg.base", &unit("base"));
         let mid = VifNode::build("package")
             .name("mid")
             .field("uses", VifValue::Foreign("ieee.pkg.base".into()))
             .done();
-        work.put("pkg.mid", &mid).unwrap();
+        put_bytes(&work, "pkg.mid", &mid);
         let top = VifNode::build("entity")
             .name("top")
             .field("uses", VifValue::Foreign("work.pkg.mid".into()))
             .done();
-        work.put("entity.top", &top).unwrap();
+        put_bytes(&work, "entity.top", &top);
 
         let set = LibrarySet::new(Rc::clone(&work), vec![Rc::clone(&lib2)]);
         let loaded = set.load("work.entity.top").unwrap();
@@ -911,7 +903,7 @@ mod tests {
         let lib = Library::on_disk("work", &dir).unwrap();
         lib.put("entity.e", &unit("v1")).unwrap();
         lib.set_stamp("entity.e", 0xabcd).unwrap();
-        let old_text = lib.raw("entity.e").unwrap();
+        let old_text = lib.peek_raw("entity.e").unwrap();
         let history_before = lib.history();
         let traffic_before = lib.traffic();
         let generation_before = lib.generation();
@@ -934,10 +926,10 @@ mod tests {
         assert_eq!(lib.stamp("entity.e"), Some(0xabcd));
         assert!(!dir.join("entity.e.vif.tmp").exists());
 
-        // Restore the file; `raw` and `load` still see the old version.
+        // Restore the file; `peek_raw` and `load` still see the old version.
         std::fs::remove_dir_all(&target).unwrap();
         std::fs::write(&target, &old_text).unwrap();
-        assert_eq!(lib.raw("entity.e").unwrap(), old_text);
+        assert_eq!(lib.peek_raw("entity.e").unwrap(), old_text);
         let set = LibrarySet::new(Rc::new(Library::on_disk("work", &dir).unwrap()), vec![]);
         assert_eq!(set.load("work.entity.e").unwrap().name(), Some("v1"));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1024,17 +1016,10 @@ mod tests {
     #[test]
     fn traffic_reset() {
         let lib = Library::in_memory("work");
-        lib.put("entity.e", &unit("e")).unwrap();
+        put_bytes(&lib, "entity.e", &unit("e"));
         assert!(lib.traffic().bytes_written > 0);
         lib.reset_traffic();
         assert_eq!(lib.traffic(), VifTraffic::default());
-    }
-
-    /// Builds the VIFB sidecar for a text the way the batch workers do:
-    /// encode the unresolved tree, stamped with the text's hash.
-    fn sidecar_for(text: &str) -> Vec<u8> {
-        let raw = read_vif_unresolved(text).unwrap();
-        encode_vifb(&raw, binary::fnv1a(0, text.as_bytes()))
     }
 
     #[test]
@@ -1153,13 +1138,13 @@ mod tests {
             .name("fork_share_probe")
             .str_field("tag", "structural_cache_shares_across_library_forks")
             .done();
-        lib.put("entity.probe", &node).unwrap();
+        put_bytes(&lib, "entity.probe", &node);
         let set = LibrarySet::new(Rc::clone(&lib), vec![]);
         let first = set.load("work.entity.probe").unwrap();
 
         // Fork the library (as the server forks session workspaces) and
         // load the same unit: same thread → pointer-shared tree, and the
-        // per-key cache was empty so this went through the content hash.
+        // fork's records start empty so this went through the content hash.
         let fork = Rc::new(Library::from_snapshot(&lib.snapshot()));
         let set2 = LibrarySet::new(Rc::clone(&fork), vec![]);
         let second = set2.load("work.entity.probe").unwrap();
@@ -1179,7 +1164,7 @@ mod tests {
         let set = LibrarySet::new(Rc::clone(&lib), vec![]);
         set.load("work.entity.e").unwrap();
         set.load("work.entity.e").unwrap();
-        // No per-key cache, no structural sharing: every load re-reads.
+        // No loaded-tree memo, no structural sharing: every load re-reads.
         assert_eq!(set.traffic().units_read, 2);
     }
 
@@ -1190,19 +1175,19 @@ mod tests {
         // it indirectly: after recompiling the dep, a fresh load of top
         // must see the new dep, even though top's text is unchanged.
         let work = Rc::new(Library::in_memory("work"));
-        work.put("pkg.dep", &unit("old")).unwrap();
+        put_bytes(&work, "pkg.dep", &unit("old"));
         let top = VifNode::build("entity")
             .name("chash_probe_top")
             .field("uses", VifValue::Foreign("work.pkg.dep".into()))
             .done();
-        work.put("entity.top", &top).unwrap();
+        put_bytes(&work, "entity.top", &top);
         let set = LibrarySet::new(Rc::clone(&work), vec![]);
         let first = set.load("work.entity.top").unwrap();
         assert_eq!(first.node_field("uses").unwrap().name(), Some("old"));
 
-        work.put("pkg.dep", &unit("new")).unwrap();
-        // The per-key cache still holds the old tree (driver invalidation
-        // handles that); a *fork* has no per-key cache and must not get
+        put_bytes(&work, "pkg.dep", &unit("new"));
+        // top's record still holds the old tree (driver invalidation
+        // handles that); a *fork* starts with no loaded trees and must not get
         // the stale structural entry either.
         let fork = Rc::new(Library::from_snapshot(&work.snapshot()));
         let set2 = LibrarySet::new(Rc::clone(&fork), vec![]);
@@ -1240,5 +1225,101 @@ mod tests {
         lib.put("entity.e", &unit("changed")).unwrap();
         assert_ne!(lib.text_hash("entity.e").unwrap(), h);
         assert!(lib.text_hash("entity.missing").is_err());
+    }
+
+    #[test]
+    fn rewritten_disk_sidecar_is_not_served_stale() {
+        let dir = std::env::temp_dir().join(format!("vif-residecar-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let lib = Rc::new(Library::on_disk("work", &dir).unwrap());
+        let set = LibrarySet::new(Rc::clone(&lib), vec![]);
+        let version = |v: &str| {
+            VifNode::build("entity")
+                .name("residecar_probe")
+                .str_field("version", v)
+                .done()
+        };
+        lib.put("entity.e", &version("a")).unwrap();
+        set.load("work.entity.e").unwrap();
+        lib.put("entity.e", &version("b")).unwrap();
+        // The sidecar served (and shipped in snapshots) mirrors the new
+        // text, not the one the first load read.
+        let vifb = lib.peek_vifb("entity.e").unwrap();
+        assert_eq!(
+            probe_vifb(&vifb).unwrap().text_hash,
+            lib.text_hash("entity.e").unwrap()
+        );
+        let (_, snap_vifb) = &lib.snapshot().vifbs[0];
+        assert_eq!(
+            probe_vifb(snap_vifb).unwrap().text_hash,
+            lib.text_hash("entity.e").unwrap()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn tree_fork_and_disk_loads_agree() {
+        // A node shared between two units: each unit's load must get its
+        // own copy, as a print-and-reread gives.
+        let bit = VifNode::build("type").name("agree_bit").done();
+        let ent = VifNode::build("entity")
+            .name("agree_e")
+            .node_field("port_type", Rc::clone(&bit))
+            .done();
+        let arch = VifNode::build("arch")
+            .name("rtl")
+            .field("entity", VifValue::Foreign("work.entity.e".into()))
+            .node_field("sig_type", Rc::clone(&bit))
+            .list_field("again", vec![VifValue::Node(Rc::clone(&bit))])
+            .done();
+        let bad = VifNode::build("arch")
+            .name("bad")
+            .field("entity", VifValue::Foreign("work.entity.nope".into()))
+            .done();
+        let fill = |lib: &Library| {
+            lib.put("entity.e", &ent).unwrap();
+            lib.put("arch.e.rtl", &arch).unwrap();
+            lib.put("arch.e.bad", &bad).unwrap();
+        };
+
+        let tree = Rc::new(Library::in_memory("work"));
+        fill(&tree);
+        assert_eq!(tree.traffic().bytes_written, 0, "a tree put makes no bytes");
+        let fork = Rc::new(Library::from_snapshot(&tree.snapshot()));
+        let dir = std::env::temp_dir().join(format!("vif-agree-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        fill(&Library::on_disk("work", &dir).unwrap());
+        let disk = Rc::new(Library::on_disk("work", &dir).unwrap());
+        let reread = Rc::new(Library::in_memory("work"));
+        fill(&reread);
+        reread.set_cache_enabled(false);
+
+        let load = |lib: &Rc<Library>, key: &str| LibrarySet::new(Rc::clone(lib), vec![]).load(key);
+        let want = load(&tree, "work.arch.e.rtl").unwrap();
+        assert_eq!(tree.traffic().bytes_read, 0, "a tree load reads no bytes");
+        let sig = want.node_field("sig_type").unwrap();
+        assert!(Rc::ptr_eq(
+            sig,
+            want.list_field("again")[0].as_node().unwrap()
+        ));
+        assert!(!Rc::ptr_eq(sig, &bit), "the load is a copy");
+        let port = want
+            .node_field("entity")
+            .unwrap()
+            .node_field("port_type")
+            .unwrap();
+        assert!(!Rc::ptr_eq(sig, port), "units share no nodes");
+        for (what, lib) in [("fork", &fork), ("disk", &disk), ("re-read", &reread)] {
+            let got = load(lib, "work.arch.e.rtl").unwrap();
+            assert_eq!(got, want, "{what}");
+            assert_eq!(write_vif(&got), write_vif(&want), "{what}");
+        }
+        for lib in [&tree, &fork, &disk, &reread] {
+            assert!(matches!(
+                load(lib, "work.arch.e.bad"),
+                Err(VifError::MissingUnit(_))
+            ));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

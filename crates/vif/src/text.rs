@@ -406,7 +406,7 @@ fn read_vif_impl(
 /// Foreign references (`@"lib.unit"`) appearing in VIF text, deduplicated
 /// in first-occurrence order, without building nodes. String values are
 /// skipped as wholes, so an `@` *inside* a string can't be mistaken for a
-/// reference. Used to fingerprint units whose binary sidecar is absent.
+/// reference. Feeds the deep content hash of byte-backed library units.
 pub fn scan_foreign_refs(src: &str) -> Vec<Rc<str>> {
     let mut p = P {
         src: src.as_bytes(),
