@@ -286,10 +286,5 @@ fn str_rebalance(n: Rc<StrNode>) -> Rc<StrNode> {
 
 /// FNV-1a over the name bytes — what `prio_of` did before symbol ids.
 fn str_prio(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    ag_harness::fnv1a(0, name.as_bytes())
 }

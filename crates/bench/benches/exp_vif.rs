@@ -1,21 +1,18 @@
-//! E15 — VIF interchange costs: text parse vs VIFB decode vs structural
-//! cache hit.
+//! E15 — VIF interchange costs: text parse vs structural cache hit.
 //!
 //! The VIF is the only interface between separately-compiled units, so
 //! every dependency load, thread crossing, and session fork pays its
-//! deserialization cost. This experiment prices the three tiers of the
-//! fast path added with the binary encoding:
+//! deserialization cost. This experiment prices the two tiers a byte
+//! record's load can take:
 //!
 //! - **text-parse** — `read_vif` over the canonical text (the paper's
-//!   cost model, and still the golden oracle);
-//! - **vifb-decode** — `decode_vifb` over the binary sidecar of the same
-//!   units;
+//!   cost model, and the one byte form of a unit);
 //! - **cache-hit** — a full `LibrarySet::load` against a warm structural
 //!   cache (content-hash lookup, pointer share, no parse at all);
 //!
-//! plus encode sizes (text vs binary bytes) and the end-to-end warm
-//! `compile_batch` time with the driver's plan cache — the number the
-//! server's warm `analyze` path is built on.
+//! plus the text size and the end-to-end warm `compile_batch` time with
+//! the driver's plan cache — the number the server's warm `analyze` path
+//! is built on.
 //!
 //! Results land in `results/exp_vif.json`.
 
@@ -24,9 +21,7 @@ use std::rc::Rc;
 
 use vhdl_driver::batch::BatchOptions;
 use vhdl_driver::Compiler;
-use vhdl_vif::{
-    clear_node_cache, decode_vifb, encode_vifb, read_vif_unresolved, Library, LibrarySet, VifError,
-};
+use vhdl_vif::{clear_node_cache, read_vif, Library, LibrarySet, VifError, VifNode};
 
 /// A small design with real cross-unit references: packages, entities,
 /// architectures (same shape as the server's session workload).
@@ -55,7 +50,7 @@ fn design(n_cells: usize) -> Vec<(String, String)> {
 }
 
 fn main() {
-    println!("# E15 — VIF text parse vs VIFB decode vs structural cache hit");
+    println!("# E15 — VIF text parse vs structural cache hit");
     println!();
     let mut r = Runner::new("exp_vif")
         .iters(7)
@@ -73,77 +68,21 @@ fn main() {
     let units = texts.len();
     let text_bytes: usize = texts.iter().map(String::len).sum();
 
-    // Binary sidecars for the same units (unresolved trees: foreign refs
-    // stay references, exactly what the library stores on disk).
-    let vifbs: Vec<Vec<u8>> = texts
-        .iter()
-        .map(|t| {
-            encode_vifb(
-                &read_vif_unresolved(t).unwrap(),
-                vhdl_vif::binary::fnv1a(0, t.as_bytes()),
-            )
-        })
-        .collect();
-    let vifb_bytes: usize = vifbs.iter().map(Vec::len).sum();
     r.metric("size/text-bytes", text_bytes as f64, "B");
-    r.metric("size/vifb-bytes", vifb_bytes as f64, "B");
-    r.metric(
-        "size/vifb-ratio",
-        vifb_bytes as f64 / text_bytes as f64,
-        "x",
-    );
-    println!(
-        "{units} units: {text_bytes} B text, {vifb_bytes} B vifb ({:.2}x)",
-        vifb_bytes as f64 / text_bytes as f64
-    );
+    println!("{units} units: {text_bytes} B text");
 
-    let mut no_foreign = |r: &str| -> Result<Rc<vhdl_vif::VifNode>, VifError> {
-        Err(VifError::Unresolved(r.to_string()))
-    };
-
-    // Tier 1: text parse (foreign refs left unresolved so each tier does
-    // the same per-unit work).
+    // Tier 1: text parse, every foreign reference resolving to one stub
+    // node so each unit costs only its own text.
+    let stub = VifNode::build("stub").done();
+    let mut resolve_stub = |_: &str| -> Result<Rc<VifNode>, VifError> { Ok(Rc::clone(&stub)) };
     let s_text = r.measure("text-parse", || {
         for t in &texts {
-            std::hint::black_box(read_vif_unresolved(t).unwrap());
+            std::hint::black_box(read_vif(t, &mut resolve_stub).unwrap());
         }
     });
     println!("text-parse   {units} units: {}", fmt_ns(s_text.median_ns));
 
-    // Tier 2: VIFB decode of the same units.
-    let s_vifb = r.measure("vifb-decode", || {
-        for b in &vifbs {
-            // Arch units end in Err(Unresolved) — the decode work (string
-            // table, node table, checksum) still happens either way.
-            std::hint::black_box(decode_vifb(b, &mut no_foreign).ok());
-        }
-    });
-    // Leaf units (no foreign refs) decode fully — measure them precisely.
-    let leaves: Vec<&Vec<u8>> = vifbs
-        .iter()
-        .filter(|b| vhdl_vif::probe_vifb(b).unwrap().foreigns.is_empty())
-        .collect();
-    let mut no_foreign2 = |r: &str| -> Result<Rc<vhdl_vif::VifNode>, VifError> {
-        Err(VifError::Unresolved(r.to_string()))
-    };
-    let s_leaf = r.measure("vifb-decode-leaves", || {
-        for b in &leaves {
-            std::hint::black_box(decode_vifb(b, &mut no_foreign2).unwrap());
-        }
-    });
-    println!(
-        "vifb-decode  {units} units: {} ({} leaf units: {})",
-        fmt_ns(s_vifb.median_ns),
-        leaves.len(),
-        fmt_ns(s_leaf.median_ns)
-    );
-    r.metric(
-        "decode-speedup-vs-text",
-        s_text.median_ns as f64 / s_vifb.median_ns as f64,
-        "x",
-    );
-
-    // Tier 3: warm structural-cache hits through the full library load
+    // Tier 2: warm structural-cache hits through the full library load
     // path (fork a fresh library each iteration so the per-key cache is
     // cold and every load goes content-hash → shared cache).
     let snap = work.snapshot();
@@ -191,11 +130,10 @@ fn main() {
 
     let vb = vhdl_vif::vifb_stats();
     r.metric("vifb/cache-hits", vb.cache_hits as f64, "");
-    r.metric("vifb/decodes", vb.decodes as f64, "");
     r.metric("vifb/text-parses", vb.text_parses as f64, "");
     println!(
-        "vifb counters: {} hits, {} misses, {} decodes, {} encodes, {} text parses",
-        vb.cache_hits, vb.cache_misses, vb.decodes, vb.encodes, vb.text_parses
+        "vifb counters: {} hits, {} misses, {} text parses",
+        vb.cache_hits, vb.cache_misses, vb.text_parses
     );
 
     r.finish();

@@ -17,7 +17,7 @@
 //! On an intended change to analysis output, the failure message prints
 //! the new table.
 
-use ag_harness::rng::fnv1a;
+use ag_harness::fnv1a;
 use ag_harness::Source;
 use vhdl_conform::{gen_design, Profile};
 use vhdl_driver::batch::BatchOptions;
@@ -97,7 +97,7 @@ fn digest(sources: &[&str], path: Path) -> (usize, u64) {
             }
         }
     }
-    (units, fnv1a(&text))
+    (units, fnv1a(0, text.as_bytes()))
 }
 
 fn designs() -> Vec<(String, Vec<String>)> {

@@ -35,13 +35,14 @@ use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use ag_harness::fnv1a;
 use ag_harness::pool::Pool;
 use vhdl_sem::analyze::{collect_toks, Analyzer, UnitLoader};
 use vhdl_sem::msg::{Msg, Severity};
 use vhdl_syntax::{Cst, SrcTok};
-use vhdl_vif::{encode_vifb, write_vif, Library, LibrarySet, LibrarySnapshot, VifTraffic};
+use vhdl_vif::{write_vif, Library, LibrarySet, LibrarySnapshot, VifTraffic};
 
-use crate::depgraph::{self, fnv1a_bytes};
+use crate::depgraph;
 use crate::{Compiler, EnvKind, PhaseTimes, TimedLoader};
 
 /// Options of one batch compilation.
@@ -173,9 +174,8 @@ struct Job {
     unit_in_file: usize,
 }
 
-/// A committed unit as the workers receive it: key, VIF text, and VIFB
-/// sidecar.
-type Put = (String, Arc<str>, Option<Arc<[u8]>>);
+/// A committed unit as the workers receive it: key and VIF text.
+type Put = (String, Arc<str>);
 
 /// A batch's files and the library snapshot its workers' mirrors start
 /// from.
@@ -189,7 +189,7 @@ pub(crate) struct Wave {
     /// library and clears its parse cache; its analyzer survives across
     /// batches — that is the point of a long-lived pool.
     start: Option<BatchStart>,
-    /// Texts (and VIFB sidecars) committed since the workers last synced.
+    /// Texts committed since the workers last synced.
     puts: Vec<Put>,
     /// The wave's jobs, drained by every worker.
     queue: Arc<Mutex<VecDeque<Job>>>,
@@ -206,10 +206,6 @@ pub(crate) struct JobOut {
     key: String,
     /// Serialized VIF when the unit analyzed cleanly.
     vif_text: Option<String>,
-    /// VIFB sidecar of the same tree, stamped with the text's hash — the
-    /// buffer is plain bytes (`Send`), so it ships across threads and is
-    /// committed alongside the text.
-    vifb: Option<Vec<u8>>,
     msgs: Vec<Msg>,
     expr_evals: u64,
     parse: Duration,
@@ -232,21 +228,12 @@ fn run_job(analyzer: &Analyzer, libs: &Rc<LibrarySet>, unit: &Cst, global: usize
     let analysis = t0.elapsed();
     let vif_read = *read_spent.borrow();
     let t0 = Instant::now();
-    let produced = (!au.msgs.has_errors() && !au.key.is_empty()).then(|| {
-        let text = write_vif(&au.node);
-        let vifb = encode_vifb(&au.node, vhdl_vif::binary::fnv1a(0, text.as_bytes()));
-        (text, vifb)
-    });
+    let vif_text = (!au.msgs.has_errors() && !au.key.is_empty()).then(|| write_vif(&au.node));
     let vif_write = t0.elapsed();
-    let (vif_text, vifb) = match produced {
-        Some((t, b)) => (Some(t), Some(b)),
-        None => (None, None),
-    };
     JobOut {
         global,
         key: au.key,
         vif_text,
-        vifb,
         msgs: au.msgs.to_vec(),
         expr_evals: au.expr_evals,
         attr_eval: analysis.saturating_sub(vif_read),
@@ -300,11 +287,8 @@ impl Worker {
             self.csts.clear();
         }
         let work = self.libs.work();
-        for (k, text, vifb) in &wave.puts {
-            let _ = match vifb {
-                Some(b) => work.put_text_with_vifb(k, text, b),
-                None => work.put_text(k, text),
-            };
+        for (k, text) in &wave.puts {
+            let _ = work.put_text(k, text);
         }
         let mut out = Vec::new();
         loop {
@@ -494,7 +478,7 @@ impl Compiler {
         // Hash of each key's current VIF text, filled lazily from the
         // library (which memoizes per unit) and refreshed at every commit.
         let mut dep_hash: HashMap<String, u64> = HashMap::new();
-        // Texts + sidecars committed since the workers last synced their
+        // Texts committed since the workers last synced their
         // mirrors (accumulates across waves the pool never saw).
         let mut pending_delta: Vec<Put> = Vec::new();
         let mut committed_any = false;
@@ -507,7 +491,7 @@ impl Compiler {
                 let meta = &graph.units[i];
                 let mut stamp = meta.src_hash;
                 for dep in &meta.deps {
-                    stamp = fnv1a_bytes(stamp, dep.as_bytes());
+                    stamp = fnv1a(stamp, dep.as_bytes());
                     let dh = match dep_hash.get(dep) {
                         Some(&h) => Some(h),
                         None => work.text_hash(dep).ok().map(|h| {
@@ -516,8 +500,8 @@ impl Compiler {
                         }),
                     };
                     match dh {
-                        Some(h) => stamp = fnv1a_bytes(stamp, &h.to_le_bytes()),
-                        None => stamp = fnv1a_bytes(stamp, b"?"),
+                        Some(h) => stamp = fnv1a(stamp, &h.to_le_bytes()),
+                        None => stamp = fnv1a(stamp, b"?"),
                     }
                 }
                 if opts.incremental && work.stamp(&meta.key) == Some(stamp) {
@@ -613,26 +597,21 @@ impl Compiler {
                     global,
                     key,
                     vif_text,
-                    vifb,
                     msgs,
                     expr_evals,
                     ..
                 } = r;
                 if let Some(text) = vif_text {
-                    let vifb: Option<Arc<[u8]>> = vifb.map(Arc::from);
                     let t0 = Instant::now();
-                    let committed = match &vifb {
-                        Some(b) => work.put_text_with_vifb(&key, &text, b).is_ok(),
-                        None => work.put_text(&key, &text).is_ok(),
-                    };
+                    let committed = work.put_text(&key, &text).is_ok();
                     phases.vif_write += t0.elapsed();
                     if committed {
                         committed_any = true;
                         if let Some(&stamp) = stamps.get(&global) {
                             let _ = work.set_stamp(&key, stamp);
                         }
-                        dep_hash.insert(key.clone(), fnv1a_bytes(0, text.as_bytes()));
-                        pending_delta.push((key.clone(), Arc::from(text.as_str()), vifb));
+                        dep_hash.insert(key.clone(), fnv1a(0, text.as_bytes()));
+                        pending_delta.push((key.clone(), Arc::from(text.as_str())));
                     }
                 }
                 let meta = &graph.units[global];
@@ -902,30 +881,40 @@ mod tests {
     }
 
     #[test]
-    fn commits_carry_valid_vifb_sidecars() {
-        for jobs in [1, 3] {
-            let c = Compiler::in_memory();
-            let r = c.compile_batch(
-                &design(),
-                BatchOptions {
-                    jobs,
-                    incremental: false,
-                },
-            );
-            assert!(r.ok());
-            let work = c.libs.work();
-            for (key, text) in vif_texts(&c) {
-                let vifb = work
-                    .peek_vifb(&key)
-                    .unwrap_or_else(|| panic!("jobs={jobs}: no sidecar for {key}"));
-                let header = vhdl_vif::probe_vifb(&vifb).expect("valid sidecar");
-                assert_eq!(
-                    header.text_hash,
-                    vhdl_vif::binary::fnv1a(0, text.as_bytes()),
-                    "jobs={jobs}: sidecar must mirror the committed text of {key}"
-                );
-            }
-        }
+    fn disk_batch_writes_only_text_history_and_stamps() {
+        let dir = std::env::temp_dir().join(format!("vhdl-batch-files-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let c = Compiler::on_disk(&dir).expect("open library");
+        let r = c.compile_batch(
+            &design(),
+            BatchOptions {
+                jobs: 3,
+                incremental: true,
+            },
+        );
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("library dir")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .into_string()
+                    .expect("utf-8")
+            })
+            .collect();
+        names.sort();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(r.ok(), "{:?}", r.units);
+        assert_eq!(
+            names,
+            [
+                "arch.e.rtl.vif",
+                "entity.e.vif",
+                "history",
+                "pkg.p.vif",
+                "stamps"
+            ],
+            "one text file per unit plus the history and the stamps"
+        );
     }
 
     #[test]

@@ -261,16 +261,14 @@ fn main() -> ExitCode {
         );
         let vb = vhdl_vif::vifb_stats();
         eprintln!(
-            "vifb: {} cache hits, {} misses, {} decodes, {} encodes, {} text parses",
-            vb.cache_hits, vb.cache_misses, vb.decodes, vb.encodes, vb.text_parses
+            "vifb: {} cache hits, {} misses, {} text parses",
+            vb.cache_hits, vb.cache_misses, vb.text_parses
         );
     }
     if args.trace_phases {
         let vb = vhdl_vif::vifb_stats();
         ag_harness::trace::counter("vifb-cache-hit", vb.cache_hits);
         ag_harness::trace::counter("vifb-cache-miss", vb.cache_misses);
-        ag_harness::trace::counter("vifb-decode", vb.decodes);
-        ag_harness::trace::counter("vifb-encode", vb.encodes);
         ag_harness::trace::counter("vifb-text-parse", vb.text_parses);
     }
 

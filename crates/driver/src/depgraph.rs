@@ -16,6 +16,7 @@
 //! edge — analysis itself reports undefined references, exactly as the
 //! sequential driver would.
 
+use ag_harness::fnv1a;
 use vhdl_syntax::{Pos, SrcTok, TokenKind};
 
 /// Metadata of one parsed, not-yet-analyzed design unit.
@@ -57,27 +58,16 @@ pub struct DepGraph {
     pub cycles: Vec<(Vec<usize>, String)>,
 }
 
-/// 64-bit FNV-1a over a byte stream (same constants as
-/// `ag_harness::rng::fnv1a`, here fed incrementally).
-pub fn fnv1a_bytes(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = if h == 0 { 0xcbf2_9ce4_8422_2325 } else { h };
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Signature of a batch input set: file names and sources, separated and
 /// length-framed so adjacent entries can't alias. Keys the driver's batch
 /// plan cache — two calls with equal signatures parsed the same inputs.
 pub fn files_signature(files: &[(String, String)]) -> u64 {
-    let mut h = fnv1a_bytes(0, &(files.len() as u64).to_le_bytes());
+    let mut h = fnv1a(0, &(files.len() as u64).to_le_bytes());
     for (name, src) in files {
-        h = fnv1a_bytes(h, &(name.len() as u64).to_le_bytes());
-        h = fnv1a_bytes(h, name.as_bytes());
-        h = fnv1a_bytes(h, &(src.len() as u64).to_le_bytes());
-        h = fnv1a_bytes(h, src.as_bytes());
+        h = fnv1a(h, &(name.len() as u64).to_le_bytes());
+        h = fnv1a(h, name.as_bytes());
+        h = fnv1a(h, &(src.len() as u64).to_le_bytes());
+        h = fnv1a(h, src.as_bytes());
     }
     h
 }
@@ -87,10 +77,10 @@ pub fn files_signature(files: &[(String, String)]) -> u64 {
 pub fn src_hash(toks: &[SrcTok]) -> u64 {
     let mut h = 0u64;
     for t in toks {
-        h = fnv1a_bytes(h, t.kind.name().as_bytes());
-        h = fnv1a_bytes(h, &[0x1f]);
-        h = fnv1a_bytes(h, t.text.as_str().as_bytes());
-        h = fnv1a_bytes(h, &[0x1e]);
+        h = fnv1a(h, t.kind.name().as_bytes());
+        h = fnv1a(h, &[0x1f]);
+        h = fnv1a(h, t.text.as_str().as_bytes());
+        h = fnv1a(h, &[0x1e]);
     }
     h
 }

@@ -7,7 +7,8 @@
 //! verify (`cargo build --release && cargo test -q`) works with no network
 //! and no registry:
 //!
-//! - [`rng`] — a deterministic xorshift64* PRNG;
+//! - [`rng`] — a deterministic xorshift64* PRNG and [`fnv1a`], the one
+//!   hash every crate uses;
 //! - [`prop`] — a minimal property-testing framework (choice-stream
 //!   generators, the [`forall!`] runner, input shrinking, file-persisted
 //!   failing cases) replacing `proptest`;
@@ -31,4 +32,4 @@ pub mod trace;
 pub use prop::{
     forall_impl, parse_stream, render_stream, shrink_stream, Config, Failed, Source, TestResult,
 };
-pub use rng::Rng;
+pub use rng::{fnv1a, Rng};

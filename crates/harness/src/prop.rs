@@ -234,8 +234,8 @@ impl Config {
             .ok()
             .and_then(|v| parse_u64(&v))
         {
-            Some(s) => s ^ fnv1a(self.test),
-            None => fnv1a(self.test),
+            Some(s) => s ^ fnv1a(0, self.test.as_bytes()),
+            None => fnv1a(0, self.test.as_bytes()),
         }
     }
 }

@@ -46,14 +46,20 @@ impl Rng {
     }
 }
 
-/// FNV-1a over a string — used to derive stable per-test base seeds from
-/// test names, so every test explores a different corner of the space but
-/// the same corner on every run.
-pub fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
+/// 64-bit FNV-1a, continued from `state` over `bytes`; a zero state
+/// starts at the offset basis, so `fnv1a(0, b)` is the plain hash of `b`
+/// and a stream can be fed piecewise. The one hash of the workspace:
+/// per-test base seeds, VIF text hashes and stamps, snapshot checksums
+/// and digests all use it (no cryptographic claims).
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    let mut h = if state == 0 {
+        0xcbf2_9ce4_8422_2325
+    } else {
+        state
+    };
+    for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(0x0100_0000_01b3);
     }
     h
 }
@@ -69,6 +75,17 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn fnv1a_known_vectors() {
+        // Reference vectors of 64-bit FNV-1a: stamps on disk, digests and
+        // seeds depend on these exact constants.
+        assert_eq!(fnv1a(0, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(0, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(0, b"foobar"), 0x8594_4171_f739_67e8);
+        // Feeding piecewise is the same as hashing the concatenation.
+        assert_eq!(fnv1a(fnv1a(0, b"foo"), b"bar"), fnv1a(0, b"foobar"));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use ag_harness::rng::fnv1a;
+use ag_harness::fnv1a;
 use ag_harness::Source;
 
 use crate::io::Vcd;
@@ -199,7 +199,7 @@ impl Observables {
 
     /// FNV-1a digest of the canonical rendering.
     pub fn digest(&self) -> u64 {
-        fnv1a(&self.canonical())
+        fnv1a(0, self.canonical().as_bytes())
     }
 }
 

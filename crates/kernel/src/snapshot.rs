@@ -55,6 +55,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use ag_harness::fnv1a;
+
 use crate::isa::{Program, SigId};
 use crate::sched::{CalEntry, CalKind, Calendar};
 use crate::sim::{Backend, Driver, Frame, ProcStatus, ReportEvent, SimStats, Simulator};
@@ -109,17 +111,6 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a over a byte slice (the checksum and the program fingerprint
-/// both use it; no cryptographic claims, just corruption detection).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
 /// Append-only little-endian byte encoder. Public so the server layer
 /// can wrap kernel snapshots in its own session envelope with the same
 /// primitives.
@@ -146,7 +137,7 @@ impl Enc {
 
     /// Appends the FNV-1a checksum of everything written so far.
     pub fn seal(mut self) -> Vec<u8> {
-        let sum = fnv1a(&self.buf);
+        let sum = fnv1a(0, &self.buf);
         self.u64(sum);
         self.buf
     }
@@ -269,7 +260,7 @@ impl<'b> Dec<'b> {
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
         let want = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        if fnv1a(body) != want {
+        if fnv1a(0, body) != want {
             return Err(SnapshotError::Corrupt("checksum mismatch".into()));
         }
         Ok(())
@@ -421,7 +412,7 @@ pub fn program_fingerprint(program: &Program) -> u64 {
     for r in &program.regions {
         e.str(r);
     }
-    fnv1a(e.bytes())
+    fnv1a(0, e.bytes())
 }
 
 fn enc_cal_entry(e: &mut Enc, c: &CalEntry) {

@@ -6,6 +6,7 @@ use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
 
 use ag_core::{AttrTree, DemandEval};
+use ag_harness::fnv1a;
 use ag_lalr::ParseTree;
 use vhdl_syntax::{Cst, FrontError, PrincipalGrammar, SrcTok};
 use vhdl_vif::{LibrarySet, VifNode};
@@ -350,24 +351,18 @@ pub fn collect_toks(t: &Cst, out: &mut Vec<SrcTok>) {
 /// uid scope of [`Analyzer::analyze_unit_with_loader`]. Whitespace and
 /// comments don't lex, so they never perturb uids.
 fn unit_scope_hash(unit: &Cst) -> u64 {
-    fn eat(h: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *h ^= u64::from(b);
-            *h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
     fn walk(t: &Cst, h: &mut u64) {
         match t {
             ParseTree::Leaf { value: t, .. } => {
-                eat(h, t.kind.name().as_bytes());
-                eat(h, &[0x1f]);
-                eat(h, t.text.as_str().as_bytes());
-                eat(h, &[0x1e]);
+                *h = fnv1a(*h, t.kind.name().as_bytes());
+                *h = fnv1a(*h, &[0x1f]);
+                *h = fnv1a(*h, t.text.as_str().as_bytes());
+                *h = fnv1a(*h, &[0x1e]);
             }
             ParseTree::Node { children, .. } => children.iter().for_each(|c| walk(c, h)),
         }
     }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = 0;
     walk(unit, &mut h);
     h
 }

@@ -675,8 +675,8 @@ fn stats_json(shared: &Shared, session: &Session, sid: u64) -> Json {
         .lock()
         .unwrap_or_else(|p| p.into_inner())
         .to_json();
-    // Process-wide VIFB fast-path counters (summed over every shard and
-    // batch-worker thread; the caches themselves are thread-local).
+    // Process-wide unit-load counters (summed over every shard and
+    // batch-worker thread; the structural caches are thread-local).
     let vifb = vhdl_vif::vifb_stats();
     let extra = [
         (
@@ -688,8 +688,6 @@ fn stats_json(shared: &Shared, session: &Session, sid: u64) -> Json {
             obj([
                 ("cache_hits", Json::u64(vifb.cache_hits)),
                 ("cache_misses", Json::u64(vifb.cache_misses)),
-                ("decodes", Json::u64(vifb.decodes)),
-                ("encodes", Json::u64(vifb.encodes)),
                 ("text_parses", Json::u64(vifb.text_parses)),
             ]),
         ),

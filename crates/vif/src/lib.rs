@@ -8,11 +8,10 @@
 //! - [`node`] — immutable, shareable nodes built through a builder;
 //! - [`text`] — serialization that preserves graph sharing, and reading
 //!   with nested foreign-reference resolution ("fix-up");
-//! - [`binary`] — the VIFB fast path: a checksummed flat binary encoding
-//!   of the same trees plus a content-hash-keyed structural node cache
-//!   (text stays the canonical format and the golden oracle);
 //! - [`library`] — work/reference design libraries with the usage history
-//!   that drives the latest-compiled-architecture default-binding rule;
+//!   that drives the latest-compiled-architecture default-binding rule,
+//!   plus the content-hash-keyed structural node cache that shares loaded
+//!   units across library forks;
 //! - [`dump`] — the human-readable form used for debugging.
 //!
 //! # Example
@@ -30,7 +29,6 @@
 //! # Ok::<(), vhdl_vif::VifError>(())
 //! ```
 
-pub mod binary;
 pub mod dump;
 pub mod kinds;
 pub mod library;
@@ -38,11 +36,10 @@ pub mod node;
 pub mod text;
 
 pub use ag_intern::{Symbol, ToSym};
-pub use binary::{
-    clear_node_cache, decode_vifb, encode_vifb, probe_vifb, reset_vifb_stats, vifb_stats,
-    VifbError, VifbHeader, VifbStats,
-};
 pub use dump::dump;
-pub use library::{Library, LibrarySet, LibrarySnapshot, UnitKey, VifTraffic};
+pub use library::{
+    clear_node_cache, vifb_stats, Library, LibrarySet, LibrarySnapshot, UnitKey, VifTraffic,
+    VifbStats,
+};
 pub use node::{VifBuilder, VifNode, VifValue};
-pub use text::{read_vif, read_vif_unresolved, scan_foreign_refs, write_vif, VifError};
+pub use text::{read_vif, scan_foreign_refs, write_vif, VifError};

@@ -11,27 +11,30 @@
 //! The VIF is both the symbol table and the interchange format (§2), and
 //! only the interchange role needs bytes. A library keeps one record per
 //! unit: [`Library::put`] keeps the analyzed tree (a *tree record*) whose
-//! text and VIFB sidecar are made only when asked for — a snapshot,
+//! text is printed only when asked for — a snapshot,
 //! [`Library::peek_raw`], [`Library::text_hash`], or a disk store. Units
 //! that arrive as bytes (disk files, [`Library::put_text`], snapshot
-//! mirrors) are *byte records*: text plus an optional VIFB sidecar (see
-//! [`crate::binary`]) stamped with the FNV-1a hash of the text it mirrors.
-//! Text remains the interchange format and the golden oracle; a sidecar
-//! whose embedded hash does not match the current text is ignored and
-//! re-encoded from text on the next load, so a wrong sidecar can cost time
-//! but never correctness.
+//! mirrors) are *byte records*: VIF text, the one byte form of a unit.
+//!
+//! Loaded byte records are shared through the *structural node cache*: a
+//! per-thread map from a unit's deep content hash (its text hash combined
+//! with the deep hashes of its foreign dependencies) to the loaded tree.
+//! Batch-worker mirrors rebuilt every batch, and server sessions forked on
+//! one shard thread, turn repeated dependency loads into pointer shares.
+//! Its counters ([`vifb_stats`]) are global atomics, so `vhdlc --stats`
+//! and `vhdld stats` report totals across all threads.
 
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::binary::{self, decode_vifb, encode_vifb, probe_vifb};
+use ag_harness::fnv1a;
+
 use crate::node::{VifNode, VifValue};
-use crate::text::{
-    read_vif, read_vif_unresolved, scan_foreign_refs, write_vif, Resolver, VifError,
-};
+use crate::text::{read_vif, scan_foreign_refs, write_vif, Resolver, VifError};
 
 /// Key of a unit within a library: `"entity.<name>"`, `"arch.<entity>.<name>"`,
 /// `"pkg.<name>"`, `"pkgbody.<name>"`, or `"config.<name>"`.
@@ -66,11 +69,7 @@ struct Unit {
     /// VIF text: given for a byte record, printed on first demand for a
     /// tree record.
     text: OnceCell<Arc<str>>,
-    /// VIFB sidecar, once known: given, encoded from the tree on first
-    /// demand, read from the disk library's `.vifb` file, or repaired by
-    /// a text-path load.
-    vifb: RefCell<Option<Arc<[u8]>>>,
-    /// FNV-1a hash of the text, which a valid sidecar embeds.
+    /// FNV-1a hash of the text.
     text_hash: OnceCell<u64>,
     /// Foreign references in the text, which feed the deep content hash.
     foreigns: OnceCell<Vec<Rc<str>>>,
@@ -83,11 +82,10 @@ struct Unit {
 }
 
 impl Unit {
-    fn new(tree: Option<Rc<VifNode>>, text: Option<Arc<str>>, vifb: Option<Arc<[u8]>>) -> Unit {
+    fn new(tree: Option<Rc<VifNode>>, text: Option<Arc<str>>) -> Unit {
         Unit {
             tree,
             text: text.map_or_else(OnceCell::new, OnceCell::from),
-            vifb: RefCell::new(vifb),
             text_hash: OnceCell::new(),
             foreigns: OnceCell::new(),
             content_hash: Cell::new(None),
@@ -105,28 +103,16 @@ impl Unit {
     fn text_hash(&self) -> u64 {
         *self
             .text_hash
-            .get_or_init(|| binary::fnv1a(0, self.text().as_bytes()))
-    }
-
-    /// The sidecar this record has or can encode itself (no disk read).
-    fn own_vifb(&self) -> Option<Arc<[u8]>> {
-        if let Some(b) = &*self.vifb.borrow() {
-            return Some(Arc::clone(b));
-        }
-        let tree = self.tree.as_ref()?;
-        let b: Arc<[u8]> = encode_vifb(tree, self.text_hash()).into();
-        *self.vifb.borrow_mut() = Some(Arc::clone(&b));
-        Some(b)
+            .get_or_init(|| fnv1a(0, self.text().as_bytes()))
     }
 }
 
 /// A thread-transferable image of a library: unit texts plus the usage
-/// history, in history order. Unit texts and VIFB sidecars are shared
-/// `Arc`s — taking a snapshot again copies no bytes, and cloning a
-/// snapshot (the batch compiler ships one per worker, each rebuilding a
-/// mirror with [`Library::from_snapshot`]; the server forks one per
-/// session workspace) only bumps reference counts. Mirrors decode the
-/// sidecars instead of re-lexing text.
+/// history, in history order. Unit texts are shared `Arc`s — taking a
+/// snapshot again copies no bytes, and cloning a snapshot (the batch
+/// compiler ships one per worker, each rebuilding a mirror with
+/// [`Library::from_snapshot`]; the server forks one per session
+/// workspace) only bumps reference counts.
 #[derive(Clone, Debug)]
 pub struct LibrarySnapshot {
     /// Library logical name.
@@ -138,8 +124,6 @@ pub struct LibrarySnapshot {
     /// Incremental stamps at snapshot time, so a forked workspace's
     /// first analyze of unchanged text is a cache hit.
     pub stamps: Vec<(UnitKey, u64)>,
-    /// VIFB sidecars for the units that have one (shared buffers).
-    pub vifbs: Vec<(UnitKey, Arc<[u8]>)>,
 }
 
 /// One design library.
@@ -185,16 +169,10 @@ impl Library {
     /// [`LibrarySnapshot`] — the worker-side mirror of the batch compiler.
     pub fn from_snapshot(snap: &LibrarySnapshot) -> Library {
         let mut lib = Library::in_memory(&snap.name);
-        let vifbs: HashMap<&str, &Arc<[u8]>> =
-            snap.vifbs.iter().map(|(k, b)| (k.as_str(), b)).collect();
         *lib.units.get_mut() = snap
             .units
             .iter()
-            .map(|(k, text)| {
-                let vifb = vifbs.get(k.as_str()).map(|b| Arc::clone(b));
-                let unit = Unit::new(None, Some(Arc::clone(text)), vifb);
-                (k.clone(), Rc::new(unit))
-            })
+            .map(|(k, text)| (k.clone(), Rc::new(Unit::new(None, Some(Arc::clone(text))))))
             .collect();
         *lib.history.get_mut() = snap.history.clone();
         *lib.stamps.get_mut() = snap.stamps.iter().cloned().collect();
@@ -202,23 +180,19 @@ impl Library {
         lib
     }
 
-    /// Captures the library's current contents as text and sidecars,
-    /// making them for tree records that have none yet (no traffic is
-    /// counted; snapshots are a scheduling mechanism, not VIF reads).
+    /// Captures the library's current contents as text, printing it for
+    /// tree records that have none yet (no traffic is counted; snapshots
+    /// are a scheduling mechanism, not VIF reads).
     pub fn snapshot(&self) -> LibrarySnapshot {
         let history = self.history.borrow().clone();
         let mut seen = std::collections::HashSet::new();
         let mut units = Vec::new();
-        let mut vifbs = Vec::new();
         for k in &history {
             if !seen.insert(k.clone()) {
                 continue;
             }
             if let Ok(unit) = self.unit(k) {
                 units.push((k.clone(), unit.text()));
-                if let Some(b) = self.sidecar(k, &unit) {
-                    vifbs.push((k.clone(), b));
-                }
             }
         }
         let mut stamps: Vec<(UnitKey, u64)> = self
@@ -233,7 +207,6 @@ impl Library {
             history,
             units,
             stamps,
-            vifbs,
         }
     }
 
@@ -297,7 +270,7 @@ impl Library {
         let path = self.file(key, "vif").filter(|p| p.exists());
         let path = path.ok_or_else(|| VifError::MissingUnit(format!("{}.{key}", self.name)))?;
         let text = Arc::from(std::fs::read_to_string(path)?);
-        let unit = Rc::new(Unit::new(None, Some(text), None));
+        let unit = Rc::new(Unit::new(None, Some(text)));
         self.units
             .borrow_mut()
             .insert(key.to_string(), Rc::clone(&unit));
@@ -306,62 +279,54 @@ impl Library {
 
     /// Stores a unit (replacing any previous version) and appends it to the
     /// usage history. In memory this keeps the tree and makes no bytes; on
-    /// disk the text and VIFB sidecar are written now.
+    /// disk the text is written now.
     ///
     /// # Errors
     ///
     /// I/O errors on disk-backed libraries.
     pub fn put(&self, key: &str, node: &Rc<VifNode>) -> Result<(), VifError> {
-        self.store(key, Unit::new(Some(Rc::clone(node)), None, None))
+        self.store(key, Unit::new(Some(Rc::clone(node)), None))
     }
 
     /// Stores a unit from its already-serialized VIF text, as a byte
     /// record; the batch compiler commits this way so the stored bytes are
     /// exactly the worker-produced bytes.
     ///
-    /// Any existing VIFB sidecar for the unit is dropped (it mirrors text
-    /// that no longer exists); the next load re-encodes one. Use
-    /// [`Library::put_text_with_vifb`] to install text and sidecar
-    /// together.
-    ///
-    /// The store is atomic: on disk the text is written to a temp file and
-    /// renamed over the unit file, and no in-memory state (records,
-    /// history, traffic, stamps) changes unless the write succeeded — a
-    /// failed `put` followed by [`Library::peek_raw`] still sees the old
-    /// version.
+    /// Every store is atomic in memory: on disk the unit text and the new
+    /// history are first written to temp files, then renamed over the unit
+    /// file and the history file, and no in-memory state (records,
+    /// history, generation, traffic, stamps) changes unless both renames
+    /// succeeded — a failed `put` followed by [`Library::peek_raw`] still
+    /// sees the old version. Only a history rename that fails after the
+    /// unit rename leaves the disk with the new text and the old history.
     ///
     /// # Errors
     ///
     /// I/O errors on disk-backed libraries.
     pub fn put_text(&self, key: &str, text: &str) -> Result<(), VifError> {
-        self.store(key, Unit::new(None, Some(Arc::from(text)), None))
-    }
-
-    /// Stores a unit's VIF text together with its VIFB sidecar (produced
-    /// by the same worker that printed the text). The text store has the
-    /// same atomicity guarantees as [`Library::put_text`]; the sidecar
-    /// write is best-effort — a lost sidecar is re-encoded on next load,
-    /// and a wrong one is rejected by its embedded text hash.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors on disk-backed libraries (for the text store).
-    pub fn put_text_with_vifb(&self, key: &str, text: &str, vifb: &[u8]) -> Result<(), VifError> {
-        self.store(
-            key,
-            Unit::new(None, Some(Arc::from(text)), Some(Arc::from(vifb))),
-        )
+        self.store(key, Unit::new(None, Some(Arc::from(text))))
     }
 
     fn store(&self, key: &str, unit: Unit) -> Result<(), VifError> {
-        if let (Some(path), Some(side)) = (self.file(key, "vif"), self.file(key, "vifb")) {
-            write_atomic(&path, unit.text().as_bytes())?;
-            // Best-effort: the sidecar is an accelerator, never
-            // load-bearing.
-            let _ = match unit.own_vifb() {
-                Some(b) => write_atomic(&side, &b),
-                None => std::fs::remove_file(side).map_err(VifError::from),
+        if let (Some(dir), Some(path)) = (&self.dir, self.file(key, "vif")) {
+            let mut history = self.history.borrow().clone();
+            history.push(key.to_string());
+            let history_path = dir.join("history");
+            // Stage both files before the first rename, so a failed write
+            // leaves both the disk and the library as they were.
+            let unit_tmp = stage(&path, unit.text().as_bytes())?;
+            let history_tmp = match stage(&history_path, history.join("\n").as_bytes()) {
+                Ok(tmp) => tmp,
+                Err(e) => {
+                    let _ = std::fs::remove_file(&unit_tmp);
+                    return Err(e);
+                }
             };
+            if let Err(e) = commit(&unit_tmp, &path) {
+                let _ = std::fs::remove_file(&history_tmp);
+                return Err(e);
+            }
+            commit(&history_tmp, &history_path)?;
         }
         {
             let mut t = self.traffic.borrow_mut();
@@ -376,33 +341,7 @@ impl Library {
         // the incremental driver re-stamps after a successful commit.
         self.stamps.borrow_mut().remove(key);
         self.history.borrow_mut().push(key.to_string());
-        if let Some(dir) = &self.dir {
-            let history = self.history.borrow().join("\n");
-            if let Err(e) = write_atomic(&dir.join("history"), history.as_bytes()) {
-                self.history.borrow_mut().pop();
-                return Err(e);
-            }
-        }
         Ok(())
-    }
-
-    /// The unit's sidecar: the record's own, else (on disk) its `.vifb`
-    /// file, memoized in the record.
-    fn sidecar(&self, key: &str, unit: &Unit) -> Option<Arc<[u8]>> {
-        if let Some(b) = unit.own_vifb() {
-            return Some(b);
-        }
-        let b: Arc<[u8]> = std::fs::read(self.file(key, "vifb")?).ok()?.into();
-        *unit.vifb.borrow_mut() = Some(Arc::clone(&b));
-        Some(b)
-    }
-
-    /// The unit's VIFB sidecar bytes, if present (no traffic is counted;
-    /// no validity check — callers verify the embedded text hash). A tree
-    /// record encodes its sidecar here on first demand.
-    pub fn peek_vifb(&self, key: &str) -> Option<Arc<[u8]>> {
-        let unit = self.unit(key).ok()?;
-        self.sidecar(key, &unit)
     }
 
     /// The unit's incremental stamp, if one was recorded.
@@ -454,7 +393,7 @@ impl Library {
     }
 
     /// FNV-1a hash of the unit's current VIF text (memoized in the record).
-    /// This is the hash a valid sidecar embeds, and the per-dependency
+    /// It seeds the unit's deep content hash and is the per-dependency
     /// ingredient of incremental stamps — the batch driver uses it instead
     /// of re-reading and re-hashing dep text.
     ///
@@ -509,27 +448,39 @@ impl Library {
     }
 
     /// Enables/disables the unit cache (see the performance experiments).
-    /// Disabling also bypasses the shared structural cache, the VIFB fast
-    /// path and the tree copy, reproducing the paper's
-    /// re-read-foreign-VIF cost model: every load lexes the unit's text.
+    /// Disabling also bypasses the shared structural cache and the tree
+    /// copy, reproducing the paper's re-read-foreign-VIF cost model: every
+    /// load lexes the unit's text.
     pub fn set_cache_enabled(&self, on: bool) {
         self.cache_enabled.set(on);
     }
 }
 
-/// Writes `path` atomically: temp file + rename, temp removed on failure.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), VifError> {
+/// Writes `bytes` to the temp file `<path>.tmp` that [`commit`] renames
+/// over `path`; the temp file is removed on failure.
+fn stage(path: &Path, bytes: &[u8]) -> Result<PathBuf, VifError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
     if let Err(e) = std::fs::write(&tmp, bytes) {
         let _ = std::fs::remove_file(&tmp);
         return Err(e.into());
     }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e.into());
-    }
-    Ok(())
+    Ok(tmp)
+}
+
+/// Renames a staged temp file over `path`; the temp file is removed on
+/// failure.
+fn commit(tmp: &Path, path: &Path) -> Result<(), VifError> {
+    std::fs::rename(tmp, path).map_err(|e| {
+        let _ = std::fs::remove_file(tmp);
+        e.into()
+    })
+}
+
+/// Writes `path` atomically: temp file + rename, temp removed on failure.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), VifError> {
+    commit(&stage(path, bytes)?, path)
 }
 
 fn sanitize(key: &str) -> String {
@@ -634,11 +585,9 @@ impl LibrarySet {
     /// is kept in the unit's record. A tree record loads as a unit-local
     /// copy of its tree, with no bytes involved. A byte record is shared
     /// — when caching is enabled — across libraries, sessions, and
-    /// batch-worker mirrors on the same thread through the structural
-    /// [`NodeCache`](crate::binary), keyed by the unit's deep content hash;
-    /// structural misses decode the VIFB sidecar when a valid one exists
-    /// and only fall back to text (then re-encode the sidecar) when it
-    /// doesn't.
+    /// batch-worker mirrors on the same thread through the structural node
+    /// cache, keyed by the unit's deep content hash; a structural miss
+    /// reads the text once.
     ///
     /// # Errors
     ///
@@ -670,14 +619,15 @@ impl LibrarySet {
         let (lib, key) = self.locate(full_ref, depth)?;
         let unit = lib.unit(key)?;
         let resolve = &mut |nested: &str| self.load_at(nested, depth + 1);
+        let parse = |resolve: &mut Resolver<'_>| {
+            STATS_TEXT_PARSES.fetch_add(1, Ordering::Relaxed);
+            read_vif(&unit.text(), resolve).map_err(|e| e.in_unit(format!("{}.{key}", lib.name())))
+        };
         if !lib.cache_enabled.get() {
             // Ablation mode: the paper's cost model — re-read and re-lex
             // the text every time, no sharing of any kind.
-            let text = unit.text();
-            lib.note_read(text.len());
-            binary::note_text_parse();
-            return read_vif(&text, resolve)
-                .map_err(|e| e.in_unit(format!("{}.{key}", lib.name())));
+            lib.note_read(unit.text().len());
+            return parse(resolve);
         }
         if let Some(hit) = unit.resolved.borrow().clone() {
             return Ok(hit);
@@ -692,55 +642,17 @@ impl LibrarySet {
             None => {
                 lib.note_read(unit.text().len());
                 let chash = self.content_hash(full_ref, depth)?;
-                match binary::cache_lookup(chash) {
+                match cache_lookup(chash) {
                     Some(node) => node,
                     None => {
-                        let node = self.decode(lib, key, &unit, depth)?;
-                        binary::cache_insert(chash, &node);
+                        let node = parse(resolve)?;
+                        cache_insert(chash, &node);
                         node
                     }
                 }
             }
         };
         *unit.resolved.borrow_mut() = Some(Rc::clone(&node));
-        Ok(node)
-    }
-
-    /// A byte record's structural miss: decode the VIFB sidecar if one
-    /// exists and its embedded text hash matches the text. Otherwise
-    /// (absent, stale, or corrupt) lex the text, then re-encode a fresh
-    /// sidecar from the *unresolved* tree so foreign references stay
-    /// references in the binary form.
-    fn decode(
-        &self,
-        lib: &Library,
-        key: &str,
-        unit: &Unit,
-        depth: usize,
-    ) -> Result<Rc<VifNode>, VifError> {
-        let unit_name = || format!("{}.{key}", lib.name());
-        let resolve = &mut |nested: &str| self.load_at(nested, depth + 1);
-        let text_hash = unit.text_hash();
-        let valid = |b: &Arc<[u8]>| probe_vifb(b).is_ok_and(|h| h.text_hash == text_hash);
-        if let Some(vifb) = lib.sidecar(key, unit).filter(valid) {
-            match decode_vifb(&vifb, resolve) {
-                Ok(node) => return Ok(node),
-                // Corrupt body: fall back to text (which will re-encode).
-                Err(VifError::Binary(_)) => {}
-                // A nested load failed — that error is real either way.
-                Err(e) => return Err(e.in_unit(unit_name())),
-            }
-        }
-        binary::note_text_parse();
-        let text = unit.text();
-        let node = read_vif(&text, resolve).map_err(|e| e.in_unit(unit_name()))?;
-        if let Ok(raw) = read_vif_unresolved(&text) {
-            let vifb = encode_vifb(&raw, text_hash);
-            if let Some(side) = lib.file(key, "vifb") {
-                let _ = write_atomic(&side, &vifb);
-            }
-            *unit.vifb.borrow_mut() = Some(vifb.into());
-        }
         Ok(node)
     }
 
@@ -764,8 +676,8 @@ impl LibrarySet {
             .get_or_init(|| scan_foreign_refs(&unit.text()))
         {
             let dh = self.content_hash(f, depth + 1)?;
-            h = binary::fnv1a(h, f.as_bytes());
-            h = binary::fnv1a(h, &dh.to_le_bytes());
+            h = fnv1a(h, f.as_bytes());
+            h = fnv1a(h, &dh.to_le_bytes());
         }
         unit.content_hash.set(Some((gen_tag, h)));
         Ok(h)
@@ -793,6 +705,76 @@ impl LibrarySet {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Structural node cache
+// ---------------------------------------------------------------------------
+
+/// Entries kept per thread before the cache is wholesale cleared. Loaded
+/// trees are small relative to this bound in practice; clearing is the
+/// simplest eviction that cannot leak unboundedly.
+const CACHE_CAP: usize = 1024;
+
+thread_local! {
+    static NODE_CACHE: RefCell<HashMap<u64, Rc<VifNode>>> =
+        RefCell::new(HashMap::new());
+}
+
+static STATS_HITS: AtomicU64 = AtomicU64::new(0);
+static STATS_MISSES: AtomicU64 = AtomicU64::new(0);
+static STATS_TEXT_PARSES: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide counters of unit loads (summed over all threads; the
+/// structural cache itself is thread-local).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VifbStats {
+    /// Structural cache hits: byte-record loads served as pointer shares.
+    pub cache_hits: u64,
+    /// Structural cache misses: byte-record loads that read their text.
+    pub cache_misses: u64,
+    /// Always 0: a unit has no binary form to decode. Kept, like the
+    /// `vifb` names, because `vhdlbench` reports it.
+    pub decodes: u64,
+    /// Unit loads that lexed VIF text.
+    pub text_parses: u64,
+}
+
+/// Reads the process-wide unit-load counters.
+pub fn vifb_stats() -> VifbStats {
+    VifbStats {
+        cache_hits: STATS_HITS.load(Ordering::Relaxed),
+        cache_misses: STATS_MISSES.load(Ordering::Relaxed),
+        decodes: 0,
+        text_parses: STATS_TEXT_PARSES.load(Ordering::Relaxed),
+    }
+}
+
+/// Looks up a loaded tree by deep content hash in this thread's cache.
+fn cache_lookup(content_hash: u64) -> Option<Rc<VifNode>> {
+    let hit = NODE_CACHE.with(|c| c.borrow().get(&content_hash).cloned());
+    match &hit {
+        Some(_) => STATS_HITS.fetch_add(1, Ordering::Relaxed),
+        None => STATS_MISSES.fetch_add(1, Ordering::Relaxed),
+    };
+    hit
+}
+
+/// Memoizes a loaded tree under its deep content hash in this thread's
+/// cache.
+fn cache_insert(content_hash: u64, node: &Rc<VifNode>) {
+    NODE_CACHE.with(|c| {
+        let mut m = c.borrow_mut();
+        if m.len() >= CACHE_CAP {
+            m.clear();
+        }
+        m.insert(content_hash, Rc::clone(node));
+    });
+}
+
+/// Drops every entry of this thread's structural cache (tests, benches).
+pub fn clear_node_cache() {
+    NODE_CACHE.with(|c| c.borrow_mut().clear());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -801,18 +783,9 @@ mod tests {
         VifNode::build("entity").name(name).done()
     }
 
-    /// Builds the VIFB sidecar for a text the way the batch workers do:
-    /// encode the unresolved tree, stamped with the text's hash.
-    fn sidecar_for(text: &str) -> Vec<u8> {
-        let raw = read_vif_unresolved(text).unwrap();
-        encode_vifb(&raw, binary::fnv1a(0, text.as_bytes()))
-    }
-
     /// Stores `node` as a byte record, the way a batch commit does.
     fn put_bytes(lib: &Library, key: &str, node: &Rc<VifNode>) {
-        let text = write_vif(node);
-        lib.put_text_with_vifb(key, &text, &sidecar_for(&text))
-            .unwrap();
+        lib.put_text(key, &write_vif(node)).unwrap();
     }
 
     #[test]
@@ -936,6 +909,39 @@ mod tests {
     }
 
     #[test]
+    fn failed_history_write_leaves_no_stale_state() {
+        let dir = std::env::temp_dir().join(format!("vif-atomic-hist-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let lib = Library::on_disk("work", &dir).unwrap();
+        lib.put("entity.e", &unit("v1")).unwrap();
+        lib.set_stamp("entity.e", 0xabcd).unwrap();
+        let old_text = lib.peek_raw("entity.e").unwrap();
+        let history_before = lib.history();
+        let traffic_before = lib.traffic();
+        let generation_before = lib.generation();
+
+        // Make the history write fail after the unit text could be
+        // written: occupy the history temp path with a non-empty directory.
+        let blocker = dir.join("history.tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        std::fs::write(blocker.join("occupied"), "x").unwrap();
+
+        assert!(lib.put("entity.e", &unit("v2")).is_err());
+        // Neither the record, the history, the generation, the stamp nor
+        // the traffic changed, and the unit file on disk is still v1.
+        assert_eq!(lib.peek_raw("entity.e").unwrap(), old_text);
+        assert_eq!(lib.history(), history_before);
+        assert_eq!(lib.traffic(), traffic_before);
+        assert_eq!(lib.generation(), generation_before);
+        assert_eq!(lib.stamp("entity.e"), Some(0xabcd));
+        assert!(!dir.join("entity.e.vif.tmp").exists());
+        std::fs::remove_dir_all(&blocker).unwrap();
+        let set = LibrarySet::new(Rc::new(Library::on_disk("work", &dir).unwrap()), vec![]);
+        assert_eq!(set.load("work.entity.e").unwrap().name(), Some("v1"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn failed_put_on_readonly_dir() {
         let dir = std::env::temp_dir().join(format!("vif-ro-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1022,83 +1028,17 @@ mod tests {
         assert_eq!(lib.traffic(), VifTraffic::default());
     }
 
-    #[test]
-    fn load_repairs_missing_sidecar_on_disk() {
-        let dir = std::env::temp_dir().join(format!("vif-side-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let lib = Rc::new(Library::on_disk("work", &dir).unwrap());
-        // `put` installs text + sidecar together; storing bare text (the
-        // primitive every sidecar-less writer bottoms out in) drops it.
-        lib.put("entity.e", &unit("e")).unwrap();
-        assert!(dir.join("entity.e.vifb").exists(), "put installs a sidecar");
-        let text = lib.peek_raw("entity.e").unwrap();
-        lib.put_text("entity.e", &text).unwrap();
-        assert!(
-            !dir.join("entity.e.vifb").exists(),
-            "bare put_text stores no sidecar"
-        );
-        let set = LibrarySet::new(Rc::clone(&lib), vec![]);
-        let loaded = set.load("work.entity.e").unwrap();
-        assert_eq!(loaded.name(), Some("e"));
-        // The text-path load repaired the sidecar...
-        assert!(dir.join("entity.e.vifb").exists());
-        // ...and it is valid: embedded hash matches the text, and a fresh
-        // library decodes it to the same tree.
-        let text = lib.peek_raw("entity.e").unwrap();
-        let lib2 = Rc::new(Library::on_disk("work", &dir).unwrap());
-        let vifb = lib2.peek_vifb("entity.e").unwrap();
-        let header = probe_vifb(&vifb).unwrap();
-        assert_eq!(header.text_hash, binary::fnv1a(0, text.as_bytes()));
-        let set2 = LibrarySet::new(lib2, vec![]);
-        assert_eq!(set2.load("work.entity.e").unwrap(), loaded);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stale_or_corrupt_sidecar_falls_back_to_text() {
-        let lib = Rc::new(Library::in_memory("work"));
-        let text_a = write_vif(&unit("a"));
-        let text_b = write_vif(&unit("b"));
-        // Stale: sidecar mirrors text A but the unit stores text B.
-        lib.put_text_with_vifb("entity.e", &text_b, &sidecar_for(&text_a))
-            .unwrap();
-        let set = LibrarySet::new(Rc::clone(&lib), vec![]);
-        assert_eq!(
-            set.load("work.entity.e").unwrap().name(),
-            Some("b"),
-            "hash-mismatched sidecar must be ignored"
-        );
-        // The fallback repaired the sidecar in place.
-        let repaired = lib.peek_vifb("entity.e").unwrap();
-        assert_eq!(
-            probe_vifb(&repaired).unwrap().text_hash,
-            binary::fnv1a(0, text_b.as_bytes())
-        );
-
-        // Corrupt: garbage bytes as a sidecar are equally harmless.
-        let lib2 = Rc::new(Library::in_memory("work"));
-        lib2.put_text_with_vifb("entity.e", &text_a, b"VIFBgarbage")
-            .unwrap();
-        let set2 = LibrarySet::new(Rc::clone(&lib2), vec![]);
-        assert_eq!(set2.load("work.entity.e").unwrap().name(), Some("a"));
-
-        // put_text drops a previously-installed sidecar.
-        lib2.put_text("entity.e", &text_b).unwrap();
-        assert!(lib2.peek_vifb("entity.e").is_none());
-    }
-
+    /// A snapshot ships a byte record's text as the record's own `Arc`.
     #[test]
     fn snapshot_carries_sidecars_shared() {
         let lib = Library::in_memory("work");
-        let text = write_vif(&unit("e"));
-        lib.put_text_with_vifb("entity.e", &text, &sidecar_for(&text))
-            .unwrap();
+        put_bytes(&lib, "entity.e", &unit("e"));
         let snap = lib.snapshot();
-        assert_eq!(snap.vifbs.len(), 1);
+        assert_eq!(snap.units.len(), 1);
         let mirror = Library::from_snapshot(&snap);
-        let a = lib.peek_vifb("entity.e").unwrap();
-        let b = mirror.peek_vifb("entity.e").unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "sidecar buffers must be shared");
+        let a = lib.peek_shared("entity.e").unwrap();
+        let b = mirror.peek_shared("entity.e").unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "text buffers must be shared");
     }
 
     #[test]
@@ -1150,10 +1090,25 @@ mod tests {
         let second = set2.load("work.entity.probe").unwrap();
         assert!(
             Rc::ptr_eq(&first, &second),
-            "forked load must share the decoded tree"
+            "forked load must share the loaded tree"
         );
         // Traffic still counted on the structural hit.
         assert_eq!(fork.traffic().units_read, 1);
+    }
+
+    #[test]
+    fn node_cache_shares_pointers_and_counts() {
+        clear_node_cache();
+        let before = vifb_stats();
+        let root = unit("node_cache_probe");
+        assert!(cache_lookup(0xfeed_face).is_none());
+        cache_insert(0xfeed_face, &root);
+        let hit = cache_lookup(0xfeed_face).expect("cached");
+        assert!(Rc::ptr_eq(&hit, &root));
+        let after = vifb_stats();
+        assert_eq!(after.cache_hits - before.cache_hits, 1);
+        assert_eq!(after.cache_misses - before.cache_misses, 1);
+        clear_node_cache();
     }
 
     #[test]
@@ -1220,13 +1175,15 @@ mod tests {
         lib.put("entity.e", &unit("e")).unwrap();
         let text = lib.peek_raw("entity.e").unwrap();
         let h = lib.text_hash("entity.e").unwrap();
-        assert_eq!(h, binary::fnv1a(0, text.as_bytes()));
+        assert_eq!(h, fnv1a(0, text.as_bytes()));
         // Recompile changes the hash.
         lib.put("entity.e", &unit("changed")).unwrap();
         assert_ne!(lib.text_hash("entity.e").unwrap(), h);
         assert!(lib.text_hash("entity.missing").is_err());
     }
 
+    /// A re-`put` on disk serves the new text, never one memoised by an
+    /// earlier load.
     #[test]
     fn rewritten_disk_sidecar_is_not_served_stale() {
         let dir = std::env::temp_dir().join(format!("vif-residecar-{}", std::process::id()));
@@ -1242,18 +1199,16 @@ mod tests {
         lib.put("entity.e", &version("a")).unwrap();
         set.load("work.entity.e").unwrap();
         lib.put("entity.e", &version("b")).unwrap();
-        // The sidecar served (and shipped in snapshots) mirrors the new
-        // text, not the one the first load read.
-        let vifb = lib.peek_vifb("entity.e").unwrap();
+        // The text served (and shipped in snapshots) is the new text, not
+        // the one the first load read.
+        let text = write_vif(&version("b"));
+        assert_eq!(lib.peek_raw("entity.e").unwrap(), text);
         assert_eq!(
-            probe_vifb(&vifb).unwrap().text_hash,
-            lib.text_hash("entity.e").unwrap()
+            lib.text_hash("entity.e").unwrap(),
+            fnv1a(0, text.as_bytes())
         );
-        let (_, snap_vifb) = &lib.snapshot().vifbs[0];
-        assert_eq!(
-            probe_vifb(snap_vifb).unwrap().text_hash,
-            lib.text_hash("entity.e").unwrap()
-        );
+        let (_, snap_text) = &lib.snapshot().units[0];
+        assert_eq!(&**snap_text, text);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -22,7 +22,7 @@ use std::rc::Rc;
 
 use crate::node::{VifNode, VifValue};
 
-/// Errors while reading VIF text or binary (VIFB) buffers.
+/// Errors while reading VIF text or loading library units.
 #[derive(Debug)]
 pub enum VifError {
     /// Malformed input.
@@ -38,8 +38,6 @@ pub enum VifError {
     Io(std::io::Error),
     /// A requested unit does not exist.
     MissingUnit(String),
-    /// A binary (VIFB) buffer was rejected.
-    Binary(crate::binary::VifbError),
     /// An error attributed to the library unit whose bytes were being
     /// read — so a malformed dependency names the offending unit, not
     /// just a byte offset into anonymous text.
@@ -52,13 +50,13 @@ pub enum VifError {
 }
 
 impl VifError {
-    /// Wraps syntax/binary errors — errors about *this unit's bytes* —
+    /// Wraps syntax errors — errors about *this unit's bytes* —
     /// with the unit they occurred in. Errors that already name their
     /// subject (missing units, unresolved references, nested `InUnit`)
     /// pass through unchanged.
     pub fn in_unit(self, unit: impl Into<String>) -> VifError {
         match self {
-            e @ (VifError::Syntax { .. } | VifError::Binary(_)) => VifError::InUnit {
+            e @ VifError::Syntax { .. } => VifError::InUnit {
                 unit: unit.into(),
                 source: Box::new(e),
             },
@@ -74,7 +72,6 @@ impl fmt::Display for VifError {
             VifError::Unresolved(r) => write!(f, "unresolved foreign reference `{r}`"),
             VifError::Io(e) => write!(f, "vif i/o error: {e}"),
             VifError::MissingUnit(u) => write!(f, "no such unit `{u}` in library"),
-            VifError::Binary(e) => write!(f, "{e}"),
             VifError::InUnit { unit, source } => write!(f, "in unit `{unit}`: {source}"),
         }
     }
@@ -207,26 +204,6 @@ pub type Resolver<'a> = dyn FnMut(&str) -> Result<Rc<VifNode>, VifError> + 'a;
 /// [`VifError::Syntax`] on malformed text, or whatever `resolve` returns
 /// for an unknown reference.
 pub fn read_vif(src: &str, resolve: &mut Resolver<'_>) -> Result<Rc<VifNode>, VifError> {
-    read_vif_impl(src, Some(resolve))
-}
-
-/// Like [`read_vif`], but foreign references stay [`VifValue::Foreign`]
-/// instead of being resolved — the form needed to re-encode a unit's text
-/// as a standalone VIFB sidecar without inlining its dependencies.
-/// Round-trip law: `write_vif(read_vif_unresolved(t)) == t` for every
-/// well-formed `t`, foreign references included.
-///
-/// # Errors
-///
-/// [`VifError::Syntax`] on malformed text.
-pub fn read_vif_unresolved(src: &str) -> Result<Rc<VifNode>, VifError> {
-    read_vif_impl(src, None)
-}
-
-fn read_vif_impl(
-    src: &str,
-    mut resolve: Option<&mut Resolver<'_>>,
-) -> Result<Rc<VifNode>, VifError> {
     let _t = ag_harness::trace::span("vif-read");
     ag_harness::trace::counter("vif-bytes-read", src.len() as u64);
     let mut p = P {
@@ -278,7 +255,7 @@ fn read_vif_impl(
             }
             p.expect(b'(')?;
             let fname = p.word()?;
-            fn value(p: &mut P, resolve: &mut Option<&mut Resolver<'_>>) -> Result<Raw, VifError> {
+            fn value(p: &mut P, resolve: &mut Resolver<'_>) -> Result<Raw, VifError> {
                 p.skip_ws();
                 match p.peek() {
                     Some(b'#') => {
@@ -301,13 +278,9 @@ fn read_vif_impl(
                     Some(b'"') => Ok(Raw::Val(VifValue::str(p.string()?))),
                     Some(b'@') => {
                         p.i += 1;
-                        let r = p.string()?;
-                        match resolve {
-                            // Resolve eagerly: nested foreign references
-                            // load their units right here.
-                            Some(res) => Ok(Raw::Val(VifValue::Node(res(&r)?))),
-                            None => Ok(Raw::Val(VifValue::Foreign(r.into()))),
-                        }
+                        // Resolve eagerly: nested foreign references
+                        // load their units right here.
+                        Ok(Raw::Val(VifValue::Node(resolve(&p.string()?)?)))
                     }
                     Some(b'r') => {
                         p.i += 1;
@@ -328,7 +301,7 @@ fn read_vif_impl(
                     }
                 }
             }
-            let v = value(&mut p, &mut resolve)?;
+            let v = value(&mut p, resolve)?;
             p.skip_ws();
             p.expect(b')')?;
             fields.push((fname, v));
@@ -645,19 +618,6 @@ mod tests {
         assert!(read_vif("VIF1\nroot #5", &mut no_foreign).is_err());
         let e = read_vif("VIF1\n#1 (k)\nroot #1", &mut no_foreign).unwrap_err();
         assert!(e.to_string().contains("dense"));
-    }
-
-    #[test]
-    fn unresolved_read_round_trips_foreign_refs() {
-        let root = VifNode::build("arch")
-            .name("rtl")
-            .field("entity", VifValue::Foreign("work.entity.e".into()))
-            .str_field("note", "an @\"impostor\" in a string")
-            .done();
-        let text = write_vif(&root);
-        let back = read_vif_unresolved(&text).unwrap();
-        assert_eq!(back, root, "foreign refs survive unresolved reading");
-        assert_eq!(write_vif(&back), text, "byte-identical re-print");
     }
 
     #[test]

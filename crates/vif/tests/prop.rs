@@ -1,6 +1,6 @@
 //! Property tests for the VIF: serialization round-trips arbitrary node
-//! graphs, preserves sharing, and library history obeys the
-//! latest-compiled-architecture rule.
+//! graphs, preserves sharing, rejects corrupted text with typed errors,
+//! and library history obeys the latest-compiled-architecture rule.
 //!
 //! Ported from proptest to the in-repo `ag-harness` framework; the input
 //! space and every invariant are unchanged.
@@ -84,6 +84,40 @@ fn sharing_survives() {
         let r = back.node_field("r").unwrap().node_field("t").unwrap();
         check!(Rc::ptr_eq(l, r), "diamond collapsed to one allocation");
     });
+}
+
+/// VIF text is the one byte form a library reads, so hostile text must
+/// be a typed error, never a panic: a truncation before the `root` line
+/// is rejected, and a byte overwritten with VIF punctuation either still
+/// parses or is a syntax or resolution error.
+#[test]
+fn text_corruption_is_rejected_not_panicking() {
+    forall!(
+        Config::new("text_corruption_is_rejected_not_panicking").cases(160),
+        |s| {
+            let text = write_vif(&node(s, 2));
+            let typed =
+                |e: &VifError| matches!(e, VifError::Syntax { .. } | VifError::Unresolved(_));
+            if s.bool() {
+                let keep = s.usize_in(0, text.rfind("root").expect("root line"));
+                let e = read_vif(&text[..keep], &mut no_foreign);
+                check!(
+                    e.as_ref().is_err_and(typed),
+                    "truncation to {keep} bytes must be a typed error, got {e:?}"
+                );
+            } else {
+                let mut bad = text.into_bytes();
+                let i = s.usize_in(0, bad.len() - 1);
+                bad[i] = *s.pick(b"#()[]\"@r-0 \n\\x");
+                let bad = String::from_utf8(bad).expect("VIF text is ASCII here");
+                let r = read_vif(&bad, &mut no_foreign);
+                check!(
+                    r.as_ref().map_or_else(typed, |_| true),
+                    "byte {i} overwritten: {r:?}"
+                );
+            }
+        }
+    );
 }
 
 /// The latest-architecture rule returns the most recent put, under any

@@ -16,7 +16,7 @@ echo "==> cargo test -q"
 # Every crate's tests, once: the kernel's differential oracle suite
 # (scan stepper, interpreter and compiled backend at several worker
 # counts, checkpoint and restore), the conformance corpus replay, the
-# VIFB and snapshot property suites, the driver CLI and the server e2e
+# VIF and snapshot property suites, the driver CLI and the server e2e
 # tests.
 cargo test -q
 
@@ -86,13 +86,12 @@ trap 'rm -rf "$BATCH_WORK"' EXIT
 cat "$BATCH_WORK/warm.log"
 grep -q "miss 0 cold 0" "$BATCH_WORK/warm.log" \
     || { echo "verify: warm --incremental rerun re-analyzed units" >&2; exit 1; }
-# The warm run's dependency loads must be zero-copy: served from VIFB
-# sidecars written by the cold run (nonzero decodes), with the text
-# parser never invoked (`vifb:` counter line from --stats).
-grep -q "vifb: .* 0 text parses" "$BATCH_WORK/warm.log" \
-    || { echo "verify: warm rerun fell back to VIF text parsing" >&2; exit 1; }
-grep -Eq "vifb: .* [1-9][0-9]* decodes" "$BATCH_WORK/warm.log" \
-    || { echo "verify: warm rerun did not decode VIFB sidecars" >&2; exit 1; }
+# The warm run's elaboration reads the units the cold run wrote: each
+# of the 10 units' text is parsed at most once, because a loaded unit
+# is memoised in its record (`vifb:` counter line from --stats).
+PARSES="$(sed -n 's/^vifb: .* \([0-9][0-9]*\) text parses$/\1/p' "$BATCH_WORK/warm.log")"
+[ -n "$PARSES" ] && [ "$PARSES" -ge 1 ] && [ "$PARSES" -le 10 ] \
+    || { echo "verify: warm rerun parsed VIF text ${PARSES:-?} times, want 1..10" >&2; exit 1; }
 
 echo "==> vhdld loopback session (analyze -> elaborate -> run -> checkpoint -> inspect -> shutdown)"
 # Start the pooled server (explicit worker/acceptor counts so the sharded
@@ -144,12 +143,13 @@ wait "$VHDLD_PID" || { echo "verify: vhdld exited nonzero" >&2; exit 1; }
 
 echo "==> vhdld structural-cache reuse across session forks (repeated analyze -> nonzero vifb hits)"
 # Single serving worker, inline analysis (--jobs 1), two sequential
-# sessions analyzing the same design: the first decodes the units into
+# sessions analyzing the same design: the first parses the units into
 # the worker thread's structural cache; the second — a fresh library
 # fork — must serve its dependency loads from that cache by deep
 # content hash. The process-wide `vifb` counters in the `stats`
-# response prove it (nonzero cache_hits), and `text_parses` staying at
-# zero proves neither session ever fell back to the text parser.
+# response prove it (nonzero cache_hits), and `text_parses` not moving
+# between the two responses proves the second session never fell back
+# to the text parser.
 ./target/release/vhdld --listen 127.0.0.1:0 --quiet \
     --jobs 1 --workers 1 --acceptors 1 >"$BATCH_WORK/vhdld2.out" &
 VHDLD2_PID=$!
@@ -175,8 +175,10 @@ if grep -q '"ok":false' "$BATCH_WORK/cache1.log" "$BATCH_WORK/cache2.log"; then
 fi
 grep -Eq '"vifb":\{"cache_hits":[1-9]' "$BATCH_WORK/cache2.log" \
     || { echo "verify: repeated analyze produced no structural-cache hits" >&2; exit 1; }
-grep -q '"text_parses":0' "$BATCH_WORK/cache2.log" \
-    || { echo "verify: session analyze fell back to VIF text parsing" >&2; exit 1; }
+PARSES1="$(grep -o '"text_parses":[0-9]*' "$BATCH_WORK/cache1.log")"
+PARSES2="$(grep -o '"text_parses":[0-9]*' "$BATCH_WORK/cache2.log")"
+[ -n "$PARSES1" ] && [ "$PARSES1" = "$PARSES2" ] \
+    || { echo "verify: forked session analyze fell back to VIF text parsing" >&2; exit 1; }
 kill "$VHDLD2_PID" 2>/dev/null || true
 wait "$VHDLD2_PID" 2>/dev/null || true
 
