@@ -8,11 +8,11 @@
 //! cleanly. The set covers the full adder example, sixteen seeded conform
 //! designs (eight small, eight heavy) and the configuration-unit library.
 //!
-//! Each design is compiled twice: through `Compiler::compile`, whose
-//! in-memory library keeps the analyzed trees, and through
-//! `compile_batch` at one job, which commits VIF text. Both must give the
-//! recorded digests, so the tree path and the byte path store the same
-//! units.
+//! Each design is compiled twice: through `Compiler::compile`, one source
+//! at a time, whose inline waves commit the analyzed trees, and through
+//! `compile_batch` at two jobs, whose workers ship VIF text. Both must
+//! give the recorded digests, so the tree path and the byte path store
+//! the same units.
 //!
 //! On an intended change to analysis output, the failure message prints
 //! the new table.
@@ -20,9 +20,8 @@
 use ag_harness::fnv1a;
 use ag_harness::Source;
 use vhdl_conform::{gen_design, Profile};
-use vhdl_driver::batch::BatchOptions;
+use vhdl_driver::batch::{BatchOptions, BatchResult};
 use vhdl_driver::Compiler;
-use vhdl_vif::write_vif;
 
 /// `(design, units, digest)`: the digest folds every unit's key,
 /// diagnostics and VIF text in compilation order.
@@ -52,7 +51,8 @@ const GOLDEN: &[(&str, usize, u64)] = &[
 enum Path {
     /// `Compiler::compile`, one source at a time: the library stores trees.
     Tree,
-    /// `compile_batch` over all sources at one job: the library stores text.
+    /// `compile_batch` over all sources at two jobs: the library stores
+    /// the workers' text.
     Batch,
 }
 
@@ -62,20 +62,21 @@ fn digest(sources: &[&str], path: Path) -> (usize, u64) {
     let c = Compiler::in_memory();
     let mut text = String::new();
     let mut units = 0;
-    let mut fold = |key: &str, msgs: &str, vif: &str| {
-        units += 1;
-        for part in [key, "\n", msgs, "\n", vif, "\n"] {
-            text.push_str(part);
+    let mut fold = |res: &BatchResult| {
+        assert!(res.ok(), "{:?} {:?}", res.front_errors, res.units);
+        for u in &res.units {
+            let msgs: String = u.msgs.iter().map(|m| format!("{m}\n")).collect();
+            let vif = c.libs.work().peek_raw(&u.key).expect("committed");
+            units += 1;
+            for part in [u.key.as_str(), "\n", &msgs, "\n", &vif, "\n"] {
+                text.push_str(part);
+            }
         }
     };
     match path {
         Path::Tree => {
             for src in sources {
-                let res = c.compile(src).expect("design parses");
-                for au in &res.units {
-                    assert!(!au.msgs.has_errors(), "{}: {}", au.key, au.msgs);
-                    fold(&au.key, &au.msgs.to_string(), &write_vif(&au.node));
-                }
+                fold(&c.compile(src).expect("design parses"));
             }
         }
         Path::Batch => {
@@ -85,16 +86,10 @@ fn digest(sources: &[&str], path: Path) -> (usize, u64) {
                 .map(|(i, src)| (format!("f{i}.vhd"), src.to_string()))
                 .collect();
             let opts = BatchOptions {
-                jobs: 1,
+                jobs: 2,
                 incremental: false,
             };
-            let res = c.compile_batch(&files, opts);
-            assert!(res.ok(), "{:?} {:?}", res.front_errors, res.units);
-            for u in &res.units {
-                let msgs: String = u.msgs.iter().map(|m| format!("{m}\n")).collect();
-                let vif = c.libs.work().peek_raw(&u.key).expect("committed");
-                fold(&u.key, &msgs, &vif);
-            }
+            fold(&c.compile_batch(&files, opts));
         }
     }
     (units, fnv1a(0, text.as_bytes()))

@@ -17,12 +17,17 @@
 //!    wave-start library state regardless of worker count — that is the
 //!    determinism contract the property suite checks: `--jobs 1` and
 //!    `--jobs N` produce byte-identical VIF and identical diagnostics.
+//!    With `jobs <= 1` the waves run inline on the calling thread and
+//!    commit the analyzed trees themselves ([`Library::put`]); only
+//!    worker results arrive as text.
 //! 2. **Incrementality.** Each committed unit is stamped with a content
 //!    hash of its source token run combined with the hashes of its
 //!    dependencies' *VIF texts*. VIF text (not symbol ids or node
 //!    addresses) is the hash input because it is the stable on-disk
 //!    interchange form: interner ids differ between processes and between
-//!    thread interleavings, the text never does. On a warm run a unit
+//!    thread interleavings, the text never does. A dependency stored as a
+//!    tree is hashed by streaming the printer into the hash, so stamping
+//!    makes no text ([`Library::text_hash`]). On a warm run a unit
 //!    whose recomputed stamp matches its stored stamp is skipped; a
 //!    changed package re-analyzes exactly its transitive dependents,
 //!    because the dependents' stamps absorb the new VIF text hash — and a
@@ -38,9 +43,9 @@ use std::time::{Duration, Instant};
 use ag_harness::fnv1a;
 use ag_harness::pool::Pool;
 use vhdl_sem::analyze::{collect_toks, Analyzer, UnitLoader};
-use vhdl_sem::msg::{Msg, Severity};
-use vhdl_syntax::{Cst, SrcTok};
-use vhdl_vif::{write_vif, Library, LibrarySet, LibrarySnapshot, VifTraffic};
+use vhdl_sem::msg::{Msg, Msgs, Severity};
+use vhdl_syntax::{Cst, FrontError, SrcTok};
+use vhdl_vif::{write_vif, Library, LibrarySet, LibrarySnapshot, VifNode, VifTraffic};
 
 use crate::depgraph;
 use crate::{Compiler, EnvKind, PhaseTimes, TimedLoader};
@@ -122,7 +127,7 @@ pub struct BatchResult {
     /// Per-unit outcomes, in input order.
     pub units: Vec<BatchUnit>,
     /// Files that failed to scan/parse: `(file index, error)`.
-    pub front_errors: Vec<(usize, String)>,
+    pub front_errors: Vec<(usize, FrontError)>,
     /// Aggregated phase times (CPU-summed across workers, so under
     /// `--jobs N` this can exceed wall-clock).
     pub phases: PhaseTimes,
@@ -144,6 +149,26 @@ impl BatchResult {
     /// `true` when every file parsed and every unit analyzed cleanly.
     pub fn ok(&self) -> bool {
         self.front_errors.is_empty() && self.units.iter().all(|u| !has_errors(&u.msgs))
+    }
+
+    /// All unit diagnostics, in input order (front errors excluded).
+    pub fn msgs(&self) -> Msgs {
+        let mut m = Msgs::none();
+        for msg in self.units.iter().flat_map(|u| &u.msgs) {
+            m.push(msg.clone());
+        }
+        m
+    }
+
+    /// Source lines per minute over the summed phase times — the paper's
+    /// headline throughput metric.
+    pub fn lines_per_minute(&self) -> f64 {
+        let secs = self.phases.total().as_secs_f64();
+        if secs == 0.0 {
+            f64::INFINITY
+        } else {
+            self.lines as f64 / secs * 60.0
+        }
     }
 
     /// All diagnostics rendered with their file name, in input order —
@@ -204,7 +229,8 @@ pub(crate) type AnalysisPool = Pool<Wave, Vec<JobOut>>;
 pub(crate) struct JobOut {
     global: usize,
     key: String,
-    /// Serialized VIF when the unit analyzed cleanly.
+    /// Serialized VIF when the unit analyzed cleanly; a worker prints it
+    /// (inline jobs hand their tree to the commit instead).
     vif_text: Option<String>,
     msgs: Vec<Msg>,
     expr_evals: u64,
@@ -214,10 +240,16 @@ pub(crate) struct JobOut {
     vif_write: Duration,
 }
 
-/// Analyzes one unit against `libs` and packages the outcome as the
-/// Send-able `JobOut`. Shared by the worker loop and the inline
-/// (`jobs <= 1`) path so both produce identical results.
-fn run_job(analyzer: &Analyzer, libs: &Rc<LibrarySet>, unit: &Cst, global: usize) -> JobOut {
+/// Analyzes one unit against `libs`: the outcome as the Send-able
+/// `JobOut` (no VIF yet) plus the tree to commit when the unit analyzed
+/// cleanly. Shared by the worker loop, which prints the tree, and the
+/// inline (`jobs <= 1`) path, which commits it, so both analyze alike.
+fn run_job(
+    analyzer: &Analyzer,
+    libs: &Rc<LibrarySet>,
+    unit: &Cst,
+    global: usize,
+) -> (JobOut, Option<Rc<VifNode>>) {
     let read_spent = Rc::new(RefCell::new(Duration::ZERO));
     let loader = Rc::new(TimedLoader {
         inner: Rc::clone(libs),
@@ -227,20 +259,17 @@ fn run_job(analyzer: &Analyzer, libs: &Rc<LibrarySet>, unit: &Cst, global: usize
     let au = analyzer.analyze_unit_with_loader(unit, loader as Rc<dyn UnitLoader>);
     let analysis = t0.elapsed();
     let vif_read = *read_spent.borrow();
-    let t0 = Instant::now();
-    let vif_text = (!au.msgs.has_errors() && !au.key.is_empty()).then(|| write_vif(&au.node));
-    let vif_write = t0.elapsed();
-    JobOut {
+    let tree = (!au.msgs.has_errors() && !au.key.is_empty()).then_some(au.node);
+    let out = JobOut {
         global,
         key: au.key,
-        vif_text,
         msgs: au.msgs.to_vec(),
         expr_evals: au.expr_evals,
         attr_eval: analysis.saturating_sub(vif_read),
         vif_read,
-        vif_write,
         ..JobOut::default()
-    }
+    };
+    (out, tree)
 }
 
 /// Renders a payload captured by `catch_unwind`.
@@ -324,8 +353,11 @@ impl Worker {
             parse = t0.elapsed();
             units
         });
-        let mut out = run_job(analyzer, &self.libs, &units[job.unit_in_file], job.global);
+        let (mut out, tree) = run_job(analyzer, &self.libs, &units[job.unit_in_file], job.global);
         out.parse = parse;
+        let t0 = Instant::now();
+        out.vif_text = tree.map(|node| write_vif(&node));
+        out.vif_write = t0.elapsed();
         out
     }
 }
@@ -341,7 +373,7 @@ struct BatchPlan {
     generation: u64,
     file_units: Rc<Vec<Vec<Cst>>>,
     unit_toks: Rc<Vec<(usize, usize, Vec<SrcTok>)>>,
-    front_errors: Vec<(usize, String)>,
+    front_errors: Vec<(usize, FrontError)>,
     graph: Rc<depgraph::DepGraph>,
     lines: usize,
 }
@@ -409,12 +441,15 @@ impl Compiler {
                 let mut front_errors = Vec::new();
                 let mut file_units: Vec<Vec<Cst>> = Vec::with_capacity(files.len());
                 let t0 = Instant::now();
-                for (i, (_, src)) in files.iter().enumerate() {
-                    match self.analyzer.parse_units(src) {
-                        Ok(us) => file_units.push(us),
-                        Err(e) => {
-                            front_errors.push((i, e.to_string()));
-                            file_units.push(Vec::new());
+                {
+                    let _t = ag_harness::trace::span("parse");
+                    for (i, (_, src)) in files.iter().enumerate() {
+                        match self.analyzer.parse_units(src) {
+                            Ok(us) => file_units.push(us),
+                            Err(e) => {
+                                front_errors.push((i, e));
+                                file_units.push(Vec::new());
+                            }
                         }
                     }
                 }
@@ -475,9 +510,6 @@ impl Compiler {
         let mut pool_engaged = false;
 
         let mut cache = CacheStats::default();
-        // Hash of each key's current VIF text, filled lazily from the
-        // library (which memoizes per unit) and refreshed at every commit.
-        let mut dep_hash: HashMap<String, u64> = HashMap::new();
         // Texts committed since the workers last synced their
         // mirrors (accumulates across waves the pool never saw).
         let mut pending_delta: Vec<Put> = Vec::new();
@@ -491,18 +523,12 @@ impl Compiler {
                 let meta = &graph.units[i];
                 let mut stamp = meta.src_hash;
                 for dep in &meta.deps {
+                    // The library memoizes each unit's text hash.
                     stamp = fnv1a(stamp, dep.as_bytes());
-                    let dh = match dep_hash.get(dep) {
-                        Some(&h) => Some(h),
-                        None => work.text_hash(dep).ok().map(|h| {
-                            dep_hash.insert(dep.clone(), h);
-                            h
-                        }),
+                    stamp = match work.text_hash(dep) {
+                        Ok(h) => fnv1a(stamp, &h.to_le_bytes()),
+                        Err(_) => fnv1a(stamp, b"?"),
                     };
-                    match dh {
-                        Some(h) => stamp = fnv1a(stamp, &h.to_le_bytes()),
-                        None => stamp = fnv1a(stamp, b"?"),
-                    }
                 }
                 if opts.incremental && work.stamp(&meta.key) == Some(stamp) {
                     cache.hits += 1;
@@ -536,7 +562,8 @@ impl Compiler {
             // Run the wave. An all-hit wave has nothing to run and — with
             // a pool — nothing to post; commits it is owed travel in
             // `pending_delta` with the next real wave.
-            let mut results: Vec<JobOut> = if jobs_list.is_empty() {
+            // Inline results carry their trees; worker results carry text.
+            let mut results: Vec<(JobOut, Option<Rc<VifNode>>)> = if jobs_list.is_empty() {
                 Vec::new()
             } else if opts.jobs > 1 {
                 let start = (!pool_engaged).then(|| {
@@ -570,9 +597,11 @@ impl Compiler {
                         },
                     );
                 }
-                (0..opts.jobs).flat_map(|w| pool.wait(w)).collect()
+                (0..opts.jobs)
+                    .flat_map(|w| pool.wait(w))
+                    .map(|r| (r, None))
+                    .collect()
             } else {
-                pending_delta.clear();
                 jobs_list
                     .iter()
                     .map(|(job, _)| {
@@ -587,8 +616,8 @@ impl Compiler {
             };
 
             // Wave barrier: commit in input (global) order, stamp, record.
-            results.sort_by_key(|r| r.global);
-            for r in results {
+            results.sort_by_key(|(r, _)| r.global);
+            for (r, tree) in results {
                 phases.parse += r.parse;
                 phases.attr_eval += r.attr_eval;
                 phases.vif_read += r.vif_read;
@@ -601,17 +630,20 @@ impl Compiler {
                     expr_evals,
                     ..
                 } = r;
-                if let Some(text) = vif_text {
-                    let t0 = Instant::now();
-                    let committed = work.put_text(&key, &text).is_ok();
-                    phases.vif_write += t0.elapsed();
-                    if committed {
-                        committed_any = true;
-                        if let Some(&stamp) = stamps.get(&global) {
-                            let _ = work.set_stamp(&key, stamp);
-                        }
-                        dep_hash.insert(key.clone(), fnv1a(0, text.as_bytes()));
-                        pending_delta.push((key.clone(), Arc::from(text.as_str())));
+                let t0 = Instant::now();
+                let committed = match (&tree, &vif_text) {
+                    (Some(tree), _) => work.put(&key, tree).is_ok(),
+                    (None, Some(text)) => work.put_text(&key, text).is_ok(),
+                    (None, None) => false,
+                };
+                phases.vif_write += t0.elapsed();
+                if committed {
+                    committed_any = true;
+                    if let Some(&stamp) = stamps.get(&global) {
+                        let _ = work.set_stamp(&key, stamp);
+                    }
+                    if let Some(text) = vif_text {
+                        pending_delta.push((key.clone(), Arc::from(text)));
                     }
                 }
                 let meta = &graph.units[global];
@@ -705,7 +737,7 @@ mod tests {
 
     #[test]
     fn batch_matches_sequential_library_state() {
-        // The sequential baseline compiles in dependency order.
+        // The baseline compiles one file at a time, in dependency order.
         let seq = Compiler::in_memory();
         let ordered = [
             "entity e is\nend e;\n",
@@ -915,6 +947,30 @@ mod tests {
             ],
             "one text file per unit plus the history and the stamps"
         );
+    }
+
+    #[test]
+    fn configuration_compiles_in_the_batch_of_its_architecture() {
+        let files = vec![(
+            "f.vhd".to_string(),
+            "entity e is end;\n\
+             architecture a of e is begin end a;\n\
+             configuration c of e is for a end for; end c;\n"
+                .to_string(),
+        )];
+        for jobs in [1, 3] {
+            let c = Compiler::in_memory();
+            let r = c.compile_batch(
+                &files,
+                BatchOptions {
+                    jobs,
+                    incremental: false,
+                },
+            );
+            assert!(r.ok(), "jobs={jobs}: {}", r.msgs());
+            assert_eq!(r.waves, 3, "entity, then architecture, then configuration");
+            assert!(c.libs.work().contains("config.c"));
+        }
     }
 
     #[test]

@@ -7,15 +7,16 @@
 //!       [--emit-c FILE] [--stats] [--trace-phases] FILE...
 //! ```
 //!
-//! Compiles each file into the work library (in order), optionally
-//! elaborates a top unit, optionally simulates it. `--jobs N` switches to
-//! batch mode: all files are dependency-staged together and analyzed
-//! across N worker threads (`--jobs 0` = one per CPU), with identical
-//! output for every N. `--incremental` skips units whose source and
-//! dependency VIF are unchanged since the last compile into the same
-//! `--work` library. `--backend compiled` runs the simulation on the
-//! kernel's block-compiled backend instead of the instruction
-//! interpreter (identical observable behavior, reported by the
+//! Compiles all files into the work library as one batch, optionally
+//! elaborates a top unit, optionally simulates it. The files' units are
+//! dependency-staged together, so the file order does not matter, and
+//! analyzed inline (`--jobs 1`, the default) or across N worker threads
+//! (`--jobs N`, `--jobs 0` = one per CPU), with identical output for
+//! every N. `--incremental` skips units whose source and dependency VIF
+//! are unchanged since the last compile into the same `--work` library.
+//! `--backend compiled` runs the simulation on the kernel's
+//! block-compiled backend instead of the instruction interpreter
+//! (identical observable behavior, reported by the
 //! `compiled_blocks`/`fallback_procs` counters under `--stats`).
 //! `--sim-jobs N` executes each delta cycle's woken processes across N
 //! kernel worker threads (`--sim-jobs 0` = one per CPU); VCD, stats,
@@ -38,7 +39,7 @@ static ALLOC: ag_harness::alloc::CountingAlloc = ag_harness::alloc::CountingAllo
 
 struct Args {
     work: Option<String>,
-    jobs: Option<usize>,
+    jobs: usize,
     incremental: bool,
     elab: Option<(String, Option<String>)>,
     config: Option<String>,
@@ -55,7 +56,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut out = Args {
         work: None,
-        jobs: None,
+        jobs: 1,
         incremental: false,
         elab: None,
         config: None,
@@ -81,7 +82,7 @@ fn parse_args() -> Result<Args, String> {
         };
         match a.as_str() {
             "--work" => out.work = Some(grab("--work")?),
-            "--jobs" => out.jobs = Some(jobs("--jobs")?),
+            "--jobs" => out.jobs = jobs("--jobs")?,
             "--incremental" => out.incremental = true,
             "--elab" => {
                 let v = grab("--elab")?;
@@ -147,91 +148,45 @@ fn main() -> ExitCode {
         None => Compiler::in_memory(),
     };
 
-    let mut failed = false;
-    let mut phases = vhdl_driver::PhaseTimes::default();
-    if args.jobs.is_some() || args.incremental {
-        // Batch mode: all files staged together, order-independent.
-        let mut files = Vec::new();
-        for f in &args.files {
-            match std::fs::read_to_string(f) {
-                Ok(s) => files.push((f.clone(), s)),
-                Err(e) => {
-                    eprintln!("vhdlc: {f}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        let opts = vhdl_driver::batch::BatchOptions {
-            jobs: args.jobs.unwrap_or(1),
-            incremental: args.incremental,
-        };
-        let r = compiler.compile_batch(&files, opts);
-        let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
-        eprint!("{}", r.rendered_msgs(&names));
-        failed = !r.ok();
-        if args.stats {
-            eprintln!(
-                "batch: {} units in {} waves on {} workers, {} lines, wall {:?}, \
-                 cache hit {} miss {} cold {}, vif read {} B written {} B",
-                r.units.len(),
-                r.waves,
-                r.jobs,
-                r.lines,
-                r.wall,
-                r.cache.hits,
-                r.cache.misses,
-                r.cache.cold,
-                r.traffic.bytes_read,
-                r.traffic.bytes_written
-            );
-        }
-        let p = r.phases;
-        phases.parse += p.parse;
-        phases.attr_eval += p.attr_eval;
-        phases.vif_read += p.vif_read;
-        phases.vif_write += p.vif_write;
-    } else {
-        for f in &args.files {
-            let src = match std::fs::read_to_string(f) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("vhdlc: {f}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match compiler.compile(&src) {
-                Ok(r) => {
-                    for m in r.msgs().to_vec() {
-                        eprintln!("{f}:{m}");
-                    }
-                    if !r.ok() {
-                        failed = true;
-                    }
-                    if args.stats {
-                        eprintln!(
-                            "{f}: {} lines, {:.0} lines/min, vif read {} B written {} B",
-                            r.lines,
-                            r.lines_per_minute(),
-                            r.traffic.bytes_read,
-                            r.traffic.bytes_written
-                        );
-                    }
-                    let p = r.phases;
-                    phases.parse += p.parse;
-                    phases.attr_eval += p.attr_eval;
-                    phases.vif_read += p.vif_read;
-                    phases.vif_write += p.vif_write;
-                }
-                Err(e) => {
-                    eprintln!("{f}: {e}");
-                    failed = true;
-                }
+    // One batch: all files staged together, order-independent.
+    let mut files = Vec::new();
+    for f in &args.files {
+        match std::fs::read_to_string(f) {
+            Ok(s) => files.push((f.clone(), s)),
+            Err(e) => {
+                eprintln!("vhdlc: {f}: {e}");
+                return ExitCode::from(2);
             }
         }
     }
-    if failed {
+    let opts = vhdl_driver::batch::BatchOptions {
+        jobs: args.jobs,
+        incremental: args.incremental,
+    };
+    let r = compiler.compile_batch(&files, opts);
+    let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
+    eprint!("{}", r.rendered_msgs(&names));
+    if args.stats {
+        eprintln!(
+            "batch: {} units in {} waves on {} workers, {} lines ({:.0} lines/min), wall {:?}, \
+             cache hit {} miss {} cold {}, vif read {} B written {} B",
+            r.units.len(),
+            r.waves,
+            r.jobs,
+            r.lines,
+            r.lines_per_minute(),
+            r.wall,
+            r.cache.hits,
+            r.cache.misses,
+            r.cache.cold,
+            r.traffic.bytes_read,
+            r.traffic.bytes_written
+        );
+    }
+    if !r.ok() {
         return ExitCode::from(1);
     }
+    let mut phases = r.phases;
 
     let program = if let Some(cfg) = &args.config {
         match compiler.elaborate_config(cfg) {

@@ -13,8 +13,7 @@
 //! lookup: a unit already analyzed into the work library satisfies the
 //! edge without scheduling anything (and contributes its VIF-text hash to
 //! the dependent's incremental stamp). Names found in neither place add no
-//! edge — analysis itself reports undefined references, exactly as the
-//! sequential driver would.
+//! edge — analysis itself reports undefined references.
 
 use ag_harness::fnv1a;
 use vhdl_syntax::{Pos, SrcTok, TokenKind};
@@ -152,6 +151,8 @@ pub fn header_key(toks: &[SrcTok]) -> String {
 /// resolution against the batch or library:
 ///
 /// - `architecture a of e` / `configuration c of e` → `entity.e`
+/// - `configuration c of e is for a` → also `arch.e.a`, the architecture
+///   its block configuration names
 /// - `package body p` → `pkg.p`
 /// - `use lib.p` (p ≠ `all`) → `pkg.p`
 /// - `entity [lib.]e(a)` (direct binding indications) → `entity.e` and
@@ -167,6 +168,16 @@ pub fn candidate_deps(toks: &[SrcTok]) -> Vec<String> {
             TokenKind::KwOf => {
                 if let Some(e) = ident(toks, i + 1) {
                     out.push(format!("entity.{e}"));
+                    let kind = |j: usize| toks.get(j).map(|t| t.kind);
+                    if i == header + 2
+                        && kind(header) == Some(TokenKind::KwConfiguration)
+                        && kind(i + 2) == Some(TokenKind::KwIs)
+                        && kind(i + 3) == Some(TokenKind::KwFor)
+                    {
+                        if let Some(a) = ident(toks, i + 4) {
+                            out.push(format!("arch.{e}.{a}"));
+                        }
+                    }
                 }
             }
             TokenKind::KwPackage if toks.get(i + 1).map(|t| t.kind) == Some(TokenKind::KwBody) => {
@@ -485,6 +496,18 @@ mod tests {
         let wave_of = |i: usize| g.waves.iter().position(|w| w.contains(&i)).unwrap();
         assert!(wave_of(2) > wave_of(1));
         assert!(wave_of(1) > wave_of(0));
+    }
+
+    #[test]
+    fn configuration_depends_on_the_architecture_it_configures() {
+        let units = toks_of(
+            "entity e is end;
+             architecture a of e is begin end a;
+             configuration c of e is for a end for; end c;",
+        );
+        let g = build(&units, &|_| false);
+        assert_eq!(g.units[2].deps, vec!["arch.e.a", "entity.e"]);
+        assert_eq!(g.waves, vec![vec![0], vec![1], vec![2]]);
     }
 
     #[test]

@@ -2,6 +2,14 @@
 //! with the per-phase timing instrumentation behind the paper's §2.2
 //! performance discussion (lines/minute, VIF read/write share, attribute
 //! evaluation share, backend share).
+//!
+//! The front half has one path, [`Compiler::compile_batch`] ([`batch`]):
+//! files are parsed, their units staged into waves by the [`depgraph`],
+//! analyzed, stamped and committed to the work library.
+//! [`Compiler::compile`] is that path over one file; `vhdlc` and the
+//! `vhdld` server call `compile_batch` directly. The back half
+//! ([`Compiler::elaborate`], [`Compiler::elaborate_config`]) reads the
+//! committed units.
 
 pub mod batch;
 pub mod depgraph;
@@ -11,10 +19,11 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use sim_kernel::{Program, Simulator};
-use vhdl_sem::analyze::{AnalyzedUnit, Analyzer, UnitLoader};
-use vhdl_sem::msg::Msgs;
+use vhdl_sem::analyze::{Analyzer, UnitLoader};
 use vhdl_syntax::FrontError;
-use vhdl_vif::{Library, LibrarySet, VifNode, VifTraffic};
+use vhdl_vif::{Library, LibrarySet, VifNode};
+
+use batch::{BatchOptions, BatchResult};
 
 pub use ag_harness::pool::resolve_jobs;
 pub use vhdl_sem::env::EnvKind;
@@ -76,45 +85,6 @@ impl UnitLoader for TimedLoader {
     }
 }
 
-/// Result of compiling one source file.
-#[derive(Debug)]
-pub struct CompileResult {
-    /// Units in file order.
-    pub units: Vec<AnalyzedUnit>,
-    /// Phase timings.
-    pub phases: PhaseTimes,
-    /// Source lines compiled (non-blank, the paper's convention).
-    pub lines: usize,
-    /// VIF traffic during this compilation.
-    pub traffic: VifTraffic,
-}
-
-impl CompileResult {
-    /// All diagnostics.
-    pub fn msgs(&self) -> Msgs {
-        let mut m = Msgs::none();
-        for u in &self.units {
-            m = Msgs::concat(&m, &u.msgs);
-        }
-        m
-    }
-
-    /// `true` when every unit analyzed cleanly.
-    pub fn ok(&self) -> bool {
-        self.units.iter().all(|u| !u.msgs.has_errors())
-    }
-
-    /// Source lines per minute — the paper's headline throughput metric.
-    pub fn lines_per_minute(&self) -> f64 {
-        let secs = self.phases.total().as_secs_f64();
-        if secs == 0.0 {
-            f64::INFINITY
-        } else {
-            self.lines as f64 / secs * 60.0
-        }
-    }
-}
-
 /// The compiler: an analyzer plus a library universe.
 pub struct Compiler {
     /// The reusable analyzer (grammar tables + AGs).
@@ -162,53 +132,20 @@ impl Compiler {
         Ok(Compiler::new(EnvKind::Tree, Library::on_disk("work", dir)?))
     }
 
-    /// Compiles a source string: parse, analyze each unit, store passing
-    /// units, with phase timing.
+    /// Compiles one source string: a one-file [`Compiler::compile_batch`]
+    /// with default options, so its units are staged by dependency (an
+    /// architecture may precede its entity) and stamped like any batch.
     ///
     /// # Errors
     ///
-    /// Front-end (scan/parse) errors; semantic errors are carried per
-    /// unit.
-    pub fn compile(&self, src: &str) -> Result<CompileResult, FrontError> {
-        let _t = ag_harness::trace::span("compile");
-        let mut phases = PhaseTimes::default();
-        self.libs.reset_traffic();
-        let t0 = Instant::now();
-        let units = {
-            let _t = ag_harness::trace::span("parse");
-            self.analyzer.parse_units(src)?
-        };
-        phases.parse = t0.elapsed();
-
-        let read_spent = Rc::new(RefCell::new(Duration::ZERO));
-        let loader = Rc::new(TimedLoader {
-            inner: Rc::clone(&self.libs),
-            spent: Rc::clone(&read_spent),
-        });
-        let mut out = Vec::new();
-        for u in &units {
-            let t0 = Instant::now();
-            let au = self
-                .analyzer
-                .analyze_unit_with_loader(u, Rc::clone(&loader) as Rc<dyn UnitLoader>);
-            let analysis = t0.elapsed();
-            let read = std::mem::take(&mut *read_spent.borrow_mut());
-            phases.vif_read += read;
-            phases.attr_eval += analysis.saturating_sub(read);
-            if !au.msgs.has_errors() && !au.key.is_empty() {
-                let t0 = Instant::now();
-                let _ = self.libs.work().put(&au.key, &au.node);
-                phases.vif_write += t0.elapsed();
-            }
-            out.push(au);
+    /// The file's front-end (scan/parse) error; semantic errors are
+    /// carried per unit.
+    pub fn compile(&self, src: &str) -> Result<BatchResult, FrontError> {
+        let r = self.compile_batch(&[(String::new(), src.to_string())], BatchOptions::default());
+        match r.front_errors.first() {
+            Some((_, e)) => Err(e.clone()),
+            None => Ok(r),
         }
-        let lines = src.lines().filter(|l| !l.trim().is_empty()).count();
-        Ok(CompileResult {
-            units: out,
-            phases,
-            lines,
-            traffic: self.libs.traffic(),
-        })
     }
 
     /// Elaborates `entity(arch)` (or latest architecture) and emits the C
@@ -291,5 +228,29 @@ mod tests {
         };
         assert_eq!(p.total(), Duration::from_millis(100));
         assert!((p.pct(p.vif_read) - 40.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn compile_stages_an_architecture_listed_before_its_entity() {
+        let c = Compiler::in_memory();
+        let r = c
+            .compile(
+                "architecture a of e is signal s : bit; begin s <= '1'; end a;\n\
+                 entity e is end e;\n",
+            )
+            .expect("parses");
+        assert!(r.ok(), "{}", r.msgs());
+        let keys: Vec<&str> = r.units.iter().map(|u| u.key.as_str()).collect();
+        assert_eq!(keys, ["arch.e.a", "entity.e"], "units stay in file order");
+        assert_eq!(c.libs.work().history(), ["entity.e", "arch.e.a"]);
+    }
+
+    #[test]
+    fn compile_returns_the_front_error() {
+        let c = Compiler::in_memory();
+        let e = c
+            .compile("entity entity entity")
+            .expect_err("does not parse");
+        assert!(matches!(e, FrontError::Parse { .. }), "{e}");
     }
 }

@@ -204,7 +204,7 @@ fn unknown_option_is_usage_error() {
 #[test]
 fn batch_mode_compiles_out_of_order_files_in_parallel() {
     let dir = tmpdir("batch");
-    // Listed out of dependency order on purpose: batch mode stages them.
+    // Listed out of dependency order on purpose: the batch stages them.
     let files = [
         (
             "rtl.vhd",
@@ -251,6 +251,30 @@ fn batch_mode_compiles_out_of_order_files_in_parallel() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(stderr.contains("cache hit 3 miss 0 cold 0"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A plain compile into a work library stamps its units, so a later
+/// `--incremental` run over the same file skips every analysis.
+#[test]
+fn plain_compile_stamps_for_a_later_incremental_run() {
+    let dir = tmpdir("stamps");
+    let work = dir.join("work");
+    let src = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/full_adder.vhd");
+    let (work, src) = (work.to_str().unwrap(), src.to_str().unwrap());
+    let cold = vhdlc().args(["--work", work, src]).output().unwrap();
+    assert!(
+        cold.status.success(),
+        "{}",
+        String::from_utf8_lossy(&cold.stderr)
+    );
+    let warm = vhdlc()
+        .args(["--work", work, "--incremental", "--stats", src])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&warm.stderr);
+    assert!(warm.status.success(), "{stderr}");
+    assert!(stderr.contains("cache hit 10 miss 0 cold 0"), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

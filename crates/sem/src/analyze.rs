@@ -230,31 +230,6 @@ impl Analyzer {
         }
     }
 
-    /// Compiles a whole source string: parse, analyze each unit in order,
-    /// and store successful units into the work library (so later units in
-    /// the same file can reference them).
-    ///
-    /// # Errors
-    ///
-    /// Front-end errors abort the whole file; semantic errors are carried
-    /// per unit in the result.
-    pub fn compile(
-        &self,
-        src: &str,
-        libs: &Rc<LibrarySet>,
-    ) -> Result<Vec<AnalyzedUnit>, FrontError> {
-        let units = self.parse_units(src)?;
-        let mut out = Vec::new();
-        for u in &units {
-            let au = self.analyze_unit(u, libs);
-            if !au.msgs.has_errors() && !au.key.is_empty() {
-                let _ = libs.work().put(&au.key, &au.node);
-            }
-            out.push(au);
-        }
-        Ok(out)
-    }
-
     /// The environment a fresh compilation unit starts with: STD.STANDARD
     /// plus the implicit `library work; use work.all;` (§3.4 footnote).
     pub fn unit_start_env(&self, actx: &Rc<Actx>) -> Env {

@@ -3,7 +3,7 @@
 
 use std::rc::Rc;
 
-use vhdl_sem::analyze::Analyzer;
+use vhdl_sem::analyze::{AnalyzedUnit, Analyzer};
 use vhdl_sem::env::EnvKind;
 use vhdl_vif::{Library, LibrarySet};
 
@@ -13,12 +13,22 @@ fn setup() -> (Analyzer, Rc<LibrarySet>) {
     (an, libs)
 }
 
-fn compile_ok(
-    an: &Analyzer,
-    libs: &Rc<LibrarySet>,
-    src: &str,
-) -> Vec<vhdl_sem::analyze::AnalyzedUnit> {
-    let units = an.compile(src, libs).expect("parses");
+/// Parses `src` and analyzes its units in order, storing each clean unit
+/// so later units of the file can reference it.
+fn compile(an: &Analyzer, src: &str, libs: &Rc<LibrarySet>) -> Vec<AnalyzedUnit> {
+    let mut out = Vec::new();
+    for u in &an.parse_units(src).expect("parses") {
+        let au = an.analyze_unit(u, libs);
+        if !au.msgs.has_errors() && !au.key.is_empty() {
+            libs.work().put(&au.key, &au.node).expect("stores");
+        }
+        out.push(au);
+    }
+    out
+}
+
+fn compile_ok(an: &Analyzer, libs: &Rc<LibrarySet>, src: &str) -> Vec<AnalyzedUnit> {
+    let units = compile(an, src, libs);
     for u in &units {
         assert!(!u.msgs.has_errors(), "unit {} failed:\n{}", u.key, u.msgs);
     }
@@ -240,17 +250,16 @@ fn latest_architecture_history() {
 #[test]
 fn semantic_errors_reported_with_positions() {
     let (an, libs) = setup();
-    let units = an
-        .compile(
-            "entity e is end;
-             architecture a of e is
-               signal s : bit;
-             begin
-               s <= mystery;
-             end a;",
-            &libs,
-        )
-        .unwrap();
+    let units = compile(
+        &an,
+        "entity e is end;
+         architecture a of e is
+           signal s : bit;
+         begin
+           s <= mystery;
+         end a;",
+        &libs,
+    );
     let msgs = units[1].msgs.to_string();
     assert!(units[1].msgs.has_errors());
     assert!(msgs.contains("mystery"), "{msgs}");
@@ -262,17 +271,16 @@ fn semantic_errors_reported_with_positions() {
 #[test]
 fn type_errors_caught() {
     let (an, libs) = setup();
-    let units = an
-        .compile(
-            "entity e is end;
-             architecture a of e is
-               signal s : bit;
-             begin
-               s <= 42;
-             end a;",
-            &libs,
-        )
-        .unwrap();
+    let units = compile(
+        &an,
+        "entity e is end;
+         architecture a of e is
+           signal s : bit;
+         begin
+           s <= 42;
+         end a;",
+        &libs,
+    );
     assert!(units[1].msgs.has_errors(), "{}", units[1].msgs);
 }
 

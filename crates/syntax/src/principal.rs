@@ -31,7 +31,7 @@ pub struct PrincipalGrammar {
 pub type Cst = ag_lalr::ParseTree<SrcTok>;
 
 /// Errors from [`PrincipalGrammar::parse_str`].
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum FrontError {
     /// Scanner error.
     Lex(LexError),

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use ag_harness::fnv1a;
 
 use crate::node::{VifNode, VifValue};
-use crate::text::{read_vif, scan_foreign_refs, write_vif, Resolver, VifError};
+use crate::text::{read_vif, scan_foreign_refs, vif_text_hash, write_vif, Resolver, VifError};
 
 /// Key of a unit within a library: `"entity.<name>"`, `"arch.<entity>.<name>"`,
 /// `"pkg.<name>"`, `"pkgbody.<name>"`, or `"config.<name>"`.
@@ -100,10 +100,15 @@ impl Unit {
         }))
     }
 
+    /// A tree record not yet printed streams its printer into the hash,
+    /// so hashing makes no text.
     fn text_hash(&self) -> u64 {
         *self
             .text_hash
-            .get_or_init(|| fnv1a(0, self.text().as_bytes()))
+            .get_or_init(|| match (self.text.get(), &self.tree) {
+                (None, Some(tree)) => vif_text_hash(tree),
+                _ => fnv1a(0, self.text().as_bytes()),
+            })
     }
 }
 
@@ -393,6 +398,7 @@ impl Library {
     }
 
     /// FNV-1a hash of the unit's current VIF text (memoized in the record).
+    /// A tree record streams its printer into the hash and makes no text.
     /// It seeds the unit's deep content hash and is the per-dependency
     /// ingredient of incremental stamps — the batch driver uses it instead
     /// of re-reading and re-hashing dep text.
@@ -1180,6 +1186,15 @@ mod tests {
         lib.put("entity.e", &unit("changed")).unwrap();
         assert_ne!(lib.text_hash("entity.e").unwrap(), h);
         assert!(lib.text_hash("entity.missing").is_err());
+    }
+
+    #[test]
+    fn tree_record_text_hash_prints_no_text() {
+        let lib = Library::in_memory("work");
+        lib.put("entity.e", &unit("e")).unwrap();
+        let h = lib.text_hash("entity.e").unwrap();
+        assert!(lib.units.borrow()["entity.e"].text.get().is_none());
+        assert_eq!(h, fnv1a(0, lib.peek_raw("entity.e").unwrap().as_bytes()));
     }
 
     /// A re-`put` on disk serves the new text, never one memoised by an

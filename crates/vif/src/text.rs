@@ -17,8 +17,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fmt::Write as _;
 use std::rc::Rc;
+
+use ag_harness::fnv1a;
 
 use crate::node::{VifNode, VifValue};
 
@@ -96,26 +97,50 @@ impl From<std::io::Error> for VifError {
 /// Serializes a node graph to VIF text, preserving sharing.
 pub fn write_vif(root: &Rc<VifNode>) -> String {
     let _t = ag_harness::trace::span("vif-write");
+    let mut out = String::new();
+    print_vif(root, &mut out);
+    ag_harness::trace::counter("vif-bytes-written", out.len() as u64);
+    out
+}
+
+/// FNV-1a of the node graph's VIF text, computed by streaming the printer
+/// into the hash: equal to `fnv1a(0, write_vif(root).as_bytes())`, but no
+/// text is made.
+pub(crate) fn vif_text_hash(root: &Rc<VifNode>) -> u64 {
+    /// A `fmt::Write` sink that folds every piece into the hash.
+    struct Fnv(u64);
+    impl fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 = fnv1a(self.0, s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut h = Fnv(0);
+    print_vif(root, &mut h);
+    h.0
+}
+
+/// Prints a node graph's VIF text into `out`.
+fn print_vif(root: &Rc<VifNode>, out: &mut impl fmt::Write) {
     // Number nodes by first (depth-first) encounter.
     let mut ids: HashMap<*const VifNode, usize> = HashMap::new();
     let mut order: Vec<Rc<VifNode>> = Vec::new();
     number(root, &mut ids, &mut order);
-    let mut out = String::from("VIF1\n");
+    let _ = out.write_str("VIF1\n");
     for (i, n) in order.iter().enumerate() {
         let _ = write!(out, "#{i} ({}", n.kind());
         if let Some(name) = n.name() {
-            let _ = write!(out, " {}", quote(name));
+            let _ = out.write_char(' ');
+            write_quoted(out, name);
         }
         for (fname, v) in n.fields() {
             let _ = write!(out, " ({fname} ");
-            write_value(&mut out, v, &ids);
-            out.push(')');
+            write_value(out, v, &ids);
+            let _ = out.write_char(')');
         }
-        out.push_str(")\n");
+        let _ = out.write_str(")\n");
     }
     let _ = writeln!(out, "root #{}", ids[&Rc::as_ptr(root)]);
-    ag_harness::trace::counter("vif-bytes-written", out.len() as u64);
-    out
 }
 
 fn number(n: &Rc<VifNode>, ids: &mut HashMap<*const VifNode, usize>, order: &mut Vec<Rc<VifNode>>) {
@@ -145,52 +170,46 @@ fn number_value(
     }
 }
 
-fn write_value(out: &mut String, v: &VifValue, ids: &HashMap<*const VifNode, usize>) {
-    match v {
-        VifValue::Nil => out.push_str("nil"),
-        VifValue::Bool(b) => {
-            let _ = write!(out, "{b}");
+fn write_value(out: &mut impl fmt::Write, v: &VifValue, ids: &HashMap<*const VifNode, usize>) {
+    let _ = match v {
+        VifValue::Nil => out.write_str("nil"),
+        VifValue::Bool(b) => write!(out, "{b}"),
+        VifValue::Int(i) => write!(out, "{i}"),
+        VifValue::Real(r) => write!(out, "r{r:?}"),
+        VifValue::Str(s) => {
+            write_quoted(out, s);
+            Ok(())
         }
-        VifValue::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        VifValue::Real(r) => {
-            let _ = write!(out, "r{r:?}");
-        }
-        VifValue::Str(s) => out.push_str(&quote(s)),
-        VifValue::Node(n) => {
-            let _ = write!(out, "#{}", ids[&Rc::as_ptr(n)]);
-        }
+        VifValue::Node(n) => write!(out, "#{}", ids[&Rc::as_ptr(n)]),
         VifValue::List(l) => {
-            out.push('[');
+            let _ = out.write_char('[');
             for (i, v) in l.iter().enumerate() {
                 if i > 0 {
-                    out.push(' ');
+                    let _ = out.write_char(' ');
                 }
                 write_value(out, v, ids);
             }
-            out.push(']');
+            out.write_char(']')
         }
         VifValue::Foreign(r) => {
-            out.push('@');
-            out.push_str(&quote(r));
+            let _ = out.write_char('@');
+            write_quoted(out, r);
+            Ok(())
         }
-    }
+    };
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+fn write_quoted(out: &mut impl fmt::Write, s: &str) {
+    let _ = out.write_char('"');
     for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
+        let _ = match c {
+            '"' => out.write_str("\\\""),
+            '\\' => out.write_str("\\\\"),
+            '\n' => out.write_str("\\n"),
+            c => out.write_char(c),
+        };
     }
-    out.push('"');
-    out
+    let _ = out.write_char('"');
 }
 
 /// Resolver callback for foreign references encountered during reading.

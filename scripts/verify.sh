@@ -142,16 +142,20 @@ fi
 wait "$VHDLD_PID" || { echo "verify: vhdld exited nonzero" >&2; exit 1; }
 
 echo "==> vhdld structural-cache reuse across session forks (repeated analyze -> nonzero vifb hits)"
-# Single serving worker, inline analysis (--jobs 1), two sequential
-# sessions analyzing the same design: the first parses the units into
-# the worker thread's structural cache; the second — a fresh library
-# fork — must serve its dependency loads from that cache by deep
-# content hash. The process-wide `vifb` counters in the `stats`
+# Single serving worker, inline analysis (--jobs 1), a base library of
+# the full adder, and two sequential sessions that each analyze a new
+# architecture of the base's `xor2`. Both sessions fork the base, so
+# `entity.xor2` reaches them as a byte record: the first parses it into
+# the worker thread's structural cache; the second — a fresh fork — must
+# serve that load from the cache by deep content hash. (A session's own
+# inline commits are trees and never reach the cache, so the input must
+# read a base unit.) The process-wide `vifb` counters in the `stats`
 # response prove it (nonzero cache_hits), and `text_parses` not moving
 # between the two responses proves the second session never fell back
 # to the text parser.
 ./target/release/vhdld --listen 127.0.0.1:0 --quiet \
-    --jobs 1 --workers 1 --acceptors 1 >"$BATCH_WORK/vhdld2.out" &
+    --jobs 1 --workers 1 --acceptors 1 \
+    --base examples/full_adder.vhd >"$BATCH_WORK/vhdld2.out" &
 VHDLD2_PID=$!
 ADDR2=""
 for _ in $(seq 1 100); do
@@ -160,14 +164,12 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -n "$ADDR2" ] || { echo "verify: second vhdld never started listening" >&2; exit 1; }
-./target/release/vhdld --connect "$ADDR2" >"$BATCH_WORK/cache1.log" <<'EOF'
-{"op":"analyze","paths":["examples/full_adder.vhd"]}
+for log in cache1 cache2; do
+    ./target/release/vhdld --connect "$ADDR2" >"$BATCH_WORK/$log.log" <<'EOF'
+{"op":"analyze","files":[{"name":"alt.vhd","text":"architecture alt of xor2 is begin y <= a xor b; end alt;"}]}
 {"op":"stats"}
 EOF
-./target/release/vhdld --connect "$ADDR2" >"$BATCH_WORK/cache2.log" <<'EOF'
-{"op":"analyze","paths":["examples/full_adder.vhd"]}
-{"op":"stats"}
-EOF
+done
 cat "$BATCH_WORK/cache2.log"
 if grep -q '"ok":false' "$BATCH_WORK/cache1.log" "$BATCH_WORK/cache2.log"; then
     echo "verify: structural-cache session had a failing request" >&2
