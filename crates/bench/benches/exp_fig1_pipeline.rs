@@ -46,7 +46,7 @@ fn main() {
     );
     println!("  |  scanner + LALR(1) parser (principal grammar)");
     println!("  v");
-    println!("parse tree ({} nodes)", cst.size());
+    println!("parse tree ({} nodes)", cst.len());
     println!("  |  principal AG evaluator (demand-driven)");
     println!("  |    - symbol table = applicative ENV in the VIF");
     println!(
@@ -85,7 +85,7 @@ fn main() {
 
     r.metric("source_lines", result.lines as f64, "lines");
     r.metric("tokens", toks.len() as f64, "tokens");
-    r.metric("parse_tree_nodes", cst.size() as f64, "nodes");
+    r.metric("parse_tree_nodes", cst.len() as f64, "nodes");
     r.metric("expr_evals", expr_evals as f64, "invocations");
     r.metric("vif_bytes_written", traffic.bytes_written as f64, "bytes");
     r.metric("vif_bytes_read", traffic.bytes_read as f64, "bytes");

@@ -13,8 +13,9 @@
 use std::cell::{Cell, RefCell};
 use std::fmt;
 
+use ag_lalr::{NodeId, ParseTree};
+
 use crate::attr::{AttrDir, AttrGrammar, ClassId, Dep, RuleOrigin};
-use crate::tree::{AttrTree, NodeId};
 
 /// Errors during demand evaluation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,6 +48,11 @@ pub enum EvalError {
         /// Leaf node.
         node: NodeId,
     },
+    /// Demands nested deeper than [`MAX_DEPTH`] on this thread.
+    TooDeep {
+        /// Node whose demand would have gone one level too deep.
+        node: NodeId,
+    },
 }
 
 impl fmt::Display for EvalError {
@@ -65,11 +71,36 @@ impl fmt::Display for EvalError {
                 write!(f, "attribute {class} not attached to symbol of node {node}")
             }
             EvalError::MissingToken { node } => write!(f, "node {node} carries no token value"),
+            EvalError::TooDeep { .. } => {
+                write!(f, "nesting too deep to analyze (over {MAX_DEPTH} levels)")
+            }
         }
     }
 }
 
 impl std::error::Error for EvalError {}
+
+/// Demands in progress at once on one thread, over every evaluator on it
+/// (a cascade's evaluators run inside an outer rule's demand). Demand
+/// recursion follows the tree; past the bound a demand fails with
+/// [`EvalError::TooDeep`] instead of overflowing the stack. A level takes
+/// about 2,240 bytes of stack in a debug build, so the bound stays within
+/// half of the 128 MiB `ag_harness::pool::STACK_SIZE`.
+pub const MAX_DEPTH: u32 = 28_000;
+
+thread_local! {
+    static DEPTH: Cell<u32> = const { Cell::new(0) };
+}
+
+/// One entered level of demand on this thread, left when dropped (on
+/// return or unwind).
+struct Nest;
+
+impl Drop for Nest {
+    fn drop(&mut self) {
+        DEPTH.set(DEPTH.get() - 1);
+    }
+}
 
 /// One attribute instance in the evaluation arena.
 enum Slot<V> {
@@ -78,15 +109,16 @@ enum Slot<V> {
     Done(V),
 }
 
-/// A demand-driven evaluator over one attributed tree.
+/// A demand-driven evaluator decorating one parse tree.
 ///
 /// All attribute instances of the tree live in one arena: node `n`'s
 /// attributes occupy `base[n]..base[n + 1]`, in the order of
 /// [`AttrGrammar::attrs_of`] for its symbol. Rule arguments are gathered
-/// on one stack shared by every rule call.
-pub struct DemandEval<'a, V> {
+/// on one stack shared by every rule call. Leaves keep the parser's
+/// token type `T`; a token becomes a `V` only when a rule demands it.
+pub struct DemandEval<'a, V, T = V> {
     ag: &'a AttrGrammar<V>,
-    tree: &'a AttrTree<V>,
+    tree: &'a ParseTree<T>,
     base: Vec<u32>,
     slots: RefCell<Vec<Slot<V>>>,
     args: RefCell<Vec<V>>,
@@ -94,21 +126,21 @@ pub struct DemandEval<'a, V> {
     n_rule_evals: Cell<usize>,
 }
 
-impl<'a, V: Clone + 'static> DemandEval<'a, V> {
-    /// Creates an evaluator. `root_inh` supplies values for the inherited
+impl<'a, V: Clone + 'static, T: Clone + Into<V>> DemandEval<'a, V, T> {
+    /// Creates an evaluator. `inputs` supplies values for the inherited
     /// attributes of the root (start) symbol — the translation's inputs.
-    pub fn new(ag: &'a AttrGrammar<V>, tree: &'a AttrTree<V>, root_inh: Vec<(ClassId, V)>) -> Self {
+    pub fn new(ag: &'a AttrGrammar<V>, tree: &'a ParseTree<T>, inputs: Vec<(ClassId, V)>) -> Self {
         let mut base = Vec::with_capacity(tree.len() + 1);
         let mut total = 0u32;
         base.push(total);
-        for n in tree.node_ids() {
-            total += ag.attrs_of(tree.node(n).symbol).len() as u32;
+        for n in 0..tree.len() {
+            total += ag.attrs_of(tree.symbol(n)).len() as u32;
             base.push(total);
         }
         let mut slots: Vec<_> = (0..total).map(|_| Slot::Empty).collect();
         let root = tree.root();
-        for (c, v) in root_inh {
-            if let Some(s) = ag.slot(tree.node(root).symbol, c) {
+        for (c, v) in inputs {
+            if let Some(s) = ag.slot(tree.symbol(root), c) {
                 slots[base[root] as usize + s] = Slot::Done(v);
             }
         }
@@ -128,7 +160,7 @@ impl<'a, V: Clone + 'static> DemandEval<'a, V> {
     ///
     /// See [`EvalError`].
     pub fn value(&self, node: NodeId, class: ClassId) -> Result<V, EvalError> {
-        let sym = self.tree.node(node).symbol;
+        let sym = self.tree.symbol(node);
         let slot = match self.ag.slot(sym, class) {
             Some(s) => self.base[node] as usize + s,
             None => {
@@ -148,7 +180,14 @@ impl<'a, V: Clone + 'static> DemandEval<'a, V> {
             }
             s @ Slot::Empty => *s = Slot::InProgress,
         }
-        let result = self.compute(node, class);
+        let depth = DEPTH.get();
+        let result = if depth < MAX_DEPTH {
+            DEPTH.set(depth + 1);
+            let _level = Nest;
+            self.compute(node, class)
+        } else {
+            Err(EvalError::TooDeep { node })
+        };
         self.slots.borrow_mut()[slot] = match &result {
             Ok(v) => Slot::Done(v.clone()),
             Err(_) => Slot::Empty,
@@ -175,16 +214,16 @@ impl<'a, V: Clone + 'static> DemandEval<'a, V> {
     }
 
     fn compute(&self, node: NodeId, class: ClassId) -> Result<V, EvalError> {
-        let n = self.tree.node(node);
+        let tree = self.tree;
         // Locate the defining rule: synthesized → this node's production;
         // inherited → the parent's production, targeting our occurrence.
-        let (rule_node, prod, occ) = match (self.ag.dir(class), n.parent) {
-            (AttrDir::Synthesized, _) => (node, n.prod.expect("synthesized attr on leaf"), 0),
-            (AttrDir::Inherited, Some((parent, occ))) => (
-                parent,
-                self.tree.node(parent).prod.expect("parent is interior"),
-                occ,
-            ),
+        let (rule_node, prod, occ) = match (self.ag.dir(class), tree.parent(node)) {
+            (AttrDir::Synthesized, _) => {
+                (node, tree.prod(node).expect("synthesized attr on leaf"), 0)
+            }
+            (AttrDir::Inherited, Some((parent, occ))) => {
+                (parent, tree.prod(parent).expect("parent is interior"), occ)
+            }
             // A root inherited attribute is an input: `new` stored the
             // ones supplied.
             (AttrDir::Inherited, None) => return Err(self.missing(node, class)),
@@ -194,13 +233,7 @@ impl<'a, V: Clone + 'static> DemandEval<'a, V> {
             .rule_for(prod, occ, class)
             .ok_or_else(|| self.missing(node, class))?;
         // Resolve occurrences relative to the production owning the rule.
-        let occ_node = |occ: usize| -> NodeId {
-            if occ == 0 {
-                rule_node
-            } else {
-                self.tree.child(rule_node, occ)
-            }
-        };
+        let occ_node = |occ| tree.occurrence(rule_node, occ);
         // A copy rule is its source attribute: forward the demand.
         if let (RuleOrigin::ImplicitCopy, [Dep::Attr(occ, c)]) = (rule.origin, &rule.deps[..]) {
             let v = self.value(occ_node(*occ), *c)?;
@@ -214,9 +247,8 @@ impl<'a, V: Clone + 'static> DemandEval<'a, V> {
                 Dep::Token(occ) => {
                     let leaf = occ_node(occ);
                     self.tree
-                        .node(leaf)
-                        .token
-                        .clone()
+                        .token(leaf)
+                        .map(|t| t.clone().into())
                         .ok_or(EvalError::MissingToken { node: leaf })
                 }
             };
@@ -297,10 +329,9 @@ mod tests {
         let (g, ag, table) = setup();
         let parser = Parser::new(&g, &table);
         let bit = g.symbol("bit").unwrap();
-        let tree = parser
+        let at = parser
             .parse(bits.iter().map(|&b| Token::new(bit, b)))
             .unwrap();
-        let at = crate::tree::AttrTree::from_parse_tree(&g, &tree);
         let ev = DemandEval::new(&ag, &at, vec![]);
         let val = ag.class_by_name("VAL").unwrap();
         ev.root_value(val).unwrap()
@@ -315,14 +346,35 @@ mod tests {
     }
 
     #[test]
+    fn demand_depth_is_bounded_per_thread() {
+        // LEN of an n-bit list demands n levels deep. The test thread's
+        // stack is too small for the bound, so run on an analysis stack.
+        ag_harness::pool::run_on_stack("deep", || {
+            let (g, ag, table) = setup();
+            let parser = Parser::new(&g, &table);
+            let bit = g.symbol("bit").unwrap();
+            let len = ag.class_by_name("LEN").unwrap();
+            let list_len = |n: usize| {
+                let at = parser.parse((0..n).map(|_| Token::new(bit, 1i64))).unwrap();
+                let ev = DemandEval::new(&ag, &at, vec![]);
+                ev.value(at.child(at.root(), 1), len)
+            };
+            let max = MAX_DEPTH as usize;
+            assert!(matches!(list_len(max + 1), Err(EvalError::TooDeep { .. })));
+            // The failed demand unwound the thread's depth: a list at the
+            // bound still evaluates.
+            assert_eq!(list_len(max), Ok(max as i64));
+        });
+    }
+
+    #[test]
     fn memoization_counts_each_rule_once() {
         let (g, ag, table) = setup();
         let parser = Parser::new(&g, &table);
         let bit = g.symbol("bit").unwrap();
-        let tree = parser
+        let at = parser
             .parse([1i64, 0, 1].iter().map(|&b| Token::new(bit, b)))
             .unwrap();
-        let at = crate::tree::AttrTree::from_parse_tree(&g, &tree);
         let ev = DemandEval::new(&ag, &at, vec![]);
         let val = ag.class_by_name("VAL").unwrap();
         let v1 = ev.root_value(val).unwrap();
@@ -341,8 +393,7 @@ mod tests {
         let (g, ag, table) = setup();
         let parser = Parser::new(&g, &table);
         let bit = g.symbol("bit").unwrap();
-        let tree = parser.parse(vec![Token::new(bit, 1i64)]).unwrap();
-        let at = crate::tree::AttrTree::from_parse_tree(&g, &tree);
+        let at = parser.parse(vec![Token::new(bit, 1i64)]).unwrap();
         let ev = DemandEval::new(&ag, &at, vec![]);
         let scale = ag.class_by_name("SCALE").unwrap();
         let err = ev.root_value(scale).unwrap_err();
@@ -370,8 +421,7 @@ mod tests {
         let ag = ab.build().unwrap();
         let table = ParseTable::build(&g).unwrap();
         let parser = Parser::new(&g, &table);
-        let tree = parser.parse(vec![Token::new(a, 0i64)]).unwrap();
-        let at = crate::tree::AttrTree::from_parse_tree(&g, &tree);
+        let at = parser.parse(vec![Token::new(a, 0i64)]).unwrap();
         let ev = DemandEval::new(&ag, &at, vec![(base, 7)]);
         assert_eq!(ev.root_value(out).unwrap(), 70);
         // Without the input it fails.
@@ -387,7 +437,7 @@ mod tests {
     fn one_prod(
         classes: &[(&str, AttrDir)],
         rules: impl FnOnce(&mut AgBuilder<i64>, ag_lalr::ProdId, &[ClassId]),
-    ) -> (AttrGrammar<i64>, crate::tree::AttrTree<i64>) {
+    ) -> (AttrGrammar<i64>, ParseTree<i64>) {
         let mut g = GrammarBuilder::new();
         let a = g.terminal("a");
         let n = g.nonterminal("n");
@@ -408,7 +458,7 @@ mod tests {
         let tree = Parser::new(&g, &table)
             .parse(vec![Token::new(a, 5i64)])
             .unwrap();
-        (ag, crate::tree::AttrTree::from_parse_tree(&g, &tree))
+        (ag, tree)
     }
 
     #[test]
@@ -507,10 +557,9 @@ mod tests {
             .unwrap();
         assert_eq!(copy.origin, crate::attr::RuleOrigin::ImplicitCopy);
         let table = ParseTable::build(&g).unwrap();
-        let tree = Parser::new(&g, &table)
+        let at = Parser::new(&g, &table)
             .parse(vec![Token::new(a, 41i64)])
             .unwrap();
-        let at = crate::tree::AttrTree::from_parse_tree(&g, &tree);
         let ev = DemandEval::new(&ag, &at, vec![]);
         assert_eq!(ev.root_value(val).unwrap(), 42);
         // t_a's rule and the forwarded copy: two evaluations.

@@ -4,27 +4,27 @@
 //! evaluation of rules … only when such information is known to be
 //! available" (§4.3).
 
+use ag_lalr::{NodeId, ParseTree};
+
 use crate::attr::{AttrGrammar, ClassId, Dep};
 use crate::eval_demand::EvalError;
-use crate::tree::{AttrTree, NodeId};
 use crate::visits::{PlanOp, Plans};
 
-/// Executes visit sequences over one attributed tree.
-pub struct PlanEval<'a, V> {
+/// Executes visit sequences over one parse tree.
+pub struct PlanEval<'a, V, T = V> {
     ag: &'a AttrGrammar<V>,
     plans: &'a Plans,
-    tree: &'a AttrTree<V>,
+    tree: &'a ParseTree<T>,
     attrs: Vec<Vec<Option<V>>>,
     n_rule_evals: usize,
     n_visits: usize,
 }
 
-impl<'a, V: Clone + 'static> PlanEval<'a, V> {
+impl<'a, V: Clone + 'static, T: Clone + Into<V>> PlanEval<'a, V, T> {
     /// Creates the evaluator.
-    pub fn new(ag: &'a AttrGrammar<V>, plans: &'a Plans, tree: &'a AttrTree<V>) -> Self {
-        let attrs = tree
-            .node_ids()
-            .map(|n| vec![None; ag.attrs_of(tree.node(n).symbol).len()])
+    pub fn new(ag: &'a AttrGrammar<V>, plans: &'a Plans, tree: &'a ParseTree<T>) -> Self {
+        let attrs = (0..tree.len())
+            .map(|n| vec![None; ag.attrs_of(tree.symbol(n)).len()])
             .collect();
         PlanEval {
             ag,
@@ -45,7 +45,7 @@ impl<'a, V: Clone + 'static> PlanEval<'a, V> {
     /// planned AG never hits a missing intermediate value).
     pub fn run(&mut self, root_inh: Vec<(ClassId, V)>) -> Result<(), EvalError> {
         let root = self.tree.root();
-        let sym = self.tree.node(root).symbol;
+        let sym = self.tree.symbol(root);
         for (c, v) in root_inh {
             if let Some(slot) = self.ag.slot(sym, c) {
                 self.attrs[root][slot] = Some(v);
@@ -59,7 +59,7 @@ impl<'a, V: Clone + 'static> PlanEval<'a, V> {
 
     /// Reads a computed attribute (after [`PlanEval::run`]).
     pub fn value(&self, node: NodeId, class: ClassId) -> Result<V, EvalError> {
-        let sym = self.tree.node(node).symbol;
+        let sym = self.tree.symbol(node);
         let slot = self
             .ag
             .slot(sym, class)
@@ -92,11 +92,7 @@ impl<'a, V: Clone + 'static> PlanEval<'a, V> {
 
     fn visit(&mut self, node: NodeId, visit: u32) -> Result<(), EvalError> {
         self.n_visits += 1;
-        let prod = self
-            .tree
-            .node(node)
-            .prod
-            .expect("visit only interior nodes");
+        let prod = self.tree.prod(node).expect("visit only interior nodes");
         let plans = self.plans;
         for &op in &plans.seq[prod.index()][(visit - 1) as usize] {
             match op {
@@ -117,19 +113,13 @@ impl<'a, V: Clone + 'static> PlanEval<'a, V> {
         ri: usize,
     ) -> Result<(), EvalError> {
         let rule = &self.ag.rules(prod)[ri];
-        let occ_node = |occ: usize| -> NodeId {
-            if occ == 0 {
-                node
-            } else {
-                self.tree.child(node, occ)
-            }
-        };
+        let occ_node = |occ| self.tree.occurrence(node, occ);
         let mut args = Vec::with_capacity(rule.deps.len());
         for d in &rule.deps {
             match *d {
                 Dep::Attr(occ, c) => {
                     let dn = occ_node(occ);
-                    let sym = self.tree.node(dn).symbol;
+                    let sym = self.tree.symbol(dn);
                     let slot = self.ag.slot(sym, c).expect("validated dep");
                     args.push(self.attrs[dn][slot].clone().ok_or_else(|| {
                         EvalError::MissingInput {
@@ -142,9 +132,8 @@ impl<'a, V: Clone + 'static> PlanEval<'a, V> {
                     let leaf = occ_node(occ);
                     args.push(
                         self.tree
-                            .node(leaf)
-                            .token
-                            .clone()
+                            .token(leaf)
+                            .map(|t| t.clone().into())
                             .ok_or(EvalError::MissingToken { node: leaf })?,
                     );
                 }
@@ -153,7 +142,7 @@ impl<'a, V: Clone + 'static> PlanEval<'a, V> {
         let v = (rule.func)(&args);
         self.n_rule_evals += 1;
         let tn = occ_node(rule.target_occ);
-        let sym = self.tree.node(tn).symbol;
+        let sym = self.tree.symbol(tn);
         let slot = self.ag.slot(sym, rule.class).expect("validated target");
         self.attrs[tn][slot] = Some(v);
         Ok(())
@@ -165,7 +154,6 @@ mod tests {
     use super::*;
     use crate::attr::{AgBuilder, AttrDir, Dep, Implicit};
     use crate::deps::analyze;
-    use crate::tree::AttrTree;
     use crate::visits::plan;
     use ag_lalr::{GrammarBuilder, ParseTable, Parser, Token};
     use std::rc::Rc;
@@ -222,10 +210,9 @@ mod tests {
         let table = ParseTable::build(&g).unwrap();
         let parser = Parser::new(&g, &table);
         for bits in [vec![1i64], vec![1, 0, 1], vec![0, 1, 1, 0, 1]] {
-            let tree = parser
+            let at = parser
                 .parse(bits.iter().map(|&b| Token::new(bit, b)))
                 .unwrap();
-            let at = AttrTree::from_parse_tree(&g, &tree);
             let mut pe = PlanEval::new(&ag, &plans, &at);
             pe.run(vec![]).unwrap();
             let de = crate::eval_demand::DemandEval::new(&ag, &at, vec![]);

@@ -12,8 +12,8 @@
 //!   circularity diagnostics;
 //! - [`visits`] — ordered-AG visit numbers and per-production visit
 //!   sequences (the "max visits" statistic of §4.1);
-//! - [`tree`] / [`eval_demand`] / [`eval_plan`] — attributed trees and two
-//!   evaluators (demand-driven and plan-driven);
+//! - [`eval_demand`] / [`eval_plan`] — two evaluators (demand-driven and
+//!   plan-driven) decorating the parser's [`ag_lalr::ParseTree`];
 //! - [`stats`] — the §4.1 statistics table;
 //! - [`emit`] — renders the generated evaluator as source text (the
 //!   "generated code" of Figure 2).
@@ -25,7 +25,7 @@
 //! ```
 //! use std::rc::Rc;
 //! use ag_lalr::{GrammarBuilder, ParseTable, Parser, Token};
-//! use ag_core::{AgBuilder, Dep, AttrTree, DemandEval};
+//! use ag_core::{AgBuilder, Dep, DemandEval};
 //!
 //! let mut gb = GrammarBuilder::new();
 //! let num = gb.terminal("num");
@@ -45,8 +45,7 @@
 //! let table = ParseTable::build(&g)?;
 //! let parser = Parser::new(&g, &table);
 //! let tree = parser.parse([3i64, 4, 5].map(|v| Token::new(num, v)))?;
-//! let at = AttrTree::from_parse_tree(&g, &tree);
-//! let eval = DemandEval::new(&ag, &at, vec![]);
+//! let eval = DemandEval::new(&ag, &tree, vec![]);
 //! assert_eq!(eval.root_value(sum)?, 12);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -58,14 +57,12 @@ pub mod eval_demand;
 pub mod eval_plan;
 pub mod implicit;
 pub mod stats;
-pub mod tree;
 pub mod visits;
 
 pub use attr::{AgBuilder, AgError, AttrDir, AttrGrammar, ClassId, Dep, Implicit, RuleOrigin};
 pub use deps::{analyze, CircularityError, DepAnalysis};
 pub use emit::{emit_evaluator, stripped_loc};
-pub use eval_demand::{DemandEval, EvalError};
+pub use eval_demand::{DemandEval, EvalError, MAX_DEPTH};
 pub use eval_plan::PlanEval;
 pub use stats::AgStats;
-pub use tree::{AttrTree, NodeId};
 pub use visits::{plan, NotOrderedError, PlanOp, Plans};

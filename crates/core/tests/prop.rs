@@ -7,9 +7,7 @@
 
 use std::rc::Rc;
 
-use ag_core::{
-    analyze, plan, AgBuilder, AttrDir, AttrTree, ClassId, DemandEval, Dep, Implicit, PlanEval,
-};
+use ag_core::{analyze, plan, AgBuilder, AttrDir, ClassId, DemandEval, Dep, Implicit, PlanEval};
 use ag_harness::{check, check_eq, forall, Config, Source};
 use ag_lalr::{GrammarBuilder, ParseTable, Parser, Token};
 
@@ -103,8 +101,7 @@ fn evaluators_agree() {
         let table = ParseTable::build(&g).unwrap();
         let parser = Parser::new(&g, &table);
         let x = g.symbol("x").unwrap();
-        let tree = parser.parse(xs.iter().map(|&v| Token::new(x, v))).unwrap();
-        let at = AttrTree::from_parse_tree(&g, &tree);
+        let at = parser.parse(xs.iter().map(|&v| Token::new(x, v))).unwrap();
 
         let de = DemandEval::new(&ag, &at, vec![(depth, depth0)]);
         let demand = de.root_value(sum).unwrap();
@@ -165,8 +162,7 @@ fn implicit_rules_equal_explicit() {
 
             let table = ParseTable::build(&g).unwrap();
             let parser = Parser::new(&g, &table);
-            let tree = parser.parse(xs.iter().map(|&v| Token::new(x, v))).unwrap();
-            let at = AttrTree::from_parse_tree(&g, &tree);
+            let at = parser.parse(xs.iter().map(|&v| Token::new(x, v))).unwrap();
             let de = DemandEval::new(&ag, &at, vec![(env, input)]);
             // TOTAL climbs by copy rules from the leaf: xs[0] + input.
             check_eq!(de.root_value(total).unwrap(), xs[0] + input);

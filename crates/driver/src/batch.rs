@@ -42,9 +42,10 @@ use std::time::{Duration, Instant};
 
 use ag_harness::fnv1a;
 use ag_harness::pool::Pool;
-use vhdl_sem::analyze::{collect_toks, Analyzer, UnitLoader};
+use ag_lalr::ParseTree;
+use vhdl_sem::analyze::{Analyzer, UnitLoader};
 use vhdl_sem::msg::{Msg, Msgs, Severity};
-use vhdl_syntax::{Cst, FrontError, SrcTok};
+use vhdl_syntax::{FrontError, SrcTok};
 use vhdl_vif::{write_vif, Library, LibrarySet, LibrarySnapshot, VifNode, VifTraffic};
 
 use crate::depgraph;
@@ -247,7 +248,7 @@ pub(crate) struct JobOut {
 fn run_job(
     analyzer: &Analyzer,
     libs: &Rc<LibrarySet>,
-    unit: &Cst,
+    unit: &ParseTree<SrcTok>,
     global: usize,
 ) -> (JobOut, Option<Rc<VifNode>>) {
     let read_spent = Rc::new(RefCell::new(Duration::ZERO));
@@ -292,7 +293,7 @@ struct Worker {
     files: Arc<Vec<(String, String)>>,
     /// The mirror library.
     libs: Rc<LibrarySet>,
-    csts: HashMap<usize, Vec<Cst>>,
+    parsed: HashMap<usize, Vec<ParseTree<SrcTok>>>,
 }
 
 fn mirror(work: Library) -> Rc<LibrarySet> {
@@ -305,7 +306,7 @@ impl Worker {
             analyzer: Analyzer::new(env_kind),
             files: Arc::default(),
             libs: mirror(Library::in_memory("work")),
-            csts: HashMap::new(),
+            parsed: HashMap::new(),
         }
     }
 
@@ -313,7 +314,7 @@ impl Worker {
         if let Some((files, snapshot)) = wave.start {
             self.files = files;
             self.libs = mirror(Library::from_snapshot(&snapshot));
-            self.csts.clear();
+            self.parsed.clear();
         }
         let work = self.libs.work();
         for (k, text) in &wave.puts {
@@ -345,7 +346,7 @@ impl Worker {
     fn job(&mut self, job: Job) -> JobOut {
         let mut parse = Duration::ZERO;
         let (analyzer, files) = (&self.analyzer, &self.files);
-        let units = self.csts.entry(job.file).or_insert_with(|| {
+        let units = self.parsed.entry(job.file).or_insert_with(|| {
             let t0 = Instant::now();
             let units = analyzer
                 .parse_units(&files[job.file].1)
@@ -362,17 +363,17 @@ impl Worker {
     }
 }
 
-/// The memoized front half of one batch: parsed trees, token runs, the
-/// staged dependency graph, front errors, and the line count — everything
-/// that is a pure function of the input files and the library contents.
-/// Valid only for the exact `(files signature, library generation)` pair
-/// it was built for; any `put` anywhere in the library set bumps the
-/// generation sum and invalidates it.
+/// The memoized front half of one batch: parsed trees (their leaves are
+/// the units' token runs), the staged dependency graph, front errors, and
+/// the line count — everything that is a pure function of the input
+/// files and the library contents. Valid only for the exact `(files
+/// signature, library generation)` pair it was built for; any `put`
+/// anywhere in the library set bumps the generation sum and invalidates
+/// it.
 struct BatchPlan {
     sig: u64,
     generation: u64,
-    file_units: Rc<Vec<Vec<Cst>>>,
-    unit_toks: Rc<Vec<(usize, usize, Vec<SrcTok>)>>,
+    file_units: Rc<Vec<Vec<ParseTree<SrcTok>>>>,
     front_errors: Vec<(usize, FrontError)>,
     graph: Rc<depgraph::DepGraph>,
     lines: usize,
@@ -383,8 +384,8 @@ struct BatchPlan {
 const PLAN_CACHE_CAP: usize = 4;
 
 /// MRU cache of recent [`BatchPlan`]s. Held by [`Compiler`] so a warm
-/// batch (same files, unchanged libraries) skips parsing, token
-/// collection, and graph staging entirely and goes straight to stamping.
+/// batch (same files, unchanged libraries) skips parsing and graph
+/// staging entirely and goes straight to stamping.
 #[derive(Default)]
 pub(crate) struct PlanCache {
     plans: Vec<Rc<BatchPlan>>,
@@ -429,8 +430,8 @@ impl Compiler {
         let work = Rc::clone(self.libs.work());
 
         // Plan lookup: a warm batch (same files, unchanged libraries)
-        // reuses the parsed trees, token runs, and staged graph of the
-        // previous run — the front half costs one signature hash.
+        // reuses the parsed trees and staged graph of the previous run —
+        // the front half costs one signature hash.
         let sig = depgraph::files_signature(files);
         let plan = self.plans.borrow_mut().lookup(sig, self.libs.generation());
         let plan = match plan {
@@ -439,7 +440,7 @@ impl Compiler {
                 // Parse everything up front: unit extraction needs token
                 // runs, and the inline path reuses the trees.
                 let mut front_errors = Vec::new();
-                let mut file_units: Vec<Vec<Cst>> = Vec::with_capacity(files.len());
+                let mut file_units: Vec<Vec<ParseTree<SrcTok>>> = Vec::with_capacity(files.len());
                 let t0 = Instant::now();
                 {
                     let _t = ag_harness::trace::span("parse");
@@ -455,20 +456,11 @@ impl Compiler {
                 }
                 phases.parse += t0.elapsed();
 
-                let mut unit_toks = Vec::new();
-                for (f, units) in file_units.iter().enumerate() {
-                    for (u, cst) in units.iter().enumerate() {
-                        let mut toks = Vec::new();
-                        collect_toks(cst, &mut toks);
-                        unit_toks.push((f, u, toks));
-                    }
-                }
-                let graph = depgraph::build(&unit_toks, &|key| work.contains(key));
+                let graph = depgraph::build(&file_units, &|key| work.contains(key));
                 Rc::new(BatchPlan {
                     sig,
                     generation: self.libs.generation(),
                     file_units: Rc::new(file_units),
-                    unit_toks: Rc::new(unit_toks),
                     front_errors,
                     graph: Rc::new(graph),
                     lines: files
@@ -671,13 +663,12 @@ impl Compiler {
         // front half would, without parsing anything.
         let waves = graph.waves.len();
         if committed_any {
-            graph = Rc::new(depgraph::build(&plan.unit_toks, &|key| work.contains(key)));
+            graph = Rc::new(depgraph::build(&file_units, &|key| work.contains(key)));
         }
         self.plans.borrow_mut().insert(Rc::new(BatchPlan {
             sig,
             generation: self.libs.generation(),
             file_units,
-            unit_toks: Rc::clone(&plan.unit_toks),
             front_errors: plan.front_errors.clone(),
             graph,
             lines: plan.lines,

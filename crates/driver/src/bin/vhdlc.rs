@@ -127,6 +127,11 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
+    // Compile on the batch workers' stack, so `--jobs` changes no outcome.
+    ag_harness::pool::run_on_stack("vhdlc", run)
+}
+
+fn run() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {

@@ -16,6 +16,8 @@
 //! edge — analysis itself reports undefined references.
 
 use ag_harness::fnv1a;
+use ag_lalr::ParseTree;
+use vhdl_sem::analyze::src_hash;
 use vhdl_syntax::{Pos, SrcTok, TokenKind};
 
 /// Metadata of one parsed, not-yet-analyzed design unit.
@@ -67,19 +69,6 @@ pub fn files_signature(files: &[(String, String)]) -> u64 {
         h = fnv1a(h, name.as_bytes());
         h = fnv1a(h, &(src.len() as u64).to_le_bytes());
         h = fnv1a(h, src.as_bytes());
-    }
-    h
-}
-
-/// Hash of a unit's token run: every token's kind name and spelling,
-/// separated so adjacent tokens can't alias.
-pub fn src_hash(toks: &[SrcTok]) -> u64 {
-    let mut h = 0u64;
-    for t in toks {
-        h = fnv1a(h, t.kind.name().as_bytes());
-        h = fnv1a(h, &[0x1f]);
-        h = fnv1a(h, t.text.as_str().as_bytes());
-        h = fnv1a(h, &[0x1e]);
     }
     h
 }
@@ -234,13 +223,18 @@ pub fn candidate_deps(toks: &[SrcTok]) -> Vec<String> {
 
 /// Builds the staged dependency graph for one batch.
 ///
-/// `units` holds, per unit in input order, `(file, unit_in_file, tokens)`.
+/// `files` holds each input file's parsed units, in input order.
 /// `in_library` answers whether a key is already satisfied by the library
 /// universe (the missing-unit fallback).
-pub fn build(units: &[(usize, usize, Vec<SrcTok>)], in_library: &dyn Fn(&str) -> bool) -> DepGraph {
+pub fn build(files: &[Vec<ParseTree<SrcTok>>], in_library: &dyn Fn(&str) -> bool) -> DepGraph {
+    let units: Vec<(usize, usize, &[SrcTok])> = files
+        .iter()
+        .enumerate()
+        .flat_map(|(f, us)| us.iter().enumerate().map(move |(u, t)| (f, u, t.leaves())))
+        .collect();
     let metas_raw: Vec<(String, Vec<String>, u64, Pos)> = units
         .iter()
-        .map(|(_, _, toks)| {
+        .map(|&(_, _, toks)| {
             (
                 header_key(toks),
                 candidate_deps(toks),
@@ -397,21 +391,12 @@ pub fn build(units: &[(usize, usize, Vec<SrcTok>)], in_library: &dyn Fn(&str) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vhdl_sem::analyze::collect_toks;
     use vhdl_sem::env::EnvKind;
 
-    fn toks_of(src: &str) -> Vec<(usize, usize, Vec<SrcTok>)> {
+    /// The one-file batch of `src`'s units.
+    fn batch_of(src: &str) -> Vec<Vec<ParseTree<SrcTok>>> {
         let an = vhdl_sem::analyze::Analyzer::new(EnvKind::Tree);
-        let units = an.parse_units(src).expect("parses");
-        units
-            .iter()
-            .enumerate()
-            .map(|(u, cst)| {
-                let mut t = Vec::new();
-                collect_toks(cst, &mut t);
-                (0, u, t)
-            })
-            .collect()
+        vec![an.parse_units(src).expect("parses")]
     }
 
     const DESIGN: &str = "
@@ -428,7 +413,7 @@ mod tests {
 
     #[test]
     fn keys_and_edges_from_headers() {
-        let units = toks_of(DESIGN);
+        let units = batch_of(DESIGN);
         let g = build(&units, &|_| false);
         let keys: Vec<&str> = g.units.iter().map(|m| m.key.as_str()).collect();
         assert_eq!(keys, ["pkg.consts", "entity.e", "arch.e.rtl"]);
@@ -442,7 +427,7 @@ mod tests {
     fn out_of_order_input_is_staged_correctly() {
         // Architecture first, entity last: sequential compilation would
         // fail, the scheduler reorders.
-        let units = toks_of(
+        let units = batch_of(
             "architecture rtl of e is begin q <= 1; end rtl;
              entity e is port (q : out integer); end e;",
         );
@@ -452,7 +437,7 @@ mod tests {
 
     #[test]
     fn library_fallback_and_missing_units() {
-        let units = toks_of(
+        let units = batch_of(
             "use work.oldpkg.all;
              entity e is port (q : out integer); end e;",
         );
@@ -469,7 +454,7 @@ mod tests {
 
     #[test]
     fn cycle_is_reported_not_hung() {
-        let units = toks_of(
+        let units = batch_of(
             "use work.b.all;
              package a is constant x : integer := 1; end a;
              use work.a.all;
@@ -485,7 +470,7 @@ mod tests {
 
     #[test]
     fn architectures_of_one_entity_serialize_in_input_order() {
-        let units = toks_of(
+        let units = batch_of(
             "entity e is end e;
              architecture a1 of e is begin end a1;
              architecture a2 of e is begin end a2;",
@@ -500,7 +485,7 @@ mod tests {
 
     #[test]
     fn configuration_depends_on_the_architecture_it_configures() {
-        let units = toks_of(
+        let units = batch_of(
             "entity e is end;
              architecture a of e is begin end a;
              configuration c of e is for a end for; end c;",
@@ -512,17 +497,18 @@ mod tests {
 
     #[test]
     fn src_hash_ignores_whitespace_only_changes() {
-        let a = toks_of("entity e is end e;");
-        let b = toks_of("entity   e  is\n\n  end e ;  -- comment");
-        assert_eq!(a[0].2.len(), b[0].2.len());
-        assert_eq!(src_hash(&a[0].2), src_hash(&b[0].2));
-        let c = toks_of("entity f is end f;");
-        assert_ne!(src_hash(&a[0].2), src_hash(&c[0].2));
+        let a = batch_of("entity e is end e;");
+        let b = batch_of("entity   e  is\n\n  end e ;  -- comment");
+        let toks = |f: &[Vec<ParseTree<SrcTok>>]| f[0][0].leaves().to_vec();
+        assert_eq!(toks(&a).len(), toks(&b).len());
+        assert_eq!(src_hash(&toks(&a)), src_hash(&toks(&b)));
+        let c = batch_of("entity f is end f;");
+        assert_ne!(src_hash(&toks(&a)), src_hash(&toks(&c)));
     }
 
     #[test]
     fn direct_binding_indication_adds_entity_and_arch_deps() {
-        let units = toks_of(
+        let units = batch_of(
             "entity inv is port (i : in bit; o : out bit); end inv;
              architecture fast of inv is begin o <= not i; end fast;
              entity pair is end pair;

@@ -25,7 +25,7 @@ use vhdl_vif::{Library, LibrarySet, VifNode};
 
 use batch::{BatchOptions, BatchResult};
 
-pub use ag_harness::pool::resolve_jobs;
+pub use ag_harness::pool::{resolve_jobs, run_on_stack, STACK_SIZE};
 pub use vhdl_sem::env::EnvKind;
 
 /// Wall-clock time spent per compiler phase.

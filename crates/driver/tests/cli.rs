@@ -278,8 +278,9 @@ fn plain_compile_stamps_for_a_later_incremental_run() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// `--trace-phases` splits analysis into tree build and attribute
-/// evaluation, with the expression cascade inside evaluation.
+/// `--trace-phases` nests attribute evaluation (the parser's tree is
+/// decorated as it is, with no tree build of its own) under analysis,
+/// with the expression cascade inside evaluation.
 #[test]
 fn trace_phases_nest_analysis_spans() {
     let src = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/full_adder.vhd");
@@ -312,13 +313,58 @@ fn trace_phases_nest_analysis_spans() {
         (rows[i], parent.map(|r| r.1))
     };
     let (principal, _) = find("principal-ag");
-    let (tree, tree_parent) = find("ag-tree");
     let (eval, eval_parent) = find("ag-eval");
     let (_, cascade_parent) = find("expr-eval-cascade");
-    assert_eq!(tree_parent, Some("principal-ag"), "{stderr}");
     assert_eq!(eval_parent, Some("principal-ag"), "{stderr}");
     assert_eq!(cascade_parent, Some("ag-eval"), "{stderr}");
-    // One tree and one evaluation per analyzed unit.
-    assert_eq!(tree.2, principal.2);
+    // One evaluation per analyzed unit.
     assert_eq!(eval.2, principal.2);
+}
+
+/// A process of `n` statements `v := v + 1;`.
+fn long_process(n: usize) -> String {
+    format!(
+        "entity deep is end;\narchitecture a of deep is\nbegin\n  process\n    \
+         variable v : integer := 0;\n  begin\n{}    wait;\n  end process;\nend;\n",
+        "    v := v + 1;\n".repeat(n)
+    )
+}
+
+/// An assignment of `1` inside `n` pairs of parentheses.
+fn nested_parens(n: usize) -> String {
+    format!(
+        "entity paren is end;\narchitecture a of paren is\nbegin\n  process\n    \
+         variable v : integer := 0;\n  begin\n    v := {}1{};\n    wait;\n  end process;\nend;\n",
+        "(".repeat(n),
+        ")".repeat(n)
+    )
+}
+
+/// Attribute demands recurse as deep as the tree. A long statement list
+/// or a deep expression ends in a diagnostic and exit status 1, never in
+/// a stack overflow, and `--jobs` does not change the outcome: the main
+/// path and the workers analyze on the same stack under the same bound.
+#[test]
+fn deep_units_exit_by_status_at_every_jobs() {
+    let dir = tmpdir("deep");
+    for (name, src) in [
+        ("stmts.vhd", long_process(20_000)),
+        ("parens.vhd", nested_parens(4_000)),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, src).unwrap();
+        let outs = ["1", "2"].map(|jobs| {
+            vhdlc()
+                .args(["--jobs", jobs, path.to_str().unwrap()])
+                .output()
+                .unwrap()
+        });
+        for out in &outs {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+            assert!(stderr.contains("nesting too deep"), "{name}: {stderr}");
+        }
+        assert_eq!(outs[0].stdout, outs[1].stdout, "{name}");
+        assert_eq!(outs[0].stderr, outs[1].stderr, "{name}");
+    }
 }

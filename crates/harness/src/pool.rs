@@ -59,6 +59,27 @@ impl<J, R> Slot<J, R> {
     }
 }
 
+/// Stack size of every thread that analyzes: pool workers and the threads
+/// the command-line compiler and the server analyze on. Attribute demand
+/// recursion follows the parse tree, and `ag_core::MAX_DEPTH` bounds it to
+/// half of this stack in a debug build, so a unit gets the same outcome on
+/// every thread. Untouched stack pages cost no memory.
+pub const STACK_SIZE: usize = 128 << 20;
+
+/// Runs `f` to completion on a new thread named `name` with a
+/// [`STACK_SIZE`] stack and returns its answer: how a command-line tool
+/// gets the same stack on its main path as on its pool workers. A panic
+/// in `f` is re-raised here with the same payload.
+pub fn run_on_stack<R: Send + 'static>(name: &str, f: impl FnOnce() -> R + Send + 'static) -> R {
+    thread::Builder::new()
+        .name(name.to_string())
+        .stack_size(STACK_SIZE)
+        .spawn(f)
+        .expect("spawn thread")
+        .join()
+        .unwrap_or_else(|payload| panic::resume_unwind(payload))
+}
+
 /// A fixed set of worker threads taking jobs `J` and answering `R`.
 /// Dropping the pool stops and joins every worker.
 pub struct Pool<J, R> {
@@ -90,6 +111,7 @@ impl<J: Send + 'static, R: Send + 'static> Pool<J, R> {
                 let (ws, make) = (Arc::clone(&slot), Arc::clone(&make));
                 let join = thread::Builder::new()
                     .name(format!("{name}-{i}"))
+                    .stack_size(STACK_SIZE)
                     .spawn(move || serve(&ws, || make(i)))
                     .expect("spawn pool worker");
                 (slot, join)

@@ -12,7 +12,8 @@
 //!   propagation ([`lalr`]),
 //! - action/goto tables with precedence-based conflict resolution
 //!   ([`table::ParseTable`]),
-//! - a table-driven parser producing concrete parse trees ([`parser`]),
+//! - a table-driven parser ([`parser`]) building one postorder arena
+//!   ([`tree`]), the tree `ag-core`'s evaluators decorate,
 //! - an Earley recognizer used as an oracle in property tests ([`earley`]).
 //!
 //! # Example
@@ -33,7 +34,9 @@
 //! let tree = parser
 //!     .parse([Token::new(num, 1), Token::new(plus, 0), Token::new(num, 2)])
 //!     .unwrap();
-//! assert_eq!(grammar.prod_label(tree.prod().unwrap()), "expr_plus");
+//! assert_eq!(grammar.prod_label(tree.prod(tree.root()).unwrap()), "expr_plus");
+//! assert_eq!(tree.len(), 5); // expr_plus(expr_num(1), +, 2), postorder
+//! assert_eq!(tree.leaves(), [1, 0, 2]);
 //! ```
 
 pub mod bitset;
@@ -45,7 +48,9 @@ pub mod lr0;
 pub mod parser;
 pub mod pretty;
 pub mod table;
+pub mod tree;
 
 pub use grammar::{Assoc, Grammar, GrammarBuilder, GrammarError, ProdId, SymbolId, SymbolKind};
-pub use parser::{ParseError, ParseTree, Parser, Token};
+pub use parser::{ParseError, Parser, Token};
 pub use table::{Action, Conflict, ParseTable, TableError};
+pub use tree::{NodeId, ParseTree};

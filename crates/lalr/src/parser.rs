@@ -1,9 +1,10 @@
-//! Table-driven shift-reduce parser producing concrete parse trees.
+//! Table-driven shift-reduce parser building the [`ParseTree`] arena.
 
 use std::fmt;
 
-use crate::grammar::{Grammar, ProdId, SymbolId};
+use crate::grammar::{Grammar, SymbolId};
 use crate::table::{Action, ParseTable};
+use crate::tree::ParseTree;
 
 /// A scanner token: terminal kind plus an arbitrary value (text, position,
 /// or — in cascaded evaluation — a symbol-table denotation).
@@ -19,52 +20,6 @@ impl<V> Token<V> {
     /// Creates a token.
     pub fn new(term: SymbolId, value: V) -> Self {
         Token { term, value }
-    }
-}
-
-/// A concrete parse tree.
-///
-/// Interior nodes record the production that derived them; leaves carry the
-/// token value. This is exactly the structure the attribute evaluator in
-/// `ag-core` decorates.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ParseTree<V> {
-    /// An interior node derived by `prod`.
-    Node {
-        /// The production applied.
-        prod: ProdId,
-        /// One child per RHS symbol.
-        children: Vec<ParseTree<V>>,
-    },
-    /// A terminal leaf.
-    Leaf {
-        /// The terminal symbol.
-        term: SymbolId,
-        /// The token value.
-        value: V,
-    },
-}
-
-impl<V> ParseTree<V> {
-    /// The production of an interior node.
-    pub fn prod(&self) -> Option<ProdId> {
-        match self {
-            ParseTree::Node { prod, .. } => Some(*prod),
-            ParseTree::Leaf { .. } => None,
-        }
-    }
-
-    /// Children of an interior node (empty slice for leaves).
-    pub fn children(&self) -> &[ParseTree<V>] {
-        match self {
-            ParseTree::Node { children, .. } => children,
-            ParseTree::Leaf { .. } => &[],
-        }
-    }
-
-    /// Number of nodes (interior + leaves) in the tree.
-    pub fn size(&self) -> usize {
-        1 + self.children().iter().map(ParseTree::size).sum::<usize>()
     }
 }
 
@@ -120,8 +75,10 @@ impl<'g> Parser<'g> {
         let g = self.grammar;
         let t = self.table;
         let mut states: Vec<u32> = vec![0];
-        let mut forest: Vec<ParseTree<V>> = Vec::new();
         let mut input = tokens.into_iter();
+        let mut tree = ParseTree::with_capacity(input.size_hint().0);
+        // The subtree under each state but the first.
+        let mut forest: Vec<u32> = Vec::new();
         let mut pos = 0usize;
         let mut lookahead: Option<Token<V>> = input.next();
         loop {
@@ -130,21 +87,17 @@ impl<'g> Parser<'g> {
             match t.action(state, term) {
                 Action::Shift(next) => {
                     let tok = lookahead.take().expect("cannot shift eof");
-                    forest.push(ParseTree::Leaf {
-                        term: tok.term,
-                        value: tok.value,
-                    });
+                    forest.push(tree.push_leaf(tok.term, tok.value));
                     states.push(next);
                     pos += 1;
                     lookahead = input.next();
                 }
                 Action::Reduce(prod) => {
-                    let arity = g.rhs(prod).len();
-                    let children = forest.split_off(forest.len() - arity);
-                    for _ in 0..arity {
-                        states.pop();
-                    }
-                    forest.push(ParseTree::Node { prod, children });
+                    let at = forest.len() - g.rhs(prod).len();
+                    let id = tree.push_node(prod, g.lhs(prod), &forest[at..]);
+                    forest.truncate(at);
+                    forest.push(id);
+                    states.truncate(at + 1);
                     let top = *states.last().expect("state stack never empty");
                     let next = t
                         .goto(top, g.lhs(prod))
@@ -152,8 +105,8 @@ impl<'g> Parser<'g> {
                     states.push(next);
                 }
                 Action::Accept => {
-                    debug_assert_eq!(forest.len(), 1);
-                    return Ok(forest.pop().expect("accept with one tree"));
+                    debug_assert_eq!(forest, [tree.root() as u32]);
+                    return Ok(tree);
                 }
                 Action::Error => {
                     let expected = t
@@ -212,16 +165,16 @@ mod tests {
             .collect()
     }
 
-    fn eval(g: &Grammar, t: &ParseTree<i64>) -> i64 {
-        match t {
-            ParseTree::Leaf { value, .. } => *value,
-            ParseTree::Node { prod, children } => match g.prod_label(*prod) {
-                "add" => eval(g, &children[0]) + eval(g, &children[2]),
-                "mul" => eval(g, &children[0]) * eval(g, &children[2]),
-                "paren" => eval(g, &children[1]),
-                "num" => eval(g, &children[0]),
-                other => panic!("unknown production {other}"),
-            },
+    fn eval(g: &Grammar, t: &ParseTree<i64>, n: usize) -> i64 {
+        let Some(prod) = t.prod(n) else {
+            return *t.token(n).unwrap();
+        };
+        match g.prod_label(prod) {
+            "add" => eval(g, t, t.child(n, 1)) + eval(g, t, t.child(n, 3)),
+            "mul" => eval(g, t, t.child(n, 1)) * eval(g, t, t.child(n, 3)),
+            "paren" => eval(g, t, t.child(n, 2)),
+            "num" => eval(g, t, t.child(n, 1)),
+            other => panic!("unknown production {other}"),
         }
     }
 
@@ -230,12 +183,12 @@ mod tests {
         let (g, t) = calc();
         let p = Parser::new(&g, &t);
         let tree = p.parse(toks(&g, "1 + 2 * 3")).unwrap();
-        assert_eq!(eval(&g, &tree), 7);
+        assert_eq!(eval(&g, &tree, tree.root()), 7);
         let tree = p.parse(toks(&g, "( 1 + 2 ) * 3")).unwrap();
-        assert_eq!(eval(&g, &tree), 9);
+        assert_eq!(eval(&g, &tree, tree.root()), 9);
         // Left associativity: 10 + 2 + 3 groups as (10+2)+3.
         let tree = p.parse(toks(&g, "10 + 2 + 3")).unwrap();
-        assert_eq!(eval(&g, &tree), 15);
+        assert_eq!(eval(&g, &tree, tree.root()), 15);
     }
 
     #[test]
@@ -271,9 +224,9 @@ mod tests {
         let (g, t) = calc();
         let p = Parser::new(&g, &t);
         let tree = p.parse(toks(&g, "1 + 2")).unwrap();
-        assert_eq!(g.prod_label(tree.prod().unwrap()), "add");
-        assert_eq!(tree.children().len(), 3);
-        assert_eq!(tree.size(), 6); // add(num(leaf), leaf+, num(leaf))
+        assert_eq!(g.prod_label(tree.prod(tree.root()).unwrap()), "add");
+        assert_eq!(tree.children(tree.root()).len(), 3);
+        assert_eq!(tree.len(), 6); // add(num(leaf), leaf+, num(leaf))
     }
 
     #[test]

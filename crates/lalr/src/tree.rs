@@ -1,0 +1,271 @@
+//! The parse tree the parser builds and `ag-core`'s evaluators decorate.
+
+use crate::grammar::{Grammar, ProdId, SymbolId};
+
+/// Index of a node in a [`ParseTree`].
+pub type NodeId = usize;
+
+/// `prod` of a leaf and `parent` of the root.
+const NONE: u32 = u32::MAX;
+
+/// One node, 20 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Node {
+    /// Production of an interior node, [`NONE`] for a leaf.
+    prod: u32,
+    symbol: SymbolId,
+    /// Parent node, [`NONE`] at the root.
+    parent: u32,
+    /// Interior node: offset of its first child in the child list. Leaf:
+    /// index of its token.
+    at: u32,
+    n_kids: u32,
+}
+
+/// A concrete parse tree in one arena. A shift pushes a leaf and a reduce
+/// pushes the node over the last `|rhs|` subtrees, so nodes sit in
+/// postorder: a subtree is the range of ids that ends at its root, the
+/// root is last, and leaves come in source order. Children share one
+/// list and tokens another: three allocations per tree. Parent links let
+/// inherited attributes be demanded upward.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ParseTree<T> {
+    nodes: Vec<Node>,
+    kids: Vec<u32>,
+    toks: Vec<T>,
+}
+
+impl<T> ParseTree<T> {
+    /// An empty tree for `toks` tokens (VHDL trees: 2.3 to 9 nodes each).
+    pub(crate) fn with_capacity(toks: usize) -> Self {
+        ParseTree {
+            nodes: Vec::with_capacity(4 * toks + 1),
+            kids: Vec::with_capacity(4 * toks),
+            toks: Vec::with_capacity(toks),
+        }
+    }
+
+    /// Appends a leaf (a shift).
+    pub(crate) fn push_leaf(&mut self, term: SymbolId, value: T) -> u32 {
+        self.toks.push(value);
+        self.push(NONE, term, self.toks.len() as u32 - 1, 0)
+    }
+
+    /// Appends the interior node `prod` over the subtrees `kids` (a
+    /// reduce) and points their parent links at it.
+    pub(crate) fn push_node(&mut self, prod: ProdId, lhs: SymbolId, kids: &[u32]) -> u32 {
+        let id = self.nodes.len() as u32;
+        for &k in kids {
+            self.nodes[k as usize].parent = id;
+        }
+        let at = self.kids.len() as u32;
+        self.kids.extend_from_slice(kids);
+        self.push(prod.0, lhs, at, kids.len() as u32)
+    }
+
+    fn push(&mut self, prod: u32, symbol: SymbolId, at: u32, n_kids: u32) -> u32 {
+        self.nodes.push(Node {
+            prod,
+            symbol,
+            parent: NONE,
+            at,
+            n_kids,
+        });
+        (self.nodes.len() - 1) as u32
+    }
+
+    /// The root node, the last in postorder.
+    pub fn root(&self) -> NodeId {
+        self.nodes.len() - 1
+    }
+
+    /// Number of nodes (interior nodes and leaves).
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// `true` if the tree has no nodes (never the case for parsed trees).
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// The production of an interior node, `None` for a leaf.
+    pub fn prod(&self, n: NodeId) -> Option<ProdId> {
+        let p = self.nodes[n].prod;
+        (p != NONE).then_some(ProdId(p))
+    }
+
+    /// The grammar symbol at a node: the production's left-hand side, or
+    /// a leaf's terminal.
+    pub fn symbol(&self, n: NodeId) -> SymbolId {
+        self.nodes[n].symbol
+    }
+
+    /// The parent and this node's occurrence in the parent's production
+    /// (1-based), `None` at the root.
+    pub fn parent(&self, n: NodeId) -> Option<(NodeId, usize)> {
+        let p = self.nodes[n].parent;
+        if p == NONE {
+            return None;
+        }
+        let occ = self
+            .kid_ids(p as NodeId)
+            .iter()
+            .position(|&k| k as NodeId == n);
+        Some((p as NodeId, occ.expect("a node is its parent's child") + 1))
+    }
+
+    /// The children of a node, one per RHS symbol (none for leaves).
+    pub fn children(&self, n: NodeId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.kid_ids(n).iter().map(|&k| k as NodeId)
+    }
+
+    fn kid_ids(&self, n: NodeId) -> &[u32] {
+        let x = &self.nodes[n];
+        if x.prod == NONE {
+            return &[];
+        }
+        &self.kids[x.at as usize..][..x.n_kids as usize]
+    }
+
+    /// The child at RHS occurrence `occ` (1-based) of an interior node.
+    pub fn child(&self, n: NodeId, occ: usize) -> NodeId {
+        self.kid_ids(n)[occ - 1] as NodeId
+    }
+
+    /// The node at RHS occurrence `occ` of the production at `n`: `n`
+    /// itself for 0 (the left-hand side), else the child.
+    pub fn occurrence(&self, n: NodeId, occ: usize) -> NodeId {
+        if occ == 0 {
+            n
+        } else {
+            self.child(n, occ)
+        }
+    }
+
+    /// A leaf's token, `None` for interior nodes.
+    pub fn token(&self, n: NodeId) -> Option<&T> {
+        let x = &self.nodes[n];
+        (x.prod == NONE).then(|| &self.toks[x.at as usize])
+    }
+
+    /// Every leaf's token, in source order.
+    pub fn leaves(&self) -> &[T] {
+        &self.toks
+    }
+
+    /// The subtree under `root` as a tree of its own, wrapped in the
+    /// single-child productions `wrap`, outermost first, so a subtree
+    /// (one design unit, say) can be evaluated as if it were a whole
+    /// sentence of the start symbol. The subtree is one range of nodes,
+    /// children and tokens, so this is a flat copy.
+    pub fn subtree(&self, g: &Grammar, root: NodeId, wrap: &[ProdId]) -> ParseTree<T>
+    where
+        T: Clone,
+    {
+        // The first node of a subtree in postorder is its leftmost,
+        // deepest descendant.
+        let mut lo = root;
+        while let Some(&first) = self.kid_ids(lo).first() {
+            lo = first as NodeId;
+        }
+        // Each non-root node of the range is one child-list entry, and
+        // the root's children were the last pushed.
+        let r = &self.nodes[root];
+        let kids = if r.prod == NONE {
+            0..0
+        } else {
+            let end = (r.at + r.n_kids) as usize;
+            end - (root - lo)..end
+        };
+        let mut t = ParseTree {
+            nodes: Vec::with_capacity(root + 1 - lo + wrap.len()),
+            kids: Vec::with_capacity(kids.len() + wrap.len()),
+            toks: Vec::new(),
+        };
+        for x in &self.nodes[lo..=root] {
+            let mut x = *x;
+            x.parent = x.parent.wrapping_sub(lo as u32);
+            if x.prod == NONE {
+                t.toks.push(self.toks[x.at as usize].clone());
+                x.at = (t.toks.len() - 1) as u32;
+            } else {
+                x.at -= kids.start as u32;
+            }
+            t.nodes.push(x);
+        }
+        t.kids
+            .extend(self.kids[kids].iter().map(|&k| k - lo as u32));
+        t.nodes.last_mut().expect("a subtree has its root").parent = NONE;
+        for &p in wrap.iter().rev() {
+            let below = t.root() as u32;
+            t.push_node(p, g.lhs(p), &[below]);
+        }
+        t
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{GrammarBuilder, ParseTable, Parser, Token};
+
+    #[test]
+    fn arena_mirrors_parse_tree() {
+        let mut g = GrammarBuilder::new();
+        let a = g.terminal("a");
+        let s = g.nonterminal("s");
+        g.prod(s, &[a.into(), s.into()], "s_rec");
+        g.prod(s, &[], "s_empty");
+        g.start(s);
+        let g = g.build().unwrap();
+        let table = ParseTable::build(&g).unwrap();
+        let parser = Parser::new(&g, &table);
+        let at = parser
+            .parse(vec![Token::new(a, 1), Token::new(a, 2)])
+            .unwrap();
+        assert_eq!(at.len(), 5); // s(a, s(a, s()))
+        let root = at.root();
+        assert_eq!(at.symbol(root), s);
+        assert!(at.parent(root).is_none());
+        assert_eq!(at.children(root).len(), 2);
+        let leaf = at.child(root, 1);
+        assert_eq!(at.token(leaf), Some(&1));
+        assert_eq!(at.parent(leaf), Some((root, 1)));
+        let child = at.child(root, 2);
+        assert_eq!(at.parent(child), Some((root, 2)));
+        assert!(!at.is_empty());
+    }
+
+    #[test]
+    fn wrapped_subtree_matches_whole_tree() {
+        // top ::= mid ; mid ::= s ; s ::= a s | ε. The `s` subtree
+        // wrapped in [top, mid] must give the whole parse.
+        let mut g = GrammarBuilder::new();
+        let a = g.terminal("a");
+        let top = g.nonterminal("top");
+        let mid = g.nonterminal("mid");
+        let s = g.nonterminal("s");
+        let p_top = g.prod(top, &[mid.into()], "top_mid");
+        let p_mid = g.prod(mid, &[s.into()], "mid_s");
+        g.prod(s, &[a.into(), s.into()], "s_rec");
+        g.prod(s, &[], "s_empty");
+        g.start(top);
+        let g = g.build().unwrap();
+        let table = ParseTable::build(&g).unwrap();
+        let whole = Parser::new(&g, &table)
+            .parse(vec![Token::new(a, 1), Token::new(a, 2)])
+            .unwrap();
+        let sub = whole.child(whole.child(whole.root(), 1), 1);
+        let wrapped = whole.subtree(&g, sub, &[p_top, p_mid]);
+        assert_eq!(wrapped, whole);
+        for n in 0..whole.len() {
+            let (w, x) = (&wrapped, &whole);
+            assert_eq!(
+                (w.prod(n), w.symbol(n), w.parent(n)),
+                (x.prod(n), x.symbol(n), x.parent(n))
+            );
+            assert_eq!(w.token(n), x.token(n));
+            assert!(w.children(n).eq(x.children(n)));
+        }
+    }
+}

@@ -5,7 +5,7 @@
 //! space and every invariant are unchanged. Persisted regressions live in
 //! `tests/prop.seeds`.
 
-use ag_harness::{check_eq, forall, Config, Source};
+use ag_harness::{check, check_eq, forall, Config, Source};
 use ag_lalr::earley::Earley;
 use ag_lalr::grammar::{Grammar, GrammarBuilder, SymRef};
 use ag_lalr::parser::Parser;
@@ -52,6 +52,32 @@ fn grammar_spec(s: &mut Source) -> GrammarSpec {
 
 fn input_codes(s: &mut Source) -> Vec<usize> {
     s.vec(0, 7, |s| s.usize_in(0, 4))
+}
+
+/// A sentence of the start symbol by random leftmost derivation, or
+/// `None` when it takes more than 40 expansions.
+fn derive(spec: &GrammarSpec, s: &mut Source) -> Option<Vec<usize>> {
+    let mut out = Vec::new();
+    let mut todo = vec![spec.n_terms]; // the start symbol's code
+    let mut budget = 40;
+    while let Some(c) = todo.pop() {
+        if c < spec.n_terms {
+            out.push(c);
+            continue;
+        }
+        budget -= 1;
+        if budget == 0 {
+            return None;
+        }
+        let alts: Vec<&Vec<usize>> = spec
+            .prods
+            .iter()
+            .filter(|(lhs, _)| *lhs == c - spec.n_terms)
+            .map(|(_, rhs)| rhs)
+            .collect();
+        todo.extend(alts[s.usize_in(0, alts.len() - 1)].iter().rev());
+    }
+    Some(out)
 }
 
 fn build(spec: &GrammarSpec) -> (Grammar, Vec<SymbolId>) {
@@ -129,19 +155,68 @@ fn parse_tree_leaves_roundtrip() {
         let Ok(tree) = parser.parse(toks.iter().map(|&t| ag_lalr::Token::new(t, t))) else {
             return Ok(());
         };
-        let mut leaves = Vec::new();
-        fn collect(t: &ag_lalr::ParseTree<SymbolId>, out: &mut Vec<SymbolId>) {
-            match t {
-                ag_lalr::ParseTree::Leaf { term, .. } => out.push(*term),
-                ag_lalr::ParseTree::Node { children, .. } => {
-                    for c in children {
-                        collect(c, out);
-                    }
+        let leaves: Vec<SymbolId> = (0..tree.len())
+            .filter(|&n| tree.token(n).is_some())
+            .map(|n| tree.symbol(n))
+            .collect();
+        check_eq!(leaves, toks);
+    });
+}
+
+/// The parser's arena: parent links and child lists agree, the leaves
+/// are the input in order, every subtree is the contiguous range of ids
+/// that ends at its root, and slicing a subtree out copies exactly that
+/// range (the whole tree for the root).
+#[test]
+fn arena_invariants() {
+    forall!(Config::new("arena_invariants").cases(512), |s| {
+        let spec = grammar_spec(s);
+        let Some(input) = derive(&spec, s) else {
+            return Ok(());
+        };
+        let (g, terms) = build(&spec);
+        let Ok(table) = ParseTable::build(&g) else {
+            return Ok(());
+        };
+        let toks = to_tokens(&input, &terms);
+        let parser = Parser::new(&g, &table);
+        let parsed = parser.parse(toks.iter().map(|&t| ag_lalr::Token::new(t, t)));
+        let Ok(tree) = parsed else {
+            check!(false, "derived sentence {input:?} rejected by {spec:?}");
+            return Ok(());
+        };
+        check_eq!(tree.leaves(), &toks[..]);
+        check!(tree.parent(tree.root()).is_none());
+        for n in 0..tree.len() {
+            if let Some((p, occ)) = tree.parent(n) {
+                check_eq!(tree.child(p, occ), n, "node {n}");
+            }
+            for (i, c) in tree.children(n).enumerate() {
+                check_eq!(tree.parent(c), Some((n, i + 1)), "node {n}");
+            }
+            // The descendants of `n`, by an explicit walk.
+            let mut under = vec![n];
+            let mut todo: Vec<usize> = tree.children(n).collect();
+            while let Some(c) = todo.pop() {
+                under.push(c);
+                todo.extend(tree.children(c));
+            }
+            under.sort_unstable();
+            let lo = n + 1 - under.len();
+            check_eq!(under, (lo..=n).collect::<Vec<_>>(), "subtree of {n}");
+            let sub = tree.subtree(&g, n, &[]);
+            check_eq!(sub.len(), under.len());
+            for i in 0..sub.len() {
+                let x = lo + i;
+                check_eq!((sub.prod(i), sub.symbol(i)), (tree.prod(x), tree.symbol(x)));
+                check_eq!(sub.token(i), tree.token(x));
+                check!(sub.children(i).map(|c| c + lo).eq(tree.children(x)));
+                if i != sub.root() {
+                    check_eq!(sub.parent(i).map(|(p, o)| (p + lo, o)), tree.parent(x));
                 }
             }
         }
-        collect(&tree, &mut leaves);
-        check_eq!(leaves, toks);
+        check_eq!(tree.subtree(&g, tree.root(), &[]), tree);
     });
 }
 

@@ -5,10 +5,10 @@
 use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
 
-use ag_core::{AttrTree, DemandEval};
+use ag_core::{DemandEval, EvalError};
 use ag_harness::fnv1a;
 use ag_lalr::ParseTree;
-use vhdl_syntax::{Cst, FrontError, PrincipalGrammar, SrcTok};
+use vhdl_syntax::{FrontError, PrincipalGrammar, SrcTok};
 use vhdl_vif::{LibrarySet, VifNode};
 
 use crate::env::{Den, Env, EnvKind, Visibility};
@@ -151,50 +151,51 @@ impl Analyzer {
         }
     }
 
-    /// Parses a design file into compilation-unit subtrees.
+    /// Parses a design file into one tree per design unit. Each unit is
+    /// wrapped as its own design file (`df` over `dus_one`), so the AG
+    /// root is the start symbol; its leaves are the unit's tokens.
     ///
     /// # Errors
     ///
     /// Scan/parse errors.
-    pub fn parse_units(&self, src: &str) -> Result<Vec<Cst>, FrontError> {
-        let cst = self.grammar.parse_str(src)?;
-        Ok(split_units(cst))
+    pub fn parse_units(&self, src: &str) -> Result<Vec<ParseTree<SrcTok>>, FrontError> {
+        let file = self.grammar.parse_str(src)?;
+        let g = self.pag.ag.grammar();
+        let unit = g.symbol("design_unit").expect("principal grammar");
+        let wrap = [self.grammar.prod("df"), self.grammar.prod("dus_one")];
+        // `design_unit` derives only from the top-level unit list, and
+        // postorder keeps the units in source order.
+        Ok((0..file.len())
+            .filter(|&n| file.symbol(n) == unit)
+            .map(|n| file.subtree(g, n, &wrap))
+            .collect())
     }
 
-    /// Analyzes one design-unit tree against the libraries, returning the
-    /// unit without storing it.
-    pub fn analyze_unit(&self, unit: &Cst, libs: &Rc<LibrarySet>) -> AnalyzedUnit {
-        self.analyze_unit_with_loader(unit, Rc::<LibrarySet>::clone(libs) as Rc<dyn UnitLoader>)
-    }
-
-    /// Analysis against an arbitrary loader (drivers wrap the library set
-    /// to time VIF traffic).
-    pub fn analyze_unit_with_loader(&self, unit: &Cst, loader: Rc<dyn UnitLoader>) -> AnalyzedUnit {
+    /// Analyzes one design-unit tree against the libraries behind
+    /// `loader` (usually a [`LibrarySet`]; drivers wrap it to time VIF
+    /// traffic), returning the unit without storing it.
+    pub fn analyze_unit_with_loader(
+        &self,
+        unit: &ParseTree<SrcTok>,
+        loader: Rc<dyn UnitLoader>,
+    ) -> AnalyzedUnit {
         let _t = ag_harness::trace::span("principal-ag");
         ag_harness::trace::counter("units-analyzed", 1);
         // Scope fresh uids to this unit's content so serialized VIF is
         // byte-identical no matter which thread analyzes the unit or what
         // was analyzed before it (type identity is uid equality, and the
         // batch compiler compares VIF text across worker counts).
-        crate::types::set_uid_scope(&format!("u{:08x}", unit_scope_hash(unit)));
+        crate::types::set_uid_scope(&format!("u{:08x}", src_hash(unit.leaves())));
         let actx = Rc::new(Actx {
             loader,
             std: Rc::clone(&self.std),
             expr_evals: RefCell::new(0),
         });
         let env = self.unit_start_env(&actx);
-        // Wrap the single unit as its own design file so the AG root is
-        // the start symbol; leaves carry [`Value::Tok`], the AG's value
-        // type.
-        let tree = {
-            let _t = ag_harness::trace::span("ag-tree");
-            let wrap = [self.grammar.prod("df"), self.grammar.prod("dus_one")];
-            AttrTree::from_parse_tree_with(self.pag.ag.grammar(), &wrap, unit, |t| Value::Tok(*t))
-        };
         let _t = ag_harness::trace::span("ag-eval");
         let eval = DemandEval::new(
             &self.pag.ag,
-            &tree,
+            unit,
             vec![
                 (self.pag.classes.env, Value::Env(env)),
                 (self.pag.classes.ctx, Value::Ctx(Rc::clone(&actx))),
@@ -202,8 +203,15 @@ impl Analyzer {
             ],
         );
         let mut msgs = Msgs::none();
-        let unit = match eval.root_value(self.pag.classes.units) {
+        let produced = match eval.root_value(self.pag.classes.units) {
             Ok(v) => v.expect_list().first().cloned(),
+            Err(e @ EvalError::TooDeep { node }) => {
+                // At the last token at or before the node: in postorder,
+                // the end of its subtree.
+                let at = (0..=node).rev().find_map(|n| unit.token(n)).map(|t| t.pos);
+                msgs.push(Msg::error(at.unwrap_or_default(), e.to_string()));
+                None
+            }
             Err(e) => {
                 msgs.push(Msg::error(Default::default(), format!("internal: {e}")));
                 None
@@ -212,7 +220,7 @@ impl Analyzer {
         if let Ok(m) = eval.root_value(self.pag.classes.msgs) {
             msgs = Msgs::concat(&msgs, m.as_msgs());
         }
-        let (key, node) = match unit {
+        let (key, node) = match produced {
             Some(Value::Node(node)) => (unit_key(&node), node),
             _ => {
                 if !msgs.has_errors() {
@@ -267,32 +275,6 @@ impl Analyzer {
     }
 }
 
-/// Splits a parsed design file into design-unit subtrees.
-fn split_units(cst: Cst) -> Vec<Cst> {
-    // design_file ::= design_units; design_units is left-recursive.
-    let mut units = Vec::new();
-    fn walk_units(t: Cst, out: &mut Vec<Cst>) {
-        match t {
-            ParseTree::Node { children, .. } if children.len() == 2 => {
-                // dus_more: design_units design_unit
-                let mut it = children.into_iter();
-                walk_units(it.next().expect("two children"), out);
-                out.push(it.next().expect("two children"));
-            }
-            ParseTree::Node { children, .. } if children.len() == 1 => {
-                out.push(children.into_iter().next().expect("one child"));
-            }
-            other => out.push(other),
-        }
-    }
-    if let ParseTree::Node { children, .. } = cst {
-        for c in children {
-            walk_units(c, &mut units);
-        }
-    }
-    units
-}
-
 /// Library key of an analyzed unit node.
 pub fn unit_key(node: &VifNode) -> String {
     let name = node.name().unwrap_or("anon");
@@ -309,35 +291,16 @@ pub fn unit_key(node: &VifNode) -> String {
     }
 }
 
-/// Collects the source tokens of a CST subtree in order (used by the
-/// batch driver's dependency scan).
-pub fn collect_toks(t: &Cst, out: &mut Vec<SrcTok>) {
-    match t {
-        ParseTree::Leaf { value, .. } => out.push(value.clone()),
-        ParseTree::Node { children, .. } => {
-            for c in children {
-                collect_toks(c, out);
-            }
-        }
-    }
-}
-
-/// FNV-1a hash of a unit's token run (kind + spelling, separated), the
-/// uid scope of [`Analyzer::analyze_unit_with_loader`]. Whitespace and
-/// comments don't lex, so they never perturb uids.
-fn unit_scope_hash(unit: &Cst) -> u64 {
-    fn walk(t: &Cst, h: &mut u64) {
-        match t {
-            ParseTree::Leaf { value: t, .. } => {
-                *h = fnv1a(*h, t.kind.name().as_bytes());
-                *h = fnv1a(*h, &[0x1f]);
-                *h = fnv1a(*h, t.text.as_str().as_bytes());
-                *h = fnv1a(*h, &[0x1e]);
-            }
-            ParseTree::Node { children, .. } => children.iter().for_each(|c| walk(c, h)),
-        }
-    }
-    let mut h = 0;
-    walk(unit, &mut h);
-    h
+/// FNV-1a hash of a unit's token run (`unit.leaves()`): every token's
+/// kind name and spelling, separated so adjacent tokens can't alias. It
+/// scopes the unit's uids in [`Analyzer::analyze_unit_with_loader`] and
+/// is the source half of the batch driver's incremental stamp.
+/// Whitespace and comments don't lex, so they never perturb either.
+pub fn src_hash(toks: &[SrcTok]) -> u64 {
+    toks.iter().fold(0, |h, t| {
+        let h = fnv1a(h, t.kind.name().as_bytes());
+        let h = fnv1a(h, &[0x1f]);
+        let h = fnv1a(h, t.text.as_str().as_bytes());
+        fnv1a(h, &[0x1e])
+    })
 }

@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use ag_core::{AgBuilder, AttrDir, AttrGrammar, AttrTree, ClassId, DemandEval, Implicit};
+use ag_core::{AgBuilder, AttrDir, AttrGrammar, ClassId, DemandEval, EvalError, Implicit};
 use ag_lalr::{Grammar, GrammarBuilder, ParseTable, Parser, SymbolId, Token};
 use vhdl_syntax::{Pos, SrcTok};
 use vhdl_vif::VifNode;
@@ -229,10 +229,9 @@ pub fn expr_eval(
         }
     };
 
-    let at = AttrTree::from_parse_tree_with(&ax.grammar, &[], &tree, Value::clone);
     let eval = DemandEval::new(
         &ax.ag,
-        &at,
+        &tree,
         vec![
             (ax.classes.env, Value::Env(env.clone())),
             (
@@ -245,6 +244,10 @@ pub fn expr_eval(
         Ok(Value::Node(ir)) => ir,
         Ok(other) => {
             msgs.push(Msg::error(pos, format!("internal: bad IR value {other:?}")));
+            return ExprAnswer::error(msgs);
+        }
+        Err(e @ EvalError::TooDeep { .. }) => {
+            msgs.push(Msg::error(pos, e.to_string()));
             return ExprAnswer::error(msgs);
         }
         Err(e) => {

@@ -60,6 +60,13 @@ pub enum Value {
     Ctx(Rc<crate::analyze::Actx>),
 }
 
+/// A principal-grammar leaf becomes a value when a rule demands it.
+impl From<SrcTok> for Value {
+    fn from(t: SrcTok) -> Value {
+        Value::Tok(t)
+    }
+}
+
 impl Value {
     /// Wraps a node.
     pub fn node(n: Rc<VifNode>) -> Value {

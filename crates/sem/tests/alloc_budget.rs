@@ -2,18 +2,19 @@
 //! allocator.
 //!
 //! The attribute evaluator keeps all attribute instances of a tree in one
-//! arena, gathers rule arguments on one reused stack and builds each
-//! unit's tree in one walk into two vectors. What is left is the
+//! arena, gathers rule arguments on one reused stack and decorates the
+//! parser's own tree: a unit is evaluated as parsed, and an expression's
+//! tree is the three vectors its parse fills. What is left is the
 //! semantic rules' own allocation. This test pins that down on the full
-//! adder example: the allocations made inside `analyze_unit` for all of
-//! its units, the window the `principal-ag` trace span covers.
+//! adder example: the allocations made inside `analyze_unit_with_loader`
+//! for all of its units, the window the `principal-ag` trace span covers.
 //!
 //! One test function on purpose: the counting allocator is process-global,
 //! and parallel test threads would bleed into each other's windows.
 
 use std::rc::Rc;
 
-use vhdl_sem::analyze::Analyzer;
+use vhdl_sem::analyze::{Analyzer, UnitLoader};
 use vhdl_sem::env::EnvKind;
 use vhdl_vif::{Library, LibrarySet};
 
@@ -23,8 +24,9 @@ static ALLOC: ag_harness::alloc::CountingAlloc = ag_harness::alloc::CountingAllo
 /// Allocations while analyzing `examples/full_adder.vhd`. The evaluator
 /// with a memo vector and a state vector per tree node, a hash lookup per
 /// demand and three copies of each unit's tree made 9,579; the arena
-/// evaluator makes under 5,000.
-const BUDGET: u64 = 6_500;
+/// evaluator over a copy of each parse tree made 4,229; decorating the
+/// parser's tree makes 4,000. The budget is that count plus 3%.
+const BUDGET: u64 = 4_120;
 
 #[test]
 fn full_adder_analysis_allocation_budget() {
@@ -38,7 +40,7 @@ fn full_adder_analysis_allocation_budget() {
     let mut allocs = 0;
     for u in &units {
         let before = ag_harness::alloc::stats();
-        let au = an.analyze_unit(u, &libs);
+        let au = an.analyze_unit_with_loader(u, Rc::clone(&libs) as Rc<dyn UnitLoader>);
         allocs += ag_harness::alloc::stats().allocations - before.allocations;
         assert!(!au.msgs.has_errors(), "{}: {}", au.key, au.msgs);
         libs.work().put(&au.key, &au.node).expect("stores");

@@ -3,7 +3,7 @@
 
 use std::rc::Rc;
 
-use vhdl_sem::analyze::{AnalyzedUnit, Analyzer};
+use vhdl_sem::analyze::{AnalyzedUnit, Analyzer, UnitLoader};
 use vhdl_sem::env::EnvKind;
 use vhdl_vif::{Library, LibrarySet};
 
@@ -18,7 +18,7 @@ fn setup() -> (Analyzer, Rc<LibrarySet>) {
 fn compile(an: &Analyzer, src: &str, libs: &Rc<LibrarySet>) -> Vec<AnalyzedUnit> {
     let mut out = Vec::new();
     for u in &an.parse_units(src).expect("parses") {
-        let au = an.analyze_unit(u, libs);
+        let au = an.analyze_unit_with_loader(u, Rc::clone(libs) as Rc<dyn UnitLoader>);
         if !au.msgs.has_errors() && !au.key.is_empty() {
             libs.work().put(&au.key, &au.node).expect("stores");
         }

@@ -163,6 +163,12 @@ fn client(addr: &str) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
+    // `--base` and `--stdio` analyze on this thread: give it the stack
+    // the serving and analysis workers get.
+    vhdl_driver::run_on_stack("vhdld", run)
+}
+
+fn run() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {

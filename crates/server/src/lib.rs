@@ -175,6 +175,7 @@ impl Server {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("vhdld-worker-{w}"))
+                    .stack_size(vhdl_driver::STACK_SIZE)
                     .spawn(move || worker_loop(&shared, &rx))?,
             );
         }

@@ -284,6 +284,41 @@ fn warm_analyze_of_unchanged_units_is_a_cache_hit() {
     join.join().expect("serve thread").expect("serve result");
 }
 
+/// A unit nested deeper than analysis allows is a diagnostic on the
+/// session, not a stack overflow that takes down the server with every
+/// other session on it. The default configuration analyzes on a worker
+/// pool.
+#[test]
+fn too_deep_a_unit_is_a_diagnostic_and_the_server_lives_on() {
+    let (addr, _handle, join) = start(ServerConfig {
+        quiet: true,
+        ..ServerConfig::default()
+    });
+    let src = format!(
+        "entity deep is end;\narchitecture a of deep is\nbegin\n  process\n    \
+         variable v : integer := 0;\n  begin\n{}    wait;\n  end process;\nend;\n",
+        "    v := v + 1;\n".repeat(20_000)
+    );
+    let mut c = Client::connect(&addr);
+    let r = c.ok(
+        "analyze",
+        vec![(
+            "files",
+            Json::Arr(vec![obj([
+                ("name", Json::str("deep.vhd")),
+                ("text", Json::str(src)),
+            ])]),
+        )],
+    );
+    assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
+    assert!(r.to_text().contains("nesting too deep"), "{}", r.to_text());
+
+    let mut next = Client::connect(&addr);
+    next.ok("ping", vec![]);
+    next.ok("shutdown", vec![]);
+    join.join().expect("serve thread").expect("serve result");
+}
+
 #[test]
 fn sessions_forked_from_a_base_snapshot_start_warm() {
     // Pre-compile the base incrementally so the snapshot carries stamps.

@@ -12,7 +12,9 @@
 //! use vhdl_syntax::PrincipalGrammar;
 //! let g = PrincipalGrammar::new();
 //! let cst = g.parse_str("entity e is end;")?;
-//! assert!(cst.size() > 3);
+//! // One arena in postorder: the root is last, the leaves are the tokens.
+//! assert_eq!(cst.root(), cst.len() - 1);
+//! assert_eq!(cst.leaves().len(), 5);
 //! # Ok::<(), vhdl_syntax::FrontError>(())
 //! ```
 
@@ -21,5 +23,5 @@ pub mod principal;
 pub mod token;
 
 pub use lexer::{lex, LexError};
-pub use principal::{Cst, FrontError, PrincipalGrammar};
+pub use principal::{FrontError, PrincipalGrammar};
 pub use token::{Pos, SrcTok, TokenKind};

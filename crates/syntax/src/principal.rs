@@ -15,7 +15,9 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use ag_lalr::{Grammar, GrammarBuilder, ParseError, ParseTable, Parser, ProdId, SymbolId, Token};
+use ag_lalr::{
+    Grammar, GrammarBuilder, ParseError, ParseTable, ParseTree, Parser, ProdId, SymbolId, Token,
+};
 
 use crate::lexer::{lex, LexError};
 use crate::token::{SrcTok, TokenKind};
@@ -26,9 +28,6 @@ pub struct PrincipalGrammar {
     table: ParseTable,
     term_of_kind: HashMap<TokenKind, SymbolId>,
 }
-
-/// A concrete parse tree over source tokens.
-pub type Cst = ag_lalr::ParseTree<SrcTok>;
 
 /// Errors from [`PrincipalGrammar::parse_str`].
 #[derive(Clone, Debug)]
@@ -119,9 +118,8 @@ impl PrincipalGrammar {
     /// # Errors
     ///
     /// Returns [`FrontError`] on scan or parse failure.
-    pub fn parse_str(&self, src: &str) -> Result<Cst, FrontError> {
-        let toks = lex(src)?;
-        self.parse_tokens(toks)
+    pub fn parse_str(&self, src: &str) -> Result<ParseTree<SrcTok>, FrontError> {
+        self.parse_tokens(&lex(src)?)
     }
 
     /// Parses pre-lexed tokens.
@@ -129,16 +127,15 @@ impl PrincipalGrammar {
     /// # Errors
     ///
     /// Returns [`FrontError::Parse`] on failure.
-    pub fn parse_tokens(&self, toks: Vec<SrcTok>) -> Result<Cst, FrontError> {
-        let positions: Vec<_> = toks.iter().map(|t| t.pos).collect();
+    pub fn parse_tokens(&self, toks: &[SrcTok]) -> Result<ParseTree<SrcTok>, FrontError> {
         let parser = Parser::new(&self.grammar, &self.table);
         parser
             .parse(
-                toks.into_iter()
-                    .map(|t| Token::new(self.term_of_kind[&t.kind], t)),
+                toks.iter()
+                    .map(|&t| Token::new(self.term_of_kind[&t.kind], t)),
             )
             .map_err(|error| {
-                let pos = positions.get(error.at).copied();
+                let pos = toks.get(error.at).map(|t| t.pos);
                 FrontError::Parse { error, pos }
             })
     }

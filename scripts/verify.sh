@@ -93,12 +93,49 @@ PARSES="$(sed -n 's/^vifb: .* \([0-9][0-9]*\) text parses$/\1/p' "$BATCH_WORK/wa
 [ -n "$PARSES" ] && [ "$PARSES" -ge 1 ] && [ "$PARSES" -le 10 ] \
     || { echo "verify: warm rerun parsed VIF text ${PARSES:-?} times, want 1..10" >&2; exit 1; }
 
+echo "==> deep units end in a diagnostic at every --jobs, never in a signal"
+# Attribute demands recurse as deep as the parse tree. A process of
+# 20,000 statements and an expression in 4,000 pairs of parentheses must
+# each exit by status (0 or 1) at --jobs 1 (analysis on the main path)
+# and --jobs 2 (pool workers), with the same output.
+HOSTILE="$BATCH_WORK/hostile"
+mkdir "$HOSTILE"
+HEAD='entity deep is end;
+architecture a of deep is
+begin
+  process
+    variable v : integer := 0;
+  begin'
+TAIL='    wait;
+  end process;
+end;'
+awk -v head="$HEAD" -v tail="$TAIL" 'BEGIN {
+    print head; for (i = 0; i < 20000; i++) print "    v := v + 1;"; print tail
+}' >"$HOSTILE/stmts.vhd"
+awk -v head="$HEAD" -v tail="$TAIL" 'BEGIN {
+    for (i = 0; i < 4000; i++) { o = o "("; c = c ")" }
+    print head; print "    v := " o "1" c ";"; print tail
+}' >"$HOSTILE/parens.vhd"
+for f in stmts parens; do
+    for j in 1 2; do
+        rc=0
+        ./target/release/vhdlc --jobs "$j" "$HOSTILE/$f.vhd" >"$HOSTILE/$f.$j.log" 2>&1 || rc=$?
+        [ "$rc" -le 1 ] \
+            || { echo "verify: vhdlc --jobs $j on $f.vhd exited with status $rc" >&2; exit 1; }
+        echo "exit $rc" >>"$HOSTILE/$f.$j.log"
+    done
+    cat "$HOSTILE/$f.1.log"
+    cmp -s "$HOSTILE/$f.1.log" "$HOSTILE/$f.2.log" \
+        || { echo "verify: vhdlc on $f.vhd differs between --jobs 1 and 2" >&2; exit 1; }
+done
+
 echo "==> vhdld loopback session (analyze -> elaborate -> run -> checkpoint -> inspect -> shutdown)"
 # Start the pooled server (explicit worker/acceptor counts so the sharded
 # core — not a fallback path — serves this) on an ephemeral loopback port,
-# script one full session through the built-in client, and assert a clean
-# drain: every response ok, the simulation quiescent, a checkpoint blob
-# produced, and the server process exiting by itself.
+# send it the deep units, then script one full session through the
+# built-in client, and assert a clean drain: every response ok, the
+# simulation quiescent, a checkpoint blob produced, and the server
+# process exiting by itself.
 ./target/release/vhdld --listen 127.0.0.1:0 --quiet \
     --workers 2 --acceptors 1 --tenant-quota 4 >"$BATCH_WORK/vhdld.out" &
 VHDLD_PID=$!
@@ -109,6 +146,14 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -n "$ADDR" ] || { echo "verify: vhdld never started listening" >&2; exit 1; }
+# A session analyzing the deep units first: it gets diagnostics, and the
+# server and the scripted session after it carry on.
+./target/release/vhdld --connect "$ADDR" >"$BATCH_WORK/hostile.log" <<EOF
+{"op":"analyze","paths":["$HOSTILE/stmts.vhd","$HOSTILE/parens.vhd"]}
+EOF
+cat "$BATCH_WORK/hostile.log"
+grep -q 'nesting too deep' "$BATCH_WORK/hostile.log" \
+    || { echo "verify: vhdld did not diagnose the deep units" >&2; exit 1; }
 ./target/release/vhdld --connect "$ADDR" >"$BATCH_WORK/session.log" <<'EOF'
 {"op":"analyze","paths":["examples/full_adder.vhd"]}
 {"op":"elaborate","entity":"tb"}
