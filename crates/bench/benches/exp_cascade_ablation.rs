@@ -118,10 +118,12 @@ fn main() {
         let mut env = s.env.clone();
         for i in 0..extra {
             let obj = vhdl_sem::decl::mk_obj(
+                format!("filler{i}"),
                 vhdl_sem::decl::ObjClass::Variable,
                 &format!("filler{i}"),
                 &s.std.integer,
                 vhdl_sem::decl::Mode::In,
+                None,
                 None,
             );
             env = env.bind(&format!("filler{i}"), vhdl_sem::env::Den::local(obj));

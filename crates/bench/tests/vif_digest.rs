@@ -1,49 +1,58 @@
 //! Pins what analysis emits: the VIF text of every unit of a fixed set of
 //! designs must hash to the digests recorded here.
 //!
-//! Type identity in VIF is a per-unit `fresh_uid` counter, so the order in
-//! which the attribute evaluator runs semantic rules is visible in the
-//! bytes. An evaluator change that reorders rules, drops a diagnostic or
-//! renames a uid fails here even when every design still analyzes
-//! cleanly. The set covers the full adder example, sixteen seeded conform
-//! designs (eight small, eight heavy) and the configuration-unit library.
+//! A uid names a declaration by its unit's content hash and its
+//! declaring token's ordinal in the unit (`vhdl_sem::uid`), so the bytes
+//! depend on what a unit says, not on the order in which the attribute
+//! evaluator runs semantic rules. An analysis change that drops a
+//! diagnostic, reshapes a node or renames a uid still fails here even
+//! when every design analyzes cleanly. The set covers the full adder
+//! example, sixteen seeded conform designs (eight small, eight heavy) and
+//! the configuration-unit library.
 //!
 //! Each design is compiled twice: through `Compiler::compile`, one source
 //! at a time, whose inline waves commit the analyzed trees, and through
 //! `compile_batch` at two jobs, whose workers ship VIF text. Both must
 //! give the recorded digests, so the tree path and the byte path store
-//! the same units.
+//! the same units. Over the same designs, the uids must not move when
+//! the layout does, and the visit-sequence evaluator (`PlanEval`) must
+//! print the same VIF as the production demand evaluator.
 //!
 //! On an intended change to analysis output, the failure message prints
 //! the new table.
+
+use std::rc::Rc;
 
 use ag_harness::fnv1a;
 use ag_harness::Source;
 use vhdl_conform::{gen_design, Profile};
 use vhdl_driver::batch::{BatchOptions, BatchResult};
 use vhdl_driver::Compiler;
+use vhdl_sem::analyze::{Analyzer, UnitLoader};
+use vhdl_sem::env::EnvKind;
+use vhdl_vif::{write_vif, Library, LibrarySet};
 
 /// `(design, units, digest)`: the digest folds every unit's key,
 /// diagnostics and VIF text in compilation order.
 const GOLDEN: &[(&str, usize, u64)] = &[
-    ("full_adder", 10, 0xe6f551c2373a7ff8),
-    ("small-1", 6, 0x6cc8169a1758539a),
-    ("small-2", 6, 0x2d4e063eac65ced6),
-    ("small-3", 4, 0xe8266959451c9a95),
-    ("small-4", 6, 0x343d624e7357da44),
-    ("small-5", 6, 0x26d11531bf98aefc),
-    ("small-6", 4, 0xd11333cd4df090b2),
-    ("small-7", 4, 0x74967de6739bbd5e),
-    ("small-8", 6, 0x8b9a1eeb9e9ef872),
-    ("heavy-1", 6, 0x56203d0b94e3efe1),
-    ("heavy-2", 6, 0xfe1cd566e0adcbfb),
-    ("heavy-3", 6, 0xd006e58add28be9c),
-    ("heavy-4", 6, 0xdfd5c92a8bde8fc9),
-    ("heavy-5", 6, 0x92b89e6f9869f5df),
-    ("heavy-6", 6, 0x18d847456fd654ef),
-    ("heavy-7", 6, 0x6c36779e69db2711),
-    ("heavy-8", 6, 0x04e99f38050bd735),
-    ("config_library_4", 15, 0x9281de2a995fc78b),
+    ("full_adder", 10, 0x21f02812ebe21650),
+    ("small-1", 6, 0xa836c522348ce46d),
+    ("small-2", 6, 0xa4804d9f78e63637),
+    ("small-3", 4, 0x3f8474129add7780),
+    ("small-4", 6, 0x3bb373efe6c5bf9b),
+    ("small-5", 6, 0x787465d2346ed2ca),
+    ("small-6", 4, 0xd6209359e4af9e44),
+    ("small-7", 4, 0x115b5eed807a4573),
+    ("small-8", 6, 0x87305f4cb96e9c14),
+    ("heavy-1", 6, 0x530ee25f47ab0bf9),
+    ("heavy-2", 6, 0xf51182acd19a3314),
+    ("heavy-3", 6, 0xaec766b2249e0818),
+    ("heavy-4", 6, 0x470e5fc0e6ce9eae),
+    ("heavy-5", 6, 0x98131e86faf08daa),
+    ("heavy-6", 6, 0x8b4cb386146a9b9b),
+    ("heavy-7", 6, 0xf605003bd1c12ee5),
+    ("heavy-8", 6, 0xdcc730d9bf66a261),
+    ("config_library_4", 15, 0x614cd32b4c290754),
 ];
 
 /// How a design reaches the work library.
@@ -141,4 +150,108 @@ fn check(designs: &[(String, Vec<String>)], path: Path) {
             .collect();
         panic!("{path:?} analysis output drifted from the recorded digests; now:\n{table}");
     }
+}
+
+/// Compiles `sources` one at a time into one in-memory work library and
+/// returns every unit's key and VIF text in compilation order.
+fn unit_texts(sources: &[String]) -> Vec<(String, String)> {
+    let c = Compiler::in_memory();
+    let mut out = Vec::new();
+    for src in sources {
+        let res = c.compile(src).expect("design parses");
+        assert!(res.ok(), "{:?}", res.units);
+        for u in &res.units {
+            let vif = c.libs.work().peek_raw(&u.key).expect("committed");
+            out.push((u.key.clone(), vif));
+        }
+    }
+    out
+}
+
+/// The values of the uid-carrying fields (`uid`, `sub_uid`, `formal_uid`
+/// and an `attrspec`'s `key`) of a unit's VIF text, in print order.
+fn uid_fields(vif: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    // What follows the last `(` outside a string: a field's name.
+    let mut head = String::new();
+    let mut chars = vif.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '(' => head.clear(),
+            '"' => {
+                let mut s = String::new();
+                while let Some(c) = chars.next() {
+                    match c {
+                        '\\' => s.extend(chars.next()),
+                        '"' => break,
+                        c => s.push(c),
+                    }
+                }
+                if matches!(head.as_str(), "uid " | "sub_uid " | "formal_uid " | "key ") {
+                    out.push(s);
+                }
+                head.push('"');
+            }
+            c => head.push(c),
+        }
+    }
+    out
+}
+
+#[test]
+fn uids_ignore_layout() {
+    for (name, srcs) in designs() {
+        let moved: Vec<String> = srcs
+            .iter()
+            .map(|s| {
+                format!(
+                    "\n\n\n{}",
+                    s.lines().map(|l| format!("  {l}\n")).collect::<String>()
+                )
+            })
+            .collect();
+        let (given, relaid) = (unit_texts(&srcs), unit_texts(&moved));
+        assert_eq!(given.len(), relaid.len(), "{name}");
+        for ((key, a), (key2, b)) in given.iter().zip(&relaid) {
+            assert_eq!(key, key2, "{name}");
+            let fields = uid_fields(a);
+            assert!(!fields.is_empty(), "{name} {key}");
+            assert_eq!(fields, uid_fields(b), "{name} {key}");
+        }
+    }
+}
+
+#[test]
+fn plan_evaluation_prints_the_production_vif() {
+    // Plan visits recurse along the tree, like demand evaluation.
+    ag_harness::pool::run_on_stack("plan-oracle", || {
+        let an = Analyzer::new(EnvKind::Tree);
+        let ag = &an.pag.ag;
+        let plans =
+            ag_core::plan(ag, &ag_core::analyze(ag).expect("noncircular")).expect("ordered");
+        let mut units = 0;
+        for (name, srcs) in designs() {
+            let libs = Rc::new(LibrarySet::new(Rc::new(Library::in_memory("work")), vec![]));
+            for src in &srcs {
+                for unit in an.parse_units(src).expect("design parses") {
+                    let loader = Rc::clone(&libs) as Rc<dyn UnitLoader>;
+                    let au = an.analyze_unit_with_loader(&unit, Rc::clone(&loader));
+                    let (_, inputs) = an.root_inputs(&unit, loader);
+                    let mut pe = ag_core::PlanEval::new(ag, &plans, &unit);
+                    pe.run(inputs).expect("plan evaluation");
+                    let planned = pe.root_value(an.pag.classes.units).expect("units");
+                    let planned = planned.expect_list()[0].expect_node();
+                    assert_eq!(
+                        write_vif(&planned),
+                        write_vif(&au.node),
+                        "{name} {}",
+                        au.key
+                    );
+                    libs.work().put(&au.key, &au.node).expect("stores");
+                    units += 1;
+                }
+            }
+        }
+        assert_eq!(units, GOLDEN.iter().map(|g| g.1).sum::<usize>());
+    });
 }

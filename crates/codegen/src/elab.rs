@@ -250,8 +250,7 @@ impl<'a> Elab<'a> {
         cfg_binds: &[CfgBind],
     ) -> Result<(), ElabError> {
         // Each instance gets its own storage scope: the same architecture
-        // instantiated twice binds its objects to different signals, and
-        // position-derived uids from different units must not clash.
+        // instantiated twice binds its objects to different signals.
         let saved_storage = self.ctx.storage.clone();
         let result = self.instantiate_scoped(
             entity_name,

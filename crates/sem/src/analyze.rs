@@ -5,7 +5,7 @@
 use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
 
-use ag_core::{DemandEval, EvalError};
+use ag_core::{ClassId, DemandEval, EvalError};
 use ag_harness::fnv1a;
 use ag_lalr::ParseTree;
 use vhdl_syntax::{FrontError, PrincipalGrammar, SrcTok};
@@ -15,6 +15,7 @@ use crate::env::{Den, Env, EnvKind, Visibility};
 use crate::msg::{Msg, Msgs};
 use crate::principal_ag::PrincipalAg;
 use crate::standard::{standard, Standard};
+use crate::uid::UidScope;
 use crate::value::Value;
 
 /// Loads separately-compiled units — the foreign-reference interface the
@@ -78,6 +79,8 @@ pub struct Actx {
     pub std: Rc<Standard>,
     /// Statistics: number of `expr_eval` invocations (cascade count).
     pub expr_evals: RefCell<u64>,
+    /// The unit's uid scope: every declaration's uid is minted here.
+    pub uids: UidScope,
 }
 
 impl std::fmt::Debug for Actx {
@@ -181,27 +184,9 @@ impl Analyzer {
     ) -> AnalyzedUnit {
         let _t = ag_harness::trace::span("principal-ag");
         ag_harness::trace::counter("units-analyzed", 1);
-        // Scope fresh uids to this unit's content so serialized VIF is
-        // byte-identical no matter which thread analyzes the unit or what
-        // was analyzed before it (type identity is uid equality, and the
-        // batch compiler compares VIF text across worker counts).
-        crate::types::set_uid_scope(&format!("u{:08x}", src_hash(unit.leaves())));
-        let actx = Rc::new(Actx {
-            loader,
-            std: Rc::clone(&self.std),
-            expr_evals: RefCell::new(0),
-        });
-        let env = self.unit_start_env(&actx);
+        let (actx, inputs) = self.root_inputs(unit, loader);
         let _t = ag_harness::trace::span("ag-eval");
-        let eval = DemandEval::new(
-            &self.pag.ag,
-            unit,
-            vec![
-                (self.pag.classes.env, Value::Env(env)),
-                (self.pag.classes.ctx, Value::Ctx(Rc::clone(&actx))),
-                (self.pag.classes.level, Value::Int(0)),
-            ],
-        );
+        let eval = DemandEval::new(&self.pag.ag, unit, inputs);
         let mut msgs = Msgs::none();
         let produced = match eval.root_value(self.pag.classes.units) {
             Ok(v) => v.expect_list().first().cloned(),
@@ -236,6 +221,29 @@ impl Analyzer {
             msgs,
             expr_evals,
         }
+    }
+
+    /// The principal AG's root inputs for `unit` (ENV, CTX, LEVEL) and the
+    /// analysis context they carry.
+    pub fn root_inputs(
+        &self,
+        unit: &ParseTree<SrcTok>,
+        loader: Rc<dyn UnitLoader>,
+    ) -> (Rc<Actx>, Vec<(ClassId, Value)>) {
+        let actx = Rc::new(Actx {
+            loader,
+            std: Rc::clone(&self.std),
+            expr_evals: RefCell::new(0),
+            uids: UidScope::unit(unit.leaves()),
+        });
+        let env = self.unit_start_env(&actx);
+        let classes = &self.pag.classes;
+        let inputs = vec![
+            (classes.env, Value::Env(env)),
+            (classes.ctx, Value::Ctx(Rc::clone(&actx))),
+            (classes.level, Value::Int(0)),
+        ];
+        (actx, inputs)
     }
 
     /// The environment a fresh compilation unit starts with: STD.STANDARD
@@ -293,8 +301,8 @@ pub fn unit_key(node: &VifNode) -> String {
 
 /// FNV-1a hash of a unit's token run (`unit.leaves()`): every token's
 /// kind name and spelling, separated so adjacent tokens can't alias. It
-/// scopes the unit's uids in [`Analyzer::analyze_unit_with_loader`] and
-/// is the source half of the batch driver's incremental stamp.
+/// scopes the unit's uids ([`UidScope`]) and is the source half of the
+/// batch driver's incremental stamp.
 /// Whitespace and comments don't lex, so they never perturb either.
 pub fn src_hash(toks: &[SrcTok]) -> u64 {
     toks.iter().fold(0, |h, t| {

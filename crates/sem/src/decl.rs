@@ -7,7 +7,8 @@ use std::rc::Rc;
 
 use vhdl_vif::{VifNode, VifValue};
 
-use crate::types::{fresh_uid, Ty};
+use crate::types::Ty;
+use crate::uid;
 
 /// Object classes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,22 +82,28 @@ impl Mode {
     }
 }
 
-/// Builds an object denotation (`obj` node).
+/// Builds an object denotation (`obj` node); `signal_kind` is `bus` or
+/// `register` for a guarded signal.
 pub fn mk_obj(
+    uid: String,
     class: ObjClass,
     name: &str,
     ty: &Ty,
     mode: Mode,
     init: Option<Rc<VifNode>>,
+    signal_kind: Option<&str>,
 ) -> Rc<VifNode> {
     let mut b = VifNode::build("obj")
         .name(name)
-        .str_field("uid", fresh_uid(name))
+        .str_field("uid", uid)
         .str_field("class", class.encode())
         .str_field("mode", mode.encode())
         .node_field("ty", Rc::clone(ty));
     if let Some(init) = init {
         b = b.node_field("init", init);
+    }
+    if let Some(k) = signal_kind {
+        b = b.str_field("signal_kind", k);
     }
     b.done()
 }
@@ -139,37 +146,31 @@ impl Param {
     }
 }
 
-/// Builds a subprogram denotation. `builtin` names a runtime-support
+/// Builds a subprogram denotation; each parameter's uid derives from
+/// `uid` and the parameter's name. `builtin` names a runtime-support
 /// operation for implicitly declared operators; user subprograms carry a
 /// `body` (statement IR list) and `locals` instead, attached later via
 /// [`with_body`].
 pub fn mk_subprog(
+    uid: String,
     name: &str,
     params: Vec<Param>,
     ret: Option<&Ty>,
     builtin: Option<&str>,
 ) -> Rc<VifNode> {
+    let params = params
+        .into_iter()
+        .map(|p| {
+            let puid = uid::implied(&uid, &p.name);
+            VifValue::Node(mk_obj(
+                puid, p.class, &p.name, &p.ty, p.mode, p.default, None,
+            ))
+        })
+        .collect();
     let mut b = VifNode::build("subprog")
         .name(name)
-        .str_field("uid", fresh_uid(name))
-        .list_field(
-            "params",
-            params
-                .into_iter()
-                .map(|p| {
-                    let mut pb = VifNode::build("obj")
-                        .name(p.name.as_str())
-                        .str_field("uid", fresh_uid(&p.name))
-                        .str_field("class", p.class.encode())
-                        .str_field("mode", p.mode.encode())
-                        .node_field("ty", p.ty);
-                    if let Some(d) = p.default {
-                        pb = pb.node_field("init", d);
-                    }
-                    VifValue::Node(pb.done())
-                })
-                .collect(),
-        );
+        .str_field("uid", uid)
+        .list_field("params", params);
     if let Some(r) = ret {
         b = b.node_field("ret", Rc::clone(r));
     }
@@ -215,28 +216,29 @@ pub fn subprog_ret(sp: &VifNode) -> Option<Ty> {
 }
 
 /// Builds an enumeration-literal denotation (overloadable).
-pub fn mk_enumlit(name: &str, ty: &Ty, pos: i64) -> Rc<VifNode> {
+pub fn mk_enumlit(uid: String, name: &str, ty: &Ty, pos: i64) -> Rc<VifNode> {
     VifNode::build("enumlit")
         .name(name)
-        .str_field("uid", fresh_uid(name))
+        .str_field("uid", uid)
         .node_field("ty", Rc::clone(ty))
         .int_field("pos", pos)
         .done()
 }
 
 /// Builds a physical-unit denotation (overloadable).
-pub fn mk_physunit(name: &str, ty: &Ty, factor: i64) -> Rc<VifNode> {
+pub fn mk_physunit(uid: String, name: &str, ty: &Ty, factor: i64) -> Rc<VifNode> {
     VifNode::build("physunit")
         .name(name)
-        .str_field("uid", fresh_uid(name))
+        .str_field("uid", uid)
         .node_field("ty", Rc::clone(ty))
         .int_field("factor", factor)
         .done()
 }
 
 /// Builds a binary operator denotation with runtime-support code `code`.
-pub fn mk_binop(sym: &str, lhs: &Ty, rhs: &Ty, ret: &Ty, code: &str) -> Rc<VifNode> {
+pub fn mk_binop(uid: String, sym: &str, lhs: &Ty, rhs: &Ty, ret: &Ty, code: &str) -> Rc<VifNode> {
     mk_subprog(
+        uid,
         sym,
         vec![Param::value("l", lhs), Param::value("r", rhs)],
         Some(ret),
@@ -245,8 +247,14 @@ pub fn mk_binop(sym: &str, lhs: &Ty, rhs: &Ty, ret: &Ty, code: &str) -> Rc<VifNo
 }
 
 /// Builds a unary operator denotation.
-pub fn mk_unop(sym: &str, arg: &Ty, ret: &Ty, code: &str) -> Rc<VifNode> {
-    mk_subprog(sym, vec![Param::value("x", arg)], Some(ret), Some(code))
+pub fn mk_unop(uid: String, sym: &str, arg: &Ty, ret: &Ty, code: &str) -> Rc<VifNode> {
+    mk_subprog(
+        uid,
+        sym,
+        vec![Param::value("x", arg)],
+        Some(ret),
+        Some(code),
+    )
 }
 
 #[cfg(test)]
@@ -256,8 +264,16 @@ mod tests {
 
     #[test]
     fn obj_round_trip() {
-        let int = mk_int("integer", -10, 10);
-        let o = mk_obj(ObjClass::Signal, "clk", &int, Mode::In, None);
+        let int = mk_int("integer".into(), "integer", -10, 10);
+        let o = mk_obj(
+            "clk".into(),
+            ObjClass::Signal,
+            "clk",
+            &int,
+            Mode::In,
+            None,
+            None,
+        );
         assert_eq!(o.kind(), "obj");
         assert_eq!(o.name(), Some("clk"));
         assert_eq!(obj_class(&o), Some(ObjClass::Signal));
@@ -270,9 +286,10 @@ mod tests {
 
     #[test]
     fn subprog_shape() {
-        let int = mk_int("integer", -10, 10);
-        let bit = mk_enum("bit", &["'0'", "'1'"]);
+        let int = mk_int("integer".into(), "integer", -10, 10);
+        let bit = mk_enum("bit".into(), "bit", &["'0'", "'1'"]);
         let f = mk_subprog(
+            "f@u1.2".into(),
             "f",
             vec![Param::value("a", &int), Param::value("b", &bit)],
             Some(&int),
@@ -281,17 +298,18 @@ mod tests {
         assert_eq!(subprog_params(&f).len(), 2);
         assert!(subprog_ret(&f).is_some());
         assert_eq!(f.str_field("builtin"), None);
-        let op = mk_binop("+", &int, &int, &int, "add");
+        assert_eq!(subprog_params(&f)[1].str_field("uid"), Some("f@u1.2/b"));
+        let op = mk_binop("integer/+.0".into(), "+", &int, &int, &int, "add");
         assert_eq!(op.str_field("builtin"), Some("add"));
         assert_eq!(subprog_params(&op).len(), 2);
-        let neg = mk_unop("-", &int, &int, "neg");
+        let neg = mk_unop("integer/-.1".into(), "-", &int, &int, "neg");
         assert_eq!(subprog_params(&neg).len(), 1);
     }
 
     #[test]
     fn with_body_preserves_uid() {
-        let int = mk_int("integer", -10, 10);
-        let f = mk_subprog("f", vec![], Some(&int), None);
+        let int = mk_int("integer".into(), "integer", -10, 10);
+        let f = mk_subprog("f".into(), "f", vec![], Some(&int), None);
         let done = with_body(&f, vec![], vec![], 1);
         assert_eq!(done.str_field("uid"), f.str_field("uid"));
         assert_eq!(done.name(), Some("f"));

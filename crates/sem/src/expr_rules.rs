@@ -1058,11 +1058,11 @@ fn install_attr_rules(ab: &mut AgBuilder<Value>, g: &Grammar, c: &ExprClasses) {
 }
 
 /// Looks up a user-defined attribute specification: the environment binds
-/// `attr$<prefix_uid>$<attr>` to an `attrspec` node. User-defined
+/// [`crate::uid::attr_key`] to an `attrspec` node. User-defined
 /// attributes take precedence over predefined ones — the §3.2/§4.1
 /// `X'REVERSE_RANGE` situation.
 fn user_attr(e: &Env, prefix_uid: &str, attr: &str) -> Option<Rc<VifNode>> {
-    e.lookup_one(&format!("attr${prefix_uid}${attr}"))
+    e.lookup_one(crate::uid::attr_key(prefix_uid, attr))
         .map(|d| d.node)
 }
 

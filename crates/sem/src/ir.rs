@@ -78,7 +78,7 @@ pub fn e_index(base: Ir, idx: Ir) -> Ir {
 pub fn e_slice(base: Ir, lo: Ir, hi: Ir, dir: Dir) -> Ir {
     let bty = ty_of(&base);
     let ty = match (const_int(&lo), const_int(&hi)) {
-        (Some(l), Some(h)) => types::mk_array_subtype(&types::base_type(&bty), l, h, dir),
+        (Some(l), Some(h)) => types::anon_subtype(&types::base_type(&bty), Some((l, h, dir)), None),
         _ => types::base_type(&bty),
     };
     VifNode::build("e.slice")
@@ -340,10 +340,15 @@ mod tests {
 
     #[test]
     fn const_folding() {
-        let int = mk_int("integer", i32::MIN as i64, i32::MAX as i64);
+        let int = mk_int(
+            "integer".into(),
+            "integer",
+            i32::MIN as i64,
+            i32::MAX as i64,
+        );
         let a = e_int(6, &int);
         let b = e_int(7, &int);
-        let op = crate::decl::mk_binop("*", &int, &int, &int, "mul");
+        let op = crate::decl::mk_binop("*".into(), "*", &int, &int, &int, "mul");
         let call = e_call(&op, vec![a, b], &int);
         assert_eq!(const_int(&call), Some(42));
         assert_eq!(ty_of(&call).name(), Some("integer"));
@@ -351,19 +356,29 @@ mod tests {
 
     #[test]
     fn fold_through_constants_and_conversions() {
-        let int = mk_int("integer", -100, 100);
+        let int = mk_int("integer".into(), "integer", -100, 100);
         let c = mk_obj(
+            "k".into(),
             ObjClass::Constant,
             "k",
             &int,
             Mode::In,
             Some(e_int(5, &int)),
+            None,
         );
         let r = e_ref(&c);
         assert_eq!(const_int(&r), Some(5));
         let conv = e_conv(e_int(9, &int), &int);
         assert_eq!(const_int(&conv), Some(9));
-        let v = mk_obj(ObjClass::Variable, "v", &int, Mode::In, None);
+        let v = mk_obj(
+            "v".into(),
+            ObjClass::Variable,
+            "v",
+            &int,
+            Mode::In,
+            None,
+            None,
+        );
         assert_eq!(const_int(&e_ref(&v)), None);
     }
 
@@ -381,10 +396,15 @@ mod tests {
 
     #[test]
     fn slice_types() {
-        let int = mk_int("integer", i32::MIN as i64, i32::MAX as i64);
-        let bit = mk_enum("bit", &["'0'", "'1'"]);
-        let bv = mk_array_unconstrained("bit_vector", &int, &bit);
-        let sig = mk_obj(ObjClass::Signal, "v", &bv, Mode::In, None);
+        let int = mk_int(
+            "integer".into(),
+            "integer",
+            i32::MIN as i64,
+            i32::MAX as i64,
+        );
+        let bit = mk_enum("bit".into(), "bit", &["'0'", "'1'"]);
+        let bv = mk_array_unconstrained("bit_vector".into(), "bit_vector", &int, &bit);
+        let sig = mk_obj("v".into(), ObjClass::Signal, "v", &bv, Mode::In, None, None);
         let s = e_slice(e_ref(&sig), e_int(7, &int), e_int(4, &int), Dir::Downto);
         assert_eq!(
             crate::types::array_bounds(&ty_of(&s)),
@@ -396,8 +416,16 @@ mod tests {
 
     #[test]
     fn stmt_nodes_have_expected_shapes() {
-        let int = mk_int("integer", -10, 10);
-        let v = mk_obj(ObjClass::Variable, "v", &int, Mode::In, None);
+        let int = mk_int("integer".into(), "integer", -10, 10);
+        let v = mk_obj(
+            "v".into(),
+            ObjClass::Variable,
+            "v",
+            &int,
+            Mode::In,
+            None,
+            None,
+        );
         let assign = s_assign_var(e_ref(&v), e_int(1, &int));
         assert_eq!(assign.kind(), "s.assign_var");
         let w = s_assign_sig(e_ref(&v), vec![wv(e_int(0, &int), None)], true);

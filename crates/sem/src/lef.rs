@@ -23,6 +23,7 @@ use crate::decl::{mk_obj, Mode, ObjClass};
 use crate::env::Env;
 use crate::msg::{Msg, Msgs};
 use crate::types;
+use crate::uid::ERROR_OBJ;
 
 /// Category of a LEF token. Each maps 1:1 to a terminal of the expression
 /// grammar.
@@ -468,7 +469,15 @@ pub fn build_lef(toks: &[SrcTok], ctx: &LefCtx<'_>) -> (Vec<LefTok>, Msgs) {
 /// identifier.
 fn error_obj_tok(name: Symbol, pos: Pos) -> LefTok {
     let ty = types::universal_int();
-    let obj = mk_obj(ObjClass::Variable, &name, &ty, Mode::In, None);
+    let obj = mk_obj(
+        ERROR_OBJ.into(),
+        ObjClass::Variable,
+        &name,
+        &ty,
+        Mode::In,
+        None,
+        None,
+    );
     LefTok {
         kind: LefKind::Obj,
         text: name,
@@ -512,15 +521,37 @@ mod tests {
             .env
             .bind(
                 "arr",
-                Den::local(mk_obj(ObjClass::Variable, "arr", bv, Mode::In, None)),
+                Den::local(mk_obj(
+                    "arr".into(),
+                    ObjClass::Variable,
+                    "arr",
+                    bv,
+                    Mode::In,
+                    None,
+                    None,
+                )),
             )
             .bind(
                 "y",
-                Den::local(mk_obj(ObjClass::Variable, "y", int, Mode::In, None)),
+                Den::local(mk_obj(
+                    "y".into(),
+                    ObjClass::Variable,
+                    "y",
+                    int,
+                    Mode::In,
+                    None,
+                    None,
+                )),
             )
             .bind(
                 "f",
-                Den::local(crate::decl::mk_subprog("f", vec![], Some(int), None)),
+                Den::local(crate::decl::mk_subprog(
+                    "f".into(),
+                    "f",
+                    vec![],
+                    Some(int),
+                    None,
+                )),
             );
         assert_eq!(
             kinds("f(y)", &env),
@@ -552,10 +583,12 @@ mod tests {
         let env = s.env.bind(
             "v",
             Den::local(mk_obj(
+                "v".into(),
                 ObjClass::Signal,
                 "v",
                 &s.std.bit_vector,
                 Mode::In,
+                None,
                 None,
             )),
         );
@@ -606,6 +639,7 @@ mod tests {
         let env = s.env.bind(
             "f",
             Den::local(crate::decl::mk_subprog(
+                "f".into(),
                 "f",
                 vec![],
                 Some(&s.std.integer),
@@ -630,6 +664,7 @@ mod tests {
     fn record_field_after_dot() {
         let s = standard(EnvKind::Tree);
         let pair = crate::types::mk_record(
+            "pair".into(),
             "pair",
             &[
                 ("x", Rc::clone(&s.std.integer)),
@@ -638,7 +673,15 @@ mod tests {
         );
         let env = s.env.bind(
             "p",
-            Den::local(mk_obj(ObjClass::Variable, "p", &pair, Mode::In, None)),
+            Den::local(mk_obj(
+                "p".into(),
+                ObjClass::Variable,
+                "p",
+                &pair,
+                Mode::In,
+                None,
+                None,
+            )),
         );
         assert_eq!(
             kinds("p.x + 1", &env),
@@ -655,7 +698,15 @@ mod tests {
     #[test]
     fn expanded_names_through_packages() {
         let s = standard(EnvKind::Tree);
-        let obj = mk_obj(ObjClass::Constant, "max", &s.std.integer, Mode::In, None);
+        let obj = mk_obj(
+            "max".into(),
+            ObjClass::Constant,
+            "max",
+            &s.std.integer,
+            Mode::In,
+            None,
+            None,
+        );
         let pkg = VifNode::build("pkg")
             .name("p")
             .list_field("decls", vec![vhdl_vif::VifValue::Node(Rc::clone(&obj))])
@@ -698,8 +749,8 @@ mod tests {
     #[test]
     fn pkg_select_overloads() {
         let s = standard(EnvKind::Tree);
-        let f1 = crate::decl::mk_subprog("f", vec![], Some(&s.std.integer), None);
-        let f2 = crate::decl::mk_subprog("f", vec![], Some(&s.std.boolean), None);
+        let f1 = crate::decl::mk_subprog("f@1".into(), "f", vec![], Some(&s.std.integer), None);
+        let f2 = crate::decl::mk_subprog("f@2".into(), "f", vec![], Some(&s.std.boolean), None);
         let pkg = VifNode::build("pkg")
             .name("p")
             .list_field(

@@ -24,6 +24,7 @@ pub mod principal_rules;
 pub mod principal_rules2;
 pub mod standard;
 pub mod types;
+pub mod uid;
 pub mod value;
 
 use std::rc::Rc;

@@ -14,12 +14,11 @@ use vhdl_vif::{VifNode, VifValue};
 
 use crate::analyze::Actx;
 use crate::decl::{self, Mode, ObjClass};
-use crate::env::{Den, Env, Visibility};
+use crate::env::{Den, Env};
 use crate::expr_ag::{expr_eval, ExprAnswer};
 use crate::ir;
 use crate::lef::pkg_select;
 use crate::msg::{Msg, Msgs};
-use crate::standard::implicit_ops;
 use crate::types::{self, Ty};
 use crate::value::Value;
 
@@ -132,37 +131,6 @@ impl U<'_> {
     }
 }
 
-/// Position-derived unique id: deterministic so that rules recomputing the
-/// same declaration produce identical nodes.
-pub fn uid_at(name: &str, pos: Pos) -> String {
-    format!("{name}@{}:{}", pos.line, pos.col)
-}
-
-/// Builds an object node with a position-derived uid.
-pub fn obj_at(
-    class: ObjClass,
-    name: &str,
-    pos: Pos,
-    ty: &Ty,
-    mode: Mode,
-    init: Option<Rc<VifNode>>,
-    signal_kind: Option<&str>,
-) -> Rc<VifNode> {
-    let mut b = VifNode::build("obj")
-        .name(name)
-        .str_field("uid", uid_at(name, pos))
-        .str_field("class", class.encode())
-        .str_field("mode", mode.encode())
-        .node_field("ty", Rc::clone(ty));
-    if let Some(init) = init {
-        b = b.node_field("init", init);
-    }
-    if let Some(k) = signal_kind {
-        b = b.str_field("signal_kind", k);
-    }
-    b.done()
-}
-
 /// Decoders for the Value bundles the principal rules pass around.
 pub fn toks_of(v: &Value) -> Vec<SrcTok> {
     v.expect_list()
@@ -207,58 +175,23 @@ impl DeclOut {
     }
 }
 
-/// Binds a denotation node into an environment by its name; types also
-/// bind their literals, units, and implicit operators.
-pub fn bind_decl(env: &Env, ctx: &Actx, node: &Rc<VifNode>) -> Env {
-    let _ = ctx;
-    match node.kind() {
-        // A type binds only its own name here; its companions (literals,
-        // units, implicit operators) travel alongside it in declaration
-        // lists, so binding them here would duplicate every overload.
-        k if k.starts_with("ty.") => match node.name() {
-            Some(n) => env.bind(n, Den::local(Rc::clone(node))),
-            None => env.clone(),
-        },
+/// Binds a denotation node into an environment by its name, an attribute
+/// specification by its key. A type binds only its own name: its
+/// companions (literals, units, implicit operators) travel alongside it in
+/// declaration lists, so binding them here would duplicate every overload.
+pub fn bind_decl(env: &Env, node: &Rc<VifNode>) -> Env {
+    let key = match node.kind() {
+        "attrspec" => node.str_field("key"),
         "enumlit" | "physunit" | "subprog" | "obj" | "component" | "alias" | "pkg" | "attrdecl" => {
-            match node.name() {
-                Some(n) => env.bind(n, Den::local(Rc::clone(node))),
-                None => env.clone(),
-            }
+            node.name()
         }
-        "attrspec" => match node.str_field("key") {
-            Some(key) => env.bind(key, Den::local(Rc::clone(node))),
-            None => env.clone(),
-        },
-        _ => env.clone(),
+        k if k.starts_with("ty.") => node.name(),
+        _ => None,
+    };
+    match key {
+        Some(k) => env.bind(k, Den::local(Rc::clone(node))),
+        None => env.clone(),
     }
-}
-
-/// The denotations a type declaration exports besides the type itself:
-/// enumeration literals, physical units, implicit operators.
-pub fn type_companions(ctx: &Actx, ty: &Ty) -> Vec<Rc<VifNode>> {
-    let mut out = Vec::new();
-    if ty.kind_sym() == vhdl_vif::kinds::ty_enum() {
-        for (pos, lit) in ty.list_field("lits").iter().enumerate() {
-            if let Some(l) = lit.as_str() {
-                out.push(decl::mk_enumlit(l, ty, pos as i64));
-            }
-        }
-    }
-    if ty.kind_sym() == vhdl_vif::kinds::ty_phys() {
-        for u in ty.list_field("units") {
-            if let Some(un) = u.as_node() {
-                out.push(decl::mk_physunit(
-                    un.name().unwrap_or("?"),
-                    ty,
-                    un.int_field("factor").unwrap_or(1),
-                ));
-            }
-        }
-    }
-    for (_, op) in implicit_ops(ty, &ctx.std.std.boolean, &ctx.std.std.integer) {
-        out.push(op);
-    }
-    out
 }
 
 /// Re-imports the context clauses recorded on a unit node (`ctx` field)
@@ -390,12 +323,7 @@ pub fn resolve_subtype(u: &U<'_>, sti: &StiDesc) -> (Option<Ty>, Msgs) {
     let constrained = match sti.form.as_str() {
         "plain" => {
             if resolution.is_some() {
-                Some(types::mk_subtype(
-                    mark.name().unwrap_or("anon"),
-                    &mark,
-                    None,
-                    resolution.clone(),
-                ))
+                Some(types::anon_subtype(&mark, None, resolution.clone()))
             } else {
                 Some(mark.clone())
             }
@@ -406,18 +334,14 @@ pub fn resolve_subtype(u: &U<'_>, sti: &StiDesc) -> (Option<Ty>, Msgs) {
             match a.as_range() {
                 Some((l, r, dir)) => match (ir::const_int(&l), ir::const_int(&r)) {
                     (Some(lv), Some(rv)) => {
-                        if types::is_array(&mark) {
-                            Some(types::mk_array_subtype(&mark, lv, rv, dir))
+                        // `lo`/`hi` fields hold the left/right bounds as
+                        // written; `dir` interprets them.
+                        let res = if types::is_array(&mark) {
+                            None
                         } else {
-                            // `lo`/`hi` fields hold the left/right bounds
-                            // as written; `dir` interprets them.
-                            Some(types::mk_subtype(
-                                mark.name().unwrap_or("anon"),
-                                &mark,
-                                Some((lv, rv, dir)),
-                                resolution.clone(),
-                            ))
-                        }
+                            resolution.clone()
+                        };
+                        Some(types::anon_subtype(&mark, Some((lv, rv, dir)), res))
                     }
                     _ => {
                         msgs.push(Msg::error(pos, "constraint bounds must be static"));
@@ -502,10 +426,10 @@ pub fn resolve_ifaces(
             a.ir
         };
         for id in &f.ids {
-            let obj = obj_at(
+            let obj = decl::mk_obj(
+                u.ctx.uids.declared(&id.text, id.pos),
                 class,
                 &id.text,
-                id.pos,
                 &ty,
                 mode,
                 init.clone(),
@@ -527,8 +451,7 @@ pub fn resolve_ifaces(
 }
 
 /// Builds the subprogram node for a spec descriptor
-/// `[Str(kind), Tok(designator), IFACES, List(ret toks)]`, with
-/// position-derived uids so recomputation is stable.
+/// `[Str(kind), Tok(designator), IFACES, List(ret toks)]`.
 pub fn spec_subprog(u: &U<'_>, spec: &Value) -> (Option<Rc<VifNode>>, Msgs) {
     let parts = spec.expect_list();
     let is_func = &*parts[0].expect_str() == "func";
@@ -554,12 +477,11 @@ pub fn spec_subprog(u: &U<'_>, spec: &Value) -> (Option<Rc<VifNode>>, Msgs) {
     };
     let mut b = VifNode::build("subprog")
         .name(&*desig.text)
-        .str_field("uid", uid_at(&desig.text, desig.pos))
+        .str_field("uid", u.ctx.uids.declared(&desig.text, desig.pos))
         .list_field("params", params.into_iter().map(VifValue::Node).collect());
     if let Some(r) = &ret {
         b = b.node_field("ret", Rc::clone(r));
     }
-    let _ = u;
     (Some(b.done()), msgs)
 }
 
@@ -609,12 +531,12 @@ pub fn use_import(u: &U<'_>, toks: &[SrcTok], env: &Env) -> (Env, Vec<Rc<VifNode
                     let pkg = d.node_field("pkg").expect("all wraps a package");
                     for item in pkg.list_field("decls") {
                         if let Some(n) = item.as_node() {
-                            env = bind_use(&env, u.ctx, n);
+                            env = bind_decl(&env, n);
                             imported.push(Rc::clone(n));
                         }
                     }
                 } else {
-                    env = bind_use(&env, u.ctx, d);
+                    env = bind_decl(&env, d);
                     imported.push(Rc::clone(d));
                 }
             }
@@ -627,19 +549,12 @@ pub fn use_import(u: &U<'_>, toks: &[SrcTok], env: &Env) -> (Env, Vec<Rc<VifNode
     }
 }
 
-fn bind_use(env: &Env, ctx: &Actx, node: &Rc<VifNode>) -> Env {
-    let env = bind_decl(env, ctx, node);
-    // Mark visibility — bind_decl marks Local; re-bind as use-visible is
-    // equivalent for our homograph approximation, so keep it simple.
-    let _ = Visibility::UseClause;
-    env
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::env::EnvKind;
     use crate::standard::standard;
+    use crate::uid::UidScope;
     use std::cell::RefCell;
     use vhdl_syntax::lexer::lex;
 
@@ -661,6 +576,7 @@ mod tests {
             loader: Rc::new(NoLibs),
             std: Rc::new(standard(EnvKind::Tree)),
             expr_evals: RefCell::new(0),
+            uids: UidScope::unit(&lex("signal x, y : bit;").unwrap()),
         })
     }
 
@@ -748,9 +664,10 @@ mod tests {
     }
 
     #[test]
-    fn uid_at_is_deterministic() {
-        let p = Pos { line: 3, col: 9 };
-        assert_eq!(uid_at("x", p), uid_at("x", p));
-        assert_ne!(uid_at("x", p), uid_at("y", p));
+    fn declared_uids_are_deterministic() {
+        let uids = &actx().uids;
+        let p = Pos { line: 1, col: 8 };
+        assert_eq!(uids.declared("x", p), uids.declared("x", p));
+        assert_ne!(uids.declared("x", p), uids.declared("y", p));
     }
 }

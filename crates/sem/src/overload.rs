@@ -271,6 +271,7 @@ mod tests {
         let s = standard(EnvKind::Tree);
         let int = &s.std.integer;
         let with_default = mk_subprog(
+            "f".into(),
             "f",
             vec![
                 Param::value("a", int),

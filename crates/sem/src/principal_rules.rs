@@ -16,6 +16,7 @@ use crate::msg::{Msg, Msgs};
 use crate::oof::{self, DeclOut, U};
 use crate::principal_ag::PrincipalClasses;
 use crate::principal_rules2;
+use crate::standard::implicit_decls;
 use crate::types;
 use crate::value::Value;
 
@@ -984,9 +985,8 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                 let (ty, msgs) = oof::resolve_subtype(&u, &sti);
                 match ty {
                     Some(base) => {
-                        // Rename the anonymous subtype to the declared name
-                        // (keeping its uid-bearing structure).
-                        let named = rename_type(&base, &name.text);
+                        let uid = u.ctx.uids.declared(&name.text, name.pos);
+                        let named = rename_type(&base, &name.text, uid);
                         let envo = u
                             .env
                             .bind(&name.text, crate::env::Den::local(Rc::clone(&named)));
@@ -1058,7 +1058,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                     Ok(dens) => {
                         let alias = VifNode::build("alias")
                             .name(&*name.text)
-                            .str_field("uid", oof::uid_at(&name.text, name.pos))
+                            .str_field("uid", u.ctx.uids.declared(&name.text, name.pos))
                             .node_field("target", Rc::clone(&dens[0]))
                             .done();
                         DeclOut {
@@ -1097,7 +1097,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                     Ok(dens) if vhdl_vif::kinds::is_ty(dens[0].kind_sym()) => {
                         let ad = VifNode::build("attrdecl")
                             .name(&*name.text)
-                            .str_field("uid", oof::uid_at(&name.text, name.pos))
+                            .str_field("uid", u.ctx.uids.declared(&name.text, name.pos))
                             .node_field("ty", Rc::clone(&dens[0]))
                             .done();
                         DeclOut {
@@ -1169,7 +1169,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                         match u.env.lookup_one(&t.text) {
                             Some(target) => {
                                 let uid = target.node.str_field("uid").unwrap_or("?");
-                                let key = format!("attr${uid}${}", aname.text);
+                                let key = crate::uid::attr_key(uid, &aname.text);
                                 let spec = VifNode::build("attrspec")
                                     .str_field("key", key.as_str())
                                     .node_field("ty", Rc::clone(&aty))
@@ -1215,7 +1215,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                 let (ports, m2) = oof::resolve_ifaces(&u, &oof::ifaces_of(&d[4]), ObjClass::Signal);
                 let node = VifNode::build("component")
                     .name(&*name.text)
-                    .str_field("uid", oof::uid_at(&name.text, name.pos))
+                    .str_field("uid", u.ctx.uids.declared(&name.text, name.pos))
                     .list_field(
                         "generics",
                         generics.into_iter().map(VifValue::Node).collect(),
@@ -1426,6 +1426,7 @@ fn declare_type(u: &U<'_>, name: &vhdl_syntax::SrcTok, td: &Value) -> DeclOut {
     let parts = td.expect_list();
     let tag = parts[0].expect_str();
     let mut msgs = Msgs::none();
+    let uid = u.ctx.uids.declared(&name.text, name.pos);
     let ty = match &*tag {
         "enum" => {
             let lits: Vec<String> = parts[1]
@@ -1441,7 +1442,7 @@ fn declare_type(u: &U<'_>, name: &vhdl_syntax::SrcTok, td: &Value) -> DeclOut {
                 })
                 .collect();
             let refs: Vec<&str> = lits.iter().map(String::as_str).collect();
-            Some(mk_named_enum(&name.text, name.pos, &refs))
+            Some(types::mk_enum(uid, &name.text, &refs))
         }
         "range" => {
             let toks = oof::toks_of(&parts[1]);
@@ -1455,9 +1456,9 @@ fn declare_type(u: &U<'_>, name: &vhdl_syntax::SrcTok, td: &Value) -> DeclOut {
                             types::Dir::Downto => (rv, lv),
                         };
                         match &parts[2] {
-                            Value::Unit => Some(mk_named_int(&name.text, name.pos, lo, hi)),
+                            Value::Unit => Some(types::mk_int(uid, &name.text, lo, hi)),
                             phys => {
-                                let (ty, m) = declare_phys(u, name, lo, hi, phys);
+                                let (ty, m) = declare_phys(uid, name, lo, hi, phys);
                                 msgs = Msgs::concat(&msgs, &m);
                                 ty
                             }
@@ -1486,7 +1487,7 @@ fn declare_type(u: &U<'_>, name: &vhdl_syntax::SrcTok, td: &Value) -> DeclOut {
                     msgs,
                 };
             };
-            declare_array(u, name, &idx_toks, &elem, &mut msgs)
+            declare_array(u, uid, name, &idx_toks, &elem, &mut msgs)
         }
         "record" => {
             let mut elems: Vec<(String, types::Ty)> = Vec::new();
@@ -1505,11 +1506,7 @@ fn declare_type(u: &U<'_>, name: &vhdl_syntax::SrcTok, td: &Value) -> DeclOut {
                 .iter()
                 .map(|(n, t)| (n.as_str(), Rc::clone(t)))
                 .collect();
-            Some(retag_uid(
-                &types::mk_record(&name.text, &refs),
-                &name.text,
-                name.pos,
-            ))
+            Some(types::mk_record(uid, &name.text, &refs))
         }
         other => {
             msgs.push(Msg::error(name.pos, format!("unknown type form `{other}`")));
@@ -1518,11 +1515,12 @@ fn declare_type(u: &U<'_>, name: &vhdl_syntax::SrcTok, td: &Value) -> DeclOut {
     };
     match ty {
         Some(ty) => {
+            let std = &u.ctx.std.std;
             let mut decls = vec![Rc::clone(&ty)];
-            decls.extend(oof::type_companions(u.ctx, &ty));
+            decls.extend(implicit_decls(&ty, &std.boolean, &std.integer));
             let mut envo = u.env.clone();
             for d in &decls {
-                envo = oof::bind_decl(&envo, u.ctx, d);
+                envo = oof::bind_decl(&envo, d);
             }
             DeclOut { envo, decls, msgs }
         }
@@ -1535,7 +1533,7 @@ fn declare_type(u: &U<'_>, name: &vhdl_syntax::SrcTok, td: &Value) -> DeclOut {
 }
 
 fn declare_phys(
-    u: &U<'_>,
+    uid: String,
     name: &vhdl_syntax::SrcTok,
     lo: i64,
     hi: i64,
@@ -1570,18 +1568,14 @@ fn declare_phys(
             )),
         }
     }
-    let _ = u;
     let refs: Vec<(&str, i64)> = units.iter().map(|(n, f)| (n.as_str(), *f)).collect();
-    let ty = retag_uid(
-        &types::mk_phys(&name.text, lo, hi, &refs),
-        &name.text,
-        name.pos,
-    );
+    let ty = types::mk_phys(uid, &name.text, lo, hi, &refs);
     (Some(ty), msgs)
 }
 
 fn declare_array(
     u: &U<'_>,
+    uid: String,
     name: &vhdl_syntax::SrcTok,
     idx_toks: &[vhdl_syntax::SrcTok],
     elem: &types::Ty,
@@ -1598,10 +1592,8 @@ fn declare_array(
             .collect();
         match u.resolve_name(&mark) {
             Ok(dens) if vhdl_vif::kinds::is_ty(dens[0].kind_sym()) => {
-                return Some(retag_uid(
-                    &types::mk_array_unconstrained(&name.text, &dens[0], elem),
-                    &name.text,
-                    name.pos,
+                return Some(types::mk_array_unconstrained(
+                    uid, &name.text, &dens[0], elem,
                 ))
             }
             Ok(_) => {
@@ -1626,11 +1618,7 @@ fn declare_array(
                 } else {
                     idx_ty
                 };
-                Some(retag_uid(
-                    &types::mk_array(&name.text, &idx_ty, lv, rv, dir, elem),
-                    &name.text,
-                    name.pos,
-                ))
+                Some(types::mk_array(uid, &name.text, &idx_ty, lv, rv, dir, elem))
             }
             _ => {
                 msgs.push(Msg::error(name.pos, "array bounds must be static"));
@@ -1672,10 +1660,10 @@ fn declare_objects(
     let mut decls = Vec::new();
     for id in ids {
         let t = id.expect_tok();
-        let obj = oof::obj_at(
+        let obj = decl::mk_obj(
+            u.ctx.uids.declared(&t.text, t.pos),
             class,
             &t.text,
-            t.pos,
             &ty,
             decl::Mode::In,
             init.clone(),
@@ -1691,42 +1679,18 @@ fn declare_objects(
     }
 }
 
-/// Builds a type node whose uid is position-derived (stable across rule
-/// recomputation).
-fn retag_uid(ty: &types::Ty, name: &str, pos: vhdl_syntax::Pos) -> types::Ty {
-    let mut b = VifNode::build(ty.kind()).name(name);
-    for (f, v) in ty.fields() {
-        if &**f == "uid" {
-            b = b.str_field("uid", oof::uid_at(name, pos));
-        } else {
-            b = b.field(*f, v.clone());
-        }
-    }
-    b.done()
-}
-
-fn mk_named_enum(name: &str, pos: vhdl_syntax::Pos, lits: &[&str]) -> types::Ty {
-    retag_uid(&types::mk_enum(name, lits), name, pos)
-}
-
-fn mk_named_int(name: &str, pos: vhdl_syntax::Pos, lo: i64, hi: i64) -> types::Ty {
-    retag_uid(&types::mk_int(name, lo, hi), name, pos)
-}
-
-/// Renames an anonymous subtype node to its declared name (subtype_decl).
-fn rename_type(ty: &types::Ty, name: &str) -> types::Ty {
-    let mut b = VifNode::build(ty.kind()).name(name);
-    for (f, v) in ty.fields() {
-        b = b.field(*f, v.clone());
-    }
+/// Names a subtype declaration: a constrained subtype takes the declared
+/// name and uid, a plain mark is wrapped in a named subtype of it.
+fn rename_type(ty: &types::Ty, name: &str, uid: String) -> types::Ty {
     if ty.kind() != "ty.subtype" {
-        // A plain mark: wrap in a named subtype so the new name is distinct
-        // but same-base.
-        return VifNode::build("ty.subtype")
-            .name(name)
-            .str_field("uid", types::fresh_uid(name))
-            .node_field("base", Rc::clone(ty))
-            .done();
+        return types::mk_subtype(uid, name, ty, None, None);
+    }
+    let mut b = VifNode::build("ty.subtype").name(name);
+    for (f, v) in ty.fields() {
+        b = match &**f {
+            "uid" => b.str_field("uid", uid.as_str()),
+            _ => b.field(*f, v.clone()),
+        };
     }
     b.done()
 }

@@ -662,10 +662,10 @@ fn loop_var(u: &U<'_>, info: &Value) -> Option<(Rc<VifNode>, Ir)> {
             t
         }
     };
-    let obj = oof::obj_at(
+    let obj = crate::decl::mk_obj(
+        u.ctx.uids.declared(&var.text, var.pos),
         ObjClass::LoopVar,
         &var.text,
-        var.pos,
         &vty,
         crate::decl::Mode::In,
         None,
@@ -801,11 +801,10 @@ fn install_concs(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         if toks.is_empty() {
             return (env.clone(), None);
         }
-        let pos = toks[0].pos;
-        let guard = oof::obj_at(
+        let guard = crate::decl::mk_obj(
+            ctx.uids.declared("guard", toks[0].pos),
             ObjClass::Signal,
             "guard",
-            pos,
             &ctx.std.std.boolean,
             crate::decl::Mode::In,
             None,
@@ -1300,7 +1299,7 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             let name = d[4].expect_tok();
             let node = VifNode::build("entity")
                 .name(&*name.text)
-                .str_field("uid", oof::uid_at(&name.text, name.pos))
+                .str_field("uid", d[1].expect_ctx().uids.declared(&name.text, name.pos))
                 .list_field(
                     "generics",
                     generics.into_iter().map(VifValue::Node).collect(),
@@ -1348,7 +1347,7 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         for field in ["generics", "ports", "decls"] {
             for v in entity.list_field(field) {
                 if let Some(n) = v.as_node() {
-                    e = oof::bind_decl(&e, &ctx, n);
+                    e = oof::bind_decl(&e, n);
                 }
             }
         }
@@ -1388,7 +1387,7 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             let ename = entity.name().unwrap_or("?").to_string();
             let node = VifNode::build("arch")
                 .name(&*name.text)
-                .str_field("uid", oof::uid_at(&name.text, name.pos))
+                .str_field("uid", d[1].expect_ctx().uids.declared(&name.text, name.pos))
                 .str_field("entity_name", ename.as_str())
                 .field(
                     "entity",
@@ -1431,15 +1430,15 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         pr,
         0,
         c.res,
-        vec![Dep::token(2), Dep::attr(4, c.decls)],
+        vec![Dep::attr(0, c.ctx), Dep::token(2), Dep::attr(4, c.decls)],
         |d| {
-            let name = d[0].expect_tok();
+            let name = d[1].expect_tok();
             let node = VifNode::build("pkg")
                 .name(&*name.text)
-                .str_field("uid", oof::uid_at(&name.text, name.pos))
+                .str_field("uid", d[0].expect_ctx().uids.declared(&name.text, name.pos))
                 .list_field(
                     "decls",
-                    d[1].expect_list()
+                    d[2].expect_list()
                         .iter()
                         .map(|v| VifValue::Node(v.expect_node()))
                         .collect(),
@@ -1470,7 +1469,7 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         let mut e = oof::reimport_ctx(&env, &ctx, &spec);
         for v in spec.list_field("decls") {
             if let Some(n) = v.as_node() {
-                e = oof::bind_decl(&e, &ctx, n);
+                e = oof::bind_decl(&e, n);
             }
         }
         (e, Msgs::none())
@@ -1497,7 +1496,7 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             let name = d[2].expect_tok();
             let node = VifNode::build("pkgbody")
                 .name(&*name.text)
-                .str_field("uid", oof::uid_at(&name.text, name.pos))
+                .str_field("uid", d[1].expect_ctx().uids.declared(&name.text, name.pos))
                 .list_field(
                     "decls",
                     d[3].expect_list()
@@ -1616,7 +1615,7 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                     .collect();
                 let node = VifNode::build("config")
                     .name(&*name.text)
-                    .str_field("uid", oof::uid_at(&name.text, name.pos))
+                    .str_field("uid", u.ctx.uids.declared(&name.text, name.pos))
                     .str_field("entity_name", ename.as_str())
                     .str_field("arch_name", arch_name.as_str())
                     .list_field("bindings", bindings)

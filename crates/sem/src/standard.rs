@@ -1,8 +1,9 @@
-//! Package `STD.STANDARD` and implicit operator declarations.
+//! Package `STD.STANDARD` and implicit declarations.
 //!
-//! VHDL (like Ada) implicitly declares operators for every type
-//! declaration; this module provides both the predefined types/operators
-//! and the [`implicit_ops`] generator reused for user-defined types.
+//! VHDL (like Ada) implicitly declares literals, units and operators for
+//! every type declaration; this module provides both the predefined
+//! types and the [`implicit_decls`] generator reused for user-defined
+//! types.
 
 use std::rc::Rc;
 
@@ -14,6 +15,7 @@ use crate::types::{
     self, is_array, is_discrete, mk_array_unconstrained, mk_enum, mk_int, mk_phys, mk_real,
     mk_subtype, Dir, Ty,
 };
+use crate::uid::{self, predefined};
 
 /// Handles to the predefined types.
 #[derive(Clone, Debug)]
@@ -53,19 +55,25 @@ pub struct Standard {
 
 /// Builds `STD.STANDARD` into a fresh environment of the given kind.
 pub fn standard(kind: EnvKind) -> Standard {
-    // Predefined uids must be identical for every analyzer on every
-    // thread: serialized VIF embeds them, and batch compilation compares
-    // VIF text byte-for-byte across worker counts.
-    crate::types::set_uid_scope("std");
-    let boolean = mk_enum("boolean", &["false", "true"]);
-    let bit = mk_enum("bit", &["'0'", "'1'"]);
+    let boolean = mk_enum(predefined("boolean"), "boolean", &["false", "true"]);
+    let bit = mk_enum(predefined("bit"), "bit", &["'0'", "'1'"]);
     let printable: Vec<String> = (32u8..127).map(|c| format!("'{}'", c as char)).collect();
     let printable_refs: Vec<&str> = printable.iter().map(String::as_str).collect();
-    let character = mk_enum("character", &printable_refs);
-    let severity_level = mk_enum("severity_level", &["note", "warning", "error", "failure"]);
-    let integer = mk_int("integer", i32::MIN as i64, i32::MAX as i64);
-    let real = mk_real("real", f64::MIN, f64::MAX);
+    let character = mk_enum(predefined("character"), "character", &printable_refs);
+    let severity_level = mk_enum(
+        predefined("severity_level"),
+        "severity_level",
+        &["note", "warning", "error", "failure"],
+    );
+    let integer = mk_int(
+        predefined("integer"),
+        "integer",
+        i32::MIN as i64,
+        i32::MAX as i64,
+    );
+    let real = mk_real(predefined("real"), "real", f64::MIN, f64::MAX);
     let time = mk_phys(
+        predefined("time"),
         "time",
         i64::MIN,
         i64::MAX,
@@ -79,24 +87,23 @@ pub fn standard(kind: EnvKind) -> Standard {
         ],
     );
     let natural = mk_subtype(
+        predefined("natural"),
         "natural",
         &integer,
         Some((0, i32::MAX as i64, Dir::To)),
         None,
     );
     let positive = mk_subtype(
+        predefined("positive"),
         "positive",
         &integer,
         Some((1, i32::MAX as i64, Dir::To)),
         None,
     );
-    let string = mk_array_unconstrained("string", &positive, &character);
-    let bit_vector = mk_array_unconstrained("bit_vector", &natural, &bit);
+    let string = mk_array_unconstrained(predefined("string"), "string", &positive, &character);
+    let bit_vector = mk_array_unconstrained(predefined("bit_vector"), "bit_vector", &natural, &bit);
 
     let mut env = Env::new(kind);
-    let bind_ty =
-        |env: &Env, ty: &Ty| -> Env { bind_type_with_implicits(env, ty, &boolean, &integer) };
-
     for ty in [
         &boolean,
         &bit,
@@ -110,7 +117,16 @@ pub fn standard(kind: EnvKind) -> Standard {
         &string,
         &bit_vector,
     ] {
-        env = bind_ty(&env, ty);
+        for node in std::iter::once(Rc::clone(ty)).chain(implicit_decls(ty, &boolean, &integer)) {
+            let name = node.name().expect("predefined names");
+            env = env.bind(
+                name,
+                Den {
+                    node,
+                    vis: Visibility::Implicit,
+                },
+            );
+        }
     }
 
     Standard {
@@ -131,74 +147,46 @@ pub fn standard(kind: EnvKind) -> Standard {
     }
 }
 
-/// Binds a type declaration and everything it implicitly declares —
-/// enumeration literals, physical units, and predefined operators — into
-/// an environment. Used both for `STD.STANDARD` and for every user type
-/// declaration.
-pub fn bind_type_with_implicits(env: &Env, ty: &Ty, boolean: &Ty, integer: &Ty) -> Env {
-    let mut e = env.bind(
-        ty.name().unwrap_or("anon"),
-        Den {
-            node: Rc::clone(ty),
-            vis: Visibility::Implicit,
-        },
-    );
-    if ty.kind_sym() == vhdl_vif::kinds::ty_enum() {
-        for (pos, lit) in ty.list_field("lits").iter().enumerate() {
-            let lit = lit.as_str().expect("literals are strings");
-            e = e.bind(
-                lit,
-                Den {
-                    node: mk_enumlit(lit, ty, pos as i64),
-                    vis: Visibility::Implicit,
-                },
-            );
-        }
-    }
-    if ty.kind_sym() == vhdl_vif::kinds::ty_phys() {
-        for u in ty.list_field("units") {
-            let u = u.as_node().expect("units are nodes");
-            let name = u.name().expect("units are named");
-            e = e.bind(
-                name,
-                Den {
-                    node: mk_physunit(name, ty, u.int_field("factor").unwrap_or(1)),
-                    vis: Visibility::Implicit,
-                },
-            );
-        }
-    }
-    for (sym, op) in implicit_ops(ty, boolean, integer) {
-        e = e.bind(
-            &sym,
-            Den {
-                node: op,
-                vis: Visibility::Implicit,
-            },
-        );
-    }
-    e
-}
-
-/// Generates the implicitly declared operators for a type declaration
-/// (LRM §7.2 predefined operators, restricted to the subset): equality and
-/// ordering for scalars, arithmetic for numeric types, logical operators
-/// for `boolean`/`bit` and their arrays, concatenation and relational
-/// operators for one-dimensional arrays.
+/// Everything a type declaration implicitly declares, in binding order:
+/// its enumeration literals, its physical units, and its predefined
+/// operators (LRM §7.2, restricted to the subset): equality and ordering
+/// for scalars, arithmetic for numeric types, logical operators for
+/// `boolean`/`bit` and their arrays, concatenation and relational
+/// operators for one-dimensional arrays. `STD.STANDARD` and user type
+/// declarations both bind this list.
 ///
+/// Each uid derives from the type's: a literal or unit by its name, an
+/// operator by its symbol and its index among that symbol's overloads.
 /// `boolean` and `integer` are passed in because operator results and
 /// physical scaling need them.
-pub fn implicit_ops(ty: &Ty, boolean: &Ty, integer: &Ty) -> Vec<(String, Rc<VifNode>)> {
+pub fn implicit_decls(ty: &Ty, boolean: &Ty, integer: &Ty) -> Vec<Rc<VifNode>> {
+    let tuid = types::uid(ty);
     let mut out = Vec::new();
+    for (pos, lit) in ty.list_field("lits").iter().enumerate() {
+        let lit = lit.as_str().expect("literals are strings");
+        out.push(mk_enumlit(uid::implied(tuid, lit), lit, ty, pos as i64));
+    }
+    for u in ty.list_field("units") {
+        let u = u.as_node().expect("units are nodes");
+        let name = u.name().expect("units are named");
+        let factor = u.int_field("factor").unwrap_or(1);
+        out.push(mk_physunit(uid::implied(tuid, name), name, ty, factor));
+    }
     let b = types::base_type(ty);
     // Subtypes do not redeclare operators.
     if ty.kind_sym() == vhdl_vif::kinds::ty_subtype() {
         return out;
     }
-    let bin =
-        |out: &mut Vec<(String, Rc<VifNode>)>, sym: &str, l: &Ty, r: &Ty, ret: &Ty, code: &str| {
-            out.push((sym.to_string(), mk_binop(sym, l, r, ret, code)));
-        };
+    let op_uid = |out: &[Rc<VifNode>], sym: &str| {
+        let i = out.iter().filter(|d| d.name() == Some(sym)).count();
+        uid::implied(tuid, format_args!("{sym}.{i}"))
+    };
+    let bin = |out: &mut Vec<Rc<VifNode>>, sym: &str, l: &Ty, r: &Ty, ret: &Ty, code: &str| {
+        out.push(mk_binop(op_uid(out, sym), sym, l, r, ret, code));
+    };
+    let un = |out: &mut Vec<Rc<VifNode>>, sym: &str, code: &str| {
+        out.push(mk_unop(op_uid(out, sym), sym, ty, ty, code));
+    };
     match b.kind() {
         "ty.enum" | "ty.int" | "ty.real" | "ty.phys" => {
             for (sym, code) in [
@@ -219,9 +207,9 @@ pub fn implicit_ops(ty: &Ty, boolean: &Ty, integer: &Ty) -> Vec<(String, Rc<VifN
             for (sym, code) in [("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "div")] {
                 bin(&mut out, sym, ty, ty, ty, code);
             }
-            out.push(("+".into(), mk_unop("+", ty, ty, "pos")));
-            out.push(("-".into(), mk_unop("-", ty, ty, "neg")));
-            out.push(("abs".into(), mk_unop("abs", ty, ty, "abs")));
+            un(&mut out, "+", "pos");
+            un(&mut out, "-", "neg");
+            un(&mut out, "abs", "abs");
             if b.kind_sym() == vhdl_vif::kinds::ty_int() {
                 bin(&mut out, "mod", ty, ty, ty, "mod");
                 bin(&mut out, "rem", ty, ty, ty, "rem");
@@ -231,8 +219,8 @@ pub fn implicit_ops(ty: &Ty, boolean: &Ty, integer: &Ty) -> Vec<(String, Rc<VifN
         "ty.phys" => {
             bin(&mut out, "+", ty, ty, ty, "add");
             bin(&mut out, "-", ty, ty, ty, "sub");
-            out.push(("-".into(), mk_unop("-", ty, ty, "neg")));
-            out.push(("abs".into(), mk_unop("abs", ty, ty, "abs")));
+            un(&mut out, "-", "neg");
+            un(&mut out, "abs", "abs");
             bin(&mut out, "*", ty, integer, ty, "mul");
             bin(&mut out, "*", integer, ty, ty, "mul_rev");
             bin(&mut out, "/", ty, integer, ty, "div");
@@ -253,7 +241,7 @@ pub fn implicit_ops(ty: &Ty, boolean: &Ty, integer: &Ty) -> Vec<(String, Rc<VifN
                 ] {
                     bin(&mut out, sym, ty, ty, ty, code);
                 }
-                out.push(("not".into(), mk_unop("not", ty, ty, "not")));
+                un(&mut out, "not", "not");
             }
         }
         "ty.array" => {
@@ -274,7 +262,7 @@ pub fn implicit_ops(ty: &Ty, boolean: &Ty, integer: &Ty) -> Vec<(String, Rc<VifN
                     ] {
                         bin(&mut out, sym, ty, ty, ty, code);
                     }
-                    out.push(("not".into(), mk_unop("not", ty, ty, "not")));
+                    un(&mut out, "not", "not");
                 }
                 if is_discrete(&elem) && is_array(ty) {
                     for (sym, code) in [("<", "lt"), ("<=", "le"), (">", "gt"), (">=", "ge")] {
@@ -355,14 +343,14 @@ mod tests {
     #[test]
     fn subtype_declares_no_new_ops() {
         let s = standard(EnvKind::Tree);
-        assert!(implicit_ops(&s.std.natural, &s.std.boolean, &s.std.integer).is_empty());
+        assert!(implicit_decls(&s.std.natural, &s.std.boolean, &s.std.integer).is_empty());
     }
 
     #[test]
     fn bit_vector_ops() {
         let s = standard(EnvKind::Tree);
-        let ops = implicit_ops(&s.std.bit_vector, &s.std.boolean, &s.std.integer);
-        let syms: Vec<&str> = ops.iter().map(|(s, _)| s.as_str()).collect();
+        let ops = implicit_decls(&s.std.bit_vector, &s.std.boolean, &s.std.integer);
+        let syms: Vec<&str> = ops.iter().filter_map(|d| d.name()).collect();
         assert!(syms.contains(&"&"));
         assert!(syms.contains(&"and"));
         assert!(syms.contains(&"not"));
@@ -373,8 +361,19 @@ mod tests {
     #[test]
     fn time_scaling_ops() {
         let s = standard(EnvKind::Tree);
-        let ops = implicit_ops(&s.std.time, &s.std.boolean, &s.std.integer);
-        let muls = ops.iter().filter(|(sym, _)| sym == "*").count();
-        assert_eq!(muls, 2, "time*integer and integer*time");
+        let decls = implicit_decls(&s.std.time, &s.std.boolean, &s.std.integer);
+        let muls: Vec<&str> = decls
+            .iter()
+            .filter(|d| d.name() == Some("*"))
+            .filter_map(|d| d.str_field("uid"))
+            .collect();
+        assert_eq!(
+            muls,
+            ["time@std/*.0", "time@std/*.1"],
+            "time*integer and integer*time"
+        );
+        assert!(decls
+            .iter()
+            .any(|d| d.str_field("uid") == Some("time@std/ns")));
     }
 }

@@ -3,52 +3,22 @@
 //! Types live in the VIF (the symbol table *is* the VIF, §4.3), so type
 //! nodes must survive serialization: identity is carried by a `uid` string
 //! rather than pointer equality, and the graph is kept cycle-free (a type
-//! never points back at the denotations that reference it).
+//! never points back at the denotations that reference it). Constructors
+//! take their uid from the caller, who gets it from [`crate::uid`]: a
+//! declared type's uid names its unit and declaring token, a predefined
+//! one its name, an anonymous subtype its structure.
 //!
 //! Node kinds: `ty.enum`, `ty.int`, `ty.real`, `ty.phys`, `ty.array`,
 //! `ty.record`, `ty.subtype`. Directions: `0` = `to`, `1` = `downto`.
 
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use vhdl_vif::{VifNode, VifValue};
 
+use crate::uid::{RANGE_MARKER, UNIVERSAL_INT, UNIVERSAL_REAL, VOID_MARKER};
+
 /// A shared handle to a type node.
 pub type Ty = Rc<VifNode>;
-
-thread_local! {
-    static UID_COUNTER: Cell<u64> = const { Cell::new(0) };
-    static UID_SCOPE: RefCell<String> = const { RefCell::new(String::new()) };
-}
-
-/// Enters a uid scope: resets the counter and prefixes subsequent
-/// [`fresh_uid`] results with `scope`. The analyzer scopes uids to the
-/// predefined environment (`std`) and to each design unit (a content hash
-/// of its token run), which makes every uid a deterministic function of
-/// unit content — independent of thread, analysis order, or how many
-/// units were compiled before. Type identity is uid string equality, so
-/// determinism here is what makes serialized VIF byte-reproducible.
-pub fn set_uid_scope(scope: &str) {
-    UID_SCOPE.with(|s| *s.borrow_mut() = scope.to_string());
-    UID_COUNTER.with(|c| c.set(0));
-}
-
-/// Allocates a fresh id, unique within the current uid scope. Prefixed so
-/// uids read well in VIF dumps.
-pub fn fresh_uid(tag: &str) -> String {
-    UID_COUNTER.with(|c| {
-        let n = c.get();
-        c.set(n + 1);
-        UID_SCOPE.with(|s| {
-            let s = s.borrow();
-            if s.is_empty() {
-                format!("{tag}${n}")
-            } else {
-                format!("{tag}${s}.{n}")
-            }
-        })
-    })
-}
 
 /// Range direction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,29 +51,29 @@ impl Dir {
 /// Builds an enumeration type. Literal *denotation* nodes are created
 /// separately by the caller (they point at the type; the type stores only
 /// the literal names, keeping the graph acyclic).
-pub fn mk_enum(name: &str, lits: &[&str]) -> Ty {
+pub fn mk_enum(uid: String, name: &str, lits: &[&str]) -> Ty {
     VifNode::build("ty.enum")
         .name(name)
-        .str_field("uid", fresh_uid(name))
+        .str_field("uid", uid)
         .list_field("lits", lits.iter().map(|l| VifValue::str(*l)).collect())
         .done()
 }
 
 /// Builds an integer type with inclusive bounds.
-pub fn mk_int(name: &str, lo: i64, hi: i64) -> Ty {
+pub fn mk_int(uid: String, name: &str, lo: i64, hi: i64) -> Ty {
     VifNode::build("ty.int")
         .name(name)
-        .str_field("uid", fresh_uid(name))
+        .str_field("uid", uid)
         .int_field("lo", lo)
         .int_field("hi", hi)
         .done()
 }
 
 /// Builds a floating-point type.
-pub fn mk_real(name: &str, lo: f64, hi: f64) -> Ty {
+pub fn mk_real(uid: String, name: &str, lo: f64, hi: f64) -> Ty {
     VifNode::build("ty.real")
         .name(name)
-        .str_field("uid", fresh_uid(name))
+        .str_field("uid", uid)
         .field("lo", VifValue::Real(lo))
         .field("hi", VifValue::Real(hi))
         .done()
@@ -111,10 +81,10 @@ pub fn mk_real(name: &str, lo: f64, hi: f64) -> Ty {
 
 /// Builds a physical type; `units` are `(name, factor)` pairs with the
 /// primary unit first (factor 1). Values are stored in primary units.
-pub fn mk_phys(name: &str, lo: i64, hi: i64, units: &[(&str, i64)]) -> Ty {
+pub fn mk_phys(uid: String, name: &str, lo: i64, hi: i64, units: &[(&str, i64)]) -> Ty {
     VifNode::build("ty.phys")
         .name(name)
-        .str_field("uid", fresh_uid(name))
+        .str_field("uid", uid)
         .int_field("lo", lo)
         .int_field("hi", hi)
         .list_field(
@@ -135,10 +105,18 @@ pub fn mk_phys(name: &str, lo: i64, hi: i64, units: &[(&str, i64)]) -> Ty {
 }
 
 /// Builds a constrained array type (one dimension in this subset).
-pub fn mk_array(name: &str, index_ty: &Ty, lo: i64, hi: i64, dir: Dir, elem: &Ty) -> Ty {
+pub fn mk_array(
+    uid: String,
+    name: &str,
+    index_ty: &Ty,
+    lo: i64,
+    hi: i64,
+    dir: Dir,
+    elem: &Ty,
+) -> Ty {
     VifNode::build("ty.array")
         .name(name)
-        .str_field("uid", fresh_uid(name))
+        .str_field("uid", uid)
         .node_field("index_ty", Rc::clone(index_ty))
         .node_field("elem", Rc::clone(elem))
         .field("unconstrained", VifValue::Bool(false))
@@ -149,10 +127,10 @@ pub fn mk_array(name: &str, index_ty: &Ty, lo: i64, hi: i64, dir: Dir, elem: &Ty
 }
 
 /// Builds an unconstrained array type (`array (T range <>) of E`).
-pub fn mk_array_unconstrained(name: &str, index_ty: &Ty, elem: &Ty) -> Ty {
+pub fn mk_array_unconstrained(uid: String, name: &str, index_ty: &Ty, elem: &Ty) -> Ty {
     VifNode::build("ty.array")
         .name(name)
-        .str_field("uid", fresh_uid(name))
+        .str_field("uid", uid)
         .node_field("index_ty", Rc::clone(index_ty))
         .node_field("elem", Rc::clone(elem))
         .field("unconstrained", VifValue::Bool(true))
@@ -160,10 +138,10 @@ pub fn mk_array_unconstrained(name: &str, index_ty: &Ty, elem: &Ty) -> Ty {
 }
 
 /// Builds a record type from `(field_name, field_type)` pairs.
-pub fn mk_record(name: &str, elems: &[(&str, Ty)]) -> Ty {
+pub fn mk_record(uid: String, name: &str, elems: &[(&str, Ty)]) -> Ty {
     VifNode::build("ty.record")
         .name(name)
-        .str_field("uid", fresh_uid(name))
+        .str_field("uid", uid)
         .list_field(
             "elems",
             elems
@@ -184,6 +162,7 @@ pub fn mk_record(name: &str, elems: &[(&str, Ty)]) -> Ty {
 /// Builds a scalar subtype with an optional tightened range and optional
 /// resolution function (a `subprog` node).
 pub fn mk_subtype(
+    uid: String,
     name: &str,
     base: &Ty,
     range: Option<(i64, i64, Dir)>,
@@ -191,7 +170,7 @@ pub fn mk_subtype(
 ) -> Ty {
     let mut b = VifNode::build("ty.subtype")
         .name(name)
-        .str_field("uid", fresh_uid(name))
+        .str_field("uid", uid)
         .node_field("base", Rc::clone(base));
     if let Some((lo, hi, dir)) = range {
         b = b
@@ -205,17 +184,21 @@ pub fn mk_subtype(
     b.done()
 }
 
-/// Builds a constrained view of an unconstrained array base (an anonymous
-/// array subtype, e.g. `bit_vector(7 downto 0)`).
-pub fn mk_array_subtype(base: &Ty, lo: i64, hi: i64, dir: Dir) -> Ty {
-    VifNode::build("ty.subtype")
-        .name(base.name().unwrap_or("anon"))
-        .str_field("uid", fresh_uid("sub"))
-        .node_field("base", Rc::clone(base))
-        .int_field("lo", lo)
-        .int_field("hi", hi)
-        .int_field("dir", dir.encode())
-        .done()
+/// Builds an anonymous subtype of `base` (a constraint or resolution
+/// written in place, e.g. `bit_vector(7 downto 0)`), named after its base;
+/// its uid is structural ([`crate::uid::anon_subtype`]).
+pub fn anon_subtype(
+    base: &Ty,
+    range: Option<(i64, i64, Dir)>,
+    resolution: Option<Rc<VifNode>>,
+) -> Ty {
+    mk_subtype(
+        crate::uid::anon_subtype(base, range, resolution.as_deref()),
+        base.name().unwrap_or("anon"),
+        base,
+        range,
+        resolution,
+    )
 }
 
 /// The unique id of a type.
@@ -240,11 +223,6 @@ pub fn base_type(ty: &Ty) -> Ty {
 pub fn same_base(a: &Ty, b: &Ty) -> bool {
     uid(&base_type(a)) == uid(&base_type(b))
 }
-
-/// Marker uids of the universal types of literals.
-pub const UNIVERSAL_INT: &str = "universal_integer";
-/// Universal real marker uid.
-pub const UNIVERSAL_REAL: &str = "universal_real";
 
 /// The universal-integer type node (shared per call site; equality is by
 /// uid, so fresh nodes are fine).
@@ -419,10 +397,23 @@ pub fn unit_factor(ty: &Ty, unit: &str) -> Option<i64> {
 mod tests {
     use super::*;
 
+    fn integer() -> Ty {
+        mk_int(
+            "integer".into(),
+            "integer",
+            i32::MIN as i64,
+            i32::MAX as i64,
+        )
+    }
+
+    fn bit() -> Ty {
+        mk_enum("bit".into(), "bit", &["'0'", "'1'"])
+    }
+
     #[test]
     fn uids_are_unique_and_identity_works() {
-        let a = mk_int("t", 0, 7);
-        let b = mk_int("t", 0, 7);
+        let a = mk_int("t@u1.3".into(), "t", 0, 7);
+        let b = mk_int("t@u1.9".into(), "t", 0, 7);
         assert_ne!(uid(&a), uid(&b));
         assert!(same_base(&a, &a));
         assert!(!same_base(&a, &b));
@@ -430,9 +421,15 @@ mod tests {
 
     #[test]
     fn subtype_chains_resolve() {
-        let int = mk_int("integer", i32::MIN as i64, i32::MAX as i64);
-        let nat = mk_subtype("natural", &int, Some((0, i32::MAX as i64, Dir::To)), None);
-        let small = mk_subtype("small", &nat, Some((0, 9, Dir::To)), None);
+        let int = integer();
+        let nat = mk_subtype(
+            "natural".into(),
+            "natural",
+            &int,
+            Some((0, i32::MAX as i64, Dir::To)),
+            None,
+        );
+        let small = mk_subtype("small".into(), "small", &nat, Some((0, 9, Dir::To)), None);
         assert!(same_base(&small, &int));
         assert!(compatible(&small, &int));
         assert_eq!(scalar_bounds(&small), Some((0, 9, Dir::To)));
@@ -444,8 +441,8 @@ mod tests {
 
     #[test]
     fn universal_literals_compatible_with_integers() {
-        let int = mk_int("integer", -100, 100);
-        let re = mk_real("real", -1.0, 1.0);
+        let int = mk_int("integer".into(), "integer", -100, 100);
+        let re = mk_real("real".into(), "real", -1.0, 1.0);
         assert!(compatible(&universal_int(), &int));
         assert!(!compatible(&universal_int(), &re));
         assert!(compatible(&universal_real(), &re));
@@ -455,27 +452,28 @@ mod tests {
 
     #[test]
     fn enums_positions_and_bounds() {
-        let bit = mk_enum("bit", &["'0'", "'1'"]);
+        let bit = bit();
         assert_eq!(enum_pos(&bit, "'1'"), Some(1));
         assert_eq!(enum_pos(&bit, "'x'"), None);
         assert_eq!(scalar_bounds(&bit), Some((0, 1, Dir::To)));
-        let sub = mk_subtype("b2", &bit, Some((1, 1, Dir::To)), None);
+        let sub = anon_subtype(&bit, Some((1, 1, Dir::To)), None);
         assert_eq!(scalar_bounds(&sub), Some((1, 1, Dir::To)));
         assert_eq!(enum_pos(&sub, "'0'"), Some(0));
     }
 
     #[test]
     fn arrays_constrained_and_not() {
-        let int = mk_int("integer", i32::MIN as i64, i32::MAX as i64);
-        let bit = mk_enum("bit", &["'0'", "'1'"]);
-        let bv = mk_array_unconstrained("bit_vector", &int, &bit);
+        let int = integer();
+        let bit = bit();
+        let bv = mk_array_unconstrained("bit_vector".into(), "bit_vector", &int, &bit);
         assert!(is_array(&bv));
         assert_eq!(array_bounds(&bv), None);
-        let nib = mk_array_subtype(&bv, 3, 0, Dir::Downto);
+        let nib = anon_subtype(&bv, Some((3, 0, Dir::Downto)), None);
         assert_eq!(array_bounds(&nib), Some((3, 0, Dir::Downto)));
         assert!(same_base(&nib, &bv));
+        assert_eq!(nib.name(), Some("bit_vector"));
         assert_eq!(uid(&elem_type(&nib).unwrap()), uid(&bit));
-        let word = mk_array("word", &int, 0, 31, Dir::To, &bit);
+        let word = mk_array("word".into(), "word", &int, 0, 31, Dir::To, &bit);
         assert_eq!(array_bounds(&word), Some((0, 31, Dir::To)));
         assert_eq!(range_length(0, 31, Dir::To), 32);
         assert_eq!(range_length(3, 0, Dir::Downto), 4);
@@ -485,6 +483,7 @@ mod tests {
     #[test]
     fn physical_units() {
         let time = mk_phys(
+            "time".into(),
             "time",
             i64::MIN,
             i64::MAX,
@@ -498,27 +497,26 @@ mod tests {
 
     #[test]
     fn records() {
-        let int = mk_int("integer", -10, 10);
-        let pair = mk_record("pair", &[("x", Rc::clone(&int)), ("y", Rc::clone(&int))]);
+        let int = mk_int("integer".into(), "integer", -10, 10);
+        let pair = mk_record(
+            "pair".into(),
+            "pair",
+            &[("x", Rc::clone(&int)), ("y", Rc::clone(&int))],
+        );
         assert!(is_record(&pair));
         assert_eq!(pair.list_field("elems").len(), 2);
     }
 
     #[test]
     fn resolution_found_through_subtypes() {
-        let bit = mk_enum("bit", &["'0'", "'1'"]);
+        let bit = bit();
         let f = VifNode::build("subprog").name("wired_or").done();
-        let rbit = mk_subtype("rbit", &bit, None, Some(Rc::clone(&f)));
-        let rbit2 = mk_subtype("rbit2", &rbit, Some((0, 1, Dir::To)), None);
+        let rbit = anon_subtype(&bit, None, Some(Rc::clone(&f)));
+        let rbit2 = mk_subtype("rbit2".into(), "rbit2", &rbit, Some((0, 1, Dir::To)), None);
         assert!(resolution_of(&rbit2).is_some());
         assert!(resolution_of(&bit).is_none());
     }
 }
-
-/// Marker uid for the pseudo-type of `'range` attribute values.
-pub const RANGE_MARKER: &str = "range$marker";
-/// Marker uid for "no value" (procedure-call context).
-pub const VOID_MARKER: &str = "void$marker";
 
 /// The pseudo-type carried by `'range`/`'reverse_range` attribute values.
 pub fn range_marker() -> Ty {

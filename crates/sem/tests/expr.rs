@@ -79,10 +79,32 @@ fn physical_time_literals() {
 fn x_of_y_four_ways() {
     let s = std_env();
     let int = &s.std.integer;
-    let bv = types::mk_array_subtype(&s.std.bit_vector, 7, 0, Dir::Downto);
-    let f = mk_subprog("x", vec![Param::value("a", int)], Some(int), None);
-    let arr = mk_obj(ObjClass::Variable, "x", &bv, Mode::In, None);
-    let y = mk_obj(ObjClass::Variable, "y", int, Mode::In, None);
+    let bv = types::anon_subtype(&s.std.bit_vector, Some((7, 0, Dir::Downto)), None);
+    let f = mk_subprog(
+        "x".into(),
+        "x",
+        vec![Param::value("a", int)],
+        Some(int),
+        None,
+    );
+    let arr = mk_obj(
+        "x".into(),
+        ObjClass::Variable,
+        "x",
+        &bv,
+        Mode::In,
+        None,
+        None,
+    );
+    let y = mk_obj(
+        "y".into(),
+        ObjClass::Variable,
+        "y",
+        int,
+        Mode::In,
+        None,
+        None,
+    );
 
     // 1. subprogram call
     let env = s
@@ -105,7 +127,15 @@ fn x_of_y_four_ways() {
     assert_eq!(a.ir.as_ref().unwrap().kind(), "e.slice");
 
     // 4. type conversion
-    let yv = mk_obj(ObjClass::Variable, "y", int, Mode::In, None);
+    let yv = mk_obj(
+        "y".into(),
+        ObjClass::Variable,
+        "y",
+        int,
+        Mode::In,
+        None,
+        None,
+    );
     let env = s.env.bind("y", Den::local(yv));
     let a = ok("integer(y)", &env, Some(int));
     assert_eq!(a.ir.as_ref().unwrap().kind(), "e.conv");
@@ -127,8 +157,15 @@ fn enum_literals_resolve_by_context() {
 fn overloaded_functions_picked_by_expected_type() {
     let s = std_env();
     let int = &s.std.integer;
-    let f_int = mk_subprog("f", vec![Param::value("a", int)], Some(int), None);
+    let f_int = mk_subprog(
+        "f@1".into(),
+        "f",
+        vec![Param::value("a", int)],
+        Some(int),
+        None,
+    );
     let f_bool = mk_subprog(
+        "f@2".into(),
         "f",
         vec![Param::value("a", int)],
         Some(&s.std.boolean),
@@ -151,6 +188,7 @@ fn named_association_and_defaults() {
     let s = std_env();
     let int = &s.std.integer;
     let f = mk_subprog(
+        "f".into(),
         "f",
         vec![
             Param::value("a", int),
@@ -181,7 +219,7 @@ fn named_association_and_defaults() {
 #[test]
 fn string_and_bitstring_literals() {
     let s = std_env();
-    let bv8 = types::mk_array_subtype(&s.std.bit_vector, 7, 0, Dir::Downto);
+    let bv8 = types::anon_subtype(&s.std.bit_vector, Some((7, 0, Dir::Downto)), None);
     let a = ok("\"01010101\"", &s.env, Some(&bv8));
     let ir = a.ir.unwrap();
     assert_eq!(ir.kind(), "e.const");
@@ -201,7 +239,7 @@ fn string_and_bitstring_literals() {
 #[test]
 fn aggregates() {
     let s = std_env();
-    let bv4 = types::mk_array_subtype(&s.std.bit_vector, 3, 0, Dir::Downto);
+    let bv4 = types::anon_subtype(&s.std.bit_vector, Some((3, 0, Dir::Downto)), None);
     let a = ok("(others => '0')", &s.env, Some(&bv4));
     let ir = a.ir.unwrap();
     assert_eq!(ir.kind(), "e.agg");
@@ -218,8 +256,20 @@ fn aggregates() {
 fn record_aggregate_and_field_select() {
     let s = std_env();
     let int = &s.std.integer;
-    let pair = types::mk_record("pair", &[("x", Rc::clone(int)), ("y", Rc::clone(int))]);
-    let p = mk_obj(ObjClass::Variable, "p", &pair, Mode::In, None);
+    let pair = types::mk_record(
+        "pair".into(),
+        "pair",
+        &[("x", Rc::clone(int)), ("y", Rc::clone(int))],
+    );
+    let p = mk_obj(
+        "p".into(),
+        ObjClass::Variable,
+        "p",
+        &pair,
+        Mode::In,
+        None,
+        None,
+    );
     let env = s.env.bind("p", Den::local(p));
     let a = ok("p.x + p.y", &env, Some(int));
     assert_eq!(a.ir.as_ref().unwrap().kind(), "e.call");
@@ -232,8 +282,16 @@ fn record_aggregate_and_field_select() {
 #[test]
 fn attributes_on_arrays_and_types() {
     let s = std_env();
-    let bv8 = types::mk_array_subtype(&s.std.bit_vector, 7, 0, Dir::Downto);
-    let v = mk_obj(ObjClass::Signal, "v", &bv8, Mode::In, None);
+    let bv8 = types::anon_subtype(&s.std.bit_vector, Some((7, 0, Dir::Downto)), None);
+    let v = mk_obj(
+        "v".into(),
+        ObjClass::Signal,
+        "v",
+        &bv8,
+        Mode::In,
+        None,
+        None,
+    );
     let env = s.env.bind("v", Den::local(v));
     let a = ok("v'length", &env, Some(&s.std.integer));
     assert_eq!(const_int(a.ir.as_ref().unwrap()), Some(8));
@@ -251,12 +309,28 @@ fn attributes_on_arrays_and_types() {
 #[test]
 fn signal_attributes() {
     let s = std_env();
-    let clk = mk_obj(ObjClass::Signal, "clk", &s.std.bit, Mode::In, None);
+    let clk = mk_obj(
+        "clk".into(),
+        ObjClass::Signal,
+        "clk",
+        &s.std.bit,
+        Mode::In,
+        None,
+        None,
+    );
     let env = s.env.bind("clk", Den::local(clk));
     let a = ok("clk'event and clk = '1'", &env, Some(&s.std.boolean));
     assert!(a.ir.is_some());
     // 'event on a variable is an error.
-    let v = mk_obj(ObjClass::Variable, "v", &s.std.bit, Mode::In, None);
+    let v = mk_obj(
+        "v".into(),
+        ObjClass::Variable,
+        "v",
+        &s.std.bit,
+        Mode::In,
+        None,
+        None,
+    );
     let env = s.env.bind("v", Den::local(v));
     let msg = fail("v'event", &env, Some(&s.std.boolean));
     assert!(msg.contains("requires a signal"), "{msg}");
@@ -266,18 +340,26 @@ fn signal_attributes() {
 #[test]
 fn user_defined_attribute_takes_precedence() {
     let s = std_env();
-    let bv4 = types::mk_array_subtype(&s.std.bit_vector, 3, 0, Dir::Downto);
-    let t = mk_obj(ObjClass::Signal, "t", &bv4, Mode::In, None);
+    let bv4 = types::anon_subtype(&s.std.bit_vector, Some((3, 0, Dir::Downto)), None);
+    let t = mk_obj(
+        "t".into(),
+        ObjClass::Signal,
+        "t",
+        &bv4,
+        Mode::In,
+        None,
+        None,
+    );
     let uid = t.str_field("uid").unwrap().to_string();
     // attribute reverse_range of t : signal is 42 (integer-valued!).
     let spec = vhdl_vif::VifNode::build("attrspec")
         .node_field("ty", Rc::clone(&s.std.integer))
         .node_field("value", vhdl_sem::ir::e_int(42, &s.std.integer))
         .done();
-    let env = s
-        .env
-        .bind("t", Den::local(Rc::clone(&t)))
-        .bind(&format!("attr${uid}$reverse_range"), Den::local(spec));
+    let env = s.env.bind("t", Den::local(Rc::clone(&t))).bind(
+        vhdl_sem::uid::attr_key(&uid, "reverse_range"),
+        Den::local(spec),
+    );
     let a = ok("t'reverse_range", &env, Some(&s.std.integer));
     assert_eq!(const_int(a.ir.as_ref().unwrap()), Some(42));
     // Without the spec, 'reverse_range is the predefined range attribute.
@@ -310,8 +392,14 @@ fn qualified_expressions() {
 fn procedure_call_mode() {
     let s = std_env();
     let int = &s.std.integer;
-    let p0 = mk_subprog("notify", vec![], None, None);
-    let p1 = mk_subprog("emit", vec![Param::value("x", int)], None, None);
+    let p0 = mk_subprog("notify".into(), "notify", vec![], None, None);
+    let p1 = mk_subprog(
+        "emit".into(),
+        "emit",
+        vec![Param::value("x", int)],
+        None,
+        None,
+    );
     let env = s
         .env
         .bind("notify", Den::local(p0))
@@ -322,7 +410,7 @@ fn procedure_call_mode() {
     let a = ok("emit(3)", &env, Some(&void));
     assert_eq!(a.ir.as_ref().unwrap().kind(), "e.call");
     // A function where a procedure is needed fails.
-    let f = mk_subprog("calc", vec![], Some(int), None);
+    let f = mk_subprog("calc".into(), "calc", vec![], Some(int), None);
     let env = s.env.bind("calc", Den::local(f));
     fail("calc", &env, Some(&void));
 }
@@ -331,7 +419,15 @@ fn procedure_call_mode() {
 fn concatenation() {
     let s = std_env();
     let bv = &s.std.bit_vector;
-    let v = mk_obj(ObjClass::Variable, "v", bv, Mode::In, None);
+    let v = mk_obj(
+        "v".into(),
+        ObjClass::Variable,
+        "v",
+        bv,
+        Mode::In,
+        None,
+        None,
+    );
     let env = s.env.bind("v", Den::local(v));
     let a = ok("v & v", &env, Some(bv));
     assert_eq!(a.ir.as_ref().unwrap().kind(), "e.call");

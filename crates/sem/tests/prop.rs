@@ -124,7 +124,12 @@ fn const_folding_matches_i64() {
     forall!(Config::new("const_folding_matches_i64").cases(128), |s| {
         let a = s.i64_in(-10_000, 9_999);
         let b = s.i64_in(-10_000, 9_999);
-        let int = types::mk_int("integer", i32::MIN as i64, i32::MAX as i64);
+        let int = types::mk_int(
+            "integer".into(),
+            "integer",
+            i32::MIN as i64,
+            i32::MAX as i64,
+        );
         for (sym, code) in [
             ("+", "add"),
             ("-", "sub"),
@@ -133,7 +138,7 @@ fn const_folding_matches_i64() {
             ("mod", "mod"),
             ("rem", "rem"),
         ] {
-            let op = vhdl_sem::decl::mk_binop(sym, &int, &int, &int, code);
+            let op = vhdl_sem::decl::mk_binop(sym.to_string(), sym, &int, &int, &int, code);
             let call = ir::e_call(&op, vec![ir::e_int(a, &int), ir::e_int(b, &int)], &int);
             let want = match code {
                 "add" => a.checked_add(b),

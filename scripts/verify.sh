@@ -129,6 +129,46 @@ for f in stmts parens; do
         || { echo "verify: vhdlc on $f.vhd differs between --jobs 1 and 2" >&2; exit 1; }
 done
 
+echo "==> separate compilation through a disk library keeps same-position uids apart"
+# p1 and p2 each declare `f` at 2:12 of their own file. The test bench is
+# compiled by a second vhdlc run against the library the first one wrote,
+# so its call reads p2's spec from VIF text on disk; it must run p2's body.
+SEP="$BATCH_WORK/separate"
+mkdir "$SEP"
+for p in "p1 1" "p2 100"; do
+    set -- $p
+    cat >"$SEP/$1.vhd" <<EOF
+package $1 is
+  function f(x : integer) return integer;
+end $1;
+package body $1 is
+  function f(x : integer) return integer is
+  begin
+    return x + $2;
+  end f;
+end $1;
+EOF
+done
+cat >"$SEP/tf.vhd" <<'EOF'
+entity tf is end;
+architecture a of tf is
+begin
+  process
+  begin
+    assert work.p2.f(0) = 100 report "work.p2.f ran another body" severity error;
+    wait;
+  end process;
+end a;
+EOF
+./target/release/vhdlc --work "$SEP/lib" "$SEP/p1.vhd" "$SEP/p2.vhd"
+./target/release/vhdlc --work "$SEP/lib" "$SEP/tf.vhd" --elab tf --run 5 >"$SEP/tf.log" 2>&1 \
+    || { cat "$SEP/tf.log"; echo "verify: separately compiled tf failed" >&2; exit 1; }
+cat "$SEP/tf.log"
+if grep -q " error: " "$SEP/tf.log"; then
+    echo "verify: work.p2.f ran another package's body" >&2
+    exit 1
+fi
+
 echo "==> vhdld loopback session (analyze -> elaborate -> run -> checkpoint -> inspect -> shutdown)"
 # Start the pooled server (explicit worker/acceptor counts so the sharded
 # core — not a fallback path — serves this) on an ephemeral loopback port,

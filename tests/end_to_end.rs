@@ -476,3 +476,47 @@ fn subtype_range_violation_traps() {
     let text = err.to_string();
     assert!(text.contains("outside range"), "{text}");
 }
+
+/// Compiles each source with its own `Compiler::compile` call into one
+/// in-memory library, then elaborates `top` from the last source and
+/// returns `top.r` after 1 ns.
+fn r_after_separate_compiles(sources: &[&str], top: &str) -> Option<Val> {
+    let c = Compiler::in_memory();
+    let (last, firsts) = sources.split_last().expect("a top source");
+    for src in firsts {
+        let r = c.compile(src).unwrap();
+        assert!(r.ok(), "{}", r.msgs());
+    }
+    let mut sim = c.simulate(last, top).unwrap();
+    sim.run_until(ns(1)).unwrap();
+    sim.value_by_name(&format!("{top}.r")).cloned()
+}
+
+#[test]
+fn same_position_subprograms_in_two_sources_stay_distinct() {
+    // Both `f`s are declared at 2:12 of their own source.
+    let package = |name: &str, add: u32| {
+        format!(
+            "package {name} is\n  function f(x : integer) return integer;\nend {name};\n\
+             package body {name} is\n  function f(x : integer) return integer is\n  \
+             begin\n    return x + {add};\n  end f;\nend {name};\n"
+        )
+    };
+    let (p1, p2) = (package("p1", 1), package("p2", 100));
+    let tf = "entity tf is end;\narchitecture a of tf is\n  signal r : integer := 0;\n\
+              begin\n  process begin\n    r <= work.p2.f(0);\n    wait;\n  end process;\nend a;\n";
+    assert_eq!(
+        r_after_separate_compiles(&[&p1, &p2, tf], "tf"),
+        Some(Val::Int(100))
+    );
+}
+
+#[test]
+fn same_position_constant_and_signal_in_two_sources_stay_distinct() {
+    // The constant and the signal `k` are both declared at 2:12.
+    let p = "package p is\n  constant k : integer := 5;\nend p;\n";
+    let tk = "entity tk is end; architecture a of tk is\n    signal k : integer := 7;\n\
+              signal r : integer := 0;\nbegin\n  process begin\n    r <= work.p.k;\n    \
+              wait;\n  end process;\nend a;\n";
+    assert_eq!(r_after_separate_compiles(&[p, tk], "tk"), Some(Val::Int(5)));
+}
