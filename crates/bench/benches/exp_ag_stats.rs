@@ -10,8 +10,7 @@ use vhdl_sem::principal_ag::PrincipalAg;
 use vhdl_syntax::PrincipalGrammar;
 
 fn main() {
-    let mut runner =
-        Runner::new("exp_ag_stats").out_dir(ag_bench::workspace_root().join("results"));
+    let mut runner = Runner::new("exp_ag_stats").out_dir(ag_bench::out_dir());
     let pg = PrincipalGrammar::new();
     let pag = PrincipalAg::build(&pg);
     let xag = ExprAg::build();

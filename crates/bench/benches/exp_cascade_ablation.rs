@@ -66,8 +66,7 @@ fn united_grammar() -> (usize, usize) {
 }
 
 fn main() {
-    let mut runner =
-        Runner::new("exp_cascade_ablation").out_dir(ag_bench::workspace_root().join("results"));
+    let mut runner = Runner::new("exp_cascade_ablation").out_dir(ag_bench::out_dir());
     println!("# E10 — cascaded evaluation vs united productions (paper §4.1)");
     println!();
     let (prods, conflicts) = united_grammar();

@@ -16,8 +16,7 @@ use ag_harness::bench::Runner;
 use vhdl_driver::{Compiler, PhaseTimes};
 
 fn main() {
-    let mut runner =
-        Runner::new("exp_compile_speed").out_dir(ag_bench::workspace_root().join("results"));
+    let mut runner = Runner::new("exp_compile_speed").out_dir(ag_bench::out_dir());
     println!("# E4 — compile speed and phase breakdown (paper §2.2)");
     println!();
     println!("| units | lines | lines/min | parse% | attr% | vif-read% | vif-write% | codegen% | backend% |");

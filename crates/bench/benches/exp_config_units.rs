@@ -9,8 +9,7 @@ use ag_harness::bench::Runner;
 use vhdl_driver::Compiler;
 
 fn main() {
-    let mut runner =
-        Runner::new("exp_config_units").out_dir(ag_bench::workspace_root().join("results"));
+    let mut runner = Runner::new("exp_config_units").out_dir(ag_bench::out_dir());
     println!("# E5 — configuration units vs ordinary units (paper §2.2 fn.3, §3.3)");
     println!();
     println!("| workload | lines | lines/min | vif read (B) | vif read (units) |");

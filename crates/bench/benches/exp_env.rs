@@ -39,7 +39,7 @@ fn main() {
     println!();
     let mut r = Runner::new("exp_env")
         .iters(10)
-        .out_dir(ag_bench::workspace_root().join("results"));
+        .out_dir(ag_bench::out_dir());
 
     // Cost of n successive bindings.
     for n in [16usize, 128, 1024] {

@@ -14,8 +14,7 @@ use vhdl_driver::Compiler;
 use vhdl_syntax::lexer::lex;
 
 fn main() {
-    let mut r =
-        Runner::new("exp_fig1_pipeline").out_dir(ag_bench::workspace_root().join("results"));
+    let mut r = Runner::new("exp_fig1_pipeline").out_dir(ag_bench::out_dir());
     let src = ag_bench::gen_design(3, 2);
     let compiler = Compiler::in_memory();
 

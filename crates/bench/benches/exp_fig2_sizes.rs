@@ -119,8 +119,7 @@ fn main() {
         c_text.lines().count()
     );
 
-    let mut runner =
-        Runner::new("exp_fig2_sizes").out_dir(ag_bench::workspace_root().join("results"));
+    let mut runner = Runner::new("exp_fig2_sizes").out_dir(ag_bench::out_dir());
     runner.metric("ag_spec_loc", ag_spec as f64, "loc");
     runner.metric("vif_desc_loc", vif_desc as f64, "loc");
     runner.metric("out_of_line_loc", oof as f64, "loc");

@@ -21,8 +21,7 @@ fn gen_time(n: usize) -> std::time::Duration {
 }
 
 fn main() {
-    let mut runner =
-        Runner::new("exp_generator_scaling").out_dir(ag_bench::workspace_root().join("results"));
+    let mut runner = Runner::new("exp_generator_scaling").out_dir(ag_bench::out_dir());
     println!("# E8 — AG processing time vs AG size (paper §5.2)");
     println!();
     println!("| nonterminals | productions | time (ms) | time ratio vs half size |");

@@ -11,7 +11,6 @@ use ag_harness::bench::{fmt_ns, Runner};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use sim_kernel::oracle::{run_matrix, Cell, Engine};
 use sim_kernel::{
     Backend, FnDecl, FnId, Insn, Op, Program, SimStats, Simulator, Time, Val, VarAddr,
 };
@@ -250,52 +249,6 @@ fn sparse_activity(active: usize, total: usize) -> Program {
     p
 }
 
-/// The sparse design with compute-bearing watchers: as
-/// [`sparse_activity`], but every watcher grinds the LCG chain on each
-/// wake. A cycle's ready set is `2*active` processes with real work —
-/// the shape the parallel process phase exists for.
-fn sparse_activity_compute(active: usize, total: usize) -> Program {
-    let mut p = Program::default();
-    let lcg = add_lcg_fn(&mut p, LCG_REPS);
-    let sigs: Vec<sim_kernel::SigId> = (0..total)
-        .map(|i| p.add_signal(format!("s{i}"), Val::Int(0)))
-        .collect();
-    for (i, &s) in sigs.iter().enumerate() {
-        let mut code = vec![
-            Insn::Wait {
-                sens: Arc::new(vec![s]),
-                with_timeout: false,
-            },
-            Insn::Pop,
-        ];
-        push_lcg_call(&mut code, VarAddr { depth: 0, slot: 0 }, lcg);
-        code.push(Insn::Jump(0));
-        p.add_process(format!("w{i}"), 1, code);
-    }
-    for (i, &s) in sigs.iter().take(active).enumerate() {
-        p.add_process(
-            format!("drv{i}"),
-            0,
-            vec![
-                Insn::LoadSig(s),
-                Insn::Unop(Op::Not),
-                Insn::PushInt(1_000),
-                Insn::Sched {
-                    sig: s,
-                    transport: false,
-                },
-                Insn::Wait {
-                    sens: Arc::new(vec![s]),
-                    with_timeout: false,
-                },
-                Insn::Pop,
-                Insn::Jump(0),
-            ],
-        );
-    }
-    p
-}
-
 /// Many processes sleeping on staggered `wait for` timeouts — calendar
 /// traffic plus a compute-bearing body: each wakeup grinds the LCG
 /// chain before sleeping again.
@@ -405,136 +358,6 @@ fn main() {
         println!(
             "sparse activity, {k:>3}/1000:     median {}",
             fmt_ns(s.median_ns)
-        );
-    }
-
-    // --- E13: parallel delta-cycle execution over a wide design.
-    // Compute-bearing sparse activity: 100 of 1000 signals driven, every
-    // woken watcher grinding the LCG chain, so each cycle's ready set is
-    // ~200 processes with real per-activation work.
-    let p = sparse_activity_compute(100, 1_000);
-    let par_deadline = 200 * 1_000;
-    {
-        // Byte-identity gate before the clock runs: jobs=4 must match
-        // jobs=1 under both backends.
-        let cells = [
-            Cell::solid(Engine::Interp, 1),
-            Cell::solid(Engine::Interp, 4),
-            Cell::solid(Engine::Compiled, 4),
-        ];
-        let out = run_matrix(&p, Time::fs(par_deadline), &[u64::MAX], &cells, None)
-            .expect("no checkpoint involved");
-        let seq = &out.runs[0].obs;
-        assert!(!seq.outcome.starts_with("err"), "{}", seq.outcome);
-        if let Some(d) = &out.divergence {
-            panic!("jobs=4 must be byte-identical to jobs=1: {d}");
-        }
-    }
-    let mut wall = Vec::new();
-    for jobs in [1usize, 2, 4] {
-        let s = r.measure(format!("sparse_activity/100-of-1000/jobs{jobs}"), || {
-            let mut sim = Simulator::new(p.clone());
-            sim.set_jobs(jobs);
-            sim.run_until(Time::fs(par_deadline)).expect("runs");
-            assert!(sim.stats().events >= 200 * 100);
-            black_box(sim.stats())
-        });
-        println!(
-            "sparse compute 100/1000, jobs={jobs}: median {}",
-            fmt_ns(s.median_ns)
-        );
-        wall.push(s.median_ns);
-    }
-    let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    r.metric("host_cores", host_cores as f64, "cores");
-    r.metric(
-        "sparse_par_wall_speedup_2w",
-        wall[0] as f64 / wall[1] as f64,
-        "x",
-    );
-    r.metric(
-        "sparse_par_wall_speedup_4w",
-        wall[0] as f64 / wall[2] as f64,
-        "x",
-    );
-    // Critical-path model: the same run with partitioning and per-worker
-    // buffering live but chunks serialized and timed individually. The
-    // ratio Σ chunk-ns / Σ per-cycle max-chunk-ns is the process-phase
-    // speedup 4 genuinely concurrent workers would deliver — the honest
-    // number to report from a host whose core count caps the wall-clock
-    // figures above (see EXPERIMENTS.md E13).
-    let (par_total, par_critical) = {
-        let mut sim = Simulator::new(p.clone());
-        sim.set_jobs(4);
-        sim.set_par_profile(true);
-        sim.run_until(Time::fs(par_deadline)).expect("runs");
-        sim.par_profile_ns()
-    };
-    assert!(par_total > 0 && par_critical > 0, "profile engaged");
-    let cp_speedup = par_total as f64 / par_critical as f64;
-    println!(
-        "sparse compute 100/1000, 4 workers: wall {:.2}x on {host_cores} core(s), \
-         critical-path {cp_speedup:.2}x",
-        wall[0] as f64 / wall[2] as f64
-    );
-    r.metric("sparse_par_speedup_4w_critical_path", cp_speedup, "x");
-    assert!(
-        cp_speedup >= 2.0,
-        "4-worker critical-path speedup must clear 2x, got {cp_speedup:.2}x"
-    );
-
-    // --- Realistic input: a vhdl-conform heavy design, elaborated
-    // through the full front end. Unlike the hand-built programs above,
-    // this exercises the kernel on compiler output: dozens of generated
-    // processes over a resolved-bus / sensitivity-web fabric, with
-    // recursion forcing partial interpreter fallback under the compiled
-    // backend. Cycle budgets (not deadlines) bound the run, since
-    // generated designs may contain zero-delay delta storms.
-    {
-        let design = vhdl_conform::gen_design(
-            &mut ag_harness::Source::from_seed(7),
-            vhdl_conform::Profile::Heavy,
-        );
-        let p = vhdl_conform::oracle::elaborate(&design).expect("heavy design elaborates");
-        let budget = 2_000u64;
-        let far = Time {
-            fs: u64::MAX / 4,
-            delta: 0,
-        };
-        let run = |backend: Backend| {
-            let mut sim = Simulator::new(p.clone());
-            sim.set_backend(backend);
-            sim.run_slice(far, budget, &mut || false).expect("runs");
-            sim.stats()
-        };
-        {
-            let a = run(Backend::Interp);
-            let b = run(Backend::Compiled);
-            assert_eq!(
-                (a.cycles, a.events, a.transactions, a.insns),
-                (b.cycles, b.events, b.transactions, b.insns),
-                "backends disagree on generated heavy design"
-            );
-        }
-        let s_i = r.measure("generated_heavy_2k_cycles/interp", || {
-            black_box(run(Backend::Interp))
-        });
-        println!(
-            "generated heavy, 2k cycles, interp:   median {}",
-            fmt_ns(s_i.median_ns)
-        );
-        let s_c = r.measure("generated_heavy_2k_cycles/compiled", || {
-            black_box(run(Backend::Compiled))
-        });
-        println!(
-            "generated heavy, 2k cycles, compiled: median {}",
-            fmt_ns(s_c.median_ns)
-        );
-        let st = run(Backend::Interp);
-        r.metric(
-            "generated_heavy_events_per_sec",
-            st.events as f64 / s_i.median_secs(),
-            "events/s",
         );
     }
 

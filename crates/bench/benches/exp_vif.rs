@@ -52,9 +52,7 @@ fn design(n_cells: usize) -> Vec<(String, String)> {
 fn main() {
     println!("# E15 — VIF text parse vs structural cache hit");
     println!();
-    let mut r = Runner::new("exp_vif")
-        .iters(7)
-        .out_dir(ag_bench::workspace_root().join("results"));
+    let mut r = Runner::new("exp_vif").iters(7).out_dir(ag_bench::out_dir());
 
     // Populate a library the normal way, then lift out the unit texts.
     let c = Compiler::in_memory();

@@ -158,8 +158,7 @@ fn main() {
     );
     assert!(b > a && c < a);
 
-    let mut runner =
-        Runner::new("exp_visit_evolution").out_dir(ag_bench::workspace_root().join("results"));
+    let mut runner = Runner::new("exp_visit_evolution").out_dir(ag_bench::out_dir());
     runner.metric("visits_baseline", a as f64, "visits");
     runner.metric("visits_extra_pass", b as f64, "visits");
     runner.metric("visits_refactored", c as f64, "visits");

@@ -193,7 +193,7 @@ fn walk(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
 }
 
 /// The workspace root (benches run inside `crates/bench`).
-pub fn workspace_root() -> std::path::PathBuf {
+fn workspace_root() -> std::path::PathBuf {
     let mut p = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     p.pop();
     p.pop();

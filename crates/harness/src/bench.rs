@@ -141,10 +141,15 @@ impl Runner {
         });
     }
 
-    /// Renders the JSON document for everything recorded so far.
+    /// Renders the JSON document for everything recorded so far, headed
+    /// by the host's core count and the checkout's git revision, so a
+    /// results file names the machine and the code it measured.
     pub fn to_json(&self) -> String {
+        let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
         let mut s = String::from("{\n");
         let _ = writeln!(s, "  \"bench\": {},", json_str(&self.name));
+        let _ = writeln!(s, "  \"host_cores\": {host_cores},");
+        let _ = writeln!(s, "  \"git_revision\": {},", json_str(&git_revision()));
         let _ = writeln!(s, "  \"iters\": {},", self.iters);
         s.push_str("  \"timings\": [");
         for (i, t) in self.timings.iter().enumerate() {
@@ -194,6 +199,36 @@ impl Runner {
             }
         }
     }
+}
+
+/// The commit checked out in the nearest directory at or above the
+/// current one that holds `.git/HEAD`: the hash of a detached `HEAD`, or
+/// of the branch it names (loose ref, then `packed-refs`). "unknown"
+/// outside a checkout.
+fn git_revision() -> String {
+    let Some(git) = std::env::current_dir().ok().and_then(|cwd| {
+        cwd.ancestors()
+            .map(|d| d.join(".git"))
+            .find(|g| g.join("HEAD").is_file())
+    }) else {
+        return "unknown".to_string();
+    };
+    let Ok(head) = std::fs::read_to_string(git.join("HEAD")) else {
+        return "unknown".to_string();
+    };
+    let head = head.trim();
+    let Some(r) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    std::fs::read_to_string(git.join(r))
+        .ok()
+        .map(|h| h.trim().to_string())
+        .or_else(|| {
+            let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
+            let line = packed.lines().find(|l| l.ends_with(r))?;
+            line.split_whitespace().next().map(str::to_string)
+        })
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn json_str(s: &str) -> String {
@@ -259,6 +294,8 @@ mod tests {
         r.metric("bad", f64::NAN, "");
         let j = r.to_json();
         assert!(j.contains("\"bench\": \"exp_x\""));
+        assert!(j.contains("\"host_cores\": "));
+        assert!(j.contains("\"git_revision\": \""));
         assert!(j.contains("\\\"quoted\\\""));
         assert!(j.contains("\"value\": null"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());

@@ -461,8 +461,6 @@ pub(crate) struct CompiledProgram {
     /// Per process: may it run compiled (its unit and every transitively
     /// called unit compiled successfully)?
     pub(crate) proc_ok: Vec<bool>,
-    /// Total basic blocks across all compiled units.
-    pub(crate) total_blocks: u64,
     /// Processes forced onto the interpreter.
     pub(crate) n_fallback: u64,
 }
@@ -502,17 +500,11 @@ pub(crate) fn compile(prog: &Program) -> CompiledProgram {
     for (pi, ok) in proc_ok.iter_mut().enumerate() {
         *ok = closure_ok(&units, n_procs, pi);
     }
-    let total_blocks = units
-        .iter()
-        .flatten()
-        .map(|u| u.blocks.len() as u64)
-        .sum::<u64>();
     let n_fallback = proc_ok.iter().filter(|ok| !**ok).count() as u64;
     CompiledProgram {
         units,
         n_procs,
         proc_ok,
-        total_blocks,
         n_fallback,
     }
 }

@@ -539,6 +539,8 @@ impl Program {
 
 #[cfg(test)]
 mod tests {
+    use ag_harness::{check, check_eq, forall, Config, Source};
+
     use super::*;
     use crate::isa::FnDecl;
     use crate::value::Val;
@@ -745,6 +747,60 @@ mod tests {
             load[w as usize] += 1;
         }
         assert_eq!(load, [2, 2, 2, 2]);
+    }
+
+    /// Random footprints and ready sets at 2, 4 and 8 workers: every
+    /// worker gets at most `ceil(n/jobs)` processes, and the assignment
+    /// depends only on `(ready, sens, jobs)` — a partitioner whose
+    /// scratch holds an earlier round answers as a fresh one does.
+    #[test]
+    fn partitioner_balances_and_is_pure() {
+        forall!(Config::new("partitioner_balances_and_is_pure"), |s| {
+            let jobs = *s.pick(&[2usize, 4, 8]);
+            let n_signals = s.usize_in(1, 24);
+            let n_procs = s.usize_in(1, 40);
+            let set = |s: &mut Source| {
+                let mut v: Vec<SigId> = s.vec(0, 3, |s| SigId(s.usize_in(0, n_signals - 1) as u32));
+                v.sort_unstable_by_key(|x| x.0);
+                v.dedup();
+                v
+            };
+            let mut per_proc = Vec::new();
+            let mut drives = Vec::new();
+            for _ in 0..n_procs {
+                per_proc.push(Arc::new(set(s)));
+                drives.push(set(s));
+            }
+            let sens = SensIndex {
+                by_sig: Vec::new(),
+                per_proc,
+                drives,
+                n_signals,
+            };
+            let ready: Vec<u32> = (0..n_procs as u32).filter(|_| s.bool()).collect();
+            let earlier: Vec<u32> = (0..n_procs as u32).filter(|_| s.bool()).collect();
+
+            let mut out = Vec::new();
+            Partitioner::new().assign(&ready, &sens, jobs, &mut out);
+            check_eq!(out.len(), ready.len());
+            let cap = ready.len().div_ceil(jobs).max(1);
+            let mut load = vec![0usize; jobs];
+            for &w in &out {
+                check!((w as usize) < jobs, "worker {w} of {jobs}");
+                load[w as usize] += 1;
+            }
+            check!(
+                load.iter().all(|&l| l <= cap),
+                "loads {load:?} over cap {cap}"
+            );
+
+            let mut used = Partitioner::new();
+            let mut scratch = Vec::new();
+            used.assign(&earlier, &sens, jobs, &mut scratch);
+            let mut again = Vec::new();
+            used.assign(&ready, &sens, jobs, &mut again);
+            check_eq!(out, again, "reused scratch changed the assignment");
+        });
     }
 
     #[test]

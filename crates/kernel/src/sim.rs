@@ -21,7 +21,6 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 
 use ag_harness::pool::Pool;
 
@@ -450,14 +449,6 @@ pub struct Simulator<'a> {
     partitioner: Partitioner,
     /// Worker assignment per ready position.
     assign: Vec<u32>,
-    /// Critical-path profiling: parallel cycles run their chunks
-    /// serialized on the calling thread, each timed (see
-    /// [`Simulator::set_par_profile`]).
-    par_profile: bool,
-    /// Summed chunk-execution nanoseconds (profiling mode).
-    par_total_ns: u64,
-    /// Summed per-cycle maximum chunk nanoseconds (profiling mode).
-    par_critical_ns: u64,
     /// Deliberate misbehavior for differential-oracle self-tests.
     test_fault: Option<TestFault>,
 }
@@ -559,9 +550,6 @@ impl<'a> Simulator<'a> {
             worker_buf: Vec::new(),
             partitioner: Partitioner::new(),
             assign: Vec::new(),
-            par_profile: false,
-            par_total_ns: 0,
-            par_critical_ns: 0,
             test_fault: None,
         }
     }
@@ -630,28 +618,6 @@ impl<'a> Simulator<'a> {
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Critical-path profiling for parallel cycles: chunks execute
-    /// serialized on the calling thread, each timed, instead of on the
-    /// pool. [`Simulator::par_profile_ns`] then reports `(Σ chunk ns,
-    /// Σ per-cycle max-chunk ns)` — the second term models the process
-    /// phase's span under true concurrency, which is the honest speedup
-    /// probe on hosts with fewer cores than workers.
-    pub fn set_par_profile(&mut self, on: bool) {
-        self.par_profile = on;
-    }
-
-    /// Accumulated `(total, critical-path)` chunk nanoseconds from
-    /// profiled parallel cycles.
-    pub fn par_profile_ns(&self) -> (u64, u64) {
-        (self.par_total_ns, self.par_critical_ns)
-    }
-
-    /// Total basic blocks in the compiled translation (0 until
-    /// [`Backend::Compiled`] is selected).
-    pub fn compiled_total_blocks(&self) -> u64 {
-        self.compiled.as_ref().map_or(0, |cp| cp.total_blocks)
     }
 
     /// Registers a value-change observer (called with time, signal, name,
@@ -1233,51 +1199,30 @@ impl<'a> Simulator<'a> {
             fuel_budget: self.fuel_budget,
             compiled_backend: self.backend == Backend::Compiled,
         };
-        if self.par_profile {
-            // Critical-path probe: run the chunks serialized on this
-            // thread, timing each. `total` accumulates Σ chunk-ns and
-            // `critical` Σ per-cycle max-chunk-ns — the span the phase
-            // would have under true concurrency.
-            let (mut total, mut critical) = (0u64, 0u64);
-            for buf in self.worker_buf.iter_mut() {
-                if buf.procs.is_empty() {
-                    continue;
+        let pool = self.pool.get_or_insert_with(|| {
+            Pool::new(jobs, "sim-worker", |_| {
+                |(ctx, mut buf): (Ctx, JobBuf)| {
+                    run_chunk(&ctx, &mut buf);
+                    // Release the context's `Arc`s before the buffer is
+                    // posted back: once the coordinator holds every buffer
+                    // it expects sole ownership of the signal table again.
+                    drop(ctx);
+                    buf
                 }
-                let t0 = Instant::now();
-                run_chunk(&ctx, buf);
-                let ns = t0.elapsed().as_nanos() as u64;
-                total += ns;
-                critical = critical.max(ns);
+            })
+        });
+        // Only workers with a chunk are woken; the buffers travel by
+        // move and come back to the slot they left.
+        let mut dispatched: u64 = 0;
+        for (w, buf) in self.worker_buf.iter_mut().enumerate() {
+            if !buf.procs.is_empty() {
+                pool.post(w, (ctx.clone(), std::mem::take(buf)));
+                dispatched |= 1 << w;
             }
-            self.par_total_ns += total;
-            self.par_critical_ns += critical;
-        } else {
-            let pool = self.pool.get_or_insert_with(|| {
-                Pool::new(jobs, "sim-worker", |_| {
-                    |(ctx, mut buf): (Ctx, JobBuf)| {
-                        run_chunk(&ctx, &mut buf);
-                        // Release the context's `Arc`s before the buffer
-                        // is posted back: once the coordinator holds every
-                        // buffer it expects sole ownership of the signal
-                        // table again.
-                        drop(ctx);
-                        buf
-                    }
-                })
-            });
-            // Only workers with a chunk are woken; the buffers travel by
-            // move and come back to the slot they left.
-            let mut dispatched: u64 = 0;
-            for (w, buf) in self.worker_buf.iter_mut().enumerate() {
-                if !buf.procs.is_empty() {
-                    pool.post(w, (ctx.clone(), std::mem::take(buf)));
-                    dispatched |= 1 << w;
-                }
-            }
-            for (w, buf) in self.worker_buf.iter_mut().enumerate() {
-                if dispatched & (1 << w) != 0 {
-                    *buf = pool.wait(w);
-                }
+        }
+        for (w, buf) in self.worker_buf.iter_mut().enumerate() {
+            if dispatched & (1 << w) != 0 {
+                *buf = pool.wait(w);
             }
         }
         drop(ctx);
@@ -2510,9 +2455,8 @@ impl<'e> Exec<'e> {
 
 /// Executes one worker's chunk of the cycle's ready set against the
 /// shared read-only context, buffering every side effect in `buf`. Runs
-/// on pool workers and (for the critical-path profile and jobs=1) on the
-/// coordinator thread — identical code either way.
-pub(crate) fn run_chunk(ctx: &Ctx, buf: &mut JobBuf) {
+/// on the pool's workers.
+fn run_chunk(ctx: &Ctx, buf: &mut JobBuf) {
     let JobBuf {
         procs,
         eff,
