@@ -118,8 +118,15 @@ fn compute_oscillator() -> Program {
 
 /// Runs `p` to `deadline` on the given backend and returns the stats.
 fn run_backend(p: &Program, deadline: u64, backend: Backend) -> SimStats {
+    run_jobs(p, deadline, backend, 1)
+}
+
+/// Runs `p` to `deadline` on the given backend with at most `jobs`
+/// kernel workers and returns the stats.
+fn run_jobs(p: &Program, deadline: u64, backend: Backend, jobs: usize) -> SimStats {
     let mut sim = Simulator::new(p.clone());
     sim.set_backend(backend);
+    sim.set_jobs(jobs);
     sim.run_until(Time::fs(deadline)).expect("runs");
     sim.stats()
 }
@@ -390,6 +397,34 @@ fn main() {
     let storm_speedup = s_i.median_ns as f64 / s_c.median_ns as f64;
     println!("timeout storm speedup:              {storm_speedup:.2}x");
     r.metric("timeout_storm_speedup_compiled", storm_speedup, "x");
+
+    // The pool side: the storm's cycles carry enough work to open the
+    // kernel's pool gate, so two workers run them on the pool. The
+    // counters must match one worker's, and tracing must see the pool
+    // spawn, before the clock runs.
+    {
+        ag_harness::trace::reset();
+        ag_harness::trace::set_enabled(true);
+        let b = run_jobs(&p, storm_deadline, Backend::Compiled, 2);
+        let spawns = ag_harness::trace::counter_value("pool-spawn");
+        ag_harness::trace::set_enabled(false);
+        assert_eq!(spawns, 1, "timeout storm must reach the kernel pool");
+        assert_eq!(
+            b,
+            run_backend(&p, storm_deadline, Backend::Compiled),
+            "jobs 2 disagrees with jobs 1 on timeout storm"
+        );
+    }
+    let s_j = r.measure("timeout_storm/compiled/jobs2", || {
+        black_box(run_jobs(&p, storm_deadline, Backend::Compiled, 2))
+    });
+    println!(
+        "timeout storm, compiled, 2 workers: median {}",
+        fmt_ns(s_j.median_ns)
+    );
+    let jobs2_speedup = s_c.median_ns as f64 / s_j.median_ns as f64;
+    println!("timeout storm 2-worker speedup:     {jobs2_speedup:.2}x");
+    r.metric("timeout_storm_jobs2_speedup", jobs2_speedup, "x");
 
     r.finish();
 }

@@ -18,9 +18,13 @@
 //! block-compiled backend instead of the instruction interpreter
 //! (identical observable behavior, reported by the
 //! `compiled_blocks`/`fallback_procs` counters under `--stats`).
-//! `--sim-jobs N` executes each delta cycle's woken processes across N
-//! kernel worker threads (`--sim-jobs 0` = one per CPU); VCD, stats,
-//! and Name-Server counters are byte-identical at every count.
+//! `--sim-jobs N` lets the kernel run a delta cycle's woken processes
+//! across at most N worker threads (`--sim-jobs 0` = one per CPU). A
+//! cycle goes to the workers only when its processes' instruction counts
+//! from their last activations add up to at least 8,192, the measured
+//! point where a second worker repays the dispatch on a 2-vCPU host;
+//! lighter cycles run inline, as at N = 1. VCD, stats, and Name-Server
+//! counters are byte-identical at every count.
 //! `--trace-phases` prints a per-phase
 //! time/allocation table of the Fig. 1 pipeline (lex → principal AG →
 //! exprEval cascade → VIF → elaboration/codegen → kernel) after the run.
@@ -115,7 +119,10 @@ fn parse_args() -> Result<Args, String> {
                      [--elab ENTITY[:ARCH]] [--config NAME] [--run TIME] \
                      [--backend interp|compiled] [--sim-jobs N] [--vcd FILE] \
                      [--emit-c FILE] [--stats] [--trace-phases] FILE...\n\
-                     --jobs 0 and --sim-jobs 0 use one worker per CPU."
+                     --jobs 0 and --sim-jobs 0 use one worker per CPU.\n\
+                     --sim-jobs N is a ceiling: a delta cycle runs on the \
+                     kernel workers only when its woken processes last ran \
+                     at least 8192 instructions between them."
                 );
                 std::process::exit(0);
             }

@@ -130,7 +130,11 @@ const OBSERVABLES: [&str; 10] = [
 ];
 
 impl Observables {
-    fn of(sim: &Simulator<'_>, outcome: &Result<RunOutcome, SimError>, vcd: String) -> Observables {
+    pub(crate) fn of(
+        sim: &Simulator<'_>,
+        outcome: &Result<RunOutcome, SimError>,
+        vcd: String,
+    ) -> Observables {
         let sigs = (0..sim.program().signals.len()).map(|i| SigId(i as u32));
         Observables {
             outcome: match outcome {
@@ -334,6 +338,9 @@ pub fn run_cell(
             sim.set_backend(Backend::Compiled);
         }
         sim.set_jobs(jobs);
+        // Every multi-process cycle of a multi-worker cell runs on the
+        // pool, however light, so the cell checks the barrier commit.
+        sim.force_pool(true);
         if jobs > 1 {
             sim.set_test_fault(fault);
         }

@@ -34,6 +34,12 @@ use crate::value::{ArrVal, Time, VDir, Val};
 /// Per-resumption instruction budget (runaway-loop guard).
 const FUEL: u64 = 50_000_000;
 
+/// The least estimated work, in instructions, of a ready set that runs on
+/// the worker pool. A dispatch costs a fixed ~11–20 µs on a 2-vCPU VM,
+/// which a cycle repays only above this much work; a lighter cycle runs
+/// inline. Set from a jobs-1 against jobs-2 sweep (DESIGN §14.3).
+const PAR_MIN_INSNS: u64 = 8_192;
+
 /// A diagnostic emitted by `assert`/`report`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReportEvent {
@@ -441,6 +447,13 @@ pub struct Simulator<'a> {
     pub(crate) fuel_budget: u64,
     /// Worker count for the process-execution phase (1 = sequential).
     jobs: usize,
+    /// Instructions of each process's last activation, indexed by pid:
+    /// the work estimate behind the pool gate ([`PAR_MIN_INSNS`]). Learned
+    /// at commit, never checkpointed; 0 for a process that has not run.
+    last_insns: Vec<u32>,
+    /// Sends every cycle with two or more ready processes to the pool
+    /// whatever its estimate, so the oracle checks the barrier commit.
+    force_pool: bool,
     /// Fixed worker pool, spawned on the first parallel cycle.
     pool: Option<Pool<(Ctx, JobBuf), JobBuf>>,
     /// Per-worker chunk buffers, reused across cycles.
@@ -520,6 +533,7 @@ impl<'a> Simulator<'a> {
                 resumptions: 0,
             })
             .collect();
+        let last_insns = vec![0; program.processes.len()];
         Simulator {
             program: Arc::new(program),
             names,
@@ -546,6 +560,8 @@ impl<'a> Simulator<'a> {
             exec_scratch: Scratch::default(),
             fuel_budget: FUEL,
             jobs: 1,
+            last_insns,
+            force_pool: false,
             pool: None,
             worker_buf: Vec::new(),
             partitioner: Partitioner::new(),
@@ -578,6 +594,14 @@ impl<'a> Simulator<'a> {
         self.fuel_budget = fuel;
     }
 
+    /// Sends every cycle with two or more ready processes to the pool when
+    /// `jobs > 1`, bypassing the work gate. The oracle's multi-worker
+    /// cells set it so that they keep checking the barrier commit on
+    /// designs too light to open the gate.
+    pub(crate) fn force_pool(&mut self, on: bool) {
+        self.force_pool = on;
+    }
+
     /// Selects the process-execution backend. Switching to
     /// [`Backend::Compiled`] translates the program on first use and
     /// records how many processes had to stay on the interpreter. Safe at
@@ -597,15 +621,21 @@ impl<'a> Simulator<'a> {
         self.backend
     }
 
-    /// Sets the worker count for the process-execution phase. `1` (the
-    /// default) runs every ready process sequentially on the calling
-    /// thread. With `n > 1`, any cycle whose ready set holds at least
-    /// two processes partitions it by static signal footprint and runs
-    /// the chunks on a fixed pool of `n` workers; every side effect is
+    /// Sets the most workers the process-execution phase may use. `1`
+    /// (the default) runs every ready process sequentially on the calling
+    /// thread. With `n > 1`, a cycle whose ready set holds at least two
+    /// processes *and* enough work to repay a pool dispatch partitions it
+    /// by static signal footprint and runs the chunks on a fixed pool of
+    /// `n` workers, spawned on the first such cycle; every side effect is
     /// buffered per worker and committed at the cycle barrier in seed
-    /// scan order, so VCD output, statistics, and Name-Server counters
-    /// are byte-identical at any worker count. Safe to change between
-    /// cycles (the old pool, if any, is torn down). Clamped to 1..=64.
+    /// scan order. The work estimate is the sum of the ready processes'
+    /// instruction counts from their last activations, and the gate is
+    /// 8,192 instructions: below it a dispatch costs more than a second
+    /// worker saves on a 2-vCPU host, so the cycle runs inline, exactly
+    /// as at `jobs = 1`. Either way VCD output, statistics, and
+    /// Name-Server counters are byte-identical at any worker count. Safe
+    /// to change between cycles (the old pool, if any, is torn down).
+    /// Clamped to 1..=64.
     pub fn set_jobs(&mut self, jobs: usize) {
         let jobs = jobs.clamp(1, 64);
         if jobs != self.jobs {
@@ -977,7 +1007,7 @@ impl<'a> Simulator<'a> {
                 self.ready.push(pi as u32);
             }
         }
-        if self.jobs > 1 && self.ready.len() >= 2 {
+        if self.jobs > 1 && self.ready.len() >= 2 && (self.force_pool || self.ready_pays()) {
             self.run_ready_parallel()?;
         } else {
             for i in 0..self.ready.len() {
@@ -988,6 +1018,22 @@ impl<'a> Simulator<'a> {
             return Err(e);
         }
         Ok(())
+    }
+
+    /// Whether the ready set's estimated work, each process's instruction
+    /// count from its last activation, reaches [`PAR_MIN_INSNS`]. The
+    /// estimate depends only on the program and its history, so a run
+    /// takes the same path every time; either path commits the same
+    /// effects in the same order.
+    fn ready_pays(&self) -> bool {
+        let mut work = 0;
+        for &pid in &self.ready {
+            work += u64::from(self.last_insns[pid as usize]);
+            if work >= PAR_MIN_INSNS {
+                return true;
+            }
+        }
+        false
     }
 
     fn effective_value(&mut self, si: usize) -> Result<Val, SimError> {
@@ -1295,6 +1341,7 @@ impl<'a> Simulator<'a> {
         let dpid = if pid == u32::MAX {
             usize::MAX
         } else {
+            self.last_insns[pid as usize] = u32::try_from(insns).unwrap_or(u32::MAX);
             pid as usize
         };
         for i in cur.sched..s_end {
@@ -2741,5 +2788,153 @@ fn store_elem(base: &Val, idx: i64, v: Val) -> Result<Val, RtError> {
             }))
         }
         _ => Err(RtError::Internal("element store on non-array".into())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+
+    use super::*;
+    use crate::io::Vcd;
+    use crate::isa::VarAddr;
+    use crate::oracle::Observables;
+
+    fn slot(n: u16) -> VarAddr {
+        VarAddr { depth: 0, slot: n }
+    }
+
+    /// A clock oscillator plus `n` processes woken together on every
+    /// clock edge, each folding `iters` loop rounds (17 instructions
+    /// each) into its own output signal per activation.
+    fn looping(n: usize, iters: i64) -> Program {
+        let mut p = Program::default();
+        let clk = p.add_signal("top.clk", Val::Int(0));
+        p.add_process(
+            "top.osc",
+            0,
+            vec![
+                Insn::LoadSig(clk),
+                Insn::Unop(Op::Not),
+                Insn::PushInt(1_000),
+                Insn::Sched {
+                    sig: clk,
+                    transport: false,
+                },
+                Insn::Wait {
+                    sens: Arc::new(vec![clk]),
+                    with_timeout: false,
+                },
+                Insn::Pop,
+                Insn::Jump(0),
+            ],
+        );
+        for i in 0..n {
+            let out = p.add_signal(format!("top.out{i}"), Val::Int(0));
+            let (acc, k) = (slot(0), slot(1));
+            p.add_process(
+                format!("top.w{i}"),
+                2,
+                vec![
+                    Insn::PushInt(0),
+                    Insn::StoreVar(k),
+                    Insn::LoadVar(k), // 2: loop
+                    Insn::PushInt(iters),
+                    Insn::Binop(Op::Lt),
+                    Insn::JumpIfFalse(19),
+                    Insn::LoadVar(acc),
+                    Insn::LoadVar(k),
+                    Insn::PushInt(i as i64 + 1),
+                    Insn::Binop(Op::Mul),
+                    Insn::Binop(Op::Add),
+                    Insn::PushInt(1_000_003),
+                    Insn::Binop(Op::Mod),
+                    Insn::StoreVar(acc),
+                    Insn::LoadVar(k),
+                    Insn::PushInt(1),
+                    Insn::Binop(Op::Add),
+                    Insn::StoreVar(k),
+                    Insn::Jump(2),
+                    Insn::LoadVar(acc), // 19: exit
+                    Insn::PushInt(500),
+                    Insn::Sched {
+                        sig: out,
+                        transport: false,
+                    },
+                    Insn::Wait {
+                        sens: Arc::new(vec![clk]),
+                        with_timeout: false,
+                    },
+                    Insn::Pop,
+                    Insn::Jump(0),
+                ],
+            );
+        }
+        p
+    }
+
+    /// Runs `p` to 50 clock periods at `jobs` workers with a VCD
+    /// observer and tracing on; returns the observables and how many
+    /// worker pools the run spawned.
+    fn run(p: &Program, jobs: usize) -> (Observables, u64) {
+        ag_harness::trace::reset();
+        ag_harness::trace::set_enabled(true);
+        let vcd = RefCell::new(Vcd::new("1fs"));
+        let mut sim = Simulator::new(p.clone());
+        sim.set_jobs(jobs);
+        sim.observe(Box::new(|t, sig, name, v| {
+            vcd.borrow_mut().change(t, sig, name, v);
+        }));
+        let outcome = sim.run_slice(Time::fs(50_000), u64::MAX, &mut || false);
+        let obs = Observables::of(&sim, &outcome, vcd.borrow().finish());
+        let spawns = ag_harness::trace::counter_value("pool-spawn");
+        ag_harness::trace::set_enabled(false);
+        (obs, spawns)
+    }
+
+    #[test]
+    fn light_cycles_never_spawn_the_pool() {
+        let p = looping(8, 4);
+        let (seq, _) = run(&p, 1);
+        let (par, spawns) = run(&p, 4);
+        assert_eq!(spawns, 0, "a light design opened the pool gate");
+        assert_eq!(par, seq);
+        assert!(seq.stats.cycles > 50, "{:?}", seq.stats);
+    }
+
+    #[test]
+    fn oracle_cells_force_light_cycles_onto_the_pool() {
+        use crate::oracle::{run_cell, Cell, Engine};
+        ag_harness::trace::reset();
+        ag_harness::trace::set_enabled(true);
+        let cell = Cell::solid(Engine::Interp, 4);
+        run_cell(&looping(8, 4), Time::fs(50_000), &[u64::MAX], cell, None).expect("runs");
+        let spawns = ag_harness::trace::counter_value("pool-spawn");
+        ag_harness::trace::set_enabled(false);
+        assert_eq!(spawns, 1, "the oracle's jobs-4 cell ran its cycles inline");
+    }
+
+    #[test]
+    fn heavy_cycles_run_on_the_pool_and_match_jobs1() {
+        // Four processes of ~3,400 instructions each: ~13.6k per cycle.
+        let p = looping(4, 200);
+        let (seq, _) = run(&p, 1);
+        for jobs in [2, 4] {
+            let (par, spawns) = run(&p, jobs);
+            assert_eq!(spawns, 1, "jobs={jobs}: the pool gate stayed shut");
+            assert_eq!(par, seq, "jobs={jobs}");
+        }
+        assert!(seq.stats.insns > 50 * 4 * 3_000, "{:?}", seq.stats);
+    }
+
+    #[test]
+    fn checkpoint_is_the_same_whichever_path_ran() {
+        let blob = |jobs| {
+            let mut sim = Simulator::new(looping(4, 200));
+            sim.set_jobs(jobs);
+            sim.run_until(Time::fs(20_500)).expect("runs");
+            sim.checkpoint().expect("checkpoint")
+        };
+        assert_eq!(blob(4), blob(1));
     }
 }

@@ -192,7 +192,9 @@ fn steady_state_allocation_budget() {
     );
 
     // --- Parallel steady state: eight concurrently-woken oscillators at
-    // jobs=4, so every cycle takes the worker-pool path (partition,
+    // jobs=4, each counting a 150-round loop per activation (~1,360
+    // instructions), so every cycle's ready set (~10.9k instructions)
+    // opens the pool gate and takes the worker-pool path (partition,
     // dispatch, buffered execution on worker threads, barrier commit).
     // After warm-up — pool threads spawned, per-worker effect buffers and
     // chunk lists at steady capacity — the parallel cycle must be as
@@ -203,9 +205,20 @@ fn steady_state_allocation_budget() {
         let clk = p.add_signal(format!("top.clk{i}"), Val::Int(0));
         p.add_process(
             format!("top.osc{i}"),
-            0,
+            1,
             vec![
-                Insn::LoadSig(clk),
+                Insn::PushInt(0),
+                Insn::StoreVar(slot(0)),
+                Insn::LoadVar(slot(0)), // 2: loop
+                Insn::PushInt(150),
+                Insn::Binop(Op::Lt),
+                Insn::JumpIfFalse(11),
+                Insn::LoadVar(slot(0)),
+                Insn::PushInt(1),
+                Insn::Binop(Op::Add),
+                Insn::StoreVar(slot(0)),
+                Insn::Jump(2),
+                Insn::LoadSig(clk), // 11: exit
                 Insn::Unop(Op::Not),
                 Insn::PushInt(1_000),
                 Insn::Sched {
@@ -222,9 +235,19 @@ fn steady_state_allocation_budget() {
         );
     }
     p.finalize_sensitivity();
+    // Tracing counts pool spawns: one spawn shows that the design opens
+    // the pool gate, and since every cycle carries the same work, every
+    // cycle of the window below runs on the pool.
+    ag_harness::trace::reset();
+    ag_harness::trace::set_enabled(true);
     let mut sim = Simulator::new(p);
     sim.set_jobs(4);
     sim.run_until(Time::fs(1_000_000)).unwrap(); // warm-up
+    assert_eq!(
+        ag_harness::trace::counter_value("pool-spawn"),
+        1,
+        "the parallel design never reached the pool"
+    );
     let cycles0 = sim.stats().cycles;
     let before = ag_harness::alloc::stats();
     sim.run_until(Time::fs(2_000_000)).unwrap();

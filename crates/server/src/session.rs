@@ -433,9 +433,13 @@ impl Session {
             .get("max_cycles")
             .and_then(Json::as_u64)
             .unwrap_or(u64::MAX);
-        // Optional worker count for this run slice (observables are
-        // byte-identical at every count; 0 = one worker per CPU). The
-        // setting persists on the session's simulator until changed.
+        // Optional worker ceiling for this run slice (0 = one worker per
+        // CPU). The kernel uses the workers only for cycles whose
+        // estimated work, the woken processes' instruction counts from
+        // their last activations, reaches its measured pool gate; lighter
+        // cycles run inline. Observables are byte-identical at every
+        // count. The setting persists on the session's simulator until
+        // changed.
         if let Some(jobs) = params.get("jobs").and_then(Json::as_u64) {
             sim.set_jobs(resolve_jobs(usize::try_from(jobs).unwrap_or(usize::MAX)));
         }

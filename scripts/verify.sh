@@ -33,17 +33,21 @@ cargo run --release --offline --manifest-path vhdlbench/Cargo.toml -- \
     --seed 1 --smoke --out "$BENCH_OUT"
 rm -rf "$BENCH_OUT"
 
-echo "==> exp_kernel smoke incl. compiled backend (low iters, scratch output dir)"
+echo "==> exp_kernel smoke incl. compiled backend and kernel pool (low iters, scratch output dir)"
 # A quick pass over the kernel benchmarks proves they still run end to end
 # — including the interp-vs-compiled comparison series, whose preamble
 # asserts counter-identical dual-backend runs and full compilation (no
-# fallback processes); AG_BENCH_OUT keeps the committed full-iteration
-# results/ untouched.
+# fallback processes), and the two-worker timeout storm, whose preamble
+# asserts that its cycles reach the kernel pool with jobs-1 counters;
+# AG_BENCH_OUT keeps the committed full-iteration results/ untouched.
+# Only the metric names are checked: a timed gate on two vCPUs is noise.
 SMOKE_OUT="$(mktemp -d)"
 AG_BENCH_ITERS=2 AG_BENCH_OUT="$SMOKE_OUT" \
     cargo bench -q -p ag-bench --bench exp_kernel
 grep -q '"oscillator_speedup_compiled"' "$SMOKE_OUT/exp_kernel.json" \
     || { echo "verify: exp_kernel did not emit backend speedup metrics" >&2; exit 1; }
+grep -q '"timeout_storm_jobs2_speedup"' "$SMOKE_OUT/exp_kernel.json" \
+    || { echo "verify: exp_kernel did not emit the kernel pool speedup metric" >&2; exit 1; }
 rm -rf "$SMOKE_OUT"
 
 echo "==> scripts/results.sh parses and names every file in results/"
