@@ -8,10 +8,11 @@
 //!    can be analyzed concurrently. The batch compiler stages the
 //!    [`crate::depgraph`] into waves and runs each wave across the
 //!    compiler's long-lived [`ag_harness::pool`] of analysis workers.
-//!    Workers exchange only plain text with
-//!    the coordinator (source in, VIF text + diagnostics out) — the
-//!    `Rc`-based analyzer, environments, and VIF graphs never cross a
-//!    thread boundary. Each worker rebuilds the work library from a
+//!    Workers exchange only plain data with the coordinator (parsed
+//!    units in, VIF text + diagnostics out): the coordinator parses every
+//!    file once and shares the trees, and the `Rc`-based analyzer,
+//!    environments, and VIF graphs never cross a thread boundary. Each
+//!    worker rebuilds the work library from a
 //!    [`LibrarySnapshot`] and receives the committed texts of every
 //!    finished wave, so all units of a wave observe exactly the
 //!    wave-start library state regardless of worker count — that is the
@@ -129,8 +130,9 @@ pub struct BatchResult {
     pub units: Vec<BatchUnit>,
     /// Files that failed to scan/parse: `(file index, error)`.
     pub front_errors: Vec<(usize, FrontError)>,
-    /// Aggregated phase times (CPU-summed across workers, so under
-    /// `--jobs N` this can exceed wall-clock).
+    /// Aggregated phase times. Parsing is the coordinator's alone; the
+    /// analysis and VIF phases are CPU-summed across workers, so under
+    /// `--jobs N` they can exceed wall-clock.
     pub phases: PhaseTimes,
     /// Incremental cache counters.
     pub cache: CacheStats,
@@ -203,17 +205,21 @@ struct Job {
 /// A committed unit as the workers receive it: key and VIF text.
 type Put = (String, Arc<str>);
 
-/// A batch's files and the library snapshot its workers' mirrors start
-/// from.
-type BatchStart = (Arc<Vec<(String, String)>>, LibrarySnapshot);
+/// The parsed units of a batch, by file: `units[file][unit_in_file]`. A
+/// file that failed to parse has no units.
+type FileUnits = Arc<Vec<Vec<ParseTree<SrcTok>>>>;
 
-/// Coordinator → worker message: one wave. Only text (and shared
-/// `Arc<str>` text) crosses the boundary.
+/// A batch's parsed units and the library snapshot its workers' mirrors
+/// start from.
+type BatchStart = (FileUnits, LibrarySnapshot);
+
+/// Coordinator → worker message: one wave. Only plain data (the shared
+/// parse trees and `Arc<str>` text) crosses the boundary.
 pub(crate) struct Wave {
-    /// Set on a batch's first wave: the batch's files and the library
-    /// state when the pool was engaged. The worker rebuilds its mirror
-    /// library and clears its parse cache; its analyzer survives across
-    /// batches — that is the point of a long-lived pool.
+    /// Set on a batch's first wave: the batch's parsed units and the
+    /// library state when the pool was engaged. The worker rebuilds its
+    /// mirror library; its analyzer survives across batches — that is
+    /// the point of a long-lived pool.
     start: Option<BatchStart>,
     /// Texts committed since the workers last synced.
     puts: Vec<Put>,
@@ -235,7 +241,6 @@ pub(crate) struct JobOut {
     vif_text: Option<String>,
     msgs: Vec<Msg>,
     expr_evals: u64,
-    parse: Duration,
     attr_eval: Duration,
     vif_read: Duration,
     vif_write: Duration,
@@ -284,16 +289,15 @@ fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One analysis worker's state: parse lazily (cached per file), analyze
+/// One analysis worker's state: analyze the coordinator's parse trees
 /// against the mirror library, ship text back. Everything it owns is
 /// thread-local and survives across batches; a batch's first wave resets
-/// the mirror and the parse cache, never the analyzer.
+/// the units and the mirror, never the analyzer.
 struct Worker {
     analyzer: Analyzer,
-    files: Arc<Vec<(String, String)>>,
+    units: FileUnits,
     /// The mirror library.
     libs: Rc<LibrarySet>,
-    parsed: HashMap<usize, Vec<ParseTree<SrcTok>>>,
 }
 
 fn mirror(work: Library) -> Rc<LibrarySet> {
@@ -304,17 +308,15 @@ impl Worker {
     fn new(env_kind: EnvKind) -> Worker {
         Worker {
             analyzer: Analyzer::new(env_kind),
-            files: Arc::default(),
+            units: Arc::default(),
             libs: mirror(Library::in_memory("work")),
-            parsed: HashMap::new(),
         }
     }
 
     fn wave(&mut self, wave: Wave) -> Vec<JobOut> {
-        if let Some((files, snapshot)) = wave.start {
-            self.files = files;
+        if let Some((units, snapshot)) = wave.start {
+            self.units = units;
             self.libs = mirror(Library::from_snapshot(&snapshot));
-            self.parsed.clear();
         }
         let work = self.libs.work();
         for (k, text) in &wave.puts {
@@ -343,19 +345,9 @@ impl Worker {
         out
     }
 
-    fn job(&mut self, job: Job) -> JobOut {
-        let mut parse = Duration::ZERO;
-        let (analyzer, files) = (&self.analyzer, &self.files);
-        let units = self.parsed.entry(job.file).or_insert_with(|| {
-            let t0 = Instant::now();
-            let units = analyzer
-                .parse_units(&files[job.file].1)
-                .expect("the coordinator parsed this file");
-            parse = t0.elapsed();
-            units
-        });
-        let (mut out, tree) = run_job(analyzer, &self.libs, &units[job.unit_in_file], job.global);
-        out.parse = parse;
+    fn job(&self, job: Job) -> JobOut {
+        let unit = &self.units[job.file][job.unit_in_file];
+        let (mut out, tree) = run_job(&self.analyzer, &self.libs, unit, job.global);
         let t0 = Instant::now();
         out.vif_text = tree.map(|node| write_vif(&node));
         out.vif_write = t0.elapsed();
@@ -373,7 +365,7 @@ impl Worker {
 struct BatchPlan {
     sig: u64,
     generation: u64,
-    file_units: Rc<Vec<Vec<ParseTree<SrcTok>>>>,
+    file_units: FileUnits,
     front_errors: Vec<(usize, FrontError)>,
     graph: Rc<depgraph::DepGraph>,
     lines: usize,
@@ -438,7 +430,8 @@ impl Compiler {
             Some(p) => p,
             None => {
                 // Parse everything up front: unit extraction needs token
-                // runs, and the inline path reuses the trees.
+                // runs, and the inline path and the workers analyze these
+                // trees.
                 let mut front_errors = Vec::new();
                 let mut file_units: Vec<Vec<ParseTree<SrcTok>>> = Vec::with_capacity(files.len());
                 let t0 = Instant::now();
@@ -460,7 +453,7 @@ impl Compiler {
                 Rc::new(BatchPlan {
                     sig,
                     generation: self.libs.generation(),
-                    file_units: Rc::new(file_units),
+                    file_units: Arc::new(file_units),
                     front_errors,
                     graph: Rc::new(graph),
                     lines: files
@@ -471,7 +464,7 @@ impl Compiler {
             }
         };
         let front_errors = plan.front_errors.clone();
-        let file_units = Rc::clone(&plan.file_units);
+        let file_units = Arc::clone(&plan.file_units);
         let mut graph = Rc::clone(&plan.graph);
 
         let mut out_units: Vec<BatchUnit> = Vec::new();
@@ -562,7 +555,7 @@ impl Compiler {
                     pool_engaged = true;
                     // The snapshot already holds every commit so far.
                     pending_delta.clear();
-                    (Arc::new(files.to_vec()), work.snapshot())
+                    (Arc::clone(&file_units), work.snapshot())
                 });
                 let queue: Arc<Mutex<VecDeque<Job>>> =
                     Arc::new(Mutex::new(jobs_list.iter().map(|(j, _)| *j).collect()));
@@ -610,7 +603,6 @@ impl Compiler {
             // Wave barrier: commit in input (global) order, stamp, record.
             results.sort_by_key(|(r, _)| r.global);
             for (r, tree) in results {
-                phases.parse += r.parse;
                 phases.attr_eval += r.attr_eval;
                 phases.vif_read += r.vif_read;
                 phases.vif_write += r.vif_write;

@@ -476,7 +476,7 @@ fn push_counter_mod(code: &mut Vec<Insn>, m: i64) {
 
 /// Draws a random program: 1–10 looping processes, each with 1–2 private
 /// signals, plus 0–2 resolved buses (`sum_mod4`) any process may drive,
-/// so buses get several writers the partitioner may cluster or split.
+/// so buses get several writers, which the pool may split across workers.
 /// Each activation bumps a counter, schedules 1–3 transactions (delta or
 /// timed, inertial or transport, counter-derived or constant), maybe
 /// takes a data-dependent branch, maybe divides by `counter mod k` (a
@@ -564,7 +564,7 @@ pub fn gen_program(s: &mut Source) -> Program {
         let mut sens: Vec<SigId> = if s.bool() {
             s.vec(0, 3, |s| *s.pick(&all))
         } else {
-            // Own signal plus the neighbour's: events cross partitions.
+            // Own signal plus the neighbour's: events cross workers.
             vec![own[pi][0], own[(pi + 1) % n_procs][0]]
         };
         sens.sort_unstable();

@@ -179,21 +179,13 @@ impl Calendar {
 
 /// The static sensitivity index: for each signal, the processes whose
 /// execution can reach a `wait` naming it (directly or through called
-/// subprograms). Also carries the inverse-direction *drives* table — the
-/// signals each process can schedule a transaction on — which the
-/// parallel scheduler unions with the sensitivity sets to partition a
-/// cycle's ready set by signal connectivity.
+/// subprograms).
 pub(crate) struct SensIndex {
     /// Process indices sensitive to each signal, ascending.
     by_sig: Vec<Vec<u32>>,
     /// Each process's full static sensitivity set, ascending (surfaced
     /// for inspection).
     per_proc: Vec<Arc<Vec<SigId>>>,
-    /// Each process's driven-signal set (targets of `Sched`/`SchedIndex`
-    /// reachable from its code), ascending.
-    drives: Vec<Vec<SigId>>,
-    /// Signal count (partitioner scratch sizing).
-    n_signals: usize,
 }
 
 impl SensIndex {
@@ -225,12 +217,7 @@ impl SensIndex {
                 }
             }
         }
-        SensIndex {
-            by_sig,
-            per_proc,
-            drives: static_drives(program),
-            n_signals: program.signals.len(),
-        }
+        SensIndex { by_sig, per_proc }
     }
 
     /// Processes statically sensitive to signal `sig`.
@@ -241,148 +228,6 @@ impl SensIndex {
     /// A process's full static sensitivity set.
     pub fn of_proc(&self, pi: usize) -> &[SigId] {
         &self.per_proc[pi]
-    }
-
-    /// A process's full driven-signal set.
-    pub fn drives_of(&self, pi: usize) -> &[SigId] {
-        &self.drives[pi]
-    }
-
-    /// The signal count the index was built over.
-    pub fn n_signals(&self) -> usize {
-        self.n_signals
-    }
-}
-
-/// A deterministic partitioner for one delta cycle's ready set. Processes
-/// are grouped by connectivity over their static signal footprints
-/// (sensitivity ∪ driven signals, from [`SensIndex`]) with a union-find,
-/// then connected clusters are placed greedily on the least-loaded worker.
-/// Clusters larger than the per-worker cap spill onto other workers — this
-/// is *safe*, not just tolerated: workers buffer every side effect and the
-/// coordinator commits at the cycle barrier in seed scan order, so the
-/// assignment only steers locality and balance, never semantics.
-///
-/// The assignment is a pure function of `(ready, sens, jobs)`: ties break
-/// toward the lowest position / lowest worker index, so a given design
-/// partitions identically on every host and every run.
-pub(crate) struct Partitioner {
-    /// Round stamp for the per-signal scratch (avoids clearing).
-    stamp: u32,
-    /// Per-signal: stamp of the round that last touched it.
-    sig_stamp: Vec<u32>,
-    /// Per-signal: first ready-position that touched it this round.
-    sig_owner: Vec<u32>,
-    /// Union-find parents over ready positions.
-    parent: Vec<u32>,
-    /// Per-root: stamp + assigned worker for this round.
-    comp_stamp: Vec<u32>,
-    comp_worker: Vec<u32>,
-    /// Per-worker process count this round.
-    load: Vec<u32>,
-}
-
-/// Union-find root with path halving; the root is always the smallest
-/// position in its component (unions parent the larger root under the
-/// smaller), which keeps the traversal deterministic.
-fn uf_find(parent: &mut [u32], mut x: u32) -> u32 {
-    while parent[x as usize] != x {
-        parent[x as usize] = parent[parent[x as usize] as usize];
-        x = parent[x as usize];
-    }
-    x
-}
-
-fn uf_union(parent: &mut [u32], a: u32, b: u32) {
-    let (ra, rb) = (uf_find(parent, a), uf_find(parent, b));
-    if ra != rb {
-        let (lo, hi) = (ra.min(rb), ra.max(rb));
-        parent[hi as usize] = lo;
-    }
-}
-
-impl Partitioner {
-    pub fn new() -> Partitioner {
-        Partitioner {
-            stamp: 0,
-            sig_stamp: Vec::new(),
-            sig_owner: Vec::new(),
-            parent: Vec::new(),
-            comp_stamp: Vec::new(),
-            comp_worker: Vec::new(),
-            load: Vec::new(),
-        }
-    }
-
-    /// Assigns each ready process a worker in `0..jobs`, writing `out[i]`
-    /// for `ready[i]`. `ready` is in ascending process order (the seed
-    /// scan order), so each worker's chunk is too.
-    pub fn assign(&mut self, ready: &[u32], sens: &SensIndex, jobs: usize, out: &mut Vec<u32>) {
-        let n = ready.len();
-        out.clear();
-        out.resize(n, 0);
-        if jobs <= 1 || n < 2 {
-            return;
-        }
-        if self.sig_stamp.len() < sens.n_signals() {
-            self.sig_stamp.resize(sens.n_signals(), 0);
-            self.sig_owner.resize(sens.n_signals(), 0);
-        }
-        if self.stamp == u32::MAX {
-            self.sig_stamp.fill(0);
-            self.comp_stamp.fill(0);
-            self.stamp = 0;
-        }
-        self.stamp += 1;
-        let stamp = self.stamp;
-        self.parent.clear();
-        self.parent.extend(0..n as u32);
-        if self.comp_stamp.len() < n {
-            self.comp_stamp.resize(n, 0);
-            self.comp_worker.resize(n, 0);
-        }
-        // Union ready positions that share any footprint signal. The first
-        // position to touch a signal becomes its owner; later toucher
-        // positions union with it.
-        for (i, &pid) in ready.iter().enumerate() {
-            let pid = pid as usize;
-            for list in [sens.of_proc(pid), sens.drives_of(pid)] {
-                for s in list {
-                    let si = s.0 as usize;
-                    if self.sig_stamp[si] == stamp {
-                        uf_union(&mut self.parent, i as u32, self.sig_owner[si]);
-                    } else {
-                        self.sig_stamp[si] = stamp;
-                        self.sig_owner[si] = i as u32;
-                    }
-                }
-            }
-        }
-        // Greedy placement in position order: keep a component on its
-        // assigned worker while that worker has room, else (re)place on
-        // the least-loaded worker (lowest index wins ties).
-        let cap = (n.div_ceil(jobs)).max(1) as u32;
-        self.load.clear();
-        self.load.resize(jobs, 0);
-        for i in 0..n {
-            let r = uf_find(&mut self.parent, i as u32) as usize;
-            let keep = self.comp_stamp[r] == stamp && self.load[self.comp_worker[r] as usize] < cap;
-            let w = if keep {
-                self.comp_worker[r]
-            } else {
-                let mut best = 0u32;
-                for (wi, &l) in self.load.iter().enumerate() {
-                    if l < self.load[best as usize] {
-                        best = wi as u32;
-                    }
-                }
-                self.comp_stamp[r] = stamp;
-                self.comp_worker[r] = best;
-                best
-            };
-            out[i] = w;
-            self.load[w as usize] += 1;
-        }
     }
 }
 
@@ -455,75 +300,6 @@ pub(crate) fn static_sensitivity(program: &Program) -> Vec<Vec<SigId>> {
         .collect()
 }
 
-/// Collects the `Sched`/`SchedIndex` targets and `Call` targets of one
-/// code sequence.
-fn scan_drives(code: &[Insn], drives: &mut Vec<SigId>, callees: &mut Vec<u32>) {
-    for insn in code {
-        match insn {
-            Insn::Sched { sig, .. } | Insn::SchedIndex { sig, .. } => drives.push(*sig),
-            Insn::Call(f) => callees.push(f.0),
-            _ => {}
-        }
-    }
-}
-
-/// Per-process driven-signal sets: the union of every `Sched` target the
-/// process's code can reach, including schedules inside called
-/// subprograms (fixpoint over the call graph, mirroring
-/// [`static_sensitivity`]). Sets come back sorted and deduplicated.
-pub(crate) fn static_drives(program: &Program) -> Vec<Vec<SigId>> {
-    let nf = program.functions.len();
-    let mut fn_drives: Vec<Vec<SigId>> = Vec::with_capacity(nf);
-    let mut fn_calls: Vec<Vec<u32>> = Vec::with_capacity(nf);
-    for f in &program.functions {
-        let (mut d, mut c) = (Vec::new(), Vec::new());
-        scan_drives(&f.code, &mut d, &mut c);
-        d.sort_unstable();
-        d.dedup();
-        c.sort_unstable();
-        c.dedup();
-        fn_drives.push(d);
-        fn_calls.push(c);
-    }
-    loop {
-        let mut changed = false;
-        for i in 0..nf {
-            let mut add: Vec<SigId> = Vec::new();
-            for &c in &fn_calls[i] {
-                let Some(callee) = fn_drives.get(c as usize) else {
-                    continue;
-                };
-                add.extend(callee.iter().filter(|s| !fn_drives[i].contains(s)));
-            }
-            if !add.is_empty() {
-                fn_drives[i].extend(add);
-                fn_drives[i].sort_unstable();
-                fn_drives[i].dedup();
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    program
-        .processes
-        .iter()
-        .map(|p| {
-            let (mut d, mut c) = (Vec::new(), Vec::new());
-            scan_drives(&p.code, &mut d, &mut c);
-            for &ci in &c {
-                if let Some(callee) = fn_drives.get(ci as usize) {
-                    d.extend(callee.iter().copied());
-                }
-            }
-            d.sort_unstable();
-            d.dedup();
-            d
-        })
-        .collect()
-}
-
 impl Program {
     /// Computes and stores each process's static sensitivity set
     /// ([`crate::isa::ProcessDecl::static_sens`]). The elaborator calls
@@ -539,8 +315,6 @@ impl Program {
 
 #[cfg(test)]
 mod tests {
-    use ag_harness::{check, check_eq, forall, Config, Source};
-
     use super::*;
     use crate::isa::FnDecl;
     use crate::value::Val;
@@ -627,189 +401,5 @@ mod tests {
         assert_eq!(idx.watchers(a.0 as usize), [0]);
         assert_eq!(idx.watchers(b.0 as usize), [0]);
         assert_eq!(idx.of_proc(0), &[a, b]);
-    }
-
-    #[test]
-    fn drives_reach_through_calls() {
-        let mut p = Program::default();
-        let a = p.add_signal("a", Val::Int(0));
-        let b = p.add_signal("b", Val::Int(0));
-        // A procedure that schedules on b; process 0 calls it and also
-        // drives a directly. Process 1 drives nothing.
-        let f = p.add_function(FnDecl {
-            name: "drv".into(),
-            n_params: 0,
-            n_locals: 0,
-            code: Arc::new(vec![
-                Insn::PushInt(1),
-                Insn::PushInt(0),
-                Insn::Sched {
-                    sig: b,
-                    transport: false,
-                },
-                Insn::Ret { has_value: false },
-            ]),
-            level: 1,
-        });
-        p.add_process(
-            "p0",
-            0,
-            vec![
-                Insn::Call(f),
-                Insn::PushInt(1),
-                Insn::PushInt(0),
-                Insn::SchedIndex {
-                    sig: a,
-                    transport: true,
-                },
-                Insn::Halt,
-            ],
-        );
-        p.add_process("p1", 0, vec![Insn::Halt]);
-        let drives = static_drives(&p);
-        assert_eq!(drives[0], vec![a, b]);
-        assert!(drives[1].is_empty());
-        p.finalize_sensitivity();
-        let idx = SensIndex::build(&p);
-        assert_eq!(idx.drives_of(0), &[a, b]);
-        assert!(idx.drives_of(1).is_empty());
-    }
-
-    /// Builds a program of `n` processes where process `i` waits on signal
-    /// `i` and drives signal `drive(i)`.
-    fn footprint_program(n: usize, drive: impl Fn(usize) -> usize) -> Program {
-        let mut p = Program::default();
-        let sigs: Vec<SigId> = (0..n)
-            .map(|i| p.add_signal(&format!("s{i}"), Val::Int(0)))
-            .collect();
-        for i in 0..n {
-            p.add_process(
-                &format!("p{i}"),
-                0,
-                vec![
-                    Insn::PushInt(1),
-                    Insn::PushInt(0),
-                    Insn::Sched {
-                        sig: sigs[drive(i)],
-                        transport: false,
-                    },
-                    Insn::Wait {
-                        sens: Arc::new(vec![sigs[i]]),
-                        with_timeout: false,
-                    },
-                    Insn::Jump(0),
-                ],
-            );
-        }
-        p.finalize_sensitivity();
-        p
-    }
-
-    #[test]
-    fn partitioner_spreads_disjoint_processes() {
-        // Each process touches only its own signal: 8 singleton
-        // components over 4 workers → 2 per worker, assignment is a pure
-        // function of position.
-        let p = footprint_program(8, |i| i);
-        let idx = SensIndex::build(&p);
-        let ready: Vec<u32> = (0..8).collect();
-        let mut part = Partitioner::new();
-        let mut out = Vec::new();
-        part.assign(&ready, &idx, 4, &mut out);
-        let mut load = [0u32; 4];
-        for &w in &out {
-            load[w as usize] += 1;
-        }
-        assert_eq!(load, [2, 2, 2, 2]);
-        // Deterministic across repeated calls (scratch reuse).
-        let mut out2 = Vec::new();
-        part.assign(&ready, &idx, 4, &mut out2);
-        assert_eq!(out, out2);
-    }
-
-    #[test]
-    fn partitioner_clusters_shared_signal() {
-        // Processes 0..4 all drive signal 0 (one component); 4..8 are
-        // disjoint. The shared cluster fills one worker to its cap of 2
-        // and spills — drivers of one signal MAY land on different
-        // workers, which is safe because effects are buffered.
-        let p = footprint_program(8, |i| if i < 4 { 0 } else { i });
-        let idx = SensIndex::build(&p);
-        let ready: Vec<u32> = (0..8).collect();
-        let mut part = Partitioner::new();
-        let mut out = Vec::new();
-        part.assign(&ready, &idx, 4, &mut out);
-        // Positions 0 and 1 share a worker (same component, under cap).
-        assert_eq!(out[0], out[1]);
-        // The spill keeps every worker at the cap.
-        let mut load = [0u32; 4];
-        for &w in &out {
-            load[w as usize] += 1;
-        }
-        assert_eq!(load, [2, 2, 2, 2]);
-    }
-
-    /// Random footprints and ready sets at 2, 4 and 8 workers: every
-    /// worker gets at most `ceil(n/jobs)` processes, and the assignment
-    /// depends only on `(ready, sens, jobs)` — a partitioner whose
-    /// scratch holds an earlier round answers as a fresh one does.
-    #[test]
-    fn partitioner_balances_and_is_pure() {
-        forall!(Config::new("partitioner_balances_and_is_pure"), |s| {
-            let jobs = *s.pick(&[2usize, 4, 8]);
-            let n_signals = s.usize_in(1, 24);
-            let n_procs = s.usize_in(1, 40);
-            let set = |s: &mut Source| {
-                let mut v: Vec<SigId> = s.vec(0, 3, |s| SigId(s.usize_in(0, n_signals - 1) as u32));
-                v.sort_unstable_by_key(|x| x.0);
-                v.dedup();
-                v
-            };
-            let mut per_proc = Vec::new();
-            let mut drives = Vec::new();
-            for _ in 0..n_procs {
-                per_proc.push(Arc::new(set(s)));
-                drives.push(set(s));
-            }
-            let sens = SensIndex {
-                by_sig: Vec::new(),
-                per_proc,
-                drives,
-                n_signals,
-            };
-            let ready: Vec<u32> = (0..n_procs as u32).filter(|_| s.bool()).collect();
-            let earlier: Vec<u32> = (0..n_procs as u32).filter(|_| s.bool()).collect();
-
-            let mut out = Vec::new();
-            Partitioner::new().assign(&ready, &sens, jobs, &mut out);
-            check_eq!(out.len(), ready.len());
-            let cap = ready.len().div_ceil(jobs).max(1);
-            let mut load = vec![0usize; jobs];
-            for &w in &out {
-                check!((w as usize) < jobs, "worker {w} of {jobs}");
-                load[w as usize] += 1;
-            }
-            check!(
-                load.iter().all(|&l| l <= cap),
-                "loads {load:?} over cap {cap}"
-            );
-
-            let mut used = Partitioner::new();
-            let mut scratch = Vec::new();
-            used.assign(&earlier, &sens, jobs, &mut scratch);
-            let mut again = Vec::new();
-            used.assign(&ready, &sens, jobs, &mut again);
-            check_eq!(out, again, "reused scratch changed the assignment");
-        });
-    }
-
-    #[test]
-    fn partitioner_jobs_one_is_trivial() {
-        let p = footprint_program(3, |i| i);
-        let idx = SensIndex::build(&p);
-        let mut part = Partitioner::new();
-        let mut out = Vec::new();
-        part.assign(&[0, 1, 2], &idx, 1, &mut out);
-        assert_eq!(out, [0, 0, 0]);
     }
 }

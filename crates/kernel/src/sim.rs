@@ -28,7 +28,7 @@ use crate::compile::{self, Arg, CompiledProgram, EOp, IntOp, Step, Term};
 use crate::isa::{FnId, Insn, Program, SigAttr, SigId};
 use crate::names::{NameError, NameServer, NsEntry, NsObject};
 use crate::rts::{self, Op, RtError};
-use crate::sched::{CalKind, Calendar, Partitioner, SensIndex};
+use crate::sched::{CalKind, Calendar, SensIndex};
 use crate::value::{ArrVal, Time, VDir, Val};
 
 /// Per-resumption instruction budget (runaway-loop guard).
@@ -458,10 +458,6 @@ pub struct Simulator<'a> {
     pool: Option<Pool<(Ctx, JobBuf), JobBuf>>,
     /// Per-worker chunk buffers, reused across cycles.
     worker_buf: Vec<JobBuf>,
-    /// Ready-set partitioner (scratch reused across cycles).
-    partitioner: Partitioner,
-    /// Worker assignment per ready position.
-    assign: Vec<u32>,
     /// Deliberate misbehavior for differential-oracle self-tests.
     test_fault: Option<TestFault>,
 }
@@ -564,8 +560,6 @@ impl<'a> Simulator<'a> {
             force_pool: false,
             pool: None,
             worker_buf: Vec::new(),
-            partitioner: Partitioner::new(),
-            assign: Vec::new(),
             test_fault: None,
         }
     }
@@ -624,11 +618,11 @@ impl<'a> Simulator<'a> {
     /// Sets the most workers the process-execution phase may use. `1`
     /// (the default) runs every ready process sequentially on the calling
     /// thread. With `n > 1`, a cycle whose ready set holds at least two
-    /// processes *and* enough work to repay a pool dispatch partitions it
-    /// by static signal footprint and runs the chunks on a fixed pool of
-    /// `n` workers, spawned on the first such cycle; every side effect is
-    /// buffered per worker and committed at the cycle barrier in seed
-    /// scan order. The work estimate is the sum of the ready processes'
+    /// processes *and* enough work to repay a pool dispatch deals it out
+    /// round-robin (ready position `pos` to worker `pos % n`) and runs
+    /// the chunks on a fixed pool of `n` workers, spawned on the first
+    /// such cycle; every side effect is buffered per worker and
+    /// committed at the cycle barrier in seed scan order. The work estimate is the sum of the ready processes'
     /// instruction counts from their last activations, and the gate is
     /// 8,192 instructions: below it a dispatch costs more than a second
     /// worker saves on a 2-vCPU host, so the cycle runs inline, exactly
@@ -1203,39 +1197,28 @@ impl<'a> Simulator<'a> {
         Ok(())
     }
 
-    /// Executes the cycle's ready set on the worker pool: partition by
-    /// static signal footprint, run the chunks concurrently against
-    /// shared read-only state, then commit every buffered effect at the
-    /// barrier in seed scan order (ascending process id — the order the
-    /// sequential kernel used). Observables are byte-identical at any
-    /// worker count.
+    /// Executes the cycle's ready set on the worker pool: ready position
+    /// `pos` runs on worker `pos % jobs`, the chunks run concurrently
+    /// against shared read-only state, then every buffered effect is
+    /// committed at the barrier in seed scan order (ascending process id
+    /// — the order the sequential kernel used). Observables are
+    /// byte-identical at any worker count.
     fn run_ready_parallel(&mut self) -> Result<(), SimError> {
         let n = self.ready.len();
         let jobs = self.jobs;
+        let used = jobs.min(n);
         self.worker_buf.resize_with(jobs, JobBuf::default);
-        {
-            let Simulator {
-                partitioner,
-                sens,
-                ready,
-                assign,
-                ..
-            } = &mut *self;
-            partitioner.assign(ready, sens, jobs, assign);
-        }
         for buf in self.worker_buf.iter_mut() {
             buf.procs.clear();
             buf.cur = EffCursor::default();
         }
-        // Fill the chunks in ready order, so each worker's chunk is in
+        // Deal the ready set out round-robin, so each worker's chunk is in
         // ascending process order and its activation records line up
         // with the commit loop below.
         for pos in 0..n {
             let pid = self.ready[pos];
             let proc = std::mem::replace(&mut self.procs[pid as usize], ProcState::empty());
-            self.worker_buf[self.assign[pos] as usize]
-                .procs
-                .push((pid, proc));
+            self.worker_buf[pos % jobs].procs.push((pid, proc));
         }
         let ctx = Ctx {
             program: Arc::clone(&self.program),
@@ -1257,19 +1240,13 @@ impl<'a> Simulator<'a> {
                 }
             })
         });
-        // Only workers with a chunk are woken; the buffers travel by
-        // move and come back to the slot they left.
-        let mut dispatched: u64 = 0;
-        for (w, buf) in self.worker_buf.iter_mut().enumerate() {
-            if !buf.procs.is_empty() {
-                pool.post(w, (ctx.clone(), std::mem::take(buf)));
-                dispatched |= 1 << w;
-            }
+        // Only workers with a chunk, the first `used`, are woken; the
+        // buffers travel by move and come back to the slot they left.
+        for (w, buf) in self.worker_buf[..used].iter_mut().enumerate() {
+            pool.post(w, (ctx.clone(), std::mem::take(buf)));
         }
-        for (w, buf) in self.worker_buf.iter_mut().enumerate() {
-            if dispatched & (1 << w) != 0 {
-                *buf = pool.wait(w);
-            }
+        for (w, buf) in self.worker_buf[..used].iter_mut().enumerate() {
+            *buf = pool.wait(w);
         }
         drop(ctx);
         // Give the processes back before committing.
@@ -1287,7 +1264,7 @@ impl<'a> Simulator<'a> {
         // state is unobservable through the public API either way.
         let mut out = Ok(());
         for pos in 0..n {
-            let w = self.assign[pos] as usize;
+            let w = pos % jobs;
             let ai = bufs[w].cur.act;
             bufs[w].cur.act += 1;
             debug_assert_eq!(bufs[w].eff.acts[ai].pid, self.ready[pos]);

@@ -194,7 +194,7 @@ fn steady_state_allocation_budget() {
     // --- Parallel steady state: eight concurrently-woken oscillators at
     // jobs=4, each counting a 150-round loop per activation (~1,360
     // instructions), so every cycle's ready set (~10.9k instructions)
-    // opens the pool gate and takes the worker-pool path (partition,
+    // opens the pool gate and takes the worker-pool path (round-robin
     // dispatch, buffered execution on worker threads, barrier commit).
     // After warm-up — pool threads spawned, per-worker effect buffers and
     // chunk lists at steady capacity — the parallel cycle must be as

@@ -409,9 +409,9 @@ fn counting_driver(sig: SigId, m: i64, delay: i64) -> Vec<Insn> {
     ]
 }
 
-/// Partition edge case: a process with empty sensitivity (timeout-only)
-/// has an empty sensed footprint — it must still land in a partition and
-/// commit in order.
+/// Worker split edge case: processes with empty sensitivity
+/// (timeout-only) share cycles with signal-sensitive ones — every one
+/// must land on a worker and commit in order.
 #[test]
 fn empty_sensitivity_process_is_deterministic() {
     let mut prog = Program::default();
@@ -441,10 +441,10 @@ fn empty_sensitivity_process_is_deterministic() {
     assert_conforms(&out);
 }
 
-/// Partition edge case: more writers on one resolved signal than the
-/// per-worker load cap — the writer cluster is split across workers, so
-/// one signal's drivers execute in different partitions. Buffered commits
-/// must still produce the sequential driver order.
+/// Worker split edge case: seven processes on one resolved bus are dealt
+/// out round-robin, so one signal's drivers execute on different workers,
+/// unevenly at jobs 3. Buffered commits must still produce the sequential
+/// driver order.
 #[test]
 fn shared_signal_split_across_partitions() {
     let mut prog = Program::default();
@@ -461,7 +461,7 @@ fn shared_signal_split_across_partitions() {
         Insn::Jump(0),
     ];
     // The clock drives tick every fs; six writers sense tick and drive the
-    // bus, so all seven form one component larger than the cap at jobs=4.
+    // bus, so all seven are ready in the same cycles.
     let mut clk = counting_driver(tick, 2, 1);
     clk.extend(wait_tick.clone());
     prog.add_process("top.clk", 1, clk);
@@ -471,13 +471,21 @@ fn shared_signal_split_across_partitions() {
         prog.add_process(format!("top.w{i}"), 1, code);
     }
     prog.finalize_sensitivity();
-    let out = run_matrix(&prog, Time::fs(40), &[800], &interp_at(&[1, 2, 4, 8]), None).unwrap();
+    let out = run_matrix(
+        &prog,
+        Time::fs(40),
+        &[800],
+        &interp_at(&[1, 2, 3, 4, 8]),
+        None,
+    )
+    .unwrap();
     assert_conforms(&out);
 }
 
-/// Partition edge case: a compiled-backend fallback process (a recursive
-/// subprogram, which the translator declines) sharing a cycle — and
-/// potentially a partition — with tape-compiled processes.
+/// Worker split edge case: a compiled-backend fallback process (a
+/// recursive subprogram, which the translator declines) sharing a cycle —
+/// and, when the ready set outnumbers the workers, a worker — with
+/// tape-compiled processes.
 #[test]
 fn compiled_fallback_shares_partition() {
     let mut prog = Program::default();

@@ -376,3 +376,54 @@ fn cycles_diagnose_identically_at_any_worker_count() {
     }
     assert_eq!(rendered[0], rendered[1]);
 }
+
+/// A file that fails to parse, listed first, leaves an empty entry in the
+/// batch's parsed units; the pooled workers index the units after it. The
+/// front error, the diagnostics and the library are the same at every
+/// worker count, and every unit of the later files still compiles.
+#[test]
+fn front_errors_diagnose_identically_at_any_worker_count() {
+    let files: Vec<(String, String)> = vec![
+        (
+            "broken.vhd".into(),
+            "package broken is\nconstant : integer;\nend broken;\n".into(),
+        ),
+        (
+            "rtl.vhd".into(),
+            "use work.p.all;\nentity e is\nend e;\n\
+             architecture rtl of e is\nsignal s : integer := width;\nbegin\nend rtl;\n"
+                .into(),
+        ),
+        (
+            "pkg.vhd".into(),
+            "package p is\nconstant width : integer := 8;\nend p;\n".into(),
+        ),
+    ];
+    let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
+    let mut runs = Vec::new();
+    for jobs in [1, 4] {
+        let c = Compiler::in_memory();
+        let r = c.compile_batch(
+            &files,
+            BatchOptions {
+                jobs,
+                incremental: false,
+            },
+        );
+        let front: Vec<(usize, String)> = r
+            .front_errors
+            .iter()
+            .map(|(i, e)| (*i, e.to_string()))
+            .collect();
+        assert_eq!(front.len(), 1, "jobs={jobs}: {front:?}");
+        assert_eq!(front[0].0, 0);
+        assert_eq!(r.units.len(), 3, "jobs={jobs}: {:?}", r.units);
+        assert!(
+            r.units.iter().all(|u| u.msgs.is_empty()),
+            "jobs={jobs}: {}",
+            r.msgs()
+        );
+        runs.push((front, r.rendered_msgs(&names), library_texts(&c)));
+    }
+    assert_eq!(runs[0], runs[1]);
+}
