@@ -5,7 +5,7 @@
 
 use ag_core::{analyze, plan, AgStats};
 use ag_harness::bench::Runner;
-use vhdl_sem::expr_ag::ExprAg;
+use vhdl_sem::expr_ag::{ExprAg, ExprTables};
 use vhdl_sem::principal_ag::PrincipalAg;
 use vhdl_syntax::PrincipalGrammar;
 
@@ -13,7 +13,8 @@ fn main() {
     let mut runner = Runner::new("exp_ag_stats").out_dir(ag_bench::out_dir());
     let pg = PrincipalGrammar::new();
     let pag = PrincipalAg::build(&pg);
-    let xag = ExprAg::build();
+    let xt = ExprTables::new();
+    let xag = ExprAg::build(&xt);
 
     let visits =
         |ag: &ag_core::AttrGrammar<vhdl_sem::value::Value>| -> (String, Option<ag_core::Plans>) {
@@ -88,8 +89,8 @@ fn main() {
     );
     println!(
         "expression grammar: {} states, {} non-error actions",
-        xag.table.n_states(),
-        xag.table.n_nonerror_actions()
+        xt.table.n_states(),
+        xt.table.n_nonerror_actions()
     );
 
     for (tag, st, frac) in [
@@ -113,6 +114,6 @@ fn main() {
         pg.table().n_states() as f64,
         "states",
     );
-    runner.metric("expr_lalr_states", xag.table.n_states() as f64, "states");
+    runner.metric("expr_lalr_states", xt.table.n_states() as f64, "states");
     runner.finish();
 }

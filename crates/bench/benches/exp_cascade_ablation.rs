@@ -18,7 +18,7 @@ use std::time::Instant;
 use ag_harness::bench::Runner;
 use ag_lalr::{GrammarBuilder, ParseTable};
 use vhdl_sem::env::EnvKind;
-use vhdl_sem::expr_ag::{expr_eval, ExprAg};
+use vhdl_sem::expr_ag::{expr_eval, ExprTables};
 use vhdl_sem::standard::standard;
 use vhdl_syntax::lexer::lex;
 
@@ -74,12 +74,12 @@ fn main() {
         "united-production fragment: {prods} productions → {conflicts} LALR conflicts \
          (the paper: \"keeping track of the parsing conflicts … was confusing and error-prone\")"
     );
-    let xag = ExprAg::build();
+    let xt = ExprTables::shared();
     println!(
         "cascade: principal grammar 0 conflicts, expression grammar 0 conflicts \
          ({} productions in the expression AG — \"of a respectable size; on the order of a \
          simple AG for Pascal\")",
-        xag.grammar.n_user_prods()
+        xt.grammar.n_user_prods()
     );
     println!();
 

@@ -19,7 +19,7 @@
 use ag_bench::{loc_of, stripped_loc};
 use ag_core::emit_evaluator;
 use ag_harness::bench::Runner;
-use vhdl_sem::expr_ag::ExprAg;
+use vhdl_sem::expr_ag::{ExprAg, ExprTables};
 use vhdl_sem::principal_ag::PrincipalAg;
 use vhdl_syntax::PrincipalGrammar;
 
@@ -56,13 +56,14 @@ fn main() {
     // rendition.
     let pg = PrincipalGrammar::new();
     let pag = PrincipalAg::build(&pg);
-    let xag = ExprAg::build();
+    let xt = ExprTables::new();
+    let xag = ExprAg::build(&xt);
     let pplans =
         ag_core::plan(&pag.ag, &ag_core::analyze(&pag.ag).expect("acyclic")).expect("ordered");
     let xplans =
         ag_core::plan(&xag.ag, &ag_core::analyze(&xag.ag).expect("acyclic")).expect("ordered");
     let gen_principal = emit_evaluator("vhdl_principal", &pag.ag, pg.table(), &pplans);
-    let gen_expr = emit_evaluator("vhdl_expr", &xag.ag, &xag.table, &xplans);
+    let gen_expr = emit_evaluator("vhdl_expr", &xag.ag, &xt.table, &xplans);
 
     let compiler = vhdl_driver::Compiler::in_memory();
     let src = ag_bench::gen_design(4, 3);

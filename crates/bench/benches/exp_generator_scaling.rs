@@ -51,7 +51,8 @@ fn main() {
     println!();
     println!("(doubling the AG should cost *more* than 2x — the paper's superlinearity claim)");
     println!();
-    // The real grammars, for scale.
+    // The real grammars, for scale. Each is built from scratch inside its
+    // timed window, never taken from the compiler's process-wide copy.
     let t0 = Instant::now();
     let pg = vhdl_syntax::PrincipalGrammar::new();
     let t_pg = t0.elapsed();
@@ -61,7 +62,8 @@ fn main() {
     let _ = ag_core::plan(&pag.ag, &an).expect("ordered");
     let t_pag = t0.elapsed();
     let t0 = Instant::now();
-    let xag = vhdl_sem::expr_ag::ExprAg::build();
+    let xt = vhdl_sem::expr_ag::ExprTables::new();
+    let xag = vhdl_sem::expr_ag::ExprAg::build(&xt);
     let an = ag_core::analyze(&xag.ag).expect("acyclic");
     let _ = ag_core::plan(&xag.ag, &an).expect("ordered");
     let t_xag = t0.elapsed();

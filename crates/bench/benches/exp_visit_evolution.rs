@@ -8,13 +8,13 @@
 //! away lowers it — with no change to any evaluator code, only to the
 //! attribution.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use ag_core::{analyze, plan, AgBuilder, AttrDir, Dep, Implicit};
 use ag_harness::bench::Runner;
 use ag_lalr::GrammarBuilder;
 
-fn grammar() -> Rc<ag_lalr::Grammar> {
+fn grammar() -> Arc<ag_lalr::Grammar> {
     let mut g = GrammarBuilder::new();
     let bit = g.terminal("bit");
     let n = g.nonterminal("n");
@@ -23,12 +23,12 @@ fn grammar() -> Rc<ag_lalr::Grammar> {
     g.prod(l, &[l.into(), bit.into()], "l_rec");
     g.prod(l, &[bit.into()], "l_bit");
     g.start(n);
-    Rc::new(g.build().expect("grammar"))
+    Arc::new(g.build().expect("grammar"))
 }
 
 /// Variant 1: VAL depends on SCALE which depends on LEN — two visits.
-fn variant_two_visits(g: &Rc<ag_lalr::Grammar>) -> ag_core::AttrGrammar<i64> {
-    let mut ab = AgBuilder::<i64>::new(Rc::clone(g));
+fn variant_two_visits(g: &Arc<ag_lalr::Grammar>) -> ag_core::AttrGrammar<i64> {
+    let mut ab = AgBuilder::<i64>::new(Arc::clone(g));
     let len = ab.class("LEN", AttrDir::Synthesized, Implicit::None);
     let scale = ab.class("SCALE", AttrDir::Inherited, Implicit::None);
     let val = ab.class("VAL", AttrDir::Synthesized, Implicit::None);
@@ -38,8 +38,8 @@ fn variant_two_visits(g: &Rc<ag_lalr::Grammar>) -> ag_core::AttrGrammar<i64> {
 
 /// Variant 2: an extra pass — WIDTH (syn) feeds OFFSET (inh) feeds VAL,
 /// and OFFSET itself depends on the visit-2 SCALE results: three visits.
-fn variant_three_visits(g: &Rc<ag_lalr::Grammar>) -> ag_core::AttrGrammar<i64> {
-    let mut ab = AgBuilder::<i64>::new(Rc::clone(g));
+fn variant_three_visits(g: &Arc<ag_lalr::Grammar>) -> ag_core::AttrGrammar<i64> {
+    let mut ab = AgBuilder::<i64>::new(Arc::clone(g));
     let len = ab.class("LEN", AttrDir::Synthesized, Implicit::None);
     let scale = ab.class("SCALE", AttrDir::Inherited, Implicit::None);
     let val = ab.class("VAL", AttrDir::Synthesized, Implicit::None);
@@ -72,8 +72,8 @@ fn variant_three_visits(g: &Rc<ag_lalr::Grammar>) -> ag_core::AttrGrammar<i64> {
 
 /// Variant 3: the refactor — SCALE no longer depends on LEN (position is
 /// threaded top-down instead): one visit suffices.
-fn variant_one_visit(g: &Rc<ag_lalr::Grammar>) -> ag_core::AttrGrammar<i64> {
-    let mut ab = AgBuilder::<i64>::new(Rc::clone(g));
+fn variant_one_visit(g: &Arc<ag_lalr::Grammar>) -> ag_core::AttrGrammar<i64> {
+    let mut ab = AgBuilder::<i64>::new(Arc::clone(g));
     let scale = ab.class("SCALE", AttrDir::Inherited, Implicit::None);
     let val = ab.class("VAL", AttrDir::Synthesized, Implicit::None);
     let l = g.symbol("l").expect("l");

@@ -215,7 +215,7 @@ pub fn out_dir() -> std::path::PathBuf {
 /// generator-scaling experiment: a chain grammar with `n` nonterminals,
 /// each carrying an inherited and a synthesized class wired with copy and
 /// merge rules (mostly implicit, like a real AG).
-pub fn synth_ag(n: usize) -> (std::rc::Rc<ag_lalr::Grammar>, ag_core::AttrGrammar<i64>) {
+pub fn synth_ag(n: usize) -> (std::sync::Arc<ag_lalr::Grammar>, ag_core::AttrGrammar<i64>) {
     use ag_core::{AgBuilder, Dep};
     use ag_lalr::GrammarBuilder;
     let mut g = GrammarBuilder::new();
@@ -232,8 +232,8 @@ pub fn synth_ag(n: usize) -> (std::rc::Rc<ag_lalr::Grammar>, ag_core::AttrGramma
         g.prod(nts[i], &[toks[i].into()], &format!("p{i}_leaf"));
     }
     g.start(nts[0]);
-    let g = std::rc::Rc::new(g.build().expect("synthetic grammar"));
-    let mut ab = AgBuilder::<i64>::new(std::rc::Rc::clone(&g));
+    let g = std::sync::Arc::new(g.build().expect("synthetic grammar"));
+    let mut ab = AgBuilder::<i64>::new(std::sync::Arc::clone(&g));
     let inh = ab.inh("DEPTH");
     let syn = ab.syn_merge("SUM", 0, |a, b| a + b);
     for nt in &nts {

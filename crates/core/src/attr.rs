@@ -15,6 +15,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use ag_lalr::{Grammar, ProdId, SymbolId};
 
@@ -250,7 +251,7 @@ fn entry(cell: u16) -> Option<usize> {
 
 /// Builds an [`AttrGrammar`] over an existing context-free grammar.
 pub struct AgBuilder<V> {
-    pub(crate) grammar: Rc<Grammar>,
+    pub(crate) grammar: Arc<Grammar>,
     pub(crate) classes: Vec<ClassInfo<V>>,
     pub(crate) class_by_name: HashMap<String, ClassId>,
     /// Classes attached to each symbol, in attach order.
@@ -260,7 +261,7 @@ pub struct AgBuilder<V> {
 
 impl<V: Clone + 'static> AgBuilder<V> {
     /// Starts building an attribute grammar over `grammar`.
-    pub fn new(grammar: Rc<Grammar>) -> Self {
+    pub fn new(grammar: Arc<Grammar>) -> Self {
         let n_sym = grammar.n_symbols();
         let n_prod = grammar.n_prods();
         AgBuilder {
@@ -366,7 +367,7 @@ impl<V: Clone + 'static> AgBuilder<V> {
 /// A frozen attribute grammar: grammar + classes + rules (explicit and
 /// implicit), ready for dependency analysis and evaluation.
 pub struct AttrGrammar<V> {
-    pub(crate) grammar: Rc<Grammar>,
+    pub(crate) grammar: Arc<Grammar>,
     pub(crate) classes: Vec<ClassInfo<V>>,
     pub(crate) class_by_name: HashMap<String, ClassId>,
     pub(crate) attrs_of: Vec<Vec<ClassId>>,
@@ -484,7 +485,7 @@ mod tests {
     use super::*;
     use ag_lalr::GrammarBuilder;
 
-    fn toy_grammar() -> Rc<Grammar> {
+    fn toy_grammar() -> Arc<Grammar> {
         let mut g = GrammarBuilder::new();
         let a = g.terminal("a");
         let s = g.nonterminal("s");
@@ -492,7 +493,7 @@ mod tests {
         g.prod(s, &[t.into(), a.into()], "s_ta");
         g.prod(t, &[a.into()], "t_a");
         g.start(s);
-        Rc::new(g.build().unwrap())
+        Arc::new(g.build().unwrap())
     }
 
     #[test]
@@ -500,7 +501,7 @@ mod tests {
         let g = toy_grammar();
         let s = g.symbol("s").unwrap();
         let t = g.symbol("t").unwrap();
-        let mut ab = AgBuilder::<i64>::new(Rc::clone(&g));
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let env = ab.inh("ENV");
         let val = ab.syn("VAL");
         ab.attach(env, t);

@@ -165,11 +165,11 @@ mod tests {
     use super::*;
     use crate::attr::{AgBuilder, AttrDir, Dep, Implicit};
     use ag_lalr::GrammarBuilder;
-    use std::rc::Rc;
+    use std::sync::Arc;
 
     /// s ::= t ; t ::= a — with t.OUT depending on t.IN, and at the parent
     /// s's rule wiring t.IN from t.OUT we'd get a cycle.
-    fn base() -> Rc<ag_lalr::Grammar> {
+    fn base() -> Arc<ag_lalr::Grammar> {
         let mut g = GrammarBuilder::new();
         let a = g.terminal("a");
         let s = g.nonterminal("s");
@@ -177,7 +177,7 @@ mod tests {
         g.prod(s, &[t.into()], "s_t");
         g.prod(t, &[a.into()], "t_a");
         g.start(s);
-        Rc::new(g.build().unwrap())
+        Arc::new(g.build().unwrap())
     }
 
     #[test]
@@ -186,7 +186,7 @@ mod tests {
         let t = g.symbol("t").unwrap();
         let p_t = g.prod_by_label("t_a").unwrap();
         let p_s = g.prod_by_label("s_t").unwrap();
-        let mut ab = AgBuilder::<i64>::new(Rc::clone(&g));
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let input = ab.class("IN", AttrDir::Inherited, Implicit::None);
         let out = ab.class("OUT", AttrDir::Synthesized, Implicit::None);
         ab.attach(input, t);
@@ -208,7 +208,7 @@ mod tests {
         let s = g.symbol("s").unwrap();
         let p_t = g.prod_by_label("t_a").unwrap();
         let p_s = g.prod_by_label("s_t").unwrap();
-        let mut ab = AgBuilder::<i64>::new(Rc::clone(&g));
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let input = ab.class("IN", AttrDir::Inherited, Implicit::None);
         let out = ab.class("OUT", AttrDir::Synthesized, Implicit::None);
         ab.attach(input, t);
@@ -233,7 +233,7 @@ mod tests {
         let t = g.symbol("t").unwrap();
         let s = g.symbol("s").unwrap();
         let p_t = g.prod_by_label("t_a").unwrap();
-        let mut ab = AgBuilder::<i64>::new(Rc::clone(&g));
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let out = ab.class("OUT", AttrDir::Synthesized, Implicit::Copy);
         ab.attach(out, t);
         ab.attach(out, s);

@@ -273,12 +273,12 @@ mod tests {
     use super::*;
     use crate::attr::{AgBuilder, AttrDir, Dep, Implicit};
     use ag_lalr::{GrammarBuilder, ParseTable, Parser, Token};
-    use std::rc::Rc;
+    use std::sync::Arc;
 
     /// Knuth's binary number AG, fractional part included: value of
     /// "1 1 0 1" with the point after position 2 etc. Here: integers only,
     /// scale threaded via inh.
-    fn setup() -> (Rc<ag_lalr::Grammar>, AttrGrammar<i64>, ParseTable) {
+    fn setup() -> (Arc<ag_lalr::Grammar>, AttrGrammar<i64>, ParseTable) {
         let mut g = GrammarBuilder::new();
         let bit = g.terminal("bit");
         let l = g.nonterminal("l");
@@ -287,8 +287,8 @@ mod tests {
         g.prod(l, &[l.into(), bit.into()], "l_rec");
         g.prod(l, &[bit.into()], "l_bit");
         g.start(n);
-        let g = Rc::new(g.build().unwrap());
-        let mut ab = AgBuilder::<i64>::new(Rc::clone(&g));
+        let g = Arc::new(g.build().unwrap());
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let len = ab.class("LEN", AttrDir::Synthesized, Implicit::None);
         let scale = ab.class("SCALE", AttrDir::Inherited, Implicit::None);
         let val = ab.class("VAL", AttrDir::Synthesized, Implicit::None);
@@ -409,8 +409,8 @@ mod tests {
         let n = g.nonterminal("n");
         g.prod(n, &[a.into()], "n_a");
         g.start(n);
-        let g = Rc::new(g.build().unwrap());
-        let mut ab = AgBuilder::<i64>::new(Rc::clone(&g));
+        let g = Arc::new(g.build().unwrap());
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let base = ab.class("BASE", AttrDir::Inherited, Implicit::None);
         let out = ab.class("OUT", AttrDir::Synthesized, Implicit::None);
         let nn = g.symbol("n").unwrap();
@@ -443,8 +443,8 @@ mod tests {
         let n = g.nonterminal("n");
         g.prod(n, &[a.into()], "n_a");
         g.start(n);
-        let g = Rc::new(g.build().unwrap());
-        let mut ab = AgBuilder::<i64>::new(Rc::clone(&g));
+        let g = Arc::new(g.build().unwrap());
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let ids: Vec<ClassId> = classes
             .iter()
             .map(|&(name, dir)| ab.class(name, dir, Implicit::None))
@@ -540,8 +540,8 @@ mod tests {
         g.prod(s_nt, &[t_nt.into()], "s_t");
         g.prod(t_nt, &[a.into()], "t_a");
         g.start(s_nt);
-        let g = Rc::new(g.build().unwrap());
-        let mut ab = AgBuilder::<i64>::new(Rc::clone(&g));
+        let g = Arc::new(g.build().unwrap());
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let val = ab.syn("VAL");
         ab.attach_all(val, [s_nt, t_nt]);
         ab.rule(

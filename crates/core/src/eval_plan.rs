@@ -156,7 +156,7 @@ mod tests {
     use crate::deps::analyze;
     use crate::visits::plan;
     use ag_lalr::{GrammarBuilder, ParseTable, Parser, Token};
-    use std::rc::Rc;
+    use std::sync::Arc;
 
     /// The same Knuth-style AG as the demand evaluator test; the plan
     /// evaluator must produce identical values with a 2-visit schedule.
@@ -170,8 +170,8 @@ mod tests {
         g.prod(l, &[l.into(), bit.into()], "l_rec");
         g.prod(l, &[bit.into()], "l_bit");
         g.start(n);
-        let g = Rc::new(g.build().unwrap());
-        let mut ab = AgBuilder::<i64>::new(Rc::clone(&g));
+        let g = Arc::new(g.build().unwrap());
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let len = ab.class("LEN", AttrDir::Synthesized, Implicit::None);
         let scale = ab.class("SCALE", AttrDir::Inherited, Implicit::None);
         let val = ab.class("VAL", AttrDir::Synthesized, Implicit::None);

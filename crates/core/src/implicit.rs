@@ -355,10 +355,10 @@ mod tests {
     use super::*;
     use crate::attr::AgBuilder;
     use ag_lalr::GrammarBuilder;
-    use std::rc::Rc as StdRc;
+    use std::sync::Arc;
 
     /// Grammar: s ::= t t | t ; t ::= a
-    fn grammar() -> StdRc<ag_lalr::Grammar> {
+    fn grammar() -> Arc<ag_lalr::Grammar> {
         let mut g = GrammarBuilder::new();
         let a = g.terminal("a");
         let s = g.nonterminal("s");
@@ -367,7 +367,7 @@ mod tests {
         g.prod(s, &[t.into()], "s_t");
         g.prod(t, &[a.into()], "t_a");
         g.start(s);
-        StdRc::new(g.build().unwrap())
+        Arc::new(g.build().unwrap())
     }
 
     #[test]
@@ -379,7 +379,7 @@ mod tests {
         let p_tt = g.prod_by_label("s_tt").unwrap();
         let p_st = g.prod_by_label("s_t").unwrap();
 
-        let mut ab = AgBuilder::<i64>::new(StdRc::clone(&g));
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let msgs = ab.syn_merge("MSGS", 0, |a, b| a + b);
         let env = ab.inh("ENV");
         ab.attach_all(msgs, [s, t]);
@@ -426,7 +426,7 @@ mod tests {
         let s = g.symbol("s").unwrap();
         let t = g.symbol("t").unwrap();
         let p_tt = g.prod_by_label("s_tt").unwrap();
-        let mut ab = AgBuilder::<String>::new(StdRc::clone(&g));
+        let mut ab = AgBuilder::<String>::new(Arc::clone(&g));
         let code = ab.syn_merge("CODE", String::new(), |a, b| format!("{a}{b}"));
         ab.attach_all(code, [s, t]);
         let p_t = g.prod_by_label("t_a").unwrap();
@@ -441,7 +441,7 @@ mod tests {
     fn missing_rule_error_for_plain_class() {
         let g = grammar();
         let s = g.symbol("s").unwrap();
-        let mut ab = AgBuilder::<i64>::new(StdRc::clone(&g));
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let c = ab.class("PLAIN", AttrDir::Synthesized, Implicit::None);
         ab.attach(c, s);
         let err = ab.build().unwrap_err();
@@ -453,7 +453,7 @@ mod tests {
         let g = grammar();
         let s = g.symbol("s").unwrap();
         let t = g.symbol("t").unwrap();
-        let mut ab = AgBuilder::<i64>::new(StdRc::clone(&g));
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let c = ab.syn("VAL"); // Copy only, no merge
         ab.attach_all(c, [s, t]);
         let p_t = g.prod_by_label("t_a").unwrap();
@@ -471,7 +471,7 @@ mod tests {
         let s = g.symbol("s").unwrap();
         let t = g.symbol("t").unwrap();
         let p_tt = g.prod_by_label("s_tt").unwrap();
-        let mut ab = AgBuilder::<i64>::new(StdRc::clone(&g));
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let v = ab.class("V", AttrDir::Synthesized, Implicit::Unit(0));
         ab.attach_all(v, [s, t]);
         // Targeting a RHS occurrence with a synthesized class is illegal.
@@ -485,7 +485,7 @@ mod tests {
         let s = g.symbol("s").unwrap();
         let t = g.symbol("t").unwrap();
         let p_tt = g.prod_by_label("s_tt").unwrap();
-        let mut ab = AgBuilder::<i64>::new(StdRc::clone(&g));
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let v = ab.class("V", AttrDir::Synthesized, Implicit::Unit(0));
         ab.attach_all(v, [s, t]);
         ab.rule(p_tt, 0, v, vec![Dep::token(1)], |d| d[0]);

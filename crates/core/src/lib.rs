@@ -23,7 +23,7 @@
 //! A one-attribute AG that sums the token values under a list:
 //!
 //! ```
-//! use std::rc::Rc;
+//! use std::sync::Arc;
 //! use ag_lalr::{GrammarBuilder, ParseTable, Parser, Token};
 //! use ag_core::{AgBuilder, Dep, DemandEval};
 //!
@@ -33,9 +33,9 @@
 //! let p_rec = gb.prod(list, &[list.into(), num.into()], "rec");
 //! let p_one = gb.prod(list, &[num.into()], "one");
 //! gb.start(list);
-//! let g = Rc::new(gb.build()?);
+//! let g = Arc::new(gb.build()?);
 //!
-//! let mut ab = AgBuilder::<i64>::new(Rc::clone(&g));
+//! let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
 //! let sum = ab.syn("SUM");
 //! ab.attach(sum, list);
 //! ab.rule(p_rec, 0, sum, vec![Dep::attr(1, sum), Dep::token(2)], |d| d[0] + d[1]);

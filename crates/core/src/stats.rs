@@ -75,7 +75,7 @@ mod tests {
     use crate::deps::analyze;
     use crate::visits::plan;
     use ag_lalr::GrammarBuilder;
-    use std::rc::Rc;
+    use std::sync::Arc;
 
     #[test]
     fn gather_counts() {
@@ -86,8 +86,8 @@ mod tests {
         g.prod(s, &[t.into(), t.into()], "s_tt");
         g.prod(t, &[a.into()], "t_a");
         g.start(s);
-        let g = Rc::new(g.build().unwrap());
-        let mut ab = AgBuilder::<i64>::new(Rc::clone(&g));
+        let g = Arc::new(g.build().unwrap());
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let msgs = ab.syn_merge("MSGS", 0, |x, y| x + y);
         ab.attach_all(msgs, [s, t]);
         let env = ab.inh("ENV");

@@ -326,11 +326,11 @@ mod tests {
     use crate::attr::{AgBuilder, AttrDir, Dep, Implicit};
     use crate::deps::analyze;
     use ag_lalr::GrammarBuilder;
-    use std::rc::Rc;
+    use std::sync::Arc;
 
     /// Knuth's binary-number AG shape: L.scale (inh) depends on L.len (syn)
     /// at the parent, forcing two visits to L.
-    fn knuthish() -> (Rc<ag_lalr::Grammar>, AttrGrammar<i64>) {
+    fn knuthish() -> (Arc<ag_lalr::Grammar>, AttrGrammar<i64>) {
         let mut g = GrammarBuilder::new();
         let bit = g.terminal("bit");
         let n = g.nonterminal("n");
@@ -339,8 +339,8 @@ mod tests {
         g.prod(l, &[l.into(), bit.into()], "l_rec");
         g.prod(l, &[bit.into()], "l_bit");
         g.start(n);
-        let g = Rc::new(g.build().unwrap());
-        let mut ab = AgBuilder::<i64>::new(Rc::clone(&g));
+        let g = Arc::new(g.build().unwrap());
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let len = ab.class("LEN", AttrDir::Synthesized, Implicit::None);
         let scale = ab.class("SCALE", AttrDir::Inherited, Implicit::None);
         let val = ab.class("VAL", AttrDir::Synthesized, Implicit::None);
@@ -424,8 +424,8 @@ mod tests {
         let s = g.nonterminal("s");
         g.prod(s, &[a.into()], "s_a");
         g.start(s);
-        let g = Rc::new(g.build().unwrap());
-        let mut ab = AgBuilder::<i64>::new(Rc::clone(&g));
+        let g = Arc::new(g.build().unwrap());
+        let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
         let v = ab.class("V", AttrDir::Synthesized, Implicit::None);
         ab.attach(v, g.symbol("s").unwrap());
         let p = g.prod_by_label("s_a").unwrap();

@@ -5,7 +5,7 @@
 //! Ported from proptest to the in-repo `ag-harness` framework; the input
 //! space and every invariant are unchanged.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use ag_core::{analyze, plan, AgBuilder, AttrDir, ClassId, DemandEval, Dep, Implicit, PlanEval};
 use ag_harness::{check, check_eq, forall, Config, Source};
@@ -34,7 +34,7 @@ fn ag_spec(s: &mut Source) -> AgSpec {
 fn build(
     spec: &AgSpec,
 ) -> (
-    Rc<ag_lalr::Grammar>,
+    Arc<ag_lalr::Grammar>,
     ag_core::AttrGrammar<i64>,
     ClassId,
     ClassId,
@@ -45,8 +45,8 @@ fn build(
     let p_rec = g.prod(l, &[l.into(), x.into()], "rec");
     let p_leaf = g.prod(l, &[x.into()], "leaf");
     g.start(l);
-    let g = Rc::new(g.build().unwrap());
-    let mut ab = AgBuilder::<i64>::new(Rc::clone(&g));
+    let g = Arc::new(g.build().unwrap());
+    let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
     let depth = ab.class("DEPTH", AttrDir::Inherited, Implicit::Copy);
     let sum = ab.class("SUM", AttrDir::Synthesized, Implicit::None);
     ab.attach(depth, l);
@@ -141,8 +141,8 @@ fn implicit_rules_equal_explicit() {
             g.prod(l, &[l.into(), x.into()], "rec");
             let p_leaf = g.prod(l, &[x.into()], "leaf");
             g.start(l);
-            let g = Rc::new(g.build().unwrap());
-            let mut ab = AgBuilder::<i64>::new(Rc::clone(&g));
+            let g = Arc::new(g.build().unwrap());
+            let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
             let env = ab.inh("ENV"); // implicit copy everywhere
             let total = ab.syn_merge("TOTAL", 0, |a, b| a + b); // implicit merge
             ab.attach(env, l);

@@ -87,7 +87,8 @@ impl UnitLoader for TimedLoader {
 
 /// The compiler: an analyzer plus a library universe.
 pub struct Compiler {
-    /// The reusable analyzer (grammar tables + AGs).
+    /// The reusable analyzer: the process-wide grammar tables and this
+    /// thread's AGs.
     pub analyzer: Analyzer,
     /// Work + reference libraries.
     pub libs: Rc<LibrarySet>,

@@ -112,17 +112,23 @@ pub struct AnalyzedUnit {
 }
 
 thread_local! {
-    /// The principal grammar and AG, built once per thread and shared by
-    /// every analyzer on it: neither holds per-compilation state.
-    static PRINCIPAL: OnceCell<(Rc<PrincipalGrammar>, Rc<PrincipalAg>)> =
-        const { OnceCell::new() };
+    /// The principal AG, built once per thread and shared by every
+    /// analyzer on it: it holds no per-compilation state, but its rules
+    /// and implicit units are `Rc`, so it cannot cross threads. The
+    /// grammar and table it is built over are process-wide
+    /// ([`PrincipalGrammar::shared`]).
+    static PRINCIPAL: OnceCell<Rc<PrincipalAg>> = const { OnceCell::new() };
 }
 
 /// The compiler front half: principal grammar + principal AG, reusable
 /// across files.
+///
+/// The grammars and LALR tables of both AGs are plain data built once per
+/// process; only the attribute grammars and [`Standard`], whose values
+/// are `Rc`, are built per thread.
 pub struct Analyzer {
-    /// The principal grammar and parse table (shared per thread).
-    pub grammar: Rc<PrincipalGrammar>,
+    /// The principal grammar and parse table (shared by the process).
+    pub grammar: &'static PrincipalGrammar,
     /// The principal attribute grammar (shared per thread).
     pub pag: Rc<PrincipalAg>,
     /// Predefined environment and types.
@@ -132,17 +138,13 @@ pub struct Analyzer {
 }
 
 impl Analyzer {
-    /// Builds the analyzer (reuse across compilations). The parse tables
-    /// and AG are built by the first analyzer on a thread and shared after.
+    /// Builds the analyzer (reuse across compilations). The first
+    /// analyzer in the process builds the parse tables; the first on a
+    /// thread builds the attribute grammars, and later ones share them.
     pub fn new(env_kind: EnvKind) -> Analyzer {
-        let (grammar, pag) = PRINCIPAL.with(|p| {
-            p.get_or_init(|| {
-                let grammar = PrincipalGrammar::new();
-                let pag = PrincipalAg::build(&grammar);
-                (Rc::new(grammar), Rc::new(pag))
-            })
-            .clone()
-        });
+        let grammar = PrincipalGrammar::shared();
+        let pag =
+            PRINCIPAL.with(|p| Rc::clone(p.get_or_init(|| Rc::new(PrincipalAg::build(grammar)))));
         // Build the (thread-cached) expression AG now so the first unit's
         // timing doesn't absorb its construction.
         let _ = crate::expr_ag::ExprAg::shared();

@@ -7,9 +7,10 @@
 //! the out-of-line function [`expr_eval`]; the scanner that feeds it "just
 //! takes the next LEF token off the front of the list".
 
-use std::cell::RefCell;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 use ag_core::{AgBuilder, AttrDir, AttrGrammar, ClassId, DemandEval, EvalError, Implicit};
 use ag_lalr::{Grammar, GrammarBuilder, ParseTable, Parser, SymbolId, Token};
@@ -56,54 +57,89 @@ pub struct ExprClasses {
     pub tags: ClassId,
 }
 
-/// The built expression AG: grammar, table, attribution.
-pub struct ExprAg {
+/// The expression grammar over LEF categories and its LALR(1) table:
+/// plain data, `Send` and `Sync`, built once per process
+/// ([`ExprTables::shared`]) and read by every thread's [`ExprAg`].
+pub struct ExprTables {
     /// The context-free grammar over LEF categories.
-    pub grammar: Rc<Grammar>,
+    pub grammar: Arc<Grammar>,
     /// Its LALR(1) table.
     pub table: ParseTable,
-    /// The attribute grammar.
-    pub ag: AttrGrammar<Value>,
-    /// The class handles.
-    pub classes: ExprClasses,
     term_of: HashMap<LefKind, SymbolId>,
 }
 
-thread_local! {
-    static CACHE: RefCell<Option<Rc<ExprAg>>> = const { RefCell::new(None) };
-}
-
-impl ExprAg {
-    /// Returns the per-thread shared instance (built once; `expr_eval`
-    /// runs once per maximal expression, so construction is amortized).
-    pub fn shared() -> Rc<ExprAg> {
-        CACHE.with(|c| {
-            let mut c = c.borrow_mut();
-            if c.is_none() {
-                *c = Some(Rc::new(ExprAg::build()));
-            }
-            Rc::clone(c.as_ref().expect("just set"))
-        })
+impl ExprTables {
+    /// The process-wide tables, built by the first caller on any thread.
+    pub fn shared() -> &'static ExprTables {
+        static SHARED: OnceLock<ExprTables> = OnceLock::new();
+        SHARED.get_or_init(ExprTables::new)
     }
 
-    /// Builds the grammar and attribution from scratch.
+    /// Builds the grammar and its table from scratch (benches that time
+    /// generation; `expr_eval` uses [`ExprTables::shared`]).
     ///
     /// # Panics
     ///
-    /// Panics if the grammar is not LALR(1) or the AG is malformed — bugs
-    /// in this crate, not user errors.
-    pub fn build() -> ExprAg {
-        let grammar = Rc::new(build_expr_grammar());
+    /// Panics if the grammar is not LALR(1) — a bug in this crate, not a
+    /// user error.
+    pub fn new() -> ExprTables {
+        let grammar = Arc::new(build_expr_grammar());
         let table = match ParseTable::build(&grammar) {
             Ok(t) => t,
             Err(e) => panic!("expression grammar is not LALR(1):\n{e}"),
         };
-        let term_of: HashMap<LefKind, SymbolId> = LefKind::all()
+        let term_of = LefKind::all()
             .iter()
             .map(|k| (*k, grammar.symbol(k.name()).expect("terminal registered")))
             .collect();
+        ExprTables {
+            grammar,
+            table,
+            term_of,
+        }
+    }
+}
 
-        let mut ab = AgBuilder::<Value>::new(Rc::clone(&grammar));
+impl Default for ExprTables {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The built expression AG: the attribution over a set of [`ExprTables`].
+pub struct ExprAg<'t> {
+    /// The grammar and table the attribution is built over.
+    pub tables: &'t ExprTables,
+    /// The attribute grammar.
+    pub ag: AttrGrammar<Value>,
+    /// The class handles.
+    pub classes: ExprClasses,
+}
+
+thread_local! {
+    /// The attribution holds `Rc` rules and values, so each thread builds
+    /// its own, over the process-wide tables.
+    static CACHE: OnceCell<Rc<ExprAg<'static>>> = const { OnceCell::new() };
+}
+
+impl ExprAg<'static> {
+    /// Returns the per-thread shared instance over [`ExprTables::shared`]
+    /// (built once per thread; `expr_eval` runs once per maximal
+    /// expression, so construction is amortized).
+    pub fn shared() -> Rc<ExprAg<'static>> {
+        CACHE.with(|c| Rc::clone(c.get_or_init(|| Rc::new(ExprAg::build(ExprTables::shared())))))
+    }
+}
+
+impl<'t> ExprAg<'t> {
+    /// Builds the attribution over `tables`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the AG is malformed — a bug in this crate, not a user
+    /// error.
+    pub fn build(tables: &'t ExprTables) -> ExprAg<'t> {
+        let mut ab = AgBuilder::<Value>::new(Arc::clone(&tables.grammar));
         let merge_list = || Implicit::Merge {
             unit: Some(Value::empty_list()),
             f: Rc::new(Value::concat_lists),
@@ -133,17 +169,15 @@ impl ExprAg {
             choice: ab.class("CHOICE", AttrDir::Synthesized, merge_list()),
             tags: ab.class("TAGS", AttrDir::Synthesized, merge_list()),
         };
-        expr_rules::install(&mut ab, &grammar, &classes);
+        expr_rules::install(&mut ab, &tables.grammar, &classes);
         let ag = match ab.build() {
             Ok(ag) => ag,
             Err(e) => panic!("expression AG malformed: {e}"),
         };
         ExprAg {
-            grammar,
-            table,
+            tables,
             ag,
             classes,
-            term_of,
         }
     }
 }
@@ -206,12 +240,13 @@ pub fn expr_eval(
         return ExprAnswer::error(msgs);
     }
     let ax = ExprAg::shared();
+    let xt = ax.tables;
 
     // The paper's trivial scanner: the next token is the head of the list.
-    let parser = Parser::new(&ax.grammar, &ax.table);
+    let parser = Parser::new(&xt.grammar, &xt.table);
     let parsed = parser.parse(
         lef.iter()
-            .map(|t| Token::new(ax.term_of[&t.kind], Value::Lef(Rc::new(vec![t.clone()])))),
+            .map(|t| Token::new(xt.term_of[&t.kind], Value::Lef(Rc::new(vec![t.clone()])))),
     );
     let tree = match parsed {
         Ok(t) => t,

@@ -8,6 +8,7 @@
 //! rules live in [`crate::principal_rules`].
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use ag_core::{AgBuilder, AttrDir, AttrGrammar, ClassId, Implicit};
 use vhdl_syntax::PrincipalGrammar;
@@ -90,7 +91,7 @@ impl PrincipalAg {
     /// Panics if the AG is malformed — a bug in this crate.
     pub fn build(pg: &PrincipalGrammar) -> PrincipalAg {
         let g = pg.grammar();
-        let mut ab = AgBuilder::<Value>::new(Rc::clone(&g));
+        let mut ab = AgBuilder::<Value>::new(Arc::clone(&g));
         let merge_list = || Implicit::Merge {
             unit: Some(Value::empty_list()),
             f: Rc::new(Value::concat_lists),
@@ -472,8 +473,7 @@ mod tests {
 
     #[test]
     fn principal_ag_builds() {
-        let pg = PrincipalGrammar::new();
-        let pag = PrincipalAg::build(&pg);
+        let pag = PrincipalAg::build(PrincipalGrammar::shared());
         assert!(pag.ag.n_rules() > 200);
         // The paper's headline claim (§4.2): implicit rules are more than
         // half of all rules.

@@ -10,7 +10,7 @@
 //!
 //! ```
 //! use vhdl_syntax::PrincipalGrammar;
-//! let g = PrincipalGrammar::new();
+//! let g = PrincipalGrammar::shared();
 //! let cst = g.parse_str("entity e is end;")?;
 //! // One arena in postorder: the root is last, the leaves are the tokens.
 //! assert_eq!(cst.root(), cst.len() - 1);

@@ -11,9 +11,12 @@
 //! The grammar is strictly LALR(1) (no lenient conflict resolution):
 //! [`PrincipalGrammar::new`] builds the table with
 //! [`ag_lalr::ParseTable::build`] and would fail loudly on any conflict.
+//! The grammar and table are plain immutable data, so the compiler builds
+//! them once per process ([`PrincipalGrammar::shared`]), the way Linguist
+//! generates the parser once for every compilation (§2).
 
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 use ag_lalr::{
     Grammar, GrammarBuilder, ParseError, ParseTable, ParseTree, Parser, ProdId, SymbolId, Token,
@@ -22,9 +25,10 @@ use ag_lalr::{
 use crate::lexer::{lex, LexError};
 use crate::token::{SrcTok, TokenKind};
 
-/// The built principal grammar with its LALR(1) table.
+/// The built principal grammar with its LALR(1) table: plain data, `Send`
+/// and `Sync`, shared by every thread through [`PrincipalGrammar::shared`].
 pub struct PrincipalGrammar {
-    grammar: Rc<Grammar>,
+    grammar: Arc<Grammar>,
     table: ParseTable,
     term_of_kind: HashMap<TokenKind, SymbolId>,
 }
@@ -64,14 +68,23 @@ impl From<LexError> for FrontError {
 }
 
 impl PrincipalGrammar {
-    /// Builds the grammar and its LALR(1) table.
+    /// The process-wide grammar and table, built by the first caller on
+    /// any thread.
+    pub fn shared() -> &'static PrincipalGrammar {
+        static SHARED: OnceLock<PrincipalGrammar> = OnceLock::new();
+        SHARED.get_or_init(PrincipalGrammar::new)
+    }
+
+    /// Builds the grammar and its LALR(1) table from scratch (benches and
+    /// tests that time or check generation; the compiler uses
+    /// [`PrincipalGrammar::shared`]).
     ///
     /// # Panics
     ///
     /// Panics if the grammar has conflicts — that would be a bug in this
     /// crate, not a user error.
     pub fn new() -> Self {
-        let grammar = Rc::new(build_grammar());
+        let grammar = Arc::new(build_grammar());
         let table = match ParseTable::build(&grammar) {
             Ok(t) => t,
             Err(e) => panic!("principal grammar is not LALR(1):\n{e}"),
@@ -88,8 +101,8 @@ impl PrincipalGrammar {
     }
 
     /// The underlying grammar (for attribute-grammar construction).
-    pub fn grammar(&self) -> Rc<Grammar> {
-        Rc::clone(&self.grammar)
+    pub fn grammar(&self) -> Arc<Grammar> {
+        Arc::clone(&self.grammar)
     }
 
     /// The parse table.
@@ -824,13 +837,13 @@ fn build_grammar() -> Grammar {
 mod tests {
     use super::*;
 
-    fn pg() -> PrincipalGrammar {
-        PrincipalGrammar::new()
+    fn pg() -> &'static PrincipalGrammar {
+        PrincipalGrammar::shared()
     }
 
     #[test]
     fn grammar_is_lalr1() {
-        let g = pg();
+        let g = PrincipalGrammar::new();
         assert!(g.grammar().n_user_prods() > 150);
         assert!(g.table().n_states() > 100);
     }
