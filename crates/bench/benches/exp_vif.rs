@@ -1,14 +1,16 @@
-//! E15 — VIF interchange costs: text parse vs structural cache hit.
+//! E15 — VIF interchange costs: the two steps of a unit load.
 //!
 //! The VIF is the only interface between separately-compiled units, so
 //! every dependency load, thread crossing, and session fork pays its
-//! deserialization cost. This experiment prices the two tiers a byte
-//! record's load can take:
+//! deserialization cost. A byte record's load is its record's memo, or
+//! else one `read_vif` of its text. This experiment prices:
 //!
 //! - **text-parse** — `read_vif` over the canonical text (the paper's
 //!   cost model, and the one byte form of a unit);
-//! - **cache-hit** — a full `LibrarySet::load` against a warm structural
-//!   cache (content-hash lookup, pointer share, no parse at all);
+//! - **fork-load** — a full `LibrarySet::load` of every unit in a fresh
+//!   fork of the library: each unit's text is read once;
+//! - **memo-hit** — the same loads again in a fork that has loaded them
+//!   (the record's memo, no parse at all);
 //!
 //! plus the text size and the end-to-end warm `compile_batch` time with
 //! the driver's plan cache — the number the server's warm `analyze` path
@@ -21,7 +23,7 @@ use std::rc::Rc;
 
 use vhdl_driver::batch::BatchOptions;
 use vhdl_driver::Compiler;
-use vhdl_vif::{clear_node_cache, read_vif, Library, LibrarySet, VifError, VifNode};
+use vhdl_vif::{read_vif, Library, LibrarySet, VifError, VifNode};
 
 /// A small design with real cross-unit references: packages, entities,
 /// architectures (same shape as the server's session workload).
@@ -50,7 +52,7 @@ fn design(n_cells: usize) -> Vec<(String, String)> {
 }
 
 fn main() {
-    println!("# E15 — VIF text parse vs structural cache hit");
+    println!("# E15 — VIF text parse, fork load and record memo");
     println!();
     let mut r = Runner::new("exp_vif").iters(7).out_dir(ag_bench::out_dir());
 
@@ -69,7 +71,7 @@ fn main() {
     r.metric("size/text-bytes", text_bytes as f64, "B");
     println!("{units} units: {text_bytes} B text");
 
-    // Tier 1: text parse, every foreign reference resolving to one stub
+    // Text parse, every foreign reference resolving to one stub
     // node so each unit costs only its own text.
     let stub = VifNode::build("stub").done();
     let mut resolve_stub = |_: &str| -> Result<Rc<VifNode>, VifError> { Ok(Rc::clone(&stub)) };
@@ -80,35 +82,26 @@ fn main() {
     });
     println!("text-parse   {units} units: {}", fmt_ns(s_text.median_ns));
 
-    // Tier 2: warm structural-cache hits through the full library load
-    // path (fork a fresh library each iteration so the per-key cache is
-    // cold and every load goes content-hash → shared cache).
+    // A fresh fork of the library each iteration: every load reads its
+    // unit's text once, nested foreign references included.
     let snap = work.snapshot();
-    {
-        // Prime the thread-local structural cache.
-        let lib = Rc::new(Library::from_snapshot(&snap));
-        let set = LibrarySet::new(Rc::clone(&lib), vec![]);
-        for k in &keys {
-            set.load(&format!("work.{k}")).unwrap();
-        }
-    }
-    let s_hit = r.measure("cache-hit-load", || {
-        let lib = Rc::new(Library::from_snapshot(&snap));
-        let set = LibrarySet::new(Rc::clone(&lib), vec![]);
+    let load_all = |set: &LibrarySet| {
         for k in &keys {
             std::hint::black_box(set.load(&format!("work.{k}")).unwrap());
         }
-    });
-    println!("cache-hit    {units} units: {}", fmt_ns(s_hit.median_ns));
-    r.metric(
-        "cache-hit-speedup-vs-text",
-        s_text.median_ns as f64 / s_hit.median_ns as f64,
-        "x",
-    );
+    };
+    let fork = || LibrarySet::new(Rc::new(Library::from_snapshot(&snap)), vec![]);
+    let s_fork = r.measure("fork-load", || load_all(&fork()));
+    println!("fork-load    {units} units: {}", fmt_ns(s_fork.median_ns));
+
+    // The same loads in a fork that has made them: record memo hits.
+    let warm = fork();
+    load_all(&warm);
+    let s_memo = r.measure("memo-hit", || load_all(&warm));
+    println!("memo-hit     {units} units: {}", fmt_ns(s_memo.median_ns));
 
     // End to end: warm compile_batch with the plan cache (all stamps hit,
     // nothing parses, nothing re-prints) — the server's warm analyze core.
-    clear_node_cache();
     let warm_files = design(4);
     let cw = Compiler::in_memory();
     let opts = BatchOptions {
@@ -126,13 +119,9 @@ fn main() {
         fmt_ns(s_warm.median_ns)
     );
 
-    let vb = vhdl_vif::vifb_stats();
-    r.metric("vifb/cache-hits", vb.cache_hits as f64, "");
-    r.metric("vifb/text-parses", vb.text_parses as f64, "");
-    println!(
-        "vifb counters: {} hits, {} misses, {} text parses",
-        vb.cache_hits, vb.cache_misses, vb.text_parses
-    );
+    let parses = vhdl_vif::vifb_stats().text_parses;
+    r.metric("vifb/text-parses", parses as f64, "");
+    println!("vifb counters: {parses} text parses");
 
     r.finish();
 }

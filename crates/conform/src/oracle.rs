@@ -64,10 +64,8 @@ pub fn elaborate(design: &Design) -> Result<Program, ConformError> {
     if !r.ok() {
         return Err(ConformError::Compile(r.msgs().to_string()));
     }
-    let (program, _) = c
-        .elaborate(&design.top, None, None)
-        .map_err(|e| ConformError::Elab(e.to_string()))?;
-    Ok(program)
+    vhdl_codegen::elaborate(&c.libs, &design.top, None)
+        .map_err(|e| ConformError::Elab(e.to_string()))
 }
 
 /// Runs a design through the eight cells. Cycle budgets bound the run

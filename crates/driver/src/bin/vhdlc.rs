@@ -226,17 +226,10 @@ fn run() -> ExitCode {
             phases.parse, phases.attr_eval, phases.vif_read, phases.vif_write, phases.codegen,
             phases.backend
         );
-        let vb = vhdl_vif::vifb_stats();
-        eprintln!(
-            "vifb: {} cache hits, {} misses, {} text parses",
-            vb.cache_hits, vb.cache_misses, vb.text_parses
-        );
+        eprintln!("vifb: {} text parses", vhdl_vif::vifb_stats().text_parses);
     }
     if args.trace_phases {
-        let vb = vhdl_vif::vifb_stats();
-        ag_harness::trace::counter("vifb-cache-hit", vb.cache_hits);
-        ag_harness::trace::counter("vifb-cache-miss", vb.cache_misses);
-        ag_harness::trace::counter("vifb-text-parse", vb.text_parses);
+        ag_harness::trace::counter("vifb-text-parse", vhdl_vif::vifb_stats().text_parses);
     }
 
     if let Some((program, c_text)) = program {
@@ -315,7 +308,6 @@ fn run() -> ExitCode {
         let interner = ag_intern::stats();
         ag_harness::trace::counter("interner-symbols", interner.symbols);
         ag_harness::trace::counter("interner-bytes", interner.bytes);
-        ag_harness::trace::counter("interner-hits", interner.hits);
         eprint!("{}", ag_harness::trace::report().render());
     }
     ExitCode::SUCCESS

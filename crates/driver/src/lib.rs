@@ -200,9 +200,8 @@ impl Compiler {
         if !r.ok() {
             return Err(r.msgs().to_string());
         }
-        let (program, _) = self
-            .elaborate(entity, None, None)
-            .map_err(|e| e.to_string())?;
+        let program =
+            vhdl_codegen::elaborate(&self.libs, entity, None).map_err(|e| e.to_string())?;
         Ok(Simulator::new(program))
     }
 }

@@ -190,10 +190,6 @@ pub struct Stats {
     pub symbols: u64,
     /// Total bytes of interned text (live forever).
     pub bytes: u64,
-    /// Intern calls that found an existing symbol.
-    pub hits: u64,
-    /// Intern calls that created a new symbol (== `symbols`).
-    pub misses: u64,
 }
 
 /// Snapshots the global interner's counters.
@@ -201,8 +197,6 @@ pub fn stats() -> Stats {
     Stats {
         symbols: SYMBOLS.load(Ordering::Acquire),
         bytes: BYTES.load(Ordering::Relaxed),
-        hits: hits_total(),
-        misses: SYMBOLS.load(Ordering::Acquire),
     }
 }
 
@@ -269,36 +263,6 @@ static CHUNKS: [AtomicPtr<[&'static str; CHUNK]>; MAX_CHUNKS] = {
 static SYMBOLS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// Hit counting is the one global *write* on the hot path, so it is
-/// striped across cache-line-padded slots (one per thread, assigned
-/// round-robin) — a shared `fetch_add` target would put one cache line
-/// back into ping-pong between every analyzing thread and undo the
-/// lock-free probe. `stats()` sums the stripes.
-#[repr(align(64))]
-struct PaddedCounter(AtomicU64);
-
-const HIT_STRIPES: usize = 16;
-static HITS: [PaddedCounter; HIT_STRIPES] = {
-    #[allow(clippy::declare_interior_mutable_const)]
-    const ZERO: PaddedCounter = PaddedCounter(AtomicU64::new(0));
-    [ZERO; HIT_STRIPES]
-};
-static NEXT_STRIPE: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static MY_STRIPE: usize =
-        (NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) as usize) % HIT_STRIPES;
-}
-
-fn count_hit() {
-    let i = MY_STRIPE.try_with(|s| *s).unwrap_or(0);
-    HITS[i].0.fetch_add(1, Ordering::Relaxed);
-}
-
-fn hits_total() -> u64 {
-    HITS.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
-}
-
 /// FNV-1a over the (optionally folded) bytes of `s`.
 fn hash_of(s: &str, ci: bool) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -336,7 +300,6 @@ fn intern_impl(text: &str, ci: bool) -> Symbol {
     let table = TABLE.load(Ordering::Acquire);
     if !table.is_null() {
         if let Ok(sym) = unsafe { &*table }.probe(h, text, needs_fold) {
-            count_hit();
             return sym;
         }
     }
@@ -353,10 +316,7 @@ fn intern_impl(text: &str, ci: bool) -> Symbol {
     }
     let map = unsafe { &*table };
     let i = match map.probe(h, text, needs_fold) {
-        Ok(sym) => {
-            count_hit();
-            return sym;
-        }
+        Ok(sym) => return sym,
         Err(i) => i,
     };
 
@@ -513,7 +473,6 @@ mod tests {
         let after = stats();
         assert!(after.symbols > 0);
         assert!(after.symbols >= before.symbols);
-        assert!(after.hits > before.hits, "second intern is a hit");
         assert!(after.bytes >= before.bytes);
     }
 }

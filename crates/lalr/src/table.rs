@@ -29,6 +29,8 @@ pub struct Conflict {
     pub state: u32,
     /// Lookahead terminal.
     pub lookahead: SymbolId,
+    /// The lookahead terminal's name, for reports.
+    pub lookahead_name: String,
     /// Human-readable description (`shift/reduce` or `reduce/reduce` with
     /// the productions involved).
     pub description: String,
@@ -51,9 +53,7 @@ impl fmt::Display for TableError {
             writeln!(
                 f,
                 "  state {}: {} on `{}`",
-                c.state,
-                c.description,
-                c.lookahead.index()
+                c.state, c.description, c.lookahead_name
             )?;
         }
         Ok(())
@@ -181,6 +181,7 @@ impl ParseTable {
                             unresolved.push(Conflict {
                                 state: si as u32,
                                 lookahead: la_sym,
+                                lookahead_name: g.symbol_name(la_sym).to_string(),
                                 description: format!(
                                     "reduce/reduce: [{}] vs [{}]",
                                     g.display_prod(p1),
@@ -194,6 +195,7 @@ impl ParseTable {
                             unresolved.push(Conflict {
                                 state: si as u32,
                                 lookahead: la_sym,
+                                lookahead_name: g.symbol_name(la_sym).to_string(),
                                 description: format!("{old:?} vs {n:?}"),
                                 resolved_by_precedence: false,
                             });
@@ -295,6 +297,7 @@ fn resolve_shift_reduce(
                 Resolution::ByPrecedence(Conflict {
                     state,
                     lookahead: la,
+                    lookahead_name: g.symbol_name(la).to_string(),
                     description: describe("resolved by precedence"),
                     resolved_by_precedence: true,
                 }),
@@ -305,6 +308,7 @@ fn resolve_shift_reduce(
             Resolution::Default(Conflict {
                 state,
                 lookahead: la,
+                lookahead_name: g.symbol_name(la).to_string(),
                 description: describe("unresolved, defaulted to shift"),
                 resolved_by_precedence: false,
             }),
@@ -340,6 +344,21 @@ mod tests {
         let err = ParseTable::build(&g).unwrap_err();
         assert!(!err.conflicts.is_empty());
         assert!(err.to_string().contains("shift/reduce"));
+    }
+
+    #[test]
+    fn conflict_report_names_the_lookahead() {
+        // Without precedence, `e + e` and `e * e` conflict on `+` and `*`.
+        let err = ParseTable::build(&expr_grammar(false)).unwrap_err();
+        let msg = err.to_string();
+        for c in &err.conflicts {
+            assert!(["+", "*"].contains(&c.lookahead_name.as_str()), "{msg}");
+            assert!(msg.contains(&format!("on `{}`", c.lookahead_name)), "{msg}");
+            assert!(
+                !msg.contains(&format!("on `{}`", c.lookahead.index())),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

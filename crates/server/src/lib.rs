@@ -676,8 +676,8 @@ fn stats_json(shared: &Shared, session: &Session, sid: u64) -> Json {
         .lock()
         .unwrap_or_else(|p| p.into_inner())
         .to_json();
-    // Process-wide unit-load counters (summed over every shard and
-    // batch-worker thread; the structural caches are thread-local).
+    // Process-wide unit-load counter (summed over every shard and
+    // batch-worker thread).
     let vifb = vhdl_vif::vifb_stats();
     let extra = [
         (
@@ -686,11 +686,7 @@ fn stats_json(shared: &Shared, session: &Session, sid: u64) -> Json {
         ),
         (
             "vifb".to_string(),
-            obj([
-                ("cache_hits", Json::u64(vifb.cache_hits)),
-                ("cache_misses", Json::u64(vifb.cache_misses)),
-                ("text_parses", Json::u64(vifb.text_parses)),
-            ]),
+            obj([("text_parses", Json::u64(vifb.text_parses))]),
         ),
         (
             "active_sessions".to_string(),

@@ -198,18 +198,14 @@ impl Session {
 
     /// Runs the elaborator for `spec` against the session's library.
     fn build_program(&mut self, spec: &ElabSpec) -> Result<sim_kernel::Program, String> {
+        let libs = &self.compiler.libs;
         match spec {
-            ElabSpec::Config(cfg) => Ok(self
-                .compiler
-                .elaborate_config(cfg)
-                .map_err(|e| e.to_string())?
-                .0),
-            ElabSpec::Entity { entity, arch } => Ok(self
-                .compiler
-                .elaborate(entity, arch.as_deref(), None)
-                .map_err(|e| e.to_string())?
-                .0),
+            ElabSpec::Config(cfg) => vhdl_codegen::elaborate_config(libs, cfg),
+            ElabSpec::Entity { entity, arch } => {
+                vhdl_codegen::elaborate(libs, entity, arch.as_deref())
+            }
         }
+        .map_err(|e| e.to_string())
     }
 
     /// Wires `sim`'s observer to record probe-selected changes into this

@@ -814,3 +814,69 @@ fn soak_every_connection_is_served_or_explicitly_rejected() {
     handle.shutdown();
     join.join().expect("serve thread").expect("serve result");
 }
+
+/// Serves one session over in-memory streams: each request gets an id,
+/// and every response must be ok. Returns the results in order.
+fn stream_session(server: &Server, reqs: Vec<(&str, Vec<(&str, Json)>)>) -> Vec<Json> {
+    let mut input = Vec::new();
+    for (i, (op, fields)) in reqs.into_iter().enumerate() {
+        let mut all = vec![
+            ("id".to_string(), Json::u64(i as u64 + 1)),
+            ("op".to_string(), Json::str(op)),
+        ];
+        all.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+        write_frame(&mut input, &Json::Obj(all).to_text()).expect("frame");
+    }
+    let mut output = Vec::new();
+    server.serve_stream(&mut input.as_slice(), &mut output);
+    let mut reader = output.as_slice();
+    let mut results = Vec::new();
+    while let FrameRead::Frame(t) = read_frame(&mut reader).expect("recv") {
+        let r = json::parse(&t).expect("response parses");
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{t}");
+        results.push(r.get("result").cloned().unwrap_or(Json::Null));
+    }
+    results
+}
+
+/// `elaborate` and `restore` build the program the session simulates
+/// and nothing else: no C rendition of it.
+#[test]
+fn elaborate_and_restore_emit_no_c() {
+    let server = Server::new(quiet_cfg(1, 1), None);
+    ag_harness::trace::set_enabled(true);
+    ag_harness::trace::reset();
+    let first = stream_session(
+        &server,
+        vec![
+            ("analyze", analyze_fields()),
+            ("elaborate", vec![("entity", Json::str("tb"))]),
+            ("run", vec![("until", Json::str("17ns"))]),
+            ("checkpoint", vec![]),
+        ],
+    );
+    let snap = first[3]
+        .get("snapshot")
+        .and_then(Json::as_str)
+        .expect("checkpoint returns a snapshot")
+        .to_string();
+    stream_session(
+        &server,
+        vec![
+            ("analyze", analyze_fields()),
+            ("restore", vec![("snapshot", Json::str(&snap))]),
+        ],
+    );
+    let report = ag_harness::trace::report();
+    ag_harness::trace::set_enabled(false);
+    let calls = |name: &str| {
+        report
+            .phases
+            .iter()
+            .filter(|p| p.name == name)
+            .map(|p| p.calls)
+            .sum::<u64>()
+    };
+    assert_eq!(calls("elaborate"), 2, "one elaborate, one restore");
+    assert_eq!(calls("emit-c"), 0, "no C is emitted");
+}

@@ -10,8 +10,7 @@
 //!   with nested foreign-reference resolution ("fix-up");
 //! - [`library`] — work/reference design libraries with the usage history
 //!   that drives the latest-compiled-architecture default-binding rule,
-//!   plus the content-hash-keyed structural node cache that shares loaded
-//!   units across library forks;
+//!   and the per-unit record that memoizes each loaded unit;
 //! - [`dump`] — the human-readable form used for debugging.
 //!
 //! # Example
@@ -42,4 +41,4 @@ pub use library::{
     VifbStats,
 };
 pub use node::{VifBuilder, VifNode, VifValue};
-pub use text::{read_vif, scan_foreign_refs, write_vif, VifError};
+pub use text::{read_vif, write_vif, VifError};

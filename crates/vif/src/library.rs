@@ -16,13 +16,11 @@
 //! that arrive as bytes (disk files, [`Library::put_text`], snapshot
 //! mirrors) are *byte records*: VIF text, the one byte form of a unit.
 //!
-//! Loaded byte records are shared through the *structural node cache*: a
-//! per-thread map from a unit's deep content hash (its text hash combined
-//! with the deep hashes of its foreign dependencies) to the loaded tree.
-//! Batch-worker mirrors rebuilt every batch, and server sessions forked on
-//! one shard thread, turn repeated dependency loads into pointer shares.
-//! Its counters ([`vifb_stats`]) are global atomics, so `vhdlc --stats`
-//! and `vhdld stats` report totals across all threads.
+//! A load is the record's memo, or else one build of the unit: a tree
+//! record copies its tree, a byte record reads its text once. Each
+//! library keeps its own loaded trees, so two forks of one library share
+//! no node. The text-parse counter ([`vifb_stats`]) is a global atomic,
+//! so `vhdlc --stats` and `vhdld stats` report totals across all threads.
 
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
@@ -34,15 +32,15 @@ use std::sync::Arc;
 use ag_harness::fnv1a;
 
 use crate::node::{VifNode, VifValue};
-use crate::text::{read_vif, scan_foreign_refs, vif_text_hash, write_vif, Resolver, VifError};
+use crate::text::{read_vif, vif_text_hash, write_vif, Resolver, VifError};
 
 /// Key of a unit within a library: `"entity.<name>"`, `"arch.<entity>.<name>"`,
 /// `"pkg.<name>"`, `"pkgbody.<name>"`, or `"config.<name>"`.
 pub type UnitKey = String;
 
-/// Foreign-reference chains (and the content-hash recursion that mirrors
-/// them) deeper than this are reported as errors rather than followed —
-/// a hand-made cyclic library must not hang the loader.
+/// Foreign-reference chains deeper than this are reported as errors
+/// rather than followed — a hand-made cyclic library must not hang the
+/// loader.
 const MAX_LOAD_DEPTH: usize = 64;
 
 /// Cumulative VIF traffic statistics (for the phase-breakdown experiments).
@@ -71,11 +69,6 @@ struct Unit {
     text: OnceCell<Arc<str>>,
     /// FNV-1a hash of the text.
     text_hash: OnceCell<u64>,
-    /// Foreign references in the text, which feed the deep content hash.
-    foreigns: OnceCell<Vec<Rc<str>>>,
-    /// Deep content hash, tagged with the library-set generation sum it
-    /// was computed under (a stale tag recomputes).
-    content_hash: Cell<Option<(u64, u64)>>,
     /// The loaded tree (foreign references resolved); used only while
     /// the library's cache is enabled.
     resolved: RefCell<Option<Rc<VifNode>>>,
@@ -87,8 +80,6 @@ impl Unit {
             tree,
             text: text.map_or_else(OnceCell::new, OnceCell::from),
             text_hash: OnceCell::new(),
-            foreigns: OnceCell::new(),
-            content_hash: Cell::new(None),
             resolved: RefCell::new(None),
         }
     }
@@ -143,7 +134,7 @@ pub struct Library {
     traffic: RefCell<VifTraffic>,
     /// Caching toggle: the paper's compiler re-read foreign VIF per
     /// compilation; disabling the cache reproduces that cost model for the
-    /// performance experiments (and also bypasses the structural cache).
+    /// performance experiments.
     cache_enabled: Cell<bool>,
     /// Incremental-compilation stamps: content hash of the source tokens
     /// combined with the hashes of the dependency VIF texts at the time
@@ -151,7 +142,7 @@ pub struct Library {
     /// needs no re-analysis.
     stamps: RefCell<HashMap<UnitKey, u64>>,
     /// Bumped on every successful store; generation sums only grow, which
-    /// is what makes the content-hash memo tag sound.
+    /// is what makes them a sound staleness tag.
     generation: Cell<u64>,
 }
 
@@ -256,8 +247,8 @@ impl Library {
     }
 
     /// Monotonic store counter: bumped on every successful `put*`. The
-    /// [`LibrarySet`] sums these to tag content-hash memos; any change to
-    /// any library in the set strictly increases the sum.
+    /// [`LibrarySet`] sums these; any change to any library in the set
+    /// strictly increases the sum.
     pub fn generation(&self) -> u64 {
         self.generation.get()
     }
@@ -399,9 +390,8 @@ impl Library {
 
     /// FNV-1a hash of the unit's current VIF text (memoized in the record).
     /// A tree record streams its printer into the hash and makes no text.
-    /// It seeds the unit's deep content hash and is the per-dependency
-    /// ingredient of incremental stamps — the batch driver uses it instead
-    /// of re-reading and re-hashing dep text.
+    /// It is the per-dependency ingredient of incremental stamps — the
+    /// batch driver uses it instead of re-reading and re-hashing dep text.
     ///
     /// # Errors
     ///
@@ -454,9 +444,8 @@ impl Library {
     }
 
     /// Enables/disables the unit cache (see the performance experiments).
-    /// Disabling also bypasses the shared structural cache and the tree
-    /// copy, reproducing the paper's re-read-foreign-VIF cost model: every
-    /// load lexes the unit's text.
+    /// Disabling also bypasses the tree copy, reproducing the paper's
+    /// re-read-foreign-VIF cost model: every load lexes the unit's text.
     pub fn set_cache_enabled(&self, on: bool) {
         self.cache_enabled.set(on);
     }
@@ -576,8 +565,8 @@ impl LibrarySet {
 
     /// Sum of all member libraries' store generations. Strictly increases
     /// on any `put` anywhere in the set, which makes it a sound staleness
-    /// tag for anything derived from library contents (content-hash
-    /// memos here, batch plans in the driver).
+    /// tag for anything derived from library contents (the driver's batch
+    /// plans).
     pub fn generation(&self) -> u64 {
         let mut g = self.work.generation();
         for l in &self.refs {
@@ -589,11 +578,8 @@ impl LibrarySet {
     /// Loads a unit by full reference `lib.unit_key`, resolving nested
     /// foreign references recursively (the §2.2 "fix-up" step). The result
     /// is kept in the unit's record. A tree record loads as a unit-local
-    /// copy of its tree, with no bytes involved. A byte record is shared
-    /// — when caching is enabled — across libraries, sessions, and
-    /// batch-worker mirrors on the same thread through the structural node
-    /// cache, keyed by the unit's deep content hash; a structural miss
-    /// reads the text once.
+    /// copy of its tree, with no bytes involved; a byte record reads its
+    /// text once. Nothing loaded is shared with another library.
     ///
     /// # Errors
     ///
@@ -638,8 +624,6 @@ impl LibrarySet {
         if let Some(hit) = unit.resolved.borrow().clone() {
             return Ok(hit);
         }
-        // Every load is VIF traffic, structural hit or not — the traffic
-        // counters measure interchange volume, not parse effort.
         let node = match &unit.tree {
             Some(tree) => {
                 lib.note_read(0);
@@ -647,46 +631,11 @@ impl LibrarySet {
             }
             None => {
                 lib.note_read(unit.text().len());
-                let chash = self.content_hash(full_ref, depth)?;
-                match cache_lookup(chash) {
-                    Some(node) => node,
-                    None => {
-                        let node = parse(resolve)?;
-                        cache_insert(chash, &node);
-                        node
-                    }
-                }
+                parse(resolve)?
             }
         };
         *unit.resolved.borrow_mut() = Some(Rc::clone(&node));
         Ok(node)
-    }
-
-    /// Deep content hash of a unit: the FNV-1a hash of its text combined
-    /// with its foreign references and their deep hashes. Two
-    /// units with equal content hashes load to structurally identical
-    /// trees, so this keys the shared structural cache. Memoized in the
-    /// record under the current generation sum.
-    fn content_hash(&self, full_ref: &str, depth: usize) -> Result<u64, VifError> {
-        let (lib, key) = self.locate(full_ref, depth)?;
-        let gen_tag = self.generation();
-        let unit = lib.unit(key)?;
-        if let Some((tag, h)) = unit.content_hash.get() {
-            if tag == gen_tag {
-                return Ok(h);
-            }
-        }
-        let mut h = unit.text_hash();
-        for f in unit
-            .foreigns
-            .get_or_init(|| scan_foreign_refs(&unit.text()))
-        {
-            let dh = self.content_hash(f, depth + 1)?;
-            h = fnv1a(h, f.as_bytes());
-            h = fnv1a(h, &dh.to_le_bytes());
-        }
-        unit.content_hash.set(Some((gen_tag, h)));
-        Ok(h)
     }
 
     /// Total VIF traffic across all libraries.
@@ -711,34 +660,18 @@ impl LibrarySet {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Structural node cache
-// ---------------------------------------------------------------------------
-
-/// Entries kept per thread before the cache is wholesale cleared. Loaded
-/// trees are small relative to this bound in practice; clearing is the
-/// simplest eviction that cannot leak unboundedly.
-const CACHE_CAP: usize = 1024;
-
-thread_local! {
-    static NODE_CACHE: RefCell<HashMap<u64, Rc<VifNode>>> =
-        RefCell::new(HashMap::new());
-}
-
-static STATS_HITS: AtomicU64 = AtomicU64::new(0);
-static STATS_MISSES: AtomicU64 = AtomicU64::new(0);
 static STATS_TEXT_PARSES: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide counters of unit loads (summed over all threads; the
-/// structural cache itself is thread-local).
+/// Process-wide counters of unit loads (summed over all threads).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VifbStats {
-    /// Structural cache hits: byte-record loads served as pointer shares.
+    /// Always 0: there is no structural cache to hit. Kept, like
+    /// `cache_misses`, `decodes` and the `vifb` names, because `vhdlbench`
+    /// reports it.
     pub cache_hits: u64,
-    /// Structural cache misses: byte-record loads that read their text.
+    /// Always 0 (see `cache_hits`).
     pub cache_misses: u64,
-    /// Always 0: a unit has no binary form to decode. Kept, like the
-    /// `vifb` names, because `vhdlbench` reports it.
+    /// Always 0: a unit has no binary form to decode.
     pub decodes: u64,
     /// Unit loads that lexed VIF text.
     pub text_parses: u64,
@@ -747,39 +680,14 @@ pub struct VifbStats {
 /// Reads the process-wide unit-load counters.
 pub fn vifb_stats() -> VifbStats {
     VifbStats {
-        cache_hits: STATS_HITS.load(Ordering::Relaxed),
-        cache_misses: STATS_MISSES.load(Ordering::Relaxed),
-        decodes: 0,
         text_parses: STATS_TEXT_PARSES.load(Ordering::Relaxed),
+        ..VifbStats::default()
     }
 }
 
-/// Looks up a loaded tree by deep content hash in this thread's cache.
-fn cache_lookup(content_hash: u64) -> Option<Rc<VifNode>> {
-    let hit = NODE_CACHE.with(|c| c.borrow().get(&content_hash).cloned());
-    match &hit {
-        Some(_) => STATS_HITS.fetch_add(1, Ordering::Relaxed),
-        None => STATS_MISSES.fetch_add(1, Ordering::Relaxed),
-    };
-    hit
-}
-
-/// Memoizes a loaded tree under its deep content hash in this thread's
-/// cache.
-fn cache_insert(content_hash: u64, node: &Rc<VifNode>) {
-    NODE_CACHE.with(|c| {
-        let mut m = c.borrow_mut();
-        if m.len() >= CACHE_CAP {
-            m.clear();
-        }
-        m.insert(content_hash, Rc::clone(node));
-    });
-}
-
-/// Drops every entry of this thread's structural cache (tests, benches).
-pub fn clear_node_cache() {
-    NODE_CACHE.with(|c| c.borrow_mut().clear());
-}
+/// Does nothing: loaded trees live only in their library's records. Kept
+/// because `vhdlbench` calls it.
+pub fn clear_node_cache() {}
 
 #[cfg(test)]
 mod tests {
@@ -839,7 +747,7 @@ mod tests {
         assert_eq!(t.units_read, 3);
         assert!(t.bytes_read > 0);
 
-        // Second load hits the cache: no extra reads.
+        // Second load hits the record memo: no extra reads.
         set.load("work.entity.top").unwrap();
         assert_eq!(set.traffic().units_read, 3);
     }
@@ -1076,48 +984,6 @@ mod tests {
     }
 
     #[test]
-    fn structural_cache_shares_across_library_forks() {
-        let lib = Rc::new(Library::in_memory("work"));
-        // A tree unique to this test so the thread-local structural cache
-        // cannot have seen it before.
-        let node = VifNode::build("entity")
-            .name("fork_share_probe")
-            .str_field("tag", "structural_cache_shares_across_library_forks")
-            .done();
-        put_bytes(&lib, "entity.probe", &node);
-        let set = LibrarySet::new(Rc::clone(&lib), vec![]);
-        let first = set.load("work.entity.probe").unwrap();
-
-        // Fork the library (as the server forks session workspaces) and
-        // load the same unit: same thread → pointer-shared tree, and the
-        // fork's records start empty so this went through the content hash.
-        let fork = Rc::new(Library::from_snapshot(&lib.snapshot()));
-        let set2 = LibrarySet::new(Rc::clone(&fork), vec![]);
-        let second = set2.load("work.entity.probe").unwrap();
-        assert!(
-            Rc::ptr_eq(&first, &second),
-            "forked load must share the loaded tree"
-        );
-        // Traffic still counted on the structural hit.
-        assert_eq!(fork.traffic().units_read, 1);
-    }
-
-    #[test]
-    fn node_cache_shares_pointers_and_counts() {
-        clear_node_cache();
-        let before = vifb_stats();
-        let root = unit("node_cache_probe");
-        assert!(cache_lookup(0xfeed_face).is_none());
-        cache_insert(0xfeed_face, &root);
-        let hit = cache_lookup(0xfeed_face).expect("cached");
-        assert!(Rc::ptr_eq(&hit, &root));
-        let after = vifb_stats();
-        assert_eq!(after.cache_hits - before.cache_hits, 1);
-        assert_eq!(after.cache_misses - before.cache_misses, 1);
-        clear_node_cache();
-    }
-
-    #[test]
     fn disabled_cache_reverts_to_reread_cost_model() {
         let lib = Rc::new(Library::in_memory("work"));
         lib.put("entity.e", &unit("e")).unwrap();
@@ -1125,20 +991,19 @@ mod tests {
         let set = LibrarySet::new(Rc::clone(&lib), vec![]);
         set.load("work.entity.e").unwrap();
         set.load("work.entity.e").unwrap();
-        // No loaded-tree memo, no structural sharing: every load re-reads.
+        // No loaded-tree memo: every load re-reads.
         assert_eq!(set.traffic().units_read, 2);
     }
 
     #[test]
-    fn content_hash_distinguishes_dep_state() {
-        // Same top text, different dep contents → different content hash,
-        // so the structural cache cannot confuse the two states. Observe
-        // it indirectly: after recompiling the dep, a fresh load of top
-        // must see the new dep, even though top's text is unchanged.
+    fn fork_after_dep_recompile_sees_the_new_dep() {
+        // Same top text, different dep contents: after recompiling the
+        // dep, a fresh load of top must see the new dep, even though
+        // top's text is unchanged.
         let work = Rc::new(Library::in_memory("work"));
         put_bytes(&work, "pkg.dep", &unit("old"));
         let top = VifNode::build("entity")
-            .name("chash_probe_top")
+            .name("fork_probe_top")
             .field("uses", VifValue::Foreign("work.pkg.dep".into()))
             .done();
         put_bytes(&work, "entity.top", &top);
@@ -1148,8 +1013,7 @@ mod tests {
 
         put_bytes(&work, "pkg.dep", &unit("new"));
         // top's record still holds the old tree (driver invalidation
-        // handles that); a *fork* starts with no loaded trees and must not get
-        // the stale structural entry either.
+        // handles that); a *fork* starts with no loaded trees.
         let fork = Rc::new(Library::from_snapshot(&work.snapshot()));
         let set2 = LibrarySet::new(Rc::clone(&fork), vec![]);
         let second = set2.load("work.entity.top").unwrap();

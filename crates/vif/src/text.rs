@@ -395,42 +395,6 @@ pub fn read_vif(src: &str, resolve: &mut Resolver<'_>) -> Result<Rc<VifNode>, Vi
     build(root_id, &raw, &mut built, 0)
 }
 
-/// Foreign references (`@"lib.unit"`) appearing in VIF text, deduplicated
-/// in first-occurrence order, without building nodes. String values are
-/// skipped as wholes, so an `@` *inside* a string can't be mistaken for a
-/// reference. Feeds the deep content hash of byte-backed library units.
-pub fn scan_foreign_refs(src: &str) -> Vec<Rc<str>> {
-    let mut p = P {
-        src: src.as_bytes(),
-        i: 0,
-    };
-    let mut out: Vec<Rc<str>> = Vec::new();
-    while let Some(c) = p.peek() {
-        match c {
-            b'"' => {
-                // Skip a whole string value (unterminated: `string`
-                // consumes to the end, terminating the loop).
-                let _ = p.string();
-            }
-            b'@' => {
-                p.i += 1;
-                if p.peek() == Some(b'"') {
-                    match p.string() {
-                        Ok(s) => {
-                            if !out.iter().any(|r| **r == *s) {
-                                out.push(Rc::from(s.as_str()));
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-            _ => p.i += 1,
-        }
-    }
-    out
-}
-
 struct P<'a> {
     src: &'a [u8],
     i: usize,
@@ -637,24 +601,6 @@ mod tests {
         assert!(read_vif("VIF1\nroot #5", &mut no_foreign).is_err());
         let e = read_vif("VIF1\n#1 (k)\nroot #1", &mut no_foreign).unwrap_err();
         assert!(e.to_string().contains("dense"));
-    }
-
-    #[test]
-    fn scan_foreign_refs_precise_and_deduplicated() {
-        let root = VifNode::build("arch")
-            .field("a", VifValue::Foreign("work.entity.e".into()))
-            .str_field("trap", "not a ref: @\"lib.fake\" inside a string")
-            .field("b", VifValue::Foreign("ieee.pkg.base".into()))
-            .field("c", VifValue::Foreign("work.entity.e".into()))
-            .done();
-        let text = write_vif(&root);
-        let refs: Vec<String> = scan_foreign_refs(&text)
-            .iter()
-            .map(|r| r.to_string())
-            .collect();
-        assert_eq!(refs, ["work.entity.e", "ieee.pkg.base"]);
-        assert!(scan_foreign_refs("").is_empty());
-        assert!(scan_foreign_refs("VIF1\n#0 (k)\nroot #0\n").is_empty());
     }
 
     #[test]

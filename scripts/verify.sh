@@ -98,7 +98,7 @@ grep -q "miss 0 cold 0" "$BATCH_WORK/warm.log" \
 # The warm run's elaboration reads the units the cold run wrote: each
 # of the 10 units' text is parsed at most once, because a loaded unit
 # is memoised in its record (`vifb:` counter line from --stats).
-PARSES="$(sed -n 's/^vifb: .* \([0-9][0-9]*\) text parses$/\1/p' "$BATCH_WORK/warm.log")"
+PARSES="$(sed -n 's/^vifb: \([0-9][0-9]*\) text parses$/\1/p' "$BATCH_WORK/warm.log")"
 [ -n "$PARSES" ] && [ "$PARSES" -ge 1 ] && [ "$PARSES" -le 10 ] \
     || { echo "verify: warm rerun parsed VIF text ${PARSES:-?} times, want 1..10" >&2; exit 1; }
 
@@ -235,18 +235,16 @@ if kill -0 "$VHDLD_PID" 2>/dev/null; then
 fi
 wait "$VHDLD_PID" || { echo "verify: vhdld exited nonzero" >&2; exit 1; }
 
-echo "==> vhdld structural-cache reuse across session forks (repeated analyze -> nonzero vifb hits)"
+echo "==> vhdld session forks load the base on their own (each fork parses its units once)"
 # Single serving worker, inline analysis (--jobs 1), a base library of
 # the full adder, and two sequential sessions that each analyze a new
 # architecture of the base's `xor2`. Both sessions fork the base, so
-# `entity.xor2` reaches them as a byte record: the first parses it into
-# the worker thread's structural cache; the second — a fresh fork — must
-# serve that load from the cache by deep content hash. (A session's own
-# inline commits are trees and never reach the cache, so the input must
-# read a base unit.) The process-wide `vifb` counters in the `stats`
-# response prove it (nonzero cache_hits), and `text_parses` not moving
-# between the two responses proves the second session never fell back
-# to the text parser.
+# `entity.xor2` reaches them as a byte record, and each fork reads its
+# text once: a fork shares no loaded tree with any other. (A session's
+# own inline commits are trees and never parse text, so the input must
+# read a base unit.) The process-wide `text_parses` counter in the
+# `stats` response proves it: the first session moves it by 1..10, and
+# the second by the same amount again.
 ./target/release/vhdld --listen 127.0.0.1:0 --quiet \
     --jobs 1 --workers 1 --acceptors 1 \
     --base examples/full_adder.vhd >"$BATCH_WORK/vhdld2.out" &
@@ -266,15 +264,15 @@ EOF
 done
 cat "$BATCH_WORK/cache2.log"
 if grep -q '"ok":false' "$BATCH_WORK/cache1.log" "$BATCH_WORK/cache2.log"; then
-    echo "verify: structural-cache session had a failing request" >&2
+    echo "verify: forked session had a failing request" >&2
     exit 1
 fi
-grep -Eq '"vifb":\{"cache_hits":[1-9]' "$BATCH_WORK/cache2.log" \
-    || { echo "verify: repeated analyze produced no structural-cache hits" >&2; exit 1; }
-PARSES1="$(grep -o '"text_parses":[0-9]*' "$BATCH_WORK/cache1.log")"
-PARSES2="$(grep -o '"text_parses":[0-9]*' "$BATCH_WORK/cache2.log")"
-[ -n "$PARSES1" ] && [ "$PARSES1" = "$PARSES2" ] \
-    || { echo "verify: forked session analyze fell back to VIF text parsing" >&2; exit 1; }
+PARSES1="$(sed -n 's/.*"text_parses":\([0-9]*\).*/\1/p' "$BATCH_WORK/cache1.log")"
+PARSES2="$(sed -n 's/.*"text_parses":\([0-9]*\).*/\1/p' "$BATCH_WORK/cache2.log")"
+[ -n "$PARSES1" ] && [ "$PARSES1" -ge 1 ] && [ "$PARSES1" -le 10 ] \
+    || { echo "verify: first session parsed VIF text ${PARSES1:-?} times, want 1..10" >&2; exit 1; }
+[ -n "$PARSES2" ] && [ "$PARSES2" -eq $((2 * PARSES1)) ] \
+    || { echo "verify: second session left text_parses at ${PARSES2:-?}, want $((2 * PARSES1))" >&2; exit 1; }
 kill "$VHDLD2_PID" 2>/dev/null || true
 wait "$VHDLD2_PID" 2>/dev/null || true
 
