@@ -11,9 +11,7 @@ use ag_harness::bench::{fmt_ns, Runner};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use sim_kernel::{
-    Backend, FnDecl, FnId, Insn, Op, Program, SimStats, Simulator, Time, Val, VarAddr,
-};
+use sim_kernel::{FnDecl, FnId, Insn, Op, Program, SimStats, Simulator, Time, Val, VarAddr};
 
 /// A free-running oscillator program.
 fn oscillator() -> Program {
@@ -43,10 +41,8 @@ fn oscillator() -> Program {
 
 /// Installs `lcg(x)` — `reps` chained rounds of `((x*1103515245 +
 /// 12345) mod 2^31 * 75 + 74) mod 2^31` as one long pure-integer
-/// expression — as a shared function. This is the compute-bearing body
-/// the backend comparison runs on: the interpreter executes every
-/// instruction through the fetch loop, the compiled backend folds the
-/// chain into one integer-specialized tape. It is a *function* so that
+/// expression — as a shared function: the compute-bearing body the
+/// interpreter's fetch loop grinds through. It is a *function* so that
 /// every process in a bench shares one hot code body, the way
 /// elaborated designs share subprograms (500 private copies would
 /// benchmark cache misses, not dispatch).
@@ -83,9 +79,9 @@ fn push_lcg_call(code: &mut Vec<Insn>, x: VarAddr, f: FnId) {
     code.push(Insn::StoreVar(x));
 }
 
-/// Rounds of the LCG chain per activation in the backend-comparison
+/// Rounds of the LCG chain per activation in the compute-bearing
 /// benches: enough arithmetic that per-instruction dispatch cost, not
-/// fixed per-cycle kernel cost, dominates both backends.
+/// fixed per-cycle kernel cost, dominates.
 const LCG_REPS: usize = 50;
 
 /// The oscillator with a compute-bearing body: every activation toggles
@@ -116,16 +112,10 @@ fn compute_oscillator() -> Program {
     p
 }
 
-/// Runs `p` to `deadline` on the given backend and returns the stats.
-fn run_backend(p: &Program, deadline: u64, backend: Backend) -> SimStats {
-    run_jobs(p, deadline, backend, 1)
-}
-
-/// Runs `p` to `deadline` on the given backend with at most `jobs`
-/// kernel workers and returns the stats.
-fn run_jobs(p: &Program, deadline: u64, backend: Backend, jobs: usize) -> SimStats {
+/// Runs `p` to `deadline` with at most `jobs` kernel workers and
+/// returns the stats.
+fn run_jobs(p: &Program, deadline: u64, jobs: usize) -> SimStats {
     let mut sim = Simulator::new(p.clone());
-    sim.set_backend(backend);
     sim.set_jobs(jobs);
     sim.run_until(Time::fs(deadline)).expect("runs");
     sim.stats()
@@ -286,23 +276,10 @@ fn main() {
         .iters(10)
         .out_dir(ag_bench::out_dir());
 
-    // Interp vs compiled on the same compute-bearing designs. The two
-    // backends must agree on every kernel counter before the clock runs.
     let osc = compute_oscillator();
     let osc_deadline = 100_000 * 1_000;
-    {
-        let a = run_backend(&osc, osc_deadline, Backend::Interp);
-        let b = run_backend(&osc, osc_deadline, Backend::Compiled);
-        assert_eq!(
-            (a.cycles, a.events, a.transactions, a.insns),
-            (b.cycles, b.events, b.transactions, b.insns),
-            "backends disagree on oscillator"
-        );
-        assert_eq!(b.fallback_procs, 0, "oscillator must compile in full");
-        assert!(b.compiled_blocks > 0);
-    }
     let s_i = r.measure("oscillator_100k_events/interp", || {
-        let st = run_backend(&osc, osc_deadline, Backend::Interp);
+        let st = run_jobs(&osc, osc_deadline, 1);
         assert!(st.events >= 100_000);
         black_box(st)
     });
@@ -310,20 +287,8 @@ fn main() {
         "oscillator, 100k events, interp:    median {}",
         fmt_ns(s_i.median_ns)
     );
-    let s_c = r.measure("oscillator_100k_events/compiled", || {
-        let st = run_backend(&osc, osc_deadline, Backend::Compiled);
-        assert!(st.events >= 100_000);
-        black_box(st)
-    });
-    println!(
-        "oscillator, 100k events, compiled:  median {}",
-        fmt_ns(s_c.median_ns)
-    );
-    let osc_speedup = s_i.median_ns as f64 / s_c.median_ns as f64;
-    println!("oscillator speedup:                 {osc_speedup:.2}x");
-    r.metric("oscillator_speedup_compiled", osc_speedup, "x");
     {
-        let st = run_backend(&osc, osc_deadline, Backend::Interp);
+        let st = run_jobs(&osc, osc_deadline, 1);
         r.metric(
             "oscillator_events_per_sec",
             st.events as f64 / s_i.median_secs(),
@@ -370,33 +335,13 @@ fn main() {
 
     let p = timeout_storm(500);
     let storm_deadline = 100 * 1_000;
-    {
-        let a = run_backend(&p, storm_deadline, Backend::Interp);
-        let b = run_backend(&p, storm_deadline, Backend::Compiled);
-        assert_eq!(
-            (a.cycles, a.resumptions, a.insns),
-            (b.cycles, b.resumptions, b.insns),
-            "backends disagree on timeout storm"
-        );
-        assert_eq!(b.fallback_procs, 0, "storm must compile in full");
-    }
     let s_i = r.measure("timeout_storm/interp", || {
-        black_box(run_backend(&p, storm_deadline, Backend::Interp))
+        black_box(run_jobs(&p, storm_deadline, 1))
     });
     println!(
         "timeout storm, 500 procs, interp:   median {}",
         fmt_ns(s_i.median_ns)
     );
-    let s_c = r.measure("timeout_storm/compiled", || {
-        black_box(run_backend(&p, storm_deadline, Backend::Compiled))
-    });
-    println!(
-        "timeout storm, 500 procs, compiled: median {}",
-        fmt_ns(s_c.median_ns)
-    );
-    let storm_speedup = s_i.median_ns as f64 / s_c.median_ns as f64;
-    println!("timeout storm speedup:              {storm_speedup:.2}x");
-    r.metric("timeout_storm_speedup_compiled", storm_speedup, "x");
 
     // The pool side: the storm's cycles carry enough work to open the
     // kernel's pool gate, so two workers run them on the pool. The
@@ -405,24 +350,24 @@ fn main() {
     {
         ag_harness::trace::reset();
         ag_harness::trace::set_enabled(true);
-        let b = run_jobs(&p, storm_deadline, Backend::Compiled, 2);
+        let b = run_jobs(&p, storm_deadline, 2);
         let spawns = ag_harness::trace::counter_value("pool-spawn");
         ag_harness::trace::set_enabled(false);
         assert_eq!(spawns, 1, "timeout storm must reach the kernel pool");
         assert_eq!(
             b,
-            run_backend(&p, storm_deadline, Backend::Compiled),
+            run_jobs(&p, storm_deadline, 1),
             "jobs 2 disagrees with jobs 1 on timeout storm"
         );
     }
-    let s_j = r.measure("timeout_storm/compiled/jobs2", || {
-        black_box(run_jobs(&p, storm_deadline, Backend::Compiled, 2))
+    let s_j = r.measure("timeout_storm/interp/jobs2", || {
+        black_box(run_jobs(&p, storm_deadline, 2))
     });
     println!(
-        "timeout storm, compiled, 2 workers: median {}",
+        "timeout storm, interp, 2 workers:   median {}",
         fmt_ns(s_j.median_ns)
     );
-    let jobs2_speedup = s_c.median_ns as f64 / s_j.median_ns as f64;
+    let jobs2_speedup = s_i.median_ns as f64 / s_j.median_ns as f64;
     println!("timeout storm 2-worker speedup:     {jobs2_speedup:.2}x");
     r.metric("timeout_storm_jobs2_speedup", jobs2_speedup, "x");
 

@@ -273,7 +273,7 @@ mod tests {
         assert!(r.ok(), "{}", r.msgs());
         let r = c.compile(&top).expect("parses");
         assert!(r.ok(), "{}", r.msgs());
-        let (program, _) = c.elaborate_config("cfg").expect("elaborates");
+        let (program, _) = c.elaborate_config("cfg", None).expect("elaborates");
         assert!(program.processes.len() >= 3);
     }
 

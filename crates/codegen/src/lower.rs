@@ -1102,9 +1102,9 @@ pub fn collect_signals(
 }
 
 /// Control-flow summary of a lowered [`Program`]: basic-block counts
-/// over every process and subprogram body, computed by the same leader
-/// rule the kernel's compiled backend uses (entry, every jump target,
-/// and the instruction after any control transfer start a block).
+/// over every process and subprogram body, by the usual leader rule
+/// (entry, every jump target, and the instruction after any control
+/// transfer start a block).
 /// Reported under `vhdlc --trace-phases` so generated-code size can be
 /// read at block granularity, not just instruction counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -15,9 +15,8 @@
 //! - runtime faults: division by an expression that eventually reaches
 //!   zero, so every configuration must fail at the same instant with the
 //!   same message;
-//! - a recursive subprogram, which the block compiler refuses (unknowable
-//!   stack depth) — forcing callers onto the interpreter fallback even
-//!   under `Backend::Compiled`;
+//! - a recursive subprogram (frame stacks several calls deep at a
+//!   suspension);
 //! - structural hierarchy: leaf entities instantiated via component
 //!   declarations, so designs are genuinely multi-unit.
 //!
@@ -218,9 +217,7 @@ pub fn gen_design(s: &mut Source, profile: Profile) -> Design {
     src.push_str("  begin\n");
     let _ = writeln!(src, "    return (x * {mix_mul} + {mix_add}) mod {mix_mod};");
     src.push_str("  end mix;\n");
-    // Recursion: the block compiler cannot bound the frame depth, so any
-    // process calling `rec` falls back to the interpreter under
-    // Backend::Compiled — the mixed compiled/fallback corner.
+    // Recursion: a call chain several frames deep.
     src.push_str("  function rec (n : integer) return integer is\n");
     src.push_str("  begin\n");
     src.push_str("    if n < 2 then\n");
@@ -395,8 +392,7 @@ pub fn gen_design(s: &mut Source, profile: Profile) -> Design {
                         src.push_str("    end if;\n");
                     }
                 }
-                // Recursive call: forces this process onto the compiled
-                // backend's interpreter fallback.
+                // Recursive call.
                 _ => {
                     let n = s.i64_in(3, 9);
                     let _ = writeln!(src, "    v := (v + rec({n})) mod 256;");

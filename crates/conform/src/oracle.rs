@@ -1,8 +1,8 @@
 //! The configuration matrix for generated designs.
 //!
 //! One generated design is compiled once, then run through the kernel's
-//! differential oracle ([`sim_kernel::oracle`]) under eight cells —
-//! {interpreter, compiled} × {1 worker, 4 workers} × {uninterrupted,
+//! differential oracle ([`sim_kernel::oracle`]) under four cells — the
+//! interpreter at {1 worker, 4 workers} × {uninterrupted,
 //! checkpoint-at-midpoint-then-restore} — and every observable must be
 //! byte-identical across them. The digest of the agreed observables pins
 //! each corpus case, so checked-in seeds also detect *semantic drift*: a
@@ -15,16 +15,12 @@ use vhdl_driver::Compiler;
 
 use crate::gen::Design;
 
-/// The eight cells; the first is the reference.
-pub const CELLS: [Cell; 8] = [
+/// The four cells; the first is the reference.
+pub const CELLS: [Cell; 4] = [
     Cell::solid(Engine::Interp, 1),
     Cell::resume(Engine::Interp, 1, 1),
     Cell::solid(Engine::Interp, 4),
     Cell::resume(Engine::Interp, 4, 4),
-    Cell::solid(Engine::Compiled, 1),
-    Cell::resume(Engine::Compiled, 1, 1),
-    Cell::solid(Engine::Compiled, 4),
-    Cell::resume(Engine::Compiled, 4, 4),
 ];
 
 /// Why a conformance run could not even produce a matrix.
@@ -68,7 +64,7 @@ pub fn elaborate(design: &Design) -> Result<Program, ConformError> {
         .map_err(|e| ConformError::Elab(e.to_string()))
 }
 
-/// Runs a design through the eight cells. Cycle budgets bound the run
+/// Runs a design through the four cells. Cycle budgets bound the run
 /// (delta storms never advance time), so the deadline is unreachable;
 /// the budget is split at its midpoint, where resume cells checkpoint.
 /// `fault`, when set, arms on the multi-worker cells only.

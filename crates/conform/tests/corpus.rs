@@ -1,5 +1,5 @@
 //! Corpus replay: every checked-in conformance seed must still pass the
-//! full configuration matrix — eight cells of {interp, compiled} ×
+//! full configuration matrix — four interpreter cells of
 //! {1, 4 workers} × {solid, checkpoint-and-restore} byte-identical —
 //! and must still hash to its golden digest. A digest mismatch with the
 //! matrix still agreeing means the kernel's *observable semantics*

@@ -94,16 +94,6 @@ impl CacheStats {
     pub fn analyzed(&self) -> u64 {
         self.misses + self.cold
     }
-
-    /// Hit rate over all scheduled units.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.analyzed();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// Outcome of one design unit in a batch.
@@ -280,8 +270,9 @@ fn run_job(
     (out, tree)
 }
 
-/// Renders a payload captured by `catch_unwind`.
-fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
+/// Renders a payload captured by `catch_unwind` (also `vhdld`'s, for a
+/// request handler's panic).
+pub fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = p.downcast_ref::<String>() {

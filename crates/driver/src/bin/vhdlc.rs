@@ -3,7 +3,7 @@
 //! ```text
 //! vhdlc [--work DIR] [--jobs N] [--incremental]
 //!       [--elab ENTITY[:ARCH]] [--config NAME]
-//!       [--run TIME] [--backend interp|compiled] [--sim-jobs N] [--vcd FILE]
+//!       [--run TIME] [--sim-jobs N] [--vcd FILE]
 //!       [--emit-c FILE] [--stats] [--trace-phases] FILE...
 //! ```
 //!
@@ -14,10 +14,6 @@
 //! (`--jobs N`, `--jobs 0` = one per CPU), with identical output for
 //! every N. `--incremental` skips units whose source and dependency VIF
 //! are unchanged since the last compile into the same `--work` library.
-//! `--backend compiled` runs the simulation on the kernel's
-//! block-compiled backend instead of the instruction interpreter
-//! (identical observable behavior, reported by the
-//! `compiled_blocks`/`fallback_procs` counters under `--stats`).
 //! `--sim-jobs N` lets the kernel run a delta cycle's woken processes
 //! across at most N worker threads (`--sim-jobs 0` = one per CPU). A
 //! cycle goes to the workers only when its processes' instruction counts
@@ -32,7 +28,7 @@
 use std::process::ExitCode;
 
 use ag_harness::pool::resolve_jobs;
-use sim_kernel::{io::Vcd, Backend, Time};
+use sim_kernel::{io::Vcd, Time};
 use vhdl_driver::Compiler;
 
 /// Counting allocator so `--trace-phases` can attribute heap traffic to
@@ -48,7 +44,6 @@ struct Args {
     elab: Option<(String, Option<String>)>,
     config: Option<String>,
     run_until: Option<Time>,
-    backend: Backend,
     sim_jobs: usize,
     vcd: Option<String>,
     emit_c: Option<String>,
@@ -65,7 +60,6 @@ fn parse_args() -> Result<Args, String> {
         elab: None,
         config: None,
         run_until: None,
-        backend: Backend::default(),
         sim_jobs: 1,
         vcd: None,
         emit_c: None,
@@ -103,11 +97,6 @@ fn parse_args() -> Result<Args, String> {
                 out.run_until =
                     Some(Time::parse(&grab("--run")?).map_err(|e| format!("--run: {e}"))?)
             }
-            "--backend" => {
-                out.backend = grab("--backend")?
-                    .parse()
-                    .map_err(|e: String| format!("--backend: {e}"))?
-            }
             "--sim-jobs" => out.sim_jobs = jobs("--sim-jobs")?,
             "--vcd" => out.vcd = Some(grab("--vcd")?),
             "--emit-c" => out.emit_c = Some(grab("--emit-c")?),
@@ -117,7 +106,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: vhdlc [--work DIR] [--jobs N] [--incremental] \
                      [--elab ENTITY[:ARCH]] [--config NAME] [--run TIME] \
-                     [--backend interp|compiled] [--sim-jobs N] [--vcd FILE] \
+                     [--sim-jobs N] [--vcd FILE] \
                      [--emit-c FILE] [--stats] [--trace-phases] FILE...\n\
                      --jobs 0 and --sim-jobs 0 use one worker per CPU.\n\
                      --sim-jobs N is a ceiling: a delta cycle runs on the \
@@ -201,7 +190,7 @@ fn run() -> ExitCode {
     let mut phases = r.phases;
 
     let program = if let Some(cfg) = &args.config {
-        match compiler.elaborate_config(cfg) {
+        match compiler.elaborate_config(cfg, Some(&mut phases)) {
             Ok((p, c)) => Some((p, c)),
             Err(e) => {
                 eprintln!("vhdlc: {e}");
@@ -248,7 +237,6 @@ fn run() -> ExitCode {
         if let Some(deadline) = args.run_until {
             let vcd = std::cell::RefCell::new(Vcd::new("1fs"));
             let mut sim = sim_kernel::Simulator::new(program);
-            sim.set_backend(args.backend);
             sim.set_jobs(args.sim_jobs);
             if args.vcd.is_some() {
                 let vcd_ref = &vcd;
@@ -273,12 +261,6 @@ fn run() -> ExitCode {
                             "sched: {} calendar ops, {} procs woken, {} signals scanned",
                             st.calendar_ops, st.woken_procs, st.scanned_signals
                         );
-                        eprintln!(
-                            "backend: {}, {} compiled_blocks, {} fallback_procs",
-                            sim.backend(),
-                            st.compiled_blocks,
-                            st.fallback_procs
-                        );
                     }
                 }
                 Err(e) => {
@@ -291,8 +273,6 @@ fn run() -> ExitCode {
                 ag_harness::trace::counter("sched-calendar-ops", st.calendar_ops);
                 ag_harness::trace::counter("sched-woken-procs", st.woken_procs);
                 ag_harness::trace::counter("sched-scanned-signals", st.scanned_signals);
-                ag_harness::trace::counter("backend-compiled-blocks", st.compiled_blocks);
-                ag_harness::trace::counter("backend-fallback-procs", st.fallback_procs);
             }
             if let Some(path) = &args.vcd {
                 let text = vcd.borrow().finish();

@@ -161,20 +161,13 @@ impl Compiler {
         arch: Option<&str>,
         phases: Option<&mut PhaseTimes>,
     ) -> Result<(Program, String), vhdl_codegen::ElabError> {
-        let t0 = Instant::now();
-        let program = vhdl_codegen::elaborate(&self.libs, entity, arch)?;
-        let codegen = t0.elapsed();
-        let t0 = Instant::now();
-        let c = vhdl_codegen::emit_c(entity, &program);
-        let backend = t0.elapsed();
-        if let Some(p) = phases {
-            p.codegen += codegen;
-            p.backend += backend;
-        }
-        Ok((program, c))
+        timed_elaborate(entity, phases, || {
+            vhdl_codegen::elaborate(&self.libs, entity, arch)
+        })
     }
 
-    /// Elaborates through a configuration unit.
+    /// Elaborates through a configuration unit and emits the C rendition,
+    /// timing the codegen/backend phases into `phases`.
     ///
     /// # Errors
     ///
@@ -182,10 +175,11 @@ impl Compiler {
     pub fn elaborate_config(
         &self,
         config: &str,
+        phases: Option<&mut PhaseTimes>,
     ) -> Result<(Program, String), vhdl_codegen::ElabError> {
-        let program = vhdl_codegen::elaborate_config(&self.libs, config)?;
-        let c = vhdl_codegen::emit_c(config, &program);
-        Ok((program, c))
+        timed_elaborate(config, phases, || {
+            vhdl_codegen::elaborate_config(&self.libs, config)
+        })
     }
 
     /// One-stop helper: compile `src`, elaborate `entity`, and return a
@@ -204,6 +198,26 @@ impl Compiler {
             vhdl_codegen::elaborate(&self.libs, entity, None).map_err(|e| e.to_string())?;
         Ok(Simulator::new(program))
     }
+}
+
+/// Runs `elab`, then emits the C rendition named `top`, adding both
+/// times to `phases`.
+fn timed_elaborate(
+    top: &str,
+    phases: Option<&mut PhaseTimes>,
+    elab: impl FnOnce() -> Result<Program, vhdl_codegen::ElabError>,
+) -> Result<(Program, String), vhdl_codegen::ElabError> {
+    let t0 = Instant::now();
+    let program = elab()?;
+    let codegen = t0.elapsed();
+    let t0 = Instant::now();
+    let c = vhdl_codegen::emit_c(top, &program);
+    let backend = t0.elapsed();
+    if let Some(p) = phases {
+        p.codegen += codegen;
+        p.backend += backend;
+    }
+    Ok((program, c))
 }
 
 impl Default for Compiler {

@@ -92,74 +92,52 @@ fn compile_elaborate_simulate_roundtrip() {
 }
 
 #[test]
-fn compiled_backend_matches_interpreter_vcd() {
-    let dir = tmpdir("backend");
-    let src = dir.join("counter.vhd");
+fn config_elaboration_times_its_phases() {
+    let dir = tmpdir("config");
+    let src = dir.join("cfg.vhd");
     std::fs::write(
         &src,
-        "entity counter is end;
-         architecture a of counter is
-           signal clk : bit := '0';
+        "entity buf is
+           port (i : in bit; o : out bit);
+         end buf;
+         architecture direct of buf is
          begin
-           process
-           begin
-             clk <= not clk after 3 ns;
-             wait on clk;
-           end process;
-         end a;",
+           o <= i;
+         end direct;
+         entity top is end;
+         architecture s of top is
+           component buf
+             port (i : in bit; o : out bit);
+           end component;
+           signal x, y : bit := '0';
+         begin
+           u1 : buf port map (i => x, o => y);
+           x <= '1' after 1 ns;
+         end s;
+         configuration use_direct of top is
+           for s
+             for u1 : buf use entity work.buf(direct); end for;
+           end for;
+         end use_direct;",
     )
     .unwrap();
-    let run = |backend: &str, vcd: &std::path::Path| {
-        let out = vhdlc()
-            .args([
-                "--elab",
-                "counter",
-                "--run",
-                "60",
-                "--backend",
-                backend,
-                "--vcd",
-                vcd.to_str().unwrap(),
-                "--stats",
-                src.to_str().unwrap(),
-            ])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "--backend {backend}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stderr).to_string()
-    };
-    let vcd_i = dir.join("interp.vcd");
-    let vcd_c = dir.join("compiled.vcd");
-    let stderr_i = run("interp", &vcd_i);
-    let stderr_c = run("compiled", &vcd_c);
-    // Byte-identical waveforms, and the compiled engine really ran.
-    assert_eq!(
-        std::fs::read(&vcd_i).unwrap(),
-        std::fs::read(&vcd_c).unwrap()
-    );
-    assert!(
-        stderr_i.contains("backend: interp, 0 compiled_blocks"),
-        "{stderr_i}"
-    );
-    assert!(stderr_c.contains("backend: compiled"), "{stderr_c}");
-    let blocks: u64 = stderr_c
-        .lines()
-        .find_map(|l| l.strip_prefix("backend: compiled, "))
-        .and_then(|l| l.split_whitespace().next())
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(0);
-    assert!(blocks > 0, "no compiled blocks executed: {stderr_c}");
-    assert!(stderr_c.contains("0 fallback_procs"), "{stderr_c}");
-    // An unknown backend is a usage error.
     let out = vhdlc()
-        .args(["--backend", "jit", src.to_str().unwrap()])
+        .args(["--config", "use_direct", "--stats", src.to_str().unwrap()])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let phases = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("phases: "))
+        .unwrap_or_else(|| panic!("no phases line: {stderr}"));
+    for phase in ["codegen", "backend"] {
+        let time = phases
+            .split(" | ")
+            .find_map(|p| p.strip_prefix(phase)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {phase} in {phases}"));
+        assert_ne!(time, "0ns", "{phase} untimed: {phases}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

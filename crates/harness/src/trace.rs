@@ -66,10 +66,10 @@ pub fn reset() {
 
 /// An open phase span; closes (and records) on drop.
 pub struct Guard {
-    /// `None` when tracing was disabled at open time.
-    node: Option<usize>,
-    start: Instant,
-    alloc_at_open: alloc::AllocStats,
+    /// The span's node, open time and allocator reading; `None` when
+    /// tracing was disabled at open time, so a disabled span reads
+    /// neither the clock nor the allocator.
+    open: Option<(usize, Instant, alloc::AllocStats)>,
 }
 
 /// Opens a span for `name`, nested under the innermost open span.
@@ -109,16 +109,16 @@ pub fn span(name: &'static str) -> Guard {
         Some(idx)
     });
     Guard {
-        node,
-        start: Instant::now(),
-        alloc_at_open: alloc::stats(),
+        open: node.map(|idx| (idx, Instant::now(), alloc::stats())),
     }
 }
 
 impl Drop for Guard {
     fn drop(&mut self) {
-        let Some(idx) = self.node else { return };
-        let elapsed = self.start.elapsed();
+        let Some((idx, start, alloc_at_open)) = self.open else {
+            return;
+        };
+        let elapsed = start.elapsed();
         let alloc_now = alloc::stats();
         TRACER.with(|t| {
             let mut t = t.borrow_mut();
@@ -131,10 +131,10 @@ impl Drop for Guard {
             let n = &mut t.nodes[idx];
             n.calls += 1;
             n.total += elapsed;
-            n.alloc_bytes += alloc_now.bytes.saturating_sub(self.alloc_at_open.bytes);
+            n.alloc_bytes += alloc_now.bytes.saturating_sub(alloc_at_open.bytes);
             n.allocs += alloc_now
                 .allocations
-                .saturating_sub(self.alloc_at_open.allocations);
+                .saturating_sub(alloc_at_open.allocations);
         });
     }
 }
@@ -274,7 +274,8 @@ mod tests {
         reset();
         set_enabled(false);
         {
-            let _g = span("ghost");
+            let g = span("ghost");
+            assert!(g.open.is_none(), "a disabled span read the clock");
             counter("ghost_events", 5);
         }
         let r = report();

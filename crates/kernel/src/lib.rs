@@ -18,10 +18,9 @@
 //!   state, so a session can suspend mid-run and resume byte-identically
 //!   elsewhere;
 //! - [`oracle`] — the differential oracle: every execution configuration
-//!   (scan stepper, interpreter, compiled; worker counts; checkpoint and
+//!   (scan stepper, interpreter; worker counts; checkpoint and
 //!   restore) run and compared observable by observable.
 
-mod compile;
 pub mod io;
 pub mod isa;
 pub mod names;

@@ -2,7 +2,7 @@
 //! byte-identity check over the kernel's execution configurations.
 //!
 //! A [`Cell`] names one configuration — engine ({scan stepper,
-//! interpreter, compiled}) × worker count × {uninterrupted,
+//! interpreter}) × worker count × {uninterrupted,
 //! checkpoint-and-restore}. [`run_cell`] runs a program under it with a
 //! VCD observer attached and collects the [`Observables`]; [`run_matrix`]
 //! runs a list of cells and reports the first [`Divergence`] from the
@@ -23,7 +23,7 @@ use ag_harness::Source;
 use crate::io::Vcd;
 use crate::isa::{ArrAttrKind, FnDecl, Insn, Program, SigId, VarAddr};
 use crate::rts::Op;
-use crate::sim::{Backend, RunOutcome, SimError, SimStats, Simulator, TestFault};
+use crate::sim::{RunOutcome, SimError, SimStats, Simulator, TestFault};
 use crate::snapshot::{Dec, Enc, SnapshotError};
 use crate::value::{Time, Val};
 
@@ -32,10 +32,8 @@ use crate::value::{Time, Val};
 pub enum Engine {
     /// The seed kernel's full-scan stepper (interpreted processes).
     Scan,
-    /// The event-driven scheduler with the interpreter backend.
+    /// The event-driven scheduler.
     Interp,
-    /// The event-driven scheduler with the compiled backend.
-    Compiled,
 }
 
 impl Engine {
@@ -43,7 +41,6 @@ impl Engine {
         match self {
             Engine::Scan => "scan",
             Engine::Interp => "interp",
-            Engine::Compiled => "compiled",
         }
     }
 }
@@ -51,7 +48,7 @@ impl Engine {
 /// One execution configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cell {
-    /// Scheduler and process backend.
+    /// Scheduler.
     pub engine: Engine,
     /// Worker count for the process phase.
     pub jobs: usize,
@@ -80,7 +77,7 @@ impl Cell {
         }
     }
 
-    /// Display name, e.g. `interp/j1/solid`, `compiled/j4/resume`, or
+    /// Display name, e.g. `interp/j1/solid`, `interp/j4/resume`, or
     /// `interp/j4/resume-j1` when the restored run changes worker count.
     pub fn name(&self) -> String {
         let mode = match self.resume {
@@ -160,7 +157,7 @@ impl Observables {
 
     /// The core counters every engine agrees on: cycles, delta cycles,
     /// events, transactions, resumptions, instructions. The scheduler
-    /// introspection and backend counters depend on the engine.
+    /// introspection counters depend on the engine.
     fn core_stats(&self) -> (u64, u64, u64, u64, u64, u64) {
         let st = &self.stats;
         (
@@ -330,13 +327,9 @@ pub fn run_cell(
     fn start<'v>(
         sim: &mut Simulator<'v>,
         vcd: &'v RefCell<Vcd>,
-        engine: Engine,
         jobs: usize,
         fault: Option<TestFault>,
     ) {
-        if engine == Engine::Compiled {
-            sim.set_backend(Backend::Compiled);
-        }
         sim.set_jobs(jobs);
         // Every multi-process cycle of a multi-worker cell runs on the
         // pool, however light, so the cell checks the barrier commit.
@@ -351,7 +344,7 @@ pub fn run_cell(
     let vcd = RefCell::new(Vcd::new("1fs"));
     let run = |sim: &mut Simulator<'_>, budget: u64| match cell.engine {
         Engine::Scan => sim.ref_run_slice(deadline, budget),
-        Engine::Interp | Engine::Compiled => sim.run_slice(deadline, budget, &mut || false),
+        Engine::Interp => sim.run_slice(deadline, budget, &mut || false),
     };
     let total = [slices.iter().fold(0u64, |a, &b| a.saturating_add(b))];
     let slices = if cell.resume.is_some() {
@@ -360,7 +353,7 @@ pub fn run_cell(
         &total
     };
     let mut sim = Simulator::new(program.clone());
-    start(&mut sim, &vcd, cell.engine, cell.jobs, fault);
+    start(&mut sim, &vcd, cell.jobs, fault);
     let mut outcome = Ok(RunOutcome::CycleBudget);
     let mut blob = None;
     for (i, &budget) in slices.iter().enumerate() {
@@ -372,7 +365,7 @@ pub fn run_cell(
             drop(sim);
             *vcd.borrow_mut() = Vcd::decode(&mut Dec::new(&e.into_bytes()))?;
             sim = Simulator::restore(program.clone(), &kernel)?;
-            start(&mut sim, &vcd, cell.engine, jobs, fault);
+            start(&mut sim, &vcd, jobs, fault);
             blob = Some(kernel);
         }
         if !matches!(outcome, Ok(RunOutcome::CycleBudget)) {
@@ -485,8 +478,7 @@ fn push_counter_mod(code: &mut Vec<Insn>, m: i64) {
 /// neighbour's signal, with an optional timed, delta (`-1`) or zero-fs
 /// timeout — a timeout-only zero wait is a delta storm, bounded by the
 /// cycle budget. Sensitivity metadata comes from the elaborator half the
-/// time and from the kernel's own code walk otherwise. Never emits
-/// recursion, so the compiled backend translates every process.
+/// time and from the kernel's own code walk otherwise.
 pub fn gen_program(s: &mut Source) -> Program {
     let mut prog = Program::default();
     let n_procs = s.usize_in(1, 10);
@@ -533,8 +525,7 @@ pub fn gen_program(s: &mut Source) -> Program {
                 transport: s.bool(),
             });
         }
-        // Data-dependent branch: an extra assignment on odd counters
-        // (basic-block boundaries with a consistent join).
+        // Data-dependent branch: an extra assignment on odd counters.
         if s.bool() {
             push_counter_mod(&mut code, 2);
             let jif_at = code.len();

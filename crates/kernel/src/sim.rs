@@ -24,10 +24,9 @@ use std::sync::Arc;
 
 use ag_harness::pool::Pool;
 
-use crate::compile::{self, Arg, CompiledProgram, EOp, IntOp, Step, Term};
 use crate::isa::{FnId, Insn, Program, SigAttr, SigId};
 use crate::names::{NameError, NameServer, NsEntry, NsObject};
-use crate::rts::{self, Op, RtError};
+use crate::rts::{self, RtError};
 use crate::sched::{CalKind, Calendar, SensIndex};
 use crate::value::{ArrVal, Time, VDir, Val};
 
@@ -73,46 +72,24 @@ pub struct SimStats {
     pub woken_procs: u64,
     /// Signals examined for a value update (the active set, per cycle).
     pub scanned_signals: u64,
-    /// Basic blocks executed by the compiled backend.
+    /// Always 0: the block-compiled backend is retired. Kept only
+    /// because `vhdlbench` reads it.
     pub compiled_blocks: u64,
-    /// Processes the compiled backend had to leave on the interpreter
-    /// (set once when the program is compiled).
+    /// Always 0: the block-compiled backend is retired. Kept only
+    /// because `vhdlbench` reads it.
     pub fallback_procs: u64,
 }
 
-/// Which process-execution backend runs activations.
+/// A process-execution backend selector, kept only because `vhdlbench`
+/// passes one to [`Simulator::set_backend`]. The interpreter is the
+/// kernel's only engine; both variants select it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
-    /// The instruction-at-a-time interpreter (the reference semantics).
+    /// The instruction-at-a-time interpreter.
     #[default]
     Interp,
-    /// Basic-block threaded code translated ahead of time by
-    /// [`crate::compile`]; byte-identical observables, interpreter
-    /// fallback per process where translation declines.
+    /// Retired block-compiled backend; runs the interpreter.
     Compiled,
-}
-
-impl std::str::FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Backend, String> {
-        match s {
-            "interp" => Ok(Backend::Interp),
-            "compiled" => Ok(Backend::Compiled),
-            other => Err(format!(
-                "unknown backend '{other}' (expected 'interp' or 'compiled')"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Backend::Interp => "interp",
-            Backend::Compiled => "compiled",
-        })
-    }
 }
 
 /// Simulation failure.
@@ -182,10 +159,10 @@ pub(crate) struct Frame {
     pub(crate) locals: Vec<Val>,
     pub(crate) static_link: Option<usize>,
     pub(crate) level: u16,
-    /// Compiled-unit index of this frame's code (process index, or
-    /// `n_procs + fn` for subprograms; `u32::MAX` for resolution scratch
-    /// frames, which never run compiled). Kept current by both backends
-    /// so they can take over from each other at any suspension point.
+    /// Which code this frame runs: the process index, or `n_procs + fn`
+    /// for subprograms (`u32::MAX` for resolution scratch frames, which
+    /// are never checkpointed). A snapshot stores it in place of the
+    /// code pointer, and restore recovers `code` from it.
     pub(crate) unit: u32,
 }
 
@@ -252,8 +229,6 @@ pub(crate) struct ActRecord {
     /// Instructions executed (fuel spent), flushed to `stats.insns` at
     /// commit.
     insns: u64,
-    /// Compiled basic blocks executed.
-    blocks: u64,
     /// The activation's failure, if any: a runtime error, fuel
     /// exhaustion, or an `assert … severity failure`. Surfaced by the
     /// coordinator at commit, after the effects are applied — exactly
@@ -277,8 +252,6 @@ pub(crate) struct Effects {
     /// The in-flight activation's pending failure (fuel exhaustion,
     /// assertion failure), folded into its [`ActRecord`] when it ends.
     cur_failed: Option<SimError>,
-    /// The in-flight activation's compiled-block count.
-    cur_blocks: u64,
 }
 
 impl Effects {
@@ -293,17 +266,7 @@ impl Effects {
         self.reports.clear();
         self.acts.clear();
         self.cur_failed = None;
-        self.cur_blocks = 0;
     }
-}
-
-/// Reusable tape-evaluation stacks. One per execution context: the
-/// coordinator's sequential path and each pool worker own their own, so
-/// no scratch is shared across threads.
-#[derive(Default)]
-pub(crate) struct Scratch {
-    tape_vals: Vec<Val>,
-    tape_ints: Vec<i64>,
 }
 
 /// Commit cursors into an [`Effects`] buffer: consumption positions the
@@ -318,15 +281,14 @@ pub(crate) struct EffCursor {
 }
 
 /// One worker's reusable chunk: the processes it runs this cycle, its
-/// private effects buffer and tape scratch, and the coordinator's commit
-/// cursors. The buffers keep their capacity across cycles and travel to
-/// the worker thread and back by move, so the parallel steady state
-/// allocates nothing per cycle.
+/// private effects buffer, and the coordinator's commit cursors. The
+/// buffers keep their capacity across cycles and travel to the worker
+/// thread and back by move, so the parallel steady state allocates
+/// nothing per cycle.
 #[derive(Default)]
 pub(crate) struct JobBuf {
     pub(crate) procs: Vec<(u32, ProcState)>,
     pub(crate) eff: Effects,
-    pub(crate) scratch: Scratch,
     pub(crate) cur: EffCursor,
 }
 
@@ -339,15 +301,12 @@ pub(crate) struct JobBuf {
 pub(crate) struct Ctx {
     program: Arc<Program>,
     signals: Arc<Vec<SigState>>,
-    compiled: Option<Arc<CompiledProgram>>,
     now: Time,
-    fuel_budget: u64,
-    compiled_backend: bool,
 }
 
 /// An activation-execution context: immutable simulation state plus a
-/// private effects buffer and scratch. This is the only engine either
-/// path runs — the sequential kernel wraps one around its own buffers
+/// private effects buffer. This is the only engine either path runs —
+/// the sequential kernel wraps one around its own buffers
 /// and commits after every activation (bit-exact legacy semantics), and
 /// each pool worker wraps one around its [`JobBuf`]. It never touches
 /// shared mutable kernel state, so a cycle's ready set can execute on
@@ -356,11 +315,8 @@ pub(crate) struct Ctx {
 pub(crate) struct Exec<'e> {
     program: &'e Program,
     signals: &'e [SigState],
-    compiled: Option<&'e CompiledProgram>,
     now: Time,
-    fuel_budget: u64,
     eff: &'e mut Effects,
-    scratch: &'e mut Scratch,
     /// First index in `eff.scheds` belonging to the current activation:
     /// element stores must see this activation's earlier buffered writes
     /// (and nothing from other processes).
@@ -432,19 +388,9 @@ pub struct Simulator<'a> {
     /// Reused execution state for resolution calls.
     fn_state: ProcState,
     fn_locals: Vec<Val>,
-    /// Active process backend.
-    pub(crate) backend: Backend,
-    /// The program translated to basic-block threaded code (built lazily
-    /// on the first switch to [`Backend::Compiled`]).
-    compiled: Option<Arc<CompiledProgram>>,
     /// The sequential path's effects buffer (one activation at a time;
     /// resolution calls).
     eff: Effects,
-    /// The sequential path's tape scratch.
-    exec_scratch: Scratch,
-    /// Per-activation instruction budget ([`FUEL`]; overridable in tests
-    /// to pin the exhaustion boundary without 50M-instruction runs).
-    pub(crate) fuel_budget: u64,
     /// Worker count for the process-execution phase (1 = sequential).
     jobs: usize,
     /// Instructions of each process's last activation, indexed by pid:
@@ -460,33 +406,6 @@ pub struct Simulator<'a> {
     worker_buf: Vec<JobBuf>,
     /// Deliberate misbehavior for differential-oracle self-tests.
     test_fault: Option<TestFault>,
-}
-
-/// Why a compiled activation stopped early (internal control flow of the
-/// compiled engine; never escapes [`Exec::run_activation`]).
-enum CErr {
-    /// A runtime-support error to surface as [`SimError::Runtime`].
-    Rt(RtError),
-    /// The fuel budget ran out (next instruction charged, not executed).
-    Fuel,
-    /// The activation already recorded its ending (assertion failure):
-    /// stop and report success.
-    Halt,
-}
-
-impl From<RtError> for CErr {
-    fn from(e: RtError) -> CErr {
-        CErr::Rt(e)
-    }
-}
-
-/// Outcome of the integer fast path over one tape.
-enum IntRun {
-    /// Completed; the tape's value.
-    Done(i64),
-    /// A leaf held a non-integer: rerun on the generic evaluator (no fuel
-    /// was charged).
-    Bail,
 }
 
 impl<'a> Simulator<'a> {
@@ -550,11 +469,7 @@ impl<'a> Simulator<'a> {
             res_scratch: Vec::new(),
             fn_state: ProcState::empty(),
             fn_locals: Vec::new(),
-            backend: Backend::Interp,
-            compiled: None,
             eff: Effects::default(),
-            exec_scratch: Scratch::default(),
-            fuel_budget: FUEL,
             jobs: 1,
             last_insns,
             force_pool: false,
@@ -581,13 +496,6 @@ impl<'a> Simulator<'a> {
         Arc::get_mut(&mut self.signals).expect("signal state shared outside the process phase")
     }
 
-    /// Overrides the per-activation instruction budget (the backend
-    /// fuel-boundary test pins the exhaustion point with a small budget).
-    #[cfg(test)]
-    pub(crate) fn set_fuel_budget(&mut self, fuel: u64) {
-        self.fuel_budget = fuel;
-    }
-
     /// Sends every cycle with two or more ready processes to the pool when
     /// `jobs > 1`, bypassing the work gate. The oracle's multi-worker
     /// cells set it so that they keep checking the barrier commit on
@@ -596,24 +504,9 @@ impl<'a> Simulator<'a> {
         self.force_pool = on;
     }
 
-    /// Selects the process-execution backend. Switching to
-    /// [`Backend::Compiled`] translates the program on first use and
-    /// records how many processes had to stay on the interpreter. Safe at
-    /// any activation boundary: suspended frames resume identically under
-    /// either backend.
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-        if backend == Backend::Compiled && self.compiled.is_none() {
-            let cp = compile::compile(&self.program);
-            self.stats.fallback_procs = cp.n_fallback;
-            self.compiled = Some(Arc::new(cp));
-        }
-    }
-
-    /// The active process-execution backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
+    /// Does nothing: the interpreter runs every activation whichever
+    /// [`Backend`] is named. Kept only because `vhdlbench` calls it.
+    pub fn set_backend(&mut self, _backend: Backend) {}
 
     /// Sets the most workers the process-execution phase may use. `1`
     /// (the default) runs every ready process sequentially on the calling
@@ -1125,19 +1018,14 @@ impl<'a> Simulator<'a> {
                 program,
                 signals,
                 now,
-                fuel_budget,
                 eff,
-                exec_scratch,
                 ..
             } = &mut *self;
             let mut ex = Exec {
                 program: &**program,
                 signals: &**signals,
-                compiled: None,
                 now: *now,
-                fuel_budget: *fuel_budget,
                 eff,
-                scratch: exec_scratch,
                 act_scheds: 0,
             };
             ex.run_pure(&mut scratch)
@@ -1162,32 +1050,22 @@ impl<'a> Simulator<'a> {
     /// semantics bit-exactly.
     fn run_process(&mut self, pi: usize) -> Result<(), SimError> {
         let mut proc = std::mem::replace(&mut self.procs[pi], ProcState::empty());
-        // The backend dispatch seam: processes the translator declined
-        // stay on the interpreter, per process, forever.
-        let use_compiled = self.backend == Backend::Compiled
-            && self.compiled.as_ref().is_some_and(|cp| cp.proc_ok[pi]);
         {
             let Simulator {
                 program,
                 signals,
-                compiled,
                 now,
-                fuel_budget,
                 eff,
-                exec_scratch,
                 ..
             } = &mut *self;
             let mut ex = Exec {
                 program: &**program,
                 signals: &**signals,
-                compiled: compiled.as_deref(),
                 now: *now,
-                fuel_budget: *fuel_budget,
                 eff,
-                scratch: exec_scratch,
                 act_scheds: 0,
             };
-            ex.run_activation(&mut proc, pi, use_compiled);
+            ex.run_activation(&mut proc, pi);
         }
         self.procs[pi] = proc;
         self.commit_pending()?;
@@ -1223,10 +1101,7 @@ impl<'a> Simulator<'a> {
         let ctx = Ctx {
             program: Arc::clone(&self.program),
             signals: Arc::clone(&self.signals),
-            compiled: self.compiled.clone(),
             now: self.now,
-            fuel_budget: self.fuel_budget,
-            compiled_backend: self.backend == Backend::Compiled,
         };
         let pool = self.pool.get_or_insert_with(|| {
             Pool::new(jobs, "sim-worker", |_| {
@@ -1303,7 +1178,7 @@ impl<'a> Simulator<'a> {
         ai: usize,
         cur: &mut EffCursor,
     ) -> Result<(), SimError> {
-        let (pid, s_end, t_end, r_end, insns, blocks, failed) = {
+        let (pid, s_end, t_end, r_end, insns, failed) = {
             let a = &mut eff.acts[ai];
             (
                 a.pid,
@@ -1311,7 +1186,6 @@ impl<'a> Simulator<'a> {
                 a.timeout_end as usize,
                 a.report_end as usize,
                 a.insns,
-                a.blocks,
                 a.failed.take(),
             )
         };
@@ -1344,7 +1218,6 @@ impl<'a> Simulator<'a> {
         }
         cur.report = r_end;
         self.stats.insns += insns;
-        self.stats.compiled_blocks += blocks;
         if let Some(e) = failed {
             self.failed = Some(e.clone());
             return Err(e);
@@ -1429,24 +1302,10 @@ impl<'e> Exec<'e> {
     /// side effects as one activation record. Errors do not escape: a
     /// runtime error or pending failure rides in the record and is
     /// surfaced by the coordinator at commit, in seed scan order.
-    pub(crate) fn run_activation(&mut self, proc: &mut ProcState, pid: usize, use_compiled: bool) {
+    pub(crate) fn run_activation(&mut self, proc: &mut ProcState, pid: usize) {
         self.act_scheds = self.eff.scheds.len();
-        let budget = self.fuel_budget;
-        let mut fuel = budget;
-        let result = if use_compiled {
-            let cp = self.compiled.expect("compiled backend selected");
-            match self.exec_blocks(cp, proc, pid, &mut fuel) {
-                Ok(()) | Err(CErr::Halt) => Ok(()),
-                Err(CErr::Fuel) => {
-                    self.eff.fail(SimError::FuelExhausted(proc.name.clone()));
-                    proc.status = ProcStatus::Halted;
-                    Ok(())
-                }
-                Err(CErr::Rt(e)) => Err(e),
-            }
-        } else {
-            self.exec_inner(proc, false, pid, &mut fuel)
-        };
+        let mut fuel = FUEL;
+        let result = self.exec_inner(proc, false, pid, &mut fuel);
         // Clone the name only on the error path: this runs once per
         // resumption, and a per-call clone is exactly the hot-loop
         // allocation the scheduler rewrite removed.
@@ -1465,8 +1324,7 @@ impl<'e> Exec<'e> {
             sched_end: self.eff.scheds.len() as u32,
             timeout_end: self.eff.timeouts.len() as u32,
             report_end: self.eff.reports.len() as u32,
-            insns: budget - fuel,
-            blocks: std::mem::take(&mut self.eff.cur_blocks),
+            insns: FUEL - fuel,
             failed,
         });
     }
@@ -1478,8 +1336,7 @@ impl<'e> Exec<'e> {
     /// failure — while a pending assertion failure rides in the record.
     fn run_pure(&mut self, proc: &mut ProcState) -> Result<(), RtError> {
         self.act_scheds = self.eff.scheds.len();
-        let budget = self.fuel_budget;
-        let mut fuel = budget;
+        let mut fuel = FUEL;
         let out = self.exec_inner(proc, true, usize::MAX, &mut fuel);
         let failed = self.eff.cur_failed.take();
         self.eff.acts.push(ActRecord {
@@ -1487,8 +1344,7 @@ impl<'e> Exec<'e> {
             sched_end: self.eff.scheds.len() as u32,
             timeout_end: self.eff.timeouts.len() as u32,
             report_end: self.eff.reports.len() as u32,
-            insns: budget - fuel,
-            blocks: std::mem::take(&mut self.eff.cur_blocks),
+            insns: FUEL - fuel,
             failed,
         });
         out
@@ -1763,643 +1619,6 @@ impl<'e> Exec<'e> {
         }
     }
 
-    /// The compiled backend's engine: runs threaded basic blocks until
-    /// the process suspends, halts, or fails. Mirrors the interpreter's
-    /// fuel accounting exactly — every executed tape operation, step,
-    /// and charging terminator costs one unit, in original program
-    /// order, so `stats.insns` and the fuel-exhaustion point are
-    /// byte-identical to the interpreter's.
-    fn exec_blocks(
-        &mut self,
-        cp: &CompiledProgram,
-        proc: &mut ProcState,
-        pid: usize,
-        fuel: &mut u64,
-    ) -> Result<(), CErr> {
-        // Charge one instruction; at zero the instruction is *not*
-        // executed (the interpreter bails between fetch and dispatch).
-        fn charge(fuel: &mut u64) -> Result<(), CErr> {
-            *fuel -= 1;
-            if *fuel == 0 {
-                return Err(CErr::Fuel);
-            }
-            Ok(())
-        }
-        'frames: loop {
-            let Some(top) = proc.frames.last() else {
-                proc.status = ProcStatus::Halted;
-                return Ok(());
-            };
-            let unit = cp.units[top.unit as usize]
-                .as_ref()
-                .ok_or_else(|| RtError::Internal("frame in uncompiled unit".into()))?;
-            // Activations always enter at a leader: process start, wait
-            // resume points, and call-return points all end blocks.
-            let mut bi = *unit
-                .leader
-                .get(top.pc)
-                .filter(|b| **b != u32::MAX)
-                .ok_or_else(|| RtError::Internal("resume pc is not a block leader".into()))?
-                as usize;
-            loop {
-                let block = &unit.blocks[bi];
-                self.eff.cur_blocks += 1;
-                for step in &block.steps {
-                    self.run_cstep(proc, pid, step, fuel)?;
-                }
-                match &block.term {
-                    Term::Fall(t) => bi = *t as usize,
-                    Term::Jump(t) => {
-                        charge(fuel)?;
-                        bi = *t as usize;
-                    }
-                    Term::Branch {
-                        cond,
-                        on_false,
-                        next,
-                    } => {
-                        let c_pre = self.eval_arg(proc, cond, fuel)?;
-                        charge(fuel)?;
-                        let c = take_int(proc, c_pre)? != 0;
-                        bi = if c {
-                            *next as usize
-                        } else {
-                            *on_false as usize
-                        };
-                    }
-                    Term::Wait {
-                        sens,
-                        timeout,
-                        resume_pc,
-                    } => {
-                        let timeout = match timeout {
-                            Some(arg) => {
-                                let pre = self.eval_arg(proc, arg, fuel)?;
-                                charge(fuel)?;
-                                let fs = take_int(proc, pre)?;
-                                // Zero-duration wait: next delta, as in
-                                // the interpreter's `Insn::Wait` above.
-                                let t = if fs <= 0 {
-                                    self.now.next_delta()
-                                } else {
-                                    self.now.plus_fs(fs as u64)
-                                };
-                                self.eff.timeouts.push(t);
-                                Some(t)
-                            }
-                            None => {
-                                charge(fuel)?;
-                                None
-                            }
-                        };
-                        proc.frames.last_mut().expect("frame").pc = *resume_pc as usize;
-                        proc.status = ProcStatus::Suspended {
-                            sens: Arc::clone(sens),
-                            timeout,
-                        };
-                        return Ok(());
-                    }
-                    Term::Call { f, ret_pc } => {
-                        charge(fuel)?;
-                        let decl = &self.program.functions[f.0 as usize];
-                        let (n_params, n_locals, level) =
-                            (decl.n_params, decl.n_locals, decl.level);
-                        let callee = Arc::clone(&decl.code);
-                        let at = proc.stack.len() - n_params as usize;
-                        let args = proc.stack.split_off(at);
-                        let mut locals = vec![Val::Int(0); n_locals as usize];
-                        for (i, a) in args.into_iter().enumerate() {
-                            locals[i] = a;
-                        }
-                        let static_link = proc.frames.iter().rposition(|fr| fr.level + 1 == level);
-                        proc.frames.last_mut().expect("frame").pc = *ret_pc as usize;
-                        proc.frames.push(Frame {
-                            code: callee,
-                            pc: 0,
-                            locals,
-                            static_link,
-                            level,
-                            unit: cp.fn_unit(*f) as u32,
-                        });
-                        continue 'frames;
-                    }
-                    Term::Ret { end_pc } => {
-                        charge(fuel)?;
-                        if proc.frames.len() > 1 {
-                            proc.frames.pop();
-                            continue 'frames;
-                        }
-                        proc.frames.last_mut().expect("frame").pc = *end_pc as usize;
-                        proc.status = ProcStatus::Halted;
-                        return Ok(());
-                    }
-                    Term::Halt { end_pc } => {
-                        charge(fuel)?;
-                        proc.frames.last_mut().expect("frame").pc = *end_pc as usize;
-                        proc.status = ProcStatus::Halted;
-                        return Ok(());
-                    }
-                    Term::FallOff { end_pc } => {
-                        // Running off the end charges nothing: the
-                        // interpreter's fetch fails before the fuel is
-                        // touched.
-                        if proc.frames.len() > 1 {
-                            proc.frames.pop();
-                            continue 'frames;
-                        }
-                        proc.frames.last_mut().expect("frame").pc = *end_pc as usize;
-                        proc.status = ProcStatus::Halted;
-                        return Ok(());
-                    }
-                    Term::Dead => {
-                        return Err(CErr::Rt(RtError::Internal(
-                            "entered untranslated block".into(),
-                        )))
-                    }
-                }
-            }
-        }
-    }
-
-    /// Executes one step of a compiled block. Argument evaluation order
-    /// mirrors the interpreter exactly: deferred tapes run first (their
-    /// source instructions came earlier), then the step's own instruction
-    /// is charged, then operands are taken (popped) and type-checked in
-    /// the interpreter's pop order.
-    fn run_cstep(
-        &mut self,
-        proc: &mut ProcState,
-        pid: usize,
-        step: &Step,
-        fuel: &mut u64,
-    ) -> Result<(), CErr> {
-        fn charge(fuel: &mut u64) -> Result<(), CErr> {
-            *fuel -= 1;
-            if *fuel == 0 {
-                return Err(CErr::Fuel);
-            }
-            Ok(())
-        }
-        match step {
-            Step::Push(tape) => {
-                let v = self.run_tape(proc, tape, fuel)?;
-                proc.stack.push(v);
-            }
-            Step::PopRt => {
-                charge(fuel)?;
-                pop(proc)?;
-            }
-            Step::Drop(tape) => {
-                self.run_tape(proc, tape, fuel)?;
-                charge(fuel)?;
-            }
-            Step::Raw(insn) => {
-                charge(fuel)?;
-                self.raw_insn(proc, insn)?;
-            }
-            Step::Store { addr, val } => {
-                let v_pre = self.eval_arg(proc, val, fuel)?;
-                charge(fuel)?;
-                let v = take(proc, v_pre)?;
-                var_frame(proc, addr.depth)?.locals[addr.slot as usize] = v;
-            }
-            Step::StoreIndex { addr, idx, val } => {
-                let i_pre = self.eval_arg(proc, idx, fuel)?;
-                let v_pre = self.eval_arg(proc, val, fuel)?;
-                charge(fuel)?;
-                let v = take(proc, v_pre)?;
-                let i = take_int(proc, i_pre)?;
-                let fr = var_frame(proc, addr.depth)?;
-                let slot = &mut fr.locals[addr.slot as usize];
-                *slot = store_elem(slot, i, v)?;
-            }
-            Step::StoreField { addr, field, val } => {
-                let v_pre = self.eval_arg(proc, val, fuel)?;
-                charge(fuel)?;
-                let v = take(proc, v_pre)?;
-                let fr = var_frame(proc, addr.depth)?;
-                let slot = &mut fr.locals[addr.slot as usize];
-                if let Val::Rec(fields) = slot {
-                    let mut fs = (**fields).clone();
-                    fs[*field as usize] = v;
-                    *slot = Val::Rec(Arc::new(fs));
-                } else {
-                    return Err(CErr::Rt(RtError::Internal(
-                        "field store on non-record".into(),
-                    )));
-                }
-            }
-            Step::Sched {
-                sig,
-                transport,
-                val,
-                delay,
-            } => {
-                let v_pre = self.eval_arg(proc, val, fuel)?;
-                let d_pre = self.eval_arg(proc, delay, fuel)?;
-                charge(fuel)?;
-                let d = take_int(proc, d_pre)?;
-                let v = take(proc, v_pre)?;
-                self.sched(pid, *sig, v, d, *transport, None)?;
-            }
-            Step::SchedIndex {
-                sig,
-                transport,
-                idx,
-                val,
-                delay,
-            } => {
-                let i_pre = self.eval_arg(proc, idx, fuel)?;
-                let v_pre = self.eval_arg(proc, val, fuel)?;
-                let d_pre = self.eval_arg(proc, delay, fuel)?;
-                charge(fuel)?;
-                let d = take_int(proc, d_pre)?;
-                let v = take(proc, v_pre)?;
-                let i = take_int(proc, i_pre)?;
-                self.sched(pid, *sig, v, d, *transport, Some(i))?;
-            }
-            Step::Assert {
-                cond,
-                report,
-                severity,
-                pc_after,
-            } => {
-                let c_pre = self.eval_arg(proc, cond, fuel)?;
-                let r_pre = self.eval_arg(proc, report, fuel)?;
-                let s_pre = self.eval_arg(proc, severity, fuel)?;
-                charge(fuel)?;
-                let severity = take_int(proc, s_pre)?;
-                let report = take(proc, r_pre)?;
-                let cond = take_int(proc, c_pre)? != 0;
-                if !cond {
-                    let ev = ReportEvent {
-                        time: self.now,
-                        severity,
-                        text: report.as_string(),
-                    };
-                    self.eff.reports.push(ev.clone());
-                    if severity >= 3 {
-                        proc.frames.last_mut().expect("frame").pc = *pc_after as usize;
-                        self.eff.fail(SimError::Failure(ev));
-                        proc.status = ProcStatus::Halted;
-                        return Err(CErr::Halt);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes one materialized instruction on the process value stack,
-    /// exactly as the interpreter would (only pure value instructions can
-    /// reach here: combiners whose operands crossed a block boundary).
-    fn raw_insn(&mut self, proc: &mut ProcState, insn: &Insn) -> Result<(), RtError> {
-        match insn {
-            Insn::MakeArr { n, left, dir } => {
-                let at = proc.stack.len() - *n as usize;
-                let data = proc.stack.split_off(at);
-                proc.stack.push(Val::arr(*left, *dir, data));
-            }
-            Insn::MakeRec { n } => {
-                let at = proc.stack.len() - *n as usize;
-                let data = proc.stack.split_off(at);
-                proc.stack.push(Val::Rec(Arc::new(data)));
-            }
-            Insn::Index => {
-                let idx = pop_int(proc)?;
-                let arr = pop(proc)?;
-                let a = want_arr(&arr)?;
-                let off = a.offset(idx).ok_or(RtError::IndexError { index: idx })?;
-                proc.stack.push(a.data[off].clone());
-            }
-            Insn::Slice(dir) => {
-                let right = pop_int(proc)?;
-                let left = pop_int(proc)?;
-                let arr = pop(proc)?;
-                let a = want_arr(&arr)?;
-                let (o1, o2) = (
-                    a.offset(left).ok_or(RtError::IndexError { index: left })?,
-                    a.offset(right)
-                        .ok_or(RtError::IndexError { index: right })?,
-                );
-                let (lo, hi) = (o1.min(o2), o1.max(o2));
-                let data = a.data[lo..=hi].to_vec();
-                proc.stack.push(Val::arr(left, *dir, data));
-            }
-            Insn::Field(i) => {
-                let v = pop(proc)?;
-                match v {
-                    Val::Rec(fields) => proc.stack.push(fields[*i as usize].clone()),
-                    _ => return Err(RtError::Internal("field on non-record".into())),
-                }
-            }
-            Insn::ArrAttr(kind) => {
-                let v = pop(proc)?;
-                let a = want_arr(&v)?;
-                let (l, r) = (a.left, a.right());
-                let out = match kind {
-                    crate::isa::ArrAttrKind::Length => a.data.len() as i64,
-                    crate::isa::ArrAttrKind::Left => l,
-                    crate::isa::ArrAttrKind::Right => r,
-                    crate::isa::ArrAttrKind::Low => l.min(r),
-                    crate::isa::ArrAttrKind::High => l.max(r),
-                };
-                proc.stack.push(Val::Int(out));
-            }
-            Insn::Binop(op) => {
-                let b = pop(proc)?;
-                let a = pop(proc)?;
-                proc.stack.push(rts::binop(*op, &a, &b)?);
-            }
-            Insn::Unop(op) => {
-                let a = pop(proc)?;
-                proc.stack.push(rts::unop(*op, &a)?);
-            }
-            Insn::RangeCheck { lo, hi } => {
-                let v = want_int(proc.stack.last().ok_or_else(underflow)?)?;
-                if v < *lo || v > *hi {
-                    return Err(RtError::RangeError {
-                        value: v,
-                        lo: *lo,
-                        hi: *hi,
-                    });
-                }
-            }
-            Insn::Dup => {
-                let v = proc.stack.last().ok_or_else(underflow)?.clone();
-                proc.stack.push(v);
-            }
-            other => {
-                return Err(RtError::Internal(format!(
-                    "unexpected raw instruction {other:?}"
-                )))
-            }
-        }
-        Ok(())
-    }
-
-    /// Evaluates a step argument: `None` for an already-materialized
-    /// operand (taken from the value stack later, in pop order), the
-    /// tape's value otherwise.
-    fn eval_arg(
-        &mut self,
-        proc: &mut ProcState,
-        arg: &Arg,
-        fuel: &mut u64,
-    ) -> Result<Option<Val>, CErr> {
-        match arg {
-            Arg::Rt => Ok(None),
-            Arg::T(t) => self.run_tape(proc, t, fuel).map(Some),
-        }
-    }
-
-    /// Evaluates one tape to its value, attempting the unboxed integer
-    /// fast path first. The fast path needs enough fuel for the whole
-    /// tape up front so it can skip per-operation exhaustion checks.
-    fn run_tape(
-        &mut self,
-        proc: &mut ProcState,
-        tape: &compile::Tape,
-        fuel: &mut u64,
-    ) -> Result<Val, CErr> {
-        if let Some(it) = &tape.int_tape {
-            if *fuel > it.cost {
-                let mut st = std::mem::take(&mut self.scratch.tape_ints);
-                st.clear();
-                let out = self.tape_int_inner(proc, it, fuel, &mut st);
-                self.scratch.tape_ints = st;
-                match out? {
-                    IntRun::Done(v) => return Ok(Val::Int(v)),
-                    IntRun::Bail => {}
-                }
-            }
-        }
-        let mut st = std::mem::take(&mut self.scratch.tape_vals);
-        st.clear();
-        let out = self.tape_val_inner(proc, &tape.ops, fuel, &mut st);
-        self.scratch.tape_vals = st;
-        out
-    }
-
-    /// The unboxed integer evaluator over the fused op stream: raw
-    /// `i64` stack, no per-operation fuel checks (the caller proved the
-    /// budget), type guards on every leaf. Bailing charges nothing;
-    /// completing charges the whole *source* tape; a runtime error
-    /// charges through the failing source operation (`IntTape::ends`) —
-    /// all exactly what the interpreter would have charged.
-    fn tape_int_inner(
-        &mut self,
-        proc: &mut ProcState,
-        it: &compile::IntTape,
-        fuel: &mut u64,
-        st: &mut Vec<i64>,
-    ) -> Result<IntRun, CErr> {
-        st.reserve(it.max_depth);
-        // Top-of-stack caching: `tos` holds the top value in a register
-        // so a chained expression never round-trips through memory. The
-        // logical stack is `st` + `tos`; the first push spills a dead
-        // phantom bottom into `st`, which a balanced tape never reads.
-        let mut tos: i64 = 0;
-        // The hot loop never constructs a `Result`: faults and bails
-        // jump straight to the cold exits below.
-        let mut j = 0;
-        let fault: RtError = 'run: {
-            while let Some(op) = it.ops.get(j) {
-                match *op {
-                    IntOp::Imm(v) => {
-                        st.push(tos);
-                        tos = v;
-                    }
-                    IntOp::AddImm(k) => match tos.checked_add(k) {
-                        Some(v) => tos = v,
-                        None => break 'run RtError::Overflow,
-                    },
-                    IntOp::MulImm(k) => match tos.checked_mul(k) {
-                        Some(v) => tos = v,
-                        None => break 'run RtError::Overflow,
-                    },
-                    IntOp::ModMask(mask) => tos &= mask,
-                    IntOp::BinopImm(op, k) => match int_binop(op, tos, k) {
-                        Ok(v) => tos = v,
-                        Err(e) => break 'run e,
-                    },
-                    IntOp::Binop(op) => {
-                        let x = st.pop().expect("balanced tape");
-                        match int_binop(op, x, tos) {
-                            Ok(v) => tos = v,
-                            Err(e) => break 'run e,
-                        }
-                    }
-                    IntOp::Local(a) => match var_frame(proc, a.depth) {
-                        Ok(fr) => match &fr.locals[a.slot as usize] {
-                            Val::Int(x) => {
-                                st.push(tos);
-                                tos = *x;
-                            }
-                            _ => return Ok(IntRun::Bail),
-                        },
-                        Err(e) => break 'run e,
-                    },
-                    IntOp::Sig(s) => match &self.signals[s.0 as usize].current {
-                        Val::Int(x) => {
-                            st.push(tos);
-                            tos = *x;
-                        }
-                        _ => return Ok(IntRun::Bail),
-                    },
-                    IntOp::Attr(s, attr) => {
-                        let sig = &self.signals[s.0 as usize];
-                        let v = match attr {
-                            SigAttr::Event => sig.event as i64,
-                            SigAttr::Active => sig.active as i64,
-                            SigAttr::LastValue => match &sig.last_value {
-                                Val::Int(x) => *x,
-                                _ => return Ok(IntRun::Bail),
-                            },
-                        };
-                        st.push(tos);
-                        tos = v;
-                    }
-                    IntOp::Unop(op) => {
-                        tos = match op {
-                            Op::Neg => match tos.checked_neg() {
-                                Some(v) => v,
-                                None => break 'run RtError::Overflow,
-                            },
-                            Op::Pos | Op::ToInt => tos,
-                            Op::Abs => match tos.checked_abs() {
-                                Some(v) => v,
-                                None => break 'run RtError::Overflow,
-                            },
-                            Op::Not => (tos == 0) as i64,
-                            _ => return Ok(IntRun::Bail),
-                        };
-                    }
-                    IntOp::RangeCheck(lo, hi) => {
-                        if tos < lo || tos > hi {
-                            break 'run RtError::RangeError { value: tos, lo, hi };
-                        }
-                    }
-                }
-                j += 1;
-            }
-            *fuel -= it.cost;
-            return Ok(IntRun::Done(tos));
-        };
-        // The interpreter charged every preceding source operation plus
-        // the one that failed.
-        *fuel -= u64::from(it.ends[j]);
-        Err(CErr::Rt(fault))
-    }
-
-    /// The generic tape evaluator: boxed values, per-operation fuel
-    /// accounting, the interpreter's exact error messages.
-    #[allow(clippy::too_many_lines)]
-    fn tape_val_inner(
-        &mut self,
-        proc: &mut ProcState,
-        ops: &[EOp],
-        fuel: &mut u64,
-        st: &mut Vec<Val>,
-    ) -> Result<Val, CErr> {
-        for op in ops {
-            *fuel -= 1;
-            if *fuel == 0 {
-                return Err(CErr::Fuel);
-            }
-            match op {
-                EOp::Int(v) => st.push(Val::Int(*v)),
-                EOp::Real(v) => st.push(Val::Real(*v)),
-                EOp::Const(v) => st.push(v.clone()),
-                EOp::Local(a) => {
-                    let v = var_frame(proc, a.depth)?.locals[a.slot as usize].clone();
-                    st.push(v);
-                }
-                EOp::Sig(s) => st.push(self.signals[s.0 as usize].current.clone()),
-                EOp::Attr(s, attr) => {
-                    let sig = &self.signals[s.0 as usize];
-                    let v = match attr {
-                        SigAttr::Event => Val::Int(sig.event as i64),
-                        SigAttr::Active => Val::Int(sig.active as i64),
-                        SigAttr::LastValue => sig.last_value.clone(),
-                    };
-                    st.push(v);
-                }
-                EOp::MakeArr { n, left, dir } => {
-                    let at = st.len() - *n as usize;
-                    let data = st.split_off(at);
-                    st.push(Val::arr(*left, *dir, data));
-                }
-                EOp::MakeRec { n } => {
-                    let at = st.len() - *n as usize;
-                    let data = st.split_off(at);
-                    st.push(Val::Rec(Arc::new(data)));
-                }
-                EOp::Index => {
-                    let idx = spop_int(st)?;
-                    let arr = spop(st)?;
-                    let a = want_arr(&arr)?;
-                    let off = a.offset(idx).ok_or(RtError::IndexError { index: idx })?;
-                    st.push(a.data[off].clone());
-                }
-                EOp::Slice(dir) => {
-                    let right = spop_int(st)?;
-                    let left = spop_int(st)?;
-                    let arr = spop(st)?;
-                    let a = want_arr(&arr)?;
-                    let (o1, o2) = (
-                        a.offset(left).ok_or(RtError::IndexError { index: left })?,
-                        a.offset(right)
-                            .ok_or(RtError::IndexError { index: right })?,
-                    );
-                    let (lo, hi) = (o1.min(o2), o1.max(o2));
-                    let data = a.data[lo..=hi].to_vec();
-                    st.push(Val::arr(left, *dir, data));
-                }
-                EOp::Field(i) => {
-                    let v = spop(st)?;
-                    match v {
-                        Val::Rec(fields) => st.push(fields[*i as usize].clone()),
-                        _ => return Err(CErr::Rt(RtError::Internal("field on non-record".into()))),
-                    }
-                }
-                EOp::ArrAttr(kind) => {
-                    let v = spop(st)?;
-                    let a = want_arr(&v)?;
-                    let (l, r) = (a.left, a.right());
-                    let out = match kind {
-                        crate::isa::ArrAttrKind::Length => a.data.len() as i64,
-                        crate::isa::ArrAttrKind::Left => l,
-                        crate::isa::ArrAttrKind::Right => r,
-                        crate::isa::ArrAttrKind::Low => l.min(r),
-                        crate::isa::ArrAttrKind::High => l.max(r),
-                    };
-                    st.push(Val::Int(out));
-                }
-                EOp::Binop(op) => {
-                    let b = spop(st)?;
-                    let a = spop(st)?;
-                    st.push(rts::binop(*op, &a, &b)?);
-                }
-                EOp::Unop(op) => {
-                    let a = spop(st)?;
-                    st.push(rts::unop(*op, &a)?);
-                }
-                EOp::RangeCheck { lo, hi } => {
-                    let v = want_int(st.last().ok_or_else(underflow)?)?;
-                    if v < *lo || v > *hi {
-                        return Err(CErr::Rt(RtError::RangeError {
-                            value: v,
-                            lo: *lo,
-                            hi: *hi,
-                        }));
-                    }
-                }
-            }
-        }
-        spop(st).map_err(CErr::Rt)
-    }
-
     /// The execution half of a signal assignment: validate the delay,
     /// compute the transaction time and final value (subtype conversion,
     /// element update), and buffer a [`SchedOp`]. Driver queues are
@@ -2481,26 +1700,16 @@ impl<'e> Exec<'e> {
 /// shared read-only context, buffering every side effect in `buf`. Runs
 /// on the pool's workers.
 fn run_chunk(ctx: &Ctx, buf: &mut JobBuf) {
-    let JobBuf {
-        procs,
-        eff,
-        scratch,
-        ..
-    } = buf;
+    let JobBuf { procs, eff, .. } = buf;
     let mut ex = Exec {
         program: &ctx.program,
         signals: &ctx.signals,
-        compiled: ctx.compiled.as_deref(),
         now: ctx.now,
-        fuel_budget: ctx.fuel_budget,
         eff,
-        scratch,
         act_scheds: 0,
     };
     for (pid, proc) in procs.iter_mut() {
-        let pi = *pid as usize;
-        let use_compiled = ctx.compiled_backend && ex.compiled.is_some_and(|cp| cp.proc_ok[pi]);
-        ex.run_activation(proc, pi, use_compiled);
+        ex.run_activation(proc, *pid as usize);
     }
 }
 
@@ -2676,70 +1885,6 @@ fn underflow() -> RtError {
     RtError::Internal("value stack underflow".into())
 }
 
-/// Takes a step operand: the pre-evaluated tape value, or the top of the
-/// process value stack for a materialized operand.
-fn take(proc: &mut ProcState, pre: Option<Val>) -> Result<Val, CErr> {
-    match pre {
-        Some(v) => Ok(v),
-        None => pop(proc).map_err(CErr::Rt),
-    }
-}
-
-/// [`take`] with the interpreter's integer check and message.
-fn take_int(proc: &mut ProcState, pre: Option<Val>) -> Result<i64, CErr> {
-    match take(proc, pre)? {
-        Val::Int(i) => Ok(i),
-        v => Err(CErr::Rt(RtError::Internal(format!(
-            "expected integer, got {v}"
-        )))),
-    }
-}
-
-/// Pops the tape scratch stack.
-fn spop(st: &mut Vec<Val>) -> Result<Val, RtError> {
-    st.pop().ok_or_else(underflow)
-}
-
-/// Pops the tape scratch stack, expecting an integer.
-fn spop_int(st: &mut Vec<Val>) -> Result<i64, RtError> {
-    match spop(st)? {
-        Val::Int(i) => Ok(i),
-        v => Err(RtError::Internal(format!("expected integer, got {v}"))),
-    }
-}
-
-/// Integer-domain binary operation, byte-for-byte the semantics of
-/// [`rts::binop`] on two `Val::Int`s (including `checked_div` mapping the
-/// `i64::MIN / -1` overflow to [`RtError::DivByZero`], as the generic
-/// path does).
-fn int_binop(op: Op, x: i64, y: i64) -> Result<i64, RtError> {
-    use std::cmp::Ordering;
-    Ok(match op {
-        Op::Add => x.checked_add(y).ok_or(RtError::Overflow)?,
-        Op::Sub => x.checked_sub(y).ok_or(RtError::Overflow)?,
-        Op::Mul | Op::MulRev => x.checked_mul(y).ok_or(RtError::Overflow)?,
-        Op::Div | Op::DivPhys => x.checked_div(y).ok_or(RtError::DivByZero)?,
-        Op::Mod => x.checked_rem_euclid(y).ok_or(RtError::DivByZero)?,
-        Op::Rem => x.checked_rem(y).ok_or(RtError::DivByZero)?,
-        Op::Pow => u32::try_from(y)
-            .ok()
-            .and_then(|e| x.checked_pow(e))
-            .ok_or(RtError::Overflow)?,
-        Op::Eq => (x == y) as i64,
-        Op::Ne => (x != y) as i64,
-        Op::Lt => (x.cmp(&y) == Ordering::Less) as i64,
-        Op::Le => (x.cmp(&y) != Ordering::Greater) as i64,
-        Op::Gt => (x.cmp(&y) == Ordering::Greater) as i64,
-        Op::Ge => (x.cmp(&y) != Ordering::Less) as i64,
-        Op::And | Op::Or | Op::Nand | Op::Nor | Op::Xor => rts::logical(op, x, y),
-        _ => {
-            return Err(RtError::Internal(format!(
-                "non-integer op {op:?} on the integer fast path"
-            )))
-        }
-    })
-}
-
 fn var_frame<'p>(proc: &'p mut ProcState, depth: u8) -> Result<&'p mut Frame, RtError> {
     let top = proc.frames.len() - 1;
     let mut idx = top;
@@ -2776,6 +1921,7 @@ mod tests {
     use crate::io::Vcd;
     use crate::isa::VarAddr;
     use crate::oracle::Observables;
+    use crate::rts::Op;
 
     fn slot(n: u16) -> VarAddr {
         VarAddr { depth: 0, slot: n }

@@ -3,13 +3,12 @@
 //! A snapshot captures everything [`Simulator`] needs to continue a run
 //! exactly where it stopped: current time, cumulative statistics, report
 //! log, signal and driver state (projected output waveforms included),
-//! process frames (interpreter `pc` doubles as the compiled backend's
-//! `resume_pc` — both engines keep it current at every suspension point),
-//! the Name Server's per-object event/resumption counters, and the
+//! process frames (a unit index and `pc` per frame, current at every
+//! suspension point), the Name Server's per-object event/resumption counters, and the
 //! pending-event calendar. Restoring into a freshly elaborated program
 //! yields a simulator whose subsequent VCD output, statistics, and
-//! counters are byte-identical to an uninterrupted run, under either
-//! backend and worker count (the resume cells of `tests/oracle.rs`).
+//! counters are byte-identical to an uninterrupted run, at any worker
+//! count (the resume cells of `tests/oracle.rs`).
 //!
 //! ## Format
 //!
@@ -34,10 +33,9 @@
 //! ## What is *not* serialized
 //!
 //! Scratch worklists (`due_drivers`, `fired`, `cand`, `ready`,
-//! resolution buffers, compiled-tape stacks) are empty at every
-//! activation boundary and are rebuilt on demand. The sensitivity index,
-//! Name Server tree, and compiled translation are pure functions of the
-//! program and are rebuilt by elaboration. Observers are host-side and
+//! resolution buffers) are empty at every activation boundary and are
+//! rebuilt on demand. The sensitivity index and Name Server tree are
+//! pure functions of the program and are rebuilt by elaboration. Observers are host-side and
 //! re-attach after restore.
 //!
 //! ## Calendar normalization
@@ -59,14 +57,16 @@ use ag_harness::fnv1a;
 
 use crate::isa::{Program, SigId};
 use crate::sched::{CalEntry, CalKind, Calendar};
-use crate::sim::{Backend, Driver, Frame, ProcStatus, ReportEvent, SimStats, Simulator};
+use crate::sim::{Driver, Frame, ProcStatus, ReportEvent, SimStats, Simulator};
 use crate::value::{ArrVal, Time, VDir, Val};
 
 /// Magic bytes opening every kernel snapshot.
 pub const MAGIC: [u8; 4] = *b"VSNP";
 
-/// Current snapshot format version.
-pub const VERSION: u32 = 1;
+/// Current snapshot format version. Version 1 also carried a backend
+/// byte, the per-activation fuel budget and two compiled-backend
+/// counters; version 2 dropped them.
+pub const VERSION: u32 = 2;
 
 /// Why a snapshot could not be produced or applied. Never a panic:
 /// snapshot bytes cross process boundaries and are treated as hostile.
@@ -485,11 +485,6 @@ impl<'a> Simulator<'a> {
         e.buf.extend_from_slice(&MAGIC);
         e.u32(VERSION);
         e.u64(program_fingerprint(&self.program));
-        e.u8(match self.backend {
-            Backend::Interp => 0,
-            Backend::Compiled => 1,
-        });
-        e.u64(self.fuel_budget);
         e.time(self.now);
 
         let st = &self.stats;
@@ -502,8 +497,6 @@ impl<'a> Simulator<'a> {
             st.insns,
             st.woken_procs,
             st.scanned_signals,
-            st.compiled_blocks,
-            st.fallback_procs,
         ] {
             e.u64(v);
         }
@@ -615,12 +608,6 @@ impl<'a> Simulator<'a> {
         if d.u64()? != program_fingerprint(&program) {
             return Err(SnapshotError::ProgramMismatch);
         }
-        let backend = match d.u8()? {
-            0 => Backend::Interp,
-            1 => Backend::Compiled,
-            t => return Err(SnapshotError::Corrupt(format!("bad backend tag {t}"))),
-        };
-        let fuel_budget = d.u64()?;
         let now = d.time()?;
 
         let mut sim = Simulator::new(program);
@@ -628,11 +615,6 @@ impl<'a> Simulator<'a> {
         let n_procs = sim.program.processes.len();
         let n_fns = sim.program.functions.len();
 
-        // `set_backend` before overwriting stats: compiling records
-        // `fallback_procs`, which the serialized stats then replace with
-        // the identical value the original run recorded.
-        sim.set_backend(backend);
-        sim.fuel_budget = fuel_budget;
         sim.now = now;
 
         let mut st = SimStats::default();
@@ -644,8 +626,6 @@ impl<'a> Simulator<'a> {
         st.insns = d.u64()?;
         st.woken_procs = d.u64()?;
         st.scanned_signals = d.u64()?;
-        st.compiled_blocks = d.u64()?;
-        st.fallback_procs = d.u64()?;
         sim.stats = st;
 
         let n_reports = d.len(1)?;
@@ -974,6 +954,35 @@ mod tests {
             Err(SnapshotError::BadVersion(99)) => {}
             Err(other) => panic!("expected BadVersion(99), got {other:?}"),
             Ok(_) => panic!("expected BadVersion(99), got Ok"),
+        }
+    }
+
+    /// A version-1 blob (backend byte, fuel budget and two more counters
+    /// in its header) is refused by its version, whatever follows.
+    #[test]
+    fn version_one_snapshot_is_refused() {
+        let mut p = Program::default();
+        p.add_signal("top.a", Val::Int(0));
+        p.finalize_sensitivity();
+        let v2 = Simulator::new(p.clone()).checkpoint().unwrap();
+        let body = &v2[..v2.len() - 8];
+        // v2: magic, version, fingerprint, time (12 bytes), 8 counters.
+        let (head, rest) = body.split_at(16);
+        let (time_stats, tail) = rest.split_at(12 + 8 * 8);
+        let mut e = Enc::new();
+        e.buf.extend_from_slice(&head[..4]);
+        e.u32(1);
+        e.buf.extend_from_slice(&head[8..]);
+        e.u8(1);
+        e.u64(50_000_000);
+        e.buf.extend_from_slice(time_stats);
+        e.u64(0);
+        e.u64(0);
+        e.buf.extend_from_slice(tail);
+        match Simulator::restore(p, &e.seal()) {
+            Err(SnapshotError::BadVersion(1)) => {}
+            Err(other) => panic!("expected BadVersion(1), got {other:?}"),
+            Ok(_) => panic!("expected BadVersion(1), got Ok"),
         }
     }
 }

@@ -15,7 +15,7 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use sim_kernel::{Backend, FnDecl, Insn, Op, Program, SigId, Simulator, Time, Val, VarAddr};
+use sim_kernel::{FnDecl, Insn, Op, Program, SigId, Simulator, Time, Val, VarAddr};
 
 #[global_allocator]
 static ALLOC: ag_harness::alloc::CountingAlloc = ag_harness::alloc::CountingAlloc;
@@ -166,30 +166,6 @@ fn steady_state_allocation_budget() {
         "resolution steady state allocates too much: {allocs} allocations for {cycles} cycles"
     );
     assert_eq!(sim.signal_value(bus), sim.signal_value(bus)); // bus alive
-
-    // --- Compiled backend on the same oscillator: block translation
-    // allocates once up front (blocks, tapes, fused int streams), but
-    // the steady-state activation path — tape evaluation, step
-    // execution, resume — runs on reused buffers and must meet the same
-    // per-event budget as the interpreter.
-    let mut sim = Simulator::new(oscillator(1_000));
-    sim.set_backend(Backend::Compiled);
-    sim.run_until(Time::fs(1_000_000)).unwrap(); // warm-up: 1000 events
-    let events0 = sim.stats().events;
-    let before = ag_harness::alloc::stats();
-    sim.run_until(Time::fs(2_000_000)).unwrap();
-    let after = ag_harness::alloc::stats();
-    let events = sim.stats().events - events0;
-    assert!(events >= 999, "window ran: {events} events");
-    assert!(
-        sim.stats().compiled_blocks > 0,
-        "compiled backend did not engage"
-    );
-    let allocs = after.allocations - before.allocations;
-    assert!(
-        allocs < events / 10,
-        "compiled steady state allocates too much: {allocs} allocations for {events} events"
-    );
 
     // --- Parallel steady state: eight concurrently-woken oscillators at
     // jobs=4, each counting a 150-round loop per activation (~1,360

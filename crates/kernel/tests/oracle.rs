@@ -2,9 +2,8 @@
 //!
 //! Random `Insn`-level programs run through every execution
 //! configuration: the scan stepper (the reference semantics), the
-//! event-driven interpreter at 1/2/4/8 workers, the compiled backend at
-//! 1/4 workers, and checkpoint-and-restore cells that resume at another
-//! worker count. Every observable must match byte for byte — VCD text,
+//! event-driven interpreter at 1/2/4/8 workers, and
+//! checkpoint-and-restore cells that resume at another worker count. Every observable must match byte for byte — VCD text,
 //! statistics, Name-Server counters, final values, reports, the run
 //! outcome — with the full statistics block compared within an engine.
 //! Fixed programs pin the edge cases random search rarely reaches.
@@ -12,7 +11,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ag_harness::{check, check_eq, forall, shrink_stream, Config, Failed, Source, TestResult};
+use ag_harness::{check_eq, forall, shrink_stream, Config, Failed, Source, TestResult};
 use sim_kernel::oracle::{
     gen_program, run_cell, run_matrix, sum_mod4, Cell, Engine, MatrixOutcome,
 };
@@ -23,17 +22,14 @@ fn slot(n: u16) -> VarAddr {
 }
 
 /// The full matrix; the scan stepper is the reference.
-const CELLS: [Cell; 10] = [
+const CELLS: [Cell; 7] = [
     Cell::solid(Engine::Scan, 1),
     Cell::solid(Engine::Interp, 1),
     Cell::solid(Engine::Interp, 2),
     Cell::solid(Engine::Interp, 4),
     Cell::solid(Engine::Interp, 8),
-    Cell::solid(Engine::Compiled, 1),
-    Cell::solid(Engine::Compiled, 4),
     Cell::resume(Engine::Interp, 4, 1),
     Cell::resume(Engine::Interp, 1, 4),
-    Cell::resume(Engine::Compiled, 1, 1),
 ];
 
 /// Draws a program, a deadline, and a cycle budget split into 1–3
@@ -112,16 +108,6 @@ fn every_configuration_matches_the_scan_reference() {
                     &early
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
-            }
-            // The oracle must not go vacuous: generated programs compile in
-            // full and the compiled cells really ran threaded blocks.
-            for run in out
-                .runs
-                .iter()
-                .filter(|r| r.cell.engine == Engine::Compiled)
-            {
-                check_eq!(run.obs.stats.fallback_procs, 0, "{}", run.cell.name());
-                check!(run.obs.stats.compiled_blocks > 0, "{}", run.cell.name());
             }
             // Checkpoints are taken at cycle barriers, where state does not
             // depend on the worker count.
@@ -230,18 +216,10 @@ fn fixed_program_matches_across_the_matrix() {
     prog.finalize_sensitivity();
     let out = run_matrix(&prog, Time::fs(40), &[17, 500], &CELLS, None).unwrap();
     assert_conforms(&out);
-    let compiled = &out.runs[5];
-    assert_eq!(compiled.cell.engine, Engine::Compiled);
-    assert!(
-        compiled.obs.stats.compiled_blocks > 0,
-        "no compiled blocks ran"
-    );
-    assert_eq!(compiled.obs.stats.fallback_procs, 0);
 }
 
 /// A run that dies of arithmetic overflow fails at the same instruction
-/// with the same message and instruction count everywhere (the integer
-/// fast path charges partial tapes exactly).
+/// with the same message and instruction count everywhere.
 #[test]
 fn runtime_error_boundary_identical_across_the_matrix() {
     let mut prog = Program::default();
@@ -281,9 +259,9 @@ fn runtime_error_boundary_identical_across_the_matrix() {
     );
 }
 
-/// The compiled backend strength-reduces `x mod 2^n` to a bit mask. VHDL
-/// `mod` is the euclidean remainder, so the reduction must hold for
-/// negative `x` too — where truncated `%` would give a negative answer.
+/// VHDL `mod` by a power of two is the euclidean remainder for negative
+/// `x` too, where a truncated `%` or a bit mask on the wrong sign would
+/// give a negative answer.
 #[test]
 fn mod_by_power_of_two_matches_interp_for_negative_operands() {
     let mut prog = Program::default();
@@ -323,16 +301,11 @@ fn mod_by_power_of_two_matches_interp_for_negative_operands() {
         ],
     );
     prog.finalize_sensitivity();
-    let cells = [
-        Cell::solid(Engine::Interp, 1),
-        Cell::solid(Engine::Compiled, 1),
-    ];
+    let cells = [Cell::solid(Engine::Scan, 1), Cell::solid(Engine::Interp, 1)];
     let out = run_matrix(&prog, Time::fs(100), &[u64::MAX], &cells, None).unwrap();
     assert_conforms(&out);
-    let compiled = &out.runs[1].obs;
-    assert_eq!(compiled.stats.fallback_procs, 0);
     // Euclidean, not truncated: -7k mod 8 is always in 0..8.
-    match &compiled.sig_vals[rem.0 as usize] {
+    match &out.runs[1].obs.sig_vals[rem.0 as usize] {
         Val::Int(v) => assert!((0..8).contains(v), "euclidean remainder, got {v}"),
         other => panic!("integer remainder expected, got {other:?}"),
     }
@@ -482,12 +455,12 @@ fn shared_signal_split_across_partitions() {
     assert_conforms(&out);
 }
 
-/// Worker split edge case: a compiled-backend fallback process (a
-/// recursive subprogram, which the translator declines) sharing a cycle —
-/// and, when the ready set outnumbers the workers, a worker — with
-/// tape-compiled processes.
+/// Worker split edge case: a process calling a recursive subprogram (a
+/// frame stack several deep at each activation) sharing a cycle — and,
+/// when the ready set outnumbers the workers, a worker — with plain
+/// oscillators.
 #[test]
-fn compiled_fallback_shares_partition() {
+fn recursive_caller_shares_a_worker() {
     let mut prog = Program::default();
     // rec(n) = if n > 0 { rec(n - 1) } else { 0 }.
     let f = prog.add_function(FnDecl {
@@ -539,7 +512,7 @@ fn compiled_fallback_shares_partition() {
             Insn::Jump(0),
         ],
     );
-    // Four plain oscillators the translator compiles fully.
+    // Four plain oscillators.
     for (i, &sig) in sigs.iter().enumerate().skip(1) {
         prog.add_process(
             format!("top.osc{i}"),
@@ -562,16 +535,6 @@ fn compiled_fallback_shares_partition() {
         );
     }
     prog.finalize_sensitivity();
-    let cells = [
-        Cell::solid(Engine::Compiled, 1),
-        Cell::solid(Engine::Compiled, 2),
-        Cell::solid(Engine::Compiled, 4),
-        Cell::solid(Engine::Interp, 4),
-    ];
-    let out = run_matrix(&prog, Time::fs(60), &[600], &cells, None).unwrap();
+    let out = run_matrix(&prog, Time::fs(60), &[600], &interp_at(&[1, 2, 4]), None).unwrap();
     assert_conforms(&out);
-    assert_eq!(
-        out.runs[0].obs.stats.fallback_procs, 1,
-        "the recursive caller must be an interpreter fallback"
-    );
 }

@@ -625,46 +625,43 @@ fn stale_entries_do_not_stall_deadline() {
 /// instant in the past — found by the vhdl-conform generator.
 #[test]
 fn zero_timeout_storm_matures_own_drivers() {
-    for backend in [sim_kernel::Backend::Interp, sim_kernel::Backend::Compiled] {
-        let mut p = Program::default();
-        let s = p.add_signal("top.s", Val::Int(0));
-        // v := v + 1; s <= v (delta); wait for 0 ns;  — forever.
-        let code = vec![
-            Insn::LoadVar(addr(0)),
-            Insn::PushInt(1),
-            Insn::Binop(Op::Add),
-            Insn::StoreVar(addr(0)),
-            Insn::LoadVar(addr(0)),
-            Insn::PushInt(-1), // no-delay marker → next delta
-            Insn::Sched {
-                sig: s,
-                transport: false,
-            },
-            Insn::PushInt(0), // wait for 0 ns
-            Insn::Wait {
-                sens: Arc::new(vec![]),
-                with_timeout: true,
-            },
-            Insn::Pop,
-            Insn::Jump(0),
-        ];
-        p.add_process("top.storm", 1, code);
-        let mut sim = Simulator::new(p);
-        sim.set_backend(backend);
-        let out = sim
-            .run_slice(Time::fs(u64::MAX / 4), 10, &mut || false)
-            .unwrap();
-        assert_eq!(out, RunOutcome::CycleBudget, "{backend}");
-        let st = sim.stats();
-        assert_eq!(sim.now().fs, 0, "{backend}: storm never advances time");
-        // Every cycle after the first matures the previous cycle's delta
-        // transaction; the signal value tracks the variable.
-        assert_eq!(st.transactions, 9, "{backend}");
-        assert_eq!(st.events, 9, "{backend}");
-        assert!(
-            matches!(sim.signal_value(s), Val::Int(n) if *n >= 2),
-            "{backend}: driver starved at {:?}",
-            sim.signal_value(s)
-        );
-    }
+    let mut p = Program::default();
+    let s = p.add_signal("top.s", Val::Int(0));
+    // v := v + 1; s <= v (delta); wait for 0 ns;  — forever.
+    let code = vec![
+        Insn::LoadVar(addr(0)),
+        Insn::PushInt(1),
+        Insn::Binop(Op::Add),
+        Insn::StoreVar(addr(0)),
+        Insn::LoadVar(addr(0)),
+        Insn::PushInt(-1), // no-delay marker → next delta
+        Insn::Sched {
+            sig: s,
+            transport: false,
+        },
+        Insn::PushInt(0), // wait for 0 ns
+        Insn::Wait {
+            sens: Arc::new(vec![]),
+            with_timeout: true,
+        },
+        Insn::Pop,
+        Insn::Jump(0),
+    ];
+    p.add_process("top.storm", 1, code);
+    let mut sim = Simulator::new(p);
+    let out = sim
+        .run_slice(Time::fs(u64::MAX / 4), 10, &mut || false)
+        .unwrap();
+    assert_eq!(out, RunOutcome::CycleBudget);
+    let st = sim.stats();
+    assert_eq!(sim.now().fs, 0, "storm never advances time");
+    // Every cycle after the first matures the previous cycle's delta
+    // transaction; the signal value tracks the variable.
+    assert_eq!(st.transactions, 9);
+    assert_eq!(st.events, 9);
+    assert!(
+        matches!(sim.signal_value(s), Val::Int(n) if *n >= 2),
+        "driver starved at {:?}",
+        sim.signal_value(s)
+    );
 }

@@ -46,7 +46,6 @@ pub mod grammar;
 pub mod lalr;
 pub mod lr0;
 pub mod parser;
-pub mod pretty;
 pub mod table;
 pub mod tree;
 

@@ -57,6 +57,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
+use vhdl_driver::batch::panic_text;
 use vhdl_vif::LibrarySnapshot;
 
 use json::{obj, Json};
@@ -418,60 +419,73 @@ fn sweep_conn(
             return SweepOutcome::Close;
         }
     };
+    let Conn {
+        stream,
+        sid,
+        session,
+        tenant,
+    } = conn;
+    let open = serve_request(shared, session, *sid, &text, stream, |t| {
+        bind_tenant(shared, tenant, *sid, t)
+    });
+    if let Some(t) = tenant {
+        served_tenants.insert(t.clone());
+    }
+    if open {
+        SweepOutcome::Served
+    } else {
+        // After `shutdown` the ok frame is already on the wire; every
+        // worker sees the drain flag at its next sweep.
+        SweepOutcome::Close
+    }
+}
+
+/// Serves one request frame on `session`: parses it, passes a claimed
+/// tenant to `admit` before routing (so an over-quota session is
+/// rejected without doing any of its work), routes it, records and logs
+/// it, and writes the reply. Returns whether the connection stays open:
+/// it closes after `shutdown`, a refused admission or a failed write.
+fn serve_request(
+    shared: &Shared,
+    session: &mut Session,
+    sid: u64,
+    text: &str,
+    writer: &mut impl Write,
+    admit: impl FnOnce(&str) -> Result<(), Json>,
+) -> bool {
     let bytes_in = text.len() as u64;
     let t0 = Instant::now();
-    let (id, op, reply, close_after) = match parse_request(&text) {
-        Parsed::Bad(reply) => (0, "parse-error".to_string(), reply, false),
+    let (id, op, reply) = match parse_request(text) {
+        Parsed::Bad(reply) => (0, "parse-error".to_string(), reply),
         Parsed::Req {
             id,
             op,
             tenant,
             body,
         } => {
-            // Tenant binding happens before routing so an over-quota
-            // session is rejected without doing any of its work.
-            if let Some(t) = tenant {
-                match bind_tenant(shared, conn, &t) {
-                    Ok(()) => {}
-                    Err(reply) => {
-                        let reply_text = finish_request(
-                            shared,
-                            conn.sid,
-                            id,
-                            "tenant-quota",
-                            bytes_in,
-                            t0,
-                            &reply,
-                        );
-                        let _ = write_frame(&mut conn.stream, &reply_text);
-                        return SweepOutcome::Close;
-                    }
-                }
+            if let Some(Err(reply)) = tenant.map(|t| admit(&t)) {
+                let text = finish_request(shared, sid, id, "tenant-quota", bytes_in, t0, &reply);
+                let _ = write_frame(writer, &text);
+                return false;
             }
-            let reply = route(shared, &mut conn.session, conn.sid, id, &op, &body);
-            let close = op == "shutdown";
-            (id, op, reply, close)
+            let reply = route(shared, session, sid, id, &op, &body);
+            (id, op, reply)
         }
     };
-    if let Some(t) = &conn.tenant {
-        served_tenants.insert(t.clone());
-    }
-    let reply_text = finish_request(shared, conn.sid, id, &op, bytes_in, t0, &reply);
-    if write_frame(&mut conn.stream, &reply_text).is_err() {
-        return SweepOutcome::Close;
-    }
-    if close_after {
-        // The ok frame is already on the wire; every worker sees the
-        // drain flag at its next sweep.
-        return SweepOutcome::Close;
-    }
-    SweepOutcome::Served
+    let reply_text = finish_request(shared, sid, id, &op, bytes_in, t0, &reply);
+    write_frame(writer, &reply_text).is_ok() && op != "shutdown"
 }
 
-/// Binds `conn` to tenant `t`, enforcing the per-tenant session quota.
-/// On rejection the returned reply frame is ready to write.
-fn bind_tenant(shared: &Shared, conn: &mut Conn, t: &str) -> Result<(), Json> {
-    match &conn.tenant {
+/// Binds connection `sid`, currently bound to `tenant`, to tenant `t`,
+/// enforcing the per-tenant session quota. On rejection the returned
+/// reply frame is ready to write.
+fn bind_tenant(
+    shared: &Shared,
+    tenant: &mut Option<String>,
+    sid: u64,
+    t: &str,
+) -> Result<(), Json> {
+    match tenant {
         Some(bound) if bound == t => Ok(()),
         Some(bound) => {
             // A connection that changes its claimed identity mid-stream
@@ -497,8 +511,7 @@ fn bind_tenant(shared: &Shared, conn: &mut Conn, t: &str) -> Result<(), Json> {
                     .unwrap_or_else(|p| p.into_inner())
                     .tenant_rejected += 1;
                 shared.log(&format!(
-                    "reject session={} tenant={t} reason=tenant-quota",
-                    conn.sid
+                    "reject session={sid} tenant={t} reason=tenant-quota"
                 ));
                 return Err(obj([
                     ("id", Json::Null),
@@ -513,7 +526,7 @@ fn bind_tenant(shared: &Shared, conn: &mut Conn, t: &str) -> Result<(), Json> {
                 ]));
             }
             *n += 1;
-            conn.tenant = Some(t.to_string());
+            *tenant = Some(t.to_string());
             Ok(())
         }
     }
@@ -538,20 +551,7 @@ fn session_loop(shared: &Shared, reader: &mut impl Read, writer: &mut impl Write
                 return;
             }
         };
-        let bytes_in = text.len() as u64;
-        let t0 = Instant::now();
-        let (id, op, reply) = match parse_request(&text) {
-            Parsed::Bad(reply) => (0, "parse-error".to_string(), reply),
-            Parsed::Req { id, op, body, .. } => {
-                let reply = route(shared, &mut session, sid, id, &op, &body);
-                (id, op, reply)
-            }
-        };
-        let reply_text = finish_request(shared, sid, id, &op, bytes_in, t0, &reply);
-        if write_frame(writer, &reply_text).is_err() {
-            return;
-        }
-        if op == "shutdown" {
+        if !serve_request(shared, &mut session, sid, &text, writer, |_| Ok(())) {
             return;
         }
     }
@@ -617,16 +617,7 @@ fn route(shared: &Shared, session: &mut Session, sid: u64, id: u64, op: &str, bo
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 session.handle(op, body, &ctl)
             }))
-            .unwrap_or_else(|p| {
-                let what = if let Some(s) = p.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = p.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "unknown panic".to_string()
-                };
-                Err(format!("internal error: {what}"))
-            })
+            .unwrap_or_else(|p| Err(format!("internal error: {}", panic_text(p))))
         }
     };
     match result {

@@ -241,17 +241,10 @@ impl Session {
             }
         };
         let program = self.build_program(&spec)?;
-        let backend = match params.get("backend").and_then(Json::as_str) {
-            Some(s) => s
-                .parse::<sim_kernel::Backend>()
-                .map_err(|e| format!("elaborate: {e}"))?,
-            None => sim_kernel::Backend::default(),
-        };
         let signals = program.signals.len();
         let processes = program.processes.len();
         let regions = program.regions.len();
-        let mut sim = Simulator::new(program);
-        sim.set_backend(backend);
+        let sim = Simulator::new(program);
         let objects = sim.names().len();
         self.vcd = Rc::new(RefCell::new(Vcd::new("1fs")));
         self.probes = Rc::new(RefCell::new(HashSet::new()));
@@ -262,7 +255,6 @@ impl Session {
             ("processes", Json::u64(processes as u64)),
             ("regions", Json::u64(regions as u64)),
             ("objects", Json::u64(objects as u64)),
-            ("backend", Json::str(format!("{backend}"))),
         ]))
     }
 
@@ -324,10 +316,7 @@ impl Session {
     /// the recorded design from this session's library, re-attaches the
     /// kernel state (refusing a fingerprint mismatch), and restores the
     /// VCD/probe/report cursors so the continuation is byte-identical to
-    /// an uninterrupted run. An optional `backend` param overrides the
-    /// snapshot's backend at the activation boundary (attribution counters
-    /// such as `compiled_blocks` then diverge from an uninterrupted run,
-    /// as documented in DESIGN.md).
+    /// an uninterrupted run.
     fn restore(&mut self, params: &Json) -> Result<Json, String> {
         let text = params
             .get("snapshot")
@@ -375,23 +364,13 @@ impl Session {
             return Err("restore: trailing bytes after session snapshot".to_string());
         }
         let program = self.build_program(&spec)?;
-        let mut sim = Simulator::restore(program, &kernel).map_err(snap_err)?;
+        let sim = Simulator::restore(program, &kernel).map_err(snap_err)?;
         if reported > sim.reports().len() {
             return Err(format!(
                 "restore: report cursor {reported} beyond the {} restored reports",
                 sim.reports().len()
             ));
         }
-        let backend = match params.get("backend").and_then(Json::as_str) {
-            Some(s) => {
-                let b = s
-                    .parse::<sim_kernel::Backend>()
-                    .map_err(|e| format!("restore: {e}"))?;
-                sim.set_backend(b);
-                b
-            }
-            None => sim.backend(),
-        };
         let signals = sim.program().signals.len();
         let processes = sim.program().processes.len();
         let objects = sim.names().len();
@@ -405,7 +384,6 @@ impl Session {
             ("signals", Json::u64(signals as u64)),
             ("processes", Json::u64(processes as u64)),
             ("objects", Json::u64(objects as u64)),
-            ("backend", Json::str(format!("{backend}"))),
             ("now", time_json(now)),
         ]))
     }
@@ -479,8 +457,6 @@ impl Session {
                     ("calendar_ops", Json::u64(st.calendar_ops)),
                     ("woken_procs", Json::u64(st.woken_procs)),
                     ("scanned_signals", Json::u64(st.scanned_signals)),
-                    ("compiled_blocks", Json::u64(st.compiled_blocks)),
-                    ("fallback_procs", Json::u64(st.fallback_procs)),
                 ]),
             ),
         ]))

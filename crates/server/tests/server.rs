@@ -435,64 +435,6 @@ fn bad_requests_get_error_responses_not_disconnects() {
     join.join().expect("serve thread").expect("serve result");
 }
 
-#[test]
-fn compiled_backend_session_matches_interp() {
-    let (addr, handle, join) = start(quiet_cfg(4, 1));
-
-    let run_on = |backend: &str| {
-        let mut c = Client::connect(&addr);
-        c.ok("analyze", analyze_fields());
-        c.ok(
-            "elaborate",
-            vec![("entity", Json::str("tb")), ("backend", Json::str(backend))],
-        );
-        c.ok("trace", vec![("glob", Json::str("*"))]);
-        let run = c.ok("run", vec![("until", Json::str("40ns"))]);
-        let vcd = c.ok("vcd", vec![]);
-        (run, vcd.to_text())
-    };
-    let (run_i, vcd_i) = run_on("interp");
-    let (run_c, vcd_c) = run_on("compiled");
-
-    // Same waveform bytes and same kernel counters; only the
-    // backend-attribution counters may differ.
-    assert_eq!(vcd_i, vcd_c, "VCD must be byte-identical across backends");
-    let st_i = run_i.get("stats").expect("stats");
-    let st_c = run_c.get("stats").expect("stats");
-    for key in [
-        "cycles",
-        "delta_cycles",
-        "events",
-        "transactions",
-        "resumptions",
-    ] {
-        assert_eq!(
-            st_i.get(key).and_then(Json::as_u64),
-            st_c.get(key).and_then(Json::as_u64),
-            "{key} diverged across backends"
-        );
-    }
-    assert_eq!(st_i.get("compiled_blocks").and_then(Json::as_u64), Some(0));
-    assert!(
-        st_c.get("compiled_blocks").and_then(Json::as_u64) > Some(0),
-        "compiled session executed no compiled blocks: {}",
-        run_c.to_text()
-    );
-
-    // Unknown backend is a request error, not a dead session.
-    let mut c = Client::connect(&addr);
-    c.ok("analyze", analyze_fields());
-    let resp = c.req(
-        "elaborate",
-        vec![("entity", Json::str("tb")), ("backend", Json::str("jit"))],
-    );
-    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
-
-    handle.shutdown();
-    drop(Client::connect(&addr));
-    let _ = join.join();
-}
-
 /// A free-running design that never quiesces: drain and soak tests need
 /// a `run` that only ends when something cancels it.
 const OSCILLATOR: &str = "entity osc is end;\n\
@@ -591,75 +533,25 @@ fn restored_session_continues_byte_identical() {
     join.join().expect("serve thread").expect("serve result");
 }
 
-#[test]
-fn restore_works_across_backends_and_refuses_other_programs() {
-    let (addr, _handle, join) = start(quiet_cfg(8, 1));
-
-    // Checkpoint under the interpreter, restore onto the compiled
-    // backend: observables must not change.
-    let mut a = Client::connect(&addr);
-    a.ok("analyze", analyze_fields());
-    a.ok(
-        "elaborate",
-        vec![
-            ("entity", Json::str("tb")),
-            ("backend", Json::str("interp")),
-        ],
-    );
-    a.ok("trace", vec![("glob", Json::str("*"))]);
-    let run_oracle = a.ok("run", vec![("until", Json::str("40ns"))]);
-    let vcd_oracle = a.ok("vcd", vec![]).to_text();
-
-    let mut b = Client::connect(&addr);
+/// Elaborates the full adder's `tb` in a fresh session, runs it to
+/// 17 ns and returns the session's base64 checkpoint.
+fn tb_snapshot(addr: &str) -> String {
+    let mut b = Client::connect(addr);
     b.ok("analyze", analyze_fields());
-    b.ok(
-        "elaborate",
-        vec![
-            ("entity", Json::str("tb")),
-            ("backend", Json::str("interp")),
-        ],
-    );
+    b.ok("elaborate", vec![("entity", Json::str("tb"))]);
     b.ok("trace", vec![("glob", Json::str("*"))]);
     b.ok("run", vec![("until", Json::str("17ns"))]);
     let cp = b.ok("checkpoint", vec![]);
-    let snap = cp
-        .get("snapshot")
+    cp.get("snapshot")
         .and_then(Json::as_str)
         .expect("snapshot")
-        .to_string();
+        .to_string()
+}
 
-    let mut c = Client::connect(&addr);
-    c.ok("analyze", analyze_fields());
-    let restored = c.ok(
-        "restore",
-        vec![
-            ("snapshot", Json::str(&snap)),
-            ("backend", Json::str("compiled")),
-        ],
-    );
-    assert_eq!(
-        restored.get("backend").and_then(Json::as_str),
-        Some("compiled")
-    );
-    let run_c = c.ok("run", vec![("until", Json::str("40ns"))]);
-    assert_eq!(
-        c.ok("vcd", vec![]).to_text(),
-        vcd_oracle,
-        "backend swap at restore must not change the waveform"
-    );
-    for key in ["cycles", "delta_cycles", "events", "transactions"] {
-        assert_eq!(
-            run_c
-                .get("stats")
-                .and_then(|s| s.get(key))
-                .map(Json::to_text),
-            run_oracle
-                .get("stats")
-                .and_then(|s| s.get(key))
-                .map(Json::to_text),
-            "{key} diverged after a backend swap at restore"
-        );
-    }
+#[test]
+fn restore_refuses_other_programs() {
+    let (addr, _handle, join) = start(quiet_cfg(8, 1));
+    let snap = tb_snapshot(&addr);
 
     // A session whose library holds a different design refuses the
     // snapshot (program fingerprint mismatch at the kernel layer, or a
@@ -675,6 +567,66 @@ fn restore_works_across_backends_and_refuses_other_programs() {
     );
 
     d.ok("shutdown", vec![]);
+    join.join().expect("serve thread").expect("serve result");
+}
+
+/// A session blob that wraps a kernel snapshot of an older format version
+/// is a typed `restore:` error naming the version, and the session lives
+/// on.
+#[test]
+fn restore_refuses_an_old_kernel_snapshot() {
+    use sim_kernel::{Dec, Enc};
+    use vhdl_server::b64;
+
+    let (addr, _handle, join) = start(quiet_cfg(8, 1));
+    let session = b64::decode(&tb_snapshot(&addr)).expect("base64");
+    let body = &session[..session.len() - 8];
+    // Session header: magic, version, entity tag, entity, no-arch tag;
+    // then the kernel blob and the rest of the session state.
+    let mut d = Dec::new(body);
+    let magic: Vec<u8> = (0..4).map(|_| d.u8().unwrap()).collect();
+    let version = d.u32().unwrap();
+    assert_eq!(d.u8().unwrap(), 0, "entity elaboration");
+    let entity = d.str().unwrap();
+    assert_eq!(d.u8().unwrap(), 0, "no architecture named");
+    let kernel = d.blob().unwrap();
+    let rest = &body[body.len() - d.remaining()..];
+    // The same kernel state, relabelled as format version 1.
+    let mut old = Enc::new();
+    old.u8(kernel[0]);
+    old.u8(kernel[1]);
+    old.u8(kernel[2]);
+    old.u8(kernel[3]);
+    old.u32(1);
+    for &b in &kernel[8..kernel.len() - 8] {
+        old.u8(b);
+    }
+    let mut e = Enc::new();
+    for b in magic {
+        e.u8(b);
+    }
+    e.u32(version);
+    e.u8(0);
+    e.str(&entity);
+    e.u8(0);
+    e.blob(&old.seal());
+    for &b in rest {
+        e.u8(b);
+    }
+    let blob = b64::encode(&e.seal());
+
+    let mut c = Client::connect(&addr);
+    c.ok("analyze", analyze_fields());
+    let resp = c.req("restore", vec![("snapshot", Json::str(&blob))]);
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+    let err = resp.get("error").and_then(Json::as_str).expect("error");
+    assert!(
+        err.starts_with("restore: ") && err.contains("version 1"),
+        "error was `{err}`"
+    );
+    c.ok("ping", vec![]);
+
+    c.ok("shutdown", vec![]);
     join.join().expect("serve thread").expect("serve result");
 }
 

@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Elaborate via the configuration unit.
-    let (program, c_text) = compiler.elaborate_config("fast_tb")?;
+    let (program, c_text) = compiler.elaborate_config("fast_tb", None)?;
     println!(
         "hierarchy: {} signals, {} processes; generated C: {} lines",
         program.signals.len(),

@@ -14,8 +14,8 @@ cargo build --release
 
 echo "==> cargo test -q"
 # Every crate's tests, once: the kernel's differential oracle suite
-# (scan stepper, interpreter and compiled backend at several worker
-# counts, checkpoint and restore), the conformance corpus replay, the
+# (scan stepper and interpreter at several worker counts, checkpoint
+# and restore), the conformance corpus replay, the
 # VIF and snapshot property suites, the driver CLI and the server e2e
 # tests.
 cargo test -q
@@ -33,19 +33,17 @@ cargo run --release --offline --manifest-path vhdlbench/Cargo.toml -- \
     --seed 1 --smoke --out "$BENCH_OUT"
 rm -rf "$BENCH_OUT"
 
-echo "==> exp_kernel smoke incl. compiled backend and kernel pool (low iters, scratch output dir)"
+echo "==> exp_kernel smoke incl. kernel pool (low iters, scratch output dir)"
 # A quick pass over the kernel benchmarks proves they still run end to end
-# — including the interp-vs-compiled comparison series, whose preamble
-# asserts counter-identical dual-backend runs and full compilation (no
-# fallback processes), and the two-worker timeout storm, whose preamble
-# asserts that its cycles reach the kernel pool with jobs-1 counters;
-# AG_BENCH_OUT keeps the committed full-iteration results/ untouched.
+# — including the two-worker timeout storm, whose preamble asserts that
+# its cycles reach the kernel pool with jobs-1 counters; AG_BENCH_OUT
+# keeps the committed full-iteration results/ untouched.
 # Only the metric names are checked: a timed gate on two vCPUs is noise.
 SMOKE_OUT="$(mktemp -d)"
 AG_BENCH_ITERS=2 AG_BENCH_OUT="$SMOKE_OUT" \
     cargo bench -q -p ag-bench --bench exp_kernel
-grep -q '"oscillator_speedup_compiled"' "$SMOKE_OUT/exp_kernel.json" \
-    || { echo "verify: exp_kernel did not emit backend speedup metrics" >&2; exit 1; }
+grep -q '"oscillator_events_per_sec"' "$SMOKE_OUT/exp_kernel.json" \
+    || { echo "verify: exp_kernel did not emit the oscillator throughput metric" >&2; exit 1; }
 grep -q '"timeout_storm_jobs2_speedup"' "$SMOKE_OUT/exp_kernel.json" \
     || { echo "verify: exp_kernel did not emit the kernel pool speedup metric" >&2; exit 1; }
 rm -rf "$SMOKE_OUT"
@@ -60,8 +58,8 @@ for f in $(find results -type f | sort); do
 done
 
 echo "==> generative differential conformance (corpus replay + fresh fuzz + fault canary)"
-# Replay every checked-in corpus seed through the full eight-cell
-# configuration matrix ({interp,compiled} x {1,4 workers} x
+# Replay every checked-in corpus seed through the full four-cell
+# configuration matrix (interp x {1,4 workers} x
 # {solid,checkpoint-restore}) demanding byte-identity and golden-digest
 # stability, then fuzz a bounded batch of fresh deterministic seeds.
 # Fully offline; seeds are fixed so the gate is reproducible.

@@ -227,7 +227,7 @@ fn explicit_configuration_unit() {
     assert!(r.ok(), "{}", r.msgs());
     // Via the configuration: direct binding (despite `delayed` being the
     // latest architecture).
-    let (program, _) = c.elaborate_config("use_delayed").unwrap();
+    let (program, _) = c.elaborate_config("use_delayed", None).unwrap();
     let mut sim = sim_kernel::Simulator::new(program);
     sim.run_until(ns(2)).unwrap();
     assert_eq!(sim.value_by_name("top.y"), Some(&Val::Int(1)));
