@@ -2,7 +2,7 @@
 //!
 //! Characterizes the `vhdl-conform` subsystem itself: how fast the
 //! generator emits designs, how fast the full front-end pipeline absorbs
-//! them, and how many complete eight-cell configuration matrices per
+//! them, and how many complete four-cell configuration matrices per
 //! second the oracle sustains — the number that bounds how much fuzzing
 //! a CI minute buys.
 //!
@@ -13,7 +13,7 @@ use std::hint::black_box;
 
 use ag_harness::bench::{fmt_ns, Runner};
 use ag_harness::Source;
-use vhdl_conform::oracle::elaborate;
+use vhdl_conform::oracle::{elaborate, CELLS};
 use vhdl_conform::{gen_design, run_matrix, Profile};
 
 fn main() {
@@ -80,8 +80,8 @@ fn main() {
         "designs/s",
     );
 
-    // The headline: complete eight-cell matrices per second. Every case
-    // is compile + elaborate + 8 simulations + byte-identity comparison.
+    // The headline: complete four-cell matrices per second. Every case
+    // is compile + elaborate + 4 simulations + byte-identity comparison.
     const MATRIX_BATCH: u64 = 4;
     let s = r.measure("matrix/small_x4", || {
         for seed in 0..MATRIX_BATCH {
@@ -92,7 +92,7 @@ fn main() {
         }
     });
     println!(
-        "4 full 8-cell matrices:      median {}",
+        "4 full 4-cell matrices:      median {}",
         fmt_ns(s.median_ns)
     );
     r.metric(
@@ -102,7 +102,7 @@ fn main() {
     );
     r.metric(
         "matrix_cell_runs_per_sec",
-        (MATRIX_BATCH * 8) as f64 / s.median_secs(),
+        (MATRIX_BATCH * CELLS.len() as u64) as f64 / s.median_secs(),
         "runs/s",
     );
 
