@@ -255,3 +255,45 @@ fn plan_evaluation_prints_the_production_vif() {
         assert_eq!(units, GOLDEN.iter().map(|g| g.1).sum::<usize>());
     });
 }
+
+/// Both evaluators decorate trees without the nodes of transparent
+/// productions, and the plans above visit what is left. A plan may visit
+/// `B`'s node in `A`'s place when the two symbols take the same visits.
+/// Every transparent production of the principal AG keeps them; of the
+/// expression AG's, all but `xr_expr`, its start production: `xr` is on
+/// no right-hand side, so its node is only ever the root, where a plan
+/// runs every visit of whatever symbol the root has.
+#[test]
+fn transparent_productions_keep_their_visits() {
+    let an = Analyzer::new(EnvKind::Tree);
+    let xag = vhdl_sem::expr_ag::ExprAg::shared();
+    for (ag, n, differ) in [(&an.pag.ag, 52, &[][..]), (&xag.ag, 11, &["xr_expr"][..])] {
+        let g = ag.grammar();
+        let flagged: Vec<_> = g
+            .prod_ids()
+            .filter(|p| ag.transparent()[p.index()])
+            .collect();
+        assert_eq!(flagged.len(), n);
+        let plans =
+            ag_core::plan(ag, &ag_core::analyze(ag).expect("noncircular")).expect("ordered");
+        let differing: Vec<&str> = flagged
+            .iter()
+            .filter(|&&p| !plans.keeps_visits(ag, p))
+            .map(|&p| g.prod_label(p))
+            .collect();
+        assert_eq!(differing, differ);
+    }
+    let g = xag.ag.grammar();
+    let xr = g.symbol("xr").expect("start symbol");
+    assert!(g
+        .prod_ids()
+        .all(|p| p == g.accept_prod() || !g.rhs(p).contains(&xr)));
+    // `parse_units` finds a file's units under the `dus_more` spine
+    // because the file's and a plain unit's own nodes are left out.
+    for label in ["df", "dus_one", "du_plain"] {
+        assert!(
+            an.pag.ag.transparent()[an.grammar.prod(label).index()],
+            "{label}"
+        );
+    }
+}

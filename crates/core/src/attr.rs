@@ -380,6 +380,8 @@ pub struct AttrGrammar<V> {
     /// concatenated; production `p`'s table starts at `rule_base[p]`.
     pub(crate) rule_tab: Vec<u16>,
     pub(crate) rule_base: Vec<u32>,
+    /// Per production: transparent (see [`AttrGrammar::transparent`]).
+    pub(crate) transparent: Vec<bool>,
     pub(crate) n_explicit: usize,
     pub(crate) n_implicit: usize,
 }
@@ -456,6 +458,19 @@ impl<V: Clone + 'static> AttrGrammar<V> {
             return None;
         }
         entry(self.rule_tab[i])
+    }
+
+    /// Per production (indexed by `ProdId::index`), whether it is
+    /// *transparent*: `A → B` with `B` one nonterminal, every rule an
+    /// implicit copy, and every class of `A` also attached to `B`. A tree
+    /// may leave out the nodes of transparent productions, `B`'s node
+    /// taking `A`'s place in its parent (`ag_lalr::Parser::eliding` takes
+    /// these flags); both evaluators give the same values on it, because
+    /// every slot and rule lookup goes through the node's own symbol and
+    /// production. [`crate::Plans::keeps_visits`] says whether a plan may
+    /// visit `B` in `A`'s place.
+    pub fn transparent(&self) -> &[bool] {
+        &self.transparent
     }
 
     /// Number of explicit (author-written) rules.

@@ -209,6 +209,10 @@ pub(crate) fn complete<V: Clone + 'static>(
         }
     }
 
+    let transparent = grammar
+        .prod_ids()
+        .map(|p| transparent(&grammar, &attrs_of, &rules[p.index()], p))
+        .collect();
     Ok(AttrGrammar {
         grammar,
         classes,
@@ -218,9 +222,34 @@ pub(crate) fn complete<V: Clone + 'static>(
         rules,
         rule_tab,
         rule_base,
+        transparent,
         n_explicit,
         n_implicit,
     })
+}
+
+/// A production `A → B` is transparent when `B` is one nonterminal, every
+/// rule only copies, and every class of `A` is also `B`'s. Then `B`'s node
+/// can stand in for `A`'s: every class the parent's rules define or read
+/// at that occurrence is on `B`, with the value the copies would have
+/// given it. (An inherited class of `A` that `B` lacks is read by no
+/// rule, but a plan runs the parent's rule defining it, which needs a
+/// slot.)
+fn transparent<V>(
+    grammar: &ag_lalr::Grammar,
+    attrs_of: &[Vec<ClassId>],
+    rules: &[Rule<V>],
+    p: ProdId,
+) -> bool {
+    let [b] = *grammar.rhs(p) else {
+        return false;
+    };
+    p != grammar.accept_prod()
+        && !grammar.is_terminal(b)
+        && rules.iter().all(|r| r.origin == RuleOrigin::ImplicitCopy)
+        && attrs_of[grammar.lhs(p).index()]
+            .iter()
+            .all(|c| attrs_of[b.index()].contains(c))
 }
 
 fn synth_inherited<V: Clone + 'static>(
@@ -418,6 +447,42 @@ mod tests {
         // copy + an ENV copy; t_a needs nothing (MSGS explicit, no
         // nonterminal on its RHS).
         assert_eq!(ag.n_implicit_rules(), 5);
+    }
+
+    #[test]
+    fn transparent_takes_copies_only_and_a_class_subset() {
+        let g = grammar();
+        let s = g.symbol("s").unwrap();
+        let t = g.symbol("t").unwrap();
+        let p_t = g.prod_by_label("t_a").unwrap();
+        let p_st = g.prod_by_label("s_t").unwrap();
+        // `extra` gets a class that `s` has and `t` lacks; `explicit`
+        // an explicit rule in `s_t`.
+        let flags = |extra: bool, explicit: bool| {
+            let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
+            let msgs = ab.syn_merge("MSGS", 0, |a, b| a + b);
+            let env = ab.inh("ENV");
+            ab.attach_all(msgs, [s, t]);
+            ab.attach_all(env, [s, t]);
+            if extra {
+                let level = ab.inh("LEVEL");
+                ab.attach(level, s);
+            }
+            if explicit {
+                ab.rule(p_st, 0, msgs, vec![Dep::attr(1, msgs)], |d| d[0]);
+            }
+            ab.rule(p_t, 0, msgs, vec![Dep::attr(0, env)], |d| d[0]);
+            let ag = ab.build().unwrap();
+            g.prod_ids()
+                .filter(|p| ag.transparent()[p.index()])
+                .map(|p| g.prod_label(p).to_string())
+                .collect::<Vec<_>>()
+        };
+        // `s_t` only copies; `s_tt` has two symbols on its right, `t_a` a
+        // terminal, and `__accept` is never reduced.
+        assert_eq!(flags(false, false), ["s_t"]);
+        assert!(flags(true, false).is_empty());
+        assert!(flags(false, true).is_empty());
     }
 
     #[test]

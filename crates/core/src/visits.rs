@@ -57,6 +57,26 @@ impl Plans {
         self.visit_of[symbol.index()].get(slot).copied()
     }
 
+    /// `true` when a plan may visit `B`'s node in the place of `A`'s for
+    /// the production `p = A → B` (one symbol on its right): both symbols
+    /// take the same number of visits and every class of `A` has the same
+    /// visit number on `B`. A tree that leaves out the nodes of
+    /// transparent productions ([`AttrGrammar::transparent`]) evaluates
+    /// under the plans as the full tree does when this holds for every
+    /// production it leaves out.
+    pub fn keeps_visits<V: Clone + 'static>(&self, ag: &AttrGrammar<V>, p: ProdId) -> bool {
+        let g = ag.grammar();
+        let [b] = *g.rhs(p) else {
+            return false;
+        };
+        let a = g.lhs(p);
+        self.max_visits[a.index()] == self.max_visits[b.index()]
+            && ag
+                .attrs_of(a)
+                .iter()
+                .all(|&c| self.visit_number(ag, a, c) == self.visit_number(ag, b, c))
+    }
+
     /// Maximum visits over all symbols — the paper's "max visits" row.
     pub fn overall_max_visits(&self) -> u32 {
         self.max_visits.iter().copied().max().unwrap_or(1)

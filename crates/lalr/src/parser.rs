@@ -49,16 +49,34 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A reusable parser: a grammar plus its table.
+/// A reusable parser: a grammar plus its table, and the productions whose
+/// nodes it leaves out of the tree.
 pub struct Parser<'g> {
     grammar: &'g Grammar,
     table: &'g ParseTable,
+    transparent: &'g [bool],
 }
 
 impl<'g> Parser<'g> {
-    /// Wraps a grammar and its table.
+    /// Wraps a grammar and its table; the tree has a node for every
+    /// reduce.
     pub fn new(grammar: &'g Grammar, table: &'g ParseTable) -> Self {
-        Parser { grammar, table }
+        Parser::eliding(grammar, table, &[])
+    }
+
+    /// Like [`Parser::new`], but a reduce by a production flagged in
+    /// `transparent` (indexed by production; missing entries are `false`)
+    /// pushes no node: the production has one nonterminal on its right,
+    /// and that child's subtree takes the left-hand side's place in its
+    /// parent's child list. An attribute grammar computes the flags
+    /// (`ag_core::AttrGrammar::transparent`) for productions whose rules
+    /// only copy, so evaluation sees the same values on the smaller tree.
+    pub fn eliding(grammar: &'g Grammar, table: &'g ParseTable, transparent: &'g [bool]) -> Self {
+        Parser {
+            grammar,
+            table,
+            transparent,
+        }
     }
 
     /// Parses a token stream to a tree.
@@ -94,9 +112,11 @@ impl<'g> Parser<'g> {
                 }
                 Action::Reduce(prod) => {
                     let at = forest.len() - g.rhs(prod).len();
-                    let id = tree.push_node(prod, g.lhs(prod), &forest[at..]);
-                    forest.truncate(at);
-                    forest.push(id);
+                    if !self.transparent.get(prod.index()).is_some_and(|&t| t) {
+                        let id = tree.push_node(prod, g.lhs(prod), &forest[at..]);
+                        forest.truncate(at);
+                        forest.push(id);
+                    }
                     states.truncate(at + 1);
                     let top = *states.last().expect("state stack never empty");
                     let next = t
@@ -227,6 +247,38 @@ mod tests {
         assert_eq!(g.prod_label(tree.prod(tree.root()).unwrap()), "add");
         assert_eq!(tree.children(tree.root()).len(), 3);
         assert_eq!(tree.len(), 6); // add(num(leaf), leaf+, num(leaf))
+    }
+
+    #[test]
+    fn transparent_start_production_roots_the_tree_at_its_child() {
+        // s ::= e is the start production; flagged, it pushes no node and
+        // the `e` subtree is the whole tree.
+        let mut g = GrammarBuilder::new();
+        let plus = g.terminal("+");
+        let num = g.terminal("num");
+        let s = g.nonterminal("s");
+        let e = g.nonterminal("e");
+        let p_s = g.prod(s, &[e.into()], "s_e");
+        g.prod(e, &[e.into(), plus.into(), num.into()], "add");
+        g.prod(e, &[num.into()], "num");
+        g.start(s);
+        let g = g.build().unwrap();
+        let t = ParseTable::build(&g).unwrap();
+        let full = Parser::new(&g, &t).parse(toks(&g, "1 + 2")).unwrap();
+        assert_eq!(full.len(), 6); // s(add(num(leaf), leaf+, leaf))
+        assert_eq!(full.prod(full.root()), Some(p_s));
+        let mut flags = vec![false; g.n_prods()];
+        flags[p_s.index()] = true;
+        let tree = Parser::eliding(&g, &t, &flags)
+            .parse(toks(&g, "1 + 2"))
+            .unwrap();
+        assert_eq!(tree.len(), 5);
+        let root = tree.root();
+        assert_eq!(g.prod_label(tree.prod(root).unwrap()), "add");
+        assert_eq!(tree.symbol(root), e);
+        assert!(tree.parent(root).is_none());
+        assert_eq!(eval(&g, &tree, root), 3);
+        assert_eq!(tree, full.subtree(full.child(full.root(), 1)));
     }
 
     #[test]

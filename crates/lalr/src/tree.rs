@@ -1,6 +1,6 @@
 //! The parse tree the parser builds and `ag-core`'s evaluators decorate.
 
-use crate::grammar::{Grammar, ProdId, SymbolId};
+use crate::grammar::{ProdId, SymbolId};
 
 /// Index of a node in a [`ParseTree`].
 pub type NodeId = usize;
@@ -23,8 +23,9 @@ struct Node {
 }
 
 /// A concrete parse tree in one arena. A shift pushes a leaf and a reduce
-/// pushes the node over the last `|rhs|` subtrees, so nodes sit in
-/// postorder: a subtree is the range of ids that ends at its root, the
+/// pushes the node over the last `|rhs|` subtrees (a reduce by a
+/// transparent production pushes none, see [`crate::Parser::eliding`]),
+/// so nodes sit in postorder: a subtree is the range of ids that ends at its root, the
 /// root is last, and leaves come in source order. Children share one
 /// list and tokens another: three allocations per tree. Parent links let
 /// inherited attributes be demanded upward.
@@ -36,11 +37,13 @@ pub struct ParseTree<T> {
 }
 
 impl<T> ParseTree<T> {
-    /// An empty tree for `toks` tokens (VHDL trees: 2.3 to 9 nodes each).
+    /// An empty tree for `toks` tokens. Without the nodes of copy-only
+    /// chain productions, VHDL trees have about 2 nodes per token: 2.0 to
+    /// 2.2 for design files, 1.9 for the expressions of the cascade.
     pub(crate) fn with_capacity(toks: usize) -> Self {
         ParseTree {
-            nodes: Vec::with_capacity(4 * toks + 1),
-            kids: Vec::with_capacity(4 * toks),
+            nodes: Vec::with_capacity(3 * toks + 1),
+            kids: Vec::with_capacity(3 * toks),
             toks: Vec::with_capacity(toks),
         }
     }
@@ -154,12 +157,10 @@ impl<T> ParseTree<T> {
         &self.toks
     }
 
-    /// The subtree under `root` as a tree of its own, wrapped in the
-    /// single-child productions `wrap`, outermost first, so a subtree
-    /// (one design unit, say) can be evaluated as if it were a whole
-    /// sentence of the start symbol. The subtree is one range of nodes,
-    /// children and tokens, so this is a flat copy.
-    pub fn subtree(&self, g: &Grammar, root: NodeId, wrap: &[ProdId]) -> ParseTree<T>
+    /// The subtree under `root` as a tree of its own (one design unit of
+    /// a file, say). The subtree is one range of nodes, children and
+    /// tokens, so this is a flat copy.
+    pub fn subtree(&self, root: NodeId) -> ParseTree<T>
     where
         T: Clone,
     {
@@ -179,8 +180,8 @@ impl<T> ParseTree<T> {
             end - (root - lo)..end
         };
         let mut t = ParseTree {
-            nodes: Vec::with_capacity(root + 1 - lo + wrap.len()),
-            kids: Vec::with_capacity(kids.len() + wrap.len()),
+            nodes: Vec::with_capacity(root + 1 - lo),
+            kids: Vec::with_capacity(kids.len()),
             toks: Vec::new(),
         };
         for x in &self.nodes[lo..=root] {
@@ -197,10 +198,6 @@ impl<T> ParseTree<T> {
         t.kids
             .extend(self.kids[kids].iter().map(|&k| k - lo as u32));
         t.nodes.last_mut().expect("a subtree has its root").parent = NONE;
-        for &p in wrap.iter().rev() {
-            let below = t.root() as u32;
-            t.push_node(p, g.lhs(p), &[below]);
-        }
         t
     }
 }
@@ -237,35 +234,53 @@ mod tests {
     }
 
     #[test]
-    fn wrapped_subtree_matches_whole_tree() {
-        // top ::= mid ; mid ::= s ; s ::= a s | ε. The `s` subtree
-        // wrapped in [top, mid] must give the whole parse.
+    fn unit_sliced_from_elided_file_equals_unit_parsed_alone() {
+        // file ::= units ; units ::= unit | units unit ; unit ::= b s ;
+        // s ::= a s | ε, with the two chain productions over `units`
+        // transparent: a one-unit file is rooted at its `unit` node.
         let mut g = GrammarBuilder::new();
         let a = g.terminal("a");
-        let top = g.nonterminal("top");
-        let mid = g.nonterminal("mid");
+        let b = g.terminal("b");
+        let file = g.nonterminal("file");
+        let units = g.nonterminal("units");
+        let unit = g.nonterminal("unit");
         let s = g.nonterminal("s");
-        let p_top = g.prod(top, &[mid.into()], "top_mid");
-        let p_mid = g.prod(mid, &[s.into()], "mid_s");
+        let p_file = g.prod(file, &[units.into()], "file_units");
+        let p_one = g.prod(units, &[unit.into()], "units_one");
+        let p_more = g.prod(units, &[units.into(), unit.into()], "units_more");
+        g.prod(unit, &[b.into(), s.into()], "unit_b");
         g.prod(s, &[a.into(), s.into()], "s_rec");
         g.prod(s, &[], "s_empty");
-        g.start(top);
+        g.start(file);
         let g = g.build().unwrap();
         let table = ParseTable::build(&g).unwrap();
-        let whole = Parser::new(&g, &table)
-            .parse(vec![Token::new(a, 1), Token::new(a, 2)])
-            .unwrap();
-        let sub = whole.child(whole.child(whole.root(), 1), 1);
-        let wrapped = whole.subtree(&g, sub, &[p_top, p_mid]);
-        assert_eq!(wrapped, whole);
-        for n in 0..whole.len() {
-            let (w, x) = (&wrapped, &whole);
-            assert_eq!(
-                (w.prod(n), w.symbol(n), w.parent(n)),
-                (x.prod(n), x.symbol(n), x.parent(n))
-            );
-            assert_eq!(w.token(n), x.token(n));
-            assert!(w.children(n).eq(x.children(n)));
+        let mut flags = vec![false; g.n_prods()];
+        flags[p_file.index()] = true;
+        flags[p_one.index()] = true;
+        let parser = Parser::eliding(&g, &table, &flags);
+        let toks = |src: &str| -> Vec<Token<char>> {
+            src.chars()
+                .map(|c| Token::new(if c == 'b' { b } else { a }, c))
+                .collect()
+        };
+        let whole = parser.parse(toks("baabbaaa")).unwrap();
+        // units_more(units_more(unit, unit), unit): no file or units_one
+        // node.
+        let root = whole.root();
+        assert_eq!(whole.prod(root), Some(p_more));
+        let first = whole.child(root, 1);
+        assert_eq!(whole.prod(first), Some(p_more));
+        let parts = [
+            whole.child(first, 1),
+            whole.child(first, 2),
+            whole.child(root, 2),
+        ];
+        for (n, src) in parts.into_iter().zip(["baa", "b", "baaa"]) {
+            assert_eq!(whole.symbol(n), unit);
+            let alone = parser.parse(toks(src)).unwrap();
+            assert_eq!(alone.symbol(alone.root()), unit);
+            assert_eq!(whole.subtree(n), alone, "unit {src}");
         }
+        assert_eq!(whole.subtree(root), whole);
     }
 }

@@ -5,12 +5,12 @@
 //! space and every invariant are unchanged. Persisted regressions live in
 //! `tests/prop.seeds`.
 
-use ag_harness::{check, check_eq, forall, Config, Source};
+use ag_harness::{check, check_eq, forall, Config, Source, TestResult};
 use ag_lalr::earley::Earley;
 use ag_lalr::grammar::{Grammar, GrammarBuilder, SymRef};
 use ag_lalr::parser::Parser;
 use ag_lalr::table::ParseTable;
-use ag_lalr::SymbolId;
+use ag_lalr::{ParseTree, SymbolId};
 
 /// A compact description of a random grammar: for each nonterminal, a list
 /// of productions; each production is a list of symbol codes. Codes
@@ -166,7 +166,9 @@ fn parse_tree_leaves_roundtrip() {
 /// The parser's arena: parent links and child lists agree, the leaves
 /// are the input in order, every subtree is the contiguous range of ids
 /// that ends at its root, and slicing a subtree out copies exactly that
-/// range (the whole tree for the root).
+/// range (the whole tree for the root). The same holds when a random set
+/// of single-nonterminal productions is elided, and the elided tree is
+/// the full one with exactly those nodes left out.
 #[test]
 fn arena_invariants() {
     forall!(Config::new("arena_invariants").cases(512), |s| {
@@ -178,46 +180,65 @@ fn arena_invariants() {
         let Ok(table) = ParseTable::build(&g) else {
             return Ok(());
         };
+        let flags: Vec<bool> = g
+            .prod_ids()
+            .map(|p| matches!(g.rhs(p), [b] if !g.is_terminal(*b)) && s.bool())
+            .collect();
         let toks = to_tokens(&input, &terms);
-        let parser = Parser::new(&g, &table);
-        let parsed = parser.parse(toks.iter().map(|&t| ag_lalr::Token::new(t, t)));
-        let Ok(tree) = parsed else {
+        let parse = |flags: &[bool]| {
+            Parser::eliding(&g, &table, flags)
+                .parse(toks.iter().map(|&t| ag_lalr::Token::new(t, t)))
+        };
+        let (Ok(full), Ok(elided)) = (parse(&[]), parse(&flags)) else {
             check!(false, "derived sentence {input:?} rejected by {spec:?}");
             return Ok(());
         };
-        check_eq!(tree.leaves(), &toks[..]);
-        check!(tree.parent(tree.root()).is_none());
-        for n in 0..tree.len() {
-            if let Some((p, occ)) = tree.parent(n) {
-                check_eq!(tree.child(p, occ), n, "node {n}");
-            }
-            for (i, c) in tree.children(n).enumerate() {
-                check_eq!(tree.parent(c), Some((n, i + 1)), "node {n}");
-            }
-            // The descendants of `n`, by an explicit walk.
-            let mut under = vec![n];
-            let mut todo: Vec<usize> = tree.children(n).collect();
-            while let Some(c) = todo.pop() {
-                under.push(c);
-                todo.extend(tree.children(c));
-            }
-            under.sort_unstable();
-            let lo = n + 1 - under.len();
-            check_eq!(under, (lo..=n).collect::<Vec<_>>(), "subtree of {n}");
-            let sub = tree.subtree(&g, n, &[]);
-            check_eq!(sub.len(), under.len());
-            for i in 0..sub.len() {
-                let x = lo + i;
-                check_eq!((sub.prod(i), sub.symbol(i)), (tree.prod(x), tree.symbol(x)));
-                check_eq!(sub.token(i), tree.token(x));
-                check!(sub.children(i).map(|c| c + lo).eq(tree.children(x)));
-                if i != sub.root() {
-                    check_eq!(sub.parent(i).map(|(p, o)| (p + lo, o)), tree.parent(x));
-                }
+        check_arena(&full, &toks)?;
+        check_arena(&elided, &toks)?;
+        let kept = |t: &ParseTree<SymbolId>| -> Vec<_> {
+            (0..t.len())
+                .map(|n| (t.prod(n), t.symbol(n), t.token(n).copied()))
+                .filter(|(p, _, _)| !p.is_some_and(|p| flags[p.index()]))
+                .collect()
+        };
+        check_eq!(kept(&full), kept(&elided), "flags {flags:?}");
+    });
+}
+
+fn check_arena(tree: &ParseTree<SymbolId>, toks: &[SymbolId]) -> TestResult {
+    check_eq!(tree.leaves(), toks);
+    check!(tree.parent(tree.root()).is_none());
+    for n in 0..tree.len() {
+        if let Some((p, occ)) = tree.parent(n) {
+            check_eq!(tree.child(p, occ), n, "node {n}");
+        }
+        for (i, c) in tree.children(n).enumerate() {
+            check_eq!(tree.parent(c), Some((n, i + 1)), "node {n}");
+        }
+        // The descendants of `n`, by an explicit walk.
+        let mut under = vec![n];
+        let mut todo: Vec<usize> = tree.children(n).collect();
+        while let Some(c) = todo.pop() {
+            under.push(c);
+            todo.extend(tree.children(c));
+        }
+        under.sort_unstable();
+        let lo = n + 1 - under.len();
+        check_eq!(under, (lo..=n).collect::<Vec<_>>(), "subtree of {n}");
+        let sub = tree.subtree(n);
+        check_eq!(sub.len(), under.len());
+        for i in 0..sub.len() {
+            let x = lo + i;
+            check_eq!((sub.prod(i), sub.symbol(i)), (tree.prod(x), tree.symbol(x)));
+            check_eq!(sub.token(i), tree.token(x));
+            check!(sub.children(i).map(|c| c + lo).eq(tree.children(x)));
+            if i != sub.root() {
+                check_eq!(sub.parent(i).map(|(p, o)| (p + lo, o)), tree.parent(x));
             }
         }
-        check_eq!(tree.subtree(&g, tree.root(), &[]), tree);
-    });
+    }
+    check_eq!(tree.subtree(tree.root()), *tree);
+    Ok(())
 }
 
 /// The regression input recorded by the old proptest run (its

@@ -156,24 +156,29 @@ impl Analyzer {
         }
     }
 
-    /// Parses a design file into one tree per design unit. Each unit is
-    /// wrapped as its own design file (`df` over `dus_one`), so the AG
-    /// root is the start symbol; its leaves are the unit's tokens.
+    /// Parses a design file into one tree per design unit, leaving out
+    /// the nodes of the principal AG's transparent productions. The file
+    /// is a left spine of `dus_more` nodes over its units (`df`,
+    /// `dus_one`, and `design_unit` for a unit without a context clause,
+    /// have no node), so a unit's root may be, say, an `entity_decl`; the
+    /// root inputs still land there, because a transparent production's
+    /// right-hand side has every class of its left. Each unit's leaves
+    /// are its tokens.
     ///
     /// # Errors
     ///
     /// Scan/parse errors.
     pub fn parse_units(&self, src: &str) -> Result<Vec<ParseTree<SrcTok>>, FrontError> {
-        let file = self.grammar.parse_str(src)?;
-        let g = self.pag.ag.grammar();
-        let unit = g.symbol("design_unit").expect("principal grammar");
-        let wrap = [self.grammar.prod("df"), self.grammar.prod("dus_one")];
-        // `design_unit` derives only from the top-level unit list, and
-        // postorder keeps the units in source order.
-        Ok((0..file.len())
-            .filter(|&n| file.symbol(n) == unit)
-            .map(|n| file.subtree(g, n, &wrap))
-            .collect())
+        let file = self.grammar.parse_eliding(src, self.pag.ag.transparent())?;
+        let more = self.grammar.prod("dus_more");
+        let mut roots = Vec::new();
+        let mut n = file.root();
+        while file.prod(n) == Some(more) {
+            roots.push(file.child(n, 2));
+            n = file.child(n, 1);
+        }
+        roots.push(n);
+        Ok(roots.iter().rev().map(|&n| file.subtree(n)).collect())
     }
 
     /// Analyzes one design-unit tree against the libraries behind

@@ -243,10 +243,12 @@ pub fn expr_eval(
     let xt = ax.tables;
 
     // The paper's trivial scanner: the next token is the head of the list.
-    let parser = Parser::new(&xt.grammar, &xt.table);
+    // Chain productions that only copy get no node, and a leaf becomes a
+    // `Value` only when a rule demands its token.
+    let parser = Parser::eliding(&xt.grammar, &xt.table, ax.ag.transparent());
     let parsed = parser.parse(
         lef.iter()
-            .map(|t| Token::new(xt.term_of[&t.kind], Value::Lef(Rc::new(vec![t.clone()])))),
+            .map(|t| Token::new(xt.term_of[&t.kind], t.clone())),
     );
     let tree = match parsed {
         Ok(t) => t,
@@ -263,6 +265,7 @@ pub fn expr_eval(
             return ExprAnswer::error(msgs);
         }
     };
+    ag_harness::trace::counter("expr-tree-nodes", tree.len() as u64);
 
     let eval = DemandEval::new(
         &ax.ag,

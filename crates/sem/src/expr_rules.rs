@@ -30,7 +30,7 @@ use crate::value::{DenVal, Value};
 
 fn lef(v: &Value) -> &LefTok {
     match v {
-        Value::Lef(l) => &l[0],
+        Value::Lef(l) => l,
         other => panic!("expected lef token value, got {other:?}"),
     }
 }

@@ -132,17 +132,23 @@ impl PrincipalGrammar {
     ///
     /// Returns [`FrontError`] on scan or parse failure.
     pub fn parse_str(&self, src: &str) -> Result<ParseTree<SrcTok>, FrontError> {
-        self.parse_tokens(&lex(src)?)
+        self.parse_eliding(src, &[])
     }
 
-    /// Parses pre-lexed tokens.
+    /// Lexes and parses a full design file, leaving out the nodes of the
+    /// productions flagged in `transparent` (see
+    /// [`ag_lalr::Parser::eliding`]).
     ///
     /// # Errors
     ///
-    /// Returns [`FrontError::Parse`] on failure.
-    pub fn parse_tokens(&self, toks: &[SrcTok]) -> Result<ParseTree<SrcTok>, FrontError> {
-        let parser = Parser::new(&self.grammar, &self.table);
-        parser
+    /// Returns [`FrontError`] on scan or parse failure.
+    pub fn parse_eliding(
+        &self,
+        src: &str,
+        transparent: &[bool],
+    ) -> Result<ParseTree<SrcTok>, FrontError> {
+        let toks = lex(src)?;
+        Parser::eliding(&self.grammar, &self.table, transparent)
             .parse(
                 toks.iter()
                     .map(|&t| Token::new(self.term_of_kind[&t.kind], t)),
