@@ -121,12 +121,7 @@ fn install_toks(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         0,
         c.toks,
         vec![Dep::token(1), Dep::attr(2, c.toks), Dep::token(3)],
-        |d| {
-            let mut out = vec![d[0].clone()];
-            out.extend(d[1].expect_list().iter().cloned());
-            out.push(d[2].clone());
-            Value::list(out)
-        },
+        |d| Value::bracket(d[0].clone(), &d[1], d[2].clone()),
     );
     // Names: suffixes keep their punctuation.
     for label in ["name_sel", "name_all", "name_op", "sel_dot"] {

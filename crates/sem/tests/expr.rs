@@ -455,3 +455,19 @@ fn type_mismatch_against_context() {
         "{msg}"
     );
 }
+
+/// The cascade bounds its own demand depth. A pair of parentheses costs it
+/// two levels, so `1` inside 16,000 pairs passes `MAX_DEPTH` (28,000) and
+/// is a `nesting too deep` diagnostic at the expression's first token,
+/// while 4,000 pairs still evaluate.
+#[test]
+fn deep_expression_ends_in_too_deep_in_the_cascade() {
+    ag_harness::pool::run_on_stack("deep-expr", || {
+        let s = std_env();
+        let parens = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        let a = ok(&parens(4_000), &s.env, Some(&s.std.integer));
+        assert_eq!(const_int(a.ir.as_ref().unwrap()), Some(1));
+        let msg = fail(&parens(16_000), &s.env, Some(&s.std.integer));
+        assert!(msg.contains("1:1: error: nesting too deep"), "{msg}");
+    });
+}
