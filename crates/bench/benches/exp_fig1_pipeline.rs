@@ -19,7 +19,13 @@ fn main() {
     let compiler = Compiler::in_memory();
 
     let toks = lex(&src).expect("lexes");
-    let cst = compiler.analyzer.grammar.parse_str(&src).expect("parses");
+    // The tree the principal AG decorates: transparent productions get no
+    // node.
+    let cst = compiler
+        .analyzer
+        .grammar
+        .parse_eliding(&src, compiler.analyzer.pag.ag.transparent())
+        .expect("parses");
     let result = compiler.compile(&src).expect("compiles");
     assert!(result.ok(), "{}", result.msgs());
     let traffic = result.traffic;
