@@ -16,4 +16,4 @@ pub mod lower;
 
 pub use c_emit::emit_c;
 pub use elab::{elaborate, elaborate_config, ElabError};
-pub use lower::{cfg_stats, CfgStats, CgError, LowerCtx, Storage};
+pub use lower::{CgError, LowerCtx, Storage};

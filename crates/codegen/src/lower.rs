@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use sim_kernel::{FnDecl, FnId, Insn, Op, Program, SigAttr, SigId, Val, VarAddr};
+use sim_kernel::{FnDecl, FnId, Insn, Op, SigAttr, SigId, Val, VarAddr};
 use vhdl_sem::types::{self, Dir};
 use vhdl_vif::VifNode;
 
@@ -1101,64 +1101,6 @@ pub fn collect_signals(
     Ok(())
 }
 
-/// Control-flow summary of a lowered [`Program`]: basic-block counts
-/// over every process and subprogram body, by the usual leader rule
-/// (entry, every jump target, and the instruction after any control
-/// transfer start a block).
-/// Reported under `vhdlc --trace-phases` so generated-code size can be
-/// read at block granularity, not just instruction counts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CfgStats {
-    /// Process bodies summarized.
-    pub processes: usize,
-    /// Subprogram bodies summarized.
-    pub functions: usize,
-    /// Total instructions across all bodies.
-    pub insns: usize,
-    /// Total basic blocks across all bodies.
-    pub blocks: usize,
-    /// Longest single block, in instructions.
-    pub max_block_len: usize,
-}
-
-/// Summarizes the control-flow graphs of every body in `p`.
-pub fn cfg_stats(p: &Program) -> CfgStats {
-    let mut st = CfgStats {
-        processes: p.processes.len(),
-        functions: p.functions.len(),
-        ..CfgStats::default()
-    };
-    let bodies = p
-        .processes
-        .iter()
-        .map(|pr| &pr.code[..])
-        .chain(p.functions.iter().map(|f| &f.code[..]));
-    for code in bodies {
-        st.insns += code.len();
-        let mut leader = vec![false; code.len() + 1];
-        leader[0] = true;
-        for (pc, insn) in code.iter().enumerate() {
-            match insn {
-                Insn::Jump(t) | Insn::JumpIfFalse(t) => {
-                    leader[(*t as usize).min(code.len())] = true;
-                    leader[pc + 1] = true;
-                }
-                Insn::Wait { .. } | Insn::Call(_) | Insn::Ret { .. } | Insn::Halt => {
-                    leader[pc + 1] = true;
-                }
-                _ => {}
-            }
-        }
-        let starts: Vec<usize> = (0..code.len()).filter(|&pc| leader[pc]).collect();
-        st.blocks += starts.len();
-        for (i, &s) in starts.iter().enumerate() {
-            let end = starts.get(i + 1).copied().unwrap_or(code.len());
-            st.max_block_len = st.max_block_len.max(end - s);
-        }
-    }
-    st
-}
-
 fn collect_signals_value(
     fl: &mut FnLower<'_>,
     v: &vhdl_vif::VifValue,
@@ -1175,42 +1117,5 @@ fn collect_signals_value(
             Ok(())
         }
         _ => Ok(()),
-    }
-}
-
-#[cfg(test)]
-mod cfg_tests {
-    use super::*;
-
-    #[test]
-    fn cfg_stats_counts_oscillator_blocks() {
-        let mut p = Program::default();
-        let s = p.add_signal("clk", Val::Int(0));
-        p.add_process(
-            "osc",
-            0,
-            vec![
-                Insn::LoadSig(s),
-                Insn::Unop(Op::Not),
-                Insn::PushInt(5),
-                Insn::Sched {
-                    sig: s,
-                    transport: false,
-                },
-                Insn::Wait {
-                    sens: Arc::new(vec![s]),
-                    with_timeout: false,
-                },
-                Insn::Pop,
-                Insn::Jump(0),
-            ],
-        );
-        let st = cfg_stats(&p);
-        assert_eq!(st.processes, 1);
-        assert_eq!(st.functions, 0);
-        assert_eq!(st.insns, 7);
-        // Entry..Wait and resume..Jump: two blocks.
-        assert_eq!(st.blocks, 2);
-        assert_eq!(st.max_block_len, 5);
     }
 }

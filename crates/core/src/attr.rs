@@ -326,6 +326,11 @@ impl<V: Clone + 'static> AgBuilder<V> {
         }
     }
 
+    /// `true` if `class` is attached to `symbol`.
+    pub fn has_attr(&self, symbol: SymbolId, class: ClassId) -> bool {
+        self.attrs_of[symbol.index()].contains(&class)
+    }
+
     /// Attaches `class` to every symbol in `symbols` — the macro-processor
     /// "attribute group" idiom from §4.2.
     pub fn attach_all(&mut self, class: ClassId, symbols: impl IntoIterator<Item = SymbolId>) {

@@ -228,12 +228,6 @@ fn run() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-        if args.trace_phases {
-            let cfg = vhdl_codegen::cfg_stats(&program);
-            ag_harness::trace::counter("codegen-cfg-blocks", cfg.blocks as u64);
-            ag_harness::trace::counter("codegen-cfg-insns", cfg.insns as u64);
-            ag_harness::trace::counter("codegen-cfg-max-block", cfg.max_block_len as u64);
-        }
         if let Some(deadline) = args.run_until {
             let vcd = std::cell::RefCell::new(Vcd::new("1fs"));
             let mut sim = sim_kernel::Simulator::new(program);

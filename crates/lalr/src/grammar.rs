@@ -221,6 +221,42 @@ impl GrammarBuilder {
         id
     }
 
+    /// Adds a production written as words, yacc-style: `rhs` is a
+    /// space-separated list of symbol names, where the name of a declared
+    /// terminal is that terminal and any other name is a nonterminal
+    /// (declared on first use, like `lhs`). Declare every terminal before
+    /// the first rule that names it.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ag_lalr::GrammarBuilder;
+    /// let mut g = GrammarBuilder::new();
+    /// let num = g.terminal("num");
+    /// g.terminal("'+'");
+    /// g.rule("expr", "expr '+' term", "expr_plus");
+    /// g.rule("expr", "term", "expr_term");
+    /// g.rule("term", "num", "term_num");
+    /// let expr = g.nonterminal("expr");
+    /// g.start(expr);
+    /// let grammar = g.build()?;
+    /// let p = grammar.prod_by_label("term_num").unwrap();
+    /// assert_eq!(grammar.rhs(p), [num]);
+    /// assert!(!grammar.is_terminal(grammar.symbol("term").unwrap()));
+    /// # Ok::<(), ag_lalr::GrammarError>(())
+    /// ```
+    pub fn rule(&mut self, lhs: &str, rhs: &str, label: &str) -> ProdId {
+        let lhs = self.nonterminal(lhs);
+        let rhs: Vec<SymRef> = rhs
+            .split_whitespace()
+            .map(|w| {
+                let known = self.by_name.get(w).copied();
+                known.unwrap_or_else(|| self.nonterminal(w)).into()
+            })
+            .collect();
+        self.prod(lhs, &rhs, label)
+    }
+
     /// Overrides the precedence of `prod` to be that of terminal `term`
     /// (like yacc's `%prec`).
     pub fn prod_prec(&mut self, prod: ProdId, term: SymbolId) {

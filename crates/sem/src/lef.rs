@@ -25,159 +25,92 @@ use crate::msg::{Msg, Msgs};
 use crate::types;
 use crate::uid::ERROR_OBJ;
 
-/// Category of a LEF token. Each maps 1:1 to a terminal of the expression
-/// grammar.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum LefKind {
-    /// Object (variable/signal/constant/parameter) — carries the `obj`
-    /// denotation.
-    Obj,
-    /// Type or subtype mark — carries the type node.
-    TyMark,
-    /// Overloadable callables: subprograms and enumeration literals —
-    /// carries the overload set.
-    Callable,
-    /// Physical unit — carries the `physunit` denotation.
-    PhysUnit,
-    /// Attribute identifier (after a tick).
-    AttrId,
-    /// Selector identifier: record fields, named formals, record-aggregate
-    /// choices.
-    FieldId,
-    /// Integer literal.
-    IntLit,
-    /// Real literal.
-    RealLit,
-    /// String literal.
-    StrLit,
-    /// Bit-string literal.
-    BitStrLit,
-    /// `(`
-    LParen,
-    /// `)`
-    RParen,
-    /// `,`
-    Comma,
-    /// `=>`
-    Arrow,
-    /// `|`
-    Bar,
-    /// `'`
-    Tick,
-    /// `.`
-    Dot,
-    /// `to`
-    To,
-    /// `downto`
-    Downto,
-    /// `others`
-    Others,
-    /// `open`
-    Open,
-    /// `and`
-    OpAnd,
-    /// `or`
-    OpOr,
-    /// `nand`
-    OpNand,
-    /// `nor`
-    OpNor,
-    /// `xor`
-    OpXor,
-    /// `=`
-    OpEq,
-    /// `/=`
-    OpNe,
-    /// `<`
-    OpLt,
-    /// `<=`
-    OpLe,
-    /// `>`
-    OpGt,
-    /// `>=`
-    OpGe,
-    /// `+`
-    OpPlus,
-    /// `-`
-    OpMinus,
-    /// `&`
-    OpAmp,
-    /// `*`
-    OpMul,
-    /// `/`
-    OpDiv,
-    /// `**`
-    OpPow,
-    /// `mod`
-    OpMod,
-    /// `rem`
-    OpRem,
-    /// `not`
-    OpNot,
-    /// `abs`
-    OpAbs,
+/// Declares [`LefKind`] from one table, in the order the expression
+/// grammar registers its terminals. `Kind => "name"` declares a category
+/// of LEF's own with its terminal name; `tok Kind` admits the source
+/// token of that [`TokenKind`] unchanged, as `LefKind::Tok(Kind)` under
+/// the token's own name. The table generates the enum,
+/// [`LefKind::name`], [`LefKind::TERMINALS`] and [`LefKind::terminal`].
+macro_rules! lef_kinds {
+    // Each step moves one entry into the accumulated categories
+    // `[$cat]` and `terminal` arms `[$arm]`; `$n` counts the entries.
+    (@ $n:expr; [$($cat:tt)*] [$($arm:tt)*]
+        $(#[$m:meta])* $v:ident => $name:literal, $($rest:tt)*) => {
+        lef_kinds!(@ $n + 1; [$($cat)* $(#[$m])* $v => $name,]
+            [$($arm)* (LefKind::$v) => $n,] $($rest)*);
+    };
+    (@ $n:expr; [$($cat:tt)*] [$($arm:tt)*] tok $t:ident, $($rest:tt)*) => {
+        lef_kinds!(@ $n + 1; [$($cat)*]
+            [$($arm)* (LefKind::Tok(TokenKind::$t)) => $n,] $($rest)*);
+    };
+    (@ $n:expr; [$($(#[$m:meta])* $v:ident => $name:literal,)*]
+        [$(($($k:tt)*) => $i:expr,)*]) => {
+        /// Category of a LEF token: one terminal of the expression grammar.
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+        pub enum LefKind {
+            $($(#[$m])* $v,)*
+            /// A source token that reaches LEF unchanged: a literal,
+            /// delimiter, operator or reserved word of the expression
+            /// grammar.
+            Tok(TokenKind),
+        }
+
+        impl LefKind {
+            /// The expression grammar's terminals, in registration order.
+            pub const TERMINALS: [LefKind; $n] = [$($($k)*,)*];
+
+            /// Terminal name in the expression grammar.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(LefKind::$v => $name,)*
+                    LefKind::Tok(k) => k.name(),
+                }
+            }
+
+            /// Position in [`LefKind::TERMINALS`], which is the symbol
+            /// index of this kind's terminal in the expression grammar;
+            /// `None` for a token kind the expression grammar lacks.
+            pub fn terminal(self) -> Option<usize> {
+                match self {
+                    $($($k)* => Some($i),)*
+                    LefKind::Tok(_) => None,
+                }
+            }
+        }
+    };
+    ($($table:tt)*) => {
+        lef_kinds!(@ 0; [] [] $($table)*);
+    };
 }
 
-impl LefKind {
-    /// Terminal name in the expression grammar.
-    pub fn name(self) -> &'static str {
-        use LefKind::*;
-        match self {
-            Obj => "obj",
-            TyMark => "tymark",
-            Callable => "callable",
-            PhysUnit => "physunit",
-            AttrId => "attrid",
-            FieldId => "fieldid",
-            IntLit => "int_lit",
-            RealLit => "real_lit",
-            StrLit => "str_lit",
-            BitStrLit => "bitstr_lit",
-            LParen => "'('",
-            RParen => "')'",
-            Comma => "','",
-            Arrow => "'=>'",
-            Bar => "'|'",
-            Tick => "tick",
-            Dot => "'.'",
-            To => "to",
-            Downto => "downto",
-            Others => "others",
-            Open => "open",
-            OpAnd => "and",
-            OpOr => "or",
-            OpNand => "nand",
-            OpNor => "nor",
-            OpXor => "xor",
-            OpEq => "'='",
-            OpNe => "'/='",
-            OpLt => "'<'",
-            OpLe => "'<='",
-            OpGt => "'>'",
-            OpGe => "'>='",
-            OpPlus => "'+'",
-            OpMinus => "'-'",
-            OpAmp => "'&'",
-            OpMul => "'*'",
-            OpDiv => "'/'",
-            OpPow => "'**'",
-            OpMod => "mod",
-            OpRem => "rem",
-            OpNot => "not",
-            OpAbs => "abs",
-        }
-    }
-
-    /// All kinds (to register expression-grammar terminals).
-    pub fn all() -> &'static [LefKind] {
-        use LefKind::*;
-        &[
-            Obj, TyMark, Callable, PhysUnit, AttrId, FieldId, IntLit, RealLit, StrLit, BitStrLit,
-            LParen, RParen, Comma, Arrow, Bar, Tick, Dot, To, Downto, Others, Open, OpAnd, OpOr,
-            OpNand, OpNor, OpXor, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpPlus, OpMinus, OpAmp,
-            OpMul, OpDiv, OpPow, OpMod, OpRem, OpNot, OpAbs,
-        ]
-    }
+lef_kinds! {
+    /// Object (variable/signal/constant/parameter) — carries the `obj`
+    /// denotation.
+    Obj => "obj",
+    /// Type or subtype mark — carries the type node.
+    TyMark => "tymark",
+    /// Overloadable callables: subprograms and enumeration literals —
+    /// carries the overload set.
+    Callable => "callable",
+    /// Physical unit — carries the `physunit` denotation.
+    PhysUnit => "physunit",
+    /// Attribute identifier (after a tick).
+    AttrId => "attrid",
+    /// Selector identifier: record fields, named formals, record-aggregate
+    /// choices.
+    FieldId => "fieldid",
+    tok IntLit,
+    tok RealLit,
+    /// String literal.
+    StrLit => "str_lit",
+    /// Bit-string literal.
+    BitStrLit => "bitstr_lit",
+    tok LParen, tok RParen, tok Comma, tok Arrow, tok Bar, tok Tick, tok Dot,
+    tok KwTo, tok KwDownto, tok KwOthers, tok KwOpen,
+    tok KwAnd, tok KwOr, tok KwNand, tok KwNor, tok KwXor,
+    tok Eq, tok Neq, tok Lt, tok Lte, tok Gt, tok Gte,
+    tok Plus, tok Minus, tok Amp, tok Star, tok Slash, tok DoubleStar,
+    tok KwMod, tok KwRem, tok KwNot, tok KwAbs,
 }
 
 /// One LEF token: category, text, position, and — for resolved identifier
@@ -268,12 +201,12 @@ pub fn build_lef(toks: &[SrcTok], ctx: &LefCtx<'_>) -> (Vec<LefTok>, Msgs) {
                     TokenKind::CharLit => Symbol::intern(&format!("'{}'", t.text)),
                     _ => t.text,
                 };
-                if prev_kind == Some(LefKind::Tick) && t.kind == TokenKind::Id {
+                if prev_kind == Some(LefKind::Tok(TokenKind::Tick)) && t.kind == TokenKind::Id {
                     out.push(LefTok::plain(LefKind::AttrId, key, t.pos));
                     i += 1;
                     continue;
                 }
-                if prev_kind == Some(LefKind::Dot) && t.kind == TokenKind::Id {
+                if prev_kind == Some(LefKind::Tok(TokenKind::Dot)) && t.kind == TokenKind::Id {
                     out.push(LefTok::plain(LefKind::FieldId, key, t.pos));
                     i += 1;
                     continue;
@@ -384,74 +317,41 @@ pub fn build_lef(toks: &[SrcTok], ctx: &LefCtx<'_>) -> (Vec<LefTok>, Msgs) {
             }
             TokenKind::Dot => {
                 match &pending {
-                    Pending::None => out.push(LefTok::plain(LefKind::Dot, t.text, t.pos)),
+                    Pending::None => {
+                        out.push(LefTok::plain(LefKind::Tok(TokenKind::Dot), t.text, t.pos))
+                    }
                     // Expanded-name dots are consumed silently; the next id
                     // resolves within the pending prefix.
                     _ => {}
                 }
                 i += 1;
             }
-            other => {
-                let kind = match other {
-                    TokenKind::IntLit => LefKind::IntLit,
-                    TokenKind::RealLit => LefKind::RealLit,
-                    TokenKind::BitStringLit => LefKind::BitStrLit,
-                    TokenKind::LParen => LefKind::LParen,
-                    TokenKind::RParen => LefKind::RParen,
-                    TokenKind::Comma => LefKind::Comma,
-                    TokenKind::Arrow => LefKind::Arrow,
-                    TokenKind::Bar => LefKind::Bar,
-                    TokenKind::Tick => LefKind::Tick,
-                    TokenKind::KwTo => LefKind::To,
-                    TokenKind::KwDownto => LefKind::Downto,
-                    TokenKind::KwOthers => LefKind::Others,
-                    TokenKind::KwOpen => LefKind::Open,
-                    TokenKind::KwAnd => LefKind::OpAnd,
-                    TokenKind::KwOr => LefKind::OpOr,
-                    TokenKind::KwNand => LefKind::OpNand,
-                    TokenKind::KwNor => LefKind::OpNor,
-                    TokenKind::KwXor => LefKind::OpXor,
-                    TokenKind::Eq => LefKind::OpEq,
-                    TokenKind::Neq => LefKind::OpNe,
-                    TokenKind::Lt => LefKind::OpLt,
-                    TokenKind::Lte => LefKind::OpLe,
-                    TokenKind::Gt => LefKind::OpGt,
-                    TokenKind::Gte => LefKind::OpGe,
-                    TokenKind::Plus => LefKind::OpPlus,
-                    TokenKind::Minus => LefKind::OpMinus,
-                    TokenKind::Amp => LefKind::OpAmp,
-                    TokenKind::Star => LefKind::OpMul,
-                    TokenKind::Slash => LefKind::OpDiv,
-                    TokenKind::DoubleStar => LefKind::OpPow,
-                    TokenKind::KwMod => LefKind::OpMod,
-                    TokenKind::KwRem => LefKind::OpRem,
-                    TokenKind::KwNot => LefKind::OpNot,
-                    TokenKind::KwAbs => LefKind::OpAbs,
-                    TokenKind::KwRange => {
-                        // Only legal directly after a tick ('range).
-                        if prev_kind == Some(LefKind::Tick) {
-                            out.push(LefTok::plain(
-                                LefKind::AttrId,
-                                Symbol::intern("range"),
-                                t.pos,
-                            ));
-                            i += 1;
-                            continue;
-                        }
-                        msgs.push(Msg::error(t.pos, "`range` is not an expression token"));
-                        i += 1;
-                        continue;
-                    }
-                    k => {
-                        msgs.push(Msg::error(
-                            t.pos,
-                            format!("token `{}` cannot appear in an expression", k.name()),
-                        ));
-                        i += 1;
-                        continue;
-                    }
-                };
-                out.push(LefTok::plain(kind, t.text, t.pos));
+            TokenKind::BitStringLit => {
+                out.push(LefTok::plain(LefKind::BitStrLit, t.text, t.pos));
+                i += 1;
+            }
+            // Only legal directly after a tick (`'range`).
+            TokenKind::KwRange if prev_kind == Some(LefKind::Tok(TokenKind::Tick)) => {
+                out.push(LefTok::plain(
+                    LefKind::AttrId,
+                    Symbol::intern("range"),
+                    t.pos,
+                ));
+                i += 1;
+            }
+            TokenKind::KwRange => {
+                msgs.push(Msg::error(t.pos, "`range` is not an expression token"));
+                i += 1;
+            }
+            k if LefKind::Tok(k).terminal().is_some() => {
+                out.push(LefTok::plain(LefKind::Tok(k), t.text, t.pos));
+                i += 1;
+            }
+            k => {
+                msgs.push(Msg::error(
+                    t.pos,
+                    format!("token `{}` cannot appear in an expression", k.name()),
+                ));
                 i += 1;
             }
         }
@@ -492,11 +392,16 @@ mod tests {
     use crate::env::{Den, EnvKind};
     use crate::standard::standard;
     use vhdl_syntax::lexer::lex;
+    use vhdl_syntax::TokenKind as T;
+    use LefKind::Tok;
 
     fn lef_of(src: &str, env: &Env) -> (Vec<LefTok>, Msgs) {
-        let toks = lex(src).unwrap();
+        lef_of_tokens(&lex(src).unwrap(), env)
+    }
+
+    fn lef_of_tokens(toks: &[SrcTok], env: &Env) -> (Vec<LefTok>, Msgs) {
         build_lef(
-            &toks,
+            toks,
             &LefCtx {
                 env,
                 load_pkg: None,
@@ -557,22 +462,22 @@ mod tests {
             kinds("f(y)", &env),
             vec![
                 LefKind::Callable,
-                LefKind::LParen,
+                Tok(T::LParen),
                 LefKind::Obj,
-                LefKind::RParen
+                Tok(T::RParen)
             ]
         );
         assert_eq!(
             kinds("arr(y)", &env),
-            vec![LefKind::Obj, LefKind::LParen, LefKind::Obj, LefKind::RParen]
+            vec![LefKind::Obj, Tok(T::LParen), LefKind::Obj, Tok(T::RParen)]
         );
         assert_eq!(
             kinds("integer(y)", &env),
             vec![
                 LefKind::TyMark,
-                LefKind::LParen,
+                Tok(T::LParen),
                 LefKind::Obj,
-                LefKind::RParen
+                Tok(T::RParen)
             ]
         );
     }
@@ -594,21 +499,21 @@ mod tests {
         );
         assert_eq!(
             kinds("v'range", &env),
-            vec![LefKind::Obj, LefKind::Tick, LefKind::AttrId]
+            vec![LefKind::Obj, Tok(T::Tick), LefKind::AttrId]
         );
         assert_eq!(
             kinds("v'length", &env),
-            vec![LefKind::Obj, LefKind::Tick, LefKind::AttrId]
+            vec![LefKind::Obj, Tok(T::Tick), LefKind::AttrId]
         );
         // Qualified expression: tick then lparen.
         assert_eq!(
             kinds("bit'('0')", &env),
             vec![
                 LefKind::TyMark,
-                LefKind::Tick,
-                LefKind::LParen,
+                Tok(T::Tick),
+                Tok(T::LParen),
                 LefKind::Callable,
-                LefKind::RParen
+                Tok(T::RParen)
             ]
         );
     }
@@ -619,15 +524,15 @@ mod tests {
         assert_eq!(
             kinds("10 ns + 3", &s.env),
             vec![
-                LefKind::IntLit,
+                Tok(T::IntLit),
                 LefKind::PhysUnit,
-                LefKind::OpPlus,
-                LefKind::IntLit
+                Tok(T::Plus),
+                Tok(T::IntLit)
             ]
         );
         assert_eq!(
             kinds("true and false", &s.env),
-            vec![LefKind::Callable, LefKind::OpAnd, LefKind::Callable]
+            vec![LefKind::Callable, Tok(T::KwAnd), LefKind::Callable]
         );
         assert_eq!(kinds("\"0101\"", &s.env), vec![LefKind::StrLit]);
         assert_eq!(kinds("x\"f\"", &s.env), vec![LefKind::BitStrLit]);
@@ -651,11 +556,11 @@ mod tests {
             k,
             vec![
                 LefKind::Callable,
-                LefKind::LParen,
+                Tok(T::LParen),
                 LefKind::FieldId,
-                LefKind::Arrow,
-                LefKind::IntLit,
-                LefKind::RParen
+                Tok(T::Arrow),
+                Tok(T::IntLit),
+                Tok(T::RParen)
             ]
         );
     }
@@ -687,10 +592,10 @@ mod tests {
             kinds("p.x + 1", &env),
             vec![
                 LefKind::Obj,
-                LefKind::Dot,
+                Tok(T::Dot),
                 LefKind::FieldId,
-                LefKind::OpPlus,
-                LefKind::IntLit
+                Tok(T::Plus),
+                Tok(T::IntLit)
             ]
         );
     }
@@ -744,6 +649,28 @@ mod tests {
         assert!(m.has_errors());
         assert!(m.to_string().contains("`mystery` is not declared"));
         assert_eq!(l.len(), 3, "scan continued past the error");
+    }
+
+    /// Each terminal is the expression-grammar symbol of its name, and
+    /// exactly the 34 pass-through source tokens reach LEF as themselves,
+    /// each as the terminal named by its `TokenKind`.
+    #[test]
+    fn pass_through_tokens_are_the_terminals_of_their_names() {
+        let xt = crate::expr_ag::ExprTables::shared();
+        for k in LefKind::TERMINALS {
+            assert_eq!(Some(xt.terminal(k)), xt.grammar.symbol(k.name()), "{k:?}");
+        }
+        let s = standard(EnvKind::Tree);
+        let mut passed = 0;
+        for &k in TokenKind::all() {
+            let (l, _) = lef_of_tokens(&[SrcTok::new(k, k.name(), Pos::default())], &s.env);
+            if l.len() == 1 && l[0].kind == Tok(k) {
+                assert_eq!(Some(xt.terminal(Tok(k))), xt.grammar.symbol(k.name()));
+                passed += 1;
+            }
+        }
+        assert_eq!(passed, 34);
+        assert_eq!(LefKind::TERMINALS.len(), 42);
     }
 
     #[test]

@@ -68,52 +68,15 @@ pub(crate) fn install(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClass
 
 fn install_toks(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
     let c = *c;
-    // Leaf expression tokens: TOKS = [token].
-    for label in [
-        "et_id",
-        "et_int",
-        "et_real",
-        "et_char",
-        "et_string",
-        "et_bitstring",
-        "et_tick",
-        "et_dot",
-        "et_amp",
-        "et_plus",
-        "et_minus",
-        "et_star",
-        "et_slash",
-        "et_dstar",
-        "et_eq",
-        "et_neq",
-        "et_lt",
-        "et_lte",
-        "et_gt",
-        "et_gte",
-        "et_and",
-        "et_or",
-        "et_nand",
-        "et_nor",
-        "et_xor",
-        "et_not",
-        "et_abs",
-        "et_mod",
-        "et_rem",
-        "et_to",
-        "et_downto",
-        "et_range",
-        "et_null",
-        "ct_comma",
-        "ct_arrow",
-        "ct_others",
-        "ct_box",
-        "ct_open",
-        "name_id",
-        "sel_id",
-    ] {
-        ab.rule(p(g, label), 0, c.toks, vec![Dep::token(1)], |d| {
-            Value::list(vec![d[0].clone()])
-        });
+    // Leaf tokens: TOKS = [token] for every production of a token
+    // collector whose right-hand side is one terminal.
+    for prod in g.prod_ids() {
+        let rhs = g.rhs(prod);
+        if ab.has_attr(g.lhs(prod), c.toks) && rhs.len() == 1 && g.is_terminal(rhs[0]) {
+            ab.rule(prod, 0, c.toks, vec![Dep::token(1)], |d| {
+                Value::list(vec![d[0].clone()])
+            });
+        }
     }
     // Bracketed group: keep the delimiters.
     ab.rule(

@@ -15,7 +15,6 @@
 //! them once per process ([`PrincipalGrammar::shared`]), the way Linguist
 //! generates the parser once for every compilation (§2).
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use ag_lalr::{
@@ -30,7 +29,6 @@ use crate::token::{SrcTok, TokenKind};
 pub struct PrincipalGrammar {
     grammar: Arc<Grammar>,
     table: ParseTable,
-    term_of_kind: HashMap<TokenKind, SymbolId>,
 }
 
 /// Errors from [`PrincipalGrammar::parse_str`].
@@ -89,15 +87,7 @@ impl PrincipalGrammar {
             Ok(t) => t,
             Err(e) => panic!("principal grammar is not LALR(1):\n{e}"),
         };
-        let term_of_kind = TokenKind::all()
-            .iter()
-            .map(|k| (*k, grammar.symbol(k.name()).expect("terminal registered")))
-            .collect();
-        PrincipalGrammar {
-            grammar,
-            table,
-            term_of_kind,
-        }
+        PrincipalGrammar { grammar, table }
     }
 
     /// The underlying grammar (for attribute-grammar construction).
@@ -110,9 +100,10 @@ impl PrincipalGrammar {
         &self.table
     }
 
-    /// Terminal symbol for a token kind.
+    /// Terminal symbol for a token kind: the kinds are the grammar's
+    /// first symbols, in declaration order.
     pub fn terminal(&self, kind: TokenKind) -> SymbolId {
-        self.term_of_kind[&kind]
+        SymbolId::from_index(kind as usize)
     }
 
     /// Production id by label.
@@ -149,10 +140,7 @@ impl PrincipalGrammar {
     ) -> Result<ParseTree<SrcTok>, FrontError> {
         let toks = lex(src)?;
         Parser::eliding(&self.grammar, &self.table, transparent)
-            .parse(
-                toks.iter()
-                    .map(|&t| Token::new(self.term_of_kind[&t.kind], t)),
-            )
+            .parse(toks.iter().map(|&t| Token::new(self.terminal(t.kind), t)))
             .map_err(|error| {
                 let pos = toks.get(error.at).map(|t| t.pos);
                 FrontError::Parse { error, pos }
@@ -166,259 +154,164 @@ impl Default for PrincipalGrammar {
     }
 }
 
-/// Tiny yacc-like DSL: right-hand sides written as space-separated symbol
-/// names; names that match a registered terminal are terminals, everything
-/// else is a nonterminal.
-struct Dsl {
-    b: GrammarBuilder,
-    terms: HashMap<&'static str, SymbolId>,
-}
-
-impl Dsl {
-    fn new() -> Self {
-        let mut b = GrammarBuilder::new();
-        let mut terms = HashMap::new();
-        for k in TokenKind::all() {
-            terms.insert(k.name(), b.terminal(k.name()));
-        }
-        Dsl { b, terms }
-    }
-
-    fn sym(&mut self, name: &str) -> SymbolId {
-        match self.terms.get(name) {
-            Some(&t) => t,
-            None => self.b.nonterminal(name),
-        }
-    }
-
-    fn r(&mut self, lhs: &str, rhs: &str, label: &str) {
-        let lhs = self.b.nonterminal(lhs);
-        let rhs: Vec<ag_lalr::grammar::SymRef> =
-            rhs.split_whitespace().map(|w| self.sym(w).into()).collect();
-        self.b.prod(lhs, &rhs, label);
-    }
-}
-
+/// The grammar: every token kind is a terminal, registered first in
+/// declaration order (so [`PrincipalGrammar::terminal`] is an index), and
+/// every other word of a rule is a nonterminal.
 fn build_grammar() -> Grammar {
-    let mut d = Dsl::new();
-    let r = |d: &mut Dsl, lhs: &str, rhs: &str, label: &str| d.r(lhs, rhs, label);
+    let mut b = GrammarBuilder::new();
+    for k in TokenKind::all() {
+        b.terminal(k.name());
+    }
 
     // ----- design files and context clauses -------------------------------
-    r(&mut d, "design_file", "design_units", "df");
-    r(&mut d, "design_units", "design_unit", "dus_one");
-    r(
-        &mut d,
-        "design_units",
-        "design_units design_unit",
-        "dus_more",
-    );
-    r(
-        &mut d,
-        "design_unit",
-        "context_items library_unit",
-        "du_ctx",
-    );
-    r(&mut d, "design_unit", "library_unit", "du_plain");
-    r(&mut d, "context_items", "context_item", "ctxs_one");
-    r(
-        &mut d,
-        "context_items",
-        "context_items context_item",
-        "ctxs_more",
-    );
-    r(&mut d, "context_item", "library_clause", "ctx_lib");
-    r(&mut d, "context_item", "use_clause", "ctx_use");
-    r(
-        &mut d,
-        "library_clause",
-        "library id_list ';'",
-        "lib_clause",
-    );
-    r(&mut d, "id_list", "id", "ids_one");
-    r(&mut d, "id_list", "id_list ',' id", "ids_more");
-    r(&mut d, "use_clause", "use name_list ';'", "use_clause");
-    r(&mut d, "library_unit", "entity_decl", "lu_entity");
-    r(&mut d, "library_unit", "architecture_body", "lu_arch");
-    r(&mut d, "library_unit", "package_decl", "lu_pkg");
-    r(&mut d, "library_unit", "package_body", "lu_pkg_body");
-    r(&mut d, "library_unit", "configuration_decl", "lu_config");
+    b.rule("design_file", "design_units", "df");
+    b.rule("design_units", "design_unit", "dus_one");
+    b.rule("design_units", "design_units design_unit", "dus_more");
+    b.rule("design_unit", "context_items library_unit", "du_ctx");
+    b.rule("design_unit", "library_unit", "du_plain");
+    b.rule("context_items", "context_item", "ctxs_one");
+    b.rule("context_items", "context_items context_item", "ctxs_more");
+    b.rule("context_item", "library_clause", "ctx_lib");
+    b.rule("context_item", "use_clause", "ctx_use");
+    b.rule("library_clause", "library id_list ';'", "lib_clause");
+    b.rule("id_list", "id", "ids_one");
+    b.rule("id_list", "id_list ',' id", "ids_more");
+    b.rule("use_clause", "use name_list ';'", "use_clause");
+    b.rule("library_unit", "entity_decl", "lu_entity");
+    b.rule("library_unit", "architecture_body", "lu_arch");
+    b.rule("library_unit", "package_decl", "lu_pkg");
+    b.rule("library_unit", "package_body", "lu_pkg_body");
+    b.rule("library_unit", "configuration_decl", "lu_config");
 
     // ----- names -----------------------------------------------------------
-    r(&mut d, "name", "id", "name_id");
-    r(&mut d, "name", "name '.' id", "name_sel");
-    r(&mut d, "name", "name '.' all", "name_all");
-    r(&mut d, "name", "name '.' string_lit", "name_op");
-    r(&mut d, "name", "name '(' ctok_run ')'", "name_paren");
-    r(&mut d, "name_list", "name", "names_one");
-    r(&mut d, "name_list", "name_list ',' name", "names_more");
+    b.rule("name", "id", "name_id");
+    b.rule("name", "name '.' id", "name_sel");
+    b.rule("name", "name '.' all", "name_all");
+    b.rule("name", "name '.' string_lit", "name_op");
+    b.rule("name", "name '(' ctok_run ')'", "name_paren");
+    b.rule("name_list", "name", "names_one");
+    b.rule("name_list", "name_list ',' name", "names_more");
 
     // ----- entity / architecture / package / configuration -----------------
-    r(
-        &mut d,
+    b.rule(
         "entity_decl",
         "entity id is generic_clause_opt port_clause_opt decl_items end_name",
         "entity_decl",
     );
-    r(&mut d, "end_name", "end ';'", "end_plain");
-    r(&mut d, "end_name", "end id ';'", "end_id");
-    r(&mut d, "generic_clause_opt", "", "gc_none");
-    r(
-        &mut d,
+    b.rule("end_name", "end ';'", "end_plain");
+    b.rule("end_name", "end id ';'", "end_id");
+    b.rule("generic_clause_opt", "", "gc_none");
+    b.rule(
         "generic_clause_opt",
         "generic '(' iface_list ')' ';'",
         "gc_some",
     );
-    r(&mut d, "port_clause_opt", "", "pc_none");
-    r(
-        &mut d,
-        "port_clause_opt",
-        "port '(' iface_list ')' ';'",
-        "pc_some",
-    );
-    r(
-        &mut d,
+    b.rule("port_clause_opt", "", "pc_none");
+    b.rule("port_clause_opt", "port '(' iface_list ')' ';'", "pc_some");
+    b.rule(
         "architecture_body",
         "architecture id of name is decl_items begin conc_stmts end_name",
         "arch_body",
     );
-    r(
-        &mut d,
+    b.rule(
         "package_decl",
         "package id is decl_items end_name",
         "pkg_decl",
     );
-    r(
-        &mut d,
+    b.rule(
         "package_body",
         "package body id is decl_items end_name",
         "pkg_body",
     );
-    r(
-        &mut d,
+    b.rule(
         "configuration_decl",
         "configuration id of name is block_config end_name",
         "config_decl",
     );
-    r(
-        &mut d,
+    b.rule(
         "block_config",
         "for id config_items end for ';'",
         "block_config",
     );
-    r(&mut d, "config_items", "", "cfgitems_none");
-    r(
-        &mut d,
-        "config_items",
-        "config_items config_item",
-        "cfgitems_more",
-    );
-    r(&mut d, "config_item", "comp_config", "cfgitem_comp");
-    r(&mut d, "config_item", "use_clause", "cfgitem_use");
-    r(
-        &mut d,
+    b.rule("config_items", "", "cfgitems_none");
+    b.rule("config_items", "config_items config_item", "cfgitems_more");
+    b.rule("config_item", "comp_config", "cfgitem_comp");
+    b.rule("config_item", "use_clause", "cfgitem_use");
+    b.rule(
         "comp_config",
         "for inst_list ':' name comp_binding end for ';'",
         "comp_config",
     );
-    r(&mut d, "comp_binding", "", "compbind_none");
-    r(&mut d, "comp_binding", "binding_ind ';'", "compbind_some");
-    r(&mut d, "inst_list", "id_list", "insts_ids");
-    r(&mut d, "inst_list", "others", "insts_others");
-    r(&mut d, "inst_list", "all", "insts_all");
+    b.rule("comp_binding", "", "compbind_none");
+    b.rule("comp_binding", "binding_ind ';'", "compbind_some");
+    b.rule("inst_list", "id_list", "insts_ids");
+    b.rule("inst_list", "others", "insts_others");
+    b.rule("inst_list", "all", "insts_all");
     // Entity/configuration names in bindings are dotted names only — a
     // paren suffix here must be the architecture indication, not part of
     // the name (using full `name` would be ambiguous on `)`).
-    r(&mut d, "sel_name", "id", "sel_id");
-    r(&mut d, "sel_name", "sel_name '.' id", "sel_dot");
-    r(
-        &mut d,
+    b.rule("sel_name", "id", "sel_id");
+    b.rule("sel_name", "sel_name '.' id", "sel_dot");
+    b.rule(
         "binding_ind",
         "use entity sel_name arch_ind_opt map_aspects",
         "bind_entity",
     );
-    r(
-        &mut d,
+    b.rule(
         "binding_ind",
         "use configuration sel_name map_aspects",
         "bind_config",
     );
-    r(&mut d, "binding_ind", "use open", "bind_open");
-    r(&mut d, "arch_ind_opt", "", "archind_none");
-    r(&mut d, "arch_ind_opt", "'(' id ')'", "archind_some");
-    r(
-        &mut d,
-        "map_aspects",
-        "generic_map_opt port_map_opt",
-        "map_aspects",
-    );
-    r(&mut d, "generic_map_opt", "", "gm_none");
-    r(
-        &mut d,
+    b.rule("binding_ind", "use open", "bind_open");
+    b.rule("arch_ind_opt", "", "archind_none");
+    b.rule("arch_ind_opt", "'(' id ')'", "archind_some");
+    b.rule("map_aspects", "generic_map_opt port_map_opt", "map_aspects");
+    b.rule("generic_map_opt", "", "gm_none");
+    b.rule(
         "generic_map_opt",
         "generic map '(' assoc_list ')'",
         "gm_some",
     );
-    r(&mut d, "port_map_opt", "", "pm_none");
-    r(
-        &mut d,
-        "port_map_opt",
-        "port map '(' assoc_list ')'",
-        "pm_some",
-    );
-    r(&mut d, "assoc_list", "assoc_elem", "assocs_one");
-    r(
-        &mut d,
-        "assoc_list",
-        "assoc_list ',' assoc_elem",
-        "assocs_more",
-    );
-    r(&mut d, "assoc_elem", "expr_run", "assoc_pos");
-    r(
-        &mut d,
-        "assoc_elem",
-        "expr_run '=>' expr_run",
-        "assoc_named",
-    );
-    r(&mut d, "assoc_elem", "expr_run '=>' open", "assoc_open");
-    r(&mut d, "assoc_elem", "open", "assoc_pos_open");
+    b.rule("port_map_opt", "", "pm_none");
+    b.rule("port_map_opt", "port map '(' assoc_list ')'", "pm_some");
+    b.rule("assoc_list", "assoc_elem", "assocs_one");
+    b.rule("assoc_list", "assoc_list ',' assoc_elem", "assocs_more");
+    b.rule("assoc_elem", "expr_run", "assoc_pos");
+    b.rule("assoc_elem", "expr_run '=>' expr_run", "assoc_named");
+    b.rule("assoc_elem", "expr_run '=>' open", "assoc_open");
+    b.rule("assoc_elem", "open", "assoc_pos_open");
 
     // ----- interface lists --------------------------------------------------
-    r(&mut d, "iface_list", "iface_elem", "ifaces_one");
-    r(
-        &mut d,
-        "iface_list",
-        "iface_list ';' iface_elem",
-        "ifaces_more",
-    );
-    r(
-        &mut d,
+    b.rule("iface_list", "iface_elem", "ifaces_one");
+    b.rule("iface_list", "iface_list ';' iface_elem", "ifaces_more");
+    b.rule(
         "iface_elem",
         "iface_class_opt id_list ':' mode_opt subtype_ind bus_opt default_opt",
         "iface_elem",
     );
-    r(&mut d, "iface_class_opt", "", "ifc_none");
-    r(&mut d, "iface_class_opt", "constant", "ifc_constant");
-    r(&mut d, "iface_class_opt", "signal", "ifc_signal");
-    r(&mut d, "iface_class_opt", "variable", "ifc_variable");
-    r(&mut d, "mode_opt", "", "mode_none");
-    r(&mut d, "mode_opt", "in", "mode_in");
-    r(&mut d, "mode_opt", "out", "mode_out");
-    r(&mut d, "mode_opt", "inout", "mode_inout");
-    r(&mut d, "mode_opt", "buffer", "mode_buffer");
-    r(&mut d, "mode_opt", "linkage", "mode_linkage");
-    r(&mut d, "bus_opt", "", "bus_none");
-    r(&mut d, "bus_opt", "bus", "bus_some");
-    r(&mut d, "default_opt", "", "dflt_none");
-    r(&mut d, "default_opt", "':=' expr_run", "dflt_some");
+    b.rule("iface_class_opt", "", "ifc_none");
+    b.rule("iface_class_opt", "constant", "ifc_constant");
+    b.rule("iface_class_opt", "signal", "ifc_signal");
+    b.rule("iface_class_opt", "variable", "ifc_variable");
+    b.rule("mode_opt", "", "mode_none");
+    b.rule("mode_opt", "in", "mode_in");
+    b.rule("mode_opt", "out", "mode_out");
+    b.rule("mode_opt", "inout", "mode_inout");
+    b.rule("mode_opt", "buffer", "mode_buffer");
+    b.rule("mode_opt", "linkage", "mode_linkage");
+    b.rule("bus_opt", "", "bus_none");
+    b.rule("bus_opt", "bus", "bus_some");
+    b.rule("default_opt", "", "dflt_none");
+    b.rule("default_opt", "':=' expr_run", "dflt_some");
 
     // ----- subtype indications ----------------------------------------------
-    r(&mut d, "subtype_ind", "name", "sti_plain");
-    r(&mut d, "subtype_ind", "name name", "sti_resolved");
-    r(&mut d, "subtype_ind", "name range expr_run", "sti_range");
+    b.rule("subtype_ind", "name", "sti_plain");
+    b.rule("subtype_ind", "name name", "sti_resolved");
+    b.rule("subtype_ind", "name range expr_run", "sti_range");
 
     // ----- declarations -----------------------------------------------------
-    r(&mut d, "decl_items", "", "decls_none");
-    r(&mut d, "decl_items", "decl_items decl_item", "decls_more");
+    b.rule("decl_items", "", "decls_none");
+    b.rule("decl_items", "decl_items decl_item", "decls_more");
     for (lhs, label) in [
         ("type_decl", "decl_type"),
         ("subtype_decl", "decl_subtype"),
@@ -434,103 +327,74 @@ fn build_grammar() -> Grammar {
         ("use_clause", "decl_use"),
         ("config_spec", "decl_config_spec"),
     ] {
-        r(&mut d, "decl_item", lhs, label);
+        b.rule("decl_item", lhs, label);
     }
-    r(&mut d, "type_decl", "type id is type_def ';'", "type_decl");
-    r(&mut d, "type_def", "'(' enum_lits ')'", "td_enum");
-    r(&mut d, "type_def", "range expr_run phys_opt", "td_range");
-    r(
-        &mut d,
+    b.rule("type_decl", "type id is type_def ';'", "type_decl");
+    b.rule("type_def", "'(' enum_lits ')'", "td_enum");
+    b.rule("type_def", "range expr_run phys_opt", "td_range");
+    b.rule(
         "type_def",
         "array '(' ctok_run ')' of subtype_ind",
         "td_array",
     );
-    r(
-        &mut d,
-        "type_def",
-        "record element_decls end record",
-        "td_record",
-    );
-    r(&mut d, "enum_lits", "enum_lit", "enums_one");
-    r(&mut d, "enum_lits", "enum_lits ',' enum_lit", "enums_more");
-    r(&mut d, "enum_lit", "id", "enum_id");
-    r(&mut d, "enum_lit", "char_lit", "enum_char");
-    r(&mut d, "phys_opt", "", "phys_none");
-    r(
-        &mut d,
+    b.rule("type_def", "record element_decls end record", "td_record");
+    b.rule("enum_lits", "enum_lit", "enums_one");
+    b.rule("enum_lits", "enum_lits ',' enum_lit", "enums_more");
+    b.rule("enum_lit", "id", "enum_id");
+    b.rule("enum_lit", "char_lit", "enum_char");
+    b.rule("phys_opt", "", "phys_none");
+    b.rule(
         "phys_opt",
         "units id ';' secondary_units end units",
         "phys_some",
     );
-    r(&mut d, "secondary_units", "", "secus_none");
-    r(
-        &mut d,
+    b.rule("secondary_units", "", "secus_none");
+    b.rule(
         "secondary_units",
         "secondary_units secondary_unit",
         "secus_more",
     );
-    r(&mut d, "secondary_unit", "id '=' expr_run ';'", "secu");
-    r(&mut d, "element_decls", "element_decl", "elems_one");
-    r(
-        &mut d,
-        "element_decls",
-        "element_decls element_decl",
-        "elems_more",
-    );
-    r(
-        &mut d,
-        "element_decl",
-        "id_list ':' subtype_ind ';'",
-        "elem_decl",
-    );
-    r(
-        &mut d,
+    b.rule("secondary_unit", "id '=' expr_run ';'", "secu");
+    b.rule("element_decls", "element_decl", "elems_one");
+    b.rule("element_decls", "element_decls element_decl", "elems_more");
+    b.rule("element_decl", "id_list ':' subtype_ind ';'", "elem_decl");
+    b.rule(
         "subtype_decl",
         "subtype id is subtype_ind ';'",
         "subtype_decl",
     );
-    r(
-        &mut d,
+    b.rule(
         "constant_decl",
         "constant id_list ':' subtype_ind default_opt ';'",
         "constant_decl",
     );
-    r(
-        &mut d,
+    b.rule(
         "signal_decl",
         "signal id_list ':' subtype_ind signal_kind_opt default_opt ';'",
         "signal_decl",
     );
-    r(&mut d, "signal_kind_opt", "", "skind_none");
-    r(&mut d, "signal_kind_opt", "register", "skind_register");
-    r(&mut d, "signal_kind_opt", "bus", "skind_bus");
-    r(
-        &mut d,
+    b.rule("signal_kind_opt", "", "skind_none");
+    b.rule("signal_kind_opt", "register", "skind_register");
+    b.rule("signal_kind_opt", "bus", "skind_bus");
+    b.rule(
         "variable_decl",
         "variable id_list ':' subtype_ind default_opt ';'",
         "variable_decl",
     );
-    r(
-        &mut d,
+    b.rule(
         "alias_decl",
         "alias id ':' subtype_ind is name ';'",
         "alias_decl",
     );
-    r(
-        &mut d,
-        "attribute_decl",
-        "attribute id ':' name ';'",
-        "attr_decl",
-    );
-    r(
-        &mut d,
+    b.rule("attribute_decl", "attribute id ':' name ';'", "attr_decl");
+    b.rule(
         "attribute_spec",
         "attribute id of entity_name_list ':' entity_class is expr_run ';'",
         "attr_spec",
     );
-    r(&mut d, "entity_name_list", "id_list", "enl_ids");
-    r(&mut d, "entity_name_list", "others", "enl_others");
-    r(&mut d, "entity_name_list", "all", "enl_all");
+    b.rule("entity_name_list", "id_list", "enl_ids");
+    b.rule("entity_name_list", "others", "enl_others");
+    b.rule("entity_name_list", "all", "enl_all");
     for (kw, label) in [
         ("entity", "ec_entity"),
         ("architecture", "ec_architecture"),
@@ -545,148 +409,116 @@ fn build_grammar() -> Grammar {
         ("variable", "ec_variable"),
         ("component", "ec_component"),
     ] {
-        r(&mut d, "entity_class", kw, label);
+        b.rule("entity_class", kw, label);
     }
-    r(
-        &mut d,
+    b.rule(
         "component_decl",
         "component id generic_clause_opt port_clause_opt end component ';'",
         "component_decl",
     );
-    r(
-        &mut d,
+    b.rule(
         "subprogram_spec",
         "procedure designator params_opt",
         "spec_proc",
     );
-    r(
-        &mut d,
+    b.rule(
         "subprogram_spec",
         "function designator params_opt return name",
         "spec_func",
     );
-    r(&mut d, "designator", "id", "desig_id");
-    r(&mut d, "designator", "string_lit", "desig_op");
-    r(&mut d, "params_opt", "", "params_none");
-    r(&mut d, "params_opt", "'(' iface_list ')'", "params_some");
-    r(
-        &mut d,
-        "subprogram_decl",
-        "subprogram_spec ';'",
-        "subprog_decl",
-    );
-    r(
-        &mut d,
+    b.rule("designator", "id", "desig_id");
+    b.rule("designator", "string_lit", "desig_op");
+    b.rule("params_opt", "", "params_none");
+    b.rule("params_opt", "'(' iface_list ')'", "params_some");
+    b.rule("subprogram_decl", "subprogram_spec ';'", "subprog_decl");
+    b.rule(
         "subprogram_body",
         "subprogram_spec is decl_items begin seq_stmts end designator_opt ';'",
         "subprog_body",
     );
-    r(&mut d, "designator_opt", "", "desigo_none");
-    r(&mut d, "designator_opt", "id", "desigo_id");
-    r(&mut d, "designator_opt", "string_lit", "desigo_op");
-    r(
-        &mut d,
+    b.rule("designator_opt", "", "desigo_none");
+    b.rule("designator_opt", "id", "desigo_id");
+    b.rule("designator_opt", "string_lit", "desigo_op");
+    b.rule(
         "config_spec",
         "for inst_list ':' name binding_ind ';'",
         "config_spec",
     );
 
     // ----- concurrent statements -------------------------------------------
-    r(&mut d, "conc_stmts", "", "concs_none");
-    r(&mut d, "conc_stmts", "conc_stmts conc_stmt", "concs_more");
-    r(&mut d, "conc_stmt", "id ':' conc_body", "conc_labelled");
-    r(&mut d, "conc_stmt", "unlabeled_conc", "conc_plain");
-    r(&mut d, "conc_body", "process_stmt", "cb_process");
-    r(&mut d, "conc_body", "block_stmt", "cb_block");
-    r(&mut d, "conc_body", "component_inst", "cb_inst");
-    r(&mut d, "conc_body", "cond_signal_assign", "cb_cond_assign");
-    r(&mut d, "conc_body", "sel_signal_assign", "cb_sel_assign");
-    r(&mut d, "conc_body", "assert_stmt", "cb_assert");
-    r(&mut d, "unlabeled_conc", "process_stmt", "uc_process");
-    r(
-        &mut d,
-        "unlabeled_conc",
-        "cond_signal_assign",
-        "uc_cond_assign",
-    );
-    r(
-        &mut d,
-        "unlabeled_conc",
-        "sel_signal_assign",
-        "uc_sel_assign",
-    );
-    r(&mut d, "unlabeled_conc", "assert_stmt", "uc_assert");
-    r(
-        &mut d,
+    b.rule("conc_stmts", "", "concs_none");
+    b.rule("conc_stmts", "conc_stmts conc_stmt", "concs_more");
+    b.rule("conc_stmt", "id ':' conc_body", "conc_labelled");
+    b.rule("conc_stmt", "unlabeled_conc", "conc_plain");
+    b.rule("conc_body", "process_stmt", "cb_process");
+    b.rule("conc_body", "block_stmt", "cb_block");
+    b.rule("conc_body", "component_inst", "cb_inst");
+    b.rule("conc_body", "cond_signal_assign", "cb_cond_assign");
+    b.rule("conc_body", "sel_signal_assign", "cb_sel_assign");
+    b.rule("conc_body", "assert_stmt", "cb_assert");
+    b.rule("unlabeled_conc", "process_stmt", "uc_process");
+    b.rule("unlabeled_conc", "cond_signal_assign", "uc_cond_assign");
+    b.rule("unlabeled_conc", "sel_signal_assign", "uc_sel_assign");
+    b.rule("unlabeled_conc", "assert_stmt", "uc_assert");
+    b.rule(
         "process_stmt",
         "process sens_opt decl_items begin seq_stmts end process label_opt ';'",
         "process_stmt",
     );
-    r(&mut d, "sens_opt", "", "sens_none");
-    r(&mut d, "sens_opt", "'(' name_list ')'", "sens_some");
-    r(&mut d, "label_opt", "", "lblo_none");
-    r(&mut d, "label_opt", "id", "lblo_id");
-    r(
-        &mut d,
+    b.rule("sens_opt", "", "sens_none");
+    b.rule("sens_opt", "'(' name_list ')'", "sens_some");
+    b.rule("label_opt", "", "lblo_none");
+    b.rule("label_opt", "id", "lblo_id");
+    b.rule(
         "block_stmt",
         "block guard_opt decl_items begin conc_stmts end block label_opt ';'",
         "block_stmt",
     );
-    r(&mut d, "guard_opt", "", "guard_none");
-    r(&mut d, "guard_opt", "'(' expr_run ')'", "guard_some");
-    r(
-        &mut d,
+    b.rule("guard_opt", "", "guard_none");
+    b.rule("guard_opt", "'(' expr_run ')'", "guard_some");
+    b.rule(
         "component_inst",
         "name generic_map_opt port_map_opt ';'",
         "component_inst",
     );
-    r(
-        &mut d,
+    b.rule(
         "cond_signal_assign",
         "name '<=' options_opt cond_waveforms ';'",
         "cond_assign",
     );
-    r(&mut d, "options_opt", "", "opt_none");
-    r(&mut d, "options_opt", "guarded", "opt_guarded");
-    r(&mut d, "options_opt", "transport", "opt_transport");
-    r(
-        &mut d,
-        "options_opt",
-        "guarded transport",
-        "opt_guarded_transport",
-    );
-    r(&mut d, "cond_waveforms", "waveform", "cwf_last");
-    r(
-        &mut d,
+    b.rule("options_opt", "", "opt_none");
+    b.rule("options_opt", "guarded", "opt_guarded");
+    b.rule("options_opt", "transport", "opt_transport");
+    b.rule("options_opt", "guarded transport", "opt_guarded_transport");
+    b.rule("cond_waveforms", "waveform", "cwf_last");
+    b.rule(
         "cond_waveforms",
         "waveform when expr_run else cond_waveforms",
         "cwf_cond",
     );
-    r(&mut d, "waveform", "wave_elem", "wf_one");
-    r(&mut d, "waveform", "waveform ',' wave_elem", "wf_more");
-    r(&mut d, "wave_elem", "expr_run", "we_plain");
-    r(&mut d, "wave_elem", "expr_run after expr_run", "we_after");
-    r(
-        &mut d,
+    b.rule("waveform", "wave_elem", "wf_one");
+    b.rule("waveform", "waveform ',' wave_elem", "wf_more");
+    b.rule("wave_elem", "expr_run", "we_plain");
+    b.rule("wave_elem", "expr_run after expr_run", "we_after");
+    b.rule(
         "sel_signal_assign",
         "with expr_run select name '<=' options_opt sel_waveforms ';'",
         "sel_assign",
     );
-    r(&mut d, "sel_waveforms", "waveform when choices", "swf_one");
-    r(
-        &mut d,
+    b.rule("sel_waveforms", "waveform when choices", "swf_one");
+    b.rule(
         "sel_waveforms",
         "sel_waveforms ',' waveform when choices",
         "swf_more",
     );
-    r(&mut d, "choices", "choice", "choices_one");
-    r(&mut d, "choices", "choices '|' choice", "choices_more");
-    r(&mut d, "choice", "expr_run", "choice_expr");
-    r(&mut d, "choice", "others", "choice_others");
+    b.rule("choices", "choice", "choices_one");
+    b.rule("choices", "choices '|' choice", "choices_more");
+    b.rule("choice", "expr_run", "choice_expr");
+    b.rule("choice", "others", "choice_others");
 
     // ----- sequential statements -------------------------------------------
-    r(&mut d, "seq_stmts", "", "seqs_none");
-    r(&mut d, "seq_stmts", "seq_stmts seq_stmt", "seqs_more");
+    b.rule("seq_stmts", "", "seqs_none");
+    b.rule("seq_stmts", "seq_stmts seq_stmt", "seqs_more");
     for (lhs, label) in [
         ("wait_stmt", "ss_wait"),
         ("assert_stmt", "ss_assert"),
@@ -699,93 +531,72 @@ fn build_grammar() -> Grammar {
         ("null_stmt", "ss_null"),
         ("target_stmt", "ss_target"),
     ] {
-        r(&mut d, "seq_stmt", lhs, label);
+        b.rule("seq_stmt", lhs, label);
     }
-    r(
-        &mut d,
+    b.rule(
         "wait_stmt",
         "wait on_opt until_opt tfor_opt ';'",
         "wait_stmt",
     );
-    r(&mut d, "on_opt", "", "on_none");
-    r(&mut d, "on_opt", "on name_list", "on_some");
-    r(&mut d, "until_opt", "", "until_none");
-    r(&mut d, "until_opt", "until expr_run", "until_some");
-    r(&mut d, "tfor_opt", "", "tfor_none");
-    r(&mut d, "tfor_opt", "for expr_run", "tfor_some");
-    r(
-        &mut d,
+    b.rule("on_opt", "", "on_none");
+    b.rule("on_opt", "on name_list", "on_some");
+    b.rule("until_opt", "", "until_none");
+    b.rule("until_opt", "until expr_run", "until_some");
+    b.rule("tfor_opt", "", "tfor_none");
+    b.rule("tfor_opt", "for expr_run", "tfor_some");
+    b.rule(
         "assert_stmt",
         "assert expr_run report_opt severity_opt ';'",
         "assert_stmt",
     );
-    r(&mut d, "report_opt", "", "report_none");
-    r(&mut d, "report_opt", "report expr_run", "report_some");
-    r(&mut d, "severity_opt", "", "sev_none");
-    r(&mut d, "severity_opt", "severity expr_run", "sev_some");
-    r(
-        &mut d,
+    b.rule("report_opt", "", "report_none");
+    b.rule("report_opt", "report expr_run", "report_some");
+    b.rule("severity_opt", "", "sev_none");
+    b.rule("severity_opt", "severity expr_run", "sev_some");
+    b.rule(
         "target_stmt",
         "name '<=' transport_opt waveform ';'",
         "sig_assign",
     );
-    r(
-        &mut d,
-        "target_stmt",
-        "name ':=' expr_run ';'",
-        "var_assign",
-    );
-    r(&mut d, "target_stmt", "name ';'", "proc_call");
-    r(&mut d, "transport_opt", "", "tr_none");
-    r(&mut d, "transport_opt", "transport", "tr_some");
-    r(
-        &mut d,
-        "if_stmt",
-        "if expr_run then seq_stmts if_tail",
-        "if_stmt",
-    );
-    r(&mut d, "if_tail", "end if ';'", "ift_end");
-    r(&mut d, "if_tail", "else seq_stmts end if ';'", "ift_else");
-    r(
-        &mut d,
+    b.rule("target_stmt", "name ':=' expr_run ';'", "var_assign");
+    b.rule("target_stmt", "name ';'", "proc_call");
+    b.rule("transport_opt", "", "tr_none");
+    b.rule("transport_opt", "transport", "tr_some");
+    b.rule("if_stmt", "if expr_run then seq_stmts if_tail", "if_stmt");
+    b.rule("if_tail", "end if ';'", "ift_end");
+    b.rule("if_tail", "else seq_stmts end if ';'", "ift_else");
+    b.rule(
         "if_tail",
         "elsif expr_run then seq_stmts if_tail",
         "ift_elsif",
     );
-    r(
-        &mut d,
+    b.rule(
         "case_stmt",
         "case expr_run is case_alts end case ';'",
         "case_stmt",
     );
-    r(&mut d, "case_alts", "case_alt", "alts_one");
-    r(&mut d, "case_alts", "case_alts case_alt", "alts_more");
-    r(
-        &mut d,
-        "case_alt",
-        "when choices '=>' seq_stmts",
-        "case_alt",
-    );
-    r(
-        &mut d,
+    b.rule("case_alts", "case_alt", "alts_one");
+    b.rule("case_alts", "case_alts case_alt", "alts_more");
+    b.rule("case_alt", "when choices '=>' seq_stmts", "case_alt");
+    b.rule(
         "loop_stmt",
         "loop_head loop seq_stmts end loop ';'",
         "loop_stmt",
     );
-    r(&mut d, "loop_head", "", "lh_forever");
-    r(&mut d, "loop_head", "while expr_run", "lh_while");
-    r(&mut d, "loop_head", "for id in expr_run", "lh_for");
-    r(&mut d, "next_stmt", "next when_opt ';'", "next_stmt");
-    r(&mut d, "exit_stmt", "exit when_opt ';'", "exit_stmt");
-    r(&mut d, "when_opt", "", "when_none");
-    r(&mut d, "when_opt", "when expr_run", "when_some");
-    r(&mut d, "return_stmt", "return ';'", "return_plain");
-    r(&mut d, "return_stmt", "return expr_run ';'", "return_value");
-    r(&mut d, "null_stmt", "null ';'", "null_stmt");
+    b.rule("loop_head", "", "lh_forever");
+    b.rule("loop_head", "while expr_run", "lh_while");
+    b.rule("loop_head", "for id in expr_run", "lh_for");
+    b.rule("next_stmt", "next when_opt ';'", "next_stmt");
+    b.rule("exit_stmt", "exit when_opt ';'", "exit_stmt");
+    b.rule("when_opt", "", "when_none");
+    b.rule("when_opt", "when expr_run", "when_some");
+    b.rule("return_stmt", "return ';'", "return_plain");
+    b.rule("return_stmt", "return expr_run ';'", "return_value");
+    b.rule("null_stmt", "null ';'", "null_stmt");
 
     // ----- expression token runs (the LEF feed, §4.1) ------------------------
-    r(&mut d, "expr_run", "expr_tok", "er_one");
-    r(&mut d, "expr_run", "expr_run expr_tok", "er_more");
+    b.rule("expr_run", "expr_tok", "er_one");
+    b.rule("expr_run", "expr_run expr_tok", "er_more");
     for (tok, label) in [
         ("id", "et_id"),
         ("int_lit", "et_int"),
@@ -821,19 +632,18 @@ fn build_grammar() -> Grammar {
         ("range", "et_range"),
         ("null", "et_null"),
     ] {
-        r(&mut d, "expr_tok", tok, label);
+        b.rule("expr_tok", tok, label);
     }
-    r(&mut d, "expr_tok", "'(' ctok_run ')'", "et_group");
-    r(&mut d, "ctok_run", "ctok", "cr_one");
-    r(&mut d, "ctok_run", "ctok_run ctok", "cr_more");
-    r(&mut d, "ctok", "expr_tok", "ct_expr");
-    r(&mut d, "ctok", "','", "ct_comma");
-    r(&mut d, "ctok", "'=>'", "ct_arrow");
-    r(&mut d, "ctok", "others", "ct_others");
-    r(&mut d, "ctok", "'<>'", "ct_box");
-    r(&mut d, "ctok", "open", "ct_open");
+    b.rule("expr_tok", "'(' ctok_run ')'", "et_group");
+    b.rule("ctok_run", "ctok", "cr_one");
+    b.rule("ctok_run", "ctok_run ctok", "cr_more");
+    b.rule("ctok", "expr_tok", "ct_expr");
+    b.rule("ctok", "','", "ct_comma");
+    b.rule("ctok", "'=>'", "ct_arrow");
+    b.rule("ctok", "others", "ct_others");
+    b.rule("ctok", "'<>'", "ct_box");
+    b.rule("ctok", "open", "ct_open");
 
-    let mut b = d.b;
     let start = b.nonterminal("design_file");
     b.start(start);
     b.build().expect("principal grammar is well-formed")
@@ -852,6 +662,15 @@ mod tests {
         let g = PrincipalGrammar::new();
         assert!(g.grammar().n_user_prods() > 150);
         assert!(g.table().n_states() > 100);
+    }
+
+    #[test]
+    fn every_kind_indexes_the_terminal_of_its_name() {
+        let g = pg();
+        let grammar = g.grammar();
+        for &k in TokenKind::all() {
+            assert_eq!(Some(g.terminal(k)), grammar.symbol(k.name()), "{k}");
+        }
     }
 
     #[test]

@@ -4,464 +4,204 @@ use std::fmt;
 
 use ag_intern::{Symbol, ToSym};
 
-/// Every lexical token kind of the supported VHDL-87 subset.
+/// Declares [`TokenKind`] from one table of `Kind => "name"` entries.
 ///
-/// The `name` of each kind doubles as the terminal name in the principal
-/// grammar.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum TokenKind {
-    // Identifiers and literals.
-    /// A (case-insensitive) identifier, normalized to lower case.
-    Id,
-    /// Integer literal, possibly based or with exponent (`16#FF#`, `1E3`).
-    IntLit,
-    /// Real literal (`3.14`, `1.0E-9`).
-    RealLit,
-    /// Character literal (`'x'`).
-    CharLit,
-    /// String literal (`"hello"`), also operator symbols (`"and"`).
-    StringLit,
-    /// Bit-string literal (`B"1010"`, `X"F"`).
-    BitStringLit,
+/// The table generates the enum, [`TokenKind::name`], [`TokenKind::all`]
+/// in declaration order and the reserved-word lookup
+/// [`TokenKind::keyword`]: the `keywords` section holds the reserved
+/// words, whose terminal names are also their spellings.
+macro_rules! token_kinds {
+    (
+        literals { $($(#[$lm:meta])* $lit:ident => $lname:literal,)* }
+        keywords { $($kw:ident => $word:literal,)* }
+        delimiters { $($(#[$dm:meta])* $delim:ident => $dname:literal,)* }
+    ) => {
+        /// Every lexical token kind of the supported VHDL-87 subset.
+        ///
+        /// The `name` of each kind doubles as the terminal name in the
+        /// principal grammar, which registers the kinds first, in
+        /// declaration order: a kind's discriminant is its terminal's
+        /// symbol index.
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+        pub enum TokenKind {
+            $($(#[$lm])* $lit,)*
+            $(#[doc = concat!("The reserved word `", $word, "`.")] $kw,)*
+            $($(#[$dm])* $delim,)*
+        }
 
-    // Reserved words (VHDL-87 subset).
-    KwAbs,
-    KwAfter,
-    KwAlias,
-    KwAll,
-    KwAnd,
-    KwArchitecture,
-    KwArray,
-    KwAssert,
-    KwAttribute,
-    KwBegin,
-    KwBlock,
-    KwBody,
-    KwBuffer,
-    KwBus,
-    KwCase,
-    KwComponent,
-    KwConfiguration,
-    KwConstant,
-    KwDisconnect,
-    KwDownto,
-    KwElse,
-    KwElsif,
-    KwEnd,
-    KwEntity,
-    KwExit,
-    KwFor,
-    KwFunction,
-    KwGeneric,
-    KwGuarded,
-    KwIf,
-    KwIn,
-    KwInout,
-    KwIs,
-    KwLibrary,
-    KwLinkage,
-    KwLoop,
-    KwMap,
-    KwMod,
-    KwNand,
-    KwNew,
-    KwNext,
-    KwNor,
-    KwNot,
-    KwNull,
-    KwOf,
-    KwOn,
-    KwOpen,
-    KwOr,
-    KwOthers,
-    KwOut,
-    KwPackage,
-    KwPort,
-    KwProcedure,
-    KwProcess,
-    KwRange,
-    KwRecord,
-    KwRegister,
-    KwRem,
-    KwReport,
-    KwReturn,
-    KwSelect,
-    KwSeverity,
-    KwSignal,
-    KwSubtype,
-    KwThen,
-    KwTo,
-    KwTransport,
-    KwType,
-    KwUnits,
-    KwUntil,
-    KwUse,
-    KwVariable,
-    KwWait,
-    KwWhen,
-    KwWhile,
-    KwWith,
-    KwXor,
+        impl TokenKind {
+            /// Grammar terminal name for this kind.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(TokenKind::$lit => $lname,)*
+                    $(TokenKind::$kw => $word,)*
+                    $(TokenKind::$delim => $dname,)*
+                }
+            }
 
-    // Delimiters and operators.
-    /// `(`
-    LParen,
-    /// `)`
-    RParen,
-    /// `;`
-    Semi,
-    /// `:`
-    Colon,
-    /// `,`
-    Comma,
-    /// `.`
-    Dot,
-    /// `'` (attribute/qualification tick; character literals are [`TokenKind::CharLit`])
-    Tick,
-    /// `&`
-    Amp,
-    /// `+`
-    Plus,
-    /// `-`
-    Minus,
-    /// `*`
-    Star,
-    /// `/`
-    Slash,
-    /// `**`
-    DoubleStar,
-    /// `=`
-    Eq,
-    /// `/=`
-    Neq,
-    /// `<`
-    Lt,
-    /// `<=`
-    Lte,
-    /// `>`
-    Gt,
-    /// `>=`
-    Gte,
-    /// `:=`
-    Assign,
-    /// `=>`
-    Arrow,
-    /// `<>`
-    Box,
-    /// `|`
-    Bar,
+            /// All token kinds, in declaration order (used to register
+            /// grammar terminals).
+            pub fn all() -> &'static [TokenKind] {
+                &[$(TokenKind::$lit,)* $(TokenKind::$kw,)* $(TokenKind::$delim,)*]
+            }
+
+            /// Looks up the reserved word for a (lower-cased) identifier.
+            pub fn keyword(text: &str) -> Option<TokenKind> {
+                match text {
+                    $($word => Some(TokenKind::$kw),)*
+                    _ => None,
+                }
+            }
+
+            /// The `keywords` section, for the tests.
+            #[cfg(test)]
+            const KEYWORDS: &'static [TokenKind] = &[$(TokenKind::$kw,)*];
+        }
+    };
 }
 
-impl TokenKind {
-    /// Grammar terminal name for this kind.
-    pub fn name(self) -> &'static str {
-        use TokenKind::*;
-        match self {
-            Id => "id",
-            IntLit => "int_lit",
-            RealLit => "real_lit",
-            CharLit => "char_lit",
-            StringLit => "string_lit",
-            BitStringLit => "bit_string_lit",
-            KwAbs => "abs",
-            KwAfter => "after",
-            KwAlias => "alias",
-            KwAll => "all",
-            KwAnd => "and",
-            KwArchitecture => "architecture",
-            KwArray => "array",
-            KwAssert => "assert",
-            KwAttribute => "attribute",
-            KwBegin => "begin",
-            KwBlock => "block",
-            KwBody => "body",
-            KwBuffer => "buffer",
-            KwBus => "bus",
-            KwCase => "case",
-            KwComponent => "component",
-            KwConfiguration => "configuration",
-            KwConstant => "constant",
-            KwDisconnect => "disconnect",
-            KwDownto => "downto",
-            KwElse => "else",
-            KwElsif => "elsif",
-            KwEnd => "end",
-            KwEntity => "entity",
-            KwExit => "exit",
-            KwFor => "for",
-            KwFunction => "function",
-            KwGeneric => "generic",
-            KwGuarded => "guarded",
-            KwIf => "if",
-            KwIn => "in",
-            KwInout => "inout",
-            KwIs => "is",
-            KwLibrary => "library",
-            KwLinkage => "linkage",
-            KwLoop => "loop",
-            KwMap => "map",
-            KwMod => "mod",
-            KwNand => "nand",
-            KwNew => "new",
-            KwNext => "next",
-            KwNor => "nor",
-            KwNot => "not",
-            KwNull => "null",
-            KwOf => "of",
-            KwOn => "on",
-            KwOpen => "open",
-            KwOr => "or",
-            KwOthers => "others",
-            KwOut => "out",
-            KwPackage => "package",
-            KwPort => "port",
-            KwProcedure => "procedure",
-            KwProcess => "process",
-            KwRange => "range",
-            KwRecord => "record",
-            KwRegister => "register",
-            KwRem => "rem",
-            KwReport => "report",
-            KwReturn => "return",
-            KwSelect => "select",
-            KwSeverity => "severity",
-            KwSignal => "signal",
-            KwSubtype => "subtype",
-            KwThen => "then",
-            KwTo => "to",
-            KwTransport => "transport",
-            KwType => "type",
-            KwUnits => "units",
-            KwUntil => "until",
-            KwUse => "use",
-            KwVariable => "variable",
-            KwWait => "wait",
-            KwWhen => "when",
-            KwWhile => "while",
-            KwWith => "with",
-            KwXor => "xor",
-            LParen => "'('",
-            RParen => "')'",
-            Semi => "';'",
-            Colon => "':'",
-            Comma => "','",
-            Dot => "'.'",
-            Tick => "tick",
-            Amp => "'&'",
-            Plus => "'+'",
-            Minus => "'-'",
-            Star => "'*'",
-            Slash => "'/'",
-            DoubleStar => "'**'",
-            Eq => "'='",
-            Neq => "'/='",
-            Lt => "'<'",
-            Lte => "'<='",
-            Gt => "'>'",
-            Gte => "'>='",
-            Assign => "':='",
-            Arrow => "'=>'",
-            Box => "'<>'",
-            Bar => "'|'",
-        }
+token_kinds! {
+    literals {
+        /// A (case-insensitive) identifier, normalized to lower case.
+        Id => "id",
+        /// Integer literal, possibly based or with exponent (`16#FF#`, `1E3`).
+        IntLit => "int_lit",
+        /// Real literal (`3.14`, `1.0E-9`).
+        RealLit => "real_lit",
+        /// Character literal (`'x'`).
+        CharLit => "char_lit",
+        /// String literal (`"hello"`), also operator symbols (`"and"`).
+        StringLit => "string_lit",
+        /// Bit-string literal (`B"1010"`, `X"F"`).
+        BitStringLit => "bit_string_lit",
     }
-
-    /// All token kinds (used to register grammar terminals).
-    pub fn all() -> &'static [TokenKind] {
-        use TokenKind::*;
-        &[
-            Id,
-            IntLit,
-            RealLit,
-            CharLit,
-            StringLit,
-            BitStringLit,
-            KwAbs,
-            KwAfter,
-            KwAlias,
-            KwAll,
-            KwAnd,
-            KwArchitecture,
-            KwArray,
-            KwAssert,
-            KwAttribute,
-            KwBegin,
-            KwBlock,
-            KwBody,
-            KwBuffer,
-            KwBus,
-            KwCase,
-            KwComponent,
-            KwConfiguration,
-            KwConstant,
-            KwDisconnect,
-            KwDownto,
-            KwElse,
-            KwElsif,
-            KwEnd,
-            KwEntity,
-            KwExit,
-            KwFor,
-            KwFunction,
-            KwGeneric,
-            KwGuarded,
-            KwIf,
-            KwIn,
-            KwInout,
-            KwIs,
-            KwLibrary,
-            KwLinkage,
-            KwLoop,
-            KwMap,
-            KwMod,
-            KwNand,
-            KwNew,
-            KwNext,
-            KwNor,
-            KwNot,
-            KwNull,
-            KwOf,
-            KwOn,
-            KwOpen,
-            KwOr,
-            KwOthers,
-            KwOut,
-            KwPackage,
-            KwPort,
-            KwProcedure,
-            KwProcess,
-            KwRange,
-            KwRecord,
-            KwRegister,
-            KwRem,
-            KwReport,
-            KwReturn,
-            KwSelect,
-            KwSeverity,
-            KwSignal,
-            KwSubtype,
-            KwThen,
-            KwTo,
-            KwTransport,
-            KwType,
-            KwUnits,
-            KwUntil,
-            KwUse,
-            KwVariable,
-            KwWait,
-            KwWhen,
-            KwWhile,
-            KwWith,
-            KwXor,
-            LParen,
-            RParen,
-            Semi,
-            Colon,
-            Comma,
-            Dot,
-            Tick,
-            Amp,
-            Plus,
-            Minus,
-            Star,
-            Slash,
-            DoubleStar,
-            Eq,
-            Neq,
-            Lt,
-            Lte,
-            Gt,
-            Gte,
-            Assign,
-            Arrow,
-            Box,
-            Bar,
-        ]
+    // The reserved words of the VHDL-87 subset.
+    keywords {
+        KwAbs => "abs",
+        KwAfter => "after",
+        KwAlias => "alias",
+        KwAll => "all",
+        KwAnd => "and",
+        KwArchitecture => "architecture",
+        KwArray => "array",
+        KwAssert => "assert",
+        KwAttribute => "attribute",
+        KwBegin => "begin",
+        KwBlock => "block",
+        KwBody => "body",
+        KwBuffer => "buffer",
+        KwBus => "bus",
+        KwCase => "case",
+        KwComponent => "component",
+        KwConfiguration => "configuration",
+        KwConstant => "constant",
+        KwDisconnect => "disconnect",
+        KwDownto => "downto",
+        KwElse => "else",
+        KwElsif => "elsif",
+        KwEnd => "end",
+        KwEntity => "entity",
+        KwExit => "exit",
+        KwFor => "for",
+        KwFunction => "function",
+        KwGeneric => "generic",
+        KwGuarded => "guarded",
+        KwIf => "if",
+        KwIn => "in",
+        KwInout => "inout",
+        KwIs => "is",
+        KwLibrary => "library",
+        KwLinkage => "linkage",
+        KwLoop => "loop",
+        KwMap => "map",
+        KwMod => "mod",
+        KwNand => "nand",
+        KwNew => "new",
+        KwNext => "next",
+        KwNor => "nor",
+        KwNot => "not",
+        KwNull => "null",
+        KwOf => "of",
+        KwOn => "on",
+        KwOpen => "open",
+        KwOr => "or",
+        KwOthers => "others",
+        KwOut => "out",
+        KwPackage => "package",
+        KwPort => "port",
+        KwProcedure => "procedure",
+        KwProcess => "process",
+        KwRange => "range",
+        KwRecord => "record",
+        KwRegister => "register",
+        KwRem => "rem",
+        KwReport => "report",
+        KwReturn => "return",
+        KwSelect => "select",
+        KwSeverity => "severity",
+        KwSignal => "signal",
+        KwSubtype => "subtype",
+        KwThen => "then",
+        KwTo => "to",
+        KwTransport => "transport",
+        KwType => "type",
+        KwUnits => "units",
+        KwUntil => "until",
+        KwUse => "use",
+        KwVariable => "variable",
+        KwWait => "wait",
+        KwWhen => "when",
+        KwWhile => "while",
+        KwWith => "with",
+        KwXor => "xor",
     }
-
-    /// Looks up the reserved word for a (lower-cased) identifier.
-    pub fn keyword(text: &str) -> Option<TokenKind> {
-        use TokenKind::*;
-        Some(match text {
-            "abs" => KwAbs,
-            "after" => KwAfter,
-            "alias" => KwAlias,
-            "all" => KwAll,
-            "and" => KwAnd,
-            "architecture" => KwArchitecture,
-            "array" => KwArray,
-            "assert" => KwAssert,
-            "attribute" => KwAttribute,
-            "begin" => KwBegin,
-            "block" => KwBlock,
-            "body" => KwBody,
-            "buffer" => KwBuffer,
-            "bus" => KwBus,
-            "case" => KwCase,
-            "component" => KwComponent,
-            "configuration" => KwConfiguration,
-            "constant" => KwConstant,
-            "disconnect" => KwDisconnect,
-            "downto" => KwDownto,
-            "else" => KwElse,
-            "elsif" => KwElsif,
-            "end" => KwEnd,
-            "entity" => KwEntity,
-            "exit" => KwExit,
-            "for" => KwFor,
-            "function" => KwFunction,
-            "generic" => KwGeneric,
-            "guarded" => KwGuarded,
-            "if" => KwIf,
-            "in" => KwIn,
-            "inout" => KwInout,
-            "is" => KwIs,
-            "library" => KwLibrary,
-            "linkage" => KwLinkage,
-            "loop" => KwLoop,
-            "map" => KwMap,
-            "mod" => KwMod,
-            "nand" => KwNand,
-            "new" => KwNew,
-            "next" => KwNext,
-            "nor" => KwNor,
-            "not" => KwNot,
-            "null" => KwNull,
-            "of" => KwOf,
-            "on" => KwOn,
-            "open" => KwOpen,
-            "or" => KwOr,
-            "others" => KwOthers,
-            "out" => KwOut,
-            "package" => KwPackage,
-            "port" => KwPort,
-            "procedure" => KwProcedure,
-            "process" => KwProcess,
-            "range" => KwRange,
-            "record" => KwRecord,
-            "register" => KwRegister,
-            "rem" => KwRem,
-            "report" => KwReport,
-            "return" => KwReturn,
-            "select" => KwSelect,
-            "severity" => KwSeverity,
-            "signal" => KwSignal,
-            "subtype" => KwSubtype,
-            "then" => KwThen,
-            "to" => KwTo,
-            "transport" => KwTransport,
-            "type" => KwType,
-            "units" => KwUnits,
-            "until" => KwUntil,
-            "use" => KwUse,
-            "variable" => KwVariable,
-            "wait" => KwWait,
-            "when" => KwWhen,
-            "while" => KwWhile,
-            "with" => KwWith,
-            "xor" => KwXor,
-            _ => return None,
-        })
+    delimiters {
+        /// `(`
+        LParen => "'('",
+        /// `)`
+        RParen => "')'",
+        /// `;`
+        Semi => "';'",
+        /// `:`
+        Colon => "':'",
+        /// `,`
+        Comma => "','",
+        /// `.`
+        Dot => "'.'",
+        /// `'` (attribute/qualification tick; character literals are [`TokenKind::CharLit`])
+        Tick => "tick",
+        /// `&`
+        Amp => "'&'",
+        /// `+`
+        Plus => "'+'",
+        /// `-`
+        Minus => "'-'",
+        /// `*`
+        Star => "'*'",
+        /// `/`
+        Slash => "'/'",
+        /// `**`
+        DoubleStar => "'**'",
+        /// `=`
+        Eq => "'='",
+        /// `/=`
+        Neq => "'/='",
+        /// `<`
+        Lt => "'<'",
+        /// `<=`
+        Lte => "'<='",
+        /// `>`
+        Gt => "'>'",
+        /// `>=`
+        Gte => "'>='",
+        /// `:=`
+        Assign => "':='",
+        /// `=>`
+        Arrow => "'=>'",
+        /// `<>`
+        Box => "'<>'",
+        /// `|`
+        Bar => "'|'",
     }
 }
 
@@ -537,19 +277,45 @@ mod tests {
         }
     }
 
+    /// Upper case and alternating case (`eNtItY`).
+    fn spellings(word: &str) -> [String; 2] {
+        let mixed = word
+            .chars()
+            .enumerate()
+            .map(|(i, c)| {
+                if i % 2 == 1 {
+                    c.to_ascii_uppercase()
+                } else {
+                    c
+                }
+            })
+            .collect();
+        [word.to_ascii_uppercase(), mixed]
+    }
+
     #[test]
-    fn keywords_round_trip() {
-        for k in TokenKind::all() {
-            let name = k.name();
-            if name.chars().all(|c| c.is_ascii_lowercase())
-                && !matches!(name, "id" | "tick")
-                && !name.ends_with("_lit")
-            {
-                assert_eq!(TokenKind::keyword(name), Some(*k), "{name}");
+    fn every_keyword_round_trips_through_lookup_and_lexer() {
+        assert_eq!(TokenKind::KEYWORDS.len(), 77);
+        for &k in TokenKind::KEYWORDS {
+            assert_eq!(TokenKind::keyword(k.name()), Some(k));
+            for spelling in spellings(k.name()) {
+                let toks = crate::lex(&spelling).unwrap();
+                assert_eq!(toks.len(), 1, "{spelling}");
+                assert_eq!(toks[0].kind, k, "{spelling}");
+                assert_eq!(toks[0].text.as_str(), k.name(), "{spelling}");
+            }
+        }
+    }
+
+    #[test]
+    fn no_other_name_is_a_keyword() {
+        assert_eq!(TokenKind::all().len(), 106);
+        for &k in TokenKind::all() {
+            if !TokenKind::KEYWORDS.contains(&k) {
+                assert_eq!(TokenKind::keyword(k.name()), None, "{}", k.name());
             }
         }
         assert_eq!(TokenKind::keyword("nonsense"), None);
-        assert_eq!(TokenKind::keyword("entity"), Some(TokenKind::KwEntity));
     }
 
     #[test]
