@@ -5,7 +5,7 @@
 
 use std::rc::Rc;
 
-use vhdl_vif::{VifNode, VifValue};
+use vhdl_vif::{fields, VifNode, VifValue};
 
 use crate::types::Ty;
 use crate::uid;
@@ -115,7 +115,7 @@ pub fn obj_class(obj: &VifNode) -> Option<ObjClass> {
 
 /// Object's type.
 pub fn obj_ty(obj: &VifNode) -> Option<Ty> {
-    obj.node_field("ty").cloned()
+    obj.node_field(fields::ty()).cloned()
 }
 
 /// A subprogram parameter specification used by [`mk_subprog`].
@@ -204,15 +204,23 @@ pub fn with_body(
 
 /// Parameter list of a subprogram.
 pub fn subprog_params(sp: &VifNode) -> Vec<Rc<VifNode>> {
-    sp.list_field("params")
+    sp.list_field(fields::params())
         .iter()
         .filter_map(|v| v.as_node().cloned())
         .collect()
 }
 
+/// The type of a subprogram's `i`th parameter, read in place.
+pub fn param_ty(sp: &VifNode, i: usize) -> Option<Ty> {
+    sp.list_field(fields::params())
+        .get(i)
+        .and_then(VifValue::as_node)
+        .and_then(|p| obj_ty(p))
+}
+
 /// Return type of a function, `None` for procedures.
 pub fn subprog_ret(sp: &VifNode) -> Option<Ty> {
-    sp.node_field("ret").cloned()
+    sp.node_field(fields::ret()).cloned()
 }
 
 /// Builds an enumeration-literal denotation (overloadable).

@@ -3,19 +3,23 @@
 //! Overload resolution is the classic two-direction scheme: `TYPES` flows
 //! bottom-up collecting candidate result types, `EXPECTED` flows top-down
 //! carrying the context type, and `IR` is built bottom-up once each
-//! production can pick its unique interpretation. Most plumbing rules
+//! production can pick its unique interpretation. Each operator and call
+//! node resolves once: its `CANDS` rule filters the visible overloads by
+//! the operands' `TYPES` or the argument shapes, its `TYPES` are the
+//! result types of `CANDS`, and its `EXPECTED(S)` and `IR` rules pick
+//! from `CANDS` by the expected type. Most plumbing rules
 //! (environment copies, message merges) are left to the implicit-rule
 //! machinery, as the paper prescribes (§4.2).
 
 use std::rc::Rc;
 
 use ag_core::{AgBuilder, Dep};
-use ag_intern::ToSym;
+use ag_intern::{Symbol, ToSym};
 use ag_lalr::{Grammar, ProdId};
 use vhdl_syntax::Pos;
 use vhdl_vif::{VifNode, VifValue};
 
-use crate::decl::{obj_ty, subprog_params, subprog_ret};
+use crate::decl::{obj_ty, param_ty, subprog_params, subprog_ret};
 use crate::env::Env;
 use crate::expr_ag::{err_ir, ExprClasses};
 use crate::ir::{self, ty_of, Ir};
@@ -39,7 +43,7 @@ fn tys(v: &Value) -> Vec<Ty> {
     v.expect_list().iter().map(Value::expect_node).collect()
 }
 
-fn vtys(ts: Vec<Ty>) -> Value {
+fn vtys(ts: impl IntoIterator<Item = Ty>) -> Value {
     Value::list(ts.into_iter().map(Value::Node).collect())
 }
 
@@ -106,20 +110,21 @@ fn first_ty(v: &Value) -> Option<Ty> {
     tys(v).into_iter().next()
 }
 
-/// Resolves the operator candidates for `sym` over operand types.
-fn op_cands(e: &Env, sym: &str, operands: &[&Value]) -> Vec<Rc<VifNode>> {
-    let shapes: Vec<Vec<Ty>> = operands.iter().map(|v| tys(v)).collect();
-    let refs: Vec<&[Ty]> = shapes.iter().map(Vec::as_slice).collect();
-    overload::operator_candidates(e, sym, &refs)
+/// `CANDS` of an operator node: the visible `sym` operators that take
+/// operands offering these `TYPES`.
+fn op_cands(e: &Env, sym: Symbol, operands: &[&Value]) -> Value {
+    let shapes: Vec<ArgShape> = operands.iter().map(|v| ArgShape::Pos(tys(v))).collect();
+    Value::cands(overload::operator_candidates(e, sym, &shapes))
 }
 
-fn pick_op(
-    e: &Env,
-    sym: &str,
-    operands: &[&Value],
-    exp: Option<&Ty>,
-) -> Result<Rc<VifNode>, PickError> {
-    overload::pick(&op_cands(e, sym, operands), exp)
+/// `TYPES` of a node from its `CANDS`.
+fn cand_types(cands: &Value) -> Value {
+    vtys(overload::result_types(cands.expect_cands()))
+}
+
+/// Picks a node's interpretation from its `CANDS` by the expected type.
+fn pick(cands: &Value, expected_ty: &Value) -> Result<Rc<VifNode>, PickError> {
+    overload::pick(cands.expect_cands(), expected(expected_ty).as_ref())
 }
 
 /// Builds the ordered argument list for `chosen` from shapes and arg IRs.
@@ -228,6 +233,8 @@ pub(crate) fn install(ab: &mut AgBuilder<Value>, g: &Grammar, c: &ExprClasses) {
         ab.attach(c.expected, nt(g, n));
         ab.attach(c.ir, nt(g, n));
     }
+    // Every symbol with `TYPES` has `CANDS`, so chain productions copy
+    // both and stay transparent.
     for n in [
         "expr",
         "rel",
@@ -239,6 +246,7 @@ pub(crate) fn install(ab: &mut AgBuilder<Value>, g: &Grammar, c: &ExprClasses) {
         "aggregate",
     ] {
         ab.attach(c.types, nt(g, n));
+        ab.attach(c.cands, nt(g, n));
     }
     ab.attach(c.expected, nt(g, "name"));
     ab.attach(c.expected, nt(g, "aggregate"));
@@ -523,40 +531,28 @@ fn install_binop(
     op_tok: usize,
 ) {
     let c = *c;
+    let op = Symbol::intern(sym);
     ab.rule(
         pr,
         0,
-        c.types,
+        c.cands,
         vec![
             Dep::attr(0, c.env),
             Dep::attr(l, c.types),
             Dep::attr(r, c.types),
         ],
-        move |d| {
-            let e = env(&d[0]);
-            vtys(overload::result_types(&op_cands(&e, sym, &[&d[1], &d[2]])))
-        },
+        move |d| op_cands(&env(&d[0]), op, &[&d[1], &d[2]]),
     );
+    ab.rule(pr, 0, c.types, vec![Dep::attr(0, c.cands)], |d| {
+        cand_types(&d[0])
+    });
     for (occ, idx) in [(l, 0usize), (r, 1usize)] {
         ab.rule(
             pr,
             occ,
             c.expected,
-            vec![
-                Dep::attr(0, c.expected),
-                Dep::attr(0, c.env),
-                Dep::attr(l, c.types),
-                Dep::attr(r, c.types),
-            ],
-            move |d| {
-                let e = env(&d[1]);
-                match pick_op(&e, sym, &[&d[2], &d[3]], expected(&d[0]).as_ref()) {
-                    Ok(op) => {
-                        Value::MaybeNode(subprog_params(&op).get(idx).and_then(|p| obj_ty(p)))
-                    }
-                    Err(_) => Value::MaybeNode(None),
-                }
-            },
+            vec![Dep::attr(0, c.expected), Dep::attr(0, c.cands)],
+            move |d| Value::MaybeNode(pick(&d[1], &d[0]).ok().and_then(|op| param_ty(&op, idx))),
         );
     }
     ab.rule(
@@ -565,20 +561,17 @@ fn install_binop(
         c.ir,
         vec![
             Dep::attr(0, c.expected),
-            Dep::attr(0, c.env),
-            Dep::attr(l, c.types),
-            Dep::attr(r, c.types),
+            Dep::attr(0, c.cands),
             Dep::attr(l, c.ir),
             Dep::attr(r, c.ir),
             Dep::token(op_tok),
         ],
         move |d| {
-            let e = env(&d[1]);
-            let pos = pos_of(&d[6]);
-            match pick_op(&e, sym, &[&d[2], &d[3]], expected(&d[0]).as_ref()) {
+            let pos = pos_of(&d[4]);
+            match pick(&d[1], &d[0]) {
                 Ok(op) => {
                     let ret = subprog_ret(&op).expect("operators are functions");
-                    Value::Node(ir::e_call(&op, vec![ir_of(&d[4]), ir_of(&d[5])], &ret))
+                    Value::Node(ir::e_call(&op, vec![ir_of(&d[2]), ir_of(&d[3])], &ret))
                 }
                 Err(PickError::NoMatch) => Value::Node(err_ir(
                     pos,
@@ -603,32 +596,23 @@ fn install_unop(
     op_tok: usize,
 ) {
     let c = *c;
+    let op = Symbol::intern(sym);
     ab.rule(
         pr,
         0,
-        c.types,
+        c.cands,
         vec![Dep::attr(0, c.env), Dep::attr(operand, c.types)],
-        move |d| {
-            let e = env(&d[0]);
-            vtys(overload::result_types(&op_cands(&e, sym, &[&d[1]])))
-        },
+        move |d| op_cands(&env(&d[0]), op, &[&d[1]]),
     );
+    ab.rule(pr, 0, c.types, vec![Dep::attr(0, c.cands)], |d| {
+        cand_types(&d[0])
+    });
     ab.rule(
         pr,
         operand,
         c.expected,
-        vec![
-            Dep::attr(0, c.expected),
-            Dep::attr(0, c.env),
-            Dep::attr(operand, c.types),
-        ],
-        move |d| {
-            let e = env(&d[1]);
-            match pick_op(&e, sym, &[&d[2]], expected(&d[0]).as_ref()) {
-                Ok(op) => Value::MaybeNode(subprog_params(&op).first().and_then(|p| obj_ty(p))),
-                Err(_) => Value::MaybeNode(None),
-            }
-        },
+        vec![Dep::attr(0, c.expected), Dep::attr(0, c.cands)],
+        |d| Value::MaybeNode(pick(&d[1], &d[0]).ok().and_then(|op| param_ty(&op, 0))),
     );
     ab.rule(
         pr,
@@ -636,18 +620,16 @@ fn install_unop(
         c.ir,
         vec![
             Dep::attr(0, c.expected),
-            Dep::attr(0, c.env),
-            Dep::attr(operand, c.types),
+            Dep::attr(0, c.cands),
             Dep::attr(operand, c.ir),
             Dep::token(op_tok),
         ],
         move |d| {
-            let e = env(&d[1]);
-            let pos = pos_of(&d[4]);
-            match pick_op(&e, sym, &[&d[2]], expected(&d[0]).as_ref()) {
+            let pos = pos_of(&d[3]);
+            match pick(&d[1], &d[0]) {
                 Ok(op) => {
                     let ret = subprog_ret(&op).expect("operators are functions");
-                    Value::Node(ir::e_call(&op, vec![ir_of(&d[3])], &ret))
+                    Value::Node(ir::e_call(&op, vec![ir_of(&d[2])], &ret))
                 }
                 Err(PickError::NoMatch) => Value::Node(err_ir(
                     pos,
@@ -690,19 +672,24 @@ fn install_name_rules(ab: &mut AgBuilder<Value>, g: &Grammar, c: &ExprClasses) {
     ab.rule(pr, 0, c.den, vec![Dep::token(1)], |d| {
         Value::Den(DenVal::Overloads(Rc::new(lef(&d[0]).dens.to_vec())))
     });
-    ab.rule(pr, 0, c.types, vec![Dep::token(1)], |d| {
-        let bare = overload::filter_by_args(&lef(&d[0]).dens, &[]);
-        vtys(overload::result_types(&bare))
+    ab.rule(pr, 0, c.cands, vec![Dep::token(1)], |d| {
+        Value::cands(overload::filter_by_args(&lef(&d[0]).dens, &[]))
+    });
+    ab.rule(pr, 0, c.types, vec![Dep::attr(0, c.cands)], |d| {
+        cand_types(&d[0])
     });
     ab.rule(
         pr,
         0,
         c.ir,
-        vec![Dep::attr(0, c.expected), Dep::token(1)],
+        vec![
+            Dep::attr(0, c.expected),
+            Dep::attr(0, c.cands),
+            Dep::token(1),
+        ],
         |d| {
-            let t = lef(&d[1]);
-            let bare = overload::filter_by_args(&t.dens, &[]);
-            match overload::pick(&bare, expected(&d[0]).as_ref()) {
+            let t = lef(&d[2]);
+            match pick(&d[1], &d[0]) {
                 Ok(ch) => Value::Node(bare_callable_ir(&ch, t.pos)),
                 Err(PickError::NoMatch) => Value::Node(err_ir(
                     t.pos,
@@ -728,37 +715,45 @@ fn install_name_rules(ab: &mut AgBuilder<Value>, g: &Grammar, c: &ExprClasses) {
     ab.rule(
         pr,
         0,
+        c.cands,
+        vec![Dep::attr(1, c.den), Dep::attr(3, c.args)],
+        |d| match d[0].expect_den() {
+            DenVal::Overloads(cands) => {
+                Value::cands(overload::filter_by_args(cands, &decode_args(&d[1])))
+            }
+            _ => Value::cands(Vec::new()),
+        },
+    );
+    ab.rule(
+        pr,
+        0,
         c.types,
         vec![
             Dep::attr(1, c.den),
             Dep::attr(1, c.types),
             Dep::attr(3, c.args),
+            Dep::attr(0, c.cands),
         ],
-        |d| {
-            let shapes = decode_args(&d[2]);
-            match d[0].expect_den() {
-                DenVal::Overloads(cands) => {
-                    let matching = overload::filter_by_args(cands, &shapes);
-                    vtys(overload::result_types(&matching))
+        |d| match d[0].expect_den() {
+            DenVal::Overloads(_) => cand_types(&d[3]),
+            DenVal::ValueLike(_) => {
+                let shapes = decode_args(&d[2]);
+                let Some(bt) = first_ty(&d[1]) else {
+                    return Value::empty_list();
+                };
+                if !types::is_array(&bt) {
+                    return Value::empty_list();
                 }
-                DenVal::ValueLike(_) => {
-                    let Some(bt) = first_ty(&d[1]) else {
-                        return Value::empty_list();
-                    };
-                    if !types::is_array(&bt) {
-                        return Value::empty_list();
-                    }
-                    if is_slice_shape(&shapes) {
-                        vtys(vec![types::base_type(&bt)])
-                    } else {
-                        match types::elem_type(&bt) {
-                            Some(e) => vtys(vec![e]),
-                            None => Value::empty_list(),
-                        }
+                if is_slice_shape(&shapes) {
+                    vtys(vec![types::base_type(&bt)])
+                } else {
+                    match types::elem_type(&bt) {
+                        Some(e) => vtys(vec![e]),
+                        None => Value::empty_list(),
                     }
                 }
-                DenVal::Error => Value::empty_list(),
             }
+            DenVal::Error => Value::empty_list(),
         },
     );
     ab.rule(pr, 1, c.expected, vec![], |_| Value::MaybeNode(None));
@@ -771,24 +766,20 @@ fn install_name_rules(ab: &mut AgBuilder<Value>, g: &Grammar, c: &ExprClasses) {
             Dep::attr(1, c.den),
             Dep::attr(1, c.types),
             Dep::attr(3, c.args),
+            Dep::attr(0, c.cands),
         ],
         |d| {
             let shapes = decode_args(&d[3]);
             match d[1].expect_den() {
-                DenVal::Overloads(cands) => {
-                    let matching = overload::filter_by_args(cands, &shapes);
-                    match overload::pick(&matching, expected(&d[0]).as_ref()) {
-                        Ok(ch) => Value::list(
-                            param_expecteds(&ch, &shapes)
-                                .into_iter()
-                                .map(Value::MaybeNode)
-                                .collect(),
-                        ),
-                        Err(_) => {
-                            Value::list(shapes.iter().map(|_| Value::MaybeNode(None)).collect())
-                        }
-                    }
-                }
+                DenVal::Overloads(_) => match pick(&d[4], &d[0]) {
+                    Ok(ch) => Value::list(
+                        param_expecteds(&ch, &shapes)
+                            .into_iter()
+                            .map(Value::MaybeNode)
+                            .collect(),
+                    ),
+                    Err(_) => Value::list(shapes.iter().map(|_| Value::MaybeNode(None)).collect()),
+                },
                 _ => {
                     // Indexing/slicing: every position expects the index
                     // type.
@@ -817,31 +808,28 @@ fn install_name_rules(ab: &mut AgBuilder<Value>, g: &Grammar, c: &ExprClasses) {
             Dep::attr(3, c.args),
             Dep::attr(3, c.irs),
             Dep::token(2),
+            Dep::attr(0, c.cands),
         ],
         |d| {
             let shapes = decode_args(&d[4]);
             let arg_irs = decode_arg_irs(&d[5]);
             let pos = pos_of(&d[6]);
             match d[1].expect_den() {
-                DenVal::Overloads(cands) => {
-                    let matching = overload::filter_by_args(cands, &shapes);
-                    match overload::pick(&matching, expected(&d[0]).as_ref()) {
-                        Ok(ch) => match build_call_args(&ch, &shapes, &arg_irs) {
-                            Ok(args) => {
-                                let ret = subprog_ret(&ch).unwrap_or_else(types::void_marker);
-                                Value::Node(ir::e_call(&ch, args, &ret))
-                            }
-                            Err(msg) => Value::Node(err_ir(pos, msg)),
-                        },
-                        Err(PickError::NoMatch) => {
-                            Value::Node(err_ir(pos, "no matching subprogram for these arguments"))
+                DenVal::Overloads(_) => match pick(&d[7], &d[0]) {
+                    Ok(ch) => match build_call_args(&ch, &shapes, &arg_irs) {
+                        Ok(args) => {
+                            let ret = subprog_ret(&ch).unwrap_or_else(types::void_marker);
+                            Value::Node(ir::e_call(&ch, args, &ret))
                         }
-                        Err(PickError::Ambiguous(cands)) => Value::Node(err_ir(
-                            pos,
-                            format!("ambiguous call: {}", cands.join("; ")),
-                        )),
+                        Err(msg) => Value::Node(err_ir(pos, msg)),
+                    },
+                    Err(PickError::NoMatch) => {
+                        Value::Node(err_ir(pos, "no matching subprogram for these arguments"))
                     }
-                }
+                    Err(PickError::Ambiguous(cands)) => {
+                        Value::Node(err_ir(pos, format!("ambiguous call: {}", cands.join("; "))))
+                    }
+                },
                 DenVal::ValueLike(_) => {
                     let base = ir_of(&d[3]);
                     let bt = ty_of(&base);

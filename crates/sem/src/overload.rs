@@ -5,7 +5,7 @@
 use std::rc::Rc;
 
 use ag_intern::{Symbol, ToSym};
-use vhdl_vif::{kinds, VifNode};
+use vhdl_vif::{fields, kinds, VifNode};
 
 use crate::decl::{subprog_params, subprog_ret};
 use crate::env::Env;
@@ -34,85 +34,62 @@ pub fn offers(cands: &[Ty], want: &Ty) -> bool {
 /// Filters an overload set down to candidates whose profile matches the
 /// argument shapes. `enumlit` candidates match only zero-argument use.
 pub fn filter_by_args(cands: &[Rc<VifNode>], args: &[ArgShape]) -> Vec<Rc<VifNode>> {
-    cands
-        .iter()
-        .filter(|c| {
-            let k = c.kind_sym();
-            if k == kinds::enumlit() {
-                args.is_empty()
-            } else if k == kinds::subprog() {
-                let params = subprog_params(c);
-                if args.len() > params.len() {
-                    return false;
-                }
-                // Positional prefix then named; every parameter must be
-                // satisfied by an argument or a default.
-                let mut used = vec![false; params.len()];
-                let mut ok = true;
-                for (i, a) in args.iter().enumerate() {
-                    match a {
-                        ArgShape::Pos(tys) => {
-                            if i >= params.len() {
-                                ok = false;
-                                break;
-                            }
-                            let want = crate::decl::obj_ty(&params[i]).expect("typed param");
-                            if !offers(tys, &want) {
-                                ok = false;
-                                break;
-                            }
-                            used[i] = true;
-                        }
-                        ArgShape::Named(name, tys) => {
-                            match params.iter().position(|p| p.name_sym() == Some(*name)) {
-                                Some(pi) if !used[pi] => {
-                                    let want =
-                                        crate::decl::obj_ty(&params[pi]).expect("typed param");
-                                    if !offers(tys, &want) {
-                                        ok = false;
-                                        break;
-                                    }
-                                    used[pi] = true;
-                                }
-                                _ => {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                        }
-                        ArgShape::Open => {
-                            if i < params.len() {
-                                used[i] = true;
-                            }
-                        }
-                        ArgShape::Range => {
-                            // Subprograms never take ranges.
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if !ok {
-                    return false;
-                }
-                // Unsatisfied parameters need defaults.
-                params
-                    .iter()
-                    .zip(&used)
-                    .all(|(p, u)| *u || p.field("init").is_some())
-            } else {
-                false
-            }
+    cands.iter().filter(|c| takes(c, args)).cloned().collect()
+}
+
+/// `true` when `cand` can be applied to arguments shaped `args`: a
+/// positional prefix then named arguments, every parameter satisfied by
+/// an argument or a default.
+fn takes(cand: &VifNode, args: &[ArgShape]) -> bool {
+    let k = cand.kind_sym();
+    if k == kinds::enumlit() {
+        return args.is_empty();
+    }
+    if k != kinds::subprog() {
+        return false;
+    }
+    let params = cand.list_field(fields::params());
+    if args.len() > params.len() {
+        return false;
+    }
+    let param = |i: usize| params[i].as_node().expect("parameter node");
+    let offers_param = |tys: &[Ty], i: usize| {
+        let want = param(i).node_field(fields::ty()).expect("typed param");
+        offers(tys, want)
+    };
+    // Whether one of the first `n` arguments satisfies parameter `i`.
+    let used = |i: usize, n: usize| {
+        args[..n].iter().enumerate().any(|(j, a)| match a {
+            ArgShape::Pos(_) | ArgShape::Open => j == i,
+            ArgShape::Named(name, _) => param(i).name_sym() == Some(*name),
+            ArgShape::Range => false,
         })
-        .cloned()
-        .collect()
+    };
+    for (i, a) in args.iter().enumerate() {
+        let ok = match a {
+            ArgShape::Pos(tys) => offers_param(tys, i),
+            ArgShape::Named(name, tys) => {
+                match (0..params.len()).find(|&pi| param(pi).name_sym() == Some(*name)) {
+                    Some(pi) => !used(pi, i) && offers_param(tys, pi),
+                    None => false,
+                }
+            }
+            ArgShape::Open => true,
+            // Subprograms never take ranges.
+            ArgShape::Range => false,
+        };
+        if !ok {
+            return false;
+        }
+    }
+    (0..params.len()).all(|i| used(i, args.len()) || param(i).field(fields::init()).is_some())
 }
 
 /// Result type a candidate yields when *used as a value*.
 pub fn result_type(cand: &Rc<VifNode>) -> Option<Ty> {
     let k = cand.kind_sym();
     if k == kinds::enumlit() {
-        cand.node_field("ty").cloned()
+        cand.node_field(fields::ty()).cloned()
     } else if k == kinds::subprog() {
         subprog_ret(cand)
     } else {
@@ -121,46 +98,38 @@ pub fn result_type(cand: &Rc<VifNode>) -> Option<Ty> {
 }
 
 /// All result types of a candidate set (procedures yield the void marker).
-pub fn result_types(cands: &[Rc<VifNode>]) -> Vec<Ty> {
+pub fn result_types(cands: &[Rc<VifNode>]) -> impl Iterator<Item = Ty> + '_ {
     cands
         .iter()
         .map(|c| result_type(c).unwrap_or_else(types::void_marker))
-        .collect()
 }
 
 /// Picks the unique candidate compatible with `expected`. `None` expected
-/// keeps every candidate; exactly one survivor wins. When several survive
-/// but exactly one has a non-universal result, that one wins (literal
-/// preference).
+/// keeps every candidate; exactly one survivor wins.
 pub fn pick(cands: &[Rc<VifNode>], expected: Option<&Ty>) -> Result<Rc<VifNode>, PickError> {
+    let fits = |c: &Rc<VifNode>| match expected {
+        None => true,
+        // Procedures only.
+        Some(want) if types::is_void_marker(want) => result_type(c).is_none(),
+        Some(want) => result_type(c).is_some_and(|rt| types::compatible(&rt, want)),
+    };
     // The same declaration may be visible along several paths (spec bound
     // in a package and re-bound at its body); duplicates by uid are one
     // candidate, not an ambiguity.
-    let mut seen = std::collections::HashSet::<&str>::new();
-    let deduped: Vec<Rc<VifNode>> = cands
+    let mut surviving = cands
         .iter()
-        .filter(|c| seen.insert(c.str_field("uid").unwrap_or("?")))
-        .cloned()
-        .collect();
-    let cands = &deduped;
-    let surviving: Vec<&Rc<VifNode>> = cands
-        .iter()
-        .filter(|c| match expected {
-            None => true,
-            Some(want) => {
-                if types::is_void_marker(want) {
-                    result_type(c).is_none() // procedures only
-                } else {
-                    result_type(c).is_some_and(|rt| types::compatible(&rt, want))
-                }
-            }
-        })
-        .collect();
-    match surviving.len() {
-        0 => Err(PickError::NoMatch),
-        1 => Ok(Rc::clone(surviving[0])),
-        _ => Err(PickError::Ambiguous(
-            surviving.iter().map(|c| describe(c)).collect(),
+        .enumerate()
+        .filter(|&(i, c)| fits(c) && !cands[..i].iter().any(|d| types::uid(d) == types::uid(c)))
+        .map(|(_, c)| c);
+    match (surviving.next(), surviving.next()) {
+        (None, _) => Err(PickError::NoMatch),
+        (Some(c), None) => Ok(Rc::clone(c)),
+        (Some(a), Some(b)) => Err(PickError::Ambiguous(
+            [a, b]
+                .into_iter()
+                .chain(surviving)
+                .map(|c| describe(c))
+                .collect(),
         )),
     }
 }
@@ -210,12 +179,14 @@ pub fn describe(cand: &VifNode) -> String {
     }
 }
 
-/// Resolves a unary/binary operator application: looks `sym` up in `env`,
-/// filters by operand types, and returns the matching candidates.
-pub fn operator_candidates(env: &Env, sym: impl ToSym, operands: &[&[Ty]]) -> Vec<Rc<VifNode>> {
-    let cands: Vec<Rc<VifNode>> = env.lookup(sym).into_iter().map(|d| d.node).collect();
-    let shapes: Vec<ArgShape> = operands.iter().map(|t| ArgShape::Pos(t.to_vec())).collect();
-    filter_by_args(&cands, &shapes)
+/// Resolves a unary/binary operator application: looks `sym` up in `env`
+/// and keeps the candidates that take `operands`.
+pub fn operator_candidates(env: &Env, sym: impl ToSym, operands: &[ArgShape]) -> Vec<Rc<VifNode>> {
+    env.lookup(sym)
+        .into_iter()
+        .map(|d| d.node)
+        .filter(|c| takes(c, operands))
+        .collect()
 }
 
 #[cfg(test)]
@@ -228,27 +199,27 @@ mod tests {
     #[test]
     fn binop_resolution_filters_by_operands() {
         let s = standard(EnvKind::Tree);
-        let int = vec![Rc::clone(&s.std.integer)];
-        let cands = operator_candidates(&s.env, "+", &[&int, &int]);
+        let int = ArgShape::Pos(vec![Rc::clone(&s.std.integer)]);
+        let cands = operator_candidates(&s.env, "+", &[int.clone(), int.clone()]);
         assert_eq!(cands.len(), 1, "only integer + integer");
-        let rt = result_types(&cands);
+        let rt: Vec<Ty> = result_types(&cands).collect();
         assert!(types::same_base(&rt[0], &s.std.integer));
         // time + time also unique.
-        let t = vec![Rc::clone(&s.std.time)];
-        let cands = operator_candidates(&s.env, "+", &[&t, &t]);
+        let t = ArgShape::Pos(vec![Rc::clone(&s.std.time)]);
+        let cands = operator_candidates(&s.env, "+", &[t.clone(), t.clone()]);
         assert_eq!(cands.len(), 1);
         // integer + time: nothing.
-        assert!(operator_candidates(&s.env, "+", &[&int, &t]).is_empty());
+        assert!(operator_candidates(&s.env, "+", &[int, t]).is_empty());
     }
 
     #[test]
     fn universal_literals_keep_options_until_expected() {
         let s = standard(EnvKind::Tree);
-        let uni = vec![types::universal_int()];
+        let uni = ArgShape::Pos(vec![types::universal_int()]);
         // 1 + 1 could be integer or time? No: universal int only converts
         // to integer types, so "+" on two universals matches integer (and
         // any other user integer type — here only integer).
-        let cands = operator_candidates(&s.env, "+", &[&uni, &uni]);
+        let cands = operator_candidates(&s.env, "+", &[uni.clone(), uni]);
         assert_eq!(cands.len(), 1);
     }
 

@@ -10,29 +10,32 @@
 //! Each accessor caches its [`Symbol`] in a `OnceLock`, so after first use
 //! a kind constant costs one relaxed atomic load — no interner probe.
 
-use std::sync::OnceLock;
-
 use ag_intern::Symbol;
 
-macro_rules! kinds {
-    ($($(#[$m:meta])* $name:ident => $text:literal),* $(,)?) => {
+/// Declares one function per well-known symbol, each caching its
+/// [`Symbol`](crate::Symbol) in a `OnceLock`, and `all()` listing them in
+/// order; `$what` names an entry in the generated docs.
+macro_rules! symbols {
+    ($what:literal: $($(#[$m:meta])* $name:ident => $text:literal),* $(,)?) => {
         $(
             $(#[$m])*
-            #[doc = concat!("The `", $text, "` node kind.")]
-            pub fn $name() -> Symbol {
-                static S: OnceLock<Symbol> = OnceLock::new();
-                *S.get_or_init(|| Symbol::intern($text))
+            #[doc = concat!("The `", $text, "` ", $what, ".")]
+            pub fn $name() -> $crate::Symbol {
+                static S: ::std::sync::OnceLock<$crate::Symbol> = ::std::sync::OnceLock::new();
+                *S.get_or_init(|| $crate::Symbol::intern($text))
             }
         )*
 
-        /// Every well-known kind, for exhaustiveness checks in tests.
-        pub fn all() -> Vec<Symbol> {
+        #[doc = concat!("Every well-known ", $what, ", for exhaustiveness checks in tests.")]
+        pub fn all() -> Vec<$crate::Symbol> {
             vec![$($name()),*]
         }
     };
 }
+pub(crate) use symbols;
 
-kinds! {
+symbols! {
+    "node kind":
     // Design units and library structure.
     alias => "alias",
     arch => "arch",

@@ -29,6 +29,7 @@
 //! ```
 
 pub mod dump;
+pub mod fields;
 pub mod kinds;
 pub mod library;
 pub mod node;
