@@ -125,7 +125,7 @@ fn main() {
                 None,
                 None,
             );
-            env = env.bind(&format!("filler{i}"), vhdl_sem::env::Den::local(obj));
+            env = env.bind(format!("filler{i}"), vhdl_sem::env::Den::local(obj));
         }
         let timing = runner.measure(format!("expr_eval_batch/env+{extra}"), || {
             for _ in 0..n {

@@ -29,7 +29,7 @@ fn build_env(kind: EnvKind, n: usize) -> Env {
         let node = VifNode::build("obj")
             .name(format!("name{i}").as_str())
             .done();
-        e = e.bind(&format!("name{i}"), Den::local(node));
+        e = e.bind(format!("name{i}"), Den::local(node));
     }
     e
 }
@@ -84,7 +84,7 @@ fn main() {
             // Ten nested scopes, each extending the shared base.
             let mut scopes = Vec::new();
             for i in 0..10 {
-                let e = base.bind(&format!("local{i}"), Den::local(Rc::clone(&extra)));
+                let e = base.bind(format!("local{i}"), Den::local(Rc::clone(&extra)));
                 scopes.push(e);
             }
             black_box(scopes)

@@ -180,8 +180,7 @@ fn decode_binding(v: Option<&VifValue>) -> (String, String) {
                 Some(VifValue::List(segs)) => segs
                     .iter()
                     .filter_map(|v| v.as_str())
-                    .filter(|s| *s != "." && *s != "work")
-                    .next_back()
+                    .rfind(|s| *s != "." && *s != "work")
                     .unwrap_or("")
                     .to_string(),
                 _ => String::new(),
@@ -341,8 +340,7 @@ impl<'a> Elab<'a> {
                     Some(VifValue::List(segs)) => segs
                         .iter()
                         .filter_map(|v| v.as_str())
-                        .filter(|s| *s != ".")
-                        .next_back()
+                        .rfind(|s| *s != ".")
                         .unwrap_or("")
                         .to_string(),
                     _ => String::new(),

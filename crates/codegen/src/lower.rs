@@ -119,11 +119,7 @@ pub fn default_value(ty: &types::Ty) -> Val {
                 .list_field("elems")
                 .iter()
                 .filter_map(|v| v.as_node())
-                .map(|e| {
-                    e.node_field("ty")
-                        .map(|t| default_value(t))
-                        .unwrap_or(Val::Int(0))
-                })
+                .map(|e| e.node_field("ty").map(default_value).unwrap_or(Val::Int(0)))
                 .collect();
             Val::Rec(Arc::new(fields))
         }

@@ -65,7 +65,7 @@ pub enum Implicit<V> {
         /// Value when no source occurrence exists.
         unit: Option<V>,
         /// The merge function.
-        f: Rc<dyn Fn(&V, &V) -> V>,
+        f: MergeFn<V>,
     },
 }
 
@@ -125,6 +125,13 @@ pub enum RuleOrigin {
     ImplicitMerge,
 }
 
+/// A semantic function: the defined attribute's value from the values of
+/// the rule's dependencies, in order.
+pub type RuleFn<V> = Rc<dyn Fn(&[V]) -> V>;
+
+/// The associative merge function of an [`Implicit::Merge`] class.
+pub type MergeFn<V> = Rc<dyn Fn(&V, &V) -> V>;
+
 /// A semantic rule: defines attribute `class` of occurrence `target_occ`
 /// from `deps`.
 #[derive(Clone)]
@@ -136,7 +143,7 @@ pub struct Rule<V> {
     /// Dependencies, in the order the function receives them.
     pub deps: Vec<Dep>,
     /// The semantic function.
-    pub func: Rc<dyn Fn(&[V]) -> V>,
+    pub func: RuleFn<V>,
     /// Provenance (explicit vs the implicit kinds).
     pub origin: RuleOrigin,
 }

@@ -131,9 +131,8 @@ pub fn plan<V: Clone + 'static>(
     let mut changed = true;
     while changed {
         changed = false;
-        for si in 0..n_sym {
+        for (si, visits) in visit_of.iter_mut().enumerate() {
             let sym = SymbolId::from_index(si);
-            let attrs = ag.attrs_of(sym);
             for &(a, b) in &an.ids[si] {
                 let (sa, sb) = (
                     ag.slot(sym, a).expect("ids over attached attrs"),
@@ -145,12 +144,11 @@ pub fn plan<V: Clone + 'static>(
                     (AttrDir::Synthesized, AttrDir::Inherited) => 1,
                     _ => 0,
                 };
-                let need = visit_of[si][sa] + bump;
-                if visit_of[si][sb] < need {
-                    visit_of[si][sb] = need;
+                let need = visits[sa] + bump;
+                if visits[sb] < need {
+                    visits[sb] = need;
                     changed = true;
                 }
-                let _ = attrs;
             }
         }
     }

@@ -617,8 +617,8 @@ mod tests {
         let mut found = None;
         for seed in 0..200 {
             let (log, f) = run_once(&prop, Source::random(seed));
-            if f.is_some() {
-                found = Some((log, f.unwrap()));
+            if let Some(f) = f {
+                found = Some((log, f));
                 break;
             }
         }

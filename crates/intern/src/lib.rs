@@ -446,10 +446,10 @@ mod tests {
         }
         let s = Symbol::intern("k");
         assert_eq!(key(s), s);
-        assert_eq!(key(&s), s);
+        assert_eq!(key(s), s);
         assert_eq!(key("k"), s);
         assert_eq!(key(String::from("k")), s);
-        assert_eq!(key(&String::from("k")), s);
+        assert_eq!(key(String::from("k")), s);
         let rc: Rc<str> = "k".into();
         assert_eq!(key(&rc), s);
     }

@@ -66,7 +66,7 @@ fn symbol_eq_iff_folded_eq() {
             ident(s)
         };
         let same_sym = Symbol::intern_ci(&a) == Symbol::intern_ci(&b);
-        let same_folded = a.to_ascii_lowercase() == b.to_ascii_lowercase();
+        let same_folded = a.eq_ignore_ascii_case(&b);
         check_eq!(same_sym, same_folded, "a={a:?} b={b:?}");
     });
 }
@@ -94,7 +94,7 @@ fn stability_across_many_identifiers() {
             // Injectivity within the batch: distinct foldings ⇒ distinct ids.
             for (i, a) in batch.iter().enumerate() {
                 for (b, sb) in batch[..i].iter().zip(&first) {
-                    if a.to_ascii_lowercase() != b.to_ascii_lowercase() {
+                    if !a.eq_ignore_ascii_case(b) {
                         check!(first[i] != *sb, "collision: {a:?} vs {b:?}");
                     }
                 }

@@ -1022,8 +1022,8 @@ impl<'a> Simulator<'a> {
                 ..
             } = &mut *self;
             let mut ex = Exec {
-                program: &**program,
-                signals: &**signals,
+                program,
+                signals,
                 now: *now,
                 eff,
                 act_scheds: 0,
@@ -1059,8 +1059,8 @@ impl<'a> Simulator<'a> {
                 ..
             } = &mut *self;
             let mut ex = Exec {
-                program: &**program,
-                signals: &**signals,
+                program,
+                signals,
                 now: *now,
                 eff,
                 act_scheds: 0,
@@ -1885,7 +1885,7 @@ fn underflow() -> RtError {
     RtError::Internal("value stack underflow".into())
 }
 
-fn var_frame<'p>(proc: &'p mut ProcState, depth: u8) -> Result<&'p mut Frame, RtError> {
+fn var_frame(proc: &mut ProcState, depth: u8) -> Result<&mut Frame, RtError> {
     let top = proc.frames.len() - 1;
     let mut idx = top;
     for _ in 0..depth {

@@ -617,16 +617,18 @@ impl<'a> Simulator<'a> {
 
         sim.now = now;
 
-        let mut st = SimStats::default();
-        st.cycles = d.u64()?;
-        st.delta_cycles = d.u64()?;
-        st.events = d.u64()?;
-        st.transactions = d.u64()?;
-        st.resumptions = d.u64()?;
-        st.insns = d.u64()?;
-        st.woken_procs = d.u64()?;
-        st.scanned_signals = d.u64()?;
-        sim.stats = st;
+        // Fields are read in the order they are written.
+        sim.stats = SimStats {
+            cycles: d.u64()?,
+            delta_cycles: d.u64()?,
+            events: d.u64()?,
+            transactions: d.u64()?,
+            resumptions: d.u64()?,
+            insns: d.u64()?,
+            woken_procs: d.u64()?,
+            scanned_signals: d.u64()?,
+            ..SimStats::default()
+        };
 
         let n_reports = d.len(1)?;
         let mut reports = Vec::with_capacity(n_reports);

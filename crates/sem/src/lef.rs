@@ -144,13 +144,16 @@ impl fmt::Display for LefTok {
     }
 }
 
+/// Loads package `(library, name)` to resolve an expanded name.
+pub type PkgLoader<'a> = &'a dyn Fn(&str, &str) -> Option<Rc<VifNode>>;
+
 /// Context for LEF building: the environment and a loader for expanded
 /// names through libraries.
 pub struct LefCtx<'a> {
     /// The resolution environment (principal-AG `ENV` attribute).
     pub env: &'a Env,
     /// Loads `library.pkg.<name>` package nodes for expanded names.
-    pub load_pkg: Option<&'a dyn Fn(&str, &str) -> Option<Rc<VifNode>>>,
+    pub load_pkg: Option<PkgLoader<'a>>,
 }
 
 /// Looks up `name` among a package's exported declarations (visibility by
@@ -191,7 +194,7 @@ pub fn build_lef(toks: &[SrcTok], ctx: &LefCtx<'_>) -> (Vec<LefTok>, Msgs) {
                 // call's argument list follows ("and"(a, b)); otherwise it
                 // is an ordinary string value.
                 if t.kind == TokenKind::StringLit
-                    && (next_kind != Some(TokenKind::LParen) || ctx.env.lookup(&t.text).is_empty())
+                    && (next_kind != Some(TokenKind::LParen) || ctx.env.lookup(t.text).is_empty())
                 {
                     out.push(LefTok::plain(LefKind::StrLit, t.text, t.pos));
                     i += 1;
@@ -214,7 +217,7 @@ pub fn build_lef(toks: &[SrcTok], ctx: &LefCtx<'_>) -> (Vec<LefTok>, Msgs) {
                 // Resolve through a pending expanded-name prefix or the
                 // environment.
                 let dens: Vec<Rc<VifNode>> = match &pending {
-                    Pending::None => ctx.env.lookup(&key).into_iter().map(|d| d.node).collect(),
+                    Pending::None => ctx.env.lookup(key).into_iter().map(|d| d.node).collect(),
                     Pending::Package(p) => pkg_select(p, &key),
                     Pending::Library(lib) => {
                         let loaded = ctx.load_pkg.and_then(|f| f(lib, &key));
@@ -316,13 +319,10 @@ pub fn build_lef(toks: &[SrcTok], ctx: &LefCtx<'_>) -> (Vec<LefTok>, Msgs) {
                 i += 1;
             }
             TokenKind::Dot => {
-                match &pending {
-                    Pending::None => {
-                        out.push(LefTok::plain(LefKind::Tok(TokenKind::Dot), t.text, t.pos))
-                    }
-                    // Expanded-name dots are consumed silently; the next id
-                    // resolves within the pending prefix.
-                    _ => {}
+                // Expanded-name dots are consumed silently; the next id
+                // resolves within the pending prefix.
+                if let Pending::None = &pending {
+                    out.push(LefTok::plain(LefKind::Tok(TokenKind::Dot), t.text, t.pos))
                 }
                 i += 1;
             }

@@ -63,9 +63,10 @@ impl fmt::Display for Msg {
 }
 
 /// A persistent message list with O(1) concatenation (a rope).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub enum Msgs {
     /// No messages — the class's unit element.
+    #[default]
     Empty,
     /// One message.
     One(Rc<Msg>),
@@ -128,12 +129,6 @@ impl Msgs {
     /// `true` if there are no messages at all.
     pub fn is_empty(&self) -> bool {
         matches!(self, Msgs::Empty)
-    }
-}
-
-impl Default for Msgs {
-    fn default() -> Self {
-        Msgs::Empty
     }
 }
 

@@ -63,7 +63,7 @@ impl U<'_> {
         let first = &segs[0];
         let mut dens: Vec<Rc<VifNode>> = self
             .env
-            .lookup(&first.text)
+            .lookup(first.text)
             .into_iter()
             .map(|d| d.node)
             .collect();
@@ -133,10 +133,7 @@ impl U<'_> {
 
 /// Decoders for the Value bundles the principal rules pass around.
 pub fn toks_of(v: &Value) -> Vec<SrcTok> {
-    v.expect_list()
-        .iter()
-        .map(|t| t.expect_tok().clone())
-        .collect()
+    v.expect_list().iter().map(|t| *t.expect_tok()).collect()
 }
 
 /// Wraps tokens as a Value list.
@@ -455,7 +452,7 @@ pub fn resolve_ifaces(
 pub fn spec_subprog(u: &U<'_>, spec: &Value) -> (Option<Rc<VifNode>>, Msgs) {
     let parts = spec.expect_list();
     let is_func = &*parts[0].expect_str() == "func";
-    let desig = parts[1].expect_tok().clone();
+    let desig = *parts[1].expect_tok();
     let ifaces = ifaces_of(&parts[2]);
     let ret_toks = toks_of(&parts[3]);
     let default_class = ObjClass::Constant;

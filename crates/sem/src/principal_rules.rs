@@ -803,7 +803,7 @@ fn install_context(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses)
             for id in d[1].expect_list() {
                 let t = id.expect_tok();
                 env = env.bind(
-                    &t.text,
+                    t.text,
                     crate::env::Den::local(VifNode::build("library").name(&*t.text).done()),
                 );
             }
@@ -917,7 +917,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         ],
         |d| {
             with_u!(d, u, {
-                let name = d[2].expect_tok().clone();
+                let name = *d[2].expect_tok();
                 declare_type(&u, &name, &d[3]).encode()
             })
         },
@@ -938,7 +938,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         ],
         |d| {
             with_u!(d, u, {
-                let name = d[2].expect_tok().clone();
+                let name = *d[2].expect_tok();
                 let sti = oof::sti_of(&d[3]);
                 let (ty, msgs) = oof::resolve_subtype(&u, &sti);
                 match ty {
@@ -947,7 +947,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                         let named = rename_type(&base, &name.text, uid);
                         let envo = u
                             .env
-                            .bind(&name.text, crate::env::Den::local(Rc::clone(&named)));
+                            .bind(name.text, crate::env::Den::local(Rc::clone(&named)));
                         DeclOut {
                             envo,
                             decls: vec![named],
@@ -1010,7 +1010,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         ],
         |d| {
             with_u!(d, u, {
-                let name = d[2].expect_tok().clone();
+                let name = *d[2].expect_tok();
                 let target_toks = oof::toks_of(&d[3]);
                 match u.resolve_name(&target_toks) {
                     Ok(dens) => {
@@ -1022,7 +1022,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                         DeclOut {
                             envo: u
                                 .env
-                                .bind(&name.text, crate::env::Den::local(Rc::clone(&alias))),
+                                .bind(name.text, crate::env::Den::local(Rc::clone(&alias))),
                             decls: vec![alias],
                             msgs: Msgs::none(),
                         }
@@ -1049,7 +1049,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         ],
         |d| {
             with_u!(d, u, {
-                let name = d[2].expect_tok().clone();
+                let name = *d[2].expect_tok();
                 let mark = oof::toks_of(&d[3]);
                 match u.resolve_name(&mark) {
                     Ok(dens) if vhdl_vif::kinds::is_ty(dens[0].kind_sym()) => {
@@ -1061,7 +1061,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                         DeclOut {
                             envo: u
                                 .env
-                                .bind(&name.text, crate::env::Den::local(Rc::clone(&ad))),
+                                .bind(name.text, crate::env::Den::local(Rc::clone(&ad))),
                             decls: vec![ad],
                             msgs: Msgs::none(),
                         }
@@ -1093,13 +1093,13 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         ],
         |d| {
             with_u!(d, u, {
-                let aname = d[2].expect_tok().clone();
+                let aname = *d[2].expect_tok();
                 let enl = d[3].expect_list();
                 let toks = oof::toks_of(&d[4]);
                 // The attribute's declared type.
                 let Some(adecl) = u
                     .env
-                    .lookup_one(&aname.text)
+                    .lookup_one(aname.text)
                     .filter(|den| den.node.kind_sym() == vhdl_vif::kinds::attrdecl())
                 else {
                     return DeclOut::err(
@@ -1124,7 +1124,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                 if &*enl[0].expect_str() == "ids" {
                     for id in enl[1].expect_list() {
                         let t = id.expect_tok();
-                        match u.env.lookup_one(&t.text) {
+                        match u.env.lookup_one(t.text) {
                             Some(target) => {
                                 let uid = target.node.str_field("uid").unwrap_or("?");
                                 let key = crate::uid::attr_key(uid, &aname.text);
@@ -1167,7 +1167,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         ],
         |d| {
             with_u!(d, u, {
-                let name = d[2].expect_tok().clone();
+                let name = *d[2].expect_tok();
                 let (generics, m1) =
                     oof::resolve_ifaces(&u, &oof::ifaces_of(&d[3]), ObjClass::Constant);
                 let (ports, m2) = oof::resolve_ifaces(&u, &oof::ifaces_of(&d[4]), ObjClass::Signal);
@@ -1183,7 +1183,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                 DeclOut {
                     envo: u
                         .env
-                        .bind(&name.text, crate::env::Den::local(Rc::clone(&node))),
+                        .bind(name.text, crate::env::Den::local(Rc::clone(&node))),
                     decls: vec![node],
                     msgs: Msgs::concat(&m1, &m2),
                 }
@@ -1298,27 +1298,20 @@ fn install_subprogram_body(ab: &mut AgBuilder<Value>, g: &Grammar, c: &Principal
             Dep::attr(1, c.info),
         ]
     };
-    {
-        let inner_env = inner_env.clone();
-        ab.rule(pr, 3, c.env, base_deps(), move |d| {
-            Value::Env(inner_env(d).0)
-        });
-    }
+    ab.rule(pr, 3, c.env, base_deps(), move |d| {
+        Value::Env(inner_env(d).0)
+    });
     ab.rule(pr, 5, c.env, vec![Dep::attr(3, c.envo)], |d| d[0].clone());
-    {
-        let inner_env = inner_env.clone();
-        ab.rule(pr, 5, c.ret, base_deps(), move |d| {
-            let (_, node, _) = inner_env(d);
-            Value::MaybeNode(node.and_then(|n| decl::subprog_ret(&n)))
-        });
-    }
+    ab.rule(pr, 5, c.ret, base_deps(), move |d| {
+        let (_, node, _) = inner_env(d);
+        Value::MaybeNode(node.and_then(|n| decl::subprog_ret(&n)))
+    });
     for occ in [3usize, 5] {
         ab.rule(pr, occ, c.level, vec![Dep::attr(0, c.level)], |d| {
             Value::Int(d[0].expect_int() + 1)
         });
     }
     {
-        let inner_env = inner_env.clone();
         let mut deps = base_deps();
         deps.push(Dep::attr(0, c.level));
         deps.push(Dep::attr(3, c.decls));
@@ -1627,7 +1620,7 @@ fn declare_objects(
             init.clone(),
             kind,
         );
-        env = env.bind(&t.text, crate::env::Den::local(Rc::clone(&obj)));
+        env = env.bind(t.text, crate::env::Den::local(Rc::clone(&obj)));
         decls.push(obj);
     }
     DeclOut {

@@ -1580,9 +1580,9 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                         if binfo.first().map(|v| v.expect_str()).as_deref() == Some("entity") {
                             let bname = oof::toks_of(&binfo[1])
                                 .iter()
-                                .filter(|t| t.kind == vhdl_syntax::TokenKind::Id)
-                                .filter(|t| &*t.text != "work")
-                                .next_back()
+                                .rfind(|t| {
+                                    t.kind == vhdl_syntax::TokenKind::Id && &*t.text != "work"
+                                })
                                 .map(|t| t.text.to_string())
                                 .unwrap_or_default();
                             if let Some(be) =

@@ -38,7 +38,7 @@ pub fn encode(bytes: &[u8]) -> String {
 /// outside the alphabet, padding in the wrong place); never panics.
 pub fn decode(text: &str) -> Result<Vec<u8>, String> {
     let bytes = text.as_bytes();
-    if bytes.len() % 4 != 0 {
+    if !bytes.len().is_multiple_of(4) {
         return Err(format!(
             "base64 length {} is not a multiple of 4",
             bytes.len()
@@ -65,7 +65,7 @@ pub fn decode(text: &str) -> Result<Vec<u8>, String> {
         if pad > 2 {
             return Err("too much base64 padding".to_string());
         }
-        if chunk[..4 - pad].iter().any(|&c| c == b'=') {
+        if chunk[..4 - pad].contains(&b'=') {
             return Err("base64 padding inside data".to_string());
         }
         let mut n = 0u32;

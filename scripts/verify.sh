@@ -1,6 +1,6 @@
 #!/bin/sh
 # Tier-1 verification, fully offline: release build, the whole test suite,
-# and formatting. This is the gate every change must pass.
+# formatting and lints. This is the gate every change must pass.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -22,6 +22,11 @@ cargo test -q
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> cargo clippy --all-targets -D warnings"
+# Lints every crate's library, tests, benches and examples; a new warning
+# fails the gate.
+cargo clippy --offline --all-targets -- -D warnings
 
 echo "==> vhdlbench build + smoke run"
 # The benchmark is its own package outside the workspace, compiled
