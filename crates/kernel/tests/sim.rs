@@ -665,3 +665,181 @@ fn zero_timeout_storm_matures_own_drivers() {
         sim.signal_value(s)
     );
 }
+
+/// `[k := 0; while k < iters loop k := k + 1; end loop]` at `base`:
+/// busy work that makes an activation heavy enough for the pool gate.
+fn busy(base: u32, k: VarAddr, iters: i64) -> Vec<Insn> {
+    vec![
+        Insn::PushInt(0),
+        Insn::StoreVar(k),
+        Insn::LoadVar(k), // base + 2: loop
+        Insn::PushInt(iters),
+        Insn::Binop(Op::Lt),
+        Insn::JumpIfFalse(base + 11),
+        Insn::LoadVar(k),
+        Insn::PushInt(1),
+        Insn::Binop(Op::Add),
+        Insn::StoreVar(k),
+        Insn::Jump(base + 2),
+    ]
+}
+
+/// A report text value (`as_string` offsets character codes by 32).
+fn text(s: &str) -> Val {
+    Val::arr(
+        1,
+        sim_kernel::VDir::To,
+        s.chars().map(|c| Val::Int(c as i64 - 32)).collect(),
+    )
+}
+
+/// The failure semantics of one cycle, pinned at every worker count:
+/// three processes wake on each `clk` edge, each spending ~3,600
+/// instructions (so from the second edge on, a two-worker cycle runs on
+/// the pool). On the third edge the low-pid `top.bad` schedules a
+/// transaction and then fails its assertion. `top.a`, below it, has
+/// already scheduled; `top.late`, above it, would report and schedule.
+/// The failure is the error; the effects of every activation before it
+/// in process order are committed (their transactions pending, their
+/// instructions counted); nothing of `top.late`'s third activation is
+/// seen; and the simulator stays failed.
+#[test]
+fn a_failing_activation_stops_its_cycle_the_same_at_every_worker_count() {
+    let mut p = Program::default();
+    let clk = p.add_signal("top.clk", Val::Int(0));
+    let a = p.add_signal("top.a", Val::Int(0));
+    let b = p.add_signal("top.b", Val::Int(0));
+    let c = p.add_signal("top.c", Val::Int(0));
+    let on_clk = |tail: Vec<Insn>| {
+        let mut code = vec![
+            Insn::Wait {
+                sens: Arc::new(vec![clk]),
+                with_timeout: false,
+            },
+            Insn::Pop,
+        ];
+        code.extend(busy(2, addr(0), 400));
+        code.extend(tail);
+        code.push(Insn::Jump(0));
+        code
+    };
+    let toggle = |s, delay| {
+        vec![
+            Insn::LoadSig(s),
+            Insn::Unop(Op::Not),
+            Insn::PushInt(delay),
+            Insn::Sched {
+                sig: s,
+                transport: false,
+            },
+        ]
+    };
+    // pid 0: a <= not a after 1 fs.
+    p.add_process("top.a", 1, on_clk(toggle(a, 1)));
+    // pid 1: n := n + 1; b <= n; assert n < 3 report "bad" severity failure.
+    p.add_process(
+        "top.bad",
+        2,
+        on_clk(vec![
+            Insn::LoadVar(addr(1)),
+            Insn::PushInt(1),
+            Insn::Binop(Op::Add),
+            Insn::StoreVar(addr(1)),
+            Insn::LoadVar(addr(1)),
+            Insn::PushInt(-1),
+            Insn::Sched {
+                sig: b,
+                transport: false,
+            },
+            Insn::LoadVar(addr(1)),
+            Insn::PushInt(3),
+            Insn::Binop(Op::Lt),
+            Insn::PushConst(text("bad")),
+            Insn::PushInt(3),
+            Insn::Assert,
+        ]),
+    );
+    // pid 2: report "late" severity note; c <= not c.
+    let mut late = vec![
+        Insn::PushInt(0),
+        Insn::PushConst(text("late")),
+        Insn::PushInt(0),
+        Insn::Assert,
+    ];
+    late.extend(toggle(c, -1));
+    p.add_process("top.late", 1, on_clk(late));
+    // pid 3: three clk edges at 100, 200 and 300 fs, then halt.
+    let mut osc = Vec::new();
+    for (v, t) in [(1, 100), (0, 200), (1, 300)] {
+        osc.extend([
+            Insn::PushInt(v),
+            Insn::PushInt(t),
+            Insn::Sched {
+                sig: clk,
+                transport: true,
+            },
+        ]);
+    }
+    osc.push(Insn::Halt);
+    p.add_process("top.osc", 0, osc);
+    p.finalize_sensitivity();
+
+    for jobs in [1, 2] {
+        ag_harness::trace::reset();
+        ag_harness::trace::set_enabled(true);
+        let mut sim = Simulator::new(p.clone());
+        sim.set_jobs(jobs);
+        let err = sim.run_until(Time::fs(1_000)).unwrap_err();
+        let spawns = ag_harness::trace::counter_value("pool-spawn");
+        ag_harness::trace::set_enabled(false);
+        assert_eq!(spawns, u64::from(jobs > 1), "jobs={jobs}: pool spawns");
+        let SimError::Failure(ev) = &err else {
+            panic!("jobs={jobs}: expected a failure, got {err:?}");
+        };
+        assert_eq!(
+            (ev.time, ev.severity, ev.text.as_str()),
+            (Time::fs(300), 3, "bad"),
+            "jobs={jobs}"
+        );
+        let reports: Vec<_> = sim
+            .reports()
+            .iter()
+            .map(|r| (r.time.fs, r.severity, r.text.as_str()))
+            .collect();
+        assert_eq!(
+            reports,
+            [(100, 0, "late"), (200, 0, "late"), (300, 3, "bad")],
+            "jobs={jobs}"
+        );
+        let values: Vec<_> = [clk, a, b, c].map(|s| sim.signal_value(s).clone()).into();
+        assert_eq!(
+            values,
+            [Val::Int(1), Val::Int(0), Val::Int(2), Val::Int(0)],
+            "jobs={jobs}: clk, a, b, c"
+        );
+        let stats = sim.stats();
+        let want = sim_kernel::SimStats {
+            cycles: 8,
+            delta_cycles: 2,
+            events: 9,
+            transactions: 9,
+            resumptions: 9,
+            insns: 28_950,
+            calendar_ops: 20,
+            woken_procs: 9,
+            scanned_signals: 9,
+            compiled_blocks: 0,
+            fallback_procs: 0,
+        };
+        assert_eq!(stats, want, "jobs={jobs}");
+        for pid in 0..3 {
+            assert_eq!(sim.process_resumptions(pid), 3, "jobs={jobs}: pid {pid}");
+        }
+        // The simulator stays failed: a further step is the same error
+        // and changes nothing.
+        let again = sim.step().unwrap_err();
+        assert_eq!(again.to_string(), err.to_string(), "jobs={jobs}");
+        assert_eq!(sim.stats(), stats, "jobs={jobs}");
+        assert_eq!(sim.reports().len(), 3, "jobs={jobs}");
+    }
+}
