@@ -33,8 +33,8 @@
 //! ## What is *not* serialized
 //!
 //! Scratch worklists (`due_drivers`, `fired`, `cand`, `ready`,
-//! resolution buffers) are empty at every activation boundary and are
-//! rebuilt on demand. The sensitivity index and Name Server tree are
+//! resolution buffers, the spare locals buffers of returned frames) hold
+//! no state at any activation boundary and are rebuilt on demand. The sensitivity index and Name Server tree are
 //! pure functions of the program and are rebuilt by elaboration. Observers are host-side and
 //! re-attach after restore.
 //!
@@ -57,7 +57,7 @@ use ag_harness::fnv1a;
 
 use crate::isa::{Program, SigId};
 use crate::sched::{CalEntry, CalKind, Calendar};
-use crate::sim::{Driver, Frame, ProcStatus, ReportEvent, SimStats, Simulator};
+use crate::sim::{unit_decl, Driver, Frame, ProcStatus, ReportEvent, SimStats, Simulator};
 use crate::value::{ArrVal, Time, VDir, Val};
 
 /// Magic bytes opening every kernel snapshot.
@@ -716,17 +716,11 @@ impl<'a> Simulator<'a> {
                     1 => Some(d.u64()? as usize),
                     t => return Err(SnapshotError::Corrupt(format!("bad static-link tag {t}"))),
                 };
-                // Recover the frame's code handle from its unit index.
-                // Resolution scratch frames (`u32::MAX`) never appear in
-                // a snapshot: resolution runs to completion within a
-                // cycle and its frames are drained before any boundary.
-                let (code, want_locals) = if (unit as usize) < n_procs {
-                    let decl = &sim.program.processes[unit as usize];
-                    (Arc::clone(&decl.code), decl.n_locals as usize)
-                } else if (unit as usize) < n_procs + n_fns {
-                    let decl = &sim.program.functions[unit as usize - n_procs];
-                    (Arc::clone(&decl.code), decl.n_locals as usize)
-                } else {
+                // Check the frame against its unit's code. Resolution
+                // frames never appear in a snapshot: resolution runs to
+                // completion within a cycle and its frames are drained
+                // before any boundary.
+                let Some((code, want_locals)) = unit_decl(&sim.program, unit) else {
                     return Err(SnapshotError::Corrupt(format!(
                         "frame names unit {unit} of {}",
                         n_procs + n_fns
@@ -749,7 +743,6 @@ impl<'a> Simulator<'a> {
                     locals.push(d.val()?);
                 }
                 frames.push(Frame {
-                    code,
                     pc,
                     locals,
                     static_link,
