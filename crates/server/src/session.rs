@@ -72,8 +72,10 @@ enum ElabSpec {
 const SESSION_MAGIC: [u8; 4] = *b"VSES";
 /// Wrapper version. Any change to the wrapper layout bumps this; old
 /// versions are rejected, not migrated (the snapshot's lifetime is a
-/// checkpoint/resume hop, not an archive format).
-const SESSION_VERSION: u32 = 1;
+/// checkpoint/resume hop, not an archive format). Version 1 stored a
+/// one-byte VCD code per signal; version 2 stores the VCD writer's
+/// signal table, from which the multi-character codes follow.
+const SESSION_VERSION: u32 = 2;
 
 /// Truthy `incremental` default: a server session's whole point is the
 /// warm cache.

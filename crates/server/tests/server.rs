@@ -630,6 +630,44 @@ fn restore_refuses_an_old_kernel_snapshot() {
     join.join().expect("serve thread").expect("serve result");
 }
 
+/// A session blob of an older wrapper version is a typed `restore:`
+/// error naming both versions, whatever follows the header, and the
+/// session lives on.
+#[test]
+fn restore_refuses_an_old_session_snapshot() {
+    use sim_kernel::{Dec, Enc};
+    use vhdl_server::b64;
+
+    let (addr, _handle, join) = start(quiet_cfg(8, 1));
+    let session = b64::decode(&tb_snapshot(&addr)).expect("base64");
+    let body = &session[..session.len() - 8];
+    let mut d = Dec::new(body);
+    let magic: Vec<u8> = (0..4).map(|_| d.u8().unwrap()).collect();
+    let version = d.u32().unwrap();
+    assert_eq!(version, 2, "current session snapshot version");
+    let rest = &body[body.len() - d.remaining()..];
+    let mut e = Enc::new();
+    for b in magic {
+        e.u8(b);
+    }
+    e.u32(1);
+    for &b in rest {
+        e.u8(b);
+    }
+    let blob = b64::encode(&e.seal());
+
+    let mut c = Client::connect(&addr);
+    c.ok("analyze", analyze_fields());
+    let resp = c.req("restore", vec![("snapshot", Json::str(&blob))]);
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+    let err = resp.get("error").and_then(Json::as_str).expect("error");
+    assert_eq!(err, "restore: session snapshot version 1 is not 2");
+    c.ok("ping", vec![]);
+
+    c.ok("shutdown", vec![]);
+    join.join().expect("serve thread").expect("serve result");
+}
+
 #[test]
 fn tenant_quota_is_an_explicit_rejection() {
     let cfg = ServerConfig {
