@@ -9,7 +9,7 @@ use ag_core::{ClassId, DemandEval, EvalError};
 use ag_harness::fnv1a;
 use ag_lalr::ParseTree;
 use vhdl_syntax::{FrontError, PrincipalGrammar, SrcTok};
-use vhdl_vif::{LibrarySet, VifNode};
+use vhdl_vif::{mk, Field, Kind, LibrarySet, VifNode};
 
 use crate::env::{Den, Env, EnvKind, Visibility};
 use crate::msg::{Msg, Msgs};
@@ -218,7 +218,7 @@ impl Analyzer {
                 if !msgs.has_errors() {
                     msgs.push(Msg::error(Default::default(), "no unit produced"));
                 }
-                (String::new(), VifNode::build("error").done())
+                (String::new(), mk::error())
             }
         };
         let expr_evals = *actx.expr_evals.borrow();
@@ -260,7 +260,7 @@ impl Analyzer {
         env = env.bind(
             "work",
             Den {
-                node: VifNode::build("library").name("work").done(),
+                node: mk::library("work"),
                 vis: Visibility::Implicit,
             },
         );
@@ -293,16 +293,9 @@ impl Analyzer {
 /// Library key of an analyzed unit node.
 pub fn unit_key(node: &VifNode) -> String {
     let name = node.name().unwrap_or("anon");
-    match node.kind() {
-        "entity" => format!("entity.{name}"),
-        "arch" => format!(
-            "arch.{}.{name}",
-            node.str_field("entity_name").unwrap_or("anon")
-        ),
-        "pkg" => format!("pkg.{name}"),
-        "pkgbody" => format!("pkgbody.{name}"),
-        "config" => format!("config.{name}"),
-        k => format!("{k}.{name}"),
+    match node.tag() {
+        Kind::arch => format!("arch.{}.{name}", node.str(Field::entity_name)),
+        _ => format!("{}.{name}", node.kind()),
     }
 }
 

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use ag_intern::{Symbol, ToSym};
-use vhdl_vif::{kinds, VifNode};
+use vhdl_vif::{Kind, VifNode};
 
 /// How a binding became visible (affects homograph rules and diagnostics).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -57,8 +57,10 @@ impl Den {
     /// `true` for denotations that may overload rather than hide each
     /// other: subprograms, enumeration literals, and physical units.
     pub fn overloadable(&self) -> bool {
-        let k = self.node.kind_sym();
-        k == kinds::subprog() || k == kinds::enumlit() || k == kinds::physunit()
+        matches!(
+            self.node.tag(),
+            Kind::subprog | Kind::enumlit | Kind::physunit
+        )
     }
 }
 

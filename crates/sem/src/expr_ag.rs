@@ -14,7 +14,7 @@ use std::sync::{Arc, OnceLock};
 use ag_core::{AgBuilder, AttrDir, AttrGrammar, ClassId, DemandEval, EvalError, Implicit};
 use ag_lalr::{Grammar, GrammarBuilder, ParseTable, Parser, SymbolId, Token};
 use vhdl_syntax::{Pos, SrcTok};
-use vhdl_vif::VifNode;
+use vhdl_vif::{mk, Field, Kind};
 
 use crate::env::Env;
 use crate::expr_rules;
@@ -218,13 +218,13 @@ impl ExprAnswer {
     /// Decomposes an `e.range` result into `(left, right, dir)`.
     pub fn as_range(&self) -> Option<(Ir, Ir, Dir)> {
         let ir = self.ir.as_ref()?;
-        if ir.kind() != "e.range" {
+        if ir.tag() != Kind::e_range {
             return None;
         }
         Some((
-            Rc::clone(ir.node_field("left")?),
-            Rc::clone(ir.node_field("right")?),
-            Dir::decode(ir.int_field("dir").unwrap_or(0)),
+            Rc::clone(ir.node(Field::left)),
+            Rc::clone(ir.node(Field::right)),
+            Dir::decode(ir.int(Field::dir)),
         ))
     }
 }
@@ -339,13 +339,11 @@ pub fn expr_eval(
 
 /// Walks an IR tree collecting embedded `e.error` diagnostics.
 pub fn collect_errors(ir: &Ir, msgs: &mut Msgs) {
-    if ir.kind_sym() == vhdl_vif::kinds::e_error() {
-        let line = ir.int_field("line").unwrap_or(0) as u32;
+    if ir.tag() == Kind::e_error {
+        let line = ir.int(Field::line) as u32;
         msgs.push(Msg::error(
             Pos { line, col: 1 },
-            ir.str_field("msg")
-                .unwrap_or("expression error")
-                .to_string(),
+            ir.str(Field::msg).to_string(),
         ));
     }
     for (_, v) in ir.fields() {
@@ -374,12 +372,8 @@ fn walk_value(v: &vhdl_vif::VifValue, msgs: &mut Msgs) {
 }
 
 /// An `e.error` IR node (typed as universal integer so parents continue).
-pub fn err_ir(pos: Pos, msg: impl Into<String>) -> Ir {
-    VifNode::build("e.error")
-        .node_field("ty", types::universal_int())
-        .str_field("msg", msg.into())
-        .int_field("line", pos.line as i64)
-        .done()
+pub fn err_ir(pos: Pos, msg: impl Into<Rc<str>>) -> Ir {
+    mk::e_error(types::universal_int(), msg, pos.line as i64)
 }
 
 /// Builds the expression grammar over LEF categories: the terminals come

@@ -17,7 +17,7 @@ use std::rc::Rc;
 
 use ag_intern::Symbol;
 use vhdl_syntax::{Pos, SrcTok, TokenKind};
-use vhdl_vif::{kinds, VifNode};
+use vhdl_vif::{kinds, Field, Kind, VifNode};
 
 use crate::decl::{mk_obj, Mode, ObjClass};
 use crate::env::Env;
@@ -160,11 +160,9 @@ pub struct LefCtx<'a> {
 /// selection, §3.2). Overloadables accumulate.
 pub fn pkg_select(pkg: &VifNode, name: &str) -> Vec<Rc<VifNode>> {
     let mut out = Vec::new();
-    for v in pkg.list_field("decls") {
-        if let Some(n) = v.as_node() {
-            if n.name() == Some(name) {
-                out.push(Rc::clone(n));
-            }
+    for n in pkg.nodes(Field::decls) {
+        if n.name() == Some(name) {
+            out.push(Rc::clone(n));
         }
     }
     out
@@ -252,69 +250,51 @@ pub fn build_lef(toks: &[SrcTok], ctx: &LefCtx<'_>) -> (Vec<LefTok>, Msgs) {
                     i += 1;
                     continue;
                 }
-                let k0 = dens[0].kind_sym();
-                if k0 == kinds::pkg() {
-                    pending = Pending::Package(Rc::clone(&dens[0]));
-                } else if k0 == kinds::library() {
-                    pending = Pending::Library(
-                        dens[0].name_sym().unwrap_or_else(|| Symbol::intern("work")),
-                    );
-                } else if k0 == kinds::subprog() || k0 == kinds::enumlit() {
-                    let dens: Vec<Rc<VifNode>> = dens
-                        .into_iter()
-                        .filter(|d| {
-                            let k = d.kind_sym();
-                            k == kinds::subprog() || k == kinds::enumlit()
-                        })
-                        .collect();
-                    out.push(LefTok {
-                        kind: LefKind::Callable,
-                        text: key,
-                        pos: t.pos,
-                        dens: Rc::new(dens),
-                    });
-                } else if kinds::is_ty(k0) {
-                    out.push(LefTok {
-                        kind: LefKind::TyMark,
-                        text: key,
-                        pos: t.pos,
-                        dens: Rc::new(vec![Rc::clone(&dens[0])]),
-                    });
-                } else if k0 == kinds::physunit() {
-                    out.push(LefTok {
-                        kind: LefKind::PhysUnit,
-                        text: key,
-                        pos: t.pos,
-                        dens: Rc::new(vec![Rc::clone(&dens[0])]),
-                    });
-                } else if k0 == kinds::obj() {
-                    out.push(LefTok {
+                let one = |kind| LefTok {
+                    kind,
+                    text: key,
+                    pos: t.pos,
+                    dens: Rc::new(vec![Rc::clone(&dens[0])]),
+                };
+                match dens[0].tag() {
+                    Kind::pkg => pending = Pending::Package(Rc::clone(&dens[0])),
+                    Kind::library => {
+                        pending = Pending::Library(
+                            dens[0].name_sym().unwrap_or_else(|| Symbol::intern("work")),
+                        )
+                    }
+                    Kind::subprog | Kind::enumlit => {
+                        let dens: Vec<Rc<VifNode>> = dens
+                            .into_iter()
+                            .filter(|d| matches!(d.tag(), Kind::subprog | Kind::enumlit))
+                            .collect();
+                        out.push(LefTok {
+                            kind: LefKind::Callable,
+                            text: key,
+                            pos: t.pos,
+                            dens: Rc::new(dens),
+                        });
+                    }
+                    _ if kinds::is_ty(dens[0].kind_sym()) => out.push(one(LefKind::TyMark)),
+                    Kind::physunit => out.push(one(LefKind::PhysUnit)),
+                    Kind::obj => out.push(one(LefKind::Obj)),
+                    // Aliases rename objects; substitute the target.
+                    Kind::alias => out.push(LefTok {
                         kind: LefKind::Obj,
                         text: key,
                         pos: t.pos,
-                        dens: Rc::new(vec![Rc::clone(&dens[0])]),
-                    });
-                } else if k0 == kinds::alias() {
-                    // Aliases rename objects; substitute the target.
-                    let target = dens[0].node_field("target").cloned();
-                    match target {
-                        Some(target) => out.push(LefTok {
-                            kind: LefKind::Obj,
-                            text: key,
-                            pos: t.pos,
-                            dens: Rc::new(vec![target]),
-                        }),
-                        None => {
-                            msgs.push(Msg::error(t.pos, format!("alias `{key}` has no target")));
-                            out.push(error_obj_tok(key, t.pos));
-                        }
+                        dens: Rc::new(vec![Rc::clone(dens[0].node(Field::target))]),
+                    }),
+                    _ => {
+                        msgs.push(Msg::error(
+                            t.pos,
+                            format!(
+                                "`{key}` ({}) cannot appear in an expression",
+                                dens[0].kind()
+                            ),
+                        ));
+                        out.push(error_obj_tok(key, t.pos));
                     }
-                } else {
-                    msgs.push(Msg::error(
-                        t.pos,
-                        format!("`{key}` ({k0}) cannot appear in an expression"),
-                    ));
-                    out.push(error_obj_tok(key, t.pos));
                 }
                 i += 1;
             }

@@ -27,18 +27,10 @@ pub mod types;
 pub mod uid;
 pub mod value;
 
-use std::rc::Rc;
-
 /// The `boolean` type as visible in an environment (used by attribute
 /// rules that must produce boolean results).
 pub fn standard_boolean(e: &env::Env) -> types::Ty {
     e.lookup_one("boolean").map(|d| d.node).unwrap_or_else(|| {
-        Rc::new(
-            vhdl_vif::VifNode::build("ty.enum")
-                .name("boolean")
-                .done()
-                .as_ref()
-                .clone(),
-        )
+        types::mk_enum(uid::predefined("boolean"), "boolean", &["false", "true"])
     })
 }

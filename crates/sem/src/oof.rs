@@ -10,7 +10,7 @@
 use std::rc::Rc;
 
 use vhdl_syntax::{Pos, SrcTok, TokenKind};
-use vhdl_vif::{VifNode, VifValue};
+use vhdl_vif::{mk, Field, Kind, VifNode, VifValue};
 
 use crate::analyze::Actx;
 use crate::decl::{self, Mode, ObjClass};
@@ -75,19 +75,21 @@ impl U<'_> {
         }
         for seg in &segs[1..] {
             let head = &dens[0];
-            match head.kind() {
-                "library" => {
+            match head.tag() {
+                Kind::library => {
                     let lib = head.name().unwrap_or("work").to_string();
                     if seg.kind == TokenKind::KwAll {
                         return Err(Msg::error(seg.pos, "`library.all` is not a name"));
                     }
                     // A unit of the library: package, entity, or
                     // configuration.
-                    let found = ["pkg", "entity", "config"].iter().find_map(|k| {
-                        self.ctx
-                            .loader
-                            .load_unit(&lib, &format!("{k}.{}", seg.text))
-                    });
+                    let found = [Kind::pkg, Kind::entity, Kind::config]
+                        .iter()
+                        .find_map(|k| {
+                            self.ctx
+                                .loader
+                                .load_unit(&lib, &format!("{}.{}", k.sym(), seg.text))
+                        });
                     match found {
                         Some(n) => dens = vec![n],
                         None => {
@@ -98,12 +100,10 @@ impl U<'_> {
                         }
                     }
                 }
-                "pkg" => {
+                Kind::pkg => {
                     if seg.kind == TokenKind::KwAll {
                         // Signalled by a sentinel "all" node on top.
-                        dens = vec![VifNode::build("all")
-                            .node_field("pkg", Rc::clone(head))
-                            .done()];
+                        dens = vec![mk::all(Rc::clone(head))];
                         continue;
                     }
                     let found = pkg_select(head, &seg.text);
@@ -119,10 +119,10 @@ impl U<'_> {
                     }
                     dens = found;
                 }
-                other => {
+                _ => {
                     return Err(Msg::error(
                         seg.pos,
-                        format!("cannot select `{}` from a {other}", seg.text),
+                        format!("cannot select `{}` from a {}", seg.text, head.kind()),
                     ))
                 }
             }
@@ -177,12 +177,17 @@ impl DeclOut {
 /// companions (literals, units, implicit operators) travel alongside it in
 /// declaration lists, so binding them here would duplicate every overload.
 pub fn bind_decl(env: &Env, node: &Rc<VifNode>) -> Env {
-    let key = match node.kind() {
-        "attrspec" => node.str_field("key"),
-        "enumlit" | "physunit" | "subprog" | "obj" | "component" | "alias" | "pkg" | "attrdecl" => {
-            node.name()
-        }
-        k if k.starts_with("ty.") => node.name(),
+    let key = match node.tag() {
+        Kind::attrspec => Some(node.str(Field::key)),
+        Kind::enumlit
+        | Kind::physunit
+        | Kind::subprog
+        | Kind::obj
+        | Kind::component
+        | Kind::alias
+        | Kind::pkg
+        | Kind::attrdecl => node.name(),
+        _ if vhdl_vif::kinds::is_ty(node.kind_sym()) => node.name(),
         _ => None,
     };
     match key {
@@ -196,7 +201,7 @@ pub fn bind_decl(env: &Env, node: &Rc<VifNode>) -> Env {
 /// entity's context.
 pub fn reimport_ctx(env: &Env, ctx: &Rc<Actx>, unit: &VifNode) -> Env {
     let mut e = env.clone();
-    for entry in unit.list_field("ctx") {
+    for entry in unit.list_field(Field::ctx) {
         let Some(parts) = entry.as_list() else {
             continue;
         };
@@ -205,10 +210,7 @@ pub fn reimport_ctx(env: &Env, ctx: &Rc<Actx>, unit: &VifNode) -> Env {
         match kind {
             "lib" => {
                 if let Some(name) = segs.first() {
-                    e = e.bind(
-                        name,
-                        Den::local(VifNode::build("library").name(*name).done()),
-                    );
+                    e = e.bind(name, Den::local(mk::library(*name)));
                 }
             }
             "use" => {
@@ -423,25 +425,18 @@ pub fn resolve_ifaces(
             a.ir
         };
         for id in &f.ids {
-            let obj = decl::mk_obj(
+            // `origin` tags interface objects so mode rules (e.g. no
+            // writes to `in` ports) can tell them from local declarations.
+            out.push(mk::obj(
+                id.text,
                 u.ctx.uids.declared(&id.text, id.pos),
-                class,
-                &id.text,
-                &ty,
-                mode,
+                decl::word(class.encode()),
+                decl::word(mode.encode()),
+                Rc::clone(&ty),
                 init.clone(),
-                f.bus.then_some("bus"),
-            );
-            // Tag interface objects so mode rules (e.g. no writes to `in`
-            // ports) can tell them from local declarations.
-            let mut b = VifNode::build(obj.kind());
-            if let Some(n) = obj.name() {
-                b = b.name(n);
-            }
-            for (fname, v) in obj.fields() {
-                b = b.field(*fname, v.clone());
-            }
-            out.push(b.str_field("origin", "iface").done());
+                f.bus.then(|| decl::word("bus")),
+                Some(decl::word("iface")),
+            ));
         }
     }
     (out, msgs)
@@ -472,14 +467,10 @@ pub fn spec_subprog(u: &U<'_>, spec: &Value) -> (Option<Rc<VifNode>>, Msgs) {
     } else {
         None
     };
-    let mut b = VifNode::build("subprog")
-        .name(&*desig.text)
-        .str_field("uid", u.ctx.uids.declared(&desig.text, desig.pos))
-        .list_field("params", params.into_iter().map(VifValue::Node).collect());
-    if let Some(r) = &ret {
-        b = b.node_field("ret", Rc::clone(r));
-    }
-    (Some(b.done()), msgs)
+    let uid = u.ctx.uids.declared(&desig.text, desig.pos);
+    let params = params.into_iter().map(VifValue::Node).collect();
+    let node = mk::subprog(desig.text, uid, params, ret, None, None, None, None);
+    (Some(node), msgs)
 }
 
 /// Finds a previously declared subprogram spec matching `name` and the
@@ -490,19 +481,17 @@ pub fn find_spec_match(env: &Env, fresh: &VifNode) -> Option<Rc<VifNode>> {
     let name = fresh.name()?;
     let fresh_params = decl::subprog_params(fresh);
     for den in env.lookup(name) {
-        if den.node.kind() != "subprog" || den.node.field("body").is_some() {
+        if den.node.tag() != Kind::subprog || den.node.field(Field::body).is_some() {
             continue;
         }
         let params = decl::subprog_params(&den.node);
         if params.len() != fresh_params.len() {
             continue;
         }
-        let tys_match = params.iter().zip(&fresh_params).all(|(a, b)| {
-            match (decl::obj_ty(a), decl::obj_ty(b)) {
-                (Some(ta), Some(tb)) => types::same_base(&ta, &tb),
-                _ => false,
-            }
-        });
+        let tys_match = params
+            .iter()
+            .zip(&fresh_params)
+            .all(|(a, b)| types::same_base(a.node(Field::ty), b.node(Field::ty)));
         let ret_match = match (decl::subprog_ret(&den.node), decl::subprog_ret(fresh)) {
             (Some(a), Some(b)) => types::same_base(&a, &b),
             (None, None) => true,
@@ -524,13 +513,11 @@ pub fn use_import(u: &U<'_>, toks: &[SrcTok], env: &Env) -> (Env, Vec<Rc<VifNode
             let mut env = env.clone();
             let mut imported = Vec::new();
             for d in &dens {
-                if d.kind_sym() == vhdl_vif::kinds::all_() {
-                    let pkg = d.node_field("pkg").expect("all wraps a package");
-                    for item in pkg.list_field("decls") {
-                        if let Some(n) = item.as_node() {
-                            env = bind_decl(&env, n);
-                            imported.push(Rc::clone(n));
-                        }
+                if d.tag() == Kind::all {
+                    let pkg = d.node(Field::pkg);
+                    for n in pkg.nodes(Field::decls) {
+                        env = bind_decl(&env, n);
+                        imported.push(Rc::clone(n));
                     }
                 } else {
                     env = bind_decl(&env, d);

@@ -5,7 +5,7 @@
 use std::rc::Rc;
 
 use ag_intern::{Symbol, ToSym};
-use vhdl_vif::{fields, kinds, VifNode};
+use vhdl_vif::{Field, Kind, VifNode};
 
 use crate::decl::{subprog_params, subprog_ret};
 use crate::env::Env;
@@ -41,22 +41,17 @@ pub fn filter_by_args(cands: &[Rc<VifNode>], args: &[ArgShape]) -> Vec<Rc<VifNod
 /// positional prefix then named arguments, every parameter satisfied by
 /// an argument or a default.
 fn takes(cand: &VifNode, args: &[ArgShape]) -> bool {
-    let k = cand.kind_sym();
-    if k == kinds::enumlit() {
-        return args.is_empty();
+    match cand.tag() {
+        Kind::enumlit => return args.is_empty(),
+        Kind::subprog => {}
+        _ => return false,
     }
-    if k != kinds::subprog() {
-        return false;
-    }
-    let params = cand.list_field(fields::params());
+    let params = cand.list_field(Field::params);
     if args.len() > params.len() {
         return false;
     }
     let param = |i: usize| params[i].as_node().expect("parameter node");
-    let offers_param = |tys: &[Ty], i: usize| {
-        let want = param(i).node_field(fields::ty()).expect("typed param");
-        offers(tys, want)
-    };
+    let offers_param = |tys: &[Ty], i: usize| offers(tys, param(i).node(Field::ty));
     // Whether one of the first `n` arguments satisfies parameter `i`.
     let used = |i: usize, n: usize| {
         args[..n].iter().enumerate().any(|(j, a)| match a {
@@ -82,18 +77,15 @@ fn takes(cand: &VifNode, args: &[ArgShape]) -> bool {
             return false;
         }
     }
-    (0..params.len()).all(|i| used(i, args.len()) || param(i).field(fields::init()).is_some())
+    (0..params.len()).all(|i| used(i, args.len()) || param(i).field(Field::init).is_some())
 }
 
 /// Result type a candidate yields when *used as a value*.
 pub fn result_type(cand: &Rc<VifNode>) -> Option<Ty> {
-    let k = cand.kind_sym();
-    if k == kinds::enumlit() {
-        cand.node_field(fields::ty()).cloned()
-    } else if k == kinds::subprog() {
-        subprog_ret(cand)
-    } else {
-        None
+    match cand.tag() {
+        Kind::enumlit => Some(Rc::clone(cand.node(Field::ty))),
+        Kind::subprog => subprog_ret(cand),
+        _ => None,
     }
 }
 
@@ -145,37 +137,32 @@ pub enum PickError {
 
 /// Human-readable candidate description for diagnostics.
 pub fn describe(cand: &VifNode) -> String {
-    let k = cand.kind_sym();
-    if k == kinds::enumlit() {
-        format!(
+    match cand.tag() {
+        Kind::enumlit => format!(
             "literal {} of {}",
             cand.name().unwrap_or("?"),
-            cand.node_field("ty").and_then(|t| t.name()).unwrap_or("?")
-        )
-    } else if k == kinds::subprog() {
-        let params: Vec<String> = subprog_params(cand)
-            .iter()
-            .map(|p| {
-                crate::decl::obj_ty(p)
-                    .and_then(|t| t.name().map(str::to_string))
-                    .unwrap_or_else(|| "?".into())
-            })
-            .collect();
-        match subprog_ret(cand) {
-            Some(r) => format!(
-                "function {}({}) return {}",
-                cand.name().unwrap_or("?"),
-                params.join(", "),
-                r.name().unwrap_or("?")
-            ),
-            None => format!(
-                "procedure {}({})",
-                cand.name().unwrap_or("?"),
-                params.join(", ")
-            ),
+            cand.node(Field::ty).name().unwrap_or("?")
+        ),
+        Kind::subprog => {
+            let params: Vec<&str> = subprog_params(cand)
+                .iter()
+                .map(|p| p.node(Field::ty).name().unwrap_or("?"))
+                .collect();
+            match subprog_ret(cand) {
+                Some(r) => format!(
+                    "function {}({}) return {}",
+                    cand.name().unwrap_or("?"),
+                    params.join(", "),
+                    r.name().unwrap_or("?")
+                ),
+                None => format!(
+                    "procedure {}({})",
+                    cand.name().unwrap_or("?"),
+                    params.join(", ")
+                ),
+            }
         }
-    } else {
-        k.to_string()
+        _ => cand.kind().to_string(),
     }
 }
 

@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use ag_core::{AgBuilder, Dep};
 use ag_lalr::{Grammar, ProdId};
-use vhdl_vif::{VifNode, VifValue};
+use vhdl_vif::{mk, Field, Kind, VifNode, VifValue};
 
 use crate::decl::{self, ObjClass};
 use crate::env::Env;
@@ -724,7 +724,7 @@ fn install_context(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses)
         c.units,
         vec![Dep::attr(1, c.names), Dep::attr(2, c.units)],
         |d| {
-            let ctx_entries: Vec<VifValue> = d[0]
+            let ctx_entries = d[0]
                 .expect_list()
                 .iter()
                 .map(|e| {
@@ -739,23 +739,11 @@ fn install_context(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses)
                     VifValue::List(Rc::new(segs))
                 })
                 .collect();
+            let ctx = VifValue::list(ctx_entries);
             let units: Vec<Value> = d[1]
                 .expect_list()
                 .iter()
-                .map(|u| {
-                    let n = u.expect_node();
-                    let mut b = VifNode::build(n.kind());
-                    if let Some(name) = n.name() {
-                        b = b.name(name);
-                    }
-                    for (f, v) in n.fields() {
-                        b = b.field(*f, v.clone());
-                    }
-                    Value::Node(
-                        b.field("ctx", VifValue::List(Rc::new(ctx_entries.clone())))
-                            .done(),
-                    )
-                })
+                .map(|u| Value::Node(u.expect_node().with_fields([(Field::ctx, ctx.clone())])))
                 .collect();
             Value::list(units)
         },
@@ -802,10 +790,7 @@ fn install_context(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses)
             let mut env = d[0].expect_env();
             for id in d[1].expect_list() {
                 let t = id.expect_tok();
-                env = env.bind(
-                    t.text,
-                    crate::env::Den::local(VifNode::build("library").name(&*t.text).done()),
-                );
+                env = env.bind(t.text, crate::env::Den::local(mk::library(t.text)));
             }
             Value::Env(env)
         },
@@ -1014,11 +999,8 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                 let target_toks = oof::toks_of(&d[3]);
                 match u.resolve_name(&target_toks) {
                     Ok(dens) => {
-                        let alias = VifNode::build("alias")
-                            .name(&*name.text)
-                            .str_field("uid", u.ctx.uids.declared(&name.text, name.pos))
-                            .node_field("target", Rc::clone(&dens[0]))
-                            .done();
+                        let uid = u.ctx.uids.declared(&name.text, name.pos);
+                        let alias = mk::alias(name.text, uid, Rc::clone(&dens[0]));
                         DeclOut {
                             envo: u
                                 .env
@@ -1053,11 +1035,8 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                 let mark = oof::toks_of(&d[3]);
                 match u.resolve_name(&mark) {
                     Ok(dens) if vhdl_vif::kinds::is_ty(dens[0].kind_sym()) => {
-                        let ad = VifNode::build("attrdecl")
-                            .name(&*name.text)
-                            .str_field("uid", u.ctx.uids.declared(&name.text, name.pos))
-                            .node_field("ty", Rc::clone(&dens[0]))
-                            .done();
+                        let uid = u.ctx.uids.declared(&name.text, name.pos);
+                        let ad = mk::attrdecl(name.text, uid, Rc::clone(&dens[0]));
                         DeclOut {
                             envo: u
                                 .env
@@ -1100,7 +1079,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                 let Some(adecl) = u
                     .env
                     .lookup_one(aname.text)
-                    .filter(|den| den.node.kind_sym() == vhdl_vif::kinds::attrdecl())
+                    .filter(|den| den.node.tag() == Kind::attrdecl)
                 else {
                     return DeclOut::err(
                         u.env,
@@ -1108,7 +1087,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                     )
                     .encode();
                 };
-                let aty = Rc::clone(adecl.node.node_field("ty").expect("typed attrdecl"));
+                let aty = Rc::clone(adecl.node.node(Field::ty));
                 let a = u.ev(&toks, Some(&aty));
                 let mut msgs = a.msgs.clone();
                 let Some(value) = a.ir else {
@@ -1126,13 +1105,10 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                         let t = id.expect_tok();
                         match u.env.lookup_one(t.text) {
                             Some(target) => {
-                                let uid = target.node.str_field("uid").unwrap_or("?");
+                                let uid = target.node.str_field(Field::uid).unwrap_or("?");
                                 let key = crate::uid::attr_key(uid, &aname.text);
-                                let spec = VifNode::build("attrspec")
-                                    .str_field("key", key.as_str())
-                                    .node_field("ty", Rc::clone(&aty))
-                                    .node_field("value", Rc::clone(&value))
-                                    .done();
+                                let spec =
+                                    mk::attrspec(key.as_str(), Rc::clone(&aty), Rc::clone(&value));
                                 env = env.bind(&key, crate::env::Den::local(Rc::clone(&spec)));
                                 decls.push(spec);
                             }
@@ -1171,15 +1147,12 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                 let (generics, m1) =
                     oof::resolve_ifaces(&u, &oof::ifaces_of(&d[3]), ObjClass::Constant);
                 let (ports, m2) = oof::resolve_ifaces(&u, &oof::ifaces_of(&d[4]), ObjClass::Signal);
-                let node = VifNode::build("component")
-                    .name(&*name.text)
-                    .str_field("uid", u.ctx.uids.declared(&name.text, name.pos))
-                    .list_field(
-                        "generics",
-                        generics.into_iter().map(VifValue::Node).collect(),
-                    )
-                    .list_field("ports", ports.into_iter().map(VifValue::Node).collect())
-                    .done();
+                let node = mk::component(
+                    name.text,
+                    u.ctx.uids.declared(&name.text, name.pos),
+                    generics.into_iter().map(VifValue::Node).collect(),
+                    ports.into_iter().map(VifValue::Node).collect(),
+                );
                 DeclOut {
                     envo: u
                         .env
@@ -1328,16 +1301,8 @@ fn install_subprogram_body(ab: &mut AgBuilder<Value>, g: &Grammar, c: &Principal
                 .encode();
             };
             let level = d[3].expect_int() + 1;
-            let locals: Vec<VifValue> = d[4]
-                .expect_list()
-                .iter()
-                .map(|v| VifValue::Node(v.expect_node()))
-                .collect();
-            let body: Vec<VifValue> = d[5]
-                .expect_list()
-                .iter()
-                .map(|v| VifValue::Node(v.expect_node()))
-                .collect();
+            let locals = d[4].node_list();
+            let body = d[5].node_list();
             let completed = decl::with_body(&node, locals, body, level);
             DeclOut {
                 envo: env.bind(
@@ -1633,15 +1598,16 @@ fn declare_objects(
 /// Names a subtype declaration: a constrained subtype takes the declared
 /// name and uid, a plain mark is wrapped in a named subtype of it.
 fn rename_type(ty: &types::Ty, name: &str, uid: String) -> types::Ty {
-    if ty.kind() != "ty.subtype" {
+    if ty.tag() != Kind::ty_subtype {
         return types::mk_subtype(uid, name, ty, None, None);
     }
-    let mut b = VifNode::build("ty.subtype").name(name);
-    for (f, v) in ty.fields() {
-        b = match &**f {
-            "uid" => b.str_field("uid", uid.as_str()),
-            _ => b.field(*f, v.clone()),
-        };
-    }
-    b.done()
+    mk::ty_subtype(
+        name,
+        uid,
+        Rc::clone(ty.node(Field::base)),
+        ty.int_field(Field::lo),
+        ty.int_field(Field::hi),
+        ty.int_field(Field::dir),
+        ty.node_field(Field::resolution).cloned(),
+    )
 }

@@ -7,7 +7,7 @@
 
 use std::rc::Rc;
 
-use vhdl_vif::VifNode;
+use vhdl_vif::{Field, Kind, VifNode};
 
 use crate::decl::{mk_binop, mk_enumlit, mk_physunit, mk_unop};
 use crate::env::{Den, Env, EnvKind, Visibility};
@@ -162,19 +162,22 @@ pub fn standard(kind: EnvKind) -> Standard {
 pub fn implicit_decls(ty: &Ty, boolean: &Ty, integer: &Ty) -> Vec<Rc<VifNode>> {
     let tuid = types::uid(ty);
     let mut out = Vec::new();
-    for (pos, lit) in ty.list_field("lits").iter().enumerate() {
+    for (pos, lit) in ty.list_field(Field::lits).iter().enumerate() {
         let lit = lit.as_str().expect("literals are strings");
         out.push(mk_enumlit(uid::implied(tuid, lit), lit, ty, pos as i64));
     }
-    for u in ty.list_field("units") {
-        let u = u.as_node().expect("units are nodes");
-        let name = u.name().expect("units are named");
-        let factor = u.int_field("factor").unwrap_or(1);
-        out.push(mk_physunit(uid::implied(tuid, name), name, ty, factor));
+    for u in ty.nodes(Field::units) {
+        let name = u.name().unwrap_or_default();
+        out.push(mk_physunit(
+            uid::implied(tuid, name),
+            name,
+            ty,
+            u.int(Field::factor),
+        ));
     }
     let b = types::base_type(ty);
     // Subtypes do not redeclare operators.
-    if ty.kind_sym() == vhdl_vif::kinds::ty_subtype() {
+    if ty.tag() == Kind::ty_subtype {
         return out;
     }
     let op_uid = |out: &[Rc<VifNode>], sym: &str| {
@@ -187,8 +190,8 @@ pub fn implicit_decls(ty: &Ty, boolean: &Ty, integer: &Ty) -> Vec<Rc<VifNode>> {
     let un = |out: &mut Vec<Rc<VifNode>>, sym: &str, code: &str| {
         out.push(mk_unop(op_uid(out, sym), sym, ty, ty, code));
     };
-    match b.kind() {
-        "ty.enum" | "ty.int" | "ty.real" | "ty.phys" => {
+    match b.tag() {
+        Kind::ty_enum | Kind::ty_int | Kind::ty_real | Kind::ty_phys => {
             for (sym, code) in [
                 ("=", "eq"),
                 ("/=", "ne"),
@@ -202,21 +205,21 @@ pub fn implicit_decls(ty: &Ty, boolean: &Ty, integer: &Ty) -> Vec<Rc<VifNode>> {
         }
         _ => {}
     }
-    match b.kind() {
-        "ty.int" | "ty.real" => {
+    match b.tag() {
+        Kind::ty_int | Kind::ty_real => {
             for (sym, code) in [("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "div")] {
                 bin(&mut out, sym, ty, ty, ty, code);
             }
             un(&mut out, "+", "pos");
             un(&mut out, "-", "neg");
             un(&mut out, "abs", "abs");
-            if b.kind_sym() == vhdl_vif::kinds::ty_int() {
+            if b.tag() == Kind::ty_int {
                 bin(&mut out, "mod", ty, ty, ty, "mod");
                 bin(&mut out, "rem", ty, ty, ty, "rem");
                 bin(&mut out, "**", ty, integer, ty, "pow");
             }
         }
-        "ty.phys" => {
+        Kind::ty_phys => {
             bin(&mut out, "+", ty, ty, ty, "add");
             bin(&mut out, "-", ty, ty, ty, "sub");
             un(&mut out, "-", "neg");
@@ -226,9 +229,9 @@ pub fn implicit_decls(ty: &Ty, boolean: &Ty, integer: &Ty) -> Vec<Rc<VifNode>> {
             bin(&mut out, "/", ty, integer, ty, "div");
             bin(&mut out, "/", ty, ty, integer, "div_phys");
         }
-        "ty.enum" => {
+        Kind::ty_enum => {
             // Logical operators for the two-valued logical types.
-            let lits = b.list_field("lits");
+            let lits = b.list_field(Field::lits);
             let is_logical =
                 lits.len() == 2 && (b.name() == Some("boolean") || b.name() == Some("bit"));
             if is_logical {
@@ -244,7 +247,7 @@ pub fn implicit_decls(ty: &Ty, boolean: &Ty, integer: &Ty) -> Vec<Rc<VifNode>> {
                 un(&mut out, "not", "not");
             }
         }
-        "ty.array" => {
+        Kind::ty_array => {
             bin(&mut out, "=", ty, ty, boolean, "eq");
             bin(&mut out, "/=", ty, ty, boolean, "ne");
             bin(&mut out, "&", ty, ty, ty, "concat");

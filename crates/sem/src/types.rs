@@ -13,7 +13,7 @@
 
 use std::rc::Rc;
 
-use vhdl_vif::{fields, VifNode, VifValue};
+use vhdl_vif::{mk, Field, Kind, VifNode, VifValue};
 
 use crate::uid::{RANGE_MARKER, UNIVERSAL_INT, UNIVERSAL_REAL, VOID_MARKER};
 
@@ -52,56 +52,27 @@ impl Dir {
 /// separately by the caller (they point at the type; the type stores only
 /// the literal names, keeping the graph acyclic).
 pub fn mk_enum(uid: String, name: &str, lits: &[&str]) -> Ty {
-    VifNode::build("ty.enum")
-        .name(name)
-        .str_field("uid", uid)
-        .list_field("lits", lits.iter().map(|l| VifValue::str(*l)).collect())
-        .done()
+    mk::ty_enum(name, uid, lits.iter().map(|l| VifValue::str(*l)).collect())
 }
 
 /// Builds an integer type with inclusive bounds.
 pub fn mk_int(uid: String, name: &str, lo: i64, hi: i64) -> Ty {
-    VifNode::build("ty.int")
-        .name(name)
-        .str_field("uid", uid)
-        .int_field("lo", lo)
-        .int_field("hi", hi)
-        .done()
+    mk::ty_int(name, uid, lo, hi)
 }
 
 /// Builds a floating-point type.
 pub fn mk_real(uid: String, name: &str, lo: f64, hi: f64) -> Ty {
-    VifNode::build("ty.real")
-        .name(name)
-        .str_field("uid", uid)
-        .field("lo", VifValue::Real(lo))
-        .field("hi", VifValue::Real(hi))
-        .done()
+    mk::ty_real(name, uid, lo, hi)
 }
 
 /// Builds a physical type; `units` are `(name, factor)` pairs with the
 /// primary unit first (factor 1). Values are stored in primary units.
 pub fn mk_phys(uid: String, name: &str, lo: i64, hi: i64, units: &[(&str, i64)]) -> Ty {
-    VifNode::build("ty.phys")
-        .name(name)
-        .str_field("uid", uid)
-        .int_field("lo", lo)
-        .int_field("hi", hi)
-        .list_field(
-            "units",
-            units
-                .iter()
-                .map(|(n, f)| {
-                    VifValue::Node(
-                        VifNode::build("unit")
-                            .name(*n)
-                            .int_field("factor", *f)
-                            .done(),
-                    )
-                })
-                .collect(),
-        )
-        .done()
+    let units = units
+        .iter()
+        .map(|(n, f)| VifValue::Node(mk::unit(*n, *f)))
+        .collect();
+    mk::ty_phys(name, uid, lo, hi, units)
 }
 
 /// Builds a constrained array type (one dimension in this subset).
@@ -114,49 +85,32 @@ pub fn mk_array(
     dir: Dir,
     elem: &Ty,
 ) -> Ty {
-    VifNode::build("ty.array")
-        .name(name)
-        .str_field("uid", uid)
-        .node_field("index_ty", Rc::clone(index_ty))
-        .node_field("elem", Rc::clone(elem))
-        .field("unconstrained", VifValue::Bool(false))
-        .int_field("lo", lo)
-        .int_field("hi", hi)
-        .int_field("dir", dir.encode())
-        .done()
+    let (index_ty, elem) = (Rc::clone(index_ty), Rc::clone(elem));
+    mk::ty_array(
+        name,
+        uid,
+        index_ty,
+        elem,
+        false,
+        Some(lo),
+        Some(hi),
+        Some(dir.encode()),
+    )
 }
 
 /// Builds an unconstrained array type (`array (T range <>) of E`).
 pub fn mk_array_unconstrained(uid: String, name: &str, index_ty: &Ty, elem: &Ty) -> Ty {
-    VifNode::build("ty.array")
-        .name(name)
-        .str_field("uid", uid)
-        .node_field("index_ty", Rc::clone(index_ty))
-        .node_field("elem", Rc::clone(elem))
-        .field("unconstrained", VifValue::Bool(true))
-        .done()
+    let (index_ty, elem) = (Rc::clone(index_ty), Rc::clone(elem));
+    mk::ty_array(name, uid, index_ty, elem, true, None, None, None)
 }
 
 /// Builds a record type from `(field_name, field_type)` pairs.
 pub fn mk_record(uid: String, name: &str, elems: &[(&str, Ty)]) -> Ty {
-    VifNode::build("ty.record")
-        .name(name)
-        .str_field("uid", uid)
-        .list_field(
-            "elems",
-            elems
-                .iter()
-                .map(|(n, t)| {
-                    VifValue::Node(
-                        VifNode::build("elem")
-                            .name(*n)
-                            .node_field("ty", Rc::clone(t))
-                            .done(),
-                    )
-                })
-                .collect(),
-        )
-        .done()
+    let elems = elems
+        .iter()
+        .map(|(n, t)| VifValue::Node(mk::elem(*n, Rc::clone(t))))
+        .collect();
+    mk::ty_record(name, uid, elems)
 }
 
 /// Builds a scalar subtype with an optional tightened range and optional
@@ -168,20 +122,11 @@ pub fn mk_subtype(
     range: Option<(i64, i64, Dir)>,
     resolution: Option<Rc<VifNode>>,
 ) -> Ty {
-    let mut b = VifNode::build("ty.subtype")
-        .name(name)
-        .str_field("uid", uid)
-        .node_field("base", Rc::clone(base));
-    if let Some((lo, hi, dir)) = range {
-        b = b
-            .int_field("lo", lo)
-            .int_field("hi", hi)
-            .int_field("dir", dir.encode());
-    }
-    if let Some(r) = resolution {
-        b = b.node_field("resolution", r);
-    }
-    b.done()
+    let (lo, hi, dir) = match range {
+        Some((lo, hi, dir)) => (Some(lo), Some(hi), Some(dir.encode())),
+        None => (None, None, None),
+    };
+    mk::ty_subtype(name, uid, Rc::clone(base), lo, hi, dir, resolution)
 }
 
 /// Builds an anonymous subtype of `base` (a constraint or resolution
@@ -203,7 +148,7 @@ pub fn anon_subtype(
 
 /// The unique id of a type.
 pub fn uid(ty: &Ty) -> &str {
-    ty.str_field(fields::uid()).unwrap_or("?")
+    ty.str(Field::uid)
 }
 
 /// Follows `ty.subtype` links to the base type.
@@ -214,11 +159,8 @@ pub fn base_type(ty: &Ty) -> Ty {
 /// [`base_type`] without taking a reference count.
 fn base_ref(ty: &Ty) -> &Ty {
     let mut cur = ty;
-    while cur.kind_sym() == vhdl_vif::kinds::ty_subtype() {
-        match cur.node_field(fields::base()) {
-            Some(b) => cur = b,
-            None => break,
-        }
+    while cur.tag() == Kind::ty_subtype {
+        cur = cur.node(Field::base);
     }
     cur
 }
@@ -231,18 +173,8 @@ pub fn same_base(a: &Ty, b: &Ty) -> bool {
 
 thread_local! {
     static UNIVERSAL: (Ty, Ty) = (
-        VifNode::build("ty.int")
-            .name("universal_integer")
-            .str_field("uid", UNIVERSAL_INT)
-            .int_field("lo", i64::MIN)
-            .int_field("hi", i64::MAX)
-            .done(),
-        VifNode::build("ty.real")
-            .name("universal_real")
-            .str_field("uid", UNIVERSAL_REAL)
-            .field("lo", VifValue::Real(f64::MIN))
-            .field("hi", VifValue::Real(f64::MAX))
-            .done(),
+        mk::ty_int("universal_integer", UNIVERSAL_INT, i64::MIN, i64::MAX),
+        mk::ty_real("universal_real", UNIVERSAL_REAL, f64::MIN, f64::MAX),
     );
 }
 
@@ -275,86 +207,82 @@ pub fn compatible(actual: &Ty, expected: &Ty) -> bool {
         return true;
     }
     let eb = base_ref(expected);
-    (is_universal_int(actual) && eb.kind_sym() == vhdl_vif::kinds::ty_int())
-        || (is_universal_real(actual) && eb.kind_sym() == vhdl_vif::kinds::ty_real())
+    (is_universal_int(actual) && eb.tag() == Kind::ty_int)
+        || (is_universal_real(actual) && eb.tag() == Kind::ty_real)
 }
 
 /// Kind predicates over base types.
 pub fn is_scalar(ty: &Ty) -> bool {
     matches!(
-        base_type(ty).kind(),
-        "ty.enum" | "ty.int" | "ty.real" | "ty.phys"
+        base_ref(ty).tag(),
+        Kind::ty_enum | Kind::ty_int | Kind::ty_real | Kind::ty_phys
     )
 }
 
 /// `true` for discrete types (enumeration and integer).
 pub fn is_discrete(ty: &Ty) -> bool {
-    {
-        let k = base_type(ty).kind_sym();
-        k == vhdl_vif::kinds::ty_enum() || k == vhdl_vif::kinds::ty_int()
-    }
+    matches!(base_ref(ty).tag(), Kind::ty_enum | Kind::ty_int)
 }
 
 /// `true` for one-dimensional arrays.
 pub fn is_array(ty: &Ty) -> bool {
-    base_type(ty).kind_sym() == vhdl_vif::kinds::ty_array()
+    base_ref(ty).tag() == Kind::ty_array
 }
 
 /// `true` for record types.
 pub fn is_record(ty: &Ty) -> bool {
-    base_type(ty).kind_sym() == vhdl_vif::kinds::ty_record()
+    base_ref(ty).tag() == Kind::ty_record
 }
 
-/// Element type of an array (base-resolved).
+/// Element type of an array (base-resolved); `None` for a non-array.
 pub fn elem_type(ty: &Ty) -> Option<Ty> {
-    let b = base_type(ty);
-    b.node_field("elem").cloned()
+    let b = base_ref(ty);
+    (b.tag() == Kind::ty_array).then(|| Rc::clone(b.node(Field::elem)))
+}
+
+/// Index type of an array (base-resolved); `None` for a non-array.
+pub fn index_type(ty: &Ty) -> Option<Ty> {
+    let b = base_ref(ty);
+    (b.tag() == Kind::ty_array).then(|| Rc::clone(b.node(Field::index_ty)))
 }
 
 /// The scalar bounds of a (sub)type, following subtype constraints
 /// outermost-first. Enumerations use literal positions.
 pub fn scalar_bounds(ty: &Ty) -> Option<(i64, i64, Dir)> {
-    let mut cur = Rc::clone(ty);
+    let mut cur = ty;
     loop {
-        if let (Some(lo), Some(hi)) = (cur.int_field("lo"), cur.int_field("hi")) {
-            let dir = Dir::decode(cur.int_field("dir").unwrap_or(0));
-            return Some((lo, hi, dir));
+        if let Some(r) = own_range(cur) {
+            return Some(r);
         }
-        match cur.kind() {
-            "ty.enum" => {
-                let n = cur.list_field("lits").len() as i64;
+        match cur.tag() {
+            Kind::ty_enum => {
+                let n = cur.list_field(Field::lits).len() as i64;
                 return Some((0, n - 1, Dir::To));
             }
-            "ty.subtype" => cur = Rc::clone(cur.node_field("base")?),
+            Kind::ty_subtype => cur = cur.node(Field::base),
             _ => return None,
         }
     }
 }
 
+/// The integer range a type node declares itself (`ty.int`, `ty.phys`,
+/// a constrained `ty.array` or `ty.subtype`); a `ty.int` has no `dir`
+/// and ascends.
+fn own_range(n: &VifNode) -> Option<(i64, i64, Dir)> {
+    let (lo, hi) = (n.int_field(Field::lo)?, n.int_field(Field::hi)?);
+    Some((lo, hi, Dir::decode(n.int_field(Field::dir).unwrap_or(0))))
+}
+
 /// The index bounds of a constrained array (sub)type.
 pub fn array_bounds(ty: &Ty) -> Option<(i64, i64, Dir)> {
-    let mut cur = Rc::clone(ty);
+    let mut cur = ty;
     loop {
-        match cur.kind() {
-            "ty.array" => {
-                return if cur.field("unconstrained") == Some(&VifValue::Bool(true)) {
-                    None
-                } else {
-                    Some((
-                        cur.int_field("lo")?,
-                        cur.int_field("hi")?,
-                        Dir::decode(cur.int_field("dir").unwrap_or(0)),
-                    ))
-                }
-            }
-            "ty.subtype" => {
-                if let (Some(lo), Some(hi)) = (cur.int_field("lo"), cur.int_field("hi")) {
-                    if is_array(&cur) {
-                        return Some((lo, hi, Dir::decode(cur.int_field("dir").unwrap_or(0))));
-                    }
-                }
-                cur = Rc::clone(cur.node_field("base")?);
-            }
+        match cur.tag() {
+            Kind::ty_array => return own_range(cur),
+            Kind::ty_subtype => match own_range(cur) {
+                Some(r) if is_array(cur) => return Some(r),
+                _ => cur = cur.node(Field::base),
+            },
             _ => return None,
         }
     }
@@ -370,8 +298,8 @@ pub fn range_length(lo: i64, hi: i64, dir: Dir) -> i64 {
 
 /// Position of an enumeration literal in a type, if present.
 pub fn enum_pos(ty: &Ty, lit: &str) -> Option<i64> {
-    let b = base_type(ty);
-    b.list_field("lits")
+    base_ref(ty)
+        .list_field(Field::lits)
         .iter()
         .position(|v| v.as_str() == Some(lit))
         .map(|p| p as i64)
@@ -379,46 +307,32 @@ pub fn enum_pos(ty: &Ty, lit: &str) -> Option<i64> {
 
 /// Resolution function attached to a subtype, if any.
 pub fn resolution_of(ty: &Ty) -> Option<Rc<VifNode>> {
-    let mut cur = Rc::clone(ty);
-    loop {
-        if let Some(r) = cur.node_field("resolution") {
+    let mut cur = ty;
+    while cur.tag() == Kind::ty_subtype {
+        if let Some(r) = cur.node_field(Field::resolution) {
             return Some(Rc::clone(r));
         }
-        if cur.kind_sym() == vhdl_vif::kinds::ty_subtype() {
-            cur = Rc::clone(cur.node_field("base")?);
-        } else {
-            return None;
-        }
+        cur = cur.node(Field::base);
     }
+    None
 }
 
 /// Physical unit factor within a physical type.
 pub fn unit_factor(ty: &Ty, unit: &str) -> Option<i64> {
-    let b = base_type(ty);
-    b.list_field("units").iter().find_map(|v| {
-        let n = v.as_node()?;
-        if n.name() == Some(unit) {
-            n.int_field("factor")
-        } else {
-            None
-        }
-    })
+    base_ref(ty)
+        .nodes(Field::units)
+        .find(|n| n.name() == Some(unit))
+        .map(|n| n.int(Field::factor))
 }
 
 /// The pseudo-type carried by `'range`/`'reverse_range` attribute values.
 pub fn range_marker() -> Ty {
-    VifNode::build("ty.marker")
-        .name("range")
-        .str_field("uid", RANGE_MARKER)
-        .done()
+    mk::ty_marker("range", RANGE_MARKER)
 }
 
 /// The pseudo-type used as the expected type of procedure-call contexts.
 pub fn void_marker() -> Ty {
-    VifNode::build("ty.marker")
-        .name("void")
-        .str_field("uid", VOID_MARKER)
-        .done()
+    mk::ty_marker("void", VOID_MARKER)
 }
 
 /// `true` for the `'range` marker pseudo-type.
@@ -542,13 +456,13 @@ mod tests {
             &[("x", Rc::clone(&int)), ("y", Rc::clone(&int))],
         );
         assert!(is_record(&pair));
-        assert_eq!(pair.list_field("elems").len(), 2);
+        assert_eq!(pair.list_field(Field::elems).len(), 2);
     }
 
     #[test]
     fn resolution_found_through_subtypes() {
         let bit = bit();
-        let f = VifNode::build("subprog").name("wired_or").done();
+        let f = crate::decl::mk_subprog("wired_or".into(), "wired_or", vec![], None, None);
         let rbit = anon_subtype(&bit, None, Some(Rc::clone(&f)));
         let rbit2 = mk_subtype("rbit2".into(), "rbit2", &rbit, Some((0, 1, Dir::To)), None);
         assert!(resolution_of(&rbit2).is_some());

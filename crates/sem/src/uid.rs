@@ -25,7 +25,7 @@
 use std::fmt::{Display, Write};
 
 use vhdl_syntax::{Pos, SrcTok};
-use vhdl_vif::VifNode;
+use vhdl_vif::{Field, VifNode};
 
 use crate::analyze::src_hash;
 use crate::types::Dir;
@@ -91,8 +91,8 @@ pub fn anon_subtype(
     range: Option<(i64, i64, Dir)>,
     resolution: Option<&VifNode>,
 ) -> String {
-    let base = base.str_field("uid").unwrap_or("?");
-    let res = resolution.map(|f| f.str_field("uid").unwrap_or("?"));
+    let base = base.str(Field::uid);
+    let res = resolution.map(|f| f.str(Field::uid));
     let mut s = String::with_capacity(base.len() + res.map_or(0, str::len) + 32);
     s.push_str(base);
     s.push('[');

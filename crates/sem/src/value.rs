@@ -250,6 +250,14 @@ impl Value {
         }
     }
 
+    /// A list of node values as the items of a VIF list.
+    pub fn node_list(&self) -> Vec<vhdl_vif::VifValue> {
+        self.expect_list()
+            .iter()
+            .map(|v| vhdl_vif::VifValue::Node(v.expect_node()))
+            .collect()
+    }
+
     /// As integer.
     pub fn expect_int(&self) -> i64 {
         match self {

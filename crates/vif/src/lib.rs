@@ -5,6 +5,8 @@
 //! the separate-compilation interchange format and as the symbol table.
 //! This crate provides:
 //!
+//! - [`schema`] — the one table of node kinds, their fields and value
+//!   shapes, with typed constructors and the load-time check;
 //! - [`node`] — immutable, shareable nodes built through a builder;
 //! - [`text`] — serialization that preserves graph sharing, and reading
 //!   with nested foreign-reference resolution ("fix-up");
@@ -29,10 +31,10 @@
 //! ```
 
 pub mod dump;
-pub mod fields;
 pub mod kinds;
 pub mod library;
 pub mod node;
+pub mod schema;
 pub mod text;
 
 pub use ag_intern::{Symbol, ToSym};
@@ -42,4 +44,5 @@ pub use library::{
     VifbStats,
 };
 pub use node::{VifBuilder, VifNode, VifValue};
+pub use schema::{mk, Field, Kind};
 pub use text::{read_vif, write_vif, VifError};
