@@ -710,6 +710,7 @@ impl<'a> Simulator<'a> {
         cancel: &mut dyn FnMut() -> bool,
     ) -> Result<RunOutcome, SimError> {
         let _t = ag_harness::trace::span("simulate");
+        self.check_failed()?;
         let mut cycles: u64 = 0;
         // Initial cycle: every process runs until its first wait.
         if self.stats.cycles == 0 {
@@ -744,6 +745,7 @@ impl<'a> Simulator<'a> {
     ///
     /// Stops at the first [`SimError`].
     pub fn step(&mut self) -> Result<bool, SimError> {
+        self.check_failed()?;
         if self.stats.cycles == 0 {
             self.execute_ready()?;
             self.stats.cycles += 1;
@@ -787,9 +789,6 @@ impl<'a> Simulator<'a> {
     }
 
     fn step_to(&mut self, next: Time) -> Result<(), SimError> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
         self.stats.cycles += 1;
         if next.fs == self.now.fs && self.stats.cycles > 1 {
             self.stats.delta_cycles += 1;
@@ -841,7 +840,7 @@ impl<'a> Simulator<'a> {
         for i in 0..self.fired.len() {
             let si = self.fired[i] as usize;
             self.active_clear.push(si as u32);
-            let new_val = self.effective_value(si)?;
+            let new_val = self.effective_value(si).map_err(|e| self.fail(e))?;
             let sig = &mut self.sigs_mut()[si];
             sig.active = true;
             let changed = new_val != sig.current;
@@ -904,10 +903,7 @@ impl<'a> Simulator<'a> {
             }
         }
         self.run_ready()?;
-        if let Some(e) = self.failed.take() {
-            return Err(e);
-        }
-        Ok(())
+        self.check_failed()
     }
 
     /// Whether the ready set's estimated work, each process's instruction
@@ -924,6 +920,21 @@ impl<'a> Simulator<'a> {
             }
         }
         false
+    }
+
+    /// Records `e` as the run's failure and hands it back: every later
+    /// step returns it and `checkpoint` refuses, whatever phase failed.
+    fn fail(&mut self, e: SimError) -> SimError {
+        self.failed = Some(e.clone());
+        e
+    }
+
+    /// A failed run stays failed: the recorded failure, if any.
+    fn check_failed(&self) -> Result<(), SimError> {
+        match &self.failed {
+            Some(e) => Err(e.clone()),
+            None => Ok(()),
+        }
     }
 
     fn effective_value(&mut self, si: usize) -> Result<Val, SimError> {
@@ -989,10 +1000,7 @@ impl<'a> Simulator<'a> {
                 .filter(|&pi| matches!(procs[pi as usize].status, ProcStatus::Ready)),
         );
         self.run_ready()?;
-        if let Some(e) = self.failed.take() {
-            return Err(e);
-        }
-        Ok(())
+        self.check_failed()
     }
 
     /// Runs a pure function (resolution) on a reused scratch state: the
@@ -1700,9 +1708,6 @@ impl<'a> Simulator<'a> {
     }
 
     fn ref_step_to(&mut self, next: Time) -> Result<(), SimError> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
         self.stats.cycles += 1;
         if next.fs == self.now.fs && self.stats.cycles > 1 {
             self.stats.delta_cycles += 1;
@@ -1730,7 +1735,7 @@ impl<'a> Simulator<'a> {
             if !any_active {
                 continue;
             }
-            let new_val = self.effective_value(si)?;
+            let new_val = self.effective_value(si).map_err(|e| self.fail(e))?;
             let now = self.now;
             let sig = &mut self.sigs_mut()[si];
             sig.active = true;
@@ -1784,10 +1789,7 @@ impl<'a> Simulator<'a> {
                 self.commit_barrier(1)?;
             }
         }
-        if let Some(e) = self.failed.take() {
-            return Err(e);
-        }
-        Ok(())
+        self.check_failed()
     }
 
     pub(crate) fn ref_run_slice(
@@ -1795,6 +1797,7 @@ impl<'a> Simulator<'a> {
         deadline: Time,
         max_cycles: u64,
     ) -> Result<RunOutcome, SimError> {
+        self.check_failed()?;
         let mut cycles: u64 = 0;
         if self.stats.cycles == 0 {
             self.ref_execute_ready()?;
@@ -1890,6 +1893,53 @@ mod tests {
     use crate::isa::VarAddr;
     use crate::oracle::Observables;
     use crate::rts::Op;
+
+    /// The scan stepper records a resolution function's runtime error
+    /// like the event-driven path: a two-driver bus whose resolution
+    /// divides by zero fails at 1 fs, and the run stays failed.
+    #[test]
+    fn a_failing_resolution_stops_the_scan_stepper() {
+        let mut p = Program::default();
+        let res = p.add_function(FnDecl {
+            name: "div0".into(),
+            n_params: 1,
+            n_locals: 1,
+            code: Arc::new(vec![
+                Insn::PushInt(1),
+                Insn::PushInt(0),
+                Insn::Binop(Op::Div),
+                Insn::Ret { has_value: true },
+            ]),
+            level: 1,
+        });
+        let bus = p.add_signal("top.bus", Val::Int(0));
+        p.signals[bus.0 as usize].resolution = Some(res);
+        for name in ["top.d0", "top.d1"] {
+            let sched = Insn::Sched {
+                sig: bus,
+                transport: false,
+            };
+            p.add_process(
+                name,
+                0,
+                vec![Insn::PushInt(1), Insn::PushInt(1), sched, Insn::Halt],
+            );
+        }
+        let mut sim = Simulator::new(p);
+        let err = sim.ref_run_slice(Time::fs(10), u64::MAX).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "runtime error in resolution of top.bus: division by zero"
+        );
+        for _ in 0..3 {
+            let again = sim.ref_run_slice(Time::fs(10), 1).unwrap_err();
+            assert_eq!(again.to_string(), err.to_string());
+        }
+        assert!(matches!(
+            sim.checkpoint(),
+            Err(crate::snapshot::SnapshotError::Failed(_))
+        ));
+    }
 
     fn slot(n: u16) -> VarAddr {
         VarAddr { depth: 0, slot: n }

@@ -4,7 +4,8 @@
 use std::sync::Arc;
 
 use sim_kernel::{
-    FnDecl, Insn, Op, Program, RunOutcome, SigAttr, SimError, Simulator, Time, Val, VarAddr,
+    FnDecl, Insn, Op, Program, RunOutcome, SigAttr, SimError, Simulator, SnapshotError, Time, Val,
+    VarAddr,
 };
 
 fn addr(slot: u16) -> VarAddr {
@@ -841,5 +842,89 @@ fn a_failing_activation_stops_its_cycle_the_same_at_every_worker_count() {
         assert_eq!(again.to_string(), err.to_string(), "jobs={jobs}");
         assert_eq!(sim.stats(), stats, "jobs={jobs}");
         assert_eq!(sim.reports().len(), 3, "jobs={jobs}");
+    }
+}
+
+/// A two-driver bus whose resolution function divides by zero: both
+/// drivers schedule at 100 fs, so the update phase at 100 fs calls the
+/// resolution and fails; a clock keeps the calendar busy after it.
+fn failing_bus() -> Program {
+    let mut p = Program::default();
+    let res = p.add_function(FnDecl {
+        name: "div0".into(),
+        n_params: 1,
+        n_locals: 1,
+        code: Arc::new(vec![
+            Insn::PushInt(1),
+            Insn::PushInt(0),
+            Insn::Binop(Op::Div),
+            Insn::Ret { has_value: true },
+        ]),
+        level: 1,
+    });
+    let bus = p.add_signal("top.bus", Val::Int(0));
+    p.signals[bus.0 as usize].resolution = Some(res);
+    for name in ["top.d0", "top.d1"] {
+        let drive = vec![
+            Insn::PushInt(1),
+            Insn::PushInt(100),
+            Insn::Sched {
+                sig: bus,
+                transport: false,
+            },
+            Insn::Halt,
+        ];
+        p.add_process(name, 0, drive);
+    }
+    let clk = p.add_signal("top.clk", Val::Int(0));
+    p.add_process(
+        "top.osc",
+        0,
+        vec![
+            Insn::LoadSig(clk),
+            Insn::Unop(Op::Not),
+            Insn::PushInt(50),
+            Insn::Sched {
+                sig: clk,
+                transport: false,
+            },
+            Insn::Wait {
+                sens: Arc::new(vec![clk]),
+                with_timeout: false,
+            },
+            Insn::Pop,
+            Insn::Jump(0),
+        ],
+    );
+    p.finalize_sensitivity();
+    p
+}
+
+/// A resolution function's runtime error stops the simulator the way a
+/// process's does, at every worker count: the run fails at 100 fs, every
+/// later step is the same error, and a checkpoint is refused. (The scan
+/// stepper's case is `sim::tests::a_failing_resolution_stops_the_scan_stepper`.)
+#[test]
+fn a_failing_resolution_leaves_the_simulator_failed_at_every_worker_count() {
+    let p = failing_bus();
+    for jobs in [1, 2] {
+        let mut sim = Simulator::new(p.clone());
+        sim.set_jobs(jobs);
+        let err = sim.run_until(Time::fs(1_000)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "runtime error in resolution of top.bus: division by zero",
+            "jobs={jobs}"
+        );
+        assert_eq!(sim.now(), Time::fs(100), "jobs={jobs}");
+        for _ in 0..3 {
+            let again = sim.step().unwrap_err();
+            assert_eq!(again.to_string(), err.to_string(), "jobs={jobs}");
+        }
+        assert_eq!(sim.now(), Time::fs(100), "jobs={jobs}");
+        assert!(
+            matches!(sim.checkpoint(), Err(SnapshotError::Failed(_))),
+            "jobs={jobs}: a failed run is not resumable"
+        );
     }
 }
