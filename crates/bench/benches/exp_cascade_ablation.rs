@@ -94,33 +94,10 @@ fn main() {
     ];
     let toks: Vec<_> = samples.iter().map(|s| lex(s).expect("lexes")).collect();
     let n = 200usize;
-    let batch = || {
-        for _ in 0..n {
-            for t in &toks {
-                let a = expr_eval(t, &s.env, Some(&s.std.integer), None);
-                assert!(a.ir.is_some() || a.msgs.has_errors());
-            }
-        }
-    };
-    // Warm the evaluator's tables and caches, the allocator and the
-    // host with the batch itself for a second before the first series
-    // is timed, so that it does not pay for a warm-up the later series
-    // inherit; three warm-up batches of its own were not enough.
-    let warm = Instant::now();
-    while warm.elapsed().as_secs_f64() < 1.0 {
-        batch();
-    }
-    let timing = runner.measure("expr_eval_batch", batch);
-    let per_expr = timing.median_secs() / (n * samples.len()) as f64;
-    runner.metric("expr_eval_us", per_expr * 1e6, "us/expr");
-    println!(
-        "exprEval (LEF build + reparse + attribute evaluation): {:.1} µs per maximal expression",
-        per_expr * 1e6
-    );
-
-    // Cost growth with environment size (bigger scopes make LEF
-    // resolution dearer, not the reparse).
-    for extra in [50usize, 500] {
+    // The standard environment, and it with 50 and 500 more visible
+    // declarations (bigger scopes make LEF resolution dearer, not the
+    // reparse).
+    let envs = [0usize, 50, 500].map(|extra| {
         let mut env = s.env.clone();
         for i in 0..extra {
             let obj = vhdl_sem::decl::mk_obj(
@@ -134,19 +111,36 @@ fn main() {
             );
             env = env.bind(format!("filler{i}"), vhdl_sem::env::Den::local(obj));
         }
-        let timing = runner.measure(format!("expr_eval_batch/env+{extra}"), || {
-            for _ in 0..n {
-                for t in &toks {
-                    let _ = expr_eval(t, &env, Some(&s.std.integer), None);
-                }
+        env
+    });
+    let batch = |env: &vhdl_sem::env::Env| {
+        for _ in 0..n {
+            for t in &toks {
+                let a = expr_eval(t, env, Some(&s.std.integer), None);
+                assert!(a.ir.is_some() || a.msgs.has_errors());
             }
-        });
-        let per = timing.median_secs() / (n * samples.len()) as f64;
+        }
+    };
+    // The three scopes are timed sample by sample in turn, so the host's
+    // load drifting during the run cannot decide which reads highest.
+    let [base, env50, env500] = &envs;
+    let timings = runner.measure_interleaved(&mut [
+        ("expr_eval_batch", &mut || batch(base)),
+        ("expr_eval_batch/env+50", &mut || batch(env50)),
+        ("expr_eval_batch/env+500", &mut || batch(env500)),
+    ]);
+    let per_expr = |i: usize| timings[i].median_secs() / (n * samples.len()) as f64 * 1e6;
+    runner.metric("expr_eval_us", per_expr(0), "us/expr");
+    println!(
+        "exprEval (LEF build + reparse + attribute evaluation): {:.1} µs per maximal expression",
+        per_expr(0)
+    );
+    for (i, extra) in [(1, 50), (2, 500)] {
         println!(
             "  … with {extra} extra visible declarations: {:.1} µs per expression",
-            per * 1e6
+            per_expr(i)
         );
-        runner.metric(format!("expr_eval_us/env+{extra}"), per * 1e6, "us/expr");
+        runner.metric(format!("expr_eval_us/env+{extra}"), per_expr(i), "us/expr");
     }
 
     // Invocation counts on a realistic compile.

@@ -108,28 +108,54 @@ impl Runner {
         name: impl Into<String>,
         mut f: impl FnMut() -> R,
     ) -> TimingSummary {
-        for _ in 0..self.warmup {
+        let mut f = || {
             black_box(f());
-        }
-        let mut samples: Vec<u64> = Vec::with_capacity(self.iters as usize);
-        for _ in 0..self.iters {
-            let t0 = Instant::now();
-            black_box(f());
-            samples.push(t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-        }
-        samples.sort_unstable();
-        let n = samples.len();
-        let summary = TimingSummary {
-            name: name.into(),
-            iters: self.iters,
-            min_ns: samples[0],
-            median_ns: samples[n / 2],
-            p95_ns: samples[((n * 95).div_ceil(100)).saturating_sub(1).min(n - 1)],
-            mean_ns: (samples.iter().map(|&s| u128::from(s)).sum::<u128>() / n as u128) as u64,
-            max_ns: samples[n - 1],
         };
-        self.timings.push(summary.clone());
-        summary
+        let name = name.into();
+        self.measure_interleaved(&mut [(&name, &mut f)]).remove(0)
+    }
+
+    /// Times several closures sample by sample: each warmup or timed round
+    /// runs every closure once, in turn, so drift in the host's load falls
+    /// on all of them alike instead of on whichever runs last. Records
+    /// and returns one summary per closure, in order.
+    pub fn measure_interleaved(
+        &mut self,
+        cases: &mut [(&str, &mut dyn FnMut())],
+    ) -> Vec<TimingSummary> {
+        for _ in 0..self.warmup {
+            for (_, f) in cases.iter_mut() {
+                f();
+            }
+        }
+        let mut samples = vec![Vec::with_capacity(self.iters as usize); cases.len()];
+        for _ in 0..self.iters {
+            for ((_, f), s) in cases.iter_mut().zip(&mut samples) {
+                let t0 = Instant::now();
+                f();
+                s.push(t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+            }
+        }
+        let summaries: Vec<TimingSummary> = cases
+            .iter()
+            .zip(samples)
+            .map(|((name, _), mut samples)| {
+                samples.sort_unstable();
+                let n = samples.len();
+                TimingSummary {
+                    name: name.to_string(),
+                    iters: self.iters,
+                    min_ns: samples[0],
+                    median_ns: samples[n / 2],
+                    p95_ns: samples[((n * 95).div_ceil(100)).saturating_sub(1).min(n - 1)],
+                    mean_ns: (samples.iter().map(|&s| u128::from(s)).sum::<u128>() / n as u128)
+                        as u64,
+                    max_ns: samples[n - 1],
+                }
+            })
+            .collect();
+        self.timings.extend(summaries.iter().cloned());
+        summaries
     }
 
     /// Records a scalar metric.
@@ -284,6 +310,21 @@ mod tests {
         assert!(s.median_ns <= s.p95_ns);
         assert!(s.p95_ns <= s.max_ns);
         assert_eq!(s.iters, 8);
+    }
+
+    #[test]
+    fn interleaved_cases_alternate_and_keep_their_order() {
+        let mut r = Runner::new("t").warmup(1).iters(3);
+        let order = std::cell::RefCell::new(String::new());
+        let s = r.measure_interleaved(&mut [
+            ("a", &mut || order.borrow_mut().push('a')),
+            ("b", &mut || order.borrow_mut().push('b')),
+        ]);
+        assert_eq!(order.into_inner(), "abababab");
+        let names: Vec<&str> = s.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+        assert!(s.iter().all(|t| t.iters == 3 && t.min_ns <= t.max_ns));
+        assert_eq!(r.timings.len(), 2);
     }
 
     #[test]
