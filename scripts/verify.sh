@@ -28,6 +28,11 @@ echo "==> cargo clippy --all-targets -D warnings"
 # fails the gate.
 cargo clippy --offline --all-targets -- -D warnings
 
+echo "==> non-test lines per crate"
+# The line counts simplicity changes quote: each crate's lines under
+# crates/*/src before a file's first column-0 #[cfg(test)].
+scripts/loc.sh
+
 echo "==> vhdlbench build + smoke run"
 # The benchmark is its own package outside the workspace, compiled
 # against the public API (Compiler, BatchOptions, Simulator::set_jobs,
