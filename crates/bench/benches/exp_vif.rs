@@ -12,9 +12,9 @@
 //! - **memo-hit** — the same loads again in a fork that has loaded them
 //!   (the record's memo, no parse at all);
 //!
-//! plus the text size and the end-to-end warm `compile_batch` time with
-//! the driver's plan cache — the number the server's warm `analyze` path
-//! is built on.
+//! plus the text size and the end-to-end warm `compile_batch` time, with
+//! every file's parse taken from the driver's memo of the last batch — the
+//! number the server's warm `analyze` path is built on.
 //!
 //! Results land in `results/exp_vif.json`.
 
@@ -100,8 +100,8 @@ fn main() {
     let s_memo = r.measure("memo-hit", || load_all(&warm));
     println!("memo-hit     {units} units: {}", fmt_ns(s_memo.median_ns));
 
-    // End to end: warm compile_batch with the plan cache (all stamps hit,
-    // nothing parses, nothing re-prints) — the server's warm analyze core.
+    // End to end: warm compile_batch (every file's parse memoized, all
+    // stamps hit, nothing re-prints) — the server's warm analyze core.
     let warm_files = design(4);
     let cw = Compiler::in_memory();
     let opts = BatchOptions {
@@ -115,7 +115,7 @@ fn main() {
         res
     });
     println!(
-        "warm compile_batch (plan cache): {}",
+        "warm compile_batch (parse memo): {}",
         fmt_ns(s_warm.median_ns)
     );
 

@@ -170,7 +170,7 @@ fn run() -> ExitCode {
     if args.stats {
         eprintln!(
             "batch: {} units in {} waves on {} workers, {} lines ({:.0} lines/min), wall {:?}, \
-             cache hit {} miss {} cold {}, vif read {} B written {} B",
+             cache hit {} miss {} cold {}, files parsed {} reused {}, vif read {} B written {} B",
             r.units.len(),
             r.waves,
             r.jobs,
@@ -180,6 +180,8 @@ fn run() -> ExitCode {
             r.cache.hits,
             r.cache.misses,
             r.cache.cold,
+            r.cache.parsed,
+            r.cache.reused,
             r.traffic.bytes_read,
             r.traffic.bytes_written
         );

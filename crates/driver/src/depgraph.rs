@@ -9,31 +9,31 @@
 //! executed by [`crate::batch`] with every wave's units analyzed in
 //! parallel.
 //!
-//! Dependencies that name no unit in the batch fall back to a library
-//! lookup: a unit already analyzed into the work library satisfies the
-//! edge without scheduling anything (and contributes its VIF-text hash to
-//! the dependent's incremental stamp). Names found in neither place add no
+//! It takes two steps. [`UnitFront::of`] reads one unit's tokens: its
+//! key, its candidate dependencies and its source hash depend on nothing
+//! else, so the batch driver keeps them with the file's parse. [`resolve`]
+//! then stages one batch. Dependencies that name no unit in the batch
+//! fall back to a library lookup, asked once per distinct key: a unit
+//! already analyzed into the work library satisfies the edge without
+//! scheduling anything (and contributes its VIF-text hash to the
+//! dependent's incremental stamp). Names found in neither place add no
 //! edge — analysis itself reports undefined references.
 
-use ag_harness::fnv1a;
-use ag_lalr::ParseTree;
+use std::collections::HashMap;
+
 use vhdl_sem::analyze::src_hash;
 use vhdl_syntax::{Pos, SrcTok, TokenKind};
 
-/// Metadata of one parsed, not-yet-analyzed design unit.
+/// What the graph needs of one parsed unit, all of it a function of the
+/// unit's tokens alone: the batch driver computes it once per file text
+/// and keeps it with the file's parse.
 #[derive(Clone, Debug)]
-pub struct UnitMeta {
-    /// Index of the source file in the batch's input order.
-    pub file: usize,
-    /// Index of the unit within its file.
-    pub unit_in_file: usize,
-    /// Best-effort library key (`entity.x`, `arch.x.rtl`, `pkg.p`,
-    /// `pkgbody.p`, `config.c`); empty when the header shape is
-    /// unrecognizable (analysis will diagnose it).
+pub struct UnitFront {
+    /// Best-effort library key ([`header_key`]); empty when the header
+    /// shape is unrecognizable (analysis will diagnose it).
     pub key: String,
-    /// Resolved dependency keys, sorted and deduplicated: units of this
-    /// batch plus units satisfied from the library.
-    pub deps: Vec<String>,
+    /// [`candidate_deps`], sorted and deduplicated.
+    pub cands: Vec<String>,
     /// FNV-1a hash of the unit's token run (kind + spelling) — the source
     /// half of the incremental stamp. Whitespace and comments don't lex,
     /// so touching only those leaves the hash unchanged.
@@ -42,11 +42,40 @@ pub struct UnitMeta {
     pub pos: Pos,
 }
 
+impl UnitFront {
+    /// The front of the unit whose token run is `toks`.
+    pub fn of(toks: &[SrcTok]) -> UnitFront {
+        let mut cands = candidate_deps(toks);
+        cands.sort_unstable();
+        cands.dedup();
+        UnitFront {
+            key: header_key(toks),
+            cands,
+            src_hash: src_hash(toks),
+            pos: toks.first().map(|t| t.pos).unwrap_or_default(),
+        }
+    }
+}
+
+/// One unit of a resolved batch, borrowing its [`UnitFront`].
+#[derive(Clone, Debug)]
+pub struct UnitMeta<'a> {
+    /// Index of the source file in the batch's input order.
+    pub file: usize,
+    /// Index of the unit within its file.
+    pub unit_in_file: usize,
+    /// The unit's front: key, source hash, position.
+    pub front: &'a UnitFront,
+    /// Resolved dependency keys, sorted and deduplicated: units of this
+    /// batch plus units satisfied from the library.
+    pub deps: Vec<&'a str>,
+}
+
 /// The staged graph: units, wave assignment, and any dependency cycles.
 #[derive(Debug)]
-pub struct DepGraph {
+pub struct DepGraph<'a> {
     /// One entry per unit, in batch input order.
-    pub units: Vec<UnitMeta>,
+    pub units: Vec<UnitMeta<'a>>,
     /// Batch-internal dependency edges: `edges[i]` lists unit indices that
     /// must be committed before unit `i` is analyzed.
     pub edges: Vec<Vec<usize>>,
@@ -57,20 +86,6 @@ pub struct DepGraph {
     /// group (they are never scheduled; the driver turns each group into a
     /// diagnostic).
     pub cycles: Vec<(Vec<usize>, String)>,
-}
-
-/// Signature of a batch input set: file names and sources, separated and
-/// length-framed so adjacent entries can't alias. Keys the driver's batch
-/// plan cache — two calls with equal signatures parsed the same inputs.
-pub fn files_signature(files: &[(String, String)]) -> u64 {
-    let mut h = fnv1a(0, &(files.len() as u64).to_le_bytes());
-    for (name, src) in files {
-        h = fnv1a(h, &(name.len() as u64).to_le_bytes());
-        h = fnv1a(h, name.as_bytes());
-        h = fnv1a(h, &(src.len() as u64).to_le_bytes());
-        h = fnv1a(h, src.as_bytes());
-    }
-    h
 }
 
 /// Skips a context clause (`library ...;` / `use ...;` runs) and returns
@@ -221,87 +236,78 @@ pub fn candidate_deps(toks: &[SrcTok]) -> Vec<String> {
     out
 }
 
-/// Builds the staged dependency graph for one batch.
+/// Resolves one batch's units into the staged dependency graph.
 ///
-/// `files` holds each input file's parsed units, in input order.
+/// `files` holds each input file's unit fronts, in input order.
 /// `in_library` answers whether a key is already satisfied by the library
-/// universe (the missing-unit fallback).
-pub fn build(files: &[Vec<ParseTree<SrcTok>>], in_library: &dyn Fn(&str) -> bool) -> DepGraph {
-    let units: Vec<(usize, usize, &[SrcTok])> = files
+/// universe (the missing-unit fallback). It is asked at most once per
+/// distinct key, so the library must not change during the call.
+pub fn resolve<'a>(files: &[&'a [UnitFront]], in_library: &dyn Fn(&str) -> bool) -> DepGraph<'a> {
+    let units: Vec<(usize, usize, &UnitFront)> = files
         .iter()
         .enumerate()
-        .flat_map(|(f, us)| us.iter().enumerate().map(move |(u, t)| (f, u, t.leaves())))
-        .collect();
-    let metas_raw: Vec<(String, Vec<String>, u64, Pos)> = units
-        .iter()
-        .map(|&(_, _, toks)| {
-            (
-                header_key(toks),
-                candidate_deps(toks),
-                src_hash(toks),
-                toks.first().map(|t| t.pos).unwrap_or_default(),
-            )
-        })
+        .flat_map(|(f, us)| us.iter().enumerate().map(move |(u, front)| (f, u, front)))
         .collect();
 
-    // What the batch provides: key → unit indices, in input order.
-    let mut providers: std::collections::HashMap<&str, Vec<usize>> =
-        std::collections::HashMap::new();
-    for (i, (key, _, _, _)) in metas_raw.iter().enumerate() {
-        if !key.is_empty() {
-            providers.entry(key.as_str()).or_default().push(i);
+    // Each key's providers in the batch, in input order. A key the batch
+    // does not provide gets the library's answer, asked once: an empty
+    // list when the library has it, `None` when it does not.
+    let mut sources: HashMap<&str, Option<Vec<usize>>> = HashMap::new();
+    for (i, (_, _, front)) in units.iter().enumerate() {
+        if front.key.is_empty() {
+            continue;
+        }
+        if let Some(providers) = sources.entry(&front.key).or_insert(Some(Vec::new())) {
+            providers.push(i);
         }
     }
 
     let mut metas = Vec::with_capacity(units.len());
     let mut edges: Vec<Vec<usize>> = vec![Vec::new(); units.len()];
-    for (i, (key, cands, hash, pos)) in metas_raw.iter().enumerate() {
-        let mut deps: Vec<String> = Vec::new();
-        for cand in cands {
-            if cand == key {
+    for (i, &(file, unit_in_file, front)) in units.iter().enumerate() {
+        // Candidates are sorted and unique, so the deps come out so too.
+        let mut deps: Vec<&str> = Vec::new();
+        for cand in &front.cands {
+            if *cand == front.key {
                 continue;
             }
-            if let Some(ps) = providers.get(cand.as_str()) {
-                deps.push(cand.clone());
-                edges[i].extend(ps.iter().copied().filter(|&p| p != i));
-            } else if in_library(cand) {
-                // Missing-unit fallback: satisfied by an already-compiled
-                // library unit; no edge, but it still stamps the unit.
-                deps.push(cand.clone());
+            // A library unit satisfies the edge with no provider to wait
+            // for, but it still stamps the unit.
+            let source = sources
+                .entry(cand)
+                .or_insert_with(|| in_library(cand).then(Vec::new));
+            if let Some(providers) = source {
+                deps.push(cand);
+                edges[i].extend(providers.iter().copied().filter(|&p| p != i));
             }
         }
-        deps.sort();
-        deps.dedup();
         metas.push(UnitMeta {
-            file: units[i].0,
-            unit_in_file: units[i].1,
-            key: key.clone(),
+            file,
+            unit_in_file,
+            front,
             deps,
-            src_hash: *hash,
-            pos: *pos,
         });
     }
 
     // Serialization chains keep the library history deterministic:
     // recompiles of the same key, and the architectures of one entity
     // (whose relative history order decides §3.3 default binding), commit
-    // in input order.
-    let mut chains: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
+    // in input order. An architecture's class is its key without the
+    // architecture name, `arch.<entity>`, which is no unit's key.
+    let mut chains: HashMap<&str, usize> = HashMap::new();
     for (i, m) in metas.iter().enumerate() {
-        if m.key.is_empty() {
+        let key = m.front.key.as_str();
+        if key.is_empty() {
             continue;
         }
-        let class = match m.key.split_once('.') {
-            Some(("arch", rest)) => match rest.split_once('.') {
-                Some((entity, _)) => format!("archof.{entity}"),
-                None => m.key.clone(),
-            },
-            _ => m.key.clone(),
+        let class = if key.starts_with("arch.") {
+            key.rsplit_once('.').map_or(key, |(class, _)| class)
+        } else {
+            key
         };
-        if let Some(&prev) = chains.get(&class) {
+        if let Some(prev) = chains.insert(class, i) {
             edges[i].push(prev);
         }
-        chains.insert(class, i);
     }
     for e in &mut edges {
         e.sort_unstable();
@@ -327,8 +333,11 @@ pub fn build(files: &[Vec<ParseTree<SrcTok>>], in_library: &dyn Fn(&str) -> bool
                 // Found a cycle: everything on the stack from `i` on.
                 let start = stack.iter().rposition(|&s| s == i).unwrap_or(0);
                 let members: Vec<usize> = stack[start..].to_vec();
-                let mut path: Vec<&str> = members.iter().map(|&m| metas[m].key.as_str()).collect();
-                path.push(metas[i].key.as_str());
+                let mut path: Vec<&str> = members
+                    .iter()
+                    .map(|&m| metas[m].front.key.as_str())
+                    .collect();
+                path.push(metas[i].front.key.as_str());
                 for &m in &members {
                     depth[m] = CYCLIC;
                 }
@@ -391,12 +400,20 @@ pub fn build(files: &[Vec<ParseTree<SrcTok>>], in_library: &dyn Fn(&str) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ag_lalr::ParseTree;
     use vhdl_sem::env::EnvKind;
 
-    /// The one-file batch of `src`'s units.
-    fn batch_of(src: &str) -> Vec<Vec<ParseTree<SrcTok>>> {
+    fn parse(src: &str) -> Vec<ParseTree<SrcTok>> {
         let an = vhdl_sem::analyze::Analyzer::new(EnvKind::Tree);
-        vec![an.parse_units(src).expect("parses")]
+        an.parse_units(src).expect("parses")
+    }
+
+    /// The fronts of `src`'s units, one file's worth.
+    fn batch_of(src: &str) -> Vec<UnitFront> {
+        parse(src)
+            .iter()
+            .map(|u| UnitFront::of(u.leaves()))
+            .collect()
     }
 
     const DESIGN: &str = "
@@ -414,8 +431,8 @@ mod tests {
     #[test]
     fn keys_and_edges_from_headers() {
         let units = batch_of(DESIGN);
-        let g = build(&units, &|_| false);
-        let keys: Vec<&str> = g.units.iter().map(|m| m.key.as_str()).collect();
+        let g = resolve(&[&units], &|_| false);
+        let keys: Vec<&str> = g.units.iter().map(|m| m.front.key.as_str()).collect();
         assert_eq!(keys, ["pkg.consts", "entity.e", "arch.e.rtl"]);
         assert!(g.cycles.is_empty());
         // pkg and entity are independent (wave 0); the arch needs both.
@@ -431,7 +448,7 @@ mod tests {
             "architecture rtl of e is begin q <= 1; end rtl;
              entity e is port (q : out integer); end e;",
         );
-        let g = build(&units, &|_| false);
+        let g = resolve(&[&units], &|_| false);
         assert_eq!(g.waves, vec![vec![1], vec![0]]);
     }
 
@@ -443,12 +460,12 @@ mod tests {
         );
         // `oldpkg` is not in the batch; with a library hit it becomes a
         // stamped dependency without an edge…
-        let g = build(&units, &|k| k == "pkg.oldpkg");
+        let g = resolve(&[&units], &|k| k == "pkg.oldpkg");
         assert_eq!(g.units[0].deps, vec!["pkg.oldpkg"]);
         assert_eq!(g.waves, vec![vec![0]]);
         // …and with no library hit it is simply not a dependency (analysis
         // will report the undefined name).
-        let g = build(&units, &|_| false);
+        let g = resolve(&[&units], &|_| false);
         assert!(g.units[0].deps.is_empty());
     }
 
@@ -460,7 +477,7 @@ mod tests {
              use work.a.all;
              package b is constant y : integer := 2; end b;",
         );
-        let g = build(&units, &|_| false);
+        let g = resolve(&[&units], &|_| false);
         assert_eq!(g.cycles.len(), 1);
         let (members, path) = &g.cycles[0];
         assert_eq!(members.len(), 2);
@@ -475,7 +492,7 @@ mod tests {
              architecture a1 of e is begin end a1;
              architecture a2 of e is begin end a2;",
         );
-        let g = build(&units, &|_| false);
+        let g = resolve(&[&units], &|_| false);
         // a2 must land in a later wave than a1 so the history's
         // latest-architecture answer matches sequential compilation.
         let wave_of = |i: usize| g.waves.iter().position(|w| w.contains(&i)).unwrap();
@@ -490,19 +507,19 @@ mod tests {
              architecture a of e is begin end a;
              configuration c of e is for a end for; end c;",
         );
-        let g = build(&units, &|_| false);
+        let g = resolve(&[&units], &|_| false);
         assert_eq!(g.units[2].deps, vec!["arch.e.a", "entity.e"]);
         assert_eq!(g.waves, vec![vec![0], vec![1], vec![2]]);
     }
 
     #[test]
     fn src_hash_ignores_whitespace_only_changes() {
-        let a = batch_of("entity e is end e;");
-        let b = batch_of("entity   e  is\n\n  end e ;  -- comment");
-        let toks = |f: &[Vec<ParseTree<SrcTok>>]| f[0][0].leaves().to_vec();
+        let a = parse("entity e is end e;");
+        let b = parse("entity   e  is\n\n  end e ;  -- comment");
+        let toks = |f: &[ParseTree<SrcTok>]| f[0].leaves().to_vec();
         assert_eq!(toks(&a).len(), toks(&b).len());
         assert_eq!(src_hash(&toks(&a)), src_hash(&toks(&b)));
-        let c = batch_of("entity f is end f;");
+        let c = parse("entity f is end f;");
         assert_ne!(src_hash(&toks(&a)), src_hash(&toks(&c)));
     }
 
@@ -520,19 +537,41 @@ mod tests {
                u1 : inv port map (i => a, o => b);
              end s;",
         );
-        let g = build(&units, &|_| false);
+        let g = resolve(&[&units], &|_| false);
         let arch = &g.units[3];
-        assert!(
-            arch.deps.contains(&"entity.inv".to_string()),
-            "{:?}",
-            arch.deps
-        );
-        assert!(
-            arch.deps.contains(&"arch.inv.fast".to_string()),
-            "{:?}",
-            arch.deps
-        );
+        assert!(arch.deps.contains(&"entity.inv"), "{:?}", arch.deps);
+        assert!(arch.deps.contains(&"arch.inv.fast"), "{:?}", arch.deps);
         let wave_of = |i: usize| g.waves.iter().position(|w| w.contains(&i)).unwrap();
         assert!(wave_of(3) > wave_of(1));
+    }
+
+    #[test]
+    fn library_is_asked_once_per_distinct_key() {
+        // Two files name `oldpkg` and `k` again and again; neither is in
+        // the batch.
+        let a = batch_of(
+            "use work.oldpkg.all;
+             entity e is port (q : out integer); end e;
+             use work.oldpkg.all;
+             architecture rtl of e is begin q <= k + k; end rtl;",
+        );
+        let b = batch_of("use work.oldpkg.all; package p is constant c : integer := k; end p;");
+        let asked = std::cell::RefCell::new(Vec::new());
+        let g = resolve(&[&a, &b], &|key| {
+            asked.borrow_mut().push(key.to_string());
+            key == "pkg.oldpkg"
+        });
+        let mut distinct = asked.borrow().clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(asked.borrow().len(), distinct.len(), "{:?}", asked.borrow());
+        assert!(distinct.contains(&"pkg.oldpkg".to_string()));
+        assert!(
+            !distinct.contains(&"entity.e".to_string()),
+            "the batch provides it"
+        );
+        for m in &g.units {
+            assert!(m.deps.contains(&"pkg.oldpkg"), "{:?}", m.deps);
+        }
     }
 }

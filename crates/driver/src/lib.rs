@@ -4,8 +4,9 @@
 //! evaluation share, backend share).
 //!
 //! The front half has one path, [`Compiler::compile_batch`] ([`batch`]):
-//! files are parsed, their units staged into waves by the [`depgraph`],
-//! analyzed, stamped and committed to the work library.
+//! files are parsed (or their parse is taken from the compiler's memo of
+//! the last batch's files), their units staged into waves by the
+//! [`depgraph`], analyzed, stamped and committed to the work library.
 //! [`Compiler::compile`] is that path over one file; `vhdlc` and the
 //! `vhdld` server call `compile_batch` directly. The back half
 //! ([`Compiler::elaborate`], [`Compiler::elaborate_config`]) reads the
@@ -15,13 +16,15 @@ pub mod batch;
 pub mod depgraph;
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sim_kernel::{Program, Simulator};
-use vhdl_sem::analyze::{Analyzer, UnitLoader};
+use vhdl_sem::analyze::Analyzer;
 use vhdl_syntax::FrontError;
-use vhdl_vif::{Library, LibrarySet, VifNode};
+use vhdl_vif::{Library, LibrarySet};
 
 use batch::{BatchOptions, BatchResult};
 
@@ -62,29 +65,6 @@ impl PhaseTimes {
     }
 }
 
-/// A loader wrapper that accumulates time spent reading VIF.
-pub(crate) struct TimedLoader {
-    pub(crate) inner: Rc<LibrarySet>,
-    pub(crate) spent: Rc<RefCell<Duration>>,
-}
-
-impl UnitLoader for TimedLoader {
-    fn load_unit(&self, lib: &str, key: &str) -> Option<Rc<VifNode>> {
-        let t0 = Instant::now();
-        let r = self.inner.load_unit(lib, key);
-        *self.spent.borrow_mut() += t0.elapsed();
-        r
-    }
-
-    fn latest_architecture(&self, entity: &str) -> Option<String> {
-        self.inner.latest_architecture(entity)
-    }
-
-    fn unit_keys(&self, lib: &str) -> Vec<String> {
-        self.inner.unit_keys(lib)
-    }
-}
-
 /// The compiler: an analyzer plus a library universe.
 pub struct Compiler {
     /// The reusable analyzer: the process-wide grammar tables and this
@@ -92,10 +72,10 @@ pub struct Compiler {
     pub analyzer: Analyzer,
     /// Work + reference libraries.
     pub libs: Rc<LibrarySet>,
-    /// Memoized batch front halves (parse trees + staged dep graphs); a
-    /// warm [`Compiler::compile_batch`] over unchanged files and libraries
-    /// skips parsing and graph staging entirely.
-    plans: RefCell<batch::PlanCache>,
+    /// The last batch's files, parsed, by the hash of their text: a
+    /// [`Compiler::compile_batch`] parses only the files whose text that
+    /// batch did not have.
+    parsed: RefCell<HashMap<u64, Arc<batch::ParsedFile>>>,
     /// The batch analysis pool, spawned by the first parallel wave and
     /// kept for the compiler's lifetime.
     pool: RefCell<Option<batch::AnalysisPool>>,
@@ -108,7 +88,7 @@ impl Compiler {
         Compiler {
             analyzer: Analyzer::new(env_kind),
             libs: Rc::new(LibrarySet::new(Rc::new(work), vec![])),
-            plans: RefCell::default(),
+            parsed: RefCell::default(),
             pool: RefCell::default(),
         }
     }

@@ -195,6 +195,8 @@ impl Session {
             ("jobs", Json::u64(r.jobs as u64)),
             ("skipped", Json::u64(r.cache.hits)),
             ("analyzed", Json::u64(r.cache.analyzed())),
+            ("parsed", Json::u64(r.cache.parsed)),
+            ("reused", Json::u64(r.cache.reused)),
         ]))
     }
 

@@ -284,6 +284,58 @@ fn warm_analyze_of_unchanged_units_is_a_cache_hit() {
     join.join().expect("serve thread").expect("serve result");
 }
 
+/// A session's compiler keeps the last `analyze`'s parsed files: an
+/// unchanged request parses nothing, and an edit of one file parses that
+/// file only.
+#[test]
+fn analyze_parses_only_changed_files() {
+    let (addr, _handle, join) = start(quiet_cfg(4, 2));
+    let mut c = Client::connect(&addr);
+    let files = |width: u32| {
+        vec![(
+            "files",
+            Json::Arr(vec![
+                obj([
+                    ("name", Json::str("pkg.vhd")),
+                    (
+                        "text",
+                        Json::str(format!(
+                            "package p is\nconstant width : integer := {width};\nend p;\n"
+                        )),
+                    ),
+                ]),
+                obj([
+                    ("name", Json::str("full_adder.vhd")),
+                    ("text", Json::str(FULL_ADDER)),
+                ]),
+            ]),
+        )]
+    };
+    let counts = |r: &Json| {
+        (
+            r.get("parsed").and_then(Json::as_u64),
+            r.get("reused").and_then(Json::as_u64),
+        )
+    };
+    let cold = c.ok("analyze", files(8));
+    assert_eq!(counts(&cold), (Some(2), Some(0)));
+    let warm = c.ok("analyze", files(8));
+    assert_eq!(
+        counts(&warm),
+        (Some(0), Some(2)),
+        "a warm analyze parses nothing"
+    );
+    let edited = c.ok("analyze", files(16));
+    assert_eq!(
+        counts(&edited),
+        (Some(1), Some(1)),
+        "an edit parses its file"
+    );
+    assert_eq!(edited.get("analyzed").and_then(Json::as_u64), Some(1));
+    c.ok("shutdown", vec![]);
+    join.join().expect("serve thread").expect("serve result");
+}
+
 /// A unit nested deeper than analysis allows is a diagnostic on the
 /// session, not a stack overflow that takes down the server with every
 /// other session on it. The default configuration analyzes on a worker

@@ -141,9 +141,6 @@ pub struct Library {
     /// the unit was last analyzed. A unit whose recomputed stamp matches
     /// needs no re-analysis.
     stamps: RefCell<HashMap<UnitKey, u64>>,
-    /// Bumped on every successful store; generation sums only grow, which
-    /// is what makes them a sound staleness tag.
-    generation: Cell<u64>,
 }
 
 impl Library {
@@ -157,7 +154,6 @@ impl Library {
             traffic: RefCell::new(VifTraffic::default()),
             cache_enabled: Cell::new(true),
             stamps: RefCell::new(HashMap::new()),
-            generation: Cell::new(0),
         }
     }
 
@@ -172,7 +168,6 @@ impl Library {
             .collect();
         *lib.history.get_mut() = snap.history.clone();
         *lib.stamps.get_mut() = snap.stamps.iter().cloned().collect();
-        lib.generation.set(snap.units.len() as u64);
         lib
     }
 
@@ -246,13 +241,6 @@ impl Library {
         &self.name
     }
 
-    /// Monotonic store counter: bumped on every successful `put*`. The
-    /// [`LibrarySet`] sums these; any change to any library in the set
-    /// strictly increases the sum.
-    pub fn generation(&self) -> u64 {
-        self.generation.get()
-    }
-
     /// Path of the unit's `ext` file, in an on-disk library.
     fn file(&self, key: &str, ext: &str) -> Option<PathBuf> {
         Some(self.dir.as_ref()?.join(format!("{}.{ext}", sanitize(key))))
@@ -291,7 +279,7 @@ impl Library {
     /// Every store is atomic in memory: on disk the unit text and the new
     /// history are first written to temp files, then renamed over the unit
     /// file and the history file, and no in-memory state (records,
-    /// history, generation, traffic, stamps) changes unless both renames
+    /// history, traffic, stamps) changes unless both renames
     /// succeeded — a failed `put` followed by [`Library::peek_raw`] still
     /// sees the old version. Only a history rename that fails after the
     /// unit rename leaves the disk with the new text and the old history.
@@ -332,7 +320,6 @@ impl Library {
         self.units
             .borrow_mut()
             .insert(key.to_string(), Rc::new(unit));
-        self.generation.set(self.generation.get() + 1);
         // A recompile invalidates any stamp from the previous analysis;
         // the incremental driver re-stamps after a successful commit.
         self.stamps.borrow_mut().remove(key);
@@ -563,18 +550,6 @@ impl LibrarySet {
         self.refs.iter().find(|l| l.name() == name)
     }
 
-    /// Sum of all member libraries' store generations. Strictly increases
-    /// on any `put` anywhere in the set, which makes it a sound staleness
-    /// tag for anything derived from library contents (the driver's batch
-    /// plans).
-    pub fn generation(&self) -> u64 {
-        let mut g = self.work.generation();
-        for l in &self.refs {
-            g += l.generation();
-        }
-        g
-    }
-
     /// Loads a unit by full reference `lib.unit_key`, resolving nested
     /// foreign references recursively (the §2.2 "fix-up" step). The result
     /// is kept in the unit's record. A tree record loads as a unit-local
@@ -732,8 +707,6 @@ mod tests {
         lib.put("arch.e.rtl", &unit("rtl")).unwrap();
         assert_eq!(lib.latest_architecture("e"), Some("rtl".to_string()));
         assert_eq!(lib.latest_architecture("other"), None);
-        // Each put bumps the generation.
-        assert_eq!(lib.generation(), 4);
     }
 
     #[test]
@@ -801,7 +774,6 @@ mod tests {
         let old_text = lib.peek_raw("entity.e").unwrap();
         let history_before = lib.history();
         let traffic_before = lib.traffic();
-        let generation_before = lib.generation();
 
         // Force the unit-file rename to fail deterministically (works even
         // as root, where a read-only dir would not): occupy the target
@@ -813,11 +785,10 @@ mod tests {
 
         let err = lib.put("entity.e", &unit("v2"));
         assert!(err.is_err(), "rename onto a non-empty dir must fail");
-        // No stale in-memory copy: history, traffic, generation, and stamp
-        // unchanged; no temp file left behind.
+        // No stale in-memory copy: history, traffic and stamp unchanged;
+        // no temp file left behind.
         assert_eq!(lib.history(), history_before);
         assert_eq!(lib.traffic(), traffic_before);
-        assert_eq!(lib.generation(), generation_before);
         assert_eq!(lib.stamp("entity.e"), Some(0xabcd));
         assert!(!dir.join("entity.e.vif.tmp").exists());
 
@@ -840,7 +811,6 @@ mod tests {
         let old_text = lib.peek_raw("entity.e").unwrap();
         let history_before = lib.history();
         let traffic_before = lib.traffic();
-        let generation_before = lib.generation();
 
         // Make the history write fail after the unit text could be
         // written: occupy the history temp path with a non-empty directory.
@@ -849,12 +819,11 @@ mod tests {
         std::fs::write(blocker.join("occupied"), "x").unwrap();
 
         assert!(lib.put("entity.e", &unit("v2")).is_err());
-        // Neither the record, the history, the generation, the stamp nor
-        // the traffic changed, and the unit file on disk is still v1.
+        // Neither the record, the history, the stamp nor the traffic
+        // changed, and the unit file on disk is still v1.
         assert_eq!(lib.peek_raw("entity.e").unwrap(), old_text);
         assert_eq!(lib.history(), history_before);
         assert_eq!(lib.traffic(), traffic_before);
-        assert_eq!(lib.generation(), generation_before);
         assert_eq!(lib.stamp("entity.e"), Some(0xabcd));
         assert!(!dir.join("entity.e.vif.tmp").exists());
         std::fs::remove_dir_all(&blocker).unwrap();

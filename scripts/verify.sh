@@ -204,13 +204,19 @@ for _ in $(seq 1 100); do
 done
 [ -n "$ADDR" ] || { echo "verify: vhdld never started listening" >&2; exit 1; }
 # A session analyzing the deep units first: it gets diagnostics, and the
-# server and the scripted session after it carry on.
+# server and the scripted session after it carry on. It then sends them
+# again with one statement changed: the session's compiler keeps the
+# parse of every file of its last batch, so only the changed file parses.
+sed '0,/v + 1;/s//v + 2;/' "$HOSTILE/stmts.vhd" >"$HOSTILE/stmts2.vhd"
 ./target/release/vhdld --connect "$ADDR" >"$BATCH_WORK/hostile.log" <<EOF
 {"op":"analyze","paths":["$HOSTILE/stmts.vhd","$HOSTILE/parens.vhd"]}
+{"op":"analyze","paths":["$HOSTILE/stmts2.vhd","$HOSTILE/parens.vhd"]}
 EOF
 cat "$BATCH_WORK/hostile.log"
 grep -q 'nesting too deep' "$BATCH_WORK/hostile.log" \
     || { echo "verify: vhdld did not diagnose the deep units" >&2; exit 1; }
+sed -n 2p "$BATCH_WORK/hostile.log" | grep -q '"parsed":1,"reused":1' \
+    || { echo "verify: vhdld parsed more than the one changed file" >&2; exit 1; }
 ./target/release/vhdld --connect "$ADDR" >"$BATCH_WORK/session.log" <<'EOF'
 {"op":"analyze","paths":["examples/full_adder.vhd"]}
 {"op":"elaborate","entity":"tb"}

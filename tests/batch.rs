@@ -11,8 +11,9 @@
 //! touched unit.
 
 use ag_harness::{check, forall, Config, Source};
-use vhdl_driver::batch::BatchOptions;
-use vhdl_driver::Compiler;
+use vhdl_driver::batch::{BatchOptions, BatchResult};
+use vhdl_driver::{Compiler, EnvKind};
+use vhdl_vif::Library;
 
 /// One generated design unit, with its dependency-order index.
 #[derive(Clone, Debug)]
@@ -195,6 +196,92 @@ fn warm_rerun_is_equivalent_and_all_hits() {
                 warm.cache.hits,
                 committed
             );
+        }
+    );
+}
+
+/// `files` with one digit of one file changed: a constant's value, or a
+/// unit, package or entity name, so the edit may move dependencies,
+/// diagnostics and waves as well as VIF.
+fn edit_one_file(s: &mut Source, files: &[(String, String)]) -> Vec<(String, String)> {
+    let mut edited = files.to_vec();
+    let text = &mut edited[s.usize_in(0, files.len() - 1)].1;
+    let digits: Vec<usize> = text
+        .bytes()
+        .enumerate()
+        .filter(|(_, b)| b.is_ascii_digit())
+        .map(|(i, _)| i)
+        .collect();
+    let at = digits[s.usize_in(0, digits.len() - 1)];
+    let old = text.as_bytes()[at] - b'0';
+    let new = (u64::from(old) + s.u64_in(1, 9)) % 10;
+    text.replace_range(at..=at, &new.to_string());
+    edited
+}
+
+/// What a batch leaves behind: the library's VIF texts and stamps, the
+/// diagnostics, the wave count and each unit's key, wave and skip.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    texts: Vec<(String, String)>,
+    stamps: Vec<Option<u64>>,
+    msgs: String,
+    waves: usize,
+    units: Vec<(String, Option<usize>, bool)>,
+}
+
+fn outcome(c: &Compiler, r: &BatchResult, names: &[String]) -> Outcome {
+    let texts = library_texts(c);
+    Outcome {
+        stamps: texts.iter().map(|(k, _)| c.libs.work().stamp(k)).collect(),
+        texts,
+        msgs: r.rendered_msgs(names),
+        waves: r.waves,
+        units: r
+            .units
+            .iter()
+            .map(|u| (u.key.clone(), u.wave, u.skipped))
+            .collect(),
+    }
+}
+
+/// The per-file parse memo is invisible in the output: a compiler that
+/// has compiled a design, then takes an edit of one file and its revert,
+/// gives at each step what a fresh compiler over a copy of its library
+/// gives, at one job and at two, while parsing only the file that
+/// changed.
+#[test]
+fn memoized_front_half_matches_a_fresh_compiler() {
+    forall!(
+        Config::new("memoized_front_half_matches_a_fresh_compiler").cases(48),
+        |s| {
+            let units = gen_design(s);
+            let files = pack_and_shuffle(s, &units);
+            let edited = edit_one_file(s, &files);
+            let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
+            for jobs in [1, 2] {
+                let opts = BatchOptions {
+                    jobs,
+                    incremental: true,
+                };
+                let warm = Compiler::in_memory();
+                warm.compile_batch(&files, opts);
+                for step in [&edited, &files] {
+                    let snapshot = warm.libs.work().snapshot();
+                    let fresh = Compiler::new(EnvKind::Tree, Library::from_snapshot(&snapshot));
+                    let a = warm.compile_batch(step, opts);
+                    let b = fresh.compile_batch(step, opts);
+                    check!(
+                        a.cache.parsed <= 1 && b.cache.parsed == files.len() as u64,
+                        "jobs={jobs}: parsed {} and {} of {} files",
+                        a.cache.parsed,
+                        b.cache.parsed,
+                        files.len()
+                    );
+                    let (oa, ob) = (outcome(&warm, &a, &names), outcome(&fresh, &b, &names));
+                    check!(oa == ob, "jobs={jobs}: memoized {oa:?}\nfresh {ob:?}");
+                }
+            }
         }
     );
 }
