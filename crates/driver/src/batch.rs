@@ -38,12 +38,19 @@
 //!    body-local rename) cuts the invalidation off early. The front half
 //!    is incremental per file: the compiler keeps each file of its last
 //!    batch parsed (`ParsedFile`), so a batch parses only the files
-//!    whose text changed and stages its graph once.
+//!    whose text changed and stages its graph once. Over an on-disk
+//!    library the memo outlives the process: each batch that changes the
+//!    memo's set of files writes it to the library's `fronts` file (texts
+//!    and unit fronts, no trees), and [`Compiler::on_disk`] reads it
+//!    back, so a restart whose units all hit their stamps parses nothing.
+//!    A batch that has units to analyze parses every restored file at its
+//!    first wave with jobs.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::hash::{DefaultHasher, Hasher};
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ag_harness::fnv1a;
@@ -51,7 +58,7 @@ use ag_harness::pool::Pool;
 use ag_lalr::ParseTree;
 use vhdl_sem::analyze::{Analyzer, UnitLoader};
 use vhdl_sem::msg::{Msg, Msgs, Severity};
-use vhdl_syntax::{FrontError, SrcTok};
+use vhdl_syntax::{FrontError, Pos, SrcTok};
 use vhdl_vif::{write_vif, Library, LibrarySet, LibrarySnapshot, VifNode, VifTraffic};
 
 use crate::depgraph;
@@ -88,7 +95,8 @@ pub struct CacheStats {
     pub cold: u64,
     /// Files parsed: their text was not in the last batch.
     pub parsed: u64,
-    /// Files whose parse the last batch left in the memo.
+    /// Files whose parse the last batch left in the memo, or whose fronts
+    /// a restart read from the library's `fronts` file.
     pub reused: u64,
 }
 
@@ -254,9 +262,24 @@ pub(crate) struct JobOut {
 fn run_job(
     analyzer: &Analyzer,
     libs: &Rc<LibrarySet>,
-    unit: &ParseTree<SrcTok>,
-    global: usize,
+    file: &ParsedFile,
+    job: Job,
 ) -> (JobOut, Option<Rc<VifNode>>) {
+    let global = job.global;
+    let Some(unit) = file.tree(job.unit_in_file) else {
+        // Only a `fronts` entry that disagrees with its own text's parse
+        // leaves a scheduled unit without a tree.
+        let at = file.fronts[job.unit_in_file].pos;
+        let msg = Msg::error(at, "internal: the file's parse has no such unit");
+        return (
+            JobOut {
+                global,
+                msgs: vec![msg],
+                ..JobOut::default()
+            },
+            None,
+        );
+    };
     let t0 = Instant::now();
     let au = analyzer.analyze_unit_with_loader(unit, Rc::clone(libs) as Rc<dyn UnitLoader>);
     let analysis = t0.elapsed();
@@ -342,8 +365,7 @@ impl Worker {
     }
 
     fn job(&self, job: Job) -> JobOut {
-        let unit = &self.files[job.file].units[job.unit_in_file];
-        let (mut out, tree) = run_job(&self.analyzer, &self.libs, unit, job.global);
+        let (mut out, tree) = run_job(&self.analyzer, &self.libs, &self.files[job.file], job);
         let t0 = Instant::now();
         out.vif_text = tree.map(|node| write_vif(&node));
         out.vif_write = t0.elapsed();
@@ -362,7 +384,9 @@ pub(crate) struct ParsedFile {
     /// The source text, compared on every hit: equal keys alone do not
     /// make equal texts.
     text: Box<str>,
-    units: Vec<ParseTree<SrcTok>>,
+    /// The parsed units; unset for a file read from a `fronts` file until
+    /// a batch must analyze ([`ParsedFile::parse_restored`]).
+    units: OnceLock<Vec<ParseTree<SrcTok>>>,
     fronts: Vec<depgraph::UnitFront>,
     error: Option<FrontError>,
     lines: usize,
@@ -392,10 +416,115 @@ impl ParsedFile {
                 .iter()
                 .map(|u| depgraph::UnitFront::of(u.leaves()))
                 .collect(),
-            units,
+            units: OnceLock::from(units),
             error,
             lines: src.lines().filter(|l| !l.trim().is_empty()).count(),
         }
+    }
+
+    /// Parses the units of a file read from a `fronts` file, adding the
+    /// time to `parse_time`; a file with trees is left as it is.
+    fn parse_restored(&self, analyzer: &Analyzer, parse_time: &mut Duration) {
+        if self.units.get().is_none() {
+            let t0 = Instant::now();
+            let units = analyzer.parse_units(&self.text).unwrap_or_default();
+            *parse_time += t0.elapsed();
+            let _ = self.units.set(units);
+        }
+    }
+
+    /// The parse tree of the file's `i`th unit, once it has trees.
+    fn tree(&self, i: usize) -> Option<&ParseTree<SrcTok>> {
+        self.units.get()?.get(i)
+    }
+}
+
+/// The first line of a `fronts` file: a file that starts otherwise is
+/// not read.
+const FRONTS_VERSION: &str = "vhdl-fronts 1";
+
+/// Prints the memo as a `fronts` file, its files in key order: for each,
+/// a `file <key> <lines> <units> <text bytes>` line, the text and a
+/// newline, then per unit a `unit <src_hash> <line> <col> <key>` line and
+/// a line of its candidates; an `end` line closes the file. Files with a
+/// front error are left out. Keys and candidates are identifier
+/// spellings joined by dots, so they hold no space or newline.
+pub(crate) fn print_fronts(memo: &HashMap<u64, Arc<ParsedFile>>) -> String {
+    let mut files: Vec<_> = memo.iter().filter(|(_, f)| f.error.is_none()).collect();
+    files.sort_unstable_by_key(|&(key, _)| *key);
+    let mut out = format!("{FRONTS_VERSION}\n");
+    for (key, f) in files {
+        let (lines, units, len) = (f.lines, f.fronts.len(), f.text.len());
+        let _ = writeln!(out, "file {key:x} {lines} {units} {len}\n{}", f.text);
+        for u in &f.fronts {
+            let (hash, at) = (u.src_hash, u.pos);
+            let _ = writeln!(out, "unit {hash:x} {} {} {}", at.line, at.col, u.key);
+            let _ = writeln!(out, "{}", u.cands.join(" "));
+        }
+    }
+    out.push_str("end\n");
+    out
+}
+
+/// Reads a `fronts` file back as memo entries that have fronts but no
+/// trees. Anything but a whole file of this version (truncated, another
+/// version, not UTF-8 where text is due) is `None`, and the batch parses
+/// as if there were no file; an entry stored under another text's key is
+/// never a hit, since a hit compares the texts.
+pub(crate) fn read_fronts(bytes: &[u8]) -> Option<HashMap<u64, Arc<ParsedFile>>> {
+    /// The unread rest of the file.
+    struct Cursor<'a>(&'a [u8]);
+    impl<'a> Cursor<'a> {
+        /// The next `n` bytes as text, which a newline must follow.
+        fn text(&mut self, n: usize) -> Option<&'a str> {
+            let (text, rest) = self.0.split_at_checked(n)?;
+            self.0 = rest.strip_prefix(b"\n")?;
+            std::str::from_utf8(text).ok()
+        }
+
+        fn line(&mut self) -> Option<&'a str> {
+            self.text(self.0.iter().position(|&b| b == b'\n')?)
+        }
+    }
+    let mut c = Cursor(bytes);
+    if c.line()? != FRONTS_VERSION {
+        return None;
+    }
+    let mut memo = HashMap::new();
+    loop {
+        let head = c.line()?;
+        if head == "end" {
+            return c.0.is_empty().then_some(memo);
+        }
+        let mut fields = head.strip_prefix("file ")?.split(' ');
+        let key = u64::from_str_radix(fields.next()?, 16).ok()?;
+        let mut count = || fields.next()?.parse::<usize>().ok();
+        let (lines, units, len) = (count()?, count()?, count()?);
+        let text = c.text(len)?;
+        let mut fronts = Vec::new();
+        for _ in 0..units {
+            let mut fields = c.line()?.strip_prefix("unit ")?.splitn(4, ' ');
+            let src_hash = u64::from_str_radix(fields.next()?, 16).ok()?;
+            let mut at = || fields.next()?.parse::<u32>().ok();
+            let pos = Pos {
+                line: at()?,
+                col: at()?,
+            };
+            fronts.push(depgraph::UnitFront {
+                key: fields.next()?.to_string(),
+                cands: c.line()?.split_whitespace().map(str::to_string).collect(),
+                src_hash,
+                pos,
+            });
+        }
+        let file = ParsedFile {
+            text: text.into(),
+            units: OnceLock::new(),
+            fronts,
+            error: None,
+            lines,
+        };
+        memo.insert(key, Arc::new(file));
     }
 }
 
@@ -425,7 +554,7 @@ impl Compiler {
         // had reuses that batch's parse. The memo then holds exactly this
         // batch's files.
         let mut parsed: Vec<Arc<ParsedFile>> = Vec::with_capacity(files.len());
-        {
+        let memo_changed = {
             let _t = ag_harness::trace::span("parse");
             let mut memo = self.parsed.borrow_mut();
             let mut next: HashMap<u64, Arc<ParsedFile>> = HashMap::with_capacity(files.len());
@@ -449,8 +578,15 @@ impl Compiler {
                 next.insert(key, Arc::clone(&file));
                 parsed.push(file);
             }
-            *memo = next;
-        }
+            // With no file parsed, every entry of `next` came from the
+            // memo, so equal sizes mean equal sets. An empty batch (a
+            // `vhdlc --elab` without sources) keeps the memo as it is.
+            let changed = cache.parsed > 0 || (!files.is_empty() && next.len() != memo.len());
+            if changed {
+                *memo = next;
+            }
+            changed
+        };
         let front_errors: Vec<(usize, FrontError)> = parsed
             .iter()
             .enumerate()
@@ -492,6 +628,10 @@ impl Compiler {
         // Texts committed since the workers last synced their
         // mirrors (accumulates across waves the pool never saw).
         let mut pending_delta: Vec<Put> = Vec::new();
+
+        // Files restored from the `fronts` file have no trees: the first
+        // wave with jobs parses them all, before any analysis.
+        let mut trees_ready = false;
 
         for (w, wave) in graph.waves.iter().enumerate() {
             // Stamp every unit of the wave against the current library
@@ -537,6 +677,13 @@ impl Compiler {
             }
             let stamps: HashMap<usize, u64> =
                 jobs_list.iter().map(|(j, s)| (j.global, *s)).collect();
+            if !jobs_list.is_empty() && !trees_ready {
+                trees_ready = true;
+                let _t = ag_harness::trace::span("parse");
+                for file in file_units.iter() {
+                    file.parse_restored(&self.analyzer, &mut phases.parse);
+                }
+            }
 
             // Run the wave. An all-hit wave has nothing to run and — with
             // a pool — nothing to post; commits it is owed travel in
@@ -584,12 +731,7 @@ impl Compiler {
                 jobs_list
                     .iter()
                     .map(|(job, _)| {
-                        run_job(
-                            &self.analyzer,
-                            &self.libs,
-                            &file_units[job.file].units[job.unit_in_file],
-                            job.global,
-                        )
+                        run_job(&self.analyzer, &self.libs, &file_units[job.file], *job)
                     })
                     .collect()
             };
@@ -641,6 +783,11 @@ impl Compiler {
         ag_harness::trace::counter("batch-cache-miss", cache.misses);
         ag_harness::trace::counter("batch-cache-cold", cache.cold);
         ag_harness::trace::counter("batch-waves", graph.waves.len() as u64);
+        if let (true, Some(path)) = (memo_changed, &self.fronts_file) {
+            // The file is only a cache: a failed write costs the next
+            // process its parses, nothing else.
+            let _ = vhdl_vif::write_atomic(path, print_fronts(&self.parsed.borrow()).as_bytes());
+        }
 
         BatchResult {
             units: out_units,
@@ -943,12 +1090,38 @@ mod tests {
             [
                 "arch.e.rtl.vif",
                 "entity.e.vif",
+                "fronts",
                 "history",
                 "pkg.p.vif",
                 "stamps"
             ],
-            "one text file per unit plus the history and the stamps"
+            "one text file per unit plus the parse memo, the history and the stamps"
         );
+    }
+
+    #[test]
+    fn forged_fronts_entry_is_a_diagnostic_not_a_panic() {
+        // An entry whose text matches but whose fronts claim a unit the
+        // text does not hold: the restart schedules it, and the unit gets
+        // an internal error instead of a tree.
+        let dir = std::env::temp_dir().join(format!("vhdl-forged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let src = "entity e is\nend e;\n";
+        let mut parse_time = Duration::ZERO;
+        let mut file = ParsedFile::parse(&Analyzer::new(EnvKind::Tree), src, &mut parse_time);
+        let mut ghost = file.fronts[0].clone();
+        ghost.key = "entity.ghost".into();
+        file.fronts.push(ghost);
+        file.units = OnceLock::new();
+        let memo = HashMap::from([(text_key(src), Arc::new(file))]);
+        std::fs::write(dir.join("fronts"), print_fronts(&memo)).expect("write fronts");
+        let c = Compiler::on_disk(&dir).expect("open library");
+        let r = c.compile_batch(&[("e.vhd".into(), src.into())], BatchOptions::default());
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!((r.cache.parsed, r.cache.reused), (0, 1));
+        assert!(r.units[0].msgs.is_empty(), "{:?}", r.units[0].msgs);
+        assert!(r.units[1].msgs[0].to_string().contains("internal:"));
     }
 
     #[test]

@@ -163,8 +163,13 @@ pub fn header_key(toks: &[SrcTok]) -> String {
 ///   `arch.e.a`
 /// - any identifier spelling a package name → `pkg.<id>` (covers selected
 ///   names like `math.square`; filtered against known packages later)
+///
+/// The result may repeat a key; [`UnitFront::of`] sorts and deduplicates
+/// it. Identifiers are formatted once per distinct spelling, not once per
+/// occurrence.
 pub fn candidate_deps(toks: &[SrcTok]) -> Vec<String> {
     let mut out = Vec::new();
+    let mut ids = Vec::new();
     let header = skip_context_clause(toks);
     let mut i = 0;
     while i < toks.len() {
@@ -228,11 +233,14 @@ pub fn candidate_deps(toks: &[SrcTok]) -> Vec<String> {
             }
             // Any identifier that spells a package name (selected names,
             // plain calls of use-d subprograms); resolved later.
-            TokenKind::Id => out.push(format!("pkg.{}", toks[i].text.as_str())),
+            TokenKind::Id => ids.push(toks[i].text),
             _ => {}
         }
         i += 1;
     }
+    ids.sort_unstable();
+    ids.dedup();
+    out.extend(ids.into_iter().map(|id| format!("pkg.{}", id.as_str())));
     out
 }
 
@@ -543,6 +551,40 @@ mod tests {
         assert!(arch.deps.contains(&"arch.inv.fast"), "{:?}", arch.deps);
         let wave_of = |i: usize| g.waves.iter().position(|w| w.contains(&i)).unwrap();
         assert!(wave_of(3) > wave_of(1));
+    }
+
+    /// A unit's candidates the simple way: every identifier occurrence
+    /// formatted to `pkg.<id>` (a `use` clause's or package body's `pkg.`
+    /// key spells an identifier too), the other rules' keys kept, sorted
+    /// and deduplicated.
+    fn naive_cands(toks: &[SrcTok]) -> Vec<String> {
+        let mut out: Vec<String> = candidate_deps(toks)
+            .into_iter()
+            .filter(|k| !k.starts_with("pkg."))
+            .collect();
+        for t in toks.iter().filter(|t| t.kind == TokenKind::Id) {
+            out.push(format!("pkg.{}", t.text.as_str()));
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    #[test]
+    fn candidates_match_a_per_occurrence_reference() {
+        for seed in 0..8 {
+            let profile = if seed % 2 == 0 {
+                vhdl_conform::Profile::Small
+            } else {
+                vhdl_conform::Profile::Heavy
+            };
+            let design =
+                vhdl_conform::gen_design(&mut ag_harness::Source::from_seed(seed), profile);
+            for unit in parse(&design.source) {
+                let toks = unit.leaves();
+                assert_eq!(UnitFront::of(toks).cands, naive_cands(toks), "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! The front half has one path, [`Compiler::compile_batch`] ([`batch`]):
 //! files are parsed (or their parse is taken from the compiler's memo of
-//! the last batch's files), their units staged into waves by the
+//! the last batch's files, which an on-disk library keeps across
+//! processes in its `fronts` file), their units staged into waves by the
 //! [`depgraph`], analyzed, stamped and committed to the work library.
 //! [`Compiler::compile`] is that path over one file; `vhdlc` and the
 //! `vhdld` server call `compile_batch` directly. The back half
@@ -17,6 +18,7 @@ pub mod depgraph;
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -76,6 +78,9 @@ pub struct Compiler {
     /// [`Compiler::compile_batch`] parses only the files whose text that
     /// batch did not have.
     parsed: RefCell<HashMap<u64, Arc<batch::ParsedFile>>>,
+    /// The on-disk library's `fronts` file, which keeps `parsed` (texts
+    /// and unit fronts, without trees) across processes.
+    fronts_file: Option<PathBuf>,
     /// The batch analysis pool, spawned by the first parallel wave and
     /// kept for the compiler's lifetime.
     pool: RefCell<Option<batch::AnalysisPool>>,
@@ -89,6 +94,7 @@ impl Compiler {
             analyzer: Analyzer::new(env_kind),
             libs: Rc::new(LibrarySet::new(Rc::new(work), vec![])),
             parsed: RefCell::default(),
+            fronts_file: None,
             pool: RefCell::default(),
         }
     }
@@ -104,13 +110,25 @@ impl Compiler {
         Compiler::new(kind, Library::in_memory("work"))
     }
 
-    /// A compiler over an on-disk work library.
+    /// A compiler over an on-disk work library. Its memo of parsed files
+    /// starts as the library's `fronts` file left it: the files of the
+    /// last batch that changed it, with fronts but no trees. A missing or
+    /// unreadable `fronts` file starts it empty.
     ///
     /// # Errors
     ///
     /// I/O errors opening the library.
-    pub fn on_disk(dir: &std::path::Path) -> Result<Compiler, vhdl_vif::VifError> {
-        Ok(Compiler::new(EnvKind::Tree, Library::on_disk("work", dir)?))
+    pub fn on_disk(dir: &Path) -> Result<Compiler, vhdl_vif::VifError> {
+        let mut c = Compiler::new(EnvKind::Tree, Library::on_disk("work", dir)?);
+        let fronts_file = dir.join("fronts");
+        if let Some(memo) = std::fs::read(&fronts_file)
+            .ok()
+            .and_then(|bytes| batch::read_fronts(&bytes))
+        {
+            *c.parsed.get_mut() = memo;
+        }
+        c.fronts_file = Some(fronts_file);
+        Ok(c)
     }
 
     /// Compiles one source string: a one-file [`Compiler::compile_batch`]

@@ -461,6 +461,8 @@ fn damaged_dependency_is_named_in_analysis() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("work.entity.and2"), "{stderr}");
     assert!(stderr.contains("field `uid`"), "{stderr}");
+    // The entity exists, so the architecture does not call it missing.
+    assert!(!stderr.contains("not found in library work"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -141,6 +141,22 @@ impl Actx {
     pub fn count_expr_eval(&self) {
         *self.expr_evals.borrow_mut() += 1;
     }
+
+    /// Loads `work.<key>` for a use site that reports an absent unit
+    /// itself (`Ok(None)`). A unit that exists but cannot be read is the
+    /// `Err`, and it is recorded as a fault of the unit being analyzed,
+    /// which names it once; the use site adds no "not found" line.
+    ///
+    /// # Errors
+    ///
+    /// The unit exists but cannot be read.
+    pub fn load_work(&self, key: &str) -> Result<Option<Rc<VifNode>>, VifError> {
+        self.loader.try_load_unit("work", key).inspect_err(|_| {
+            // `load_unit` is the loader's recording path; a failed load is
+            // not cached, so it meets the same error again.
+            let _ = self.loader.load_unit("work", key);
+        })
+    }
 }
 
 /// One analyzed compilation unit.
@@ -166,20 +182,27 @@ thread_local! {
     /// grammar and table it is built over are process-wide
     /// ([`PrincipalGrammar::shared`]).
     static PRINCIPAL: OnceCell<Rc<PrincipalAg>> = const { OnceCell::new() };
+
+    /// `STD.STANDARD`, built once per thread and environment kind (indexed
+    /// by `EnvKind as usize`) and shared by every analyzer on the thread:
+    /// its nodes are immutable and its environment is persistent, so no
+    /// analysis can change it.
+    static STANDARDS: [OnceCell<Rc<Standard>>; 3] =
+        const { [OnceCell::new(), OnceCell::new(), OnceCell::new()] };
 }
 
 /// The compiler front half: principal grammar + principal AG, reusable
 /// across files.
 ///
 /// The grammars and LALR tables of both AGs are plain data built once per
-/// process; only the attribute grammars and [`Standard`], whose values
-/// are `Rc`, are built per thread.
+/// process; only the attribute grammars and [`Standard`] (one per
+/// [`EnvKind`]), whose values are `Rc`, are built per thread.
 pub struct Analyzer {
     /// The principal grammar and parse table (shared by the process).
     pub grammar: &'static PrincipalGrammar,
     /// The principal attribute grammar (shared per thread).
     pub pag: Rc<PrincipalAg>,
-    /// Predefined environment and types.
+    /// Predefined environment and types (shared per thread and kind).
     pub std: Rc<Standard>,
     /// The environment representation this analyzer was built with.
     pub env_kind: EnvKind,
@@ -188,7 +211,9 @@ pub struct Analyzer {
 impl Analyzer {
     /// Builds the analyzer (reuse across compilations). The first
     /// analyzer in the process builds the parse tables; the first on a
-    /// thread builds the attribute grammars, and later ones share them.
+    /// thread builds the attribute grammars, and the first of each
+    /// [`EnvKind`] on a thread builds `STD.STANDARD`; later ones share
+    /// them.
     pub fn new(env_kind: EnvKind) -> Analyzer {
         let grammar = PrincipalGrammar::shared();
         let pag =
@@ -199,7 +224,9 @@ impl Analyzer {
         Analyzer {
             grammar,
             pag,
-            std: Rc::new(standard(env_kind)),
+            std: STANDARDS.with(|s| {
+                Rc::clone(s[env_kind as usize].get_or_init(|| Rc::new(standard(env_kind))))
+            }),
             env_kind,
         }
     }

@@ -1268,15 +1268,19 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             .find(|t| t.kind == vhdl_syntax::TokenKind::Id)
             .map(|t| t.text.to_string())
             .unwrap_or_default();
-        let Some(entity) = ctx.loader.load_unit("work", &format!("entity.{ename}")) else {
-            return (
-                env.clone(),
-                None,
-                Msgs::one(Msg::error(
-                    pos,
-                    format!("entity `{ename}` not found in library work"),
-                )),
-            );
+        let entity = match ctx.load_work(&format!("entity.{ename}")) {
+            Ok(Some(entity)) => entity,
+            Ok(None) => {
+                return (
+                    env.clone(),
+                    None,
+                    Msgs::one(Msg::error(
+                        pos,
+                        format!("entity `{ename}` not found in library work"),
+                    )),
+                )
+            }
+            Err(_) => return (env.clone(), None, Msgs::none()),
         };
         let mut e = oof::reimport_ctx(&env, &ctx, &entity);
         for field in [Field::generics, Field::ports, Field::decls] {
@@ -1360,14 +1364,18 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         let env = d[0].expect_env();
         let ctx = d[1].expect_ctx();
         let name = d[2].expect_tok();
-        let Some(spec) = ctx.loader.load_unit("work", &format!("pkg.{}", name.text)) else {
-            return (
-                env.clone(),
-                Msgs::one(Msg::error(
-                    name.pos,
-                    format!("package `{}` not found for its body", name.text),
-                )),
-            );
+        let spec = match ctx.load_work(&format!("pkg.{}", name.text)) {
+            Ok(Some(spec)) => spec,
+            Ok(None) => {
+                return (
+                    env.clone(),
+                    Msgs::one(Msg::error(
+                        name.pos,
+                        format!("package `{}` not found for its body", name.text),
+                    )),
+                )
+            }
+            Err(_) => return (env.clone(), Msgs::none()),
         };
         let mut e = oof::reimport_ctx(&env, &ctx, &spec);
         for n in spec.nodes(Field::decls) {
@@ -1430,8 +1438,8 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                     .unwrap_or_default();
                 // Configuration processing reads (and traverses) the big
                 // foreign structures — the §2.2 footnote-3 cost.
-                let entity = u.ctx.loader.load_unit("work", &format!("entity.{ename}"));
-                if entity.is_none() {
+                let entity = u.ctx.load_work(&format!("entity.{ename}"));
+                if matches!(entity, Ok(None)) {
                     msgs.push(Msg::error(
                         name.pos,
                         format!("entity `{ename}` not found in library work"),
@@ -1439,18 +1447,15 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
                 }
                 let info = d[4].expect_list();
                 let arch_name = info[0].expect_tok().text.to_string();
-                let arch = u
-                    .ctx
-                    .loader
-                    .load_unit("work", &format!("arch.{ename}.{arch_name}"));
-                if arch.is_none() {
+                let arch = u.ctx.load_work(&format!("arch.{ename}.{arch_name}"));
+                if matches!(arch, Ok(None)) {
                     msgs.push(Msg::error(
                         name.pos,
                         format!("architecture `{arch_name}` of `{ename}` not found"),
                     ));
                 }
                 // Touch the architecture's structure (traversal cost).
-                if let Some(a) = &arch {
+                if let Ok(Some(a)) = &arch {
                     let _ = a.reachable_size();
                 }
                 let bindings: Vec<VifValue> = info[1]

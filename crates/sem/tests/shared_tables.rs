@@ -1,6 +1,6 @@
 //! The principal and expression LALR tables are built once per process:
 //! analyzers on different threads read the same grammar and table, and
-//! only the attribute grammars are built per thread.
+//! only the attribute grammars and `STD.STANDARD` are built per thread.
 
 use std::thread;
 
@@ -34,4 +34,27 @@ fn two_threads_share_one_table_each() {
     assert!(std::ptr::eq(xt1, xt2), "expression tables built per thread");
     assert!(std::ptr::eq(pg1, PrincipalGrammar::shared()));
     assert!(std::ptr::eq(xt1, ExprTables::shared()));
+}
+
+/// Analyzers on one thread share one `STD.STANDARD` per environment kind,
+/// and the three kinds (the E7 ablation) keep three distinct ones.
+#[test]
+fn one_thread_shares_one_standard_per_env_kind() {
+    let kinds = [EnvKind::List, EnvKind::Tree, EnvKind::MutBaseline];
+    let stds: Vec<_> = kinds
+        .iter()
+        .map(|&kind| {
+            let (a, b) = (Analyzer::new(kind), Analyzer::new(kind));
+            assert!(
+                std::rc::Rc::ptr_eq(&a.std, &b.std),
+                "{kind:?}: STANDARD built per analyzer"
+            );
+            a.std
+        })
+        .collect();
+    for (i, a) in stds.iter().enumerate() {
+        for b in &stds[i + 1..] {
+            assert!(!std::rc::Rc::ptr_eq(a, b), "two kinds share one STANDARD");
+        }
+    }
 }

@@ -40,8 +40,8 @@ pub mod text;
 pub use ag_intern::{Symbol, ToSym};
 pub use dump::dump;
 pub use library::{
-    clear_node_cache, vifb_stats, Library, LibrarySet, LibrarySnapshot, UnitKey, VifTraffic,
-    VifbStats,
+    clear_node_cache, vifb_stats, write_atomic, Library, LibrarySet, LibrarySnapshot, UnitKey,
+    VifTraffic, VifbStats,
 };
 pub use node::{VifBuilder, VifNode, VifValue};
 pub use schema::{mk, Field, Kind};

@@ -461,7 +461,13 @@ fn commit(tmp: &Path, path: &Path) -> Result<(), VifError> {
 }
 
 /// Writes `path` atomically: temp file + rename, temp removed on failure.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), VifError> {
+/// Every file of an on-disk library is written this way, the batch
+/// driver's `fronts` file included.
+///
+/// # Errors
+///
+/// I/O errors writing or renaming the temp file.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), VifError> {
     commit(&stage(path, bytes)?, path)
 }
 

@@ -92,8 +92,10 @@ rm -rf "$CONFORM_TMP"
 echo "==> batch mode on the end-to-end fixture (--jobs 4, then warm --incremental)"
 # The full-adder example is a 10-unit design; compile it through the batch
 # scheduler on 4 workers into a throwaway work library, then rerun warm
-# with --incremental (every unit must hit the cache) and elaborate to make
-# sure the incrementally-reused library still simulates.
+# with --incremental (every unit must hit the cache, and the file's parse
+# comes from the library's `fronts` file, so the new process parses
+# nothing) and elaborate to make sure the incrementally-reused library
+# still simulates.
 BATCH_WORK="$(mktemp -d)"
 trap 'rm -rf "$BATCH_WORK"' EXIT
 ./target/release/vhdlc --work "$BATCH_WORK" --jobs 4 --stats \
@@ -103,6 +105,17 @@ trap 'rm -rf "$BATCH_WORK"' EXIT
 cat "$BATCH_WORK/warm.log"
 grep -q "miss 0 cold 0" "$BATCH_WORK/warm.log" \
     || { echo "verify: warm --incremental rerun re-analyzed units" >&2; exit 1; }
+grep -q "files parsed 0 reused 1" "$BATCH_WORK/warm.log" \
+    || { echo "verify: warm --incremental rerun parsed its file" >&2; exit 1; }
+# A comment appended to the file: a third process parses it again, and
+# every unit still hits its stamp (comments do not lex).
+cp examples/full_adder.vhd "$BATCH_WORK/full_adder.vhd"
+echo "-- a trailing comment" >>"$BATCH_WORK/full_adder.vhd"
+./target/release/vhdlc --work "$BATCH_WORK" --jobs 4 --incremental --stats \
+    "$BATCH_WORK/full_adder.vhd" >"$BATCH_WORK/comment.log" 2>&1
+cat "$BATCH_WORK/comment.log"
+grep -q "miss 0 cold 0, files parsed 1 " "$BATCH_WORK/comment.log" \
+    || { echo "verify: a comment-only edit re-analyzed units or was not parsed" >&2; exit 1; }
 # The warm run's elaboration reads the units the cold run wrote: each
 # of the 10 units' text is parsed at most once, because a loaded unit
 # is memoised in its record (`vifb:` counter line from --stats).

@@ -10,6 +10,8 @@
 //! C), with invalidation hitting exactly the transitive dependents of a
 //! touched unit.
 
+use std::path::{Path, PathBuf};
+
 use ag_harness::{check, forall, Config, Source};
 use vhdl_driver::batch::{BatchOptions, BatchResult};
 use vhdl_driver::{Compiler, EnvKind};
@@ -286,6 +288,71 @@ fn memoized_front_half_matches_a_fresh_compiler() {
     );
 }
 
+/// A temp directory for one test's libraries, named after the test.
+fn temp_root(test: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("vhdl-batch-{test}-{}", std::process::id()))
+}
+
+/// Copies the library in `from` to a fresh `to`, leaving out its
+/// `fronts` file: the same library as a process that never kept one.
+fn copy_without_fronts(from: &Path, to: &Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).expect("library copy");
+    for entry in std::fs::read_dir(from).expect("library dir") {
+        let entry = entry.expect("dir entry");
+        if entry.file_name() != "fronts" {
+            std::fs::copy(entry.path(), to.join(entry.file_name())).expect("copy");
+        }
+    }
+}
+
+/// A restart that reads the library's `fronts` file gives what a restart
+/// without it gives: after a cold build, for the same files and then for
+/// a one-file edit, each through a new compiler, at one job and at two.
+/// With the file, the same files parse nothing and the edit parses only
+/// the edited file (the restored ones get their trees, uncounted, at the
+/// first wave with jobs).
+#[test]
+fn restart_with_fronts_file_matches_restart_without() {
+    let root = temp_root("fronts");
+    let (with, without) = (root.join("with"), root.join("without"));
+    forall!(
+        Config::new("restart_with_fronts_file_matches_restart_without").cases(32),
+        |s| {
+            let units = gen_design(s);
+            let files = pack_and_shuffle(s, &units);
+            let edited = edit_one_file(s, &files);
+            let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
+            for jobs in [1, 2] {
+                let opts = BatchOptions {
+                    jobs,
+                    incremental: true,
+                };
+                let _ = std::fs::remove_dir_all(&with);
+                Compiler::on_disk(&with)
+                    .expect("open library")
+                    .compile_batch(&files, opts);
+                for (step, most) in [(&files, 0), (&edited, 1)] {
+                    copy_without_fronts(&with, &without);
+                    let a = Compiler::on_disk(&with).expect("reopen library");
+                    let b = Compiler::on_disk(&without).expect("open the copy");
+                    let (ra, rb) = (a.compile_batch(step, opts), b.compile_batch(step, opts));
+                    check!(
+                        ra.cache.parsed <= most && rb.cache.parsed == files.len() as u64,
+                        "jobs={jobs}: parsed {} with the file and {} without, of {}",
+                        ra.cache.parsed,
+                        rb.cache.parsed,
+                        files.len()
+                    );
+                    let (oa, ob) = (outcome(&a, &ra, &names), outcome(&b, &rb, &names));
+                    check!(oa == ob, "jobs={jobs}: with {oa:?}\nwithout {ob:?}");
+                }
+            }
+        }
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 mod fixtures {
     //! A small fixed design used by the e2e and incrementality tests:
     //!
@@ -513,4 +580,127 @@ fn front_errors_diagnose_identically_at_any_worker_count() {
         runs.push((front, r.rendered_msgs(&names), library_texts(&c)));
     }
     assert_eq!(runs[0], runs[1]);
+}
+
+/// The library directory's file names and modification times.
+fn listing(dir: &Path) -> Vec<(std::ffi::OsString, std::time::SystemTime)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("library dir")
+        .map(|e| {
+            let e = e.expect("dir entry");
+            let modified = e.metadata().and_then(|m| m.modified()).expect("mtime");
+            (e.file_name(), modified)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A restart whose units all hit parses nothing and writes nothing: the
+/// library directory lists the same files with the same modification
+/// times. Neither does a process that compiles no file (`vhdlc --elab`
+/// alone), and the restart after it still finds every parse.
+#[test]
+fn all_hit_restart_leaves_the_library_untouched() {
+    let dir = temp_root("untouched");
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = BatchOptions {
+        jobs: 2,
+        incremental: true,
+    };
+    let files = fixtures::out_of_order();
+    let cold = Compiler::on_disk(&dir).expect("open library");
+    assert!(cold.compile_batch(&files, opts).ok());
+    let before = listing(&dir);
+    assert!(
+        before.iter().any(|(name, _)| name == "fronts"),
+        "{before:?}"
+    );
+    // A rewrite within the file system's timestamp tick would not show.
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    let elab_only = Compiler::on_disk(&dir).expect("reopen library");
+    assert!(elab_only.compile_batch(&[], opts).ok());
+    let restarted = Compiler::on_disk(&dir).expect("reopen library");
+    let r = restarted.compile_batch(&files, opts);
+    let after = listing(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!((r.cache.hits, r.cache.analyzed()), (5, 0));
+    assert_eq!((r.cache.parsed, r.cache.reused), (0, 5));
+    assert_eq!(r.phases.parse, std::time::Duration::ZERO);
+    assert_eq!(before, after);
+}
+
+/// A damaged or forged `fronts` file costs parses, never a result: read
+/// truncated, with another version line, with a byte that is not UTF-8
+/// in a stored text, or with two entries under each other's text keys, a
+/// restart with the same files and one with an edited file give what a
+/// restart without the file gives, parse the files the damage reaches,
+/// and leave the file as a clean build writes it.
+#[test]
+fn hostile_fronts_file_only_costs_parses() {
+    let root = temp_root("hostile");
+    let (lib, none, dir) = (root.join("lib"), root.join("none"), root.join("case"));
+    let _ = std::fs::remove_dir_all(&root);
+    let opts = BatchOptions {
+        jobs: 2,
+        incremental: true,
+    };
+    let files = fixtures::out_of_order();
+    let mut touched = files.clone();
+    touched[4].1 = fixtures::BASE_TOUCHED.into();
+    let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
+    assert!(Compiler::on_disk(&lib)
+        .expect("open library")
+        .compile_batch(&files, opts)
+        .ok());
+    let good = std::fs::read(lib.join("fronts")).expect("fronts file");
+
+    let text = String::from_utf8(good.clone()).expect("utf-8");
+    let keys: Vec<String> = text
+        .lines()
+        .filter_map(|l| Some(l.strip_prefix("file ")?.split(' ').next()?.to_string()))
+        .collect();
+    assert_eq!(keys.len(), files.len(), "{text}");
+    let line = |key: &str| format!("file {key} ");
+    let planted = text
+        .replacen(&line(&keys[0]), "file swap ", 1)
+        .replacen(&line(&keys[1]), &line(&keys[0]), 1)
+        .replacen("file swap ", &line(&keys[1]), 1);
+    let mut not_utf8 = good.clone();
+    let first_text = text.find('\n').unwrap() + 1;
+    let first_text = first_text + text[first_text..].find('\n').unwrap() + 1;
+    not_utf8[first_text] = 0xff;
+    let cases: [(&str, Vec<u8>, u64); 4] = [
+        ("truncated", good[..good.len() / 2].to_vec(), 5),
+        (
+            "wrong version",
+            text.replacen("vhdl-fronts 1", "vhdl-fronts 2", 1).into(),
+            5,
+        ),
+        ("not utf-8", not_utf8, 5),
+        ("planted", planted.into(), 2),
+    ];
+
+    let result = |c: &Compiler, r: &BatchResult| {
+        let cache = (r.cache.hits, r.cache.misses, r.cache.cold);
+        (outcome(c, r, &names), cache, r.lines)
+    };
+    for step in [&files, &touched] {
+        copy_without_fronts(&lib, &none);
+        let c = Compiler::on_disk(&none).expect("open the copy");
+        let want = result(&c, &c.compile_batch(step, opts));
+        for (what, bytes, parsed) in &cases {
+            copy_without_fronts(&lib, &dir);
+            std::fs::write(dir.join("fronts"), bytes).expect("write fronts");
+            let c = Compiler::on_disk(&dir).expect("open with a hostile file");
+            let r = c.compile_batch(step, opts);
+            assert_eq!(result(&c, &r), want, "{what}");
+            if step == &files {
+                assert_eq!(r.cache.parsed, *parsed, "{what}");
+                let rewritten = std::fs::read(dir.join("fronts")).expect("fronts file");
+                assert!(rewritten == good, "{what}: the file is not rewritten whole");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
