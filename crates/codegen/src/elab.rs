@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use ag_harness::fnv1a;
 use sim_kernel::{Insn, Program, SigId, Val};
 use vhdl_sem::analyze::UnitLoader;
 use vhdl_vif::{Field, Kind, LibrarySet, VifError, VifNode, VifValue};
@@ -104,6 +105,7 @@ pub fn elaborate(
     e.collect_pkg_subprogs()?;
     let arch_name = match arch {
         Some(a) => a.to_string(),
+        // The last-use history read (see `library_digest`).
         None => libs
             .latest_architecture(entity)
             .ok_or_else(|| ElabError::NotFound(format!("architecture of {entity}")))?,
@@ -151,6 +153,45 @@ pub fn elaborate_config(libs: &Rc<LibrarySet>, config: &str) -> Result<Program, 
     )?;
     e.program.finalize_sensitivity();
     Ok(e.program)
+}
+
+/// A digest of everything in `libs` that elaboration can observe: equal
+/// digests and an equal top (entity and architecture, or configuration)
+/// elaborate to the same program. `vhdld` keys its per-session program
+/// cache with it. Elaboration reads the libraries in these ways, and the
+/// digest covers each:
+/// - unit contents, through [`LibrarySet::load`] (which follows foreign
+///   references into any library of the set): every library's name and
+///   the VIF text hash of each of its distinct units;
+/// - the work library's history, in exactly two forms: the first-use
+///   order, in which `Elab::collect_pkg_subprogs` indexes packages, and
+///   the last-use order, from which `latest_architecture` picks the §3.3
+///   default binding (in [`elaborate`] and in `Elab::conc`).
+///
+/// A new read of library state must extend this digest, or a cached
+/// program outlives the state it was elaborated from.
+///
+/// # Errors
+///
+/// A history key whose text cannot be read (a damaged disk library): the
+/// caller elaborates without the cache, and the elaborator reports it.
+pub fn library_digest(libs: &LibrarySet) -> Result<u64, VifError> {
+    let work = libs.work();
+    let mut h = 0;
+    for lib in std::iter::once(work).chain(libs.refs()) {
+        h = fnv1a(h, lib.name().as_bytes());
+        h = fnv1a(h, &[0]);
+        for key in lib.keys_by_first_use() {
+            h = fnv1a(h, key.as_bytes());
+            h = fnv1a(h, &lib.text_hash(&key)?.to_le_bytes());
+        }
+        h = fnv1a(h, &[0]);
+    }
+    for key in work.keys_by_last_use() {
+        h = fnv1a(h, key.as_bytes());
+        h = fnv1a(h, &[0]);
+    }
+    Ok(h)
 }
 
 fn decode_cfgbind(b: &VifNode) -> CfgBind {
@@ -230,17 +271,11 @@ impl<'a> Elab<'a> {
     }
 
     /// Indexes every subprogram in every package of the work library (and
-    /// their bodies) so calls can be compiled on demand.
+    /// their bodies) so calls can be compiled on demand, in the order the
+    /// units were first compiled. This order is one of the two history
+    /// reads [`library_digest`] covers.
     fn collect_pkg_subprogs(&mut self) -> Result<(), ElabError> {
-        let mut seen = std::collections::HashSet::new();
-        let keys: Vec<String> = self
-            .libs
-            .work()
-            .history()
-            .into_iter()
-            .filter(|k| seen.insert(k.clone()))
-            .collect();
-        for key in keys {
+        for key in self.libs.work().keys_by_first_use() {
             if !(key.starts_with("pkg.") || key.starts_with("pkgbody.")) {
                 continue;
             }
@@ -459,6 +494,7 @@ impl<'a> Elab<'a> {
                 } else {
                     entity
                 };
+                // The last-use history read (see `library_digest`).
                 let arch = if arch.is_empty() {
                     self.libs.latest_architecture(&entity).ok_or_else(|| {
                         ElabError::Binding(format!(

@@ -15,5 +15,5 @@ pub mod elab;
 pub mod lower;
 
 pub use c_emit::emit_c;
-pub use elab::{elaborate, elaborate_config, ElabError};
+pub use elab::{elaborate, elaborate_config, library_digest, ElabError};
 pub use lower::{CgError, LowerCtx, Storage};

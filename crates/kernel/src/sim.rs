@@ -19,6 +19,7 @@
 //! — which survives as the `ref_*` reference stepper, the
 //! [`crate::oracle`]'s `Scan` engine.
 
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -440,6 +441,9 @@ pub struct Simulator<'a> {
     worker_buf: Vec<JobBuf>,
     /// Deliberate misbehavior for differential-oracle self-tests.
     test_fault: Option<TestFault>,
+    /// The program's fingerprint, computed by the first checkpoint that
+    /// needs it or given by the caller that already knows it.
+    pub(crate) fingerprint: OnceCell<u64>,
 }
 
 impl<'a> Simulator<'a> {
@@ -508,6 +512,7 @@ impl<'a> Simulator<'a> {
             pool: None,
             worker_buf: Vec::new(),
             test_fault: None,
+            fingerprint: OnceCell::new(),
         }
     }
 

@@ -380,6 +380,7 @@ impl<'b> Dec<'b> {
 /// instruction streams; the region tree. Two programs with equal
 /// fingerprints elaborate to interchangeable simulators.
 pub fn program_fingerprint(program: &Program) -> u64 {
+    let _t = ag_harness::trace::span("program-fingerprint");
     let mut text = String::new();
     let mut e = Enc::new();
     e.len(program.signals.len());
@@ -463,6 +464,23 @@ fn dec_cal_entry(
 }
 
 impl<'a> Simulator<'a> {
+    /// [`program_fingerprint`] of this simulator's program, computed once
+    /// per simulator (or not at all after [`Simulator::with_fingerprint`]).
+    pub fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| program_fingerprint(&self.program))
+    }
+
+    /// Gives the simulator its program's fingerprint, which the caller
+    /// computed before for the same program (a cached elaboration), so
+    /// no checkpoint computes it again. The caller vouches for the value:
+    /// a wrong one makes this simulator's checkpoints unrestorable.
+    pub fn with_fingerprint(self, fingerprint: u64) -> Simulator<'a> {
+        let _ = self.fingerprint.set(fingerprint);
+        self
+    }
+
     /// Serializes the full resumable state of this simulator (see module
     /// docs for the format). `&mut` because the calendar is normalized
     /// first — an operation the next scheduling decision would perform
@@ -484,7 +502,7 @@ impl<'a> Simulator<'a> {
         let mut e = Enc::new();
         e.buf.extend_from_slice(&MAGIC);
         e.u32(VERSION);
-        e.u64(program_fingerprint(&self.program));
+        e.u64(self.fingerprint());
         e.time(self.now);
 
         let st = &self.stats;
@@ -595,6 +613,22 @@ impl<'a> Simulator<'a> {
     ///
     /// Any [`SnapshotError`]; hostile bytes never panic.
     pub fn restore(program: Program, bytes: &[u8]) -> Result<Simulator<'a>, SnapshotError> {
+        let fingerprint = program_fingerprint(&program);
+        Simulator::restore_known(program, fingerprint, bytes)
+    }
+
+    /// [`Simulator::restore`] for a caller that already knows `program`'s
+    /// fingerprint (see [`Simulator::with_fingerprint`]): the snapshot is
+    /// checked against `fingerprint`, which the restored simulator keeps.
+    ///
+    /// # Errors
+    ///
+    /// Any [`SnapshotError`]; hostile bytes never panic.
+    pub fn restore_known(
+        program: Program,
+        fingerprint: u64,
+        bytes: &[u8],
+    ) -> Result<Simulator<'a>, SnapshotError> {
         Dec::verify_checksum(bytes)?;
         let body = &bytes[..bytes.len() - 8];
         let mut d = Dec::new(body);
@@ -605,12 +639,12 @@ impl<'a> Simulator<'a> {
         if version != VERSION {
             return Err(SnapshotError::BadVersion(version));
         }
-        if d.u64()? != program_fingerprint(&program) {
+        if d.u64()? != fingerprint {
             return Err(SnapshotError::ProgramMismatch);
         }
         let now = d.time()?;
 
-        let mut sim = Simulator::new(program);
+        let mut sim = Simulator::new(program).with_fingerprint(fingerprint);
         let n_sigs = sim.program.signals.len();
         let n_procs = sim.program.processes.len();
         let n_fns = sim.program.functions.len();

@@ -692,6 +692,8 @@ fn stats_json(shared: &Shared, session: &Session, sid: u64) -> Json {
             obj([
                 ("id", Json::u64(sid)),
                 ("units", Json::u64(session.unit_count() as u64)),
+                ("program_hits", Json::u64(session.program_counts().0)),
+                ("program_misses", Json::u64(session.program_counts().1)),
                 (
                     "sim_time",
                     session

@@ -922,3 +922,166 @@ fn elaborate_and_restore_emit_no_c() {
     assert_eq!(calls("elaborate"), 2, "one elaborate, one restore");
     assert_eq!(calls("emit-c"), 0, "no C is emitted");
 }
+
+/// `files` for `analyze` with one file of the given text.
+fn file_fields(name: &str, text: &str) -> Vec<(&'static str, Json)> {
+    vec![(
+        "files",
+        Json::Arr(vec![obj([
+            ("name", Json::str(name)),
+            ("text", Json::str(text)),
+        ])]),
+    )]
+}
+
+fn reused(result: &Json) -> Option<bool> {
+    result.get("reused").and_then(Json::as_bool)
+}
+
+/// A checkpoint taken before an edit of a unit the design binds is
+/// refused after it, with the kernel's program-mismatch error: the kept
+/// program does not outlive the library state it was elaborated from.
+#[test]
+fn restore_after_an_edit_of_a_bound_unit_is_refused() {
+    let edited = FULL_ADDER.replace("y <= a xor b;", "y <= a or b;");
+    assert_ne!(edited, FULL_ADDER);
+    let (addr, _handle, join) = start(quiet_cfg(8, 1));
+    let mut c = Client::connect(&addr);
+    c.ok("analyze", analyze_fields());
+    c.ok("elaborate", vec![("entity", Json::str("tb"))]);
+    c.ok("run", vec![("until", Json::str("17ns"))]);
+    let snap = c
+        .ok("checkpoint", vec![])
+        .get("snapshot")
+        .and_then(Json::as_str)
+        .expect("snapshot")
+        .to_string();
+    // Before the edit, the restore is served from the kept program.
+    let before = c.ok("restore", vec![("snapshot", Json::str(&snap))]);
+    assert_eq!(reused(&before), Some(true), "{}", before.to_text());
+    c.ok("analyze", file_fields("full_adder.vhd", &edited));
+    let resp = c.req("restore", vec![("snapshot", Json::str(&snap))]);
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        resp.get("error").and_then(Json::as_str),
+        Some("restore: snapshot was taken from a different elaborated design"),
+        "{}",
+        resp.to_text()
+    );
+    // The refused restore elaborated the edited design, which the next
+    // `elaborate` finds kept.
+    let again = c.ok("elaborate", vec![("entity", Json::str("tb"))]);
+    assert_eq!(reused(&again), Some(true), "{}", again.to_text());
+    c.ok("shutdown", vec![]);
+    join.join().expect("serve thread").expect("serve result");
+}
+
+/// A second architecture of a bound entity changes the binding by the
+/// latest-compiled-architecture rule (§3.3), so `elaborate` does not
+/// serve the program kept from before it.
+#[test]
+fn a_newer_architecture_is_bound_not_the_kept_program() {
+    const ALT: &str = "architecture alt of xor2 is\nbegin\n  y <= a or b;\nend alt;\n";
+    let (addr, _handle, join) = start(quiet_cfg(8, 1));
+    let mut c = Client::connect(&addr);
+    c.ok("analyze", analyze_fields());
+    let first = c.ok("elaborate", vec![("entity", Json::str("tb"))]);
+    assert_eq!(reused(&first), Some(false));
+    c.ok("run", vec![("until", Json::str("25ns"))]);
+    // At 25 ns a = b = 1 and cin = 0: sum is 0 through xor gates.
+    let sum = |c: &mut Client| {
+        c.ok("inspect", vec![("path", Json::str(":tb:sum"))])
+            .get("value")
+            .and_then(Json::as_str)
+            .expect("value")
+            .to_string()
+    };
+    assert_eq!(sum(&mut c), "0");
+    c.ok("analyze", file_fields("alt.vhd", ALT));
+    let second = c.ok("elaborate", vec![("entity", Json::str("tb"))]);
+    assert_eq!(reused(&second), Some(false), "{}", second.to_text());
+    c.ok("run", vec![("until", Json::str("25ns"))]);
+    // With `alt` (an or gate) bound, a or b = 1 and sum = 1 or 0 = 1.
+    assert_eq!(sum(&mut c), "1");
+    c.ok("shutdown", vec![]);
+    join.join().expect("serve thread").expect("serve result");
+}
+
+/// A warm `analyze` stores nothing, so the `elaborate` after it is served
+/// from the kept program, and `stats` counts one hit and one miss.
+#[test]
+fn elaborate_after_a_warm_analyze_reuses_the_program() {
+    let (addr, _handle, join) = start(quiet_cfg(8, 1));
+    let mut c = Client::connect(&addr);
+    c.ok("analyze", analyze_fields());
+    let cold = c.ok("elaborate", vec![("entity", Json::str("tb"))]);
+    assert_eq!(reused(&cold), Some(false));
+    let warm = c.ok("analyze", analyze_fields());
+    assert_eq!(warm.get("analyzed").and_then(Json::as_u64), Some(0));
+    let hit = c.ok("elaborate", vec![("entity", Json::str("tb"))]);
+    assert_eq!(reused(&hit), Some(true), "{}", hit.to_text());
+    assert_eq!(hit.to_text(), cold.to_text().replace("false", "true"));
+    let stats = c.ok("stats", vec![]);
+    let session = stats.get("session").expect("session stats");
+    assert_eq!(session.get("program_hits").and_then(Json::as_u64), Some(1));
+    assert_eq!(
+        session.get("program_misses").and_then(Json::as_u64),
+        Some(1)
+    );
+    c.ok("shutdown", vec![]);
+    join.join().expect("serve thread").expect("serve result");
+}
+
+/// The program fingerprint is computed once per elaborated program, not
+/// at every `checkpoint` and `restore`.
+#[test]
+fn the_fingerprint_is_computed_once_per_program() {
+    let server = Server::new(quiet_cfg(1, 1), None);
+    ag_harness::trace::set_enabled(true);
+    ag_harness::trace::reset();
+    let first = stream_session(
+        &server,
+        vec![
+            ("analyze", analyze_fields()),
+            ("elaborate", vec![("entity", Json::str("tb"))]),
+            ("run", vec![("until", Json::str("17ns"))]),
+            ("checkpoint", vec![]),
+        ],
+    );
+    let snap = || {
+        (
+            "restore",
+            vec![(
+                "snapshot",
+                first[3].get("snapshot").expect("snapshot").clone(),
+            )],
+        )
+    };
+    let results = stream_session(
+        &server,
+        vec![
+            ("analyze", analyze_fields()),
+            snap(),
+            ("checkpoint", vec![]),
+            snap(),
+            ("elaborate", vec![("entity", Json::str("tb"))]),
+            ("run", vec![("until", Json::str("5ns"))]),
+            ("checkpoint", vec![]),
+        ],
+    );
+    let report = ag_harness::trace::report();
+    ag_harness::trace::set_enabled(false);
+    let calls = |name: &str| {
+        report
+            .phases
+            .iter()
+            .filter(|p| p.name == name)
+            .map(|p| p.calls)
+            .sum::<u64>()
+    };
+    assert_eq!(reused(&results[1]), Some(false));
+    assert_eq!(reused(&results[3]), Some(true));
+    assert_eq!(reused(&results[4]), Some(true));
+    assert_eq!(calls("elaborate"), 2, "one per session");
+    assert_eq!(calls("program-fingerprint"), 2, "one per session's program");
+}

@@ -131,6 +131,10 @@ pub struct Library {
     units: RefCell<HashMap<UnitKey, Rc<Unit>>>,
     /// Compilation order (usage history), oldest first.
     history: RefCell<Vec<UnitKey>>,
+    /// Each distinct key's first and last position in `history`: the two
+    /// orders elaboration reads the history in, at the cost of the unit
+    /// count rather than the history's length.
+    spans: RefCell<HashMap<UnitKey, (usize, usize)>>,
     traffic: RefCell<VifTraffic>,
     /// Caching toggle: the paper's compiler re-read foreign VIF per
     /// compilation; disabling the cache reproduces that cost model for the
@@ -151,6 +155,7 @@ impl Library {
             dir: None,
             units: RefCell::new(HashMap::new()),
             history: RefCell::new(Vec::new()),
+            spans: RefCell::new(HashMap::new()),
             traffic: RefCell::new(VifTraffic::default()),
             cache_enabled: Cell::new(true),
             stamps: RefCell::new(HashMap::new()),
@@ -166,9 +171,18 @@ impl Library {
             .iter()
             .map(|(k, text)| (k.clone(), Rc::new(Unit::new(None, Some(Arc::clone(text))))))
             .collect();
-        *lib.history.get_mut() = snap.history.clone();
+        lib.set_history(snap.history.clone());
         *lib.stamps.get_mut() = snap.stamps.iter().cloned().collect();
         lib
+    }
+
+    fn set_history(&mut self, history: Vec<UnitKey>) {
+        let spans = self.spans.get_mut();
+        spans.clear();
+        for (i, k) in history.iter().enumerate() {
+            spans.entry(k.clone()).or_insert((i, i)).1 = i;
+        }
+        *self.history.get_mut() = history;
     }
 
     /// Captures the library's current contents as text, printing it for
@@ -231,7 +245,7 @@ impl Library {
         }
         let mut lib = Library::in_memory(name);
         lib.dir = Some(dir);
-        *lib.history.get_mut() = history;
+        lib.set_history(history);
         *lib.stamps.get_mut() = stamps;
         Ok(lib)
     }
@@ -323,7 +337,14 @@ impl Library {
         // A recompile invalidates any stamp from the previous analysis;
         // the incremental driver re-stamps after a successful commit.
         self.stamps.borrow_mut().remove(key);
-        self.history.borrow_mut().push(key.to_string());
+        let mut history = self.history.borrow_mut();
+        let at = history.len();
+        self.spans
+            .borrow_mut()
+            .entry(key.to_string())
+            .or_insert((at, at))
+            .1 = at;
+        history.push(key.to_string());
         Ok(())
     }
 
@@ -332,14 +353,53 @@ impl Library {
         self.stamps.borrow().get(key).copied()
     }
 
-    /// Records the unit's incremental stamp (persisted for on-disk
-    /// libraries).
+    /// Records units' incremental stamps. On disk the `stamps` file is
+    /// written once for all of them (not at all for none).
     ///
     /// # Errors
     ///
     /// I/O errors persisting the stamp file.
-    pub fn set_stamp(&self, key: &str, stamp: u64) -> Result<(), VifError> {
-        self.stamps.borrow_mut().insert(key.to_string(), stamp);
+    pub fn set_stamps(
+        &self,
+        stamps: impl IntoIterator<Item = (UnitKey, u64)>,
+    ) -> Result<(), VifError> {
+        let mut any = false;
+        {
+            let mut all = self.stamps.borrow_mut();
+            for (key, stamp) in stamps {
+                all.insert(key, stamp);
+                any = true;
+            }
+        }
+        if any {
+            self.write_stamps()?;
+        }
+        Ok(())
+    }
+
+    /// Forgets the stamps of `keys`. On disk the `stamps` file is written
+    /// once if any of them had a stamp; the batch driver does this before
+    /// it replaces those units, so the disk never pairs a new unit text
+    /// with its old stamp.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors persisting the stamp file.
+    pub fn drop_stamps(&self, keys: &[&str]) -> Result<(), VifError> {
+        let mut any = false;
+        {
+            let mut all = self.stamps.borrow_mut();
+            for key in keys {
+                any |= all.remove(*key).is_some();
+            }
+        }
+        if any {
+            self.write_stamps()?;
+        }
+        Ok(())
+    }
+
+    fn write_stamps(&self) -> Result<(), VifError> {
         if let Some(dir) = &self.dir {
             let mut lines: Vec<String> = self
                 .stamps
@@ -408,16 +468,35 @@ impl Library {
         self.history.borrow().clone()
     }
 
+    /// The distinct unit keys in the order they were first compiled: the
+    /// history with each key at its first occurrence.
+    pub fn keys_by_first_use(&self) -> Vec<UnitKey> {
+        self.keys_by(|&(first, _)| first)
+    }
+
+    /// The distinct unit keys in the order they were last compiled: the
+    /// history with each key at its last occurrence.
+    pub fn keys_by_last_use(&self) -> Vec<UnitKey> {
+        self.keys_by(|&(_, last)| last)
+    }
+
+    fn keys_by(&self, at: impl Fn(&(usize, usize)) -> usize) -> Vec<UnitKey> {
+        let spans = self.spans.borrow();
+        let mut keys: Vec<(usize, &UnitKey)> = spans.iter().map(|(k, s)| (at(s), k)).collect();
+        keys.sort_unstable();
+        keys.into_iter().map(|(_, k)| k.clone()).collect()
+    }
+
     /// The **latest compiled architecture** for `entity` — the paper's
     /// §3.3 default-binding rule. Returns the architecture name.
     pub fn latest_architecture(&self, entity: &str) -> Option<String> {
         let prefix = format!("arch.{entity}.");
-        self.history
+        self.spans
             .borrow()
             .iter()
-            .rev()
-            .find(|k| k.starts_with(&prefix))
-            .map(|k| k[prefix.len()..].to_string())
+            .filter(|(k, _)| k.starts_with(&prefix))
+            .max_by_key(|&(_, &(_, last))| last)
+            .map(|(k, _)| k[prefix.len()..].to_string())
     }
 
     /// Cumulative VIF traffic so far.
@@ -545,6 +624,11 @@ impl LibrarySet {
     /// The writable work library.
     pub fn work(&self) -> &Rc<Library> {
         &self.work
+    }
+
+    /// The read-only reference libraries.
+    pub fn refs(&self) -> &[Rc<Library>] {
+        &self.refs
     }
 
     /// Looks up a library by logical name (`"work"` or a reference
@@ -776,7 +860,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let lib = Library::on_disk("work", &dir).unwrap();
         lib.put("entity.e", &unit("v1")).unwrap();
-        lib.set_stamp("entity.e", 0xabcd).unwrap();
+        lib.set_stamps([("entity.e".to_string(), 0xabcd)]).unwrap();
         let old_text = lib.peek_raw("entity.e").unwrap();
         let history_before = lib.history();
         let traffic_before = lib.traffic();
@@ -813,7 +897,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let lib = Library::on_disk("work", &dir).unwrap();
         lib.put("entity.e", &unit("v1")).unwrap();
-        lib.set_stamp("entity.e", 0xabcd).unwrap();
+        lib.set_stamps([("entity.e".to_string(), 0xabcd)]).unwrap();
         let old_text = lib.peek_raw("entity.e").unwrap();
         let history_before = lib.history();
         let traffic_before = lib.traffic();
@@ -874,8 +958,9 @@ mod tests {
             lib.put("arch.e.rtl", &unit("rtl")).unwrap();
             lib.put("arch.e.fast", &unit("fast")).unwrap();
             lib.put("arch.e.rtl", &unit("rtl")).unwrap();
-            lib.set_stamp("entity.e", 17).unwrap();
-            lib.set_stamp("arch.e.rtl", 0xdead_beef).unwrap();
+            lib.set_stamps([("entity.e".to_string(), 17)]).unwrap();
+            lib.set_stamps([("arch.e.rtl".to_string(), 0xdead_beef)])
+                .unwrap();
         }
         // Stamps persist across a reopen.
         let lib = Library::on_disk("work", &dir).unwrap();
@@ -913,6 +998,42 @@ mod tests {
         let text = lib.peek_raw("entity.e").unwrap();
         lib.put_text("entity.e", &text).unwrap();
         assert_eq!(lib.stamp("entity.e"), None);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One `set_stamps` or `drop_stamps` call persists all of its keys, a
+    /// reopen reads them back, and a call that changes nothing writes no
+    /// `stamps` file.
+    #[test]
+    fn multi_key_stamps_survive_a_reopen() {
+        let dir = std::env::temp_dir().join(format!("vif-stamps-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let stamps = dir.join("stamps");
+        {
+            let lib = Library::on_disk("work", &dir).unwrap();
+            for k in ["pkg.p", "entity.e", "arch.e.rtl"] {
+                lib.put(k, &unit(k)).unwrap();
+            }
+            lib.drop_stamps(&["pkg.p", "entity.e"]).unwrap();
+            lib.set_stamps(Vec::new()).unwrap();
+            assert!(!stamps.exists(), "nothing to persist, nothing written");
+            lib.set_stamps([
+                ("pkg.p".to_string(), 1),
+                ("entity.e".to_string(), 2),
+                ("arch.e.rtl".to_string(), 3),
+            ])
+            .unwrap();
+        }
+        let lib = Library::on_disk("work", &dir).unwrap();
+        assert_eq!(lib.stamp("pkg.p"), Some(1));
+        assert_eq!(lib.stamp("entity.e"), Some(2));
+        assert_eq!(lib.stamp("arch.e.rtl"), Some(3));
+        lib.drop_stamps(&["entity.e", "arch.e.rtl", "pkg.none"])
+            .unwrap();
+        let lib = Library::on_disk("work", &dir).unwrap();
+        assert_eq!(lib.stamp("pkg.p"), Some(1));
+        assert_eq!(lib.stamp("entity.e"), None);
+        assert_eq!(lib.stamp("arch.e.rtl"), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

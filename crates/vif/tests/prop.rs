@@ -1,6 +1,7 @@
 //! Property tests for the VIF: serialization round-trips arbitrary node
 //! graphs, preserves sharing, rejects corrupted text with typed errors,
-//! and library history obeys the latest-compiled-architecture rule.
+//! and library history obeys the latest-compiled-architecture rule and
+//! keeps its first- and last-use orders.
 //!
 //! Ported from proptest to the in-repo `ag-harness` framework; the input
 //! space and every invariant are unchanged.
@@ -142,6 +143,39 @@ fn latest_architecture_is_history_order() {
                 );
             }
             check_eq!(lib.latest_architecture("zz"), None);
+        }
+    );
+}
+
+/// The two orders of distinct keys a library keeps beside its history,
+/// first use and last use, are the history deduplicated at each key's
+/// first and at its last occurrence, and survive a snapshot.
+#[test]
+fn use_orders_are_the_deduplicated_history() {
+    forall!(
+        Config::new("use_orders_are_the_deduplicated_history").cases(128),
+        |s| {
+            let puts = s.vec(0, 24, |s| s.u64_in(0, 5));
+            let lib = Library::in_memory("work");
+            let node = VifNode::build("pkg").done();
+            for k in &puts {
+                lib.put(&format!("pkg.p{k}"), &node).unwrap();
+            }
+            let history = lib.history();
+            let dedup = |keys: &mut dyn Iterator<Item = &String>| {
+                let mut seen = std::collections::HashSet::new();
+                keys.filter(|k| seen.insert(*k))
+                    .cloned()
+                    .collect::<Vec<_>>()
+            };
+            let first = dedup(&mut history.iter());
+            let mut last = dedup(&mut history.iter().rev());
+            last.reverse();
+            check_eq!(lib.keys_by_first_use(), first.clone());
+            check_eq!(lib.keys_by_last_use(), last.clone());
+            let mirror = Library::from_snapshot(&lib.snapshot());
+            check_eq!(mirror.keys_by_first_use(), first);
+            check_eq!(mirror.keys_by_last_use(), last);
         }
     );
 }

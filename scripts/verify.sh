@@ -199,7 +199,7 @@ if grep -q " error: " "$SEP/tf.log"; then
     exit 1
 fi
 
-echo "==> vhdld loopback session (analyze -> elaborate -> run -> checkpoint -> inspect -> shutdown)"
+echo "==> vhdld loopback session (analyze -> elaborate -> run -> checkpoint -> restore -> inspect -> stats -> shutdown)"
 # Start the pooled server (explicit worker/acceptor counts so the sharded
 # core — not a fallback path — serves this) on an ephemeral loopback port,
 # send it the deep units, then script one full session through the
@@ -230,14 +230,32 @@ grep -q 'nesting too deep' "$BATCH_WORK/hostile.log" \
     || { echo "verify: vhdld did not diagnose the deep units" >&2; exit 1; }
 sed -n 2p "$BATCH_WORK/hostile.log" | grep -q '"parsed":1,"reused":1' \
     || { echo "verify: vhdld parsed more than the one changed file" >&2; exit 1; }
-./target/release/vhdld --connect "$ADDR" >"$BATCH_WORK/session.log" <<'EOF'
+# The client reads its requests from a FIFO, so the session can restore
+# the checkpoint it was just sent: the restore is served from the program
+# the session kept from its `elaborate` (one program-cache hit in `stats`).
+mkfifo "$BATCH_WORK/session.in"
+./target/release/vhdld --connect "$ADDR" <"$BATCH_WORK/session.in" >"$BATCH_WORK/session.log" &
+CLIENT_PID=$!
+exec 3>"$BATCH_WORK/session.in"
+cat >&3 <<'EOF'
 {"op":"analyze","paths":["examples/full_adder.vhd"]}
 {"op":"elaborate","entity":"tb"}
 {"op":"run","until":"40ns","jobs":2}
 {"op":"checkpoint"}
+EOF
+for _ in $(seq 1 100); do
+    [ "$(wc -l <"$BATCH_WORK/session.log")" -ge 4 ] && break
+    sleep 0.1
+done
+SNAPSHOT="$(sed -n '4s/.*"snapshot":"\([^"]*\)".*/\1/p' "$BATCH_WORK/session.log")"
+printf '{"op":"restore","snapshot":"%s"}\n' "$SNAPSHOT" >&3
+cat >&3 <<'EOF'
 {"op":"inspect","path":":tb:sum"}
+{"op":"stats"}
 {"op":"shutdown"}
 EOF
+exec 3>&-
+wait "$CLIENT_PID" || { echo "verify: vhdld client failed" >&2; exit 1; }
 cat "$BATCH_WORK/session.log"
 if grep -q '"ok":false' "$BATCH_WORK/session.log"; then
     echo "verify: vhdld session had a failing request" >&2
@@ -249,6 +267,12 @@ grep -q '"kind":"signal"' "$BATCH_WORK/session.log" \
     || { echo "verify: vhdld inspect did not resolve :tb:sum" >&2; exit 1; }
 grep -q '"snapshot":"' "$BATCH_WORK/session.log" \
     || { echo "verify: vhdld checkpoint did not return a snapshot blob" >&2; exit 1; }
+grep -q '"restored":true' "$BATCH_WORK/session.log" \
+    || { echo "verify: vhdld did not restore the checkpoint" >&2; exit 1; }
+grep -q '"reused":true' "$BATCH_WORK/session.log" \
+    || { echo "verify: vhdld restore did not reuse the kept program" >&2; exit 1; }
+grep -q '"program_hits":1,' "$BATCH_WORK/session.log" \
+    || { echo "verify: vhdld stats did not count one program hit" >&2; exit 1; }
 grep -q '"draining":true' "$BATCH_WORK/session.log" \
     || { echo "verify: vhdld shutdown was not acknowledged" >&2; exit 1; }
 for _ in $(seq 1 100); do
