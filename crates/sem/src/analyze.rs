@@ -62,18 +62,9 @@ impl UnitLoader for LibrarySet {
     }
 
     fn unit_keys(&self, lib: &str) -> Vec<String> {
-        match self.library(lib) {
-            Some(l) => {
-                // Recompiles append to the history; keep each key once
-                // (first occurrence keeps compilation order).
-                let mut seen = std::collections::HashSet::new();
-                l.history()
-                    .into_iter()
-                    .filter(|k| seen.insert(k.clone()))
-                    .collect()
-            }
-            None => Vec::new(),
-        }
+        self.library(lib)
+            .map(|l| l.keys_by_first_use())
+            .unwrap_or_default()
     }
 }
 

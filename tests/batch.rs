@@ -704,3 +704,53 @@ fn hostile_fronts_file_only_costs_parses() {
     }
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A wave whose first `stamps` write fails commits nothing, so the disk
+/// never pairs a new unit text with its old stamp: with `stamps` made a
+/// directory, an edit of `base` leaves `pkg.base.vif` as it was, and once
+/// the file is back a restart with the old sources analyzes nothing while
+/// one with the edit analyzes `base` and its dependents again.
+#[test]
+fn a_failed_stamps_write_commits_nothing() {
+    let dir = temp_root("stamps-fail");
+    let _ = std::fs::remove_dir_all(&dir);
+    for jobs in [1, 2] {
+        let opts = BatchOptions {
+            jobs,
+            incremental: true,
+        };
+        let files = fixtures::out_of_order();
+        let mut touched = files.clone();
+        touched[4].1 = fixtures::BASE_TOUCHED.into();
+        assert!(Compiler::on_disk(&dir)
+            .expect("open library")
+            .compile_batch(&files, opts)
+            .ok());
+        let base = std::fs::read(dir.join("pkg.base.vif")).expect("base text");
+        let stamps = dir.join("stamps");
+        let kept = std::fs::read(&stamps).expect("stamps file");
+
+        let c = Compiler::on_disk(&dir).expect("reopen library");
+        std::fs::remove_file(&stamps).expect("remove stamps");
+        std::fs::create_dir_all(stamps.join("in-the-way")).expect("block stamps");
+        c.compile_batch(&touched, opts);
+        assert_eq!(
+            std::fs::read(dir.join("pkg.base.vif")).expect("base text"),
+            base,
+            "jobs={jobs}"
+        );
+
+        std::fs::remove_dir_all(&stamps).expect("unblock stamps");
+        std::fs::write(&stamps, &kept).expect("restore stamps");
+        let r = Compiler::on_disk(&dir)
+            .expect("reopen library")
+            .compile_batch(&files, opts);
+        assert_eq!((r.cache.hits, r.cache.analyzed()), (5, 0), "jobs={jobs}");
+        let r = Compiler::on_disk(&dir)
+            .expect("reopen library")
+            .compile_batch(&touched, opts);
+        assert!(r.ok(), "jobs={jobs}");
+        assert_eq!(r.cache.analyzed(), 3, "jobs={jobs}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
