@@ -235,7 +235,7 @@ pub fn synth_ag(n: usize) -> (std::sync::Arc<ag_lalr::Grammar>, ag_core::AttrGra
     let g = std::sync::Arc::new(g.build().expect("synthetic grammar"));
     let mut ab = AgBuilder::<i64>::new(std::sync::Arc::clone(&g));
     let inh = ab.inh("DEPTH");
-    let syn = ab.syn_merge("SUM", 0, |a, b| a + b);
+    let syn = ab.syn_merge("SUM", || 0, |a, b| a + b);
     for nt in &nts {
         ab.attach(inh, *nt);
         ab.attach(syn, *nt);

@@ -19,7 +19,7 @@
 //!   small `u64` vector and *shrinkable* by stream surgery.
 //! - [`oracle`] — elaboration plus the four-cell matrix, run by the
 //!   kernel's differential oracle ([`sim_kernel::oracle`]).
-//! - [`corpus`] / [`fuzz`] — persisted cases with golden digests under
+//! - [`corpus`] / [`fuzz`](mod@fuzz) — persisted cases with golden digests under
 //!   `tests/corpus/`, and the fuzz-shrink-triage loop that files new
 //!   minimized reproducers when a divergence appears.
 //!

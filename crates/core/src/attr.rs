@@ -14,7 +14,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use ag_lalr::{Grammar, ProdId, SymbolId};
@@ -48,39 +47,28 @@ impl fmt::Debug for ClassId {
 }
 
 /// What the engine may do when a required occurrence of the class has no
-/// explicit rule (paper §4.2's three kinds of implicit rule).
-#[derive(Clone)]
+/// explicit rule (paper §4.2's three kinds of implicit rule). The unit
+/// element and merge function are plain `fn`s, declared once per class,
+/// so an attribute grammar holds no value of `V` and is `Send + Sync`.
 pub enum Implicit<V> {
     /// No implicit rules: every occurrence must be defined explicitly.
     None,
     /// Copy rules only (`X.A = Y.A`).
     Copy,
     /// Copy rules plus a unit element for zero-source synthesized
-    /// occurrences (`X.A = u`).
-    Unit(V),
+    /// occurrences (`X.A = u()`).
+    Unit(fn() -> V),
     /// Copy, unit element (if given), and an associative dyadic merge
     /// function for multi-source synthesized occurrences
     /// (`X.A = m(Y.A, m(W.A, … Z.A) …)`).
     Merge {
-        /// Value when no source occurrence exists.
-        unit: Option<V>,
+        /// Makes the value when no source occurrence exists.
+        unit: Option<fn() -> V>,
         /// The merge function.
         f: MergeFn<V>,
     },
 }
 
-impl<V: fmt::Debug> fmt::Debug for Implicit<V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Implicit::None => write!(f, "None"),
-            Implicit::Copy => write!(f, "Copy"),
-            Implicit::Unit(v) => write!(f, "Unit({v:?})"),
-            Implicit::Merge { unit, .. } => write!(f, "Merge {{ unit: {unit:?}, .. }}"),
-        }
-    }
-}
-
-#[derive(Clone)]
 pub(crate) struct ClassInfo<V> {
     pub name: String,
     pub dir: AttrDir,
@@ -112,7 +100,7 @@ impl Dep {
 }
 
 /// How a rule came to exist — explicit (written by the AG author) or one of
-/// the three implicit kinds.
+/// the three implicit kinds ([`Rule::origin`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RuleOrigin {
     /// Written by the author.
@@ -125,16 +113,28 @@ pub enum RuleOrigin {
     ImplicitMerge,
 }
 
-/// A semantic function: the defined attribute's value from the values of
-/// the rule's dependencies, in order.
-pub type RuleFn<V> = Rc<dyn Fn(&[V]) -> V>;
-
 /// The associative merge function of an [`Implicit::Merge`] class.
-pub type MergeFn<V> = Rc<dyn Fn(&V, &V) -> V>;
+pub type MergeFn<V> = fn(&V, &V) -> V;
+
+/// An explicit semantic function: the defined attribute's value from the
+/// values of the rule's dependencies, in order.
+pub type RuleFn<V> = Box<dyn Fn(&[V]) -> V + Send + Sync>;
+
+/// A rule's function. Only an explicit rule is a closure; the implicit
+/// kinds are data taken from the class declaration.
+pub enum RuleFunc<V> {
+    /// Written by the author.
+    Explicit(RuleFn<V>),
+    /// `X.A = Y.A`: the single dependency.
+    Copy,
+    /// `X.A = u()`: no dependencies.
+    Unit(fn() -> V),
+    /// `X.A = m(Y.A, m(…))`: a left-to-right fold over the dependencies.
+    Merge(MergeFn<V>),
+}
 
 /// A semantic rule: defines attribute `class` of occurrence `target_occ`
 /// from `deps`.
-#[derive(Clone)]
 pub struct Rule<V> {
     /// Occurrence being defined (0 = LHS, `i ≥ 1` = RHS position).
     pub target_occ: usize,
@@ -143,9 +143,32 @@ pub struct Rule<V> {
     /// Dependencies, in the order the function receives them.
     pub deps: Vec<Dep>,
     /// The semantic function.
-    pub func: RuleFn<V>,
-    /// Provenance (explicit vs the implicit kinds).
-    pub origin: RuleOrigin,
+    pub func: RuleFunc<V>,
+}
+
+impl<V: Clone> Rule<V> {
+    /// The defined value from the values of `deps`, in order.
+    pub fn apply(&self, args: &[V]) -> V {
+        match &self.func {
+            RuleFunc::Explicit(f) => f(args),
+            RuleFunc::Copy => args[0].clone(),
+            RuleFunc::Unit(u) => u(),
+            RuleFunc::Merge(m) => args[1..].iter().fold(args[0].clone(), |acc, v| m(&acc, v)),
+        }
+    }
+}
+
+impl<V> Rule<V> {
+    /// Provenance (explicit vs the implicit kinds), from the function's
+    /// kind.
+    pub fn origin(&self) -> RuleOrigin {
+        match self.func {
+            RuleFunc::Explicit(_) => RuleOrigin::Explicit,
+            RuleFunc::Copy => RuleOrigin::ImplicitCopy,
+            RuleFunc::Unit(_) => RuleOrigin::ImplicitUnit,
+            RuleFunc::Merge(_) => RuleOrigin::ImplicitMerge,
+        }
+    }
 }
 
 impl<V> fmt::Debug for Rule<V> {
@@ -154,7 +177,7 @@ impl<V> fmt::Debug for Rule<V> {
             .field("target_occ", &self.target_occ)
             .field("class", &self.class)
             .field("deps", &self.deps)
-            .field("origin", &self.origin)
+            .field("origin", &self.origin())
             .finish()
     }
 }
@@ -276,7 +299,7 @@ impl<V: Clone + 'static> AgBuilder<V> {
             classes: Vec::new(),
             class_by_name: HashMap::new(),
             attrs_of: vec![Vec::new(); n_sym],
-            rules: vec![Vec::new(); n_prod],
+            rules: (0..n_prod).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -312,14 +335,16 @@ impl<V: Clone + 'static> AgBuilder<V> {
     }
 
     /// Declares a synthesized class with unit element and merge function —
-    /// the `MSGS`-style bucket-brigade class of §4.2.
-    pub fn syn_merge(&mut self, name: &str, unit: V, f: impl Fn(&V, &V) -> V + 'static) -> ClassId {
+    /// the `MSGS`-style bucket-brigade class of §4.2. Both are plain `fn`s
+    /// (a non-capturing closure coerces): `unit` makes the value of an
+    /// occurrence with no source, and `f` folds several.
+    pub fn syn_merge(&mut self, name: &str, unit: fn() -> V, f: MergeFn<V>) -> ClassId {
         self.class(
             name,
             AttrDir::Synthesized,
             Implicit::Merge {
                 unit: Some(unit),
-                f: Rc::new(f),
+                f,
             },
         )
     }
@@ -354,14 +379,13 @@ impl<V: Clone + 'static> AgBuilder<V> {
         target_occ: usize,
         class: ClassId,
         deps: Vec<Dep>,
-        func: impl Fn(&[V]) -> V + 'static,
+        func: impl Fn(&[V]) -> V + Send + Sync + 'static,
     ) {
         self.rules[prod.index()].push(Rule {
             target_occ,
             class,
             deps,
-            func: Rc::new(func),
-            origin: RuleOrigin::Explicit,
+            func: RuleFunc::Explicit(Box::new(func)),
         });
     }
 

@@ -15,7 +15,7 @@ use std::fmt;
 
 use ag_lalr::{NodeId, ParseTree};
 
-use crate::attr::{AttrDir, AttrGrammar, ClassId, Dep, RuleOrigin};
+use crate::attr::{AttrDir, AttrGrammar, ClassId, Dep, RuleFunc};
 
 /// Errors during demand evaluation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -235,7 +235,7 @@ impl<'a, V: Clone + 'static, T: Clone + Into<V>> DemandEval<'a, V, T> {
         // Resolve occurrences relative to the production owning the rule.
         let occ_node = |occ| tree.occurrence(rule_node, occ);
         // A copy rule is its source attribute: forward the demand.
-        if let (RuleOrigin::ImplicitCopy, [Dep::Attr(occ, c)]) = (rule.origin, &rule.deps[..]) {
+        if let (RuleFunc::Copy, [Dep::Attr(occ, c)]) = (&rule.func, &rule.deps[..]) {
             let v = self.value(occ_node(*occ), *c)?;
             self.n_rule_evals.set(self.n_rule_evals.get() + 1);
             return Ok(v);
@@ -262,7 +262,7 @@ impl<'a, V: Clone + 'static, T: Clone + Into<V>> DemandEval<'a, V, T> {
         }
         self.n_rule_evals.set(self.n_rule_evals.get() + 1);
         let mut args = self.args.borrow_mut();
-        let v = (rule.func)(&args[mark..]);
+        let v = rule.apply(&args[mark..]);
         args.truncate(mark);
         Ok(v)
     }
@@ -555,7 +555,7 @@ mod tests {
         let copy = ag
             .rule_for(g.prod_by_label("s_t").unwrap(), 0, val)
             .unwrap();
-        assert_eq!(copy.origin, crate::attr::RuleOrigin::ImplicitCopy);
+        assert_eq!(copy.origin(), crate::attr::RuleOrigin::ImplicitCopy);
         let table = ParseTable::build(&g).unwrap();
         let at = Parser::new(&g, &table)
             .parse(vec![Token::new(a, 41i64)])

@@ -139,7 +139,7 @@ impl<'a, V: Clone + 'static, T: Clone + Into<V>> PlanEval<'a, V, T> {
                 }
             }
         }
-        let v = (rule.func)(&args);
+        let v = rule.apply(&args);
         self.n_rule_evals += 1;
         let tn = occ_node(rule.target_occ);
         let sym = self.tree.symbol(tn);

@@ -14,12 +14,10 @@
 //! - **merge rule** `X.A = m(Y.A, m(W.A, … Z.A)…)` — a fold of the class's
 //!   associative merge function over all RHS occurrences.
 
-use std::rc::Rc;
-
 use ag_lalr::{ProdId, SymbolId};
 
 use crate::attr::{
-    AgBuilder, AgError, AttrDir, AttrGrammar, ClassId, Dep, Implicit, Rule, RuleOrigin, NO_ENTRY,
+    AgBuilder, AgError, AttrDir, AttrGrammar, ClassId, Dep, Implicit, Rule, RuleFunc, NO_ENTRY,
 };
 
 /// Validates `builder`'s explicit rules, synthesizes implicit rules, and
@@ -246,13 +244,13 @@ fn transparent<V>(
     };
     p != grammar.accept_prod()
         && !grammar.is_terminal(b)
-        && rules.iter().all(|r| r.origin == RuleOrigin::ImplicitCopy)
+        && rules.iter().all(|r| matches!(r.func, RuleFunc::Copy))
         && attrs_of[grammar.lhs(p).index()]
             .iter()
             .all(|c| attrs_of[b.index()].contains(c))
 }
 
-fn synth_inherited<V: Clone + 'static>(
+fn synth_inherited<V>(
     grammar: &ag_lalr::Grammar,
     has: &impl Fn(SymbolId, ClassId) -> bool,
     p: ProdId,
@@ -270,15 +268,10 @@ fn synth_inherited<V: Clone + 'static>(
             &info.name,
             "class has no implicit rules",
         )),
-        _ if lhs_has => Ok(Rule {
-            target_occ: occ,
-            class,
-            deps: vec![Dep::Attr(0, class)],
-            func: Rc::new(|d: &[V]| d[0].clone()),
-            origin: RuleOrigin::ImplicitCopy,
-        }),
-        Implicit::Unit(u) => Ok(unit_rule(occ, class, u.clone())),
-        Implicit::Merge { unit: Some(u), .. } => Ok(unit_rule(occ, class, u.clone())),
+        _ if lhs_has => Ok(rule(occ, class, vec![Dep::Attr(0, class)], RuleFunc::Copy)),
+        Implicit::Unit(u) | Implicit::Merge { unit: Some(u), .. } => {
+            Ok(rule(occ, class, vec![], RuleFunc::Unit(*u)))
+        }
         _ => Err(missing(
             plabel,
             occ,
@@ -288,7 +281,7 @@ fn synth_inherited<V: Clone + 'static>(
     }
 }
 
-fn synth_synthesized<V: Clone + 'static>(
+fn synth_synthesized<V>(
     grammar: &ag_lalr::Grammar,
     has: &impl Fn(SymbolId, ClassId) -> bool,
     p: ProdId,
@@ -310,32 +303,20 @@ fn synth_synthesized<V: Clone + 'static>(
             &info.name,
             "class has no implicit rules",
         )),
-        _ if sources.len() == 1 => Ok(Rule {
-            target_occ: 0,
+        _ if sources.len() == 1 => Ok(rule(
+            0,
             class,
-            deps: vec![Dep::Attr(sources[0], class)],
-            func: Rc::new(|d: &[V]| d[0].clone()),
-            origin: RuleOrigin::ImplicitCopy,
-        }),
-        Implicit::Merge { f, .. } if sources.len() >= 2 => {
-            let f = Rc::clone(f);
-            Ok(Rule {
-                target_occ: 0,
-                class,
-                deps: sources.iter().map(|&o| Dep::Attr(o, class)).collect(),
-                func: Rc::new(move |d: &[V]| {
-                    let mut acc = d[0].clone();
-                    for v in &d[1..] {
-                        acc = f(&acc, v);
-                    }
-                    acc
-                }),
-                origin: RuleOrigin::ImplicitMerge,
-            })
-        }
-        Implicit::Unit(u) if sources.is_empty() => Ok(unit_rule(0, class, u.clone())),
-        Implicit::Merge { unit: Some(u), .. } if sources.is_empty() => {
-            Ok(unit_rule(0, class, u.clone()))
+            vec![Dep::Attr(sources[0], class)],
+            RuleFunc::Copy,
+        )),
+        Implicit::Merge { f, .. } if sources.len() >= 2 => Ok(rule(
+            0,
+            class,
+            sources.iter().map(|&o| Dep::Attr(o, class)).collect(),
+            RuleFunc::Merge(*f),
+        )),
+        Implicit::Unit(u) | Implicit::Merge { unit: Some(u), .. } if sources.is_empty() => {
+            Ok(rule(0, class, vec![], RuleFunc::Unit(*u)))
         }
         Implicit::Copy | Implicit::Unit(_) if sources.len() >= 2 => Err(missing(
             plabel,
@@ -360,13 +341,12 @@ fn dense(i: usize) -> u16 {
         .expect("attribute grammar exceeds the dense table's index range")
 }
 
-fn unit_rule<V: Clone + 'static>(occ: usize, class: ClassId, u: V) -> Rule<V> {
+fn rule<V>(target_occ: usize, class: ClassId, deps: Vec<Dep>, func: RuleFunc<V>) -> Rule<V> {
     Rule {
-        target_occ: occ,
+        target_occ,
         class,
-        deps: vec![],
-        func: Rc::new(move |_: &[V]| u.clone()),
-        origin: RuleOrigin::ImplicitUnit,
+        deps,
+        func,
     }
 }
 
@@ -382,7 +362,7 @@ fn missing(prod: &str, occ: usize, class: &str, why: &str) -> AgError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attr::AgBuilder;
+    use crate::attr::{AgBuilder, RuleOrigin};
     use ag_lalr::GrammarBuilder;
     use std::sync::Arc;
 
@@ -409,7 +389,7 @@ mod tests {
         let p_st = g.prod_by_label("s_t").unwrap();
 
         let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
-        let msgs = ab.syn_merge("MSGS", 0, |a, b| a + b);
+        let msgs = ab.syn_merge("MSGS", || 0, |a, b| a + b);
         let env = ab.inh("ENV");
         ab.attach_all(msgs, [s, t]);
         ab.attach_all(env, [s, t]);
@@ -420,19 +400,19 @@ mod tests {
 
         // s_tt: s.MSGS = merge(t1.MSGS, t2.MSGS); t1.ENV, t2.ENV copies.
         let r = ag.rule_for(p_tt, 0, msgs).unwrap();
-        assert_eq!(r.origin, RuleOrigin::ImplicitMerge);
+        assert_eq!(r.origin(), RuleOrigin::ImplicitMerge);
         assert_eq!(r.deps.len(), 2);
         assert_eq!(
-            ag.rule_for(p_tt, 1, env).unwrap().origin,
+            ag.rule_for(p_tt, 1, env).unwrap().origin(),
             RuleOrigin::ImplicitCopy
         );
         assert_eq!(
-            ag.rule_for(p_tt, 2, env).unwrap().origin,
+            ag.rule_for(p_tt, 2, env).unwrap().origin(),
             RuleOrigin::ImplicitCopy
         );
         // s_t: single source → copy.
         assert_eq!(
-            ag.rule_for(p_st, 0, msgs).unwrap().origin,
+            ag.rule_for(p_st, 0, msgs).unwrap().origin(),
             RuleOrigin::ImplicitCopy
         );
         // The augmented accept production gets no rules: the start symbol's
@@ -460,7 +440,7 @@ mod tests {
         // an explicit rule in `s_t`.
         let flags = |extra: bool, explicit: bool| {
             let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
-            let msgs = ab.syn_merge("MSGS", 0, |a, b| a + b);
+            let msgs = ab.syn_merge("MSGS", || 0, |a, b| a + b);
             let env = ab.inh("ENV");
             ab.attach_all(msgs, [s, t]);
             ab.attach_all(env, [s, t]);
@@ -492,13 +472,13 @@ mod tests {
         let t = g.symbol("t").unwrap();
         let p_tt = g.prod_by_label("s_tt").unwrap();
         let mut ab = AgBuilder::<String>::new(Arc::clone(&g));
-        let code = ab.syn_merge("CODE", String::new(), |a, b| format!("{a}{b}"));
+        let code = ab.syn_merge("CODE", String::new, |a, b| format!("{a}{b}"));
         ab.attach_all(code, [s, t]);
         let p_t = g.prod_by_label("t_a").unwrap();
         ab.rule(p_t, 0, code, vec![], |_| "x".to_string());
         let ag = ab.build().unwrap();
         let r = ag.rule_for(p_tt, 0, code).unwrap();
-        let v = (r.func)(&["A".to_string(), "B".to_string()]);
+        let v = r.apply(&["A".to_string(), "B".to_string()]);
         assert_eq!(v, "AB");
     }
 
@@ -537,7 +517,7 @@ mod tests {
         let t = g.symbol("t").unwrap();
         let p_tt = g.prod_by_label("s_tt").unwrap();
         let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
-        let v = ab.class("V", AttrDir::Synthesized, Implicit::Unit(0));
+        let v = ab.class("V", AttrDir::Synthesized, Implicit::Unit(|| 0));
         ab.attach_all(v, [s, t]);
         // Targeting a RHS occurrence with a synthesized class is illegal.
         ab.rule(p_tt, 1, v, vec![], |_| 1);
@@ -551,7 +531,7 @@ mod tests {
         let t = g.symbol("t").unwrap();
         let p_tt = g.prod_by_label("s_tt").unwrap();
         let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
-        let v = ab.class("V", AttrDir::Synthesized, Implicit::Unit(0));
+        let v = ab.class("V", AttrDir::Synthesized, Implicit::Unit(|| 0));
         ab.attach_all(v, [s, t]);
         ab.rule(p_tt, 0, v, vec![Dep::token(1)], |d| d[0]);
         assert!(matches!(ab.build().unwrap_err(), AgError::BadDep { .. }));

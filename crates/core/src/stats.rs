@@ -88,7 +88,7 @@ mod tests {
         g.start(s);
         let g = Arc::new(g.build().unwrap());
         let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
-        let msgs = ab.syn_merge("MSGS", 0, |x, y| x + y);
+        let msgs = ab.syn_merge("MSGS", || 0, |x, y| x + y);
         ab.attach_all(msgs, [s, t]);
         let env = ab.inh("ENV");
         ab.attach_all(env, [s, t]);

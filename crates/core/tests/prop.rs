@@ -144,7 +144,7 @@ fn implicit_rules_equal_explicit() {
             let g = Arc::new(g.build().unwrap());
             let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
             let env = ab.inh("ENV"); // implicit copy everywhere
-            let total = ab.syn_merge("TOTAL", 0, |a, b| a + b); // implicit merge
+            let total = ab.syn_merge("TOTAL", || 0, |a, b| a + b); // implicit merge
             ab.attach(env, l);
             ab.attach(total, l);
             // Only the leaf has an explicit rule; `rec` relies on implicit
@@ -268,11 +268,11 @@ fn chain_ag(
 
     let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
     let env = ab.inh("ENV");
-    let lvl = ab.class("LVL", AttrDir::Inherited, Implicit::Unit(7));
+    let lvl = ab.class("LVL", AttrDir::Inherited, Implicit::Unit(|| 7));
     let pos = ab.inh("POS");
     let val = ab.syn("VAL");
-    let size = ab.syn_merge("SIZE", 0, |a, b| a + b);
-    let tag = ab.syn_merge("TAG", 5, |a, b| a * 3 + b);
+    let size = ab.syn_merge("SIZE", || 0, |a, b| a + b);
+    let tag = ab.syn_merge("TAG", || 5, |a, b| a * 3 + b);
     let syms: Vec<_> = std::iter::once(top).chain(n.iter().copied()).collect();
     for (i, &sym) in syms.iter().enumerate() {
         for c in [env, pos, val, size] {

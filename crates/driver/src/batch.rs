@@ -10,11 +10,10 @@
 //!    compiler's long-lived [`ag_harness::pool`] of analysis workers.
 //!    Workers exchange only plain data with the coordinator (parsed
 //!    units in, VIF text + diagnostics out): the coordinator parses every
-//!    file once and shares the trees, and the `Rc`-based attribute
-//!    grammars, environments, and VIF graphs never cross a thread
-//!    boundary. The grammars and LALR tables are process-wide plain data,
-//!    so a fresh worker builds only its attribute grammars and `Standard`
-//!    before it analyzes. Each worker rebuilds the work library from a
+//!    file once and shares the trees, and the `Rc`-based environments
+//!    and VIF graphs never cross a thread boundary. The grammars, LALR
+//!    tables and attribute grammars are process-wide, so a fresh worker
+//!    builds only its `Standard` before it analyzes. Each worker rebuilds the work library from a
 //!    [`LibrarySnapshot`] and receives the committed texts of every
 //!    finished wave, so all units of a wave observe exactly the
 //!    wave-start library state regardless of worker count — that is the

@@ -69,8 +69,8 @@ impl PhaseTimes {
 
 /// The compiler: an analyzer plus a library universe.
 pub struct Compiler {
-    /// The reusable analyzer: the process-wide grammar tables and this
-    /// thread's AGs.
+    /// The reusable analyzer: the process-wide grammar tables and AGs,
+    /// and this thread's `STD.STANDARD`.
     pub analyzer: Analyzer,
     /// Work + reference libraries.
     pub libs: Rc<LibrarySet>,

@@ -425,7 +425,8 @@ fn damaged_library_unit_is_a_diagnostic() {
 }
 
 /// Analysis against a library unit that exists but breaks the schema
-/// reports the damaged unit, not a missing one.
+/// reports the damaged unit, not a missing one; an architecture whose
+/// entity cannot be read or is absent reports only the entity's fault.
 #[test]
 fn damaged_dependency_is_named_in_analysis() {
     let dir = tmpdir("damaged-dep");
@@ -461,9 +462,24 @@ fn damaged_dependency_is_named_in_analysis() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("work.entity.and2"), "{stderr}");
     assert!(stderr.contains("field `uid`"), "{stderr}");
-    // The entity exists, so the architecture does not call it missing.
+    // The entity exists, so the architecture does not call it missing,
+    // and without its ports the body reports no follow-on error.
     assert!(!stderr.contains("not found in library work"), "{stderr}");
+    assert!(!stderr.contains("is not declared"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+    // With no entity at all, the architecture reports only that.
+    let empty = dir.join("empty");
+    let out = vhdlc()
+        .args(["--work", empty.to_str().unwrap(), alt.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("entity `and2` not found in library work"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("is not declared"), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -12,7 +12,7 @@
 //! - [`prop`] — a minimal property-testing framework (choice-stream
 //!   generators, the [`forall!`] runner, input shrinking, file-persisted
 //!   failing cases) replacing `proptest`;
-//! - [`bench`] — a benchmark runner (warmup, N iterations, min/median/p95,
+//! - [`bench`](mod@bench) — a benchmark runner (warmup, N iterations, min/median/p95,
 //!   JSON results) replacing `criterion`;
 //! - [`trace`] — a phase-trace observability layer (scoped timers and
 //!   monotone counters) instrumenting the Fig. 1 pipeline, surfaced by

@@ -7,7 +7,8 @@
 //! same slot, so posting to every worker and then waiting on each is a
 //! barrier whose results come back in worker order. A worker builds its
 //! job function on its own thread, so the function may own `!Send` state
-//! (an `Rc`-based analyzer, say) for the pool's whole life.
+//! for the pool's whole life: an analyzer's `STD.STANDARD`, whose nodes
+//! are `Rc`, and the `Rc`-based mirror library it analyzes against.
 //!
 //! One failure contract: a panic in a job (or in building the job
 //! function) is caught on the worker and re-raised by [`Pool::wait`] on

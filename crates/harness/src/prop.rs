@@ -67,7 +67,7 @@ impl Source {
     }
 
     /// A freshly seeded random source. Public for external drivers (the
-    /// conformance fuzzer) that generate inputs outside a [`forall!`]
+    /// conformance fuzzer) that generate inputs outside a [`forall!`](crate::forall!)
     /// run but still want the drawn stream recorded, so a failing input
     /// can be re-shrunk and persisted with [`shrink_stream`].
     pub fn from_seed(seed: u64) -> Source {
@@ -347,13 +347,13 @@ pub fn parse_stream(text: &str) -> Option<Vec<u64>> {
 }
 
 /// Minimizes a failing choice stream by replaying `prop` on edited
-/// streams (the same stream surgery [`forall!`] applies after a random
+/// streams (the same stream surgery [`forall!`](crate::forall!) applies after a random
 /// failure: tail truncation, block removal, value reduction). Returns
 /// `None` when `stream` does not currently fail — callers should treat
 /// that as "nothing to shrink", not success of the original input.
 ///
 /// This is the external entry point for drivers that find failures
-/// outside a [`forall!`] run (e.g. the conformance fuzzer's
+/// outside a [`forall!`](crate::forall!) run (e.g. the conformance fuzzer's
 /// configuration-matrix oracle) but want the same minimized, replayable
 /// reproducers.
 pub fn shrink_stream(
@@ -514,7 +514,7 @@ pub fn forall_impl(cfg: &Config, prop: impl Fn(&mut Source) -> TestResult) {
 }
 
 /// `forall!(cfg, |s| { ... })` — runs the block as a property; the block
-/// draws input from `s: &mut Source` and uses [`check!`]/[`check_eq!`] to
+/// draws input from `s: &mut Source` and uses [`check!`](crate::check!)/[`check_eq!`](crate::check_eq!) to
 /// assert. Returning early with `return Ok(())` discards a case.
 #[macro_export]
 macro_rules! forall {

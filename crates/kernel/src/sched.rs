@@ -5,7 +5,7 @@
 //! of every signal and every suspended process — O(design size) per cycle.
 //! The structures here make both lookups O(activity):
 //!
-//! - [`Calendar`] is a time-ordered queue of pending instants, split into
+//! - `Calendar` is a time-ordered queue of pending instants, split into
 //!   a *near* bucket (entries at the current femtosecond, including delta
 //!   cycles — an unsorted vector swept linearly, since delta traffic is
 //!   bursty and short-lived) and a *far* min-heap (entries at future
@@ -13,7 +13,7 @@
 //!   preemption and early process resumption leave stale entries behind,
 //!   and the consumer filters them against live kernel state instead of
 //!   searching the queue.
-//! - [`SensIndex`] inverts the processes' static wait sensitivities into a
+//! - `SensIndex` inverts the processes' static wait sensitivities into a
 //!   `SigId → processes` table at elaboration time, so a cycle's event set
 //!   wakes only the processes that could care, not all of them.
 

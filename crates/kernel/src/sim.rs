@@ -395,7 +395,7 @@ pub enum TestFault {
 /// The program and the signal states live behind `Arc` so a parallel
 /// cycle can hand shared read-only views to the worker pool; between
 /// dispatches the coordinator holds the only clones and mutates through
-/// [`Simulator::sigs_mut`].
+/// `Simulator::sigs_mut`.
 pub struct Simulator<'a> {
     pub(crate) program: Arc<Program>,
     names: NameServer,

@@ -40,7 +40,7 @@
 //!
 //! ## Calendar normalization
 //!
-//! Checkpoint first runs one [`Simulator::next_time`] sweep. That pass
+//! Checkpoint first runs one `Simulator::next_time` sweep. That pass
 //! discards stale near-bucket entries and stale far-heap tops, charging
 //! `calendar_ops` exactly as the next scheduling decision of an
 //! uninterrupted run would — and because the sweep is idempotent (valid

@@ -167,13 +167,6 @@ pub struct AnalyzedUnit {
 }
 
 thread_local! {
-    /// The principal AG, built once per thread and shared by every
-    /// analyzer on it: it holds no per-compilation state, but its rules
-    /// and implicit units are `Rc`, so it cannot cross threads. The
-    /// grammar and table it is built over are process-wide
-    /// ([`PrincipalGrammar::shared`]).
-    static PRINCIPAL: OnceCell<Rc<PrincipalAg>> = const { OnceCell::new() };
-
     /// `STD.STANDARD`, built once per thread and environment kind (indexed
     /// by `EnvKind as usize`) and shared by every analyzer on the thread:
     /// its nodes are immutable and its environment is persistent, so no
@@ -185,14 +178,14 @@ thread_local! {
 /// The compiler front half: principal grammar + principal AG, reusable
 /// across files.
 ///
-/// The grammars and LALR tables of both AGs are plain data built once per
-/// process; only the attribute grammars and [`Standard`] (one per
-/// [`EnvKind`]), whose values are `Rc`, are built per thread.
+/// The grammars, LALR tables and attribute grammars of both AGs are built
+/// once per process and shared by every thread; only [`Standard`] (one
+/// per [`EnvKind`]), whose nodes are `Rc`, is built per thread.
 pub struct Analyzer {
     /// The principal grammar and parse table (shared by the process).
     pub grammar: &'static PrincipalGrammar,
-    /// The principal attribute grammar (shared per thread).
-    pub pag: Rc<PrincipalAg>,
+    /// The principal attribute grammar (shared by the process).
+    pub pag: &'static PrincipalAg,
     /// Predefined environment and types (shared per thread and kind).
     pub std: Rc<Standard>,
     /// The environment representation this analyzer was built with.
@@ -201,20 +194,16 @@ pub struct Analyzer {
 
 impl Analyzer {
     /// Builds the analyzer (reuse across compilations). The first
-    /// analyzer in the process builds the parse tables; the first on a
-    /// thread builds the attribute grammars, and the first of each
-    /// [`EnvKind`] on a thread builds `STD.STANDARD`; later ones share
-    /// them.
+    /// analyzer in the process builds the parse tables and both attribute
+    /// grammars, and the first of each [`EnvKind`] on a thread builds
+    /// `STD.STANDARD`; later ones share them.
     pub fn new(env_kind: EnvKind) -> Analyzer {
-        let grammar = PrincipalGrammar::shared();
-        let pag =
-            PRINCIPAL.with(|p| Rc::clone(p.get_or_init(|| Rc::new(PrincipalAg::build(grammar)))));
-        // Build the (thread-cached) expression AG now so the first unit's
-        // timing doesn't absorb its construction.
+        // Build the expression AG now so the first unit's timing doesn't
+        // absorb its construction.
         let _ = crate::expr_ag::ExprAg::shared();
         Analyzer {
-            grammar,
-            pag,
+            grammar: PrincipalGrammar::shared(),
+            pag: PrincipalAg::shared(),
             std: STANDARDS.with(|s| {
                 Rc::clone(s[env_kind as usize].get_or_init(|| Rc::new(standard(env_kind))))
             }),

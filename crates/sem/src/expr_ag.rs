@@ -7,7 +7,6 @@
 //! the out-of-line function [`expr_eval`]; the scanner that feeds it "just
 //! takes the next LEF token off the front of the list".
 
-use std::cell::OnceCell;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
@@ -63,7 +62,7 @@ pub struct ExprClasses {
 
 /// The expression grammar over LEF categories and its LALR(1) table:
 /// plain data, `Send` and `Sync`, built once per process
-/// ([`ExprTables::shared`]) and read by every thread's [`ExprAg`].
+/// ([`ExprTables::shared`]) under the process-wide [`ExprAg::shared`].
 pub struct ExprTables {
     /// The context-free grammar over LEF categories.
     pub grammar: Arc<Grammar>,
@@ -124,18 +123,13 @@ pub struct ExprAg<'t> {
     pub classes: ExprClasses,
 }
 
-thread_local! {
-    /// The attribution holds `Rc` rules and values, so each thread builds
-    /// its own, over the process-wide tables.
-    static CACHE: OnceCell<Rc<ExprAg<'static>>> = const { OnceCell::new() };
-}
-
 impl ExprAg<'static> {
-    /// Returns the per-thread shared instance over [`ExprTables::shared`]
-    /// (built once per thread; `expr_eval` runs once per maximal
-    /// expression, so construction is amortized).
-    pub fn shared() -> Rc<ExprAg<'static>> {
-        CACHE.with(|c| Rc::clone(c.get_or_init(|| Rc::new(ExprAg::build(ExprTables::shared())))))
+    /// The process-wide attribution over [`ExprTables::shared`], built by
+    /// the first caller on any thread: its rules and implicit rules are
+    /// `Send + Sync` and it holds no per-expression state.
+    pub fn shared() -> &'static ExprAg<'static> {
+        static SHARED: OnceLock<ExprAg<'static>> = OnceLock::new();
+        SHARED.get_or_init(|| ExprAg::build(ExprTables::shared()))
     }
 }
 
@@ -149,21 +143,21 @@ impl<'t> ExprAg<'t> {
     pub fn build(tables: &'t ExprTables) -> ExprAg<'t> {
         let mut ab = AgBuilder::<Value>::new(Arc::clone(&tables.grammar));
         let merge_list = || Implicit::Merge {
-            unit: Some(Value::empty_list()),
-            f: Rc::new(Value::concat_lists),
+            unit: Some(Value::empty_list),
+            f: Value::concat_lists,
         };
         let classes = ExprClasses {
             env: ab.class("ENV", AttrDir::Inherited, Implicit::Copy),
             expected: ab.class(
                 "EXPECTED",
                 AttrDir::Inherited,
-                Implicit::Unit(Value::MaybeNode(None)),
+                Implicit::Unit(|| Value::MaybeNode(None)),
             ),
             types: ab.class("TYPES", AttrDir::Synthesized, Implicit::Copy),
             cands: ab.class(
                 "CANDS",
                 AttrDir::Synthesized,
-                Implicit::Unit(Value::cands(Vec::new())),
+                Implicit::Unit(|| Value::cands(Vec::new())),
             ),
             den: ab.class("DEN", AttrDir::Synthesized, Implicit::Copy),
             ir: ab.class("IR", AttrDir::Synthesized, Implicit::Copy),
@@ -171,8 +165,8 @@ impl<'t> ExprAg<'t> {
                 "MSGS",
                 AttrDir::Synthesized,
                 Implicit::Merge {
-                    unit: Some(Value::Msgs(Msgs::none())),
-                    f: Rc::new(Value::concat_msgs),
+                    unit: Some(|| Value::Msgs(Msgs::none())),
+                    f: Value::concat_msgs,
                 },
             ),
             args: ab.class("ARGS", AttrDir::Synthesized, merge_list()),

@@ -7,8 +7,7 @@
 //! functions consume. Plumbing rules are implicit (§4.2); the explicit
 //! rules live in [`crate::principal_rules`].
 
-use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ag_core::{AgBuilder, AttrDir, AttrGrammar, ClassId, Implicit};
 use vhdl_syntax::PrincipalGrammar;
@@ -84,7 +83,16 @@ pub struct PrincipalAg {
 }
 
 impl PrincipalAg {
-    /// Builds the attribution over a [`PrincipalGrammar`].
+    /// The process-wide attribution over [`PrincipalGrammar::shared`],
+    /// built by the first caller on any thread: its rules and implicit
+    /// rules are `Send + Sync` and it holds no per-unit state.
+    pub fn shared() -> &'static PrincipalAg {
+        static SHARED: OnceLock<PrincipalAg> = OnceLock::new();
+        SHARED.get_or_init(|| PrincipalAg::build(PrincipalGrammar::shared()))
+    }
+
+    /// Builds the attribution over a [`PrincipalGrammar`] (benches that
+    /// time generation; analyzers use [`PrincipalAg::shared`]).
     ///
     /// # Panics
     ///
@@ -93,8 +101,8 @@ impl PrincipalAg {
         let g = pg.grammar();
         let mut ab = AgBuilder::<Value>::new(Arc::clone(&g));
         let merge_list = || Implicit::Merge {
-            unit: Some(Value::empty_list()),
-            f: Rc::new(Value::concat_lists),
+            unit: Some(Value::empty_list),
+            f: Value::concat_lists,
         };
         let classes = PrincipalClasses {
             env: ab.class("ENV", AttrDir::Inherited, Implicit::Copy),
@@ -103,15 +111,15 @@ impl PrincipalAg {
             ret: ab.class(
                 "RET",
                 AttrDir::Inherited,
-                Implicit::Unit(Value::MaybeNode(None)),
+                Implicit::Unit(|| Value::MaybeNode(None)),
             ),
-            label: ab.class("LABEL", AttrDir::Inherited, Implicit::Unit(Value::Unit)),
+            label: ab.class("LABEL", AttrDir::Inherited, Implicit::Unit(|| Value::Unit)),
             msgs: ab.class(
                 "MSGS",
                 AttrDir::Synthesized,
                 Implicit::Merge {
-                    unit: Some(Value::Msgs(Msgs::none())),
-                    f: Rc::new(Value::concat_msgs),
+                    unit: Some(|| Value::Msgs(Msgs::none())),
+                    f: Value::concat_msgs,
                 },
             ),
             toks: ab.class("TOKS", AttrDir::Synthesized, merge_list()),

@@ -26,15 +26,15 @@ pub(crate) fn p(g: &Grammar, label: &str) -> ProdId {
 }
 
 /// Decodes `[Env, List(decls), Msgs]` (a `DeclOut` bundle).
-pub(crate) fn res_env(v: &Value) -> Env {
+fn res_env(v: &Value) -> Env {
     v.expect_list()[0].expect_env()
 }
 
-pub(crate) fn res_decls(v: &Value) -> Vec<Value> {
+fn res_decls(v: &Value) -> Vec<Value> {
     v.expect_list()[1].expect_list().to_vec()
 }
 
-pub(crate) fn res_msgs(v: &Value) -> Value {
+fn res_msgs(v: &Value) -> Value {
     v.expect_list()[2].clone()
 }
 

@@ -15,7 +15,7 @@ use crate::ir::{self, ty_of, Ir};
 use crate::msg::{Msg, Msgs};
 use crate::oof::{self, U};
 use crate::principal_ag::PrincipalClasses;
-use crate::principal_rules::{p, res_decls, res_env, res_msgs, with_u};
+use crate::principal_rules::{p, with_u};
 use crate::types::{self, Ty};
 use crate::value::Value;
 
@@ -99,18 +99,6 @@ fn res_projections(
 
 fn stmt_projections(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses, label: &str) {
     res_projections(ab, g, c, label, c.stmts, &[]);
-}
-
-/// Statement projections where nested statement lists contribute MSGS of
-/// their own (if/case/loop).
-fn stmt_projections_with_children(
-    ab: &mut AgBuilder<Value>,
-    g: &Grammar,
-    c: &PrincipalClasses,
-    label: &str,
-    msg_children: &[usize],
-) {
-    res_projections(ab, g, c, label, c.stmts, msg_children);
 }
 
 /// Resolves an assignment target; returns `(ir, root obj)`.
@@ -375,7 +363,7 @@ fn install_stmts(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             })
         },
     );
-    stmt_projections_with_children(ab, g, &c, "if_stmt", &[4, 5]);
+    res_projections(ab, g, &c, "if_stmt", c.stmts, &[4, 5]);
 
     let pr = p(g, "case_stmt");
     ab.rule(
@@ -408,7 +396,7 @@ fn install_stmts(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             })
         },
     );
-    stmt_projections_with_children(ab, g, &c, "case_stmt", &[4]);
+    res_projections(ab, g, &c, "case_stmt", c.stmts, &[4]);
     // case_alt: collect (choices, stmts).
     let pr2 = p(g, "case_alt");
     ab.rule(
@@ -483,7 +471,7 @@ fn install_stmts(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             })
         },
     );
-    stmt_projections_with_children(ab, g, &c, "loop_stmt", &[3]);
+    res_projections(ab, g, &c, "loop_stmt", c.stmts, &[3]);
 
     // ----- simple statements -------------------------------------------------
     for (label, is_exit) in [("next_stmt", false), ("exit_stmt", true)] {
@@ -1254,7 +1242,7 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             ])
         },
     );
-    unit_projections(ab, g, &c, "entity_decl", &[6]);
+    res_projections(ab, g, &c, "entity_decl", c.units, &[6]);
 
     // ----- architecture --------------------------------------------------------
     let pr = p(g, "arch_body");
@@ -1314,13 +1302,18 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             Dep::attr(6, c.decls),
             Dep::attr(6, c.cfgs),
             Dep::attr(8, c.concs),
+            Dep::attr(6, c.msgs),
+            Dep::attr(8, c.msgs),
         ],
         move |d| {
             let (_, entity, msgs) = arch_env(d);
             let name = d[3].expect_tok();
+            // Without its entity the body's names resolve against no
+            // ports or generics: report only the entity's fault.
             let Some(entity) = entity else {
                 return Value::list(vec![Value::empty_list(), Value::Msgs(msgs)]);
             };
+            let msgs = Msgs::concat(&Msgs::concat(&msgs, d[7].as_msgs()), d[8].as_msgs());
             let ename = entity.name().unwrap_or("?").to_string();
             let node = mk::arch(
                 name.text,
@@ -1338,7 +1331,7 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             ])
         },
     );
-    unit_projections(ab, g, &c, "arch_body", &[6, 8]);
+    res_projections(ab, g, &c, "arch_body", c.units, &[]);
 
     // ----- packages -------------------------------------------------------------
     let pr = p(g, "pkg_decl");
@@ -1357,7 +1350,7 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             ])
         },
     );
-    unit_projections(ab, g, &c, "pkg_decl", &[4]);
+    res_projections(ab, g, &c, "pkg_decl", c.units, &[4]);
 
     let pr = p(g, "pkg_body");
     let body_env = |d: &[Value]| -> (Env, Msgs) {
@@ -1411,7 +1404,7 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             ])
         },
     );
-    unit_projections(ab, g, &c, "pkg_body", &[5]);
+    res_projections(ab, g, &c, "pkg_body", c.units, &[5]);
 
     // ----- configuration ---------------------------------------------------------
     let pr = p(g, "config_decl");
@@ -1523,19 +1516,7 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             })
         },
     );
-    unit_projections(ab, g, &c, "config_decl", &[]);
-}
-
-fn unit_projections(
-    ab: &mut AgBuilder<Value>,
-    g: &Grammar,
-    c: &PrincipalClasses,
-    label: &str,
-    msg_children: &[usize],
-) {
-    res_projections(ab, g, c, label, c.units, msg_children);
-    // Keep the RES decoders referenced from both rule halves.
-    let _ = (res_env, res_decls, res_msgs);
+    res_projections(ab, g, &c, "config_decl", c.units, &[]);
 }
 
 /// Converts a structural `Value` into a VIF value for storage.

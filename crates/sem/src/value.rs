@@ -158,9 +158,13 @@ impl Value {
         })
     }
 
-    /// Empty list.
+    /// Empty list; every empty list is one shared value (no caller
+    /// mutates a list in place).
     pub fn empty_list() -> Value {
-        Value::List(Rc::new(Vec::new()))
+        thread_local! {
+            static EMPTY: Rc<Vec<Value>> = Rc::new(Vec::new());
+        }
+        Value::List(EMPTY.with(Rc::clone))
     }
 
     /// Concatenates two list values (merge function for list classes).

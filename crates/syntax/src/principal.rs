@@ -3,7 +3,7 @@
 //! Following the paper's cascaded-evaluation design (§4.1), this grammar
 //! "does not contain … most of the aspects of compiling expressions":
 //! every expression position is parsed as a flat *token run*
-//! ([`expr_run`/`ctok_run`]), which semantic analysis later flattens into
+//! (`expr_run`/`ctok_run`), which semantic analysis later flattens into
 //! LEF and re-parses with the expression AG once names are resolved. This
 //! sidesteps the `X(Y)` call/index/slice/conversion ambiguity entirely —
 //! the principal parser never has to guess.

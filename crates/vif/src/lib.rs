@@ -13,7 +13,7 @@
 //! - [`library`] — work/reference design libraries with the usage history
 //!   that drives the latest-compiled-architecture default-binding rule,
 //!   and the per-unit record that memoizes each loaded unit;
-//! - [`dump`] — the human-readable form used for debugging.
+//! - [`dump`](mod@dump) — the human-readable form used for debugging.
 //!
 //! # Example
 //!

@@ -2,7 +2,7 @@
 //! VIF text order, and each field's value shape — the "VIF description"
 //! of §2, declared once.
 //!
-//! Everything else about the format comes from the one [`vif_schema!`]
+//! Everything else about the format comes from the one `vif_schema!`
 //! table below:
 //!
 //! - [`Kind`] and [`Field`], closed enums whose symbols are interned once

@@ -28,6 +28,11 @@ echo "==> cargo clippy --all-targets -D warnings"
 # fails the gate.
 cargo clippy --offline --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings"
+# Every crate's API docs; a broken or private intra-doc link fails the
+# gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> non-test lines per crate"
 # The line counts simplicity changes quote: each crate's lines under
 # crates/*/src before a file's first column-0 #[cfg(test)].
