@@ -1,7 +1,7 @@
-//! A small dense bit set used for FIRST sets and lookahead sets.
+//! A small dense bit set used for lookahead sets.
 //!
 //! The generator manipulates many sets of terminals; a dense `u64`-word
-//! representation keeps the fixpoint loops cache-friendly without pulling in
+//! representation keeps the set unions cache-friendly without pulling in
 //! an external dependency.
 
 /// Dense, fixed-universe bit set.

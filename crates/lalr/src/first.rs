@@ -1,17 +1,16 @@
-//! Nullable and FIRST set computation.
+//! Nullable symbols: the one fact about the grammar that the lookahead
+//! pass ([`crate::lalr`]) needs beyond the LR(0) automaton. No FIRST sets
+//! are computed; the `reads` relation plays their part.
 
-use crate::bitset::BitSet;
-use crate::grammar::{Grammar, SymbolId};
+use crate::grammar::Grammar;
 
-/// Nullable flags and FIRST sets for every symbol of a grammar.
-///
-/// FIRST sets are over terminal indices (the full symbol index space is used
-/// as the bit-set universe for simplicity; only terminal bits are ever set).
+/// Which symbols derive the empty string, indexed by symbol index
+/// (terminals are never nullable), by the standard fixpoint iteration.
 ///
 /// # Example
 ///
 /// ```
-/// use ag_lalr::{GrammarBuilder, first::FirstSets};
+/// use ag_lalr::{GrammarBuilder, first::nullable};
 /// let mut g = GrammarBuilder::new();
 /// let a = g.terminal("a");
 /// let s = g.nonterminal("s");
@@ -21,77 +20,25 @@ use crate::grammar::{Grammar, SymbolId};
 /// g.prod(t, &[a.into()], "t_a");
 /// g.start(s);
 /// let g = g.build()?;
-/// let first = FirstSets::compute(&g);
-/// assert!(first.nullable(t));
-/// assert!(!first.nullable(s));
-/// assert!(first.first(s).contains(a.index()));
+/// let nullable = nullable(&g);
+/// assert!(nullable[t.index()]);
+/// assert!(!nullable[s.index()] && !nullable[a.index()]);
 /// # Ok::<(), ag_lalr::GrammarError>(())
 /// ```
-#[derive(Clone, Debug)]
-pub struct FirstSets {
-    nullable: Vec<bool>,
-    first: Vec<BitSet>,
-}
-
-impl FirstSets {
-    /// Computes nullable and FIRST by the standard fixpoint iteration.
-    pub fn compute(g: &Grammar) -> Self {
-        let n = g.n_symbols();
-        let mut nullable = vec![false; n];
-        let mut first: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-        for t in g.terminals() {
-            first[t.index()].insert(t.index());
-        }
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for p in g.prod_ids() {
-                let lhs = g.lhs(p).index();
-                let mut all_nullable = true;
-                for &r in g.rhs(p) {
-                    // first[lhs] |= first[r]; split borrow via clone of the
-                    // (small) source set only when distinct.
-                    if r.index() != lhs {
-                        let src = first[r.index()].clone();
-                        changed |= first[lhs].union_with(&src);
-                    }
-                    if !nullable[r.index()] {
-                        all_nullable = false;
-                        break;
-                    }
-                }
-                if all_nullable && !nullable[lhs] {
-                    nullable[lhs] = true;
-                    changed = true;
-                }
+pub fn nullable(g: &Grammar) -> Vec<bool> {
+    let mut nullable = vec![false; g.n_symbols()];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for p in g.prod_ids() {
+            let lhs = g.lhs(p).index();
+            if !nullable[lhs] && g.rhs(p).iter().all(|r| nullable[r.index()]) {
+                nullable[lhs] = true;
+                changed = true;
             }
         }
-        FirstSets { nullable, first }
     }
-
-    /// Whether symbol `s` derives the empty string.
-    pub fn nullable(&self, s: SymbolId) -> bool {
-        self.nullable[s.index()]
-    }
-
-    /// FIRST set of symbol `s` (bits are terminal symbol indices).
-    pub fn first(&self, s: SymbolId) -> &BitSet {
-        &self.first[s.index()]
-    }
-
-    /// FIRST of a sentential form `alpha` followed (conceptually) by the
-    /// lookahead continuation: fills `out` with FIRST(alpha) and returns
-    /// `true` iff alpha is nullable (so the continuation's FIRST also
-    /// applies).
-    pub fn first_of_seq(&self, alpha: &[SymbolId], out: &mut BitSet) -> bool {
-        for &s in alpha {
-            out.union_with(&self.first[s.index()]);
-            if !self.nullable[s.index()] {
-                return false;
-            }
-        }
-        true
-    }
+    nullable
 }
 
 #[cfg(test)]
@@ -102,7 +49,8 @@ mod tests {
     /// Classic dragon-book grammar:
     /// E ::= T E'   E' ::= + T E' | ε   T ::= F T'   T' ::= * F T' | ε
     /// F ::= ( E ) | id
-    fn dragon() -> (Grammar, FirstSets) {
+    #[test]
+    fn dragon_nullable() {
         let mut g = GrammarBuilder::new();
         let plus = g.terminal("+");
         let star = g.terminal("*");
@@ -124,62 +72,34 @@ mod tests {
         g.prod(f, &[id.into()], "f_id");
         g.start(e);
         let g = g.build().unwrap();
-        let f = FirstSets::compute(&g);
-        (g, f)
+        let nullable = nullable(&g);
+        let named: Vec<&str> = g
+            .symbol_ids()
+            .filter(|s| nullable[s.index()])
+            .map(|s| g.symbol_name(s))
+            .collect();
+        assert_eq!(named, ["E'", "T'"]);
     }
 
+    /// A nullable chain makes its head nullable; left recursion with a
+    /// terminal does not.
     #[test]
-    fn dragon_first_sets() {
-        let (g, fs) = dragon();
-        let names = |s: &str| g.symbol(s).unwrap();
-        let set = |s: &str| {
-            fs.first(names(s))
-                .iter()
-                .map(|i| {
-                    g.symbol_name(crate::grammar::SymbolId(i as u32))
-                        .to_string()
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(set("E"), vec!["(", "id"]);
-        assert_eq!(set("T"), vec!["(", "id"]);
-        assert_eq!(set("F"), vec!["(", "id"]);
-        assert_eq!(set("E'"), vec!["+"]);
-        assert_eq!(set("T'"), vec!["*"]);
-        assert!(fs.nullable(names("E'")));
-        assert!(fs.nullable(names("T'")));
-        assert!(!fs.nullable(names("E")));
-    }
-
-    #[test]
-    fn first_of_seq_nullable_chain() {
-        let (g, fs) = dragon();
-        let ep = g.symbol("E'").unwrap();
-        let tp = g.symbol("T'").unwrap();
-        let id = g.symbol("id").unwrap();
-        let mut out = BitSet::new(g.n_symbols());
-        let nullable = fs.first_of_seq(&[ep, tp], &mut out);
-        assert!(nullable);
-        assert!(out.contains(g.symbol("+").unwrap().index()));
-        assert!(out.contains(g.symbol("*").unwrap().index()));
-
-        let mut out2 = BitSet::new(g.n_symbols());
-        let nullable2 = fs.first_of_seq(&[ep, id], &mut out2);
-        assert!(!nullable2);
-        assert!(out2.contains(id.index()));
-    }
-
-    #[test]
-    fn left_recursive_first() {
+    fn nullable_chain_and_left_recursion() {
         let mut g = GrammarBuilder::new();
         let a = g.terminal("a");
         let s = g.nonterminal("s");
-        g.prod(s, &[s.into(), a.into()], "s_rec");
-        g.prod(s, &[a.into()], "s_a");
+        let b = g.nonterminal("b");
+        let c = g.nonterminal("c");
+        let r = g.nonterminal("r");
+        g.prod(s, &[b.into(), r.into()], "s");
+        g.prod(b, &[c.into(), c.into()], "b");
+        g.prod(c, &[], "c_empty");
+        g.prod(r, &[r.into(), a.into()], "r_rec");
+        g.prod(r, &[a.into()], "r_a");
         g.start(s);
         let g = g.build().unwrap();
-        let fs = FirstSets::compute(&g);
-        assert!(fs.first(s).contains(a.index()));
-        assert!(!fs.nullable(s));
+        let nullable = nullable(&g);
+        assert!(nullable[b.index()] && nullable[c.index()]);
+        assert!(!nullable[r.index()] && !nullable[s.index()]);
     }
 }

@@ -1,161 +1,157 @@
 //! LALR(1) lookahead computation.
 //!
-//! Uses the classic "spontaneous generation and propagation" algorithm
-//! (Aho/Sethi/Ullman, Algorithm 4.63): for every kernel item, an LR(1)
-//! closure seeded with a probe lookahead `#` discovers which lookaheads are
-//! generated spontaneously at successor kernel items and which propagate
-//! from the source item; a fixpoint then floods lookaheads along the
-//! propagation edges.
-
-use std::collections::HashMap;
+//! DeRemer & Pennello, "Efficient Computation of LALR(1) Look-Ahead Sets"
+//! (TOPLAS 1982): one pass over the LR(0) automaton's nonterminal
+//! transitions `(p, A)`, with no LR(1) closure and no FIRST sets.
+//!
+//! - `DR(p, A)` holds the terminals that the state `goto(p, A)` shifts
+//!   (and end of input for `(0, start)`);
+//! - `(p, A) reads (r, C)` when `r = goto(p, A)` moves on a nullable `C`,
+//!   and `Read` closes `DR` over `reads`;
+//! - `(p, A) includes (p', B)` when some `B ::= β A γ` with nullable `γ`
+//!   leads from `p'` to `p` on `β`, and `Follow` closes `Read` over
+//!   `includes`;
+//! - the state `q` reached from `p'` on all of `β` reduces `B ::= β` on
+//!   `Follow(p', B)` (`lookback`), merged over every such `p'`.
+//!
+//! Both closures are one Tarjan walk each (`digraph`), in which every
+//! strongly connected component shares one set.
 
 use crate::bitset::BitSet;
-use crate::first::FirstSets;
-use crate::grammar::Grammar;
-use crate::lr0::{Item, Lr0Automaton};
+use crate::first::nullable;
+use crate::grammar::{Grammar, ProdId};
+use crate::lr0::Lr0Automaton;
 
-/// LALR(1) lookahead sets for every kernel item of every LR(0) state.
-#[derive(Clone, Debug)]
-pub struct Lookaheads {
-    /// `lookaheads[state][kernel_item_index]` — terminals (by symbol index)
-    /// on which the kernel item's eventual reduction is valid.
-    pub kernel: Vec<Vec<BitSet>>,
-}
-
-/// Computes the LR(1) closure of a set of items-with-lookaheads.
-///
-/// `universe` is the bit-set universe (symbol count, possibly +1 for the
-/// probe symbol used internally by [`compute`]).
-pub fn lr1_closure(
-    g: &Grammar,
-    first: &FirstSets,
-    seed: &[(Item, BitSet)],
-    universe: usize,
-) -> HashMap<Item, BitSet> {
-    let mut out: HashMap<Item, BitSet> = HashMap::new();
-    let mut work: Vec<Item> = Vec::new();
-    for (item, las) in seed {
-        let entry = out.entry(*item).or_insert_with(|| BitSet::new(universe));
-        if entry.union_with(las) || !work.contains(item) {
-            work.push(*item);
-        }
+/// The reductions of every state of `aut`: `(production, lookaheads)` in
+/// production order, empty productions and the accepting
+/// `__goal ::= start ·` (on end of input alone) included. Lookahead bits
+/// are terminal symbol indices.
+pub fn reductions(g: &Grammar, aut: &Lr0Automaton) -> Vec<Vec<(ProdId, BitSet)>> {
+    let nullable = nullable(g);
+    let n = g.n_symbols();
+    // The nonterminal transitions `(p, A)`, by state and then symbol;
+    // state `p`'s are `trans[offset[p]..offset[p + 1]]`.
+    let mut trans = Vec::new();
+    let mut offset = vec![0];
+    for (p, st) in aut.states.iter().enumerate() {
+        let nts = st.transitions.iter().filter(|t| !g.is_terminal(t.0));
+        trans.extend(nts.map(|&(a, _)| (p as u32, a)));
+        offset.push(trans.len());
     }
-    while let Some(item) = work.pop() {
-        let Some(b) = item.next_symbol(g) else {
-            continue;
-        };
-        if g.is_terminal(b) {
-            continue;
-        }
-        // FIRST(β a) for each lookahead a of `item`.
-        let beta = &g.rhs(item.prod)[item.dot as usize + 1..];
-        let mut fb = BitSet::new(universe);
-        let beta_nullable = first.first_of_seq(beta, &mut fb);
-        if beta_nullable {
-            let src = out[&item].clone();
-            fb.union_with(&src);
-        }
-        for &p in g.prods_of(b) {
-            let it = Item::start(p);
-            let entry = out.entry(it).or_insert_with(|| BitSet::new(universe));
-            if entry.union_with(&fb) {
-                work.push(it);
+    let index = |p: u32, a| {
+        let (lo, hi) = (offset[p as usize], offset[p as usize + 1]);
+        lo + trans[lo..hi]
+            .binary_search_by_key(&a, |t| t.1)
+            .expect("transition")
+    };
+
+    let mut sets = Vec::with_capacity(trans.len() + 1);
+    let mut reads = Vec::with_capacity(trans.len());
+    for &(p, a) in &trans {
+        let r = aut.goto(p, a);
+        let mut dr = BitSet::new(n);
+        let mut edges = Vec::new();
+        for &(c, _) in &aut.states[r as usize].transitions {
+            if g.is_terminal(c) {
+                dr.insert(c.index());
+            } else if nullable[c.index()] {
+                edges.push(index(r, c));
             }
         }
+        sets.push(dr);
+        reads.push(edges);
     }
-    out
-}
+    sets[index(0, g.start_symbol())].insert(g.eof().index());
+    digraph(&reads, &mut sets);
 
-/// Computes LALR(1) lookaheads for every kernel item of `aut`.
-pub fn compute(g: &Grammar, first: &FirstSets, aut: &Lr0Automaton) -> Lookaheads {
-    let n_sym = g.n_symbols();
-    let probe = n_sym; // the dummy lookahead `#`
-    let universe = n_sym + 1;
-
-    // Index kernel items for each state.
-    let kernel_index: Vec<HashMap<Item, usize>> = aut
-        .states
-        .iter()
-        .map(|s| {
-            s.kernel
+    // One walk of each production of `B` from `p'` gives both relations.
+    let mut includes = vec![Vec::new(); trans.len()];
+    let mut lookback = vec![Vec::new(); aut.n_states()];
+    for (t, &(p, b)) in trans.iter().enumerate() {
+        for &prod in g.prods_of(b) {
+            let rhs = g.rhs(prod);
+            // `rhs[tail..]` is the longest nullable suffix.
+            let tail = rhs
                 .iter()
-                .enumerate()
-                .map(|(i, it)| (*it, i))
-                .collect()
-        })
-        .collect();
-
-    let mut lookaheads: Vec<Vec<BitSet>> = aut
-        .states
-        .iter()
-        .map(|s| s.kernel.iter().map(|_| BitSet::new(universe)).collect())
-        .collect();
-    // (from_state, from_item) -> list of (to_state, to_item)
-    let mut propagate: Vec<Vec<Vec<(u32, usize)>>> = aut
-        .states
-        .iter()
-        .map(|s| s.kernel.iter().map(|_| Vec::new()).collect())
-        .collect();
-
-    // The end-of-input lookahead is spontaneous for the start item.
-    lookaheads[0][0].insert(g.eof().index());
-
-    for (si, state) in aut.states.iter().enumerate() {
-        for (ki, &kitem) in state.kernel.iter().enumerate() {
-            let mut seed_las = BitSet::new(universe);
-            seed_las.insert(probe);
-            let closure = lr1_closure(g, first, &[(kitem, seed_las)], universe);
-            for (item, las) in &closure {
-                let Some(x) = item.next_symbol(g) else {
-                    continue;
-                };
-                let target = state.transitions[&x];
-                let succ = item.advanced();
-                let ti = kernel_index[target as usize][&succ];
-                for la in las.iter() {
-                    if la == probe {
-                        propagate[si][ki].push((target, ti));
-                    } else {
-                        lookaheads[target as usize][ti].insert(la);
-                    }
+                .rposition(|s| !nullable[s.index()])
+                .map_or(0, |i| i + 1);
+            let mut q = p;
+            for (i, &x) in rhs.iter().enumerate() {
+                if i + 1 >= tail && !g.is_terminal(x) {
+                    includes[index(q, x)].push(t);
                 }
+                q = aut.goto(q, x);
             }
+            lookback[q as usize].push((prod, t));
         }
     }
+    digraph(&includes, &mut sets);
 
-    // Flood lookaheads along propagation edges to a fixpoint.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for si in 0..aut.states.len() {
-            for ki in 0..propagate[si].len() {
-                let src = lookaheads[si][ki].clone();
-                for &(ts, ti) in &propagate[si][ki] {
-                    changed |= lookaheads[ts as usize][ti].union_with(&src);
-                }
-            }
-        }
-    }
-
-    // Strip the probe bit by rebuilding over the symbol universe.
-    let kernel = lookaheads
+    // The accepting item reduces on end of input alone, a set of its own.
+    let mut eof = BitSet::new(n);
+    eof.insert(g.eof().index());
+    sets.push(eof);
+    let accepting = aut.goto(0, g.start_symbol()) as usize;
+    lookback[accepting].push((g.accept_prod(), trans.len()));
+    lookback
         .into_iter()
-        .map(|per_state| {
-            per_state
-                .into_iter()
-                .map(|set| {
-                    let mut out = BitSet::new(n_sym);
-                    for la in set.iter() {
-                        if la < n_sym {
-                            out.insert(la);
-                        }
-                    }
-                    out
-                })
-                .collect()
+        .map(|mut lb| {
+            lb.sort_unstable();
+            let mut out: Vec<(ProdId, BitSet)> = Vec::new();
+            for (prod, t) in lb {
+                if out.last().is_none_or(|r| r.0 != prod) {
+                    out.push((prod, BitSet::new(n)));
+                }
+                out.last_mut().unwrap().1.union_with(&sets[t]);
+            }
+            out
         })
-        .collect();
-    Lookaheads { kernel }
+        .collect()
+}
+
+/// Closes `sets` over `rel`: afterwards each `sets[x]` also holds
+/// `sets[y]` for every `y` reachable from `x`. DeRemer & Pennello's
+/// `digraph`: a Tarjan walk whose components share one set.
+fn digraph(rel: &[Vec<usize>], sets: &mut [BitSet]) {
+    let mut depth = vec![0; rel.len()];
+    let mut stack = Vec::new();
+    for x in 0..rel.len() {
+        if depth[x] == 0 {
+            traverse(x, rel, sets, &mut depth, &mut stack);
+        }
+    }
+}
+
+fn traverse(
+    x: usize,
+    rel: &[Vec<usize>],
+    sets: &mut [BitSet],
+    depth: &mut [usize],
+    stack: &mut Vec<usize>,
+) {
+    stack.push(x);
+    let d = stack.len();
+    depth[x] = d;
+    for &y in &rel[x] {
+        if depth[y] == 0 {
+            traverse(y, rel, sets, depth, stack);
+        }
+        depth[x] = depth[x].min(depth[y]);
+        if y != x {
+            let from = std::mem::replace(&mut sets[y], BitSet::new(0));
+            sets[x].union_with(&from);
+            sets[y] = from;
+        }
+    }
+    if depth[x] == d {
+        while let Some(top) = stack.pop() {
+            depth[top] = usize::MAX;
+            if top == x {
+                break;
+            }
+            sets[top] = sets[x].clone();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -166,7 +162,7 @@ mod tests {
     /// Dragon book grammar 4.20 (pointers/assignments):
     /// S ::= L = R | R ; L ::= * R | id ; R ::= L
     /// The canonical LALR table for this grammar is the book's Fig. 4.47.
-    fn dragon420() -> (Grammar, Lr0Automaton, Lookaheads) {
+    fn dragon420() -> (Grammar, Lr0Automaton, Vec<Vec<(ProdId, BitSet)>>) {
         let mut g = GrammarBuilder::new();
         let eq = g.terminal("=");
         let star = g.terminal("*");
@@ -181,10 +177,23 @@ mod tests {
         g.prod(r, &[l.into()], "r_l");
         g.start(s);
         let g = g.build().unwrap();
-        let first = FirstSets::compute(&g);
         let aut = Lr0Automaton::build(&g);
-        let las = compute(&g, &first, &aut);
-        (g, aut, las)
+        let reds = reductions(&g, &aut);
+        (g, aut, reds)
+    }
+
+    /// The names of the lookaheads on which `state` reduces by `label`.
+    fn lookaheads<'g>(
+        g: &'g Grammar,
+        reds: &[Vec<(ProdId, BitSet)>],
+        state: u32,
+        label: &str,
+    ) -> Vec<&'g str> {
+        let prod = g.prod_by_label(label).unwrap();
+        let (_, set) = reds[state as usize].iter().find(|r| r.0 == prod).unwrap();
+        set.iter()
+            .map(|i| g.symbol_name(crate::SymbolId::from_index(i)))
+            .collect()
     }
 
     #[test]
@@ -194,61 +203,54 @@ mod tests {
     }
 
     /// The famous property of grammar 4.20: it is not SLR(1) (FOLLOW(R)
-    /// contains `=`), but it *is* LALR(1): the item `R ::= L ·` in the state
-    /// reached on `L` from the start has lookahead {=, $} only where valid.
+    /// contains `=`), but it *is* LALR(1): `R ::= L ·`, in the state
+    /// reached on `L` from the start, reduces on end of input only.
     #[test]
     fn dragon420_lalr_lookaheads() {
-        let (g, aut, las) = dragon420();
-        let eq = g.symbol("=").unwrap();
-        let eof = g.eof();
-        // Find the state whose kernel is { S ::= L·=R , R ::= L· }.
-        let s_assign = g.prod_by_label("s_assign").unwrap();
-        let r_l = g.prod_by_label("r_l").unwrap();
-        let mut found = false;
-        for (si, st) in aut.states.iter().enumerate() {
-            let has_assign = st.kernel.iter().any(|i| i.prod == s_assign && i.dot == 1);
-            if !has_assign {
-                continue;
-            }
-            let (ki, _) = st
-                .kernel
-                .iter()
-                .enumerate()
-                .find(|(_, i)| i.prod == r_l && i.dot == 1)
-                .unwrap();
-            let set = &las.kernel[si][ki];
-            // SLR would use FOLLOW(R) = {=, $} here and report a
-            // shift/reduce conflict on `=`. LALR computes the context-exact
-            // lookahead {$}: the item [R ::= ·L] in state 0's closure only
-            // ever carries `$`. This is the textbook witness that the
-            // grammar is LALR(1) but not SLR(1).
-            assert!(set.contains(eof.index()));
-            assert!(!set.contains(eq.index()));
-            found = true;
-        }
-        assert!(found, "merged state not found");
+        let (g, aut, reds) = dragon420();
+        let on_l = aut.goto(0, g.symbol("L").unwrap());
+        // SLR would use FOLLOW(R) = {=, $} here and report a shift/reduce
+        // conflict on `=`. LALR computes the context-exact lookahead {$}:
+        // this is the textbook witness that the grammar is LALR(1) but not
+        // SLR(1).
+        assert_eq!(lookaheads(&g, &reds, on_l, "r_l"), ["$eof"]);
+        assert_eq!(reds[on_l as usize].len(), 1);
     }
 
+    /// `L ::= id ·` reduces on `=` (L before `=` in `S ::= L = R`) and on
+    /// end of input (L at the end of `R ::= L`), the two lookaheads merged
+    /// from the contexts that share its state.
     #[test]
-    fn lr1_closure_lookahead_flow() {
-        let (g, _, _) = dragon420();
-        let first = FirstSets::compute(&g);
-        let n = g.n_symbols();
-        let mut seed = BitSet::new(n);
-        seed.insert(g.eof().index());
-        let accept = Item::start(g.accept_prod());
-        let closure = lr1_closure(&g, &first, &[(accept, seed)], n);
-        // S ::= ·L=R receives lookahead $; L ::= ·id receives {=, $}
-        // because L occurs before `=` in S ::= L=R and before end in R ::= L.
-        let l_id = Item::start(g.prod_by_label("l_id").unwrap());
-        let las = &closure[&l_id];
-        assert!(las.contains(g.symbol("=").unwrap().index()));
-        assert!(las.contains(g.eof().index()));
+    fn l_id_reduces_on_eq_and_eof() {
+        let (g, aut, reds) = dragon420();
+        let on_id = aut.goto(0, g.symbol("id").unwrap());
+        assert_eq!(lookaheads(&g, &reds, on_id, "l_id"), ["=", "$eof"]);
     }
 
     #[test]
     fn accept_item_has_eof() {
-        let (g, _, las) = dragon420();
-        assert!(las.kernel[0][0].contains(g.eof().index()));
+        let (g, aut, reds) = dragon420();
+        let accepting = aut.goto(0, g.start_symbol());
+        assert_eq!(lookaheads(&g, &reds, accepting, "__accept"), ["$eof"]);
+    }
+
+    /// An empty production reduces in the state whose closure holds it,
+    /// on what follows its nonterminal there.
+    #[test]
+    fn empty_production_reduces_on_follow() {
+        let mut g = GrammarBuilder::new();
+        let a = g.terminal("a");
+        let b = g.terminal("b");
+        let s = g.nonterminal("s");
+        let t = g.nonterminal("t");
+        g.prod(s, &[t.into(), a.into()], "s_a");
+        g.prod(s, &[b.into(), t.into()], "s_b");
+        g.prod(t, &[], "t_empty");
+        g.start(s);
+        let g = g.build().unwrap();
+        let aut = Lr0Automaton::build(&g);
+        let reds = reductions(&g, &aut);
+        assert_eq!(lookaheads(&g, &reds, 0, "t_empty"), ["a"]);
+        assert_eq!(lookaheads(&g, &reds, aut.goto(0, b), "t_empty"), ["$eof"]);
     }
 }

@@ -6,10 +6,11 @@
 //! Stanculescu, PLDI 1989). It provides:
 //!
 //! - a [`Grammar`] representation built through [`GrammarBuilder`],
-//! - nullable/FIRST computation ([`first::FirstSets`]),
 //! - the LR(0) canonical collection ([`lr0::Lr0Automaton`]),
-//! - LALR(1) lookahead computation by spontaneous generation and
-//!   propagation ([`lalr`]),
+//! - each state's reductions and their LALR(1) lookaheads, by DeRemer &
+//!   Pennello's relations over the LR(0) automaton's nonterminal
+//!   transitions ([`lalr`]), which need only nullability
+//!   ([`first::nullable`]), no FIRST sets and no LR(1) closures,
 //! - action/goto tables with precedence-based conflict resolution
 //!   ([`table::ParseTable`]),
 //! - a table-driven parser ([`parser`]) building one postorder arena

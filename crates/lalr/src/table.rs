@@ -1,13 +1,12 @@
 //! ACTION/GOTO table construction with precedence-based conflict
 //! resolution.
 
+use std::cmp::Ordering;
 use std::fmt;
 
-use crate::bitset::BitSet;
-use crate::first::FirstSets;
 use crate::grammar::{Assoc, Grammar, ProdId, SymbolId};
-use crate::lalr::{self, lr1_closure};
-use crate::lr0::{Item, Lr0Automaton};
+use crate::lalr;
+use crate::lr0::Lr0Automaton;
 
 /// One entry of the ACTION table.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -22,7 +21,8 @@ pub enum Action {
     Accept,
 }
 
-/// An unresolved or precedence-resolved table conflict, for diagnostics.
+/// A table conflict that declared precedences did not resolve, for
+/// diagnostics.
 #[derive(Clone, Debug)]
 pub struct Conflict {
     /// State in which the conflict occurs.
@@ -34,8 +34,6 @@ pub struct Conflict {
     /// Human-readable description (`shift/reduce` or `reduce/reduce` with
     /// the productions involved).
     pub description: String,
-    /// Whether declared precedence resolved it.
-    pub resolved_by_precedence: bool,
 }
 
 /// Error produced when a grammar is not LALR(1) under the declared
@@ -74,8 +72,6 @@ pub struct ParseTable {
     nt_col: Vec<Option<u32>>,
     n_nonterms: usize,
     goto: Vec<Option<u32>>,
-    /// Conflicts resolved by precedence (informational).
-    pub resolved_conflicts: Vec<Conflict>,
 }
 
 impl ParseTable {
@@ -105,9 +101,8 @@ impl ParseTable {
     }
 
     fn construct(g: &Grammar) -> (ParseTable, Vec<Conflict>) {
-        let first = FirstSets::compute(g);
         let aut = Lr0Automaton::build(g);
-        let las = lalr::compute(g, &first, &aut);
+        let reductions = lalr::reductions(g, &aut);
 
         let mut term_col = vec![None; g.n_symbols()];
         let mut n_terms = 0u32;
@@ -125,12 +120,11 @@ impl ParseTable {
         let n_states = aut.n_states();
         let mut action = vec![Action::Error; n_states * n_terms as usize];
         let mut goto = vec![None; n_states * n_nonterms as usize];
-        let mut resolved = Vec::new();
         let mut unresolved = Vec::new();
 
         for (si, state) in aut.states.iter().enumerate() {
             // Shifts and gotos from LR(0) transitions.
-            for (&sym, &target) in &state.transitions {
+            for &(sym, target) in &state.transitions {
                 if g.is_terminal(sym) {
                     let col = term_col[sym.index()].unwrap() as usize;
                     action[si * n_terms as usize + col] = Action::Shift(target);
@@ -139,67 +133,49 @@ impl ParseTable {
                     goto[si * n_nonterms as usize + col] = Some(target);
                 }
             }
-            // Reduces from the LR(1) closure of the kernel under its LALR
-            // lookaheads (this also covers empty productions, whose complete
-            // items live only in the closure).
-            let seed: Vec<(Item, BitSet)> = state
-                .kernel
-                .iter()
-                .enumerate()
-                .map(|(ki, item)| (*item, las.kernel[si][ki].clone()))
-                .collect();
-            let closure = lr1_closure(g, &first, &seed, g.n_symbols());
-            let mut items: Vec<_> = closure.into_iter().collect();
-            items.sort_by_key(|(i, _)| *i);
-            for (item, lookaheads) in items {
-                if !item.is_complete(g) {
-                    continue;
-                }
+            // Reduces, in production order, on their LALR lookaheads.
+            for &(prod, ref lookaheads) in &reductions[si] {
                 for la in lookaheads.iter() {
                     let la_sym = SymbolId(la as u32);
                     let col = term_col[la].expect("lookahead must be terminal") as usize;
                     let cell = &mut action[si * n_terms as usize + col];
-                    let new = if item.prod == g.accept_prod() {
+                    let new = if prod == g.accept_prod() {
                         Action::Accept
                     } else {
-                        Action::Reduce(item.prod)
+                        Action::Reduce(prod)
+                    };
+                    let conflict = |description| Conflict {
+                        state: si as u32,
+                        lookahead: la_sym,
+                        lookahead_name: g.symbol_name(la_sym).to_string(),
+                        description,
                     };
                     match (*cell, new) {
                         (Action::Error, n) => *cell = n,
                         (old, n) if old == n => {}
                         (Action::Shift(t), Action::Reduce(p)) => {
-                            let (entry, conflict) =
-                                resolve_shift_reduce(g, t, p, la_sym, si as u32);
-                            *cell = entry;
-                            match conflict {
-                                Resolution::ByPrecedence(c) => resolved.push(c),
-                                Resolution::Default(c) => unresolved.push(c),
-                            }
+                            *cell = match resolve_shift_reduce(g, t, p, la_sym) {
+                                Some(entry) => entry,
+                                None => {
+                                    unresolved.push(conflict(format!(
+                                        "shift/reduce (unresolved, defaulted to shift): \
+                                         shift `{}` vs reduce [{}]",
+                                        g.symbol_name(la_sym),
+                                        g.display_prod(p)
+                                    )));
+                                    Action::Shift(t)
+                                }
+                            };
                         }
                         (Action::Reduce(p1), Action::Reduce(p2)) => {
-                            let keep = p1.min(p2);
-                            unresolved.push(Conflict {
-                                state: si as u32,
-                                lookahead: la_sym,
-                                lookahead_name: g.symbol_name(la_sym).to_string(),
-                                description: format!(
-                                    "reduce/reduce: [{}] vs [{}]",
-                                    g.display_prod(p1),
-                                    g.display_prod(p2)
-                                ),
-                                resolved_by_precedence: false,
-                            });
-                            *cell = Action::Reduce(keep);
+                            unresolved.push(conflict(format!(
+                                "reduce/reduce: [{}] vs [{}]",
+                                g.display_prod(p1),
+                                g.display_prod(p2)
+                            )));
+                            *cell = Action::Reduce(p1.min(p2));
                         }
-                        (old, n) => {
-                            unresolved.push(Conflict {
-                                state: si as u32,
-                                lookahead: la_sym,
-                                lookahead_name: g.symbol_name(la_sym).to_string(),
-                                description: format!("{old:?} vs {n:?}"),
-                                resolved_by_precedence: false,
-                            });
-                        }
+                        (old, n) => unresolved.push(conflict(format!("{old:?} vs {n:?}"))),
                     }
                 }
             }
@@ -214,7 +190,6 @@ impl ParseTable {
                 nt_col,
                 n_nonterms: n_nonterms as usize,
                 goto,
-                resolved_conflicts: resolved,
             },
             unresolved,
         )
@@ -260,60 +235,21 @@ impl ParseTable {
     }
 }
 
-enum Resolution {
-    ByPrecedence(Conflict),
-    Default(Conflict),
-}
-
+/// The entry that declared precedences give a shift/reduce conflict on
+/// `la`, or `None` when the production or the lookahead has none.
 fn resolve_shift_reduce(
     g: &Grammar,
     shift_target: u32,
     prod: ProdId,
     la: SymbolId,
-    state: u32,
-) -> (Action, Resolution) {
-    let describe = |how: &str| {
-        format!(
-            "shift/reduce ({how}): shift `{}` vs reduce [{}]",
-            g.symbol_name(la),
-            g.display_prod(prod)
-        )
-    };
-    match (g.prod_prec(prod), g.symbol_prec(la)) {
-        (Some((rp, assoc)), Some((sp, _))) => {
-            let action = if rp > sp {
-                Action::Reduce(prod)
-            } else if rp < sp {
-                Action::Shift(shift_target)
-            } else {
-                match assoc {
-                    Assoc::Left => Action::Reduce(prod),
-                    Assoc::Right => Action::Shift(shift_target),
-                    Assoc::NonAssoc => Action::Error,
-                }
-            };
-            (
-                action,
-                Resolution::ByPrecedence(Conflict {
-                    state,
-                    lookahead: la,
-                    lookahead_name: g.symbol_name(la).to_string(),
-                    description: describe("resolved by precedence"),
-                    resolved_by_precedence: true,
-                }),
-            )
-        }
-        _ => (
-            Action::Shift(shift_target),
-            Resolution::Default(Conflict {
-                state,
-                lookahead: la,
-                lookahead_name: g.symbol_name(la).to_string(),
-                description: describe("unresolved, defaulted to shift"),
-                resolved_by_precedence: false,
-            }),
-        ),
-    }
+) -> Option<Action> {
+    let (rp, assoc) = g.prod_prec(prod)?;
+    let (sp, _) = g.symbol_prec(la)?;
+    Some(match (rp.cmp(&sp), assoc) {
+        (Ordering::Greater, _) | (Ordering::Equal, Assoc::Left) => Action::Reduce(prod),
+        (Ordering::Less, _) | (Ordering::Equal, Assoc::Right) => Action::Shift(shift_target),
+        (Ordering::Equal, Assoc::NonAssoc) => Action::Error,
+    })
 }
 
 #[cfg(test)]
@@ -361,15 +297,21 @@ mod tests {
         }
     }
 
+    /// With `+` below `*`, both left-associative, the state after `e + e`
+    /// reduces on `+` and shifts `*`.
     #[test]
     fn precedence_resolves_everything() {
         let g = expr_grammar(true);
         let t = ParseTable::build(&g).unwrap();
-        assert!(!t.resolved_conflicts.is_empty());
-        assert!(t
-            .resolved_conflicts
-            .iter()
-            .all(|c| c.resolved_by_precedence));
+        let sym = |name| g.symbol(name).unwrap();
+        let e = t.goto(0, sym("e")).unwrap();
+        let Action::Shift(plus) = t.action(e, sym("+")) else {
+            panic!("no shift of `+` after `e`");
+        };
+        let after = t.goto(plus, sym("e")).unwrap();
+        let add = g.prod_by_label("add").unwrap();
+        assert_eq!(t.action(after, sym("+")), Action::Reduce(add));
+        assert!(matches!(t.action(after, sym("*")), Action::Shift(_)));
     }
 
     #[test]
@@ -383,7 +325,6 @@ mod tests {
         g.start(s);
         let g = g.build().unwrap();
         let t = ParseTable::build(&g).unwrap();
-        assert!(t.resolved_conflicts.is_empty());
         assert!(t.n_states() > 0);
         assert!(t.n_nonerror_actions() > 0);
     }

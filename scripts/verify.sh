@@ -63,6 +63,19 @@ grep -q '"timeout_storm_jobs2_speedup"' "$SMOKE_OUT/exp_kernel.json" \
     || { echo "verify: exp_kernel did not emit the kernel pool speedup metric" >&2; exit 1; }
 rm -rf "$SMOKE_OUT"
 
+echo "==> exp_generator_scaling (E8) smoke (scratch output dir)"
+# The generator-scaling harness still runs end to end and times both real
+# grammars' LALR tables on their own. Only the metric names are checked,
+# as for exp_kernel: a timed gate on two vCPUs is noise.
+SMOKE_OUT="$(mktemp -d)"
+AG_BENCH_ITERS=2 AG_BENCH_OUT="$SMOKE_OUT" \
+    cargo bench -q -p ag-bench --bench exp_generator_scaling
+for metric in principal_tables_ms expr_tables_ms; do
+    grep -q "\"$metric\"" "$SMOKE_OUT/exp_generator_scaling.json" \
+        || { echo "verify: exp_generator_scaling did not emit $metric" >&2; exit 1; }
+done
+rm -rf "$SMOKE_OUT"
+
 echo "==> scripts/results.sh parses and names every file in results/"
 # results/ is exactly what one scripts/results.sh run writes: a file the
 # script does not name would be a number nothing regenerates.
