@@ -231,7 +231,31 @@ impl Runner {
 /// current one that holds `.git/HEAD`: the hash of a detached `HEAD`, or
 /// of the branch it names (loose ref, then `packed-refs`). "unknown"
 /// outside a checkout.
+/// The checkout's `HEAD`, suffixed `-dirty` when a tracked file outside
+/// `results/` differs from it (a results run rewrites `results/` itself).
+/// Without a `git` binary the label is the `HEAD` alone.
 fn git_revision() -> String {
+    let status = std::process::Command::new("git")
+        .args(["status", "--porcelain", "--untracked-files=no", "--"])
+        .arg(":(top,exclude)results")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).into_owned());
+    revision_label(head_revision(), status.as_deref())
+}
+
+/// Labels `head` from `git status --porcelain` output: any line means
+/// the tree is dirty. `None` (no `git`) and an unknown `head` stay as is.
+fn revision_label(head: String, status: Option<&str>) -> String {
+    match status {
+        Some(s) if !s.trim().is_empty() && head != "unknown" => format!("{head}-dirty"),
+        _ => head,
+    }
+}
+
+/// `HEAD`'s commit, read from the `.git` directory above the current one.
+fn head_revision() -> String {
     let Some(git) = std::env::current_dir().ok().and_then(|cwd| {
         cwd.ancestors()
             .map(|d| d.join(".git"))
@@ -325,6 +349,21 @@ mod tests {
         assert_eq!(names, ["a", "b"]);
         assert!(s.iter().all(|t| t.iters == 3 && t.min_ns <= t.max_ns));
         assert_eq!(r.timings.len(), 2);
+    }
+
+    #[test]
+    fn a_dirty_tree_is_labelled_dirty() {
+        let head = || "dd860b1".to_string();
+        assert_eq!(revision_label(head(), Some("")), "dd860b1");
+        assert_eq!(revision_label(head(), None), "dd860b1");
+        assert_eq!(
+            revision_label(head(), Some(" M crates/server/src/lib.rs\n")),
+            "dd860b1-dirty"
+        );
+        assert_eq!(
+            revision_label("unknown".to_string(), Some(" M a\n")),
+            "unknown"
+        );
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! vhdld [--listen ADDR] [--max-clients N] [--deadline-ms MS] [--jobs N]
-//!       [--workers N] [--acceptors N] [--tenant-quota N]
-//!       [--base FILE...] [--quiet]
+//!       [--tenant-quota N] [--base FILE...] [--quiet]
 //! vhdld --stdio
 //! vhdld --connect ADDR
 //! ```
@@ -12,7 +11,8 @@
 //!
 //! Serve mode binds `ADDR` (default `127.0.0.1:0`), prints one line
 //! `vhdld listening on HOST:PORT` to stdout, then serves framed JSON
-//! requests (see DESIGN.md §10). `--base FILE...` pre-compiles VHDL files
+//! requests (see DESIGN.md §10), each connection on a thread of its own
+//! (at most `--max-clients` of them). `--base FILE...` pre-compiles VHDL files
 //! into a base library that every session forks copy-on-write.
 //!
 //! `--stdio` serves exactly one session over stdin/stdout frames.
@@ -72,16 +72,6 @@ fn parse_args() -> Result<Args, String> {
                     .map(resolve_jobs)
                     .map_err(|_| "--jobs needs a worker count".to_string())?
             }
-            "--workers" => {
-                out.cfg.workers = grab("--workers")?
-                    .parse()
-                    .map_err(|_| "--workers needs a thread count".to_string())?
-            }
-            "--acceptors" => {
-                out.cfg.acceptors = grab("--acceptors")?
-                    .parse()
-                    .map_err(|_| "--acceptors needs a thread count".to_string())?
-            }
             "--tenant-quota" => {
                 out.cfg.tenant_max_sessions = grab("--tenant-quota")?
                     .parse()
@@ -91,7 +81,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: vhdld [--listen ADDR] [--max-clients N] [--deadline-ms MS] \
-                     [--jobs N] [--workers N] [--acceptors N] [--tenant-quota N] \
+                     [--jobs N] [--tenant-quota N] \
                      [--base FILE...] [--quiet] | --stdio | --connect ADDR\n\
                      --jobs 0 uses one analysis worker per CPU."
                 );
@@ -164,7 +154,7 @@ fn client(addr: &str) -> Result<(), String> {
 
 fn main() -> ExitCode {
     // `--base` and `--stdio` analyze on this thread: give it the stack
-    // the serving and analysis workers get.
+    // the session and analysis threads get.
     vhdl_driver::run_on_stack("vhdld", run)
 }
 

@@ -9,16 +9,16 @@
 //! `inspect`/`trace` requests resolve hierarchical path names and globs
 //! through the kernel's Name Server against the live simulation.
 //!
-//! # Serving core vs. session runtime
+//! # Session threads and the session runtime
 //!
-//! The crate splits along a fleet-scale seam (DESIGN.md §13):
+//! The crate splits along one seam (DESIGN.md §13):
 //!
-//! - the **serving core** is a fixed thread budget regardless of client
-//!   count: `acceptors` threads share one listener and do nothing but
-//!   admission (overload rejection, session numbering), and `workers`
-//!   threads each own a shard of the accepted connections, sweeping them
-//!   with non-blocking frame polls. Sessions are `!Send` by construction,
-//!   so a connection is pinned to the worker that created its session;
+//! - **session threads**: [`Server::serve`]'s calling thread is the one
+//!   acceptor (the overload bound and session numbering), and each
+//!   admitted connection is served on a thread of its own by the same
+//!   request loop that serves `--stdio` ([`Server::serve_stream`]).
+//!   Sessions are `!Send` by construction, so a session is created on
+//!   its thread and stays there; `max_clients` bounds the threads;
 //! - the **session runtime** is everything behind one connection — the
 //!   compiler fork, the simulator, the VCD/probe state — and is
 //!   checkpointable: the `checkpoint` op serializes it to one sealed
@@ -32,14 +32,13 @@
 //! - sessions beyond `max_clients` are rejected with an explicit
 //!   `overloaded` error frame, never queued invisibly; sessions beyond a
 //!   tenant's quota get an explicit `tenant-quota` rejection the same way;
-//! - within one worker sweep each tenant is served at most one request,
-//!   so a chatty tenant cannot starve its shard-mates;
-//! - `shutdown` drains: acceptors stop admitting, every worker finishes
-//!   its sweep (in-flight `run`s return a `draining` outcome), serves one
-//!   final sweep of already-readable frames, closes its connections, then
-//!   `serve` returns;
+//! - `shutdown` drains: the acceptor stops admitting, each session
+//!   answers at most the frame already on its way (an in-flight `run`
+//!   returns a `draining` outcome) and closes, an idle session sees the
+//!   flag at its 200 ms read timeout, and `serve` returns once every
+//!   session thread has ended;
 //! - a panicking request handler answers with an `internal error`
-//!   response instead of killing the connection (or its worker);
+//!   response instead of killing the connection;
 //! - every request leaves one structured access-log line and updates the
 //!   per-op latency/byte counters that `stats` reports (p50/p95/p99).
 
@@ -49,12 +48,12 @@ pub mod metrics;
 pub mod proto;
 pub mod session;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 use vhdl_driver::batch::panic_text;
@@ -62,7 +61,7 @@ use vhdl_vif::LibrarySnapshot;
 
 use json::{obj, Json};
 use metrics::Metrics;
-use proto::{poll_frame, read_frame, write_frame, FrameRead};
+use proto::{read_frame, write_frame, FrameRead};
 use session::{RequestCtl, Session};
 
 /// Server configuration.
@@ -78,11 +77,11 @@ pub struct ServerConfig {
     pub jobs: usize,
     /// Suppress the access log (tests).
     pub quiet: bool,
-    /// Session-serving worker threads. Each owns a shard of the accepted
-    /// connections; the thread budget is fixed no matter how many clients
-    /// connect.
+    /// Ignored: every session has a thread of its own. Kept because the
+    /// benchmark's `serve` workload still sets it.
     pub workers: usize,
-    /// Acceptor threads sharing the listener.
+    /// Ignored: `serve`'s calling thread is the one acceptor. Kept for
+    /// the same reason as `workers`.
     pub acceptors: usize,
     /// Maximum concurrent sessions bound to one tenant (a request's
     /// optional `tenant` field); the binding request beyond the quota
@@ -104,7 +103,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// State shared by the acceptors and every worker.
+/// State shared by the acceptor and every session thread.
 struct Shared {
     cfg: ServerConfig,
     shutting_down: AtomicBool,
@@ -117,8 +116,8 @@ struct Shared {
     tenants: Mutex<HashMap<String, usize>>,
 }
 
-/// The server. [`Server::serve`] owns the acceptor and worker threads;
-/// each accepted connection gets a worker-confined [`Session`].
+/// The server. [`Server::serve`] accepts connections and serves each
+/// on its own thread, with a [`Session`] confined to that thread.
 pub struct Server {
     shared: Arc<Shared>,
 }
@@ -161,59 +160,64 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Fatal listener I/O or thread-spawn errors only; per-connection
-    /// errors are handled per connection.
+    /// Fatal listener I/O errors only, returned after the open sessions
+    /// drain; per-connection errors, a failed thread spawn included, are
+    /// handled per connection.
     pub fn serve(&self, listener: TcpListener) -> std::io::Result<()> {
         listener.set_nonblocking(true)?;
-        let n_workers = self.shared.cfg.workers.max(1);
-        let n_acceptors = self.shared.cfg.acceptors.max(1);
-        let mut txs: Vec<Sender<(TcpStream, u64)>> = Vec::with_capacity(n_workers);
-        let mut workers = Vec::with_capacity(n_workers);
-        for w in 0..n_workers {
-            let (tx, rx) = mpsc::channel();
-            txs.push(tx);
-            let shared = Arc::clone(&self.shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("vhdld-worker-{w}"))
-                    .stack_size(vhdl_driver::STACK_SIZE)
-                    .spawn(move || worker_loop(&shared, &rx))?,
-            );
+        let mut sessions = Vec::new();
+        let mut result = Ok(());
+        while !self.shared.shutting_down.load(Ordering::SeqCst) {
+            // A finished thread keeps its stack until it is joined.
+            let (done, open) = sessions.into_iter().partition(JoinHandle::is_finished);
+            sessions = open;
+            self.shared.join_sessions(done);
+            match listener.accept() {
+                Ok((stream, peer)) => {
+                    let Some(sid) = self.shared.admit(&stream, peer) else {
+                        continue;
+                    };
+                    let shared = Arc::clone(&self.shared);
+                    let spawned = std::thread::Builder::new()
+                        .name(format!("vhdld-session-{sid}"))
+                        .stack_size(vhdl_driver::STACK_SIZE)
+                        .spawn(move || serve_conn(&shared, &stream, sid));
+                    match spawned {
+                        Ok(h) => sessions.push(h),
+                        Err(e) => {
+                            // The stream dropped with the closure: the
+                            // client sees a clean close.
+                            self.shared.active.fetch_sub(1, Ordering::SeqCst);
+                            self.shared.log(&format!("session={sid} spawn-error: {e}"));
+                        }
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                // A peer that reset before `accept` is not a listener fault.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::Interrupted | std::io::ErrorKind::ConnectionAborted
+                    ) => {}
+                Err(e) => {
+                    self.shared.log(&format!("acceptor-error: {e}"));
+                    self.shared.shutting_down.store(true, Ordering::SeqCst);
+                    result = Err(e);
+                }
+            }
         }
-        let mut acceptors = Vec::with_capacity(n_acceptors);
-        for a in 0..n_acceptors {
-            let l = listener.try_clone()?;
-            let shared = Arc::clone(&self.shared);
-            let txs = txs.clone();
-            acceptors.push(
-                std::thread::Builder::new()
-                    .name(format!("vhdld-accept-{a}"))
-                    .spawn(move || accept_loop(&shared, &l, &txs))?,
-            );
-        }
-        // Workers see channel disconnect (no more admissions) only after
-        // every sender — ours and the acceptors' clones — is gone.
-        drop(txs);
-        for h in acceptors {
-            let _ = h.join();
-        }
-        for h in workers {
-            let _ = h.join();
-        }
+        self.shared.join_sessions(sessions);
         self.shared.log("drained");
-        Ok(())
+        result
     }
 
     /// Serves exactly one session over arbitrary streams (`--stdio`
     /// mode; also the harness for deterministic protocol tests).
     pub fn serve_stream(&self, reader: &mut impl Read, writer: &mut impl Write) {
-        let sid = self.shared.next_session.fetch_add(1, Ordering::SeqCst);
-        self.shared
-            .metrics
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .sessions += 1;
-        session_loop(&self.shared, reader, writer, sid);
+        let sid = self.shared.open_session();
+        session_loop(&self.shared, reader, writer, sid, |_| Ok(()));
     }
 }
 
@@ -235,209 +239,80 @@ impl Shared {
             eprintln!("vhdld[{}ms] {line}", epoch_ms());
         }
     }
-}
 
-/// Admission: accepts connections, applies the overload bound, and hands
-/// each admitted stream to its shard's worker (`sid % workers`). Several
-/// acceptors share the non-blocking listener; a connection stolen by a
-/// sibling shows up here as `WouldBlock`.
-fn accept_loop(shared: &Shared, listener: &TcpListener, txs: &[Sender<(TcpStream, u64)>]) {
-    while !shared.shutting_down.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                // Request/response framing; never batch small writes.
-                let _ = stream.set_nodelay(true);
-                let active = shared.active.fetch_add(1, Ordering::SeqCst);
-                if active >= shared.cfg.max_clients {
-                    // Explicit overload rejection: one error frame, then
-                    // close. Nothing queues invisibly.
-                    shared.active.fetch_sub(1, Ordering::SeqCst);
-                    shared
-                        .metrics
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .overloaded += 1;
-                    let mut s = stream;
-                    let reply = obj([
-                        ("id", Json::Null),
-                        ("ok", Json::Bool(false)),
-                        (
-                            "error",
-                            Json::str(format!(
-                                "overloaded: {} active sessions (max {})",
-                                active, shared.cfg.max_clients
-                            )),
-                        ),
-                    ]);
-                    let _ = write_frame(&mut s, &reply.to_text());
-                    shared.log(&format!("reject peer={peer} reason=overloaded"));
-                    continue;
-                }
-                let sid = shared.next_session.fetch_add(1, Ordering::SeqCst);
-                shared
-                    .metrics
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .sessions += 1;
-                shared.log(&format!("accept session={sid} peer={peer}"));
-                let shard = (sid as usize) % txs.len();
-                if txs[shard].send((stream, sid)).is_err() {
-                    // The worker is gone (drain raced us); the stream
-                    // drops and the client sees a clean close.
-                    shared.active.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                shared.log(&format!("acceptor-error: {e}"));
-                return;
+    /// Joins session threads, logging a panic that escaped a session loop.
+    fn join_sessions(&self, threads: Vec<JoinHandle<()>>) {
+        for h in threads {
+            if let Err(p) = h.join() {
+                self.log(&format!("session-panic: {}", panic_text(p)));
             }
         }
     }
+
+    /// Numbers a new session and counts it in the metrics.
+    fn open_session(&self) -> u64 {
+        self.metrics
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .sessions += 1;
+        self.next_session.fetch_add(1, Ordering::SeqCst)
+    }
+
+    /// Admission: applies the overload bound to an accepted stream and
+    /// numbers the session. A rejected stream gets one `overloaded`
+    /// frame, then closes; nothing queues invisibly.
+    fn admit(&self, stream: &TcpStream, peer: SocketAddr) -> Option<u64> {
+        stream.set_nonblocking(false).ok()?;
+        // Request/response framing; never batch small writes.
+        let _ = stream.set_nodelay(true);
+        let active = self.active.fetch_add(1, Ordering::SeqCst);
+        if active >= self.cfg.max_clients {
+            self.active.fetch_sub(1, Ordering::SeqCst);
+            self.metrics
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .overloaded += 1;
+            let reply = obj([
+                ("id", Json::Null),
+                ("ok", Json::Bool(false)),
+                (
+                    "error",
+                    Json::str(format!(
+                        "overloaded: {} active sessions (max {})",
+                        active, self.cfg.max_clients
+                    )),
+                ),
+            ]);
+            let _ = write_frame(&mut &*stream, &reply.to_text());
+            self.log(&format!("reject peer={peer} reason=overloaded"));
+            return None;
+        }
+        let sid = self.open_session();
+        self.log(&format!("accept session={sid} peer={peer}"));
+        Some(sid)
+    }
 }
 
-/// One connection owned by a worker.
-struct Conn {
-    stream: TcpStream,
-    sid: u64,
-    session: Session,
-    /// Tenant this connection bound itself to (first request carrying a
-    /// `tenant` field); `None` acts as a per-connection singleton tenant.
-    tenant: Option<String>,
-}
-
-/// Releases a closing connection's admission and tenant slots.
-fn close_conn(shared: &Shared, conn: &Conn) {
-    if let Some(t) = &conn.tenant {
+/// One admitted connection's thread: runs the session loop with tenant
+/// binding, then releases the admission and tenant slots.
+fn serve_conn(shared: &Shared, stream: &TcpStream, sid: u64) {
+    // The timeout is how an idle session sees the drain flag.
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    let mut tenant = None;
+    session_loop(shared, &mut &*stream, &mut &*stream, sid, |t| {
+        bind_tenant(shared, &mut tenant, sid, t)
+    });
+    if let Some(t) = tenant {
         let mut m = shared.tenants.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(n) = m.get_mut(t) {
+        if let Some(n) = m.get_mut(&t) {
             *n = n.saturating_sub(1);
             if *n == 0 {
-                m.remove(t);
+                m.remove(&t);
             }
         }
     }
     shared.active.fetch_sub(1, Ordering::SeqCst);
-    shared.log(&format!("close session={}", conn.sid));
-}
-
-/// One worker: owns a shard of connections and sweeps them round-robin.
-/// Each sweep serves at most one request per connection and at most one
-/// request per *tenant* (fair scheduling: a tenant with many connections
-/// on this shard advances one request per sweep, like everyone else).
-fn worker_loop(shared: &Shared, rx: &Receiver<(TcpStream, u64)>) {
-    let mut conns: Vec<Conn> = Vec::new();
-    // Consecutive sweeps that served nothing. Request/response traffic
-    // ping-pongs: the client's next request lands ~tens of µs after our
-    // reply, so an immediate sleep would tax every request with the full
-    // sleep. Spin-poll through a short grace window first.
-    let mut idle_sweeps: u32 = 0;
-    loop {
-        // Adopt newly accepted connections; the session is created here,
-        // on the worker, because it is deliberately `!Send`.
-        while let Ok((stream, sid)) = rx.try_recv() {
-            // The timeout bounds mid-frame stalls; idleness itself is
-            // detected by the non-blocking poll, not by this timeout.
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-            conns.push(Conn {
-                stream,
-                sid,
-                session: Session::new(shared.base.as_ref(), shared.cfg.jobs),
-                tenant: None,
-            });
-        }
-        // Observe the flag *before* the sweep: once it is set, this
-        // iteration's sweep is the final one — already-readable frames
-        // (and `run`s returning `draining`) still get answers.
-        let draining = shared.shutting_down.load(Ordering::SeqCst);
-        let mut served_tenants: HashSet<String> = HashSet::new();
-        let mut any = false;
-        let mut i = 0;
-        while i < conns.len() {
-            if let Some(t) = &conns[i].tenant {
-                if served_tenants.contains(t) {
-                    i += 1;
-                    continue;
-                }
-            }
-            match sweep_conn(shared, &mut conns[i], &mut served_tenants) {
-                SweepOutcome::Idle => i += 1,
-                SweepOutcome::Served => {
-                    any = true;
-                    i += 1;
-                }
-                SweepOutcome::Close => {
-                    any = true;
-                    close_conn(shared, &conns[i]);
-                    conns.swap_remove(i);
-                }
-            }
-        }
-        if draining {
-            break;
-        }
-        if any {
-            idle_sweeps = 0;
-        } else {
-            idle_sweeps += 1;
-            if idle_sweeps < 64 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    }
-    for conn in &conns {
-        close_conn(shared, conn);
-    }
-}
-
-enum SweepOutcome {
-    Idle,
-    Served,
-    Close,
-}
-
-/// Polls one connection and serves at most one request.
-fn sweep_conn(
-    shared: &Shared,
-    conn: &mut Conn,
-    served_tenants: &mut HashSet<String>,
-) -> SweepOutcome {
-    let text = match poll_frame(&mut conn.stream) {
-        Ok(FrameRead::Idle) => return SweepOutcome::Idle,
-        Ok(FrameRead::Eof) => return SweepOutcome::Close,
-        Ok(FrameRead::Frame(t)) => t,
-        Err(e) => {
-            shared.log(&format!("session={} protocol-error: {e}", conn.sid));
-            return SweepOutcome::Close;
-        }
-    };
-    let Conn {
-        stream,
-        sid,
-        session,
-        tenant,
-    } = conn;
-    let open = serve_request(shared, session, *sid, &text, stream, |t| {
-        bind_tenant(shared, tenant, *sid, t)
-    });
-    if let Some(t) = tenant {
-        served_tenants.insert(t.clone());
-    }
-    if open {
-        SweepOutcome::Served
-    } else {
-        // After `shutdown` the ok frame is already on the wire; every
-        // worker sees the drain flag at its next sweep.
-        SweepOutcome::Close
-    }
+    shared.log(&format!("close session={sid}"));
 }
 
 /// Serves one request frame on `session`: parses it, passes a claimed
@@ -532,9 +407,18 @@ fn bind_tenant(
     }
 }
 
-/// The single-connection loop used by `--stdio` mode and the stream
-/// harness (no tenancy: the process *is* the session).
-fn session_loop(shared: &Shared, reader: &mut impl Read, writer: &mut impl Write, sid: u64) {
+/// The request loop of one session, for TCP, `--stdio` and the stream
+/// harness alike. `admit` binds a request's claimed tenant: quota-checked
+/// over TCP, accepted as is over stdio (the process *is* the session).
+/// Once the drain flag is up the session answers at most the frame
+/// already on its way, then closes.
+fn session_loop(
+    shared: &Shared,
+    reader: &mut impl Read,
+    writer: &mut impl Write,
+    sid: u64,
+    mut admit: impl FnMut(&str) -> Result<(), Json>,
+) {
     let mut session = Session::new(shared.base.as_ref(), shared.cfg.jobs);
     loop {
         let text = match read_frame(reader) {
@@ -551,7 +435,9 @@ fn session_loop(shared: &Shared, reader: &mut impl Read, writer: &mut impl Write
                 return;
             }
         };
-        if !serve_request(shared, &mut session, sid, &text, writer, |_| Ok(())) {
+        if !serve_request(shared, &mut session, sid, &text, writer, &mut admit)
+            || shared.shutting_down.load(Ordering::SeqCst)
+        {
             return;
         }
     }
@@ -613,7 +499,7 @@ fn route(shared: &Shared, session: &mut Session, sid: u64, id: u64, op: &str, bo
                 metrics: &shared.metrics,
             };
             // A handler panic answers this request; it must not kill the
-            // session (nor, in a pooled worker, the server).
+            // session.
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 session.handle(op, body, &ctl)
             }))
@@ -667,7 +553,7 @@ fn stats_json(shared: &Shared, session: &Session, sid: u64) -> Json {
         .lock()
         .unwrap_or_else(|p| p.into_inner())
         .to_json();
-    // Process-wide unit-load counter (summed over every shard and
+    // Process-wide unit-load counter (summed over every session and
     // batch-worker thread).
     let vifb = vhdl_vif::vifb_stats();
     let extra = [
@@ -682,10 +568,6 @@ fn stats_json(shared: &Shared, session: &Session, sid: u64) -> Json {
         (
             "active_sessions".to_string(),
             Json::u64(shared.active.load(Ordering::SeqCst) as u64),
-        ),
-        (
-            "workers".to_string(),
-            Json::u64(shared.cfg.workers.max(1) as u64),
         ),
         (
             "session".to_string(),

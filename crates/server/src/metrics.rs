@@ -36,8 +36,7 @@ impl OpStats {
     }
 
     /// `(p50, p95, p99)` microseconds over the reservoir (zeros when
-    /// empty). The tail matters most under pooled serving — a worker
-    /// stalled behind a slow tenant shows up at p99 long before p95.
+    /// empty). A slow request shows up at p99 long before p95.
     pub fn percentiles(&self) -> (u64, u64, u64) {
         if self.lat_us.is_empty() {
             return (0, 0, 0);

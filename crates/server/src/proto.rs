@@ -61,61 +61,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<FrameRead> {
     Ok(FrameRead::Frame(text))
 }
 
-/// Polls one TCP stream for a frame without blocking the caller's sweep:
-/// the pooled serving core multiplexes many idle sessions onto one worker
-/// thread, so "is a request waiting?" must cost one non-blocking syscall,
-/// not a 200 ms read-timeout stall per session.
-///
-/// The stream is switched to non-blocking for the single header-probe
-/// byte; if a frame has started, it switches back to blocking (the
-/// stream's configured read timeout governs the remainder — frames are
-/// written whole, so the rest is already in flight) and reads it to
-/// completion. The stream is always left in blocking mode, so replies can
-/// be written immediately after.
-///
-/// # Errors
-///
-/// I/O errors, oversized frames, non-UTF-8 payloads, mid-frame stalls.
-pub fn poll_frame(stream: &mut std::net::TcpStream) -> io::Result<FrameRead> {
-    stream.set_nonblocking(true)?;
-    let mut first = [0u8; 1];
-    let probe = loop {
-        match stream.read(&mut first) {
-            Ok(0) => break FrameRead::Eof,
-            Ok(_) => break FrameRead::Frame(String::new()),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                break FrameRead::Idle
-            }
-            Err(e) => {
-                let _ = stream.set_nonblocking(false);
-                return Err(e);
-            }
-        }
-    };
-    stream.set_nonblocking(false)?;
-    match probe {
-        FrameRead::Frame(_) => {}
-        other => return Ok(other),
-    }
-    let mut rest = [0u8; 3];
-    stream.read_exact(&mut rest)?;
-    let len = u32::from_be_bytes([first[0], rest[0], rest[1], rest[2]]) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte limit"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    let text = String::from_utf8(body)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
-    Ok(FrameRead::Frame(text))
-}
-
 /// Writes one frame and flushes.
 ///
 /// # Errors

@@ -38,8 +38,7 @@ pub struct RequestCtl<'a> {
 }
 
 /// A session's state. Not `Send` by design — it is confined to the
-/// connection's thread (or, under the pooled serving core, to the one
-/// worker thread that owns the connection).
+/// connection's thread.
 pub struct Session {
     compiler: Compiler,
     /// Analysis workers per `analyze` batch.

@@ -3,12 +3,14 @@
 //! against a serial in-process baseline), the incremental cache is
 //! visible in `stats`, overload and tenant quotas are explicit
 //! rejections, a checkpointed session restores byte-identically in a
-//! fresh session, and `shutdown` drains the worker pool — answering
-//! in-flight `run`s with a `draining` outcome.
+//! fresh session, a long `run` holds up no other session, and
+//! `shutdown` drains every session — answering in-flight `run`s with a
+//! `draining` outcome.
 
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use vhdl_driver::Compiler;
 use vhdl_server::json::{self, obj, Json};
@@ -785,14 +787,56 @@ fn drain_answers_in_flight_runs_with_a_draining_outcome() {
     join.join().expect("serve thread").expect("serve result");
 }
 
+/// Each session is served on its own thread: a `run` that lasts until
+/// its deadline holds up no other session's request.
 #[test]
-fn soak_every_connection_is_served_or_explicitly_rejected() {
+fn a_long_run_does_not_stall_another_session() {
+    let deadline = Duration::from_millis(1500);
     let cfg = ServerConfig {
-        workers: 2,
-        acceptors: 2,
-        ..quiet_cfg(8, 1)
+        workers: 1,
+        deadline,
+        ..quiet_cfg(4, 1)
     };
     let (addr, handle, join) = start(cfg);
+
+    let (elaborated, ready) = mpsc::channel();
+    let runner = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut a = Client::connect(&addr);
+            a.ok("analyze", oscillator_fields());
+            a.ok("elaborate", vec![("entity", Json::str("osc"))]);
+            elaborated.send(()).expect("main thread waits");
+            // Far horizon: only the wall deadline ends this run.
+            a.ok("run", vec![("until", Json::str("1000s"))])
+        })
+    };
+    ready.recv().expect("session A elaborates");
+    std::thread::sleep(Duration::from_millis(300));
+
+    let mut b = Client::connect(&addr);
+    let t0 = Instant::now();
+    b.ok("ping", vec![]);
+    let waited = t0.elapsed();
+
+    let run = runner.join().expect("runner thread");
+    assert!(
+        waited < deadline / 2,
+        "session B's ping waited {waited:?} behind session A's run"
+    );
+    assert_eq!(
+        run.get("outcome").and_then(Json::as_str),
+        Some("wall-deadline"),
+        "session A's run must end at its deadline: {}",
+        run.to_text()
+    );
+    handle.shutdown();
+    join.join().expect("serve thread").expect("serve result");
+}
+
+#[test]
+fn soak_every_connection_is_served_or_explicitly_rejected() {
+    let (addr, handle, join) = start(quiet_cfg(8, 1));
 
     // Twice as many clients as the server admits. Every one must get
     // either full service or an explicit overload frame — never a silent

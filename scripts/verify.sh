@@ -218,14 +218,12 @@ if grep -q " error: " "$SEP/tf.log"; then
 fi
 
 echo "==> vhdld loopback session (analyze -> elaborate -> run -> checkpoint -> restore -> inspect -> stats -> shutdown)"
-# Start the pooled server (explicit worker/acceptor counts so the sharded
-# core — not a fallback path — serves this) on an ephemeral loopback port,
-# send it the deep units, then script one full session through the
-# built-in client, and assert a clean drain: every response ok, the
-# simulation quiescent, a checkpoint blob produced, and the server
-# process exiting by itself.
+# Start the server on an ephemeral loopback port, send it the deep units,
+# then script one full session through the built-in client, and assert a
+# clean drain: every response ok, the simulation quiescent, a checkpoint
+# blob produced, and the server process exiting by itself.
 ./target/release/vhdld --listen 127.0.0.1:0 --quiet \
-    --workers 2 --acceptors 1 --tenant-quota 4 >"$BATCH_WORK/vhdld.out" &
+    --tenant-quota 4 >"$BATCH_WORK/vhdld.out" &
 VHDLD_PID=$!
 ADDR=""
 for _ in $(seq 1 100); do
@@ -305,7 +303,7 @@ fi
 wait "$VHDLD_PID" || { echo "verify: vhdld exited nonzero" >&2; exit 1; }
 
 echo "==> vhdld session forks load the base on their own (each fork parses its units once)"
-# Single serving worker, inline analysis (--jobs 1), a base library of
+# Inline analysis (--jobs 1), a base library of
 # the full adder, and two sequential sessions that each analyze a new
 # architecture of the base's `xor2`. Both sessions fork the base, so
 # `entity.xor2` reaches them as a byte record, and each fork reads its
@@ -314,8 +312,7 @@ echo "==> vhdld session forks load the base on their own (each fork parses its u
 # read a base unit.) The process-wide `text_parses` counter in the
 # `stats` response proves it: the first session moves it by 1..10, and
 # the second by the same amount again.
-./target/release/vhdld --listen 127.0.0.1:0 --quiet \
-    --jobs 1 --workers 1 --acceptors 1 \
+./target/release/vhdld --listen 127.0.0.1:0 --quiet --jobs 1 \
     --base examples/full_adder.vhd >"$BATCH_WORK/vhdld2.out" &
 VHDLD2_PID=$!
 ADDR2=""
