@@ -458,7 +458,7 @@ pub(crate) fn print_fronts(memo: &HashMap<u64, Arc<ParsedFile>>) -> String {
         for u in &f.fronts {
             let (hash, at) = (u.src_hash, u.pos);
             let _ = writeln!(out, "unit {hash:x} {} {} {}", at.line, at.col, u.key);
-            let _ = writeln!(out, "{}", u.cands.join(" "));
+            let _ = writeln!(out, "{}", u.cands.text());
         }
     }
     out.push_str("end\n");
@@ -511,7 +511,7 @@ pub(crate) fn read_fronts(bytes: &[u8]) -> Option<HashMap<u64, Arc<ParsedFile>>>
             };
             fronts.push(depgraph::UnitFront {
                 key: fields.next()?.to_string(),
-                cands: c.line()?.split_whitespace().map(str::to_string).collect(),
+                cands: depgraph::Cands::parse(c.line()?),
                 src_hash,
                 pos,
             });

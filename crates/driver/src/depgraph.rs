@@ -32,8 +32,9 @@ pub struct UnitFront {
     /// Best-effort library key ([`header_key`]); empty when the header
     /// shape is unrecognizable (analysis will diagnose it).
     pub key: String,
-    /// [`candidate_deps`], sorted and deduplicated.
-    pub cands: Vec<String>,
+    /// [`candidate_deps`], sorted and deduplicated. Read them with
+    /// [`UnitFront::candidates`].
+    pub(crate) cands: Cands,
     /// FNV-1a hash of the unit's token run (kind + spelling) — the source
     /// half of the incremental stamp. Whitespace and comments don't lex,
     /// so touching only those leaves the hash unchanged.
@@ -50,10 +51,56 @@ impl UnitFront {
         cands.dedup();
         UnitFront {
             key: header_key(toks),
-            cands,
+            cands: Cands::parse(&cands.join(" ")),
             src_hash: src_hash(toks),
             pos: toks.first().map(|t| t.pos).unwrap_or_default(),
         }
+    }
+
+    /// The candidate dependency keys, in the order `cands` holds them.
+    pub fn candidates(&self) -> impl Iterator<Item = &str> {
+        self.cands.iter()
+    }
+}
+
+/// A unit's candidate keys in one buffer: joined by single spaces, with
+/// the end of each, so a unit's candidates cost two allocations however
+/// many there are, and reading them scans nothing.
+#[derive(Clone, Debug)]
+pub(crate) struct Cands {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl Cands {
+    /// The whitespace-separated keys of `line`.
+    pub(crate) fn parse(line: &str) -> Cands {
+        let mut cands = Cands {
+            text: String::with_capacity(line.len()),
+            ends: Vec::new(),
+        };
+        for key in line.split_whitespace() {
+            if !cands.ends.is_empty() {
+                cands.text.push(' ');
+            }
+            cands.text.push_str(key);
+            cands.ends.push(cands.text.len());
+        }
+        cands
+    }
+
+    /// The keys joined by single spaces, as a `fronts` file holds them.
+    pub(crate) fn text(&self) -> &str {
+        &self.text
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &str> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let key = &self.text[start..end];
+            start = end + 1;
+            key
+        })
     }
 }
 
@@ -275,8 +322,8 @@ pub fn resolve<'a>(files: &[&'a [UnitFront]], in_library: &dyn Fn(&str) -> bool)
     for (i, &(file, unit_in_file, front)) in units.iter().enumerate() {
         // Candidates are sorted and unique, so the deps come out so too.
         let mut deps: Vec<&str> = Vec::new();
-        for cand in &front.cands {
-            if *cand == front.key {
+        for cand in front.candidates() {
+            if cand == front.key {
                 continue;
             }
             // A library unit satisfies the edge with no provider to wait
@@ -582,7 +629,9 @@ mod tests {
                 vhdl_conform::gen_design(&mut ag_harness::Source::from_seed(seed), profile);
             for unit in parse(&design.source) {
                 let toks = unit.leaves();
-                assert_eq!(UnitFront::of(toks).cands, naive_cands(toks), "seed {seed}");
+                let front = UnitFront::of(toks);
+                let cands: Vec<&str> = front.candidates().collect();
+                assert_eq!(cands, naive_cands(toks), "seed {seed}");
             }
         }
     }

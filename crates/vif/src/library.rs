@@ -23,7 +23,7 @@
 //! so `vhdlc --stats` and `vhdld stats` report totals across all threads.
 
 use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,7 +144,31 @@ pub struct Library {
     /// combined with the hashes of the dependency VIF texts at the time
     /// the unit was last analyzed. A unit whose recomputed stamp matches
     /// needs no re-analysis.
-    stamps: RefCell<HashMap<UnitKey, u64>>,
+    stamps: RefCell<HashMap<UnitKey, Stamp>>,
+    /// An on-disk library's unit files: the sanitized keys of the `.vif`
+    /// entries in its directory, listed on the first
+    /// [`Library::contains`] and extended by every store, so a lookup
+    /// makes no system call. `None` until listed, and in memory.
+    files: RefCell<Option<HashSet<String>>>,
+}
+
+/// A unit's incremental stamp and, in an on-disk library, the hash of its
+/// VIF text that the `stamps` file gave with it.
+struct Stamp {
+    stamp: u64,
+    /// FNV-1a hash of the unit file as the `stamps` file recorded it.
+    /// It holds while the key keeps its stamp: a store drops the stamp,
+    /// on disk first, before it replaces the file.
+    text_hash: Option<u64>,
+}
+
+impl Stamp {
+    fn new(stamp: u64) -> Stamp {
+        Stamp {
+            stamp,
+            text_hash: None,
+        }
+    }
 }
 
 impl Library {
@@ -159,6 +183,7 @@ impl Library {
             traffic: RefCell::new(VifTraffic::default()),
             cache_enabled: Cell::new(true),
             stamps: RefCell::new(HashMap::new()),
+            files: RefCell::new(None),
         }
     }
 
@@ -172,7 +197,11 @@ impl Library {
             .map(|(k, text)| (k.clone(), Rc::new(Unit::new(None, Some(Arc::clone(text))))))
             .collect();
         lib.set_history(snap.history.clone());
-        *lib.stamps.get_mut() = snap.stamps.iter().cloned().collect();
+        *lib.stamps.get_mut() = snap
+            .stamps
+            .iter()
+            .map(|(k, s)| (k.clone(), Stamp::new(*s)))
+            .collect();
         lib
     }
 
@@ -204,7 +233,7 @@ impl Library {
             .stamps
             .borrow()
             .iter()
-            .map(|(k, &s)| (k.clone(), s))
+            .map(|(k, s)| (k.clone(), s.stamp))
             .collect();
         stamps.sort();
         LibrarySnapshot {
@@ -215,34 +244,22 @@ impl Library {
         }
     }
 
-    /// Opens (or creates) an on-disk library rooted at `dir`.
+    /// Opens (or creates) an on-disk library rooted at `dir`. It reads the
+    /// `history` and `stamps` files, and no unit file: those are read
+    /// when first used, and [`Library::contains`] lists the directory
+    /// once.
     ///
     /// # Errors
     ///
-    /// I/O errors creating the directory or reading the history file.
+    /// I/O errors creating the directory or reading the history or stamps
+    /// file (a missing file is empty).
     pub fn on_disk(name: &str, dir: impl Into<PathBuf>) -> Result<Library, VifError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let history_path = dir.join("history");
-        let history = if history_path.exists() {
-            std::fs::read_to_string(&history_path)?
-                .lines()
-                .map(str::to_string)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let stamps_path = dir.join("stamps");
-        let mut stamps = HashMap::new();
-        if stamps_path.exists() {
-            for line in std::fs::read_to_string(&stamps_path)?.lines() {
-                if let Some((key, hex)) = line.rsplit_once(' ') {
-                    if let Ok(h) = u64::from_str_radix(hex, 16) {
-                        stamps.insert(key.to_string(), h);
-                    }
-                }
-            }
-        }
+        let history = read_if_any(&dir.join("history"))?.unwrap_or_default();
+        let history = history.lines().map(str::to_string).collect();
+        let stamps = read_if_any(&dir.join("stamps"))?.unwrap_or_default();
+        let stamps = stamps.lines().filter_map(parse_stamp).collect();
         let mut lib = Library::in_memory(name);
         lib.dir = Some(dir);
         lib.set_history(history);
@@ -265,9 +282,12 @@ impl Library {
         if let Some(unit) = self.units.borrow().get(key) {
             return Ok(Rc::clone(unit));
         }
-        let path = self.file(key, "vif").filter(|p| p.exists());
-        let path = path.ok_or_else(|| VifError::MissingUnit(format!("{}.{key}", self.name)))?;
-        let text = Arc::from(std::fs::read_to_string(path)?);
+        let text = match self.file(key, "vif") {
+            Some(path) => read_if_any(&path)?,
+            None => None,
+        };
+        let text = text.ok_or_else(|| VifError::MissingUnit(format!("{}.{key}", self.name)))?;
+        let text = Arc::from(text);
         let unit = Rc::new(Unit::new(None, Some(text)));
         self.units
             .borrow_mut()
@@ -295,8 +315,12 @@ impl Library {
     /// file and the history file, and no in-memory state (records,
     /// history, traffic, stamps) changes unless both renames
     /// succeeded — a failed `put` followed by [`Library::peek_raw`] still
-    /// sees the old version. Only a history rename that fails after the
-    /// unit rename leaves the disk with the new text and the old history.
+    /// sees the old version. Before it writes either file, a store of a
+    /// stamped key rewrites the `stamps` file without the key, since its
+    /// line may carry the hash of the text being replaced. Only a history
+    /// rename that fails after the unit rename leaves the disk with the
+    /// new text and the old history; the library then forgets the key's
+    /// record and stamp, and serves the new text.
     ///
     /// # Errors
     ///
@@ -307,6 +331,11 @@ impl Library {
 
     fn store(&self, key: &str, unit: Unit) -> Result<(), VifError> {
         if let (Some(dir), Some(path)) = (&self.dir, self.file(key, "vif")) {
+            // The batch drops its stamps before it stores, so there this
+            // writes nothing.
+            if self.stamps.borrow().contains_key(key) {
+                self.write_stamps(Some(key))?;
+            }
             let mut history = self.history.borrow().clone();
             history.push(key.to_string());
             let history_path = dir.join("history");
@@ -324,7 +353,14 @@ impl Library {
                 let _ = std::fs::remove_file(&history_tmp);
                 return Err(e);
             }
-            commit(&history_tmp, &history_path)?;
+            if let Some(files) = self.files.borrow_mut().as_mut() {
+                files.insert(sanitize(key));
+            }
+            if let Err(e) = commit(&history_tmp, &history_path) {
+                self.units.borrow_mut().remove(key);
+                self.stamps.borrow_mut().remove(key);
+                return Err(e);
+            }
         }
         {
             let mut t = self.traffic.borrow_mut();
@@ -350,7 +386,7 @@ impl Library {
 
     /// The unit's incremental stamp, if one was recorded.
     pub fn stamp(&self, key: &str) -> Option<u64> {
-        self.stamps.borrow().get(key).copied()
+        self.stamps.borrow().get(key).map(|s| s.stamp)
     }
 
     /// Records units' incremental stamps. On disk the `stamps` file is
@@ -367,12 +403,12 @@ impl Library {
         {
             let mut all = self.stamps.borrow_mut();
             for (key, stamp) in stamps {
-                all.insert(key, stamp);
+                all.insert(key, Stamp::new(stamp));
                 any = true;
             }
         }
         if any {
-            self.write_stamps()?;
+            self.write_stamps(None)?;
         }
         Ok(())
     }
@@ -394,18 +430,30 @@ impl Library {
             }
         }
         if any {
-            self.write_stamps()?;
+            self.write_stamps(None)?;
         }
         Ok(())
     }
 
-    fn write_stamps(&self) -> Result<(), VifError> {
+    /// Writes the `stamps` file, leaving out `without`: a `key stamp hash`
+    /// line, in hex, for each key whose text hash is known (memoized in
+    /// its record, or read with its stamp), and `key stamp` for the rest.
+    /// Writing adds no hashing.
+    fn write_stamps(&self, without: Option<&str>) -> Result<(), VifError> {
         if let Some(dir) = &self.dir {
+            let units = self.units.borrow();
             let mut lines: Vec<String> = self
                 .stamps
                 .borrow()
                 .iter()
-                .map(|(k, v)| format!("{k} {v:x}"))
+                .filter(|(k, _)| Some(k.as_str()) != without)
+                .map(|(k, s)| {
+                    let memo = units.get(k).and_then(|u| u.text_hash.get().copied());
+                    match memo.or(s.text_hash) {
+                        Some(h) => format!("{k} {:x} {h:x}", s.stamp),
+                        None => format!("{k} {:x}", s.stamp),
+                    }
+                })
                 .collect();
             lines.sort();
             write_atomic(&dir.join("stamps"), lines.join("\n").as_bytes())?;
@@ -439,11 +487,21 @@ impl Library {
     /// A tree record streams its printer into the hash and makes no text.
     /// It is the per-dependency ingredient of incremental stamps — the
     /// batch driver uses it instead of re-reading and re-hashing dep text.
+    /// In an on-disk library a stamped key whose record is not loaded
+    /// answers with the hash its `stamps` line carries, and reads no unit
+    /// file; the `stamps` file keeps each known hash, so a restart that
+    /// finds every unit current opens none.
     ///
     /// # Errors
     ///
     /// [`VifError::MissingUnit`] if absent; I/O errors on disk.
     pub fn text_hash(&self, key: &str) -> Result<u64, VifError> {
+        if let Some(unit) = self.units.borrow().get(key) {
+            return Ok(unit.text_hash());
+        }
+        if let Some(h) = self.stamps.borrow().get(key).and_then(|s| s.text_hash) {
+            return Ok(h);
+        }
         Ok(self.unit(key)?.text_hash())
     }
 
@@ -454,11 +512,23 @@ impl Library {
         t.units_read += 1;
     }
 
-    /// `true` if the unit exists.
+    /// `true` if the unit exists: in memory, if it has a record; on disk,
+    /// if its unit file does, as [`Path::exists`] would answer. The
+    /// directory is listed on the first call and the listing kept, so a
+    /// file another process adds later is not seen, as the history and
+    /// stamps read at open are not updated either.
     pub fn contains(&self, key: &str) -> bool {
-        match self.file(key, "vif") {
-            None => self.units.borrow().contains_key(key),
-            Some(path) => path.exists(),
+        let Some(dir) = &self.dir else {
+            return self.units.borrow().contains_key(key);
+        };
+        let mut files = self.files.borrow_mut();
+        if files.is_none() {
+            *files = unit_files(dir).ok();
+        }
+        let name = sanitize(key);
+        match &*files {
+            Some(files) => files.contains(&name),
+            None => dir.join(format!("{name}.vif")).exists(),
         }
     }
 
@@ -548,6 +618,46 @@ fn commit(tmp: &Path, path: &Path) -> Result<(), VifError> {
 /// I/O errors writing or renaming the temp file.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), VifError> {
     commit(&stage(path, bytes)?, path)
+}
+
+/// The text of `path`, or `None` if there is no such file.
+fn read_if_any(path: &Path) -> Result<Option<String>, VifError> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => Ok(Some(text)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// One `stamps` line, `key stamp` or `key stamp hash` in hex. A line with
+/// no hex stamp is no stamp; a third field that is not hex is no hash,
+/// and the unit file is then read for it.
+fn parse_stamp(line: &str) -> Option<(UnitKey, Stamp)> {
+    let mut fields = line.split(' ');
+    let key = fields.next()?;
+    let stamp = u64::from_str_radix(fields.next()?, 16).ok()?;
+    let text_hash = fields.next().and_then(|h| u64::from_str_radix(h, 16).ok());
+    if fields.next().is_some() {
+        return None;
+    }
+    Some((key.to_string(), Stamp { stamp, text_hash }))
+}
+
+/// The sanitized keys of the `.vif` entries in `dir`, as [`Path::exists`]
+/// sees them: a symbolic link counts when its target exists.
+fn unit_files(dir: &Path) -> std::io::Result<HashSet<String>> {
+    let mut files = HashSet::new();
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let Some(key) = name.to_str().and_then(|n| n.strip_suffix(".vif")) else {
+            continue;
+        };
+        if !entry.file_type()?.is_symlink() || entry.path().exists() {
+            files.insert(key.to_string());
+        }
+    }
+    Ok(files)
 }
 
 fn sanitize(key: &str) -> String {
@@ -1034,6 +1144,116 @@ mod tests {
         assert_eq!(lib.stamp("pkg.p"), Some(1));
         assert_eq!(lib.stamp("entity.e"), None);
         assert_eq!(lib.stamp("arch.e.rtl"), None);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A reopened library answers `text_hash` for a stamped key from its
+    /// `stamps` line, with no unit file to read; once the key is stored
+    /// again, a reopen reads the new file.
+    #[test]
+    fn stamps_keep_text_hashes_until_the_text_changes() {
+        let dir = std::env::temp_dir().join(format!("vif-hashes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let hash = {
+            let lib = Library::on_disk("work", &dir).unwrap();
+            put_bytes(&lib, "pkg.p", &unit("p"));
+            let hash = lib.text_hash("pkg.p").unwrap();
+            lib.set_stamps([("pkg.p".to_string(), 7)]).unwrap();
+            hash
+        };
+        std::fs::remove_file(dir.join("pkg.p.vif")).unwrap();
+        let lib = Library::on_disk("work", &dir).unwrap();
+        assert_eq!(lib.stamp("pkg.p"), Some(7));
+        assert_eq!(lib.text_hash("pkg.p").unwrap(), hash);
+
+        let text = write_vif(&unit("q"));
+        lib.put_text("pkg.p", &text).unwrap();
+        let lib = Library::on_disk("work", &dir).unwrap();
+        assert_eq!(lib.stamp("pkg.p"), None);
+        assert_eq!(lib.text_hash("pkg.p").unwrap(), fnv1a(0, text.as_bytes()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A `stamps` file written before lines carried hashes, or with a
+    /// third field that is not hex, opens with its stamps and reads the
+    /// unit files for their hashes.
+    #[test]
+    fn stamps_without_a_usable_hash_read_the_unit_file() {
+        let dir = std::env::temp_dir().join(format!("vif-oldstamps-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let lib = Library::on_disk("work", &dir).unwrap();
+        put_bytes(&lib, "pkg.p", &unit("p"));
+        put_bytes(&lib, "pkg.q", &unit("q"));
+        let want = |key| fnv1a(0, lib.peek_raw(key).unwrap().as_bytes());
+        std::fs::write(dir.join("stamps"), "pkg.p 7\npkg.q 8 not-hex\npkg.r 9 1").unwrap();
+        let lib2 = Library::on_disk("work", &dir).unwrap();
+        assert_eq!(lib2.stamp("pkg.p"), Some(7));
+        assert_eq!(lib2.stamp("pkg.q"), Some(8));
+        assert_eq!(lib2.text_hash("pkg.p").unwrap(), want("pkg.p"));
+        assert_eq!(lib2.text_hash("pkg.q").unwrap(), want("pkg.q"));
+        // A hash with no unit file still answers: the line is trusted.
+        assert_eq!(lib2.text_hash("pkg.r").unwrap(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A history rename that fails after the unit rename leaves the new
+    /// text on disk: the library then drops the key's stamp and record,
+    /// serves the new text, and a reopen hashes the new file.
+    #[test]
+    fn failed_history_rename_forgets_the_stamp() {
+        let dir = std::env::temp_dir().join(format!("vif-hist-rename-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let lib = Library::on_disk("work", &dir).unwrap();
+        put_bytes(&lib, "pkg.p", &unit("p"));
+        lib.text_hash("pkg.p").unwrap();
+        lib.set_stamps([("pkg.p".to_string(), 7)]).unwrap();
+        let history = dir.join("history");
+        std::fs::remove_file(&history).unwrap();
+        std::fs::create_dir_all(history.join("occupied")).unwrap();
+
+        let text = write_vif(&unit("q"));
+        assert!(lib.put_text("pkg.p", &text).is_err());
+        assert_eq!(lib.stamp("pkg.p"), None);
+        assert_eq!(lib.peek_raw("pkg.p").unwrap(), text);
+        std::fs::remove_dir_all(&history).unwrap();
+        let lib = Library::on_disk("work", &dir).unwrap();
+        assert_eq!(lib.text_hash("pkg.p").unwrap(), fnv1a(0, text.as_bytes()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `contains` on disk answers from one directory listing as
+    /// `Path::exists` answers: for files the history does not list, a
+    /// directory in a unit file's place, a dangling link and a key whose
+    /// file name is sanitized; and a store extends the listing.
+    #[test]
+    fn disk_contains_agrees_with_the_file_system() {
+        let dir = std::env::temp_dir().join(format!("vif-contains-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let lib = Library::on_disk("work", &dir).unwrap();
+        put_bytes(&lib, "pkg.stored", &unit("stored"));
+        std::fs::write(dir.join("pkg.unlisted.vif"), "VIF1").unwrap();
+        std::fs::create_dir(dir.join("pkg.dir.vif")).unwrap();
+        std::fs::write(dir.join("pkg.a_b.vif"), "VIF1").unwrap();
+        std::os::unix::fs::symlink(dir.join("nowhere"), dir.join("pkg.dangling.vif")).unwrap();
+        std::os::unix::fs::symlink(dir.join("pkg.a_b.vif"), dir.join("pkg.linked.vif")).unwrap();
+        let keys = [
+            "pkg.stored",
+            "pkg.unlisted",
+            "pkg.dir",
+            "pkg.a-b",
+            "pkg.dangling",
+            "pkg.linked",
+            "pkg.absent",
+            "history",
+        ];
+        let lib = Library::on_disk("work", &dir).unwrap();
+        for key in keys {
+            let exists = dir.join(format!("{}.vif", sanitize(key))).exists();
+            assert_eq!(lib.contains(key), exists, "{key}");
+        }
+        assert!(lib.contains("pkg.unlisted") && !lib.contains("pkg.dangling"));
+        put_bytes(&lib, "pkg.absent", &unit("absent"));
+        assert!(lib.contains("pkg.absent"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

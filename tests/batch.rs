@@ -754,3 +754,124 @@ fn a_failed_stamps_write_commits_nothing() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// The VIF text of `pkg.base` as `fixtures::BASE_TOUCHED` compiles it,
+/// and the library a cold build of the touched design leaves.
+fn touched_base() -> (String, Vec<(String, String)>) {
+    let mut touched = fixtures::out_of_order();
+    touched[4].1 = fixtures::BASE_TOUCHED.into();
+    let c = Compiler::in_memory();
+    assert!(c.compile_batch(&touched, BatchOptions::default()).ok());
+    let base = c.libs.work().peek_raw("pkg.base").expect("base text");
+    (base, library_texts(&c))
+}
+
+/// A unit rewritten through `Library::put_text` between two processes is
+/// hashed from its new file by the next: a restart that compiles every
+/// file but `base.vhd` re-analyzes exactly `base`'s dependents, and the
+/// library then holds what a cold build of the touched design gives.
+#[test]
+fn a_put_text_between_processes_invalidates_its_dependents() {
+    let dir = temp_root("put-text");
+    let (base, want) = touched_base();
+    for jobs in [1, 2] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = BatchOptions {
+            jobs,
+            incremental: true,
+        };
+        let files = fixtures::out_of_order();
+        assert!(Compiler::on_disk(&dir)
+            .expect("open library")
+            .compile_batch(&files, opts)
+            .ok());
+        Library::on_disk("work", &dir)
+            .expect("reopen library")
+            .put_text("pkg.base", &base)
+            .expect("rewrite base");
+        let c = Compiler::on_disk(&dir).expect("reopen library");
+        let r = c.compile_batch(&files[..4], opts);
+        assert!(r.ok(), "jobs={jobs}");
+        let mut analyzed: Vec<&str> = r
+            .units
+            .iter()
+            .filter(|u| !u.skipped)
+            .map(|u| u.key.as_str())
+            .collect();
+        analyzed.sort_unstable();
+        assert_eq!(analyzed, ["arch.top.rtl", "pkg.derived"], "jobs={jobs}");
+        assert_eq!(library_texts(&c), want, "jobs={jobs}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `.vif` that the history does not list, as a failed history rename
+/// leaves it, still satisfies a dependency: with `pkg.base` taken out of
+/// `history` (and of `stamps`, as such a store drops its stamp first), a
+/// restart that compiles every file but `base.vhd` finds it in the
+/// library and hits every stamp.
+#[test]
+fn a_unit_file_missing_from_the_history_is_in_the_library() {
+    let dir = temp_root("unlisted");
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = BatchOptions {
+        jobs: 1,
+        incremental: true,
+    };
+    let files = fixtures::out_of_order();
+    let cold = Compiler::on_disk(&dir).expect("open library");
+    assert!(cold.compile_batch(&files, opts).ok());
+    let want = library_texts(&cold);
+    for name in ["history", "stamps"] {
+        let path = dir.join(name);
+        let text = std::fs::read_to_string(&path).expect("library file");
+        let kept: Vec<&str> = text
+            .lines()
+            .filter(|l| *l != "pkg.base" && !l.starts_with("pkg.base "))
+            .collect();
+        std::fs::write(&path, kept.join("\n")).expect("rewrite library file");
+    }
+    let c = Compiler::on_disk(&dir).expect("reopen library");
+    assert!(!c.libs.work().history().contains(&"pkg.base".to_string()));
+    assert!(c.libs.work().contains("pkg.base"));
+    let r = c.compile_batch(&files[..4], opts);
+    assert!(r.ok());
+    assert_eq!((r.cache.hits, r.cache.analyzed()), (4, 0));
+    let listed: Vec<_> = want.into_iter().filter(|(k, _)| k != "pkg.base").collect();
+    assert_eq!(library_texts(&c), listed);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A restart whose units all hit opens no unit file: its stamps carry
+/// the dependencies' VIF text hashes, so with every `.vif` moved out of
+/// the library it still hits every stamp, at one job and at two.
+#[test]
+fn all_hit_restart_reads_no_unit_file() {
+    let root = temp_root("no-vif-read");
+    let (dir, aside) = (root.join("lib"), root.join("aside"));
+    for jobs in [1, 2] {
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&aside).expect("aside dir");
+        let opts = BatchOptions {
+            jobs,
+            incremental: true,
+        };
+        let files = fixtures::out_of_order();
+        assert!(Compiler::on_disk(&dir)
+            .expect("open library")
+            .compile_batch(&files, opts)
+            .ok());
+        for entry in std::fs::read_dir(&dir).expect("library dir") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_some_and(|e| e == "vif") {
+                let to = aside.join(path.file_name().expect("file name"));
+                std::fs::rename(&path, to).expect("move unit file");
+            }
+        }
+        let r = Compiler::on_disk(&dir)
+            .expect("reopen library")
+            .compile_batch(&files, opts);
+        assert_eq!((r.cache.hits, r.cache.analyzed()), (5, 0), "jobs={jobs}");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
