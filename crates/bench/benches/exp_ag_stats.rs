@@ -1,7 +1,9 @@
 //! E3 + E6: the §4.1 statistics table for both real AGs (the paper's
 //! "VHDL AG" vs "expr AG" comparison), including the §4.2 claim that
-//! implicit rules are more than half of all rules, and the LALR table
-//! sizes of both grammars.
+//! implicit rules are more than half of all rules, the LALR table sizes
+//! of both grammars, and the rule instances each AG runs analyzing the
+//! `vif_digest.rs` corpus (`ag_bench::rule_instances`, the helper the
+//! `rule_budget.rs` test pins).
 
 use ag_core::{analyze, plan, AgStats};
 use ag_harness::bench::Runner;
@@ -80,6 +82,15 @@ fn main() {
         ps.implicit_fraction() > 0.5,
         "principal AG majority implicit"
     );
+    let run = ag_bench::rule_instances(&ag_bench::digest_designs());
+    println!();
+    println!("# Rule instances analyzing the vif_digest.rs corpus");
+    println!(
+        "principal AG: {}; expression AG: {}; total {}",
+        run.principal,
+        run.expr,
+        run.total()
+    );
     println!();
     println!("# LALR table sizes");
     println!(
@@ -93,9 +104,9 @@ fn main() {
         xt.table.n_nonerror_actions()
     );
 
-    for (tag, st, frac) in [
-        ("vhdl_ag", &ps, ps.implicit_fraction()),
-        ("expr_ag", &xs, xs.implicit_fraction()),
+    for (tag, st, frac, instances) in [
+        ("vhdl_ag", &ps, ps.implicit_fraction(), run.principal),
+        ("expr_ag", &xs, xs.implicit_fraction(), run.expr),
     ] {
         runner.metric(format!("{tag}/productions"), st.productions as f64, "");
         runner.metric(format!("{tag}/symbols"), st.symbols as f64, "");
@@ -108,6 +119,7 @@ fn main() {
         );
         runner.metric(format!("{tag}/implicit_fraction"), frac, "");
         runner.metric(format!("{tag}/max_visits"), st.max_visits as f64, "visits");
+        runner.metric(format!("{tag}/rule_instances"), instances as f64, "");
     }
     runner.metric(
         "principal_lalr_states",

@@ -144,6 +144,54 @@ pub fn gen_config_library_split(n_cells: usize) -> (String, String, String) {
     (lib, top.to_string(), cfg.to_string())
 }
 
+/// The fixed corpus whose analysis output `tests/vif_digest.rs` pins, as
+/// `(name, sources)`: the full adder example, sixteen seeded conform
+/// designs (eight small, eight heavy) and the four-cell configuration
+/// library.
+pub fn digest_designs() -> Vec<(String, Vec<String>)> {
+    use vhdl_conform::{gen_design, Profile};
+    let full_adder = std::fs::read_to_string(workspace_root().join("examples/full_adder.vhd"))
+        .expect("examples/full_adder.vhd");
+    let mut out = vec![("full_adder".to_string(), vec![full_adder])];
+    for profile in [Profile::Small, Profile::Heavy] {
+        for seed in 1..=8u64 {
+            let d = gen_design(&mut ag_harness::Source::from_seed(seed), profile);
+            out.push((format!("{}-{seed}", profile.name()), vec![d.source]));
+        }
+    }
+    let (lib, top) = gen_config_library(4);
+    out.push(("config_library_4".to_string(), vec![lib, top]));
+    out
+}
+
+/// The rule instances both attribute grammars run analyzing `designs`:
+/// each design into a fresh in-memory work library, its sources and their
+/// units in order, every unit stored as analyzed. A count of work, so it
+/// does not move with the host. Analyzes on an analysis stack.
+pub fn rule_instances(designs: &[(String, Vec<String>)]) -> vhdl_sem::analyze::RuleEvals {
+    use std::rc::Rc;
+    use vhdl_sem::analyze::{Analyzer, RuleEvals, UnitLoader};
+    use vhdl_vif::{Library, LibrarySet};
+    let designs = designs.to_vec();
+    ag_harness::pool::run_on_stack("rule-instances", move || {
+        let an = Analyzer::new(vhdl_sem::env::EnvKind::Tree);
+        let mut sum = RuleEvals::default();
+        for (_, srcs) in &designs {
+            let libs = Rc::new(LibrarySet::new(Rc::new(Library::in_memory("work")), vec![]));
+            for src in srcs {
+                for unit in an.parse_units(src).expect("design parses") {
+                    let au =
+                        an.analyze_unit_with_loader(&unit, Rc::clone(&libs) as Rc<dyn UnitLoader>);
+                    sum.principal += au.rule_evals.principal;
+                    sum.expr += au.rule_evals.expr;
+                    libs.work().put(&au.key, &au.node).expect("stores");
+                }
+            }
+        }
+        sum
+    })
+}
+
 /// Counts non-blank, non-comment lines, the paper's Figure 2 convention
 /// ("stripped of blank lines and comments").
 pub fn stripped_loc(src: &str) -> usize {

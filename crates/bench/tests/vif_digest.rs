@@ -24,8 +24,6 @@
 use std::rc::Rc;
 
 use ag_harness::fnv1a;
-use ag_harness::Source;
-use vhdl_conform::{gen_design, Profile};
 use vhdl_driver::batch::{BatchOptions, BatchResult};
 use vhdl_driver::Compiler;
 use vhdl_sem::analyze::{Analyzer, UnitLoader};
@@ -104,26 +102,9 @@ fn digest(sources: &[&str], path: Path) -> (usize, u64) {
     (units, fnv1a(0, text.as_bytes()))
 }
 
-fn designs() -> Vec<(String, Vec<String>)> {
-    let full_adder = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/full_adder.vhd"),
-    )
-    .expect("examples/full_adder.vhd");
-    let mut out = vec![("full_adder".to_string(), vec![full_adder])];
-    for (profile, seeds) in [(Profile::Small, 1..=8u64), (Profile::Heavy, 1..=8u64)] {
-        for seed in seeds {
-            let d = gen_design(&mut Source::from_seed(seed), profile);
-            out.push((format!("{}-{seed}", profile.name()), vec![d.source]));
-        }
-    }
-    let (lib, top) = ag_bench::gen_config_library(4);
-    out.push(("config_library_4".to_string(), vec![lib, top]));
-    out
-}
-
 #[test]
 fn analysis_output_matches_recorded_digests() {
-    let designs = designs();
+    let designs = ag_bench::digest_designs();
     for path in [Path::Tree, Path::Batch] {
         check(&designs, path);
     }
@@ -200,7 +181,7 @@ fn uid_fields(vif: &str) -> Vec<String> {
 
 #[test]
 fn uids_ignore_layout() {
-    for (name, srcs) in designs() {
+    for (name, srcs) in ag_bench::digest_designs() {
         let moved: Vec<String> = srcs
             .iter()
             .map(|s| {
@@ -230,7 +211,7 @@ fn plan_evaluation_prints_the_production_vif() {
         let plans =
             ag_core::plan(ag, &ag_core::analyze(ag).expect("noncircular")).expect("ordered");
         let mut units = 0;
-        for (name, srcs) in designs() {
+        for (name, srcs) in ag_bench::digest_designs() {
             let libs = Rc::new(LibrarySet::new(Rc::new(Library::in_memory("work")), vec![]));
             for src in &srcs {
                 for unit in an.parse_units(src).expect("design parses") {

@@ -75,9 +75,10 @@ pub(crate) struct ClassInfo<V> {
     pub implicit: Implicit<V>,
 }
 
-/// A dependency of a semantic rule: either an attribute occurrence or the
-/// token value of a terminal occurrence (Linguist's mechanism for
-/// "incorporating values associated with tokens into attribute evaluation").
+/// A dependency of a semantic rule: an attribute occurrence, the token
+/// value of a terminal occurrence (Linguist's mechanism for
+/// "incorporating values associated with tokens into attribute
+/// evaluation"), or the run of tokens under an occurrence.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Dep {
     /// Attribute `class` of occurrence `occ` (0 = LHS, `i ≥ 1` = `i`-th RHS
@@ -85,6 +86,10 @@ pub enum Dep {
     Attr(usize, ClassId),
     /// Token value of the terminal at RHS position `occ ≥ 1`.
     Token(usize),
+    /// The tokens under occurrence `occ`, in source order, as one value
+    /// made by the AG's run constructor ([`AgBuilder::leaf_run`]). Like a
+    /// token, it is read from the tree and depends on no attribute.
+    Leaves(usize),
 }
 
 impl Dep {
@@ -96,6 +101,11 @@ impl Dep {
     /// Shorthand for [`Dep::Token`].
     pub fn token(occ: usize) -> Dep {
         Dep::Token(occ)
+    }
+
+    /// Shorthand for [`Dep::Leaves`].
+    pub fn leaves(occ: usize) -> Dep {
+        Dep::Leaves(occ)
     }
 }
 
@@ -115,6 +125,10 @@ pub enum RuleOrigin {
 
 /// The associative merge function of an [`Implicit::Merge`] class.
 pub type MergeFn<V> = fn(&V, &V) -> V;
+
+/// The run constructor of [`Dep::Leaves`]: one value from the tokens
+/// under an occurrence, each converted, in source order.
+pub type LeafRunFn<V> = fn(Vec<V>) -> V;
 
 /// An explicit semantic function: the defined attribute's value from the
 /// values of the rule's dependencies, in order.
@@ -209,7 +223,8 @@ pub enum AgError {
         class: String,
     },
     /// A rule references an attribute of a symbol the class is not attached
-    /// to, or a token of a nonterminal occurrence.
+    /// to, a token of a nonterminal occurrence, or a token run of an AG
+    /// without a run constructor.
     BadDep {
         /// Production label.
         prod: String,
@@ -287,6 +302,7 @@ pub struct AgBuilder<V> {
     /// Classes attached to each symbol, in attach order.
     pub(crate) attrs_of: Vec<Vec<ClassId>>,
     pub(crate) rules: Vec<Vec<Rule<V>>>,
+    pub(crate) leaf_run: Option<LeafRunFn<V>>,
 }
 
 impl<V: Clone + 'static> AgBuilder<V> {
@@ -300,7 +316,15 @@ impl<V: Clone + 'static> AgBuilder<V> {
             class_by_name: HashMap::new(),
             attrs_of: vec![Vec::new(); n_sym],
             rules: (0..n_prod).map(|_| Vec::new()).collect(),
+            leaf_run: None,
         }
+    }
+
+    /// Sets the run constructor that makes one value of the tokens a
+    /// [`Dep::Leaves`] dependency reads. An AG whose rules read no token
+    /// run needs none.
+    pub fn leaf_run(&mut self, run: LeafRunFn<V>) {
+        self.leaf_run = Some(run);
     }
 
     /// Declares an attribute class.
@@ -418,6 +442,8 @@ pub struct AttrGrammar<V> {
     pub(crate) rule_base: Vec<u32>,
     /// Per production: transparent (see [`AttrGrammar::transparent`]).
     pub(crate) transparent: Vec<bool>,
+    /// The run constructor of [`Dep::Leaves`], if the AG has one.
+    pub(crate) leaf_run: Option<LeafRunFn<V>>,
     pub(crate) n_explicit: usize,
     pub(crate) n_implicit: usize,
 }
@@ -507,6 +533,15 @@ impl<V: Clone + 'static> AttrGrammar<V> {
     /// visit `B` in `A`'s place.
     pub fn transparent(&self) -> &[bool] {
         &self.transparent
+    }
+
+    /// The value of a [`Dep::Leaves`] dependency on `leaves`: each token
+    /// converted, then the run constructor.
+    pub(crate) fn leaf_run<T: Clone + Into<V>>(&self, leaves: &[T]) -> V {
+        let run = self
+            .leaf_run
+            .expect("validated: token runs need a run constructor");
+        run(leaves.iter().map(|t| t.clone().into()).collect())
     }
 
     /// Number of explicit (author-written) rules.

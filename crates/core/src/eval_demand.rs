@@ -251,6 +251,7 @@ impl<'a, V: Clone + 'static, T: Clone + Into<V>> DemandEval<'a, V, T> {
                         .map(|t| t.clone().into())
                         .ok_or(EvalError::MissingToken { node: leaf })
                 }
+                Dep::Leaves(occ) => Ok(self.ag.leaf_run(tree.leaves_of(occ_node(occ)))),
             };
             match arg {
                 Ok(v) => self.args.borrow_mut().push(v),

@@ -137,6 +137,7 @@ impl<'a, V: Clone + 'static, T: Clone + Into<V>> PlanEval<'a, V, T> {
                             .ok_or(EvalError::MissingToken { node: leaf })?,
                     );
                 }
+                Dep::Leaves(occ) => args.push(self.ag.leaf_run(self.tree.leaves_of(occ_node(occ)))),
             }
         }
         let v = rule.apply(&args);

@@ -31,6 +31,7 @@ pub(crate) fn complete<V: Clone + 'static>(
         class_by_name,
         attrs_of,
         mut rules,
+        leaf_run,
     } = builder;
 
     // Slot assignment: position of each (symbol, class) in node attribute
@@ -156,6 +157,18 @@ pub(crate) fn complete<V: Clone + 'static>(
                             });
                         }
                     }
+                    Dep::Leaves(occ) => {
+                        occ_symbol(p, occ).ok_or(AgError::BadOccurrence {
+                            prod: plabel.clone(),
+                            occ,
+                        })?;
+                        if leaf_run.is_none() {
+                            return Err(AgError::BadDep {
+                                prod: plabel.clone(),
+                                dep: format!("leaves({occ}) without a run constructor"),
+                            });
+                        }
+                    }
                 }
             }
         }
@@ -221,6 +234,7 @@ pub(crate) fn complete<V: Clone + 'static>(
         rule_tab,
         rule_base,
         transparent,
+        leaf_run,
         n_explicit,
         n_implicit,
     })
@@ -535,5 +549,33 @@ mod tests {
         ab.attach_all(v, [s, t]);
         ab.rule(p_tt, 0, v, vec![Dep::token(1)], |d| d[0]);
         assert!(matches!(ab.build().unwrap_err(), AgError::BadDep { .. }));
+    }
+
+    #[test]
+    fn token_run_needs_a_run_constructor_and_an_occurrence() {
+        let g = grammar();
+        let s = g.symbol("s").unwrap();
+        let p_tt = g.prod_by_label("s_tt").unwrap();
+        let with = |run: bool, occ: usize| {
+            let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
+            if run {
+                ab.leaf_run(|v| v.len() as i64);
+            }
+            let v = ab.class("V", AttrDir::Synthesized, Implicit::Unit(|| 0));
+            ab.attach(v, s);
+            ab.rule(p_tt, 0, v, vec![Dep::leaves(occ)], |d| d[0]);
+            ab.build()
+        };
+        assert!(matches!(
+            with(false, 1).unwrap_err(),
+            AgError::BadDep { .. }
+        ));
+        assert!(matches!(
+            with(true, 3).unwrap_err(),
+            AgError::BadOccurrence { occ: 3, .. }
+        ));
+        // The left-hand side and a nonterminal are occurrences with runs.
+        assert!(with(true, 0).is_ok());
+        assert!(with(true, 2).is_ok());
     }
 }

@@ -5,7 +5,8 @@
 //! Stanculescu, PLDI 1989):
 //!
 //! - [`attr`] — attribute classes (inherited/synthesized) attached to
-//!   grammar symbols, and semantic rules over occurrences and token values;
+//!   grammar symbols, and semantic rules over occurrences, token values
+//!   and the token runs under occurrences;
 //! - [`implicit`] — the three kinds of implicit rule from §4.2 (copy,
 //!   unit-element, merge-function), synthesized for undefined occurrences;
 //! - [`deps`] — production-local and induced dependency analysis with

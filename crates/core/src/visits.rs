@@ -239,7 +239,7 @@ fn schedule<V: Clone + 'static>(
                     let from = index[&Item::Visit(occ, v)];
                     edges[from].push(eval);
                 }
-                Dep::Token(_) => {}
+                Dep::Token(_) | Dep::Leaves(_) => {}
             }
         }
         // Targets of the rule.

@@ -12,8 +12,9 @@ use ag_harness::{check, check_eq, forall, Config, Source};
 use ag_lalr::{GrammarBuilder, ParseTable, Parser, Token};
 
 /// A family of randomized AGs over the list grammar
-/// `l ::= l x | x` with attributes whose rules mix token values, inherited
-/// context, and synthesized folds, parameterized by random coefficients.
+/// `l ::= l x | x` with attributes whose rules mix token values, token
+/// runs, inherited context, and synthesized folds, parameterized by
+/// random coefficients.
 #[derive(Debug, Clone)]
 struct AgSpec {
     /// Coefficients used inside semantic rules.
@@ -21,6 +22,9 @@ struct AgSpec {
     k2: i64,
     /// Whether the synthesized result also depends on the inherited depth.
     use_inh: bool,
+    /// The occurrence of `rec` (0 = the list, 1 = the nested list) whose
+    /// token run the synthesized result also adds, if any.
+    run_of: Option<usize>,
 }
 
 fn ag_spec(s: &mut Source) -> AgSpec {
@@ -28,7 +32,16 @@ fn ag_spec(s: &mut Source) -> AgSpec {
         k1: s.i64_in(-5, 5),
         k2: s.i64_in(-5, 5),
         use_inh: s.bool(),
+        run_of: s.bool().then(|| s.usize_in(0, 1)),
     }
+}
+
+/// The run constructor of every random AG here: a fold that tells the
+/// order, the length and the values of the tokens apart.
+fn run(tokens: Vec<i64>) -> i64 {
+    tokens
+        .iter()
+        .fold(1, |a, x| a.wrapping_mul(3).wrapping_add(x + 1))
 }
 
 fn build(
@@ -47,23 +60,22 @@ fn build(
     g.start(l);
     let g = Arc::new(g.build().unwrap());
     let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
+    ab.leaf_run(run);
     let depth = ab.class("DEPTH", AttrDir::Inherited, Implicit::Copy);
     let sum = ab.class("SUM", AttrDir::Synthesized, Implicit::None);
     ab.attach(depth, l);
     ab.attach(sum, l);
     let (k1, k2, use_inh) = (spec.k1, spec.k2, spec.use_inh);
+    let mut rec_deps = vec![Dep::attr(1, sum), Dep::token(2), Dep::attr(0, depth)];
+    rec_deps.extend(spec.run_of.map(Dep::leaves));
     // DEPTH of the nested list grows by k1 (explicit rule; the copy rule
     // would keep it constant).
     ab.rule(p_rec, 1, depth, vec![Dep::attr(0, depth)], move |d| {
         d[0] + k1
     });
-    ab.rule(
-        p_rec,
-        0,
-        sum,
-        vec![Dep::attr(1, sum), Dep::token(2), Dep::attr(0, depth)],
-        move |d| d[0] + d[1] * k2 + if use_inh { d[2] } else { 0 },
-    );
+    ab.rule(p_rec, 0, sum, rec_deps, move |d| {
+        d[0] + d[1] * k2 + if use_inh { d[2] } else { 0 } + d.get(3).copied().unwrap_or(0)
+    });
     ab.rule(
         p_leaf,
         0,
@@ -85,6 +97,10 @@ fn reference(spec: &AgSpec, xs: &[i64], depth0: i64) -> i64 {
         let depth = depth0 + spec.k1 * (n - 1 - i) as i64;
         let term = if i == 0 { v } else { v * spec.k2 };
         acc += term + if spec.use_inh { depth } else { 0 };
+        // `rec` over xs[..=i] reads its own run or its nested list's.
+        if let (Some(occ), true) = (spec.run_of, i > 0) {
+            acc += run(xs[..=i - occ].to_vec());
+        }
     }
     acc
 }
@@ -188,6 +204,11 @@ struct ChainSpec {
     /// Symbols (`s`, then `N0 … Nk`) carrying `TAG` and `LVL`.
     tag_on: Vec<bool>,
     lvl_on: Vec<bool>,
+    /// Per binary production `Ni ::= Ni opi Ni+1`: the occurrence (0, 1
+    /// or 3) whose token run its `VAL` rule also adds, if any. An operand
+    /// may be the node of a lower level standing in for a transparent
+    /// chain production's.
+    run_of: Vec<Option<usize>>,
     /// Level the bracket production reaches.
     bracket: usize,
     /// Whether `Nk ::= ( N0 )` exists.
@@ -211,6 +232,9 @@ fn chain_spec(s: &mut Source) -> ChainSpec {
         chain_rule,
         tag_on: (0..syms).map(|_| s.bool()).collect(),
         lvl_on: (0..syms).map(|_| s.bool()).collect(),
+        run_of: (0..levels)
+            .map(|_| s.bool().then(|| [0, 1, 3][s.usize_in(0, 2)]))
+            .collect(),
         bracket: s.usize_in(0, levels),
         paren: s.bool(),
         mul: (0..levels).map(|_| s.i64_in(-3, 3)).collect(),
@@ -267,6 +291,7 @@ fn chain_ag(
     let g = Arc::new(g.build().unwrap());
 
     let mut ab = AgBuilder::<i64>::new(Arc::clone(&g));
+    ab.leaf_run(run);
     let env = ab.inh("ENV");
     let lvl = ab.class("LVL", AttrDir::Inherited, Implicit::Unit(|| 7));
     let pos = ab.inh("POS");
@@ -292,13 +317,11 @@ fn chain_ag(
             });
         }
         let (m, step) = (spec.mul[i], spec.env_step[i]);
-        ab.rule(
-            bins[i],
-            0,
-            val,
-            vec![Dep::attr(1, val), Dep::attr(3, val)],
-            move |d| d[0] * m + d[1],
-        );
+        let mut deps = vec![Dep::attr(1, val), Dep::attr(3, val)];
+        deps.extend(spec.run_of[i].map(Dep::leaves));
+        ab.rule(bins[i], 0, val, deps, move |d| {
+            d[0] * m + d[1] + d.get(2).copied().unwrap_or(0)
+        });
         ab.rule(bins[i], 1, env, vec![Dep::attr(0, env)], move |d| {
             d[0] + step
         });

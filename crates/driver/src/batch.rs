@@ -30,7 +30,8 @@
 //!    thread interleavings, the text never does. A dependency stored as a
 //!    tree is hashed by streaming the printer into the hash, so stamping
 //!    makes no text ([`Library::text_hash`]). On a warm run a unit
-//!    whose recomputed stamp matches its stored stamp is skipped; a
+//!    whose recomputed stamp matches its stored stamp, and whose unit
+//!    file the library still has ([`Library::contains`]), is skipped; a
 //!    changed package re-analyzes exactly its transitive dependents,
 //!    because the dependents' stamps absorb the new VIF text hash — and a
 //!    change that leaves a unit's VIF text identical (a comment, a
@@ -648,7 +649,9 @@ impl Compiler {
                         Err(_) => fnv1a(stamp, b"?"),
                     };
                 }
-                if opts.incremental && work.stamp(key) == Some(stamp) {
+                // A stamp covers the unit's source and its dependencies'
+                // texts, not its own file, which may have gone since.
+                if opts.incremental && work.stamp(key) == Some(stamp) && work.contains(key) {
                     cache.hits += 1;
                     out_units.push(BatchUnit {
                         file: meta.file,

@@ -359,9 +359,10 @@ fn deep_units_exit_by_status_at_every_jobs() {
     let dir = tmpdir("deep");
     for (name, src, at) in [
         ("stmts.vhd", long_process(20_000), ""),
-        // A pair of parentheses is one level of the principal AG's demand
-        // and two of the cascade's, so these pass `MAX_DEPTH` in the
-        // cascade, which reports at the expression's first token.
+        // A pair of parentheses costs the principal AG's demand no level,
+        // since its rule reads the expression's tokens from the tree, and
+        // the cascade's two, so these pass `MAX_DEPTH` in the cascade,
+        // which reports at the expression's first token.
         ("parens.vhd", nested_parens(24_000), ":7:10: "),
     ] {
         let path = dir.join(name);

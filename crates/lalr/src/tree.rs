@@ -157,6 +157,30 @@ impl<T> ParseTree<T> {
         &self.toks
     }
 
+    /// The tokens of the leaves under `n`, in source order: one slice of
+    /// [`ParseTree::leaves`], because a subtree is one range of nodes and
+    /// leaves come in source order. Empty when no leaf is under `n`.
+    pub fn leaves_of(&self, n: NodeId) -> &[T] {
+        let mut leaves = self.nodes[self.first_node(n)..=n]
+            .iter()
+            .filter(|x| x.prod == NONE)
+            .map(|x| x.at as usize);
+        match leaves.next() {
+            Some(first) => &self.toks[first..=leaves.next_back().unwrap_or(first)],
+            None => &[],
+        }
+    }
+
+    /// The first node of the subtree under `root` in postorder: its
+    /// leftmost, deepest descendant.
+    fn first_node(&self, root: NodeId) -> NodeId {
+        let mut lo = root;
+        while let Some(&first) = self.kid_ids(lo).first() {
+            lo = first as NodeId;
+        }
+        lo
+    }
+
     /// The subtree under `root` as a tree of its own (one design unit of
     /// a file, say). The subtree is one range of nodes, children and
     /// tokens, so this is a flat copy.
@@ -164,12 +188,7 @@ impl<T> ParseTree<T> {
     where
         T: Clone,
     {
-        // The first node of a subtree in postorder is its leftmost,
-        // deepest descendant.
-        let mut lo = root;
-        while let Some(&first) = self.kid_ids(lo).first() {
-            lo = first as NodeId;
-        }
+        let lo = self.first_node(root);
         // Each non-root node of the range is one child-list entry, and
         // the root's children were the last pushed.
         let r = &self.nodes[root];
@@ -204,7 +223,7 @@ impl<T> ParseTree<T> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{GrammarBuilder, ParseTable, Parser, Token};
+    use crate::{Grammar, GrammarBuilder, ParseTable, ParseTree, Parser, Token};
 
     #[test]
     fn arena_mirrors_parse_tree() {
@@ -233,11 +252,11 @@ mod tests {
         assert!(!at.is_empty());
     }
 
-    #[test]
-    fn unit_sliced_from_elided_file_equals_unit_parsed_alone() {
-        // file ::= units ; units ::= unit | units unit ; unit ::= b s ;
-        // s ::= a s | ε, with the two chain productions over `units`
-        // transparent: a one-unit file is rooted at its `unit` node.
+    /// `file ::= units ; units ::= unit | units unit ; unit ::= b s ;
+    /// s ::= a s | ε`, with the two chain productions over `units`
+    /// transparent, so a one-unit file is rooted at its `unit` node; and
+    /// a parser that leaves their nodes out.
+    fn file_grammar() -> (Grammar, ParseTable, Vec<bool>) {
         let mut g = GrammarBuilder::new();
         let a = g.terminal("a");
         let b = g.terminal("b");
@@ -247,7 +266,7 @@ mod tests {
         let s = g.nonterminal("s");
         let p_file = g.prod(file, &[units.into()], "file_units");
         let p_one = g.prod(units, &[unit.into()], "units_one");
-        let p_more = g.prod(units, &[units.into(), unit.into()], "units_more");
+        g.prod(units, &[units.into(), unit.into()], "units_more");
         g.prod(unit, &[b.into(), s.into()], "unit_b");
         g.prod(s, &[a.into(), s.into()], "s_rec");
         g.prod(s, &[], "s_empty");
@@ -257,15 +276,25 @@ mod tests {
         let mut flags = vec![false; g.n_prods()];
         flags[p_file.index()] = true;
         flags[p_one.index()] = true;
-        let parser = Parser::eliding(&g, &table, &flags);
-        let toks = |src: &str| -> Vec<Token<char>> {
-            src.chars()
-                .map(|c| Token::new(if c == 'b' { b } else { a }, c))
-                .collect()
-        };
-        let whole = parser.parse(toks("baabbaaa")).unwrap();
+        (g, table, flags)
+    }
+
+    fn parse_file(g: &Grammar, table: &ParseTable, flags: &[bool], src: &str) -> ParseTree<char> {
+        let (a, b) = (g.symbol("a").unwrap(), g.symbol("b").unwrap());
+        let toks = src
+            .chars()
+            .map(|c| Token::new(if c == 'b' { b } else { a }, c));
+        Parser::eliding(g, table, flags).parse(toks).unwrap()
+    }
+
+    #[test]
+    fn unit_sliced_from_elided_file_equals_unit_parsed_alone() {
+        let (g, table, flags) = file_grammar();
+        let whole = parse_file(&g, &table, &flags, "baabbaaa");
         // units_more(units_more(unit, unit), unit): no file or units_one
         // node.
+        let p_more = g.prod_by_label("units_more").unwrap();
+        let unit = g.symbol("unit").unwrap();
         let root = whole.root();
         assert_eq!(whole.prod(root), Some(p_more));
         let first = whole.child(root, 1);
@@ -277,10 +306,45 @@ mod tests {
         ];
         for (n, src) in parts.into_iter().zip(["baa", "b", "baaa"]) {
             assert_eq!(whole.symbol(n), unit);
-            let alone = parser.parse(toks(src)).unwrap();
+            let alone = parse_file(&g, &table, &flags, src);
             assert_eq!(alone.symbol(alone.root()), unit);
             assert_eq!(whole.subtree(n), alone, "unit {src}");
         }
         assert_eq!(whole.subtree(root), whole);
+    }
+
+    #[test]
+    fn leaves_of_a_node_are_the_tokens_under_it() {
+        let (g, table, flags) = file_grammar();
+        let src = "baabbaaa";
+        let whole = parse_file(&g, &table, &flags, src);
+        let text = |t: &ParseTree<char>, n| t.leaves_of(n).iter().collect::<String>();
+        // The root: every token.
+        let root = whole.root();
+        assert_eq!(text(&whole, root), src);
+        // An interior node: the first two units.
+        let first = whole.child(root, 1);
+        assert_eq!(text(&whole, first), "baab");
+        // The first unit stands in for the `units` node `units_one` left
+        // out.
+        let stand_in = whole.child(first, 1);
+        assert_eq!(whole.symbol(stand_in), g.symbol("unit").unwrap());
+        assert_eq!(text(&whole, stand_in), "baa");
+        // A leaf: its own token.
+        let leaf = whole.child(stand_in, 1);
+        assert_eq!(whole.token(leaf), Some(&'b'));
+        assert_eq!(text(&whole, leaf), "b");
+        // Under an empty production: nothing. The second unit's `s` is
+        // one.
+        let empty = whole.child(whole.child(first, 2), 2);
+        assert_eq!(whole.prod(empty), g.prod_by_label("s_empty"));
+        assert_eq!(whole.leaves_of(empty), &[] as &[char]);
+        // A unit cut out of the file keeps its run, which is the whole of
+        // its own tree's tokens.
+        let last = whole.child(root, 2);
+        let alone = whole.subtree(last);
+        assert_eq!(text(&whole, last), "baaa");
+        assert_eq!(alone.leaves_of(alone.root()), whole.leaves_of(last));
+        assert_eq!(alone.leaves_of(alone.root()), alone.leaves());
     }
 }

@@ -116,6 +116,9 @@ pub struct Actx {
     pub std: Rc<Standard>,
     /// Statistics: number of `expr_eval` invocations (cascade count).
     pub expr_evals: RefCell<u64>,
+    /// Statistics: rule instances the expression AG ran, over every
+    /// invocation.
+    pub expr_rule_evals: Cell<u64>,
     /// The unit's uid scope: every declaration's uid is minted here.
     pub uids: UidScope,
 }
@@ -127,10 +130,12 @@ impl std::fmt::Debug for Actx {
 }
 
 impl Actx {
-    /// Counts one cascade invocation and returns a package loader view for
-    /// expanded names in expressions.
-    pub fn count_expr_eval(&self) {
+    /// Counts one cascade invocation and the expression AG's rule
+    /// instances in it.
+    pub fn count_expr_eval(&self, rule_evals: u64) {
         *self.expr_evals.borrow_mut() += 1;
+        self.expr_rule_evals
+            .set(self.expr_rule_evals.get() + rule_evals);
     }
 
     /// Loads `work.<key>` for a use site that reports an absent unit
@@ -162,8 +167,27 @@ pub struct AnalyzedUnit {
     pub msgs: Msgs,
     /// Number of `expr_eval` cascade invocations while analyzing it.
     pub expr_evals: u64,
+    /// Rule instances both AGs ran while analyzing it.
+    pub rule_evals: RuleEvals,
     /// Time spent loading library units while analyzing it.
     pub vif_read: Duration,
+}
+
+/// Rule instances the two AGs ran analyzing one unit: how much attribute
+/// evaluation did, whatever the clock says.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RuleEvals {
+    /// The principal AG's, over the unit's tree.
+    pub principal: u64,
+    /// The expression AG's, over every maximal expression of the unit.
+    pub expr: u64,
+}
+
+impl RuleEvals {
+    /// Both AGs' together.
+    pub fn total(self) -> u64 {
+        self.principal + self.expr
+    }
 }
 
 thread_local! {
@@ -298,6 +322,10 @@ impl Analyzer {
             node,
             msgs,
             expr_evals,
+            rule_evals: RuleEvals {
+                principal: eval.n_rule_evals() as u64,
+                expr: actx.expr_rule_evals.get(),
+            },
             vif_read: log.spent.get(),
         }
     }
@@ -313,6 +341,7 @@ impl Analyzer {
             loader,
             std: Rc::clone(&self.std),
             expr_evals: RefCell::new(0),
+            expr_rule_evals: Cell::new(0),
             uids: UidScope::unit(unit.leaves()),
         });
         let env = self.unit_start_env(&actx);

@@ -18,7 +18,7 @@ use vhdl_vif::{mk, Field, Kind};
 use crate::env::Env;
 use crate::expr_rules;
 use crate::ir::Ir;
-use crate::lef::{build_lef, LefCtx, LefKind, PkgLoader};
+use crate::lef::{build_lef, LefCtx, LefKind, LefTok, PkgLoader};
 use crate::msg::{Msg, Msgs};
 use crate::types::{self, Dir, Ty};
 use crate::value::Value;
@@ -197,11 +197,18 @@ pub struct ExprAnswer {
     pub ir: Option<Ir>,
     /// Diagnostics (errors suppress `ir`).
     pub msgs: Msgs,
+    /// Rule instances the expression AG ran for it (0 when the expression
+    /// did not reach attribute evaluation).
+    pub rule_evals: u64,
 }
 
 impl ExprAnswer {
     fn error(msgs: Msgs) -> ExprAnswer {
-        ExprAnswer { ir: None, msgs }
+        ExprAnswer {
+            ir: None,
+            msgs,
+            rule_evals: 0,
+        }
     }
 
     /// The result type, when analysis succeeded.
@@ -285,6 +292,22 @@ pub fn expr_eval(
             ),
         ],
     );
+    let answer = goals(&eval, pos, expected, msgs);
+    ExprAnswer {
+        rule_evals: eval.n_rule_evals() as u64,
+        ..answer
+    }
+}
+
+/// The goal attributes of an evaluated expression tree, checked against
+/// the expected type.
+fn goals(
+    eval: &DemandEval<'_, Value, LefTok>,
+    pos: Pos,
+    expected: Option<&Ty>,
+    mut msgs: Msgs,
+) -> ExprAnswer {
+    let ax = ExprAg::shared();
     let ir = match eval.root_value(ax.classes.ir) {
         Ok(Value::Node(ir)) => ir,
         Ok(other) => {
@@ -328,7 +351,11 @@ pub fn expr_eval(
             return ExprAnswer::error(msgs);
         }
     }
-    ExprAnswer { ir: Some(ir), msgs }
+    ExprAnswer {
+        ir: Some(ir),
+        msgs,
+        rule_evals: 0,
+    }
 }
 
 /// Walks an IR tree collecting embedded `e.error` diagnostics.

@@ -32,12 +32,13 @@ pub struct U<'a> {
 
 impl U<'_> {
     /// Runs the cascade on a token run (counts the invocation — the
-    /// per-expression statistic of §4.1).
+    /// per-expression statistic of §4.1 — and its rule instances).
     pub fn ev(&self, toks: &[SrcTok], expected: Option<&Ty>) -> ExprAnswer {
-        self.ctx.count_expr_eval();
         let loader = Rc::clone(&self.ctx.loader);
         let load = move |lib: &str, name: &str| loader.load_unit(lib, &format!("pkg.{name}"));
-        expr_eval(toks, self.env, expected, Some(&load))
+        let answer = expr_eval(toks, self.env, expected, Some(&load));
+        self.ctx.count_expr_eval(answer.rule_evals);
+        answer
     }
 
     /// Resolves a dotted name (type marks, entity/component names, use
@@ -134,11 +135,6 @@ impl U<'_> {
 /// Decoders for the Value bundles the principal rules pass around.
 pub fn toks_of(v: &Value) -> Vec<SrcTok> {
     v.expect_list().iter().map(|t| *t.expect_tok()).collect()
-}
-
-/// Wraps tokens as a Value list.
-pub fn vtoks(toks: Vec<SrcTok>) -> Value {
-    Value::list(toks.into_iter().map(Value::Tok).collect())
 }
 
 /// Output of a declaration-processing function.
@@ -539,7 +535,7 @@ mod tests {
     use crate::env::EnvKind;
     use crate::standard::standard;
     use crate::uid::UidScope;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use vhdl_syntax::lexer::lex;
 
     struct NoLibs;
@@ -560,6 +556,7 @@ mod tests {
             loader: Rc::new(NoLibs),
             std: Rc::new(standard(EnvKind::Tree)),
             expr_evals: RefCell::new(0),
+            expr_rule_evals: Cell::new(0),
             uids: UidScope::unit(&lex("signal x, y : bit;").unwrap()),
         })
     }

@@ -2,9 +2,10 @@
 //!
 //! Decorates the full VHDL grammar of `vhdl-syntax` with the analysis
 //! attributes: the applicative `ENV`/`ENVO` environment chain, `MSGS`
-//! diagnostics, `TOKS` token runs feeding the cascade, `LEVEL` nesting
-//! depth, and the structural collection attributes the out-of-line
-//! functions consume. Plumbing rules are implicit (§4.2); the explicit
+//! diagnostics, `LEVEL` nesting depth, and the structural collection
+//! attributes the out-of-line functions consume. The token run of a
+//! maximal expression, which feeds the cascade, is no attribute: a rule
+//! reads it from the tree (`Dep::Leaves`) as a list of `Value::Tok`. Plumbing rules are implicit (§4.2); the explicit
 //! rules live in [`crate::principal_rules`].
 
 use std::sync::{Arc, OnceLock};
@@ -31,8 +32,6 @@ pub struct PrincipalClasses {
     pub label: ClassId,
     /// Synthesized diagnostics (the ubiquitous `MSGS` of §4.2).
     pub msgs: ClassId,
-    /// Synthesized source-token runs (the LEF feed).
-    pub toks: ClassId,
     /// Synthesized environment-out (declaration chaining).
     pub envo: ClassId,
     /// Synthesized declaration-result bundle `[Env, List(decls), Msgs]`.
@@ -100,6 +99,7 @@ impl PrincipalAg {
     pub fn build(pg: &PrincipalGrammar) -> PrincipalAg {
         let g = pg.grammar();
         let mut ab = AgBuilder::<Value>::new(Arc::clone(&g));
+        ab.leaf_run(Value::list);
         let merge_list = || Implicit::Merge {
             unit: Some(Value::empty_list),
             f: Value::concat_lists,
@@ -122,7 +122,6 @@ impl PrincipalAg {
                     f: Value::concat_msgs,
                 },
             ),
-            toks: ab.class("TOKS", AttrDir::Synthesized, merge_list()),
             envo: ab.class("ENVO", AttrDir::Synthesized, Implicit::Copy),
             res: ab.class("RES", AttrDir::Synthesized, Implicit::Copy),
             decls: ab.class("DECLS", AttrDir::Synthesized, merge_list()),
@@ -156,13 +155,6 @@ impl PrincipalAg {
 fn attach(ab: &mut AgBuilder<Value>, g: &ag_lalr::Grammar, c: &PrincipalClasses) {
     let nt =
         |g: &ag_lalr::Grammar, n: &str| g.symbol(n).unwrap_or_else(|| panic!("no nonterminal {n}"));
-
-    // Token collectors.
-    for n in [
-        "expr_run", "expr_tok", "ctok_run", "ctok", "name", "sel_name",
-    ] {
-        ab.attach(c.toks, nt(g, n));
-    }
 
     // The ENV/CTX/LEVEL context set: every nonterminal whose rules resolve
     // names or that passes environments toward them.

@@ -1,5 +1,5 @@
-//! Explicit semantic rules of the principal AG — part 1: token runs,
-//! structural descriptors, environment chains, and declarations. Part 2
+//! Explicit semantic rules of the principal AG — part 1: structural
+//! descriptors, environment chains, and declarations. Part 2
 //! (statements, concurrent statements, compilation units) lives in
 //! [`crate::principal_rules2`].
 
@@ -55,70 +55,10 @@ pub(crate) use with_u;
 
 /// Installs every explicit rule.
 pub(crate) fn install(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
-    install_toks(ab, g, c);
     install_structurals(ab, g, c);
     install_context(ab, g, c);
     install_decls(ab, g, c);
     principal_rules2::install(ab, g, c);
-}
-
-// ---------------------------------------------------------------------------
-// Token runs: the LEF feed.
-// ---------------------------------------------------------------------------
-
-fn install_toks(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
-    let c = *c;
-    // Leaf tokens: TOKS = [token] for every production of a token
-    // collector whose right-hand side is one terminal.
-    for prod in g.prod_ids() {
-        let rhs = g.rhs(prod);
-        if ab.has_attr(g.lhs(prod), c.toks) && rhs.len() == 1 && g.is_terminal(rhs[0]) {
-            ab.rule(prod, 0, c.toks, vec![Dep::token(1)], |d| {
-                Value::list(vec![d[0].clone()])
-            });
-        }
-    }
-    // Bracketed group: keep the delimiters.
-    ab.rule(
-        p(g, "et_group"),
-        0,
-        c.toks,
-        vec![Dep::token(1), Dep::attr(2, c.toks), Dep::token(3)],
-        |d| Value::bracket(d[0].clone(), &d[1], d[2].clone()),
-    );
-    // Names: suffixes keep their punctuation.
-    for label in ["name_sel", "name_all", "name_op", "sel_dot"] {
-        ab.rule(
-            p(g, label),
-            0,
-            c.toks,
-            vec![Dep::attr(1, c.toks), Dep::token(2), Dep::token(3)],
-            |d| {
-                let mut out = d[0].expect_list().to_vec();
-                out.push(d[1].clone());
-                out.push(d[2].clone());
-                Value::list(out)
-            },
-        );
-    }
-    ab.rule(
-        p(g, "name_paren"),
-        0,
-        c.toks,
-        vec![
-            Dep::attr(1, c.toks),
-            Dep::token(2),
-            Dep::attr(3, c.toks),
-            Dep::token(4),
-        ],
-        |d| {
-            let mut out = d[0].expect_list().to_vec();
-            out.push(d[1].clone());
-            out.extend(d[2].expect_list().iter().cloned());
-            out.push(d[3].clone());
-            Value::list(out)
-        },
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -153,18 +93,14 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
         });
     }
     // name_list → NAMES (per-name token bundles).
-    ab.rule(
-        p(g, "names_one"),
-        0,
-        c.names,
-        vec![Dep::attr(1, c.toks)],
-        |d| Value::list(vec![d[0].clone()]),
-    );
+    ab.rule(p(g, "names_one"), 0, c.names, vec![Dep::leaves(1)], |d| {
+        Value::list(vec![d[0].clone()])
+    });
     ab.rule(
         p(g, "names_more"),
         0,
         c.names,
-        vec![Dep::attr(1, c.names), Dep::attr(3, c.toks)],
+        vec![Dep::attr(1, c.names), Dep::leaves(3)],
         |d| {
             let mut out = d[0].expect_list().to_vec();
             out.push(d[1].clone());
@@ -214,7 +150,7 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
             p(g, some_label),
             0,
             c.info,
-            vec![Dep::attr(run_occ, c.toks)],
+            vec![Dep::leaves(run_occ)],
             |d| d[0].clone(),
         );
     }
@@ -293,25 +229,19 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
         str_info(ab, label, kw);
     }
     // Subtype indications.
-    ab.rule(
-        p(g, "sti_plain"),
-        0,
-        c.sti,
-        vec![Dep::attr(1, c.toks)],
-        |d| {
-            Value::list(vec![
-                d[0].clone(),
-                Value::empty_list(),
-                Value::Str("name".into()),
-                Value::empty_list(),
-            ])
-        },
-    );
+    ab.rule(p(g, "sti_plain"), 0, c.sti, vec![Dep::leaves(1)], |d| {
+        Value::list(vec![
+            d[0].clone(),
+            Value::empty_list(),
+            Value::Str("name".into()),
+            Value::empty_list(),
+        ])
+    });
     ab.rule(
         p(g, "sti_resolved"),
         0,
         c.sti,
-        vec![Dep::attr(1, c.toks), Dep::attr(2, c.toks)],
+        vec![Dep::leaves(1), Dep::leaves(2)],
         |d| {
             Value::list(vec![
                 d[1].clone(),
@@ -325,7 +255,7 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
         p(g, "sti_range"),
         0,
         c.sti,
-        vec![Dep::attr(1, c.toks), Dep::attr(3, c.toks)],
+        vec![Dep::leaves(1), Dep::leaves(3)],
         |d| {
             Value::list(vec![
                 d[0].clone(),
@@ -367,14 +297,14 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
         p(g, "td_range"),
         0,
         c.info,
-        vec![Dep::attr(2, c.toks), Dep::attr(3, c.info)],
+        vec![Dep::leaves(2), Dep::attr(3, c.info)],
         |d| Value::list(vec![Value::Str("range".into()), d[0].clone(), d[1].clone()]),
     );
     ab.rule(
         p(g, "td_array"),
         0,
         c.info,
-        vec![Dep::attr(3, c.toks), Dep::attr(6, c.sti)],
+        vec![Dep::leaves(3), Dep::attr(6, c.sti)],
         |d| Value::list(vec![Value::Str("array".into()), d[0].clone(), d[1].clone()]),
     );
     ab.rule(
@@ -396,7 +326,7 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
         p(g, "secu"),
         0,
         c.items,
-        vec![Dep::token(1), Dep::attr(3, c.toks)],
+        vec![Dep::token(1), Dep::leaves(3)],
         |d| Value::list(vec![Value::list(vec![d[0].clone(), d[1].clone()])]),
     );
     ab.rule(
@@ -425,11 +355,7 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
         p(g, "spec_func"),
         0,
         c.info,
-        vec![
-            Dep::attr(2, c.info),
-            Dep::attr(3, c.ifaces),
-            Dep::attr(5, c.toks),
-        ],
+        vec![Dep::attr(2, c.info), Dep::attr(3, c.ifaces), Dep::leaves(5)],
         |d| {
             Value::list(vec![
                 Value::Str("func".into()),
@@ -443,33 +369,25 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
     ab.rule(p(g, "lh_forever"), 0, c.info, vec![], |_| {
         Value::list(vec![Value::Str("forever".into())])
     });
-    ab.rule(
-        p(g, "lh_while"),
-        0,
-        c.info,
-        vec![Dep::attr(2, c.toks)],
-        |d| Value::list(vec![Value::Str("while".into()), d[0].clone()]),
-    );
+    ab.rule(p(g, "lh_while"), 0, c.info, vec![Dep::leaves(2)], |d| {
+        Value::list(vec![Value::Str("while".into()), d[0].clone()])
+    });
     ab.rule(
         p(g, "lh_for"),
         0,
         c.info,
-        vec![Dep::token(2), Dep::attr(4, c.toks)],
+        vec![Dep::token(2), Dep::leaves(4)],
         |d| Value::list(vec![Value::Str("for".into()), d[0].clone(), d[1].clone()]),
     );
     // Waveforms.
-    ab.rule(
-        p(g, "we_plain"),
-        0,
-        c.waves,
-        vec![Dep::attr(1, c.toks)],
-        |d| Value::list(vec![Value::list(vec![d[0].clone(), Value::empty_list()])]),
-    );
+    ab.rule(p(g, "we_plain"), 0, c.waves, vec![Dep::leaves(1)], |d| {
+        Value::list(vec![Value::list(vec![d[0].clone(), Value::empty_list()])])
+    });
     ab.rule(
         p(g, "we_after"),
         0,
         c.waves,
-        vec![Dep::attr(1, c.toks), Dep::attr(3, c.toks)],
+        vec![Dep::leaves(1), Dep::leaves(3)],
         |d| Value::list(vec![Value::list(vec![d[0].clone(), d[1].clone()])]),
     );
     ab.rule(
@@ -485,7 +403,7 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
         c.cwaves,
         vec![
             Dep::attr(1, c.waves),
-            Dep::attr(3, c.toks),
+            Dep::leaves(3),
             Dep::attr(5, c.cwaves),
         ],
         |d| {
@@ -521,7 +439,7 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
         p(g, "choice_expr"),
         0,
         c.choices,
-        vec![Dep::attr(1, c.toks)],
+        vec![Dep::leaves(1)],
         |d| {
             Value::list(vec![Value::list(vec![
                 Value::Str("e".into()),
@@ -536,24 +454,18 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
         ])])
     });
     // Associations.
-    ab.rule(
-        p(g, "assoc_pos"),
-        0,
-        c.assocs,
-        vec![Dep::attr(1, c.toks)],
-        |d| {
-            Value::list(vec![Value::list(vec![
-                Value::empty_list(),
-                Value::Str("expr".into()),
-                d[0].clone(),
-            ])])
-        },
-    );
+    ab.rule(p(g, "assoc_pos"), 0, c.assocs, vec![Dep::leaves(1)], |d| {
+        Value::list(vec![Value::list(vec![
+            Value::empty_list(),
+            Value::Str("expr".into()),
+            d[0].clone(),
+        ])])
+    });
     ab.rule(
         p(g, "assoc_named"),
         0,
         c.assocs,
-        vec![Dep::attr(1, c.toks), Dep::attr(3, c.toks)],
+        vec![Dep::leaves(1), Dep::leaves(3)],
         |d| {
             Value::list(vec![Value::list(vec![
                 d[0].clone(),
@@ -562,19 +474,13 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
             ])])
         },
     );
-    ab.rule(
-        p(g, "assoc_open"),
-        0,
-        c.assocs,
-        vec![Dep::attr(1, c.toks)],
-        |d| {
-            Value::list(vec![Value::list(vec![
-                d[0].clone(),
-                Value::Str("open".into()),
-                Value::empty_list(),
-            ])])
-        },
-    );
+    ab.rule(p(g, "assoc_open"), 0, c.assocs, vec![Dep::leaves(1)], |d| {
+        Value::list(vec![Value::list(vec![
+            d[0].clone(),
+            Value::Str("open".into()),
+            Value::empty_list(),
+        ])])
+    });
     ab.rule(p(g, "assoc_pos_open"), 0, c.assocs, vec![], |_| {
         Value::list(vec![Value::list(vec![
             Value::empty_list(),
@@ -595,11 +501,7 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
         p(g, "bind_entity"),
         0,
         c.info,
-        vec![
-            Dep::attr(3, c.toks),
-            Dep::attr(4, c.info),
-            Dep::attr(5, c.info),
-        ],
+        vec![Dep::leaves(3), Dep::attr(4, c.info), Dep::attr(5, c.info)],
         |d| {
             Value::list(vec![
                 Value::Str("entity".into()),
@@ -613,7 +515,7 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
         p(g, "bind_config"),
         0,
         c.info,
-        vec![Dep::attr(3, c.toks), Dep::attr(4, c.info)],
+        vec![Dep::leaves(3), Dep::attr(4, c.info)],
         |d| {
             Value::list(vec![
                 Value::Str("config".into()),
@@ -641,11 +543,7 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
         p(g, "comp_config"),
         0,
         c.items,
-        vec![
-            Dep::attr(2, c.info),
-            Dep::attr(4, c.toks),
-            Dep::attr(5, c.info),
-        ],
+        vec![Dep::attr(2, c.info), Dep::leaves(4), Dep::attr(5, c.info)],
         |d| {
             Value::list(vec![Value::list(vec![
                 d[0].clone(),
@@ -669,11 +567,7 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
         p(g, "ift_elsif"),
         0,
         c.info,
-        vec![
-            Dep::attr(2, c.toks),
-            Dep::attr(4, c.stmts),
-            Dep::attr(5, c.info),
-        ],
+        vec![Dep::leaves(2), Dep::attr(4, c.stmts), Dep::attr(5, c.info)],
         |d| {
             let inner = d[2].expect_list();
             let mut arms = vec![Value::list(vec![d[0].clone(), d[1].clone()])];
@@ -991,7 +885,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             Dep::attr(0, c.env),
             Dep::attr(0, c.ctx),
             Dep::token(2),
-            Dep::attr(6, c.toks),
+            Dep::leaves(6),
         ],
         |d| {
             with_u!(d, u, {
@@ -1027,7 +921,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             Dep::attr(0, c.env),
             Dep::attr(0, c.ctx),
             Dep::token(2),
-            Dep::attr(4, c.toks),
+            Dep::leaves(4),
         ],
         |d| {
             with_u!(d, u, {
@@ -1068,7 +962,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             Dep::attr(0, c.ctx),
             Dep::token(2),
             Dep::attr(4, c.info),
-            Dep::attr(8, c.toks),
+            Dep::leaves(8),
         ],
         |d| {
             with_u!(d, u, {
@@ -1219,11 +1113,7 @@ fn install_decls(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         pr,
         0,
         c.cfgs,
-        vec![
-            Dep::attr(2, c.info),
-            Dep::attr(4, c.toks),
-            Dep::attr(5, c.info),
-        ],
+        vec![Dep::attr(2, c.info), Dep::leaves(4), Dep::attr(5, c.info)],
         |d| {
             Value::list(vec![Value::list(vec![
                 d[0].clone(),

@@ -166,7 +166,7 @@ fn install_stmts(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         vec![
             Dep::attr(0, c.env),
             Dep::attr(0, c.ctx),
-            Dep::attr(1, c.toks),
+            Dep::leaves(1),
             Dep::attr(3, c.info),
             Dep::attr(4, c.waves),
         ],
@@ -206,8 +206,8 @@ fn install_stmts(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         vec![
             Dep::attr(0, c.env),
             Dep::attr(0, c.ctx),
-            Dep::attr(1, c.toks),
-            Dep::attr(3, c.toks),
+            Dep::leaves(1),
+            Dep::leaves(3),
         ],
         |d| {
             with_u!(d, u, {
@@ -242,11 +242,7 @@ fn install_stmts(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         pr,
         0,
         c.res,
-        vec![
-            Dep::attr(0, c.env),
-            Dep::attr(0, c.ctx),
-            Dep::attr(1, c.toks),
-        ],
+        vec![Dep::attr(0, c.env), Dep::attr(0, c.ctx), Dep::leaves(1)],
         |d| {
             with_u!(d, u, {
                 let toks = oof::toks_of(&d[2]);
@@ -294,7 +290,7 @@ fn install_stmts(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         vec![
             Dep::attr(0, c.env),
             Dep::attr(0, c.ctx),
-            Dep::attr(2, c.toks),
+            Dep::leaves(2),
             Dep::attr(3, c.info),
             Dep::attr(4, c.info),
         ],
@@ -325,7 +321,7 @@ fn install_stmts(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         vec![
             Dep::attr(0, c.env),
             Dep::attr(0, c.ctx),
-            Dep::attr(2, c.toks),
+            Dep::leaves(2),
             Dep::attr(4, c.stmts),
             Dep::attr(5, c.info),
         ],
@@ -373,7 +369,7 @@ fn install_stmts(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         vec![
             Dep::attr(0, c.env),
             Dep::attr(0, c.ctx),
-            Dep::attr(2, c.toks),
+            Dep::leaves(2),
             Dep::attr(4, c.alts),
         ],
         |d| {
@@ -514,7 +510,7 @@ fn install_stmts(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             Dep::attr(0, c.env),
             Dep::attr(0, c.ctx),
             Dep::attr(0, c.ret),
-            Dep::attr(2, c.toks),
+            Dep::leaves(2),
         ],
         |d| {
             with_u!(d, u, {
@@ -843,7 +839,7 @@ fn install_concs(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             Dep::attr(0, c.env),
             Dep::attr(0, c.ctx),
             Dep::attr(0, c.label),
-            Dep::attr(1, c.toks),
+            Dep::leaves(1),
             Dep::attr(2, c.assocs),
             Dep::attr(3, c.assocs),
         ],
@@ -885,7 +881,7 @@ fn install_concs(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             Dep::attr(0, c.env),
             Dep::attr(0, c.ctx),
             Dep::attr(0, c.label),
-            Dep::attr(1, c.toks),
+            Dep::leaves(1),
             Dep::attr(3, c.info),
             Dep::attr(4, c.cwaves),
         ],
@@ -955,8 +951,8 @@ fn install_concs(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             Dep::attr(0, c.env),
             Dep::attr(0, c.ctx),
             Dep::attr(0, c.label),
-            Dep::attr(2, c.toks),
-            Dep::attr(4, c.toks),
+            Dep::leaves(2),
+            Dep::leaves(4),
             Dep::attr(6, c.info),
             Dep::attr(7, c.swaves),
         ],
@@ -1282,11 +1278,7 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         pr,
         6,
         c.env,
-        vec![
-            Dep::attr(0, c.env),
-            Dep::attr(0, c.ctx),
-            Dep::attr(4, c.toks),
-        ],
+        vec![Dep::attr(0, c.env), Dep::attr(0, c.ctx), Dep::leaves(4)],
         move |d| Value::Env(arch_env(d).0),
     );
     ab.rule(pr, 8, c.env, vec![Dep::attr(6, c.envo)], |d| d[0].clone());
@@ -1297,7 +1289,7 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
         vec![
             Dep::attr(0, c.env),
             Dep::attr(0, c.ctx),
-            Dep::attr(4, c.toks),
+            Dep::leaves(4),
             Dep::token(2),
             Dep::attr(6, c.decls),
             Dep::attr(6, c.cfgs),
@@ -1416,7 +1408,7 @@ fn install_units(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClasses) {
             Dep::attr(0, c.env),
             Dep::attr(0, c.ctx),
             Dep::token(2),
-            Dep::attr(4, c.toks),
+            Dep::leaves(4),
             Dep::attr(6, c.info),
         ],
         |d| {

@@ -71,10 +71,10 @@ pub enum Value {
 /// parts in a [`Cat`].
 const SHORT_LIST: usize = 32;
 
-/// Two lists joined without copying either. A run that grows a level at
-/// a time (a token run `n` parentheses deep, a list of `n` statements)
-/// would otherwise copy about `n²` elements in all; joined, it keeps one
-/// node per level and is flattened once, by the first rule that reads it.
+/// Two lists joined without copying either. A list that grows a level at
+/// a time (`n` statements, `n` declarations) would otherwise copy about
+/// `n²` elements in all; joined, it keeps one node per level and is
+/// flattened once, by the first rule that reads it.
 #[derive(Debug)]
 pub struct Cat {
     parts: [Value; 2],
@@ -190,20 +190,6 @@ impl Value {
                 })),
             },
         }
-    }
-
-    /// The list `open`, then the elements of `mid`, then `close`: a
-    /// bracketed token run.
-    pub fn bracket(open: Value, mid: &Value, close: Value) -> Value {
-        if mid.list_len() + 2 <= SHORT_LIST {
-            let mut v = Vec::with_capacity(mid.list_len() + 2);
-            v.push(open);
-            v.extend_from_slice(mid.expect_list());
-            v.push(close);
-            return Value::list(v);
-        }
-        let head = Value::concat_lists(&Value::list(vec![open]), mid);
-        Value::concat_lists(&head, &Value::list(vec![close]))
     }
 
     /// Length of a list value; panics otherwise.
@@ -332,13 +318,13 @@ mod tests {
     #[test]
     fn long_joins_share_their_parts_and_flatten_in_order() {
         let n = 100_000;
+        let one = |i| Value::list(vec![Value::Int(i)]);
         let mut run = Value::empty_list();
         for i in 0..n {
-            let item = Value::list(vec![Value::Int(i)]);
             run = if i % 2 == 0 {
-                Value::concat_lists(&run, &item)
+                Value::concat_lists(&run, &one(i))
             } else {
-                Value::bracket(Value::Int(-1), &run, Value::Int(i))
+                Value::concat_lists(&Value::concat_lists(&one(-1), &run), &one(i))
             };
         }
         assert!(matches!(run, Value::Cat(_)));
@@ -347,11 +333,7 @@ mod tests {
             .chain(0..n)
             .collect();
         assert_eq!(flat, want);
-        let short = Value::bracket(
-            Value::Int(0),
-            &Value::list(vec![Value::Int(1)]),
-            Value::Int(2),
-        );
+        let short = Value::concat_lists(&Value::concat_lists(&one(0), &one(1)), &one(2));
         assert!(matches!(short, Value::List(_)));
         drop(run);
     }

@@ -843,15 +843,15 @@ fn a_unit_file_missing_from_the_history_is_in_the_library() {
 }
 
 /// A restart whose units all hit opens no unit file: its stamps carry
-/// the dependencies' VIF text hashes, so with every `.vif` moved out of
-/// the library it still hits every stamp, at one job and at two.
+/// the dependencies' VIF text hashes, so with every `.vif` overwritten by
+/// bytes that do not parse it still hits every stamp, at one job and at
+/// two, and reads none of them.
 #[test]
 fn all_hit_restart_reads_no_unit_file() {
     let root = temp_root("no-vif-read");
-    let (dir, aside) = (root.join("lib"), root.join("aside"));
+    let dir = root.join("lib");
     for jobs in [1, 2] {
         let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(&aside).expect("aside dir");
         let opts = BatchOptions {
             jobs,
             incremental: true,
@@ -861,17 +861,60 @@ fn all_hit_restart_reads_no_unit_file() {
             .expect("open library")
             .compile_batch(&files, opts)
             .ok());
+        let garbage = b"\x00 not a unit (";
+        let mut overwritten = 0;
         for entry in std::fs::read_dir(&dir).expect("library dir") {
             let path = entry.expect("dir entry").path();
             if path.extension().is_some_and(|e| e == "vif") {
-                let to = aside.join(path.file_name().expect("file name"));
-                std::fs::rename(&path, to).expect("move unit file");
+                std::fs::write(&path, garbage).expect("overwrite unit file");
+                overwritten += 1;
             }
         }
+        assert_eq!(overwritten, 5);
         let r = Compiler::on_disk(&dir)
             .expect("reopen library")
             .compile_batch(&files, opts);
+        assert!(r.ok(), "jobs={jobs}: {:?}", r.units);
         assert_eq!((r.cache.hits, r.cache.analyzed()), (5, 0), "jobs={jobs}");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A stamp hit needs the unit's own file: with one `.vif` deleted outside
+/// the compiler, a restart re-analyzes exactly that unit, at one job and
+/// at two, and writes the file back byte-identical, so its dependents
+/// still hit.
+#[test]
+fn a_deleted_unit_file_is_analyzed_again() {
+    let root = temp_root("deleted-vif");
+    let dir = root.join("lib");
+    let file = dir.join("pkg.derived.vif");
+    for jobs in [1, 2] {
+        let _ = std::fs::remove_dir_all(&root);
+        let opts = BatchOptions {
+            jobs,
+            incremental: true,
+        };
+        let files = fixtures::out_of_order();
+        assert!(Compiler::on_disk(&dir)
+            .expect("open library")
+            .compile_batch(&files, opts)
+            .ok());
+        let before = std::fs::read(&file).expect("unit file");
+        std::fs::remove_file(&file).expect("delete unit file");
+        let r = Compiler::on_disk(&dir)
+            .expect("reopen library")
+            .compile_batch(&files, opts);
+        assert!(r.ok(), "jobs={jobs}: {:?}", r.units);
+        let analyzed: Vec<&str> = r
+            .units
+            .iter()
+            .filter(|u| !u.skipped)
+            .map(|u| u.key.as_str())
+            .collect();
+        assert_eq!(analyzed, ["pkg.derived"], "jobs={jobs}");
+        assert_eq!((r.cache.hits, r.cache.misses), (4, 1), "jobs={jobs}");
+        assert_eq!(std::fs::read(&file).expect("unit file back"), before);
     }
     let _ = std::fs::remove_dir_all(&root);
 }
