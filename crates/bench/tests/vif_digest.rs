@@ -11,10 +11,11 @@
 //! the configuration-unit library.
 //!
 //! Each design is compiled twice: through `Compiler::compile`, one source
-//! at a time, whose inline waves commit the analyzed trees, and through
-//! `compile_batch` at two jobs, whose workers ship VIF text. Both must
-//! give the recorded digests, so the tree path and the byte path store
-//! the same units. Over the same designs, the uids must not move when
+//! at a time, into an in-memory library that keeps the analyzed trees,
+//! and through `compile_batch` into an on-disk library, whose unit files
+//! a reopened library reads back as byte records. Both must give the
+//! recorded digests, so the tree path and the byte path store the same
+//! units. Over the same designs, the uids must not move when
 //! the layout does, and the visit-sequence evaluator (`PlanEval`) must
 //! print the same VIF as the production demand evaluator.
 //!
@@ -58,22 +59,21 @@ const GOLDEN: &[(&str, usize, u64)] = &[
 enum Path {
     /// `Compiler::compile`, one source at a time: the library stores trees.
     Tree,
-    /// `compile_batch` over all sources at two jobs: the library stores
-    /// the workers' text.
-    Batch,
+    /// `compile_batch` over all sources into a library on disk, read back
+    /// through a reopened one: the library stores text.
+    Disk,
 }
 
-/// Compiles `sources` in order into one in-memory work library and
+/// Compiles design `name`'s `sources` in order into one work library and
 /// digests every analyzed unit.
-fn digest(sources: &[&str], path: Path) -> (usize, u64) {
-    let c = Compiler::in_memory();
+fn digest(name: &str, sources: &[&str], path: Path) -> (usize, u64) {
     let mut text = String::new();
     let mut units = 0;
-    let mut fold = |res: &BatchResult| {
+    let mut fold = |res: &BatchResult, libs: &LibrarySet| {
         assert!(res.ok(), "{:?} {:?}", res.front_errors, res.units);
         for u in &res.units {
             let msgs: String = u.msgs.iter().map(|m| format!("{m}\n")).collect();
-            let vif = c.libs.work().peek_raw(&u.key).expect("committed");
+            let vif = libs.work().peek_raw(&u.key).expect("committed");
             units += 1;
             for part in [u.key.as_str(), "\n", &msgs, "\n", &vif, "\n"] {
                 text.push_str(part);
@@ -82,21 +82,31 @@ fn digest(sources: &[&str], path: Path) -> (usize, u64) {
     };
     match path {
         Path::Tree => {
+            let c = Compiler::in_memory();
             for src in sources {
-                fold(&c.compile(src).expect("design parses"));
+                fold(&c.compile(src).expect("design parses"), &c.libs);
             }
         }
-        Path::Batch => {
+        Path::Disk => {
+            let dir =
+                std::env::temp_dir().join(format!("vhdl-digest-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
             let files: Vec<(String, String)> = sources
                 .iter()
                 .enumerate()
                 .map(|(i, src)| (format!("f{i}.vhd"), src.to_string()))
                 .collect();
-            let opts = BatchOptions {
-                jobs: 2,
-                incremental: false,
-            };
-            fold(&c.compile_batch(&files, opts));
+            let res = Compiler::on_disk(&dir)
+                .expect("open library")
+                .compile_batch(&files, BatchOptions::default());
+            let work = Library::on_disk("work", &dir).expect("reopen library");
+            let libs = LibrarySet::new(Rc::new(work), vec![]);
+            fold(&res, &libs);
+            // Every unit file loads as a byte record that the schema takes.
+            for u in &res.units {
+                libs.load(&format!("work.{}", u.key)).expect("loads");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
     (units, fnv1a(0, text.as_bytes()))
@@ -105,7 +115,7 @@ fn digest(sources: &[&str], path: Path) -> (usize, u64) {
 #[test]
 fn analysis_output_matches_recorded_digests() {
     let designs = ag_bench::digest_designs();
-    for path in [Path::Tree, Path::Batch] {
+    for path in [Path::Tree, Path::Disk] {
         check(&designs, path);
     }
 }
@@ -115,7 +125,7 @@ fn check(designs: &[(String, Vec<String>)], path: Path) {
         .iter()
         .map(|(name, srcs)| {
             let srcs: Vec<&str> = srcs.iter().map(String::as_str).collect();
-            let (units, h) = digest(&srcs, path);
+            let (units, h) = digest(name, &srcs, path);
             (name.clone(), units, h)
         })
         .collect();

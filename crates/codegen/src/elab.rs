@@ -119,7 +119,7 @@ pub fn elaborate(
         &[],
     )?;
     // Elaboration-time static sensitivity: computed once here so every
-    // simulator built from this program (server re-runs, batch workers)
+    // simulator built from this program (server re-runs)
     // skips the kernel's fallback code walk.
     e.program.finalize_sensitivity();
     Ok(e.program)

@@ -1,74 +1,63 @@
-//! Parallel, incremental batch compilation over the VIF library.
+//! Incremental batch compilation over the VIF library.
 //!
 //! The paper's §2 architecture makes the VIF the only interface between
-//! separately-compiled units, which licenses two things the sequential
-//! driver never exploited:
+//! separately-compiled units. The batch compiler stages the
+//! [`crate::depgraph`] into waves and analyzes them on the calling
+//! thread, one unit at a time, each against the library as the earlier
+//! waves left it: every unit of a wave sees the wave-start library state,
+//! and the wave's clean units are committed at its barrier, in input
+//! order, as the analyzed trees themselves ([`Library::put`]).
 //!
-//! 1. **Parallelism.** Units whose VIF dependencies are already committed
-//!    can be analyzed concurrently. The batch compiler stages the
-//!    [`crate::depgraph`] into waves and runs each wave across the
-//!    compiler's long-lived [`ag_harness::pool`] of analysis workers.
-//!    Workers exchange only plain data with the coordinator (parsed
-//!    units in, VIF text + diagnostics out): the coordinator parses every
-//!    file once and shares the trees, and the `Rc`-based environments
-//!    and VIF graphs never cross a thread boundary. The grammars, LALR
-//!    tables and attribute grammars are process-wide, so a fresh worker
-//!    builds only its `Standard` before it analyzes. Each worker rebuilds the work library from a
-//!    [`LibrarySnapshot`] and receives the committed texts of every
-//!    finished wave, so all units of a wave observe exactly the
-//!    wave-start library state regardless of worker count — that is the
-//!    determinism contract the property suite checks: `--jobs 1` and
-//!    `--jobs N` produce byte-identical VIF and identical diagnostics.
-//!    With `jobs <= 1` the waves run inline on the calling thread and
-//!    commit the analyzed trees themselves ([`Library::put`]); only
-//!    worker results arrive as text.
-//! 2. **Incrementality.** Each committed unit is stamped with a content
-//!    hash of its source token run combined with the hashes of its
-//!    dependencies' *VIF texts*. VIF text (not symbol ids or node
-//!    addresses) is the hash input because it is the stable on-disk
-//!    interchange form: interner ids differ between processes and between
-//!    thread interleavings, the text never does. A dependency stored as a
-//!    tree is hashed by streaming the printer into the hash, so stamping
-//!    makes no text ([`Library::text_hash`]). On a warm run a unit
-//!    whose recomputed stamp matches its stored stamp, and whose unit
-//!    file the library still has ([`Library::contains`]), is skipped; a
-//!    changed package re-analyzes exactly its transitive dependents,
-//!    because the dependents' stamps absorb the new VIF text hash — and a
-//!    change that leaves a unit's VIF text identical (a comment, a
-//!    body-local rename) cuts the invalidation off early. The front half
-//!    is incremental per file: the compiler keeps each file of its last
-//!    batch parsed (`ParsedFile`), so a batch parses only the files
-//!    whose text changed and stages its graph once. Over an on-disk
-//!    library the memo outlives the process: each batch that changes the
-//!    memo's set of files writes it to the library's `fronts` file (texts
-//!    and unit fronts, no trees), and [`Compiler::on_disk`] reads it
-//!    back, so a restart whose units all hit their stamps parses nothing.
-//!    A batch that has units to analyze parses every restored file at its
-//!    first wave with jobs.
+//! Each committed unit is stamped with a content hash of its source token
+//! run combined with the hashes of its dependencies' *VIF texts*. VIF text
+//! (not symbol ids or node addresses) is the hash input because it is the
+//! stable on-disk interchange form: interner ids differ between processes,
+//! the text never does. A dependency stored as a tree is hashed by
+//! streaming the printer into the hash, so stamping makes no text
+//! ([`Library::text_hash`]). On a warm run a unit whose recomputed stamp
+//! matches its stored stamp, and whose unit file the library still has
+//! ([`Library::contains`]), is skipped; a changed package re-analyzes
+//! exactly its transitive dependents, because the dependents' stamps
+//! absorb the new VIF text hash — and a change that leaves a unit's VIF
+//! text identical (a comment, a body-local rename) cuts the invalidation
+//! off early.
+//!
+//! The front half is incremental per file: the compiler keeps each file of
+//! its last batch parsed (`ParsedFile`), so a batch parses only the files
+//! whose text changed and stages its graph once. Over an on-disk library
+//! the memo outlives the process: each batch that changes the memo's set
+//! of files writes it to the library's `fronts` file (texts and unit
+//! fronts, no trees), and [`Compiler::on_disk`] reads it back, so a
+//! restart whose units all hit their stamps parses nothing. A batch that
+//! has units to analyze parses every restored file at its first wave with
+//! units to analyze.
+//!
+//! [`Library::put`]: vhdl_vif::Library::put
+//! [`Library::text_hash`]: vhdl_vif::Library::text_hash
+//! [`Library::contains`]: vhdl_vif::Library::contains
 
-use std::collections::{HashMap, VecDeque};
+use std::cell::OnceCell;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{DefaultHasher, Hasher};
 use std::rc::Rc;
-use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ag_harness::fnv1a;
-use ag_harness::pool::Pool;
 use ag_lalr::ParseTree;
 use vhdl_sem::analyze::{Analyzer, UnitLoader};
 use vhdl_sem::msg::{Msg, Msgs, Severity};
 use vhdl_syntax::{FrontError, Pos, SrcTok};
-use vhdl_vif::{write_vif, Library, LibrarySet, LibrarySnapshot, VifNode, VifTraffic};
+use vhdl_vif::{LibrarySet, VifNode, VifTraffic};
 
 use crate::depgraph;
-use crate::{Compiler, EnvKind, PhaseTimes};
+use crate::{Compiler, PhaseTimes};
 
 /// Options of one batch compilation.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchOptions {
-    /// Worker count; `<= 1` analyzes inline on the calling thread (same
-    /// schedule, same commit order — the determinism baseline).
+    /// Ignored: every batch analyzes on the calling thread. Kept because
+    /// the benchmark's `rebuild` and `serve` workloads still set it.
     pub jobs: usize,
     /// Skip units whose incremental stamp matches the library's.
     pub incremental: bool,
@@ -138,21 +127,17 @@ pub struct BatchResult {
     pub units: Vec<BatchUnit>,
     /// Files that failed to scan/parse: `(file index, error)`.
     pub front_errors: Vec<(usize, FrontError)>,
-    /// Aggregated phase times. Parsing is the coordinator's alone; the
-    /// analysis and VIF phases are CPU-summed across workers, so under
-    /// `--jobs N` they can exceed wall-clock.
+    /// Aggregated phase times.
     pub phases: PhaseTimes,
     /// Incremental cache counters.
     pub cache: CacheStats,
     /// Number of waves executed.
     pub waves: usize,
-    /// Worker count used.
-    pub jobs: usize,
     /// Non-blank source lines across all files.
     pub lines: usize,
     /// Wall-clock time of the whole batch.
     pub wall: Duration,
-    /// VIF traffic on the coordinator's libraries during the batch.
+    /// VIF traffic on the compiler's libraries during the batch.
     pub traffic: VifTraffic,
 }
 
@@ -183,7 +168,7 @@ impl BatchResult {
     }
 
     /// All diagnostics rendered with their file name, in input order —
-    /// the byte-comparable form the determinism suite uses.
+    /// the byte-comparable form the batch tests compare.
     pub fn rendered_msgs(&self, file_names: &[String]) -> String {
         let mut out = String::new();
         for (i, e) in &self.front_errors {
@@ -202,174 +187,45 @@ fn has_errors(msgs: &[Msg]) -> bool {
     msgs.iter().any(|m| m.severity == Severity::Error)
 }
 
-/// One scheduled analysis job.
-#[derive(Clone, Copy, Debug)]
-struct Job {
-    global: usize,
-    file: usize,
-    unit_in_file: usize,
-}
-
-/// A committed unit as the workers receive it: key and VIF text.
-type Put = (String, Arc<str>);
-
-/// The parsed files of a batch, in input order, shared with the memo:
-/// `files[file].units[unit_in_file]`. A file that failed to parse has no
-/// units.
-type FileUnits = Arc<Vec<Arc<ParsedFile>>>;
-
-/// A batch's parsed units and the library snapshot its workers' mirrors
-/// start from.
-type BatchStart = (FileUnits, LibrarySnapshot);
-
-/// Coordinator → worker message: one wave. Only plain data (the shared
-/// parse trees and `Arc<str>` text) crosses the boundary.
-pub(crate) struct Wave {
-    /// Set on a batch's first wave: the batch's parsed units and the
-    /// library state when the pool was engaged. The worker rebuilds its
-    /// mirror library; its analyzer survives across batches — that is
-    /// the point of a long-lived pool.
-    start: Option<BatchStart>,
-    /// Texts committed since the workers last synced.
-    puts: Vec<Put>,
-    /// The wave's jobs, drained by every worker.
-    queue: Arc<Mutex<VecDeque<Job>>>,
-}
-
-/// The compiler's analysis pool: each worker drains a wave's queue and
-/// answers with its share of the results.
-pub(crate) type AnalysisPool = Pool<Wave, Vec<JobOut>>;
-
-/// Worker → coordinator result of one job.
+/// One analyzed unit, as the wave barrier commits it.
 #[derive(Default)]
-pub(crate) struct JobOut {
-    global: usize,
+struct JobOut {
     key: String,
-    /// Serialized VIF when the unit analyzed cleanly; a worker prints it
-    /// (inline jobs hand their tree to the commit instead).
-    vif_text: Option<String>,
+    /// The tree to commit, when the unit analyzed cleanly.
+    tree: Option<Rc<VifNode>>,
     msgs: Vec<Msg>,
     expr_evals: u64,
     attr_eval: Duration,
     vif_read: Duration,
-    vif_write: Duration,
 }
 
-/// Analyzes one unit against `libs`: the outcome as the Send-able
-/// `JobOut` (no VIF yet) plus the tree to commit when the unit analyzed
-/// cleanly. Shared by the worker loop, which prints the tree, and the
-/// inline (`jobs <= 1`) path, which commits it, so both analyze alike.
+/// Analyzes unit `unit_in_file` of `file` against `libs`.
 fn run_job(
     analyzer: &Analyzer,
     libs: &Rc<LibrarySet>,
     file: &ParsedFile,
-    job: Job,
-) -> (JobOut, Option<Rc<VifNode>>) {
-    let global = job.global;
-    let Some(unit) = file.tree(job.unit_in_file) else {
+    unit_in_file: usize,
+) -> JobOut {
+    let Some(unit) = file.tree(unit_in_file) else {
         // Only a `fronts` entry that disagrees with its own text's parse
         // leaves a scheduled unit without a tree.
-        let at = file.fronts[job.unit_in_file].pos;
+        let at = file.fronts[unit_in_file].pos;
         let msg = Msg::error(at, "internal: the file's parse has no such unit");
-        return (
-            JobOut {
-                global,
-                msgs: vec![msg],
-                ..JobOut::default()
-            },
-            None,
-        );
+        return JobOut {
+            msgs: vec![msg],
+            ..JobOut::default()
+        };
     };
     let t0 = Instant::now();
     let au = analyzer.analyze_unit_with_loader(unit, Rc::clone(libs) as Rc<dyn UnitLoader>);
     let analysis = t0.elapsed();
-    let tree = (!au.msgs.has_errors() && !au.key.is_empty()).then_some(au.node);
-    let out = JobOut {
-        global,
+    JobOut {
+        tree: (!au.msgs.has_errors() && !au.key.is_empty()).then_some(au.node),
         key: au.key,
         msgs: au.msgs.to_vec(),
         expr_evals: au.expr_evals,
         attr_eval: analysis.saturating_sub(au.vif_read),
         vif_read: au.vif_read,
-        ..JobOut::default()
-    };
-    (out, tree)
-}
-
-/// Renders a payload captured by `catch_unwind` (also `vhdld`'s, for a
-/// request handler's panic).
-pub fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// One analysis worker's state: analyze the coordinator's parse trees
-/// against the mirror library, ship text back. Everything it owns is
-/// thread-local and survives across batches; a batch's first wave resets
-/// the units and the mirror, never the analyzer.
-struct Worker {
-    analyzer: Analyzer,
-    files: FileUnits,
-    /// The mirror library.
-    libs: Rc<LibrarySet>,
-}
-
-fn mirror(work: Library) -> Rc<LibrarySet> {
-    Rc::new(LibrarySet::new(Rc::new(work), vec![]))
-}
-
-impl Worker {
-    fn new(env_kind: EnvKind) -> Worker {
-        Worker {
-            analyzer: Analyzer::new(env_kind),
-            files: Arc::default(),
-            libs: mirror(Library::in_memory("work")),
-        }
-    }
-
-    fn wave(&mut self, wave: Wave) -> Vec<JobOut> {
-        if let Some((files, snapshot)) = wave.start {
-            self.files = files;
-            self.libs = mirror(Library::from_snapshot(&snapshot));
-        }
-        let work = self.libs.work();
-        for (k, text) in &wave.puts {
-            let _ = work.put_text(k, text);
-        }
-        let mut out = Vec::new();
-        loop {
-            let job = wave
-                .queue
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .pop_front();
-            let Some(job) = job else { break };
-            // A panicking unit becomes an internal-error diagnostic on
-            // that unit; the worker and the rest of the wave go on.
-            let what = |p| format!("internal: analysis panicked: {}", panic_text(p));
-            out.push(
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.job(job)))
-                    .unwrap_or_else(|p| JobOut {
-                        global: job.global,
-                        msgs: vec![Msg::error(Default::default(), what(p))],
-                        ..JobOut::default()
-                    }),
-            );
-        }
-        out
-    }
-
-    fn job(&self, job: Job) -> JobOut {
-        let (mut out, tree) = run_job(&self.analyzer, &self.libs, &self.files[job.file], job);
-        let t0 = Instant::now();
-        out.vif_text = tree.map(|node| write_vif(&node));
-        out.vif_write = t0.elapsed();
-        out
     }
 }
 
@@ -386,7 +242,7 @@ pub(crate) struct ParsedFile {
     text: Box<str>,
     /// The parsed units; unset for a file read from a `fronts` file until
     /// a batch must analyze ([`ParsedFile::parse_restored`]).
-    units: OnceLock<Vec<ParseTree<SrcTok>>>,
+    units: OnceCell<Vec<ParseTree<SrcTok>>>,
     fronts: Vec<depgraph::UnitFront>,
     error: Option<FrontError>,
     lines: usize,
@@ -416,7 +272,7 @@ impl ParsedFile {
                 .iter()
                 .map(|u| depgraph::UnitFront::of(u.leaves()))
                 .collect(),
-            units: OnceLock::from(units),
+            units: OnceCell::from(units),
             error,
             lines: src.lines().filter(|l| !l.trim().is_empty()).count(),
         }
@@ -449,7 +305,7 @@ const FRONTS_VERSION: &str = "vhdl-fronts 1";
 /// a line of its candidates; an `end` line closes the file. Files with a
 /// front error are left out. Keys and candidates are identifier
 /// spellings joined by dots, so they hold no space or newline.
-pub(crate) fn print_fronts(memo: &HashMap<u64, Arc<ParsedFile>>) -> String {
+pub(crate) fn print_fronts(memo: &HashMap<u64, Rc<ParsedFile>>) -> String {
     let mut files: Vec<_> = memo.iter().filter(|(_, f)| f.error.is_none()).collect();
     files.sort_unstable_by_key(|&(key, _)| *key);
     let mut out = format!("{FRONTS_VERSION}\n");
@@ -471,7 +327,7 @@ pub(crate) fn print_fronts(memo: &HashMap<u64, Arc<ParsedFile>>) -> String {
 /// version, not UTF-8 where text is due) is `None`, and the batch parses
 /// as if there were no file; an entry stored under another text's key is
 /// never a hit, since a hit compares the texts.
-pub(crate) fn read_fronts(bytes: &[u8]) -> Option<HashMap<u64, Arc<ParsedFile>>> {
+pub(crate) fn read_fronts(bytes: &[u8]) -> Option<HashMap<u64, Rc<ParsedFile>>> {
     /// The unread rest of the file.
     struct Cursor<'a>(&'a [u8]);
     impl<'a> Cursor<'a> {
@@ -519,28 +375,23 @@ pub(crate) fn read_fronts(bytes: &[u8]) -> Option<HashMap<u64, Arc<ParsedFile>>>
         }
         let file = ParsedFile {
             text: text.into(),
-            units: OnceLock::new(),
+            units: OnceCell::new(),
             fronts,
             error: None,
             lines,
         };
-        memo.insert(key, Arc::new(file));
+        memo.insert(key, Rc::new(file));
     }
 }
 
 impl Compiler {
     /// Compiles a set of `(name, source)` files as one batch:
-    /// dependency-staged, optionally parallel, optionally incremental.
-    /// Files may arrive in any order — the wave schedule, not the file
-    /// list, decides analysis order. Successful units are committed to the
-    /// work library at wave barriers in input order, so the library
-    /// history (and with it the §3.3 latest-compiled-architecture
-    /// default-binding rule) is identical for every `jobs` value.
-    ///
-    /// With `opts.jobs > 1` the waves run on the compiler's own pool of
-    /// `opts.jobs` workers, spawned at the first wave that has anything
-    /// to analyze and kept for later batches (respawned only when
-    /// `opts.jobs` changes).
+    /// dependency-staged, optionally incremental. Files may arrive in any
+    /// order — the wave schedule, not the file list, decides analysis
+    /// order. Successful units are committed to the work library at wave
+    /// barriers in input order, so the library history (and with it the
+    /// §3.3 latest-compiled-architecture default-binding rule) follows the
+    /// schedule and the file list alone.
     pub fn compile_batch(&self, files: &[(String, String)], opts: BatchOptions) -> BatchResult {
         let _t = ag_harness::trace::span("compile-batch");
         let wall0 = Instant::now();
@@ -553,11 +404,11 @@ impl Compiler {
         // The front half, per file: a file whose text the last batch also
         // had reuses that batch's parse. The memo then holds exactly this
         // batch's files.
-        let mut parsed: Vec<Arc<ParsedFile>> = Vec::with_capacity(files.len());
+        let mut parsed: Vec<Rc<ParsedFile>> = Vec::with_capacity(files.len());
         let memo_changed = {
             let _t = ag_harness::trace::span("parse");
             let mut memo = self.parsed.borrow_mut();
-            let mut next: HashMap<u64, Arc<ParsedFile>> = HashMap::with_capacity(files.len());
+            let mut next: HashMap<u64, Rc<ParsedFile>> = HashMap::with_capacity(files.len());
             for (_, src) in files {
                 let key = text_key(src);
                 let hit = [next.get(&key), memo.get(&key)]
@@ -572,10 +423,10 @@ impl Compiler {
                     }
                     None => {
                         cache.parsed += 1;
-                        Arc::new(ParsedFile::parse(&self.analyzer, src, &mut phases.parse))
+                        Rc::new(ParsedFile::parse(&self.analyzer, src, &mut phases.parse))
                     }
                 };
-                next.insert(key, Arc::clone(&file));
+                next.insert(key, Rc::clone(&file));
                 parsed.push(file);
             }
             // With no file parsed, every entry of `next` came from the
@@ -593,9 +444,8 @@ impl Compiler {
             .filter_map(|(i, f)| Some((i, f.error.clone()?)))
             .collect();
         let lines = parsed.iter().map(|f| f.lines).sum();
-        let file_units: FileUnits = Arc::new(parsed);
         let fronts: Vec<&[depgraph::UnitFront]> =
-            file_units.iter().map(|f| f.fronts.as_slice()).collect();
+            parsed.iter().map(|f| f.fronts.as_slice()).collect();
         let graph = depgraph::resolve(&fronts, &|key| work.contains(key));
 
         let mut out_units: Vec<BatchUnit> = Vec::new();
@@ -618,25 +468,15 @@ impl Compiler {
             }
         }
 
-        // The pool is engaged lazily, at the first wave that actually has
-        // jobs: an all-hit warm batch never touches (or spawns) the pool
-        // at all — no snapshot, no posts. Engaging late is safe because
-        // the snapshot taken at engagement time already contains every
-        // commit made so far.
-        let mut pool_engaged = false;
-
-        // Texts committed since the workers last synced their
-        // mirrors (accumulates across waves the pool never saw).
-        let mut pending_delta: Vec<Put> = Vec::new();
-
         // Files restored from the `fronts` file have no trees: the first
         // wave with jobs parses them all, before any analysis.
         let mut trees_ready = false;
 
         for (w, wave) in graph.waves.iter().enumerate() {
             // Stamp every unit of the wave against the current library
-            // state and decide skip vs analyze.
-            let mut jobs_list: Vec<(Job, u64)> = Vec::new();
+            // state and decide skip vs analyze: `(unit, stamp)` per job,
+            // in input order.
+            let mut jobs: Vec<(usize, u64)> = Vec::new();
             for &i in wave {
                 let meta = &graph.units[i];
                 let mut stamp = meta.front.src_hash;
@@ -668,128 +508,64 @@ impl Compiler {
                     Some(_) => cache.misses += 1,
                     None => cache.cold += 1,
                 }
-                jobs_list.push((
-                    Job {
-                        global: i,
-                        file: meta.file,
-                        unit_in_file: meta.unit_in_file,
-                    },
-                    stamp,
-                ));
+                jobs.push((i, stamp));
             }
-            let stamps: HashMap<usize, u64> =
-                jobs_list.iter().map(|(j, s)| (j.global, *s)).collect();
-            if !jobs_list.is_empty() && !trees_ready {
+            if !jobs.is_empty() && !trees_ready {
                 trees_ready = true;
                 let _t = ag_harness::trace::span("parse");
-                for file in file_units.iter() {
+                for file in &parsed {
                     file.parse_restored(&self.analyzer, &mut phases.parse);
                 }
             }
 
-            // Run the wave. An all-hit wave has nothing to run and — with
-            // a pool — nothing to post; commits it is owed travel in
-            // `pending_delta` with the next real wave.
-            // Inline results carry their trees; worker results carry text.
-            let mut results: Vec<(JobOut, Option<Rc<VifNode>>)> = if jobs_list.is_empty() {
-                Vec::new()
-            } else if opts.jobs > 1 {
-                let start = (!pool_engaged).then(|| {
-                    pool_engaged = true;
-                    // The snapshot already holds every commit so far.
-                    pending_delta.clear();
-                    (Arc::clone(&file_units), work.snapshot())
-                });
-                let queue: Arc<Mutex<VecDeque<Job>>> =
-                    Arc::new(Mutex::new(jobs_list.iter().map(|(j, _)| *j).collect()));
-                let puts = std::mem::take(&mut pending_delta);
-                let mut pool = self.pool.borrow_mut();
-                if pool.as_ref().is_some_and(|p| p.workers() != opts.jobs) {
-                    // Join the old workers before spawning their replacements.
-                    *pool = None;
-                }
-                let env_kind = self.analyzer.env_kind;
-                let pool = pool.get_or_insert_with(|| {
-                    Pool::new(opts.jobs, "analysis-worker", move |_| {
-                        let mut worker = Worker::new(env_kind);
-                        move |wave| worker.wave(wave)
-                    })
-                });
-                for w in 0..opts.jobs {
-                    pool.post(
-                        w,
-                        Wave {
-                            start: start.clone(),
-                            puts: puts.clone(),
-                            queue: Arc::clone(&queue),
-                        },
-                    );
-                }
-                (0..opts.jobs)
-                    .flat_map(|w| pool.wait(w))
-                    .map(|r| (r, None))
-                    .collect()
-            } else {
-                jobs_list
-                    .iter()
-                    .map(|(job, _)| {
-                        run_job(&self.analyzer, &self.libs, &file_units[job.file], *job)
-                    })
-                    .collect()
-            };
+            // Every unit of the wave analyzes against the library as the
+            // earlier waves left it.
+            let results: Vec<JobOut> = jobs
+                .iter()
+                .map(|&(i, _)| {
+                    let meta = &graph.units[i];
+                    run_job(
+                        &self.analyzer,
+                        &self.libs,
+                        &parsed[meta.file],
+                        meta.unit_in_file,
+                    )
+                })
+                .collect();
 
-            // Wave barrier: commit in input (global) order, stamp, record.
-            // The `stamps` file is written twice per barrier at most: first
+            // Wave barrier: commit in input order, stamp, record. The
+            // `stamps` file is written twice per barrier at most: first
             // without the stamps of the units about to be replaced, then
             // with their new stamps after the last commit, so the disk
             // never pairs a new unit text with its old stamp. If the first
             // write fails, the wave commits nothing, as a failed `put`
             // commits nothing: the old texts stay beside their old stamps.
-            results.sort_by_key(|(r, _)| r.global);
             let replaced: Vec<&str> = results
                 .iter()
-                .filter(|(r, tree)| tree.is_some() || r.vif_text.is_some())
-                .map(|(r, _)| r.key.as_str())
+                .filter(|r| r.tree.is_some())
+                .map(|r| r.key.as_str())
                 .collect();
             let writable = work.drop_stamps(&replaced).is_ok();
             let mut new_stamps = Vec::new();
-            for (r, tree) in results {
+            for (&(i, stamp), r) in jobs.iter().zip(results) {
                 phases.attr_eval += r.attr_eval;
                 phases.vif_read += r.vif_read;
-                phases.vif_write += r.vif_write;
-                let JobOut {
-                    global,
-                    key,
-                    vif_text,
-                    msgs,
-                    expr_evals,
-                    ..
-                } = r;
                 let t0 = Instant::now();
-                let committed = writable
-                    && match (&tree, &vif_text) {
-                        (Some(tree), _) => work.put(&key, tree).is_ok(),
-                        (None, Some(text)) => work.put_text(&key, text).is_ok(),
-                        (None, None) => false,
-                    };
+                let committed =
+                    writable && r.tree.is_some_and(|tree| work.put(&r.key, &tree).is_ok());
                 phases.vif_write += t0.elapsed();
                 if committed {
-                    if let Some(&stamp) = stamps.get(&global) {
-                        new_stamps.push((key.clone(), stamp));
-                    }
-                    if let Some(text) = vif_text {
-                        pending_delta.push((key.clone(), Arc::from(text)));
-                    }
+                    new_stamps.push((r.key.clone(), stamp));
                 }
-                let meta = &graph.units[global];
+                let meta = &graph.units[i];
                 out_units.push(BatchUnit {
                     file: meta.file,
                     unit_in_file: meta.unit_in_file,
-                    key,
+                    key: r.key,
                     wave: Some(w),
                     skipped: false,
-                    msgs,
-                    expr_evals,
+                    msgs: r.msgs,
+                    expr_evals: r.expr_evals,
                 });
             }
             let _ = work.set_stamps(new_stamps);
@@ -812,7 +588,6 @@ impl Compiler {
             phases,
             cache,
             waves: graph.waves.len(),
-            jobs: opts.jobs.max(1),
             lines,
             wall: wall0.elapsed(),
             traffic: self.libs.traffic(),
@@ -823,6 +598,7 @@ impl Compiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EnvKind;
 
     fn design() -> Vec<(String, String)> {
         // Deliberately out of dependency order: the architecture and the
@@ -882,30 +658,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_is_byte_identical_to_serial() {
-        let c1 = Compiler::in_memory();
-        let r1 = c1.compile_batch(&design(), BatchOptions::default());
-        let c4 = Compiler::in_memory();
-        let r4 = c4.compile_batch(
-            &design(),
-            BatchOptions {
-                jobs: 4,
-                incremental: false,
-            },
-        );
-        assert!(r1.ok() && r4.ok());
-        assert_eq!(r1.waves, r4.waves);
-        assert_eq!(vif_texts(&c1), vif_texts(&c4));
-        let names: Vec<String> = design().iter().map(|(n, _)| n.clone()).collect();
-        assert_eq!(r1.rendered_msgs(&names), r4.rendered_msgs(&names));
-    }
-
-    #[test]
     fn warm_incremental_run_skips_everything() {
         let c = Compiler::in_memory();
         let opts = BatchOptions {
-            jobs: 1,
             incremental: true,
+            ..BatchOptions::default()
         };
         let cold = c.compile_batch(&design(), opts);
         assert!(cold.ok());
@@ -922,8 +679,8 @@ mod tests {
     fn touched_unit_invalidates_exactly_its_dependents() {
         let c = Compiler::in_memory();
         let opts = BatchOptions {
-            jobs: 1,
             incremental: true,
+            ..BatchOptions::default()
         };
         let mut files = design();
         let cold = c.compile_batch(&files, opts);
@@ -945,39 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_survives_across_batches() {
-        // Cold, edit, revert on one jobs=3 compiler: one pool serves all
-        // three batches, and after each the library and diagnostics match
-        // a jobs=1 compiler that ran the same sequence. A batch at jobs=2
-        // then respawns the pool.
-        ag_harness::trace::reset();
-        ag_harness::trace::set_enabled(true);
-        let mut edited = design();
-        edited[1].1 = "entity e is\nport (clk : in bit);\nend e;\n".into();
-        let names: Vec<String> = design().iter().map(|(n, _)| n.clone()).collect();
-        let (serial, pooled) = (Compiler::in_memory(), Compiler::in_memory());
-        let steps = [
-            (design(), 3, 1),
-            (edited.clone(), 3, 1),
-            (design(), 3, 1),
-            (edited, 2, 2),
-        ];
-        for (files, jobs, spawns) in steps {
-            let opts = |jobs| BatchOptions {
-                jobs,
-                incremental: true,
-            };
-            let r1 = serial.compile_batch(&files, opts(1));
-            let rn = pooled.compile_batch(&files, opts(jobs));
-            assert!(rn.ok() && rn.cache.analyzed() > 0, "{:?}", rn.units);
-            assert_eq!(vif_texts(&serial), vif_texts(&pooled));
-            assert_eq!(r1.rendered_msgs(&names), rn.rendered_msgs(&names));
-            assert_eq!(ag_harness::trace::counter_value("pool-spawn"), spawns);
-        }
-        assert_eq!(pooled.pool.borrow().as_ref().map(Pool::workers), Some(2));
-    }
-
-    #[test]
     fn all_hit_batch_spawns_no_pool() {
         let dir = std::env::temp_dir().join(format!("vhdl-pool-hit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -986,22 +710,26 @@ mod tests {
             jobs: 3,
             incremental: true,
         };
+        ag_harness::trace::reset();
+        ag_harness::trace::set_enabled(true);
         let cold = Compiler::on_disk(&dir).expect("open library");
         assert!(cold.compile_batch(&design(), opts).ok());
         // A restart over the same library: every stamp hits.
         let restarted = Compiler::on_disk(&dir).expect("reopen library");
         let warm = restarted.compile_batch(&design(), opts);
+        let spawns = ag_harness::trace::counter_value("pool-spawn");
+        ag_harness::trace::set_enabled(false);
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(warm.cache.hits, 3);
-        assert!(restarted.pool.borrow().is_none(), "all hits, no workers");
+        assert_eq!(spawns, 0, "`jobs` is ignored: no batch starts a thread");
     }
 
     #[test]
     fn warm_plan_hit_skips_parse_and_reprint() {
         let c = Compiler::in_memory();
         let opts = BatchOptions {
-            jobs: 1,
             incremental: true,
+            ..BatchOptions::default()
         };
         let cold = c.compile_batch(&design(), opts);
         assert!(cold.ok());
@@ -1067,7 +795,7 @@ mod tests {
         let other = "package q is\nconstant depth : integer := 2;\nend q;\n";
         {
             let mut memo = c.parsed.borrow_mut();
-            let pkg = Arc::clone(&memo[&text_key(&files[2].1)]);
+            let pkg = Rc::clone(&memo[&text_key(&files[2].1)]);
             memo.insert(text_key(other), pkg);
         }
         let r = c.compile_batch(&[("q.vhd".into(), other.into())], BatchOptions::default());
@@ -1086,8 +814,8 @@ mod tests {
         let r = c.compile_batch(
             &design(),
             BatchOptions {
-                jobs: 3,
                 incremental: true,
+                ..BatchOptions::default()
             },
         );
         let mut names: Vec<String> = std::fs::read_dir(&dir)
@@ -1130,8 +858,8 @@ mod tests {
         let mut ghost = file.fronts[0].clone();
         ghost.key = "entity.ghost".into();
         file.fronts.push(ghost);
-        file.units = OnceLock::new();
-        let memo = HashMap::from([(text_key(src), Arc::new(file))]);
+        file.units = OnceCell::new();
+        let memo = HashMap::from([(text_key(src), Rc::new(file))]);
         std::fs::write(dir.join("fronts"), print_fronts(&memo)).expect("write fronts");
         let c = Compiler::on_disk(&dir).expect("open library");
         let r = c.compile_batch(&[("e.vhd".into(), src.into())], BatchOptions::default());
@@ -1150,19 +878,11 @@ mod tests {
              configuration c of e is for a end for; end c;\n"
                 .to_string(),
         )];
-        for jobs in [1, 3] {
-            let c = Compiler::in_memory();
-            let r = c.compile_batch(
-                &files,
-                BatchOptions {
-                    jobs,
-                    incremental: false,
-                },
-            );
-            assert!(r.ok(), "jobs={jobs}: {}", r.msgs());
-            assert_eq!(r.waves, 3, "entity, then architecture, then configuration");
-            assert!(c.libs.work().contains("config.c"));
-        }
+        let c = Compiler::in_memory();
+        let r = c.compile_batch(&files, BatchOptions::default());
+        assert!(r.ok(), "{}", r.msgs());
+        assert_eq!(r.waves, 3, "entity, then architecture, then configuration");
+        assert!(c.libs.work().contains("config.c"));
     }
 
     #[test]

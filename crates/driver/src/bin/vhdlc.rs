@@ -1,7 +1,7 @@
 //! `vhdlc` — the command-line compiler/simulator.
 //!
 //! ```text
-//! vhdlc [--work DIR] [--jobs N] [--incremental]
+//! vhdlc [--work DIR] [--incremental]
 //!       [--elab ENTITY[:ARCH]] [--config NAME]
 //!       [--run TIME] [--sim-jobs N] [--vcd FILE]
 //!       [--emit-c FILE] [--stats] [--trace-phases] FILE...
@@ -9,10 +9,8 @@
 //!
 //! Compiles all files into the work library as one batch, optionally
 //! elaborates a top unit, optionally simulates it. The files' units are
-//! dependency-staged together, so the file order does not matter, and
-//! analyzed inline (`--jobs 1`, the default) or across N worker threads
-//! (`--jobs N`, `--jobs 0` = one per CPU), with identical output for
-//! every N. `--incremental` skips units whose source and dependency VIF
+//! dependency-staged together, so the file order does not matter.
+//! `--incremental` skips units whose source and dependency VIF
 //! are unchanged since the last compile into the same `--work` library.
 //! `--sim-jobs N` lets the kernel run a delta cycle's woken processes
 //! across at most N worker threads (`--sim-jobs 0` = one per CPU). A
@@ -39,7 +37,6 @@ static ALLOC: ag_harness::alloc::CountingAlloc = ag_harness::alloc::CountingAllo
 
 struct Args {
     work: Option<String>,
-    jobs: usize,
     incremental: bool,
     elab: Option<(String, Option<String>)>,
     config: Option<String>,
@@ -55,7 +52,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut out = Args {
         work: None,
-        jobs: 1,
         incremental: false,
         elab: None,
         config: None,
@@ -70,17 +66,8 @@ fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut grab = |name: &str| it.next().ok_or(format!("{name} needs a value"));
-        // Worker counts: 0 = one per CPU. Output is byte-identical at any
-        // count; this only changes who does the work.
-        let mut jobs = |name: &str| {
-            grab(name)?
-                .parse()
-                .map(resolve_jobs)
-                .map_err(|_| format!("{name} needs a worker count"))
-        };
         match a.as_str() {
             "--work" => out.work = Some(grab("--work")?),
-            "--jobs" => out.jobs = jobs("--jobs")?,
             "--incremental" => out.incremental = true,
             "--elab" => {
                 let v = grab("--elab")?;
@@ -97,18 +84,25 @@ fn parse_args() -> Result<Args, String> {
                 out.run_until =
                     Some(Time::parse(&grab("--run")?).map_err(|e| format!("--run: {e}"))?)
             }
-            "--sim-jobs" => out.sim_jobs = jobs("--sim-jobs")?,
+            // A worker count: 0 = one per CPU. Output is byte-identical
+            // at any count; this only changes who does the work.
+            "--sim-jobs" => {
+                out.sim_jobs = grab("--sim-jobs")?
+                    .parse()
+                    .map(resolve_jobs)
+                    .map_err(|_| "--sim-jobs needs a worker count".to_string())?
+            }
             "--vcd" => out.vcd = Some(grab("--vcd")?),
             "--emit-c" => out.emit_c = Some(grab("--emit-c")?),
             "--stats" => out.stats = true,
             "--trace-phases" => out.trace_phases = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: vhdlc [--work DIR] [--jobs N] [--incremental] \
+                    "usage: vhdlc [--work DIR] [--incremental] \
                      [--elab ENTITY[:ARCH]] [--config NAME] [--run TIME] \
                      [--sim-jobs N] [--vcd FILE] \
                      [--emit-c FILE] [--stats] [--trace-phases] FILE...\n\
-                     --jobs 0 and --sim-jobs 0 use one worker per CPU.\n\
+                     --sim-jobs 0 uses one worker per CPU.\n\
                      --sim-jobs N is a ceiling: a delta cycle runs on the \
                      kernel workers only when its woken processes last ran \
                      at least 8192 instructions between them."
@@ -123,7 +117,8 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    // Compile on the batch workers' stack, so `--jobs` changes no outcome.
+    // Analyze on the stack `vhdld`'s sessions get, so a deep unit has the
+    // same outcome in both tools.
     ag_harness::pool::run_on_stack("vhdlc", run)
 }
 
@@ -161,19 +156,18 @@ fn run() -> ExitCode {
         }
     }
     let opts = vhdl_driver::batch::BatchOptions {
-        jobs: args.jobs,
         incremental: args.incremental,
+        ..Default::default()
     };
     let r = compiler.compile_batch(&files, opts);
     let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
     eprint!("{}", r.rendered_msgs(&names));
     if args.stats {
         eprintln!(
-            "batch: {} units in {} waves on {} workers, {} lines ({:.0} lines/min), wall {:?}, \
+            "batch: {} units in {} waves, {} lines ({:.0} lines/min), wall {:?}, \
              cache hit {} miss {} cold {}, files parsed {} reused {}, vif read {} B written {} B",
             r.units.len(),
             r.waves,
-            r.jobs,
             r.lines,
             r.lines_per_minute(),
             r.wall,

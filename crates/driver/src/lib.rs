@@ -20,7 +20,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sim_kernel::{Program, Simulator};
@@ -77,13 +76,10 @@ pub struct Compiler {
     /// The last batch's files, parsed, by the hash of their text: a
     /// [`Compiler::compile_batch`] parses only the files whose text that
     /// batch did not have.
-    parsed: RefCell<HashMap<u64, Arc<batch::ParsedFile>>>,
+    parsed: RefCell<HashMap<u64, Rc<batch::ParsedFile>>>,
     /// The on-disk library's `fronts` file, which keeps `parsed` (texts
     /// and unit fronts, without trees) across processes.
     fronts_file: Option<PathBuf>,
-    /// The batch analysis pool, spawned by the first parallel wave and
-    /// kept for the compiler's lifetime.
-    pool: RefCell<Option<batch::AnalysisPool>>,
 }
 
 impl Compiler {
@@ -95,7 +91,6 @@ impl Compiler {
             libs: Rc::new(LibrarySet::new(Rc::new(work), vec![])),
             parsed: RefCell::default(),
             fronts_file: None,
-            pool: RefCell::default(),
         }
     }
 

@@ -175,8 +175,13 @@ fn parse_errors_fail() {
 
 #[test]
 fn unknown_option_is_usage_error() {
-    let out = vhdlc().args(["--frobnicate"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
+    // `--jobs` is gone: every batch analyzes on one thread.
+    for flag in ["--frobnicate", "--jobs"] {
+        let out = vhdlc().args([flag, "2"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown option"), "{flag}: {stderr}");
+    }
 }
 
 #[test]
@@ -211,8 +216,6 @@ fn batch_mode_compiles_out_of_order_files_in_parallel() {
     let mut args = vec![
         "--work".to_string(),
         work.to_str().unwrap().to_string(),
-        "--jobs".to_string(),
-        "4".to_string(),
         "--stats".to_string(),
     ];
     args.extend(paths.iter().map(|p| p.to_str().unwrap().to_string()));
@@ -224,7 +227,7 @@ fn batch_mode_compiles_out_of_order_files_in_parallel() {
 
     // Second run with --incremental skips every analysis.
     let mut args2 = args.clone();
-    args2.insert(4, "--incremental".to_string());
+    args2.insert(2, "--incremental".to_string());
     let out = vhdlc().args(&args2).output().unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
@@ -352,8 +355,8 @@ fn nested_parens(n: usize) -> String {
 
 /// Attribute demands recurse as deep as the tree. A long statement list
 /// or a deep expression ends in a diagnostic and exit status 1, never in
-/// a stack overflow, and `--jobs` does not change the outcome: the main
-/// path and the workers analyze on the same stack under the same bound.
+/// a stack overflow: `vhdlc` analyzes on the stack `vhdld`'s sessions
+/// get, under the same bound.
 #[test]
 fn deep_units_exit_by_status_at_every_jobs() {
     let dir = tmpdir("deep");
@@ -367,20 +370,11 @@ fn deep_units_exit_by_status_at_every_jobs() {
     ] {
         let path = dir.join(name);
         std::fs::write(&path, src).unwrap();
-        let outs = ["1", "2"].map(|jobs| {
-            vhdlc()
-                .args(["--jobs", jobs, path.to_str().unwrap()])
-                .output()
-                .unwrap()
-        });
-        for out in &outs {
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
-            let want = format!("{at}error: nesting too deep");
-            assert!(stderr.contains(&want), "{name}: {stderr}");
-        }
-        assert_eq!(outs[0].stdout, outs[1].stdout, "{name}");
-        assert_eq!(outs[0].stderr, outs[1].stderr, "{name}");
+        let out = vhdlc().arg(&path).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        let want = format!("{at}error: nesting too deep");
+        assert!(stderr.contains(&want), "{name}: {stderr}");
     }
 }
 

@@ -1,19 +1,17 @@
 //! The worker pool: long-lived named threads with one mailbox slot each,
-//! no channels and no work stealing. The batch driver's analysis waves
-//! and the simulation kernel's delta cycles both run on it.
+//! no channels and no work stealing. The simulation kernel runs a heavy
+//! delta cycle's processes on it.
 //!
 //! The caller addresses workers by index: [`Pool::post`] moves a job into
 //! worker `w`'s slot and [`Pool::wait`] moves the answer back out of that
 //! same slot, so posting to every worker and then waiting on each is a
-//! barrier whose results come back in worker order. A worker builds its
-//! job function on its own thread, so the function may own `!Send` state
-//! for the pool's whole life: an analyzer's `STD.STANDARD`, whose nodes
-//! are `Rc`, and the `Rc`-based mirror library it analyzes against.
+//! barrier whose results come back in worker order. Every worker runs its
+//! jobs through the one job function the pool was made with.
 //!
-//! One failure contract: a panic in a job (or in building the job
-//! function) is caught on the worker and re-raised by [`Pool::wait`] on
-//! the caller with the same payload. The worker lives on and serves the
-//! next job, so a wait never hangs on a dead thread.
+//! One failure contract: a panic in a job is caught on the worker and
+//! re-raised by [`Pool::wait`] on the caller with the same payload. The
+//! worker lives on and serves the next job, so a wait never hangs on a
+//! dead thread.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -60,16 +58,17 @@ impl<J, R> Slot<J, R> {
     }
 }
 
-/// Stack size of every thread that analyzes: pool workers and the threads
-/// the command-line compiler and the server analyze on. Attribute demand
-/// recursion follows the parse tree, and `ag_core::MAX_DEPTH` bounds it to
-/// half of this stack in a debug build, so a unit gets the same outcome on
-/// every thread. Untouched stack pages cost no memory.
+/// Stack size of every thread that analyzes (the threads the command-line
+/// compiler and the server's sessions analyze on) and of pool workers.
+/// Attribute demand recursion follows the parse tree, and
+/// `ag_core::MAX_DEPTH` bounds it to half of this stack in a debug build,
+/// so a unit gets the same outcome on every thread. Untouched stack pages
+/// cost no memory.
 pub const STACK_SIZE: usize = 128 << 20;
 
 /// Runs `f` to completion on a new thread named `name` with a
 /// [`STACK_SIZE`] stack and returns its answer: how a command-line tool
-/// gets the same stack on its main path as on its pool workers. A panic
+/// gets the same stack on its main path as the server's sessions. A panic
 /// in `f` is re-raised here with the same payload.
 pub fn run_on_stack<R: Send + 'static>(name: &str, f: impl FnOnce() -> R + Send + 'static) -> R {
     thread::Builder::new()
@@ -89,17 +88,14 @@ pub struct Pool<J, R> {
 }
 
 impl<J: Send + 'static, R: Send + 'static> Pool<J, R> {
-    /// Spawns `n` workers named `{name}-{i}`. Worker `i` calls `make(i)`
-    /// on its own thread, before its first job, and runs every job it is
-    /// posted through the returned function. Counts one `pool-spawn`
-    /// trace event.
-    pub fn new<F, M>(n: usize, name: &str, make: M) -> Pool<J, R>
+    /// Spawns `n` workers named `{name}-{i}`, each running every job it
+    /// is posted through `f`. Counts one `pool-spawn` trace event.
+    pub fn new<F>(n: usize, name: &str, f: F) -> Pool<J, R>
     where
-        M: Fn(usize) -> F + Send + Sync + 'static,
-        F: FnMut(J) -> R,
+        F: Fn(J) -> R + Send + Sync + 'static,
     {
         crate::trace::counter("pool-spawn", 1);
-        let make = Arc::new(make);
+        let f = Arc::new(f);
         let (slots, joins) = (0..n)
             .map(|i| {
                 let slot = Arc::new(Slot {
@@ -109,11 +105,11 @@ impl<J: Send + 'static, R: Send + 'static> Pool<J, R> {
                     }),
                     cv: Condvar::new(),
                 });
-                let (ws, make) = (Arc::clone(&slot), Arc::clone(&make));
+                let (ws, f) = (Arc::clone(&slot), Arc::clone(&f));
                 let join = thread::Builder::new()
                     .name(format!("{name}-{i}"))
                     .stack_size(STACK_SIZE)
-                    .spawn(move || serve(&ws, || make(i)))
+                    .spawn(move || serve(&ws, &*f))
                     .expect("spawn pool worker");
                 (slot, join)
             })
@@ -173,10 +169,7 @@ impl<J, R> Drop for Pool<J, R> {
 }
 
 /// One worker's life: take, run and answer jobs until the pool quits.
-/// The job function is built on the first job (and again after a failed
-/// build), inside the same panic guard as the job itself.
-fn serve<J, R, F: FnMut(J) -> R>(slot: &Slot<J, R>, make: impl Fn() -> F) {
-    let mut work = None;
+fn serve<J, R>(slot: &Slot<J, R>, f: &impl Fn(J) -> R) {
     loop {
         let mut st = slot.lock();
         let job = loop {
@@ -190,7 +183,7 @@ fn serve<J, R, F: FnMut(J) -> R>(slot: &Slot<J, R>, make: impl Fn() -> F) {
             st = slot.wait(st);
         };
         drop(st);
-        let out = panic::catch_unwind(AssertUnwindSafe(|| work.get_or_insert_with(&make)(job)));
+        let out = panic::catch_unwind(AssertUnwindSafe(|| f(job)));
         slot.lock().mail = Mail::Done(out);
         slot.cv.notify_all();
     }
@@ -199,8 +192,6 @@ fn serve<J, R, F: FnMut(J) -> R>(slot: &Slot<J, R>, make: impl Fn() -> F) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
-    use std::rc::Rc;
 
     #[test]
     fn zero_jobs_means_one_per_cpu() {
@@ -209,9 +200,14 @@ mod tests {
         assert_eq!(resolve_jobs(3), 3);
     }
 
+    /// The name of the thread the caller runs on.
+    fn thread_name() -> Option<String> {
+        thread::current().name().map(str::to_string)
+    }
+
     #[test]
     fn each_result_comes_back_to_its_slot() {
-        let pool = Pool::new(4, "slot-test", |i| move |x: usize| (i, x * 10));
+        let pool = Pool::new(4, "slot-test", |x: usize| (thread_name(), x * 10));
         for round in 0..3 {
             for w in 0..4 {
                 pool.post(w, round + w);
@@ -219,39 +215,30 @@ mod tests {
             // Collected in reverse: answers are keyed by slot, not by
             // which worker finished first.
             for w in (0..4).rev() {
-                assert_eq!(pool.wait(w), (w, (round + w) * 10));
+                let want = (Some(format!("slot-test-{w}")), (round + w) * 10);
+                assert_eq!(pool.wait(w), want);
             }
         }
     }
 
     #[test]
-    fn make_runs_on_the_worker_thread() {
+    fn jobs_run_on_the_worker_threads() {
         let caller = thread::current().id();
-        let pool = Pool::new(2, "make-test", move |_| {
-            // `Rc` state: built here, never leaves this thread.
-            let calls = Rc::new(Cell::new(0));
-            let home = thread::current().id();
-            move |()| {
-                calls.set(calls.get() + 1);
-                let me = thread::current();
-                assert!(me.id() == home && home != caller);
-                (calls.get(), me.name().map(str::to_string))
-            }
+        let pool = Pool::new(2, "home-test", move |()| {
+            assert!(thread::current().id() != caller);
+            thread_name()
         });
-        for n in 1..=3 {
+        for _ in 0..3 {
             pool.post(1, ());
-            assert_eq!(pool.wait(1), (n, Some("make-test-1".to_string())));
+            assert_eq!(pool.wait(1), Some("home-test-1".to_string()));
         }
     }
 
     #[test]
     fn panicking_job_reraises_at_wait_and_worker_survives() {
-        let pool = Pool::new(2, "panic-test", |i| {
-            assert!(i == 0, "worker {i} cannot start");
-            |x: i32| {
-                assert!(x >= 0, "negative job {x}");
-                x + 1
-            }
+        let pool = Pool::new(2, "panic-test", |x: i32| {
+            assert!(x >= 0, "negative job {x}");
+            x + 1
         });
         let payload = |w| panic::catch_unwind(AssertUnwindSafe(|| pool.wait(w))).unwrap_err();
         pool.post(0, -7);
@@ -261,18 +248,18 @@ mod tests {
         );
         pool.post(0, 41);
         assert_eq!(pool.wait(0), 42, "the same worker serves the next job");
-        pool.post(1, 0);
+        pool.post(1, -1);
         assert_eq!(
             payload(1).downcast_ref::<String>().unwrap(),
-            "worker 1 cannot start"
+            "negative job -1"
         );
     }
 
     #[test]
     fn drop_returns_promptly() {
         for _ in 0..20 {
-            drop(Pool::new(3, "never-posted", |_| |x: u8| x));
-            let pool = Pool::new(3, "idle", |_| |x: u8| x);
+            drop(Pool::new(3, "never-posted", |x: u8| x));
+            let pool = Pool::new(3, "idle", |x: u8| x);
             for w in 0..3 {
                 pool.post(w, 1);
             }

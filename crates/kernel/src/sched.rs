@@ -304,7 +304,7 @@ impl Program {
     /// Computes and stores each process's static sensitivity set
     /// ([`crate::isa::ProcessDecl::static_sens`]). The elaborator calls
     /// this once per design so simulators built from the same program
-    /// (server re-runs, batch workers) skip the code walk.
+    /// (server re-runs) skip the code walk.
     pub fn finalize_sensitivity(&mut self) {
         let sens = static_sensitivity(self);
         for (p, s) in self.processes.iter_mut().zip(sens) {

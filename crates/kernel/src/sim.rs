@@ -1104,15 +1104,13 @@ impl<'a> Simulator<'a> {
             now: self.now,
         };
         let pool = self.pool.get_or_insert_with(|| {
-            Pool::new(jobs, "sim-worker", |_| {
-                |(ctx, mut buf): (Ctx, JobBuf)| {
-                    run_chunk(&ctx, &mut buf);
-                    // Release the context's `Arc`s before the buffer is
-                    // posted back: once the coordinator holds every buffer
-                    // it expects sole ownership of the signal table again.
-                    drop(ctx);
-                    buf
-                }
+            Pool::new(jobs, "sim-worker", |(ctx, mut buf): (Ctx, JobBuf)| {
+                run_chunk(&ctx, &mut buf);
+                // Release the context's `Arc`s before the buffer is posted
+                // back: once the coordinator holds every buffer it expects
+                // sole ownership of the signal table again.
+                drop(ctx);
+                buf
             })
         });
         // Only workers with a chunk, the first `used`, are woken; the

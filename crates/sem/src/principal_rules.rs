@@ -81,11 +81,7 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
         0,
         c.ids,
         vec![Dep::attr(1, c.ids), Dep::token(3)],
-        |d| {
-            let mut out = d[0].expect_list().to_vec();
-            out.push(d[1].clone());
-            Value::list(out)
-        },
+        |d| Value::append(&d[0], d[1].clone()),
     );
     for label in ["enum_id", "enum_char"] {
         ab.rule(p(g, label), 0, c.ids, vec![Dep::token(1)], |d| {
@@ -101,11 +97,7 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
         0,
         c.names,
         vec![Dep::attr(1, c.names), Dep::leaves(3)],
-        |d| {
-            let mut out = d[0].expect_list().to_vec();
-            out.push(d[1].clone());
-            Value::list(out)
-        },
+        |d| Value::append(&d[0], d[1].clone()),
     );
     // Small option INFO values.
     str_info(ab, "ifc_none", "");
@@ -428,11 +420,7 @@ fn install_structurals(ab: &mut AgBuilder<Value>, g: &Grammar, c: &PrincipalClas
             Dep::attr(3, c.waves),
             Dep::attr(5, c.choices),
         ],
-        |d| {
-            let mut out = d[0].expect_list().to_vec();
-            out.push(Value::list(vec![d[1].clone(), d[2].clone()]));
-            Value::list(out)
-        },
+        |d| Value::append(&d[0], Value::list(vec![d[1].clone(), d[2].clone()])),
     );
     // Choices.
     ab.rule(

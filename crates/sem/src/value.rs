@@ -192,6 +192,22 @@ impl Value {
         }
     }
 
+    /// `list` with `item` appended: what [`Value::concat_lists`] makes of
+    /// `list` and a one-element list, without allocating that list while
+    /// the result is short. A list built an element per production grows
+    /// this way.
+    pub fn append(list: &Value, item: Value) -> Value {
+        match list.list_len() {
+            n if n < SHORT_LIST => {
+                let mut v = Vec::with_capacity(n + 1);
+                v.extend_from_slice(list.expect_list());
+                v.push(item);
+                Value::list(v)
+            }
+            _ => Value::concat_lists(list, &Value::list(vec![item])),
+        }
+    }
+
     /// Length of a list value; panics otherwise.
     fn list_len(&self) -> usize {
         match self {
@@ -313,6 +329,16 @@ mod tests {
         assert_eq!(c.expect_list().len(), 3);
         let d = Value::concat_lists(&Value::empty_list(), &a);
         assert_eq!(d.expect_list().len(), 1);
+        // Appending an element at a time copies short lists and joins
+        // long ones, in order either way.
+        let mut run = Value::empty_list();
+        for i in 0..100 {
+            run = Value::append(&run, Value::Int(i));
+            let n = i as usize + 1;
+            assert_eq!(matches!(run, Value::Cat(_)), n > SHORT_LIST, "{n}");
+        }
+        let flat: Vec<i64> = run.expect_list().iter().map(Value::expect_int).collect();
+        assert_eq!(flat, (0..100).collect::<Vec<i64>>());
     }
 
     #[test]

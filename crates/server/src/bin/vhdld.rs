@@ -1,13 +1,11 @@
 //! `vhdld` — the compile-and-simulate daemon (and its scripting client).
 //!
 //! ```text
-//! vhdld [--listen ADDR] [--max-clients N] [--deadline-ms MS] [--jobs N]
+//! vhdld [--listen ADDR] [--max-clients N] [--deadline-ms MS]
 //!       [--tenant-quota N] [--base FILE...] [--quiet]
 //! vhdld --stdio
 //! vhdld --connect ADDR
 //! ```
-//!
-//! `--jobs N` sets each session's analysis workers (`0` = one per CPU).
 //!
 //! Serve mode binds `ADDR` (default `127.0.0.1:0`), prints one line
 //! `vhdld listening on HOST:PORT` to stdout, then serves framed JSON
@@ -26,7 +24,7 @@ use std::io::{BufRead, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 
-use vhdl_driver::{resolve_jobs, Compiler};
+use vhdl_driver::Compiler;
 use vhdl_server::json::{self, Json};
 use vhdl_server::proto::{read_frame, write_frame, FrameRead};
 use vhdl_server::{Server, ServerConfig};
@@ -66,12 +64,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| "--deadline-ms needs milliseconds".to_string())?;
                 out.cfg.deadline = std::time::Duration::from_millis(ms);
             }
-            "--jobs" => {
-                out.cfg.jobs = grab("--jobs")?
-                    .parse()
-                    .map(resolve_jobs)
-                    .map_err(|_| "--jobs needs a worker count".to_string())?
-            }
             "--tenant-quota" => {
                 out.cfg.tenant_max_sessions = grab("--tenant-quota")?
                     .parse()
@@ -81,9 +73,8 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: vhdld [--listen ADDR] [--max-clients N] [--deadline-ms MS] \
-                     [--jobs N] [--tenant-quota N] \
-                     [--base FILE...] [--quiet] | --stdio | --connect ADDR\n\
-                     --jobs 0 uses one analysis worker per CPU."
+                     [--tenant-quota N] \
+                     [--base FILE...] [--quiet] | --stdio | --connect ADDR"
                 );
                 std::process::exit(0);
             }
@@ -107,8 +98,8 @@ fn build_base(files: &[String]) -> Result<Option<vhdl_vif::LibrarySnapshot>, Str
     // Incremental, so the snapshot carries stamps: a session's first
     // analyze of unchanged base text is then a cache hit, not a rebuild.
     let opts = vhdl_driver::batch::BatchOptions {
-        jobs: 1,
         incremental: true,
+        ..Default::default()
     };
     let r = compiler.compile_batch(&inputs, opts);
     if !r.ok() {

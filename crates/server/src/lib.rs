@@ -4,8 +4,8 @@
 //! was built for one-shot batch runs; this crate keeps it resident. A
 //! **session** is one connection with a private copy-on-write workspace:
 //! the work library forks from the server's base snapshot by `Arc<str>`
-//! reference (no VIF text is copied), `analyze` requests fan over the
-//! batch compiler's wave scheduler on a session-local worker pool, and
+//! reference (no VIF text is copied), `analyze` requests run the batch
+//! compiler's wave scheduler inline on the session's thread, and
 //! `inspect`/`trace` requests resolve hierarchical path names and globs
 //! through the kernel's Name Server against the live simulation.
 //!
@@ -56,7 +56,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
-use vhdl_driver::batch::panic_text;
 use vhdl_vif::LibrarySnapshot;
 
 use json::{obj, Json};
@@ -72,8 +71,8 @@ pub struct ServerConfig {
     pub max_clients: usize,
     /// Per-request wall-clock deadline.
     pub deadline: Duration,
-    /// Analysis worker threads per session (`1` analyzes inline; the
-    /// `vhdld --jobs 0` flag resolves to one per CPU before it gets here).
+    /// Ignored: a session analyzes on its own thread. Kept because the
+    /// benchmark's `serve` workload still sets it.
     pub jobs: usize,
     /// Suppress the access log (tests).
     pub quiet: bool,
@@ -120,6 +119,18 @@ struct Shared {
 /// on its own thread, with a [`Session`] confined to that thread.
 pub struct Server {
     shared: Arc<Shared>,
+}
+
+/// Renders a payload captured by `catch_unwind`: a session's or a
+/// request handler's panic.
+fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = p.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = p.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 fn epoch_ms() -> u128 {
@@ -419,7 +430,7 @@ fn session_loop(
     sid: u64,
     mut admit: impl FnMut(&str) -> Result<(), Json>,
 ) {
-    let mut session = Session::new(shared.base.as_ref(), shared.cfg.jobs);
+    let mut session = Session::new(shared.base.as_ref());
     loop {
         let text = match read_frame(reader) {
             Ok(FrameRead::Frame(t)) => t,
@@ -553,8 +564,7 @@ fn stats_json(shared: &Shared, session: &Session, sid: u64) -> Json {
         .lock()
         .unwrap_or_else(|p| p.into_inner())
         .to_json();
-    // Process-wide unit-load counter (summed over every session and
-    // batch-worker thread).
+    // Process-wide unit-load counter (summed over every session thread).
     let vifb = vhdl_vif::vifb_stats();
     let extra = [
         (

@@ -6,8 +6,8 @@
 //! does. The workspace starts as a copy-on-write fork of the server's
 //! base library snapshot (`Arc<str>` unit texts: forking copies no VIF),
 //! and every `analyze` runs through the batch compiler's wave scheduler
-//! on the session compiler's long-lived worker pool, so a warm re-analyze
-//! of an unchanged unit is an incremental-stamp hit, not a recompile.
+//! on the connection's thread, so a warm re-analyze of an unchanged unit
+//! is an incremental-stamp hit, not a recompile.
 
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashSet;
@@ -41,8 +41,6 @@ pub struct RequestCtl<'a> {
 /// connection's thread.
 pub struct Session {
     compiler: Compiler,
-    /// Analysis workers per `analyze` batch.
-    jobs: usize,
     sim: Option<Simulator<'static>>,
     vcd: Rc<RefCell<Vcd>>,
     probes: Rc<RefCell<HashSet<SigId>>>,
@@ -116,12 +114,11 @@ fn time_json(t: Time) -> Json {
 
 impl Session {
     /// Opens a session whose work library is a copy-on-write fork of
-    /// `base` (or empty without one). `jobs` sizes the analysis pool.
-    pub fn new(base: Option<&LibrarySnapshot>, jobs: usize) -> Session {
+    /// `base` (or empty without one).
+    pub fn new(base: Option<&LibrarySnapshot>) -> Session {
         let work = base.map_or_else(|| Library::in_memory("work"), Library::from_snapshot);
         Session {
             compiler: Compiler::new(EnvKind::Tree, work),
-            jobs,
             sim: None,
             vcd: Rc::new(RefCell::new(Vcd::new("1fs"))),
             probes: Rc::new(RefCell::new(HashSet::new())),
@@ -176,8 +173,8 @@ impl Session {
             return Err("analyze: no `files` or `paths` given".to_string());
         }
         let opts = BatchOptions {
-            jobs: self.jobs,
             incremental: opt_bool(params, "incremental", true),
+            ..BatchOptions::default()
         };
         let r = self.compiler.compile_batch(&files, opts);
         {
@@ -219,7 +216,6 @@ impl Session {
             ("units", units),
             ("front_errors", Json::Arr(front)),
             ("waves", Json::u64(r.waves as u64)),
-            ("jobs", Json::u64(r.jobs as u64)),
             ("skipped", Json::u64(r.cache.hits)),
             ("analyzed", Json::u64(r.cache.analyzed())),
             ("parsed", Json::u64(r.cache.parsed)),

@@ -93,8 +93,8 @@ fn script(seed: u64) -> u64 {
     };
     let versions = versions();
     let mut rng = Rng::new(seed);
-    let mut kept = Session::new(None, 1);
-    let mut fresh = Session::new(None, 1);
+    let mut kept = Session::new(None);
+    let mut fresh = Session::new(None);
     // Checkpoints taken so far, each with its top.
     let mut snapshots: Vec<(Json, Top)> = Vec::new();
     // The top of the current simulator.

@@ -19,10 +19,9 @@ use vhdl_server::{Server, ServerConfig, ShutdownHandle};
 
 const FULL_ADDER: &str = include_str!("../../../examples/full_adder.vhd");
 
-fn quiet_cfg(max_clients: usize, jobs: usize) -> ServerConfig {
+fn quiet_cfg(max_clients: usize) -> ServerConfig {
     ServerConfig {
         max_clients,
-        jobs,
         quiet: true,
         ..ServerConfig::default()
     }
@@ -140,7 +139,7 @@ fn dump_units(result: &Json) -> Vec<(String, String)> {
 
 #[test]
 fn four_concurrent_sessions_match_the_serial_baseline() {
-    let (addr, _handle, join) = start(quiet_cfg(8, 2));
+    let (addr, _handle, join) = start(quiet_cfg(8));
 
     // Serial baseline: plain `Compiler` + `Simulator`, no server.
     let baseline_lib = serial_library();
@@ -214,7 +213,7 @@ fn four_concurrent_sessions_match_the_serial_baseline() {
 /// be byte-identical to a sequential session's.
 #[test]
 fn run_with_jobs_matches_sequential() {
-    let (addr, _handle, join) = start(quiet_cfg(4, 2));
+    let (addr, _handle, join) = start(quiet_cfg(4));
     let run_one = |jobs: Option<u64>| {
         let mut c = Client::connect(&addr);
         c.ok("analyze", analyze_fields());
@@ -247,7 +246,7 @@ fn run_with_jobs_matches_sequential() {
 
 #[test]
 fn warm_analyze_of_unchanged_units_is_a_cache_hit() {
-    let (addr, _handle, join) = start(quiet_cfg(4, 2));
+    let (addr, _handle, join) = start(quiet_cfg(4));
     let mut c = Client::connect(&addr);
 
     let cold = c.ok("analyze", analyze_fields());
@@ -291,7 +290,7 @@ fn warm_analyze_of_unchanged_units_is_a_cache_hit() {
 /// file only.
 #[test]
 fn analyze_parses_only_changed_files() {
-    let (addr, _handle, join) = start(quiet_cfg(4, 2));
+    let (addr, _handle, join) = start(quiet_cfg(4));
     let mut c = Client::connect(&addr);
     let files = |width: u32| {
         vec![(
@@ -380,8 +379,8 @@ fn sessions_forked_from_a_base_snapshot_start_warm() {
     let r = base.compile_batch(
         &[("full_adder.vhd".to_string(), FULL_ADDER.to_string())],
         vhdl_driver::batch::BatchOptions {
-            jobs: 1,
             incremental: true,
+            ..Default::default()
         },
     );
     assert!(r.ok());
@@ -389,7 +388,7 @@ fn sessions_forked_from_a_base_snapshot_start_warm() {
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();
-    let server = Server::new(quiet_cfg(4, 2), Some(snap));
+    let server = Server::new(quiet_cfg(4), Some(snap));
     let join = std::thread::spawn(move || server.serve(listener));
 
     let mut c = Client::connect(&addr);
@@ -408,7 +407,7 @@ fn sessions_forked_from_a_base_snapshot_start_warm() {
 
 #[test]
 fn overload_is_an_explicit_rejection() {
-    let (addr, _handle, join) = start(quiet_cfg(1, 1));
+    let (addr, _handle, join) = start(quiet_cfg(1));
     let mut first = Client::connect(&addr);
     first.ok("ping", vec![]);
 
@@ -438,7 +437,7 @@ fn overload_is_an_explicit_rejection() {
 
 #[test]
 fn shutdown_drains_idle_sessions_too() {
-    let (addr, _handle, join) = start(quiet_cfg(4, 1));
+    let (addr, _handle, join) = start(quiet_cfg(4));
     // An idle connection that never sends anything: drain must still
     // complete (the idle reader polls the flag at its read timeout).
     let _idle = TcpStream::connect(&addr).expect("connect idle");
@@ -451,14 +450,14 @@ fn shutdown_drains_idle_sessions_too() {
 
 #[test]
 fn shutdown_handle_drains_without_a_request() {
-    let (_addr, handle, join) = start(quiet_cfg(4, 1));
+    let (_addr, handle, join) = start(quiet_cfg(4));
     handle.shutdown();
     join.join().expect("serve thread").expect("serve result");
 }
 
 #[test]
 fn bad_requests_get_error_responses_not_disconnects() {
-    let (addr, _handle, join) = start(quiet_cfg(4, 1));
+    let (addr, _handle, join) = start(quiet_cfg(4));
     let mut c = Client::connect(&addr);
 
     write_frame(&mut c.writer, "this is not json").expect("send");
@@ -507,7 +506,7 @@ fn oscillator_fields() -> Vec<(&'static str, Json)> {
 
 #[test]
 fn restored_session_continues_byte_identical() {
-    let (addr, _handle, join) = start(quiet_cfg(8, 1));
+    let (addr, _handle, join) = start(quiet_cfg(8));
 
     // Uninterrupted oracle: one session runs 0 → 40 ns in one go.
     let mut a = Client::connect(&addr);
@@ -604,7 +603,7 @@ fn tb_snapshot(addr: &str) -> String {
 
 #[test]
 fn restore_refuses_other_programs() {
-    let (addr, _handle, join) = start(quiet_cfg(8, 1));
+    let (addr, _handle, join) = start(quiet_cfg(8));
     let snap = tb_snapshot(&addr);
 
     // A session whose library holds a different design refuses the
@@ -632,7 +631,7 @@ fn restore_refuses_an_old_kernel_snapshot() {
     use sim_kernel::{Dec, Enc};
     use vhdl_server::b64;
 
-    let (addr, _handle, join) = start(quiet_cfg(8, 1));
+    let (addr, _handle, join) = start(quiet_cfg(8));
     let session = b64::decode(&tb_snapshot(&addr)).expect("base64");
     let body = &session[..session.len() - 8];
     // Session header: magic, version, entity tag, entity, no-arch tag;
@@ -692,7 +691,7 @@ fn restore_refuses_an_old_session_snapshot() {
     use sim_kernel::{Dec, Enc};
     use vhdl_server::b64;
 
-    let (addr, _handle, join) = start(quiet_cfg(8, 1));
+    let (addr, _handle, join) = start(quiet_cfg(8));
     let session = b64::decode(&tb_snapshot(&addr)).expect("base64");
     let body = &session[..session.len() - 8];
     let mut d = Dec::new(body);
@@ -726,7 +725,7 @@ fn restore_refuses_an_old_session_snapshot() {
 fn tenant_quota_is_an_explicit_rejection() {
     let cfg = ServerConfig {
         tenant_max_sessions: 1,
-        ..quiet_cfg(8, 1)
+        ..quiet_cfg(8)
     };
     let (addr, handle, join) = start(cfg);
 
@@ -761,7 +760,7 @@ fn tenant_quota_is_an_explicit_rejection() {
 
 #[test]
 fn drain_answers_in_flight_runs_with_a_draining_outcome() {
-    let (addr, handle, join) = start(quiet_cfg(4, 1));
+    let (addr, handle, join) = start(quiet_cfg(4));
 
     let runner = {
         let addr = addr.clone();
@@ -795,7 +794,7 @@ fn a_long_run_does_not_stall_another_session() {
     let cfg = ServerConfig {
         workers: 1,
         deadline,
-        ..quiet_cfg(4, 1)
+        ..quiet_cfg(4)
     };
     let (addr, handle, join) = start(cfg);
 
@@ -836,7 +835,7 @@ fn a_long_run_does_not_stall_another_session() {
 
 #[test]
 fn soak_every_connection_is_served_or_explicitly_rejected() {
-    let (addr, handle, join) = start(quiet_cfg(8, 1));
+    let (addr, handle, join) = start(quiet_cfg(8));
 
     // Twice as many clients as the server admits. Every one must get
     // either full service or an explicit overload frame — never a silent
@@ -929,7 +928,7 @@ fn stream_session(server: &Server, reqs: Vec<(&str, Vec<(&str, Json)>)>) -> Vec<
 /// and nothing else: no C rendition of it.
 #[test]
 fn elaborate_and_restore_emit_no_c() {
-    let server = Server::new(quiet_cfg(1, 1), None);
+    let server = Server::new(quiet_cfg(1), None);
     ag_harness::trace::set_enabled(true);
     ag_harness::trace::reset();
     let first = stream_session(
@@ -989,7 +988,7 @@ fn reused(result: &Json) -> Option<bool> {
 fn restore_after_an_edit_of_a_bound_unit_is_refused() {
     let edited = FULL_ADDER.replace("y <= a xor b;", "y <= a or b;");
     assert_ne!(edited, FULL_ADDER);
-    let (addr, _handle, join) = start(quiet_cfg(8, 1));
+    let (addr, _handle, join) = start(quiet_cfg(8));
     let mut c = Client::connect(&addr);
     c.ok("analyze", analyze_fields());
     c.ok("elaborate", vec![("entity", Json::str("tb"))]);
@@ -1026,7 +1025,7 @@ fn restore_after_an_edit_of_a_bound_unit_is_refused() {
 #[test]
 fn a_newer_architecture_is_bound_not_the_kept_program() {
     const ALT: &str = "architecture alt of xor2 is\nbegin\n  y <= a or b;\nend alt;\n";
-    let (addr, _handle, join) = start(quiet_cfg(8, 1));
+    let (addr, _handle, join) = start(quiet_cfg(8));
     let mut c = Client::connect(&addr);
     c.ok("analyze", analyze_fields());
     let first = c.ok("elaborate", vec![("entity", Json::str("tb"))]);
@@ -1055,7 +1054,7 @@ fn a_newer_architecture_is_bound_not_the_kept_program() {
 /// from the kept program, and `stats` counts one hit and one miss.
 #[test]
 fn elaborate_after_a_warm_analyze_reuses_the_program() {
-    let (addr, _handle, join) = start(quiet_cfg(8, 1));
+    let (addr, _handle, join) = start(quiet_cfg(8));
     let mut c = Client::connect(&addr);
     c.ok("analyze", analyze_fields());
     let cold = c.ok("elaborate", vec![("entity", Json::str("tb"))]);
@@ -1080,7 +1079,7 @@ fn elaborate_after_a_warm_analyze_reuses_the_program() {
 /// at every `checkpoint` and `restore`.
 #[test]
 fn the_fingerprint_is_computed_once_per_program() {
-    let server = Server::new(quiet_cfg(1, 1), None);
+    let server = Server::new(quiet_cfg(1), None);
     ag_harness::trace::set_enabled(true);
     ag_harness::trace::reset();
     let first = stream_session(

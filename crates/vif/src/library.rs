@@ -105,10 +105,9 @@ impl Unit {
 
 /// A thread-transferable image of a library: unit texts plus the usage
 /// history, in history order. Unit texts are shared `Arc`s — taking a
-/// snapshot again copies no bytes, and cloning a snapshot (the batch
-/// compiler ships one per worker, each rebuilding a mirror with
-/// [`Library::from_snapshot`]; the server forks one per session
-/// workspace) only bumps reference counts.
+/// snapshot again copies no bytes, and cloning a snapshot (the server
+/// forks one per session workspace with [`Library::from_snapshot`]) only
+/// bumps reference counts.
 #[derive(Clone, Debug)]
 pub struct LibrarySnapshot {
     /// Library logical name.
@@ -188,7 +187,7 @@ impl Library {
     }
 
     /// Rebuilds an in-memory library of byte records from a
-    /// [`LibrarySnapshot`] — the worker-side mirror of the batch compiler.
+    /// [`LibrarySnapshot`]: a `vhdld` session's fork of the base library.
     pub fn from_snapshot(snap: &LibrarySnapshot) -> Library {
         let mut lib = Library::in_memory(&snap.name);
         *lib.units.get_mut() = snap
@@ -307,8 +306,9 @@ impl Library {
     }
 
     /// Stores a unit from its already-serialized VIF text, as a byte
-    /// record; the batch compiler commits this way so the stored bytes are
-    /// exactly the worker-produced bytes.
+    /// record: the stored bytes are exactly `text`, as a unit file written
+    /// by another process would hold them. The compiler commits trees
+    /// with [`Library::put`]; tests and tools store text this way.
     ///
     /// Every store is atomic in memory: on disk the unit text and the new
     /// history are first written to temp files, then renamed over the unit
@@ -888,7 +888,8 @@ mod tests {
         unit.list_field(Field::decls)[0].as_node().unwrap()
     }
 
-    /// Stores `node` as a byte record, the way a batch commit does.
+    /// Stores `node` as a byte record, the way a reopened disk library
+    /// holds it.
     fn put_bytes(lib: &Library, key: &str, node: &Rc<VifNode>) {
         lib.put_text(key, &write_vif(node)).unwrap();
     }

@@ -107,18 +107,18 @@ grep -q "minimized reproducer" "$CONFORM_TMP/fault.log" \
     || { echo "verify: fault detection did not produce a minimized reproducer" >&2; exit 1; }
 rm -rf "$CONFORM_TMP"
 
-echo "==> batch mode on the end-to-end fixture (--jobs 4, then warm --incremental)"
+echo "==> batch mode on the end-to-end fixture (cold, then warm --incremental)"
 # The full-adder example is a 10-unit design; compile it through the batch
-# scheduler on 4 workers into a throwaway work library, then rerun warm
+# scheduler into a throwaway work library, then rerun warm
 # with --incremental (every unit must hit the cache, and the file's parse
 # comes from the library's `fronts` file, so the new process parses
 # nothing) and elaborate to make sure the incrementally-reused library
 # still simulates.
 BATCH_WORK="$(mktemp -d)"
 trap 'rm -rf "$BATCH_WORK"' EXIT
-./target/release/vhdlc --work "$BATCH_WORK" --jobs 4 --stats \
+./target/release/vhdlc --work "$BATCH_WORK" --stats \
     examples/full_adder.vhd
-./target/release/vhdlc --work "$BATCH_WORK" --jobs 4 --incremental --stats \
+./target/release/vhdlc --work "$BATCH_WORK" --incremental --stats \
     --elab tb --run 40 examples/full_adder.vhd >"$BATCH_WORK/warm.log" 2>&1
 cat "$BATCH_WORK/warm.log"
 grep -q "miss 0 cold 0" "$BATCH_WORK/warm.log" \
@@ -131,7 +131,7 @@ grep -q "files parsed 0 reused 1" "$BATCH_WORK/warm.log" \
 grep -q '^[^ ]* [^ ]* [^ ]*$' "$BATCH_WORK/stamps" \
     || { echo "verify: no stamps line carries a text hash" >&2; exit 1; }
 sed -i 's/^\([^ ]* [^ ]*\) .*$/\1/' "$BATCH_WORK/stamps"
-./target/release/vhdlc --work "$BATCH_WORK" --jobs 4 --incremental --stats \
+./target/release/vhdlc --work "$BATCH_WORK" --incremental --stats \
     examples/full_adder.vhd >"$BATCH_WORK/old-stamps.log" 2>&1
 cat "$BATCH_WORK/old-stamps.log"
 grep -q "miss 0 cold 0" "$BATCH_WORK/old-stamps.log" \
@@ -140,7 +140,7 @@ grep -q "miss 0 cold 0" "$BATCH_WORK/old-stamps.log" \
 # every unit still hits its stamp (comments do not lex).
 cp examples/full_adder.vhd "$BATCH_WORK/full_adder.vhd"
 echo "-- a trailing comment" >>"$BATCH_WORK/full_adder.vhd"
-./target/release/vhdlc --work "$BATCH_WORK" --jobs 4 --incremental --stats \
+./target/release/vhdlc --work "$BATCH_WORK" --incremental --stats \
     "$BATCH_WORK/full_adder.vhd" >"$BATCH_WORK/comment.log" 2>&1
 cat "$BATCH_WORK/comment.log"
 grep -q "miss 0 cold 0, files parsed 1 " "$BATCH_WORK/comment.log" \
@@ -152,11 +152,10 @@ PARSES="$(sed -n 's/^vifb: \([0-9][0-9]*\) text parses$/\1/p' "$BATCH_WORK/warm.
 [ -n "$PARSES" ] && [ "$PARSES" -ge 1 ] && [ "$PARSES" -le 10 ] \
     || { echo "verify: warm rerun parsed VIF text ${PARSES:-?} times, want 1..10" >&2; exit 1; }
 
-echo "==> deep units end in a diagnostic at every --jobs, never in a signal"
+echo "==> deep units end in a diagnostic, never in a signal"
 # Attribute demands recurse as deep as the parse tree. A process of
 # 20,000 statements and an expression in 24,000 pairs of parentheses must
-# each exit by status (0 or 1) at --jobs 1 (analysis on the main path)
-# and --jobs 2 (pool workers), with the same output.
+# each exit by status (0 or 1).
 HOSTILE="$BATCH_WORK/hostile"
 mkdir "$HOSTILE"
 HEAD='entity deep is end;
@@ -176,16 +175,11 @@ awk -v head="$HEAD" -v tail="$TAIL" 'BEGIN {
     print head; print "    v := " o "1" c ";"; print tail
 }' >"$HOSTILE/parens.vhd"
 for f in stmts parens; do
-    for j in 1 2; do
-        rc=0
-        ./target/release/vhdlc --jobs "$j" "$HOSTILE/$f.vhd" >"$HOSTILE/$f.$j.log" 2>&1 || rc=$?
-        [ "$rc" -le 1 ] \
-            || { echo "verify: vhdlc --jobs $j on $f.vhd exited with status $rc" >&2; exit 1; }
-        echo "exit $rc" >>"$HOSTILE/$f.$j.log"
-    done
-    cat "$HOSTILE/$f.1.log"
-    cmp -s "$HOSTILE/$f.1.log" "$HOSTILE/$f.2.log" \
-        || { echo "verify: vhdlc on $f.vhd differs between --jobs 1 and 2" >&2; exit 1; }
+    rc=0
+    ./target/release/vhdlc "$HOSTILE/$f.vhd" >"$HOSTILE/$f.log" 2>&1 || rc=$?
+    cat "$HOSTILE/$f.log"
+    [ "$rc" -le 1 ] \
+        || { echo "verify: vhdlc on $f.vhd exited with status $rc" >&2; exit 1; }
 done
 
 echo "==> separate compilation through a disk library keeps same-position uids apart"
@@ -314,7 +308,7 @@ fi
 wait "$VHDLD_PID" || { echo "verify: vhdld exited nonzero" >&2; exit 1; }
 
 echo "==> vhdld session forks load the base on their own (each fork parses its units once)"
-# Inline analysis (--jobs 1), a base library of
+# A base library of
 # the full adder, and two sequential sessions that each analyze a new
 # architecture of the base's `xor2`. Both sessions fork the base, so
 # `entity.xor2` reaches them as a byte record, and each fork reads its
@@ -323,7 +317,7 @@ echo "==> vhdld session forks load the base on their own (each fork parses its u
 # read a base unit.) The process-wide `text_parses` counter in the
 # `stats` response proves it: the first session moves it by 1..10, and
 # the second by the same amount again.
-./target/release/vhdld --listen 127.0.0.1:0 --quiet --jobs 1 \
+./target/release/vhdld --listen 127.0.0.1:0 --quiet \
     --base examples/full_adder.vhd >"$BATCH_WORK/vhdld2.out" &
 VHDLD2_PID=$!
 ADDR2=""

@@ -1,13 +1,11 @@
-//! The batch-compilation test suite: scheduling determinism, incremental
-//! equivalence, and out-of-order staging, end to end.
+//! The batch-compilation test suite: incremental equivalence, the parse
+//! memo and out-of-order staging, end to end.
 //!
-//! The determinism properties are the load-bearing ones: `--jobs 1` and
-//! `--jobs N` must produce **byte-identical** VIF text for every stored
-//! unit and **identical** diagnostics, over generated multi-unit designs
-//! with random dependency shapes, random file packing, and random file
-//! order — including designs with semantic errors. Incremental runs must
-//! be observationally equivalent to cold runs (same VIF, same generated
-//! C), with invalidation hitting exactly the transitive dependents of a
+//! The properties run over generated multi-unit designs with random
+//! dependency shapes, random file packing and random file order,
+//! including designs with semantic errors. Incremental runs must be
+//! observationally equivalent to cold runs (same VIF, same generated C),
+//! with invalidation hitting exactly the transitive dependents of a
 //! touched unit.
 
 use std::path::{Path, PathBuf};
@@ -39,7 +37,7 @@ fn gen_design(s: &mut Source) -> Vec<GenUnit> {
             expr = format!("c{dep} + {}", s.u64_in(1, 9));
         }
         // A sprinkling of broken units: undefined names must produce the
-        // same diagnostics at every worker count.
+        // same diagnostics on every path through the batch.
         if s.u64_in(0, 19) == 0 {
             expr = format!("missing{i} + 1");
         }
@@ -109,64 +107,16 @@ fn library_texts(c: &Compiler) -> Vec<(String, String)> {
         .collect()
 }
 
-/// The determinism property (the ISSUE's acceptance suite): for random
-/// designs, `jobs = 1` and `jobs = N` produce byte-identical VIF and
-/// identical diagnostics — and the same wave count, since both run the
-/// same schedule.
-#[test]
-fn parallel_compilation_is_deterministic() {
-    forall!(
-        Config::new("parallel_compilation_is_deterministic").cases(256),
-        |s| {
-            let units = gen_design(s);
-            let files = pack_and_shuffle(s, &units);
-            let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
-            let jobs = s.usize_in(2, 4);
-
-            let c1 = Compiler::in_memory();
-            let r1 = c1.compile_batch(
-                &files,
-                BatchOptions {
-                    jobs: 1,
-                    incremental: false,
-                },
-            );
-            let cn = Compiler::in_memory();
-            let rn = cn.compile_batch(
-                &files,
-                BatchOptions {
-                    jobs,
-                    incremental: false,
-                },
-            );
-
-            check!(
-                r1.waves == rn.waves,
-                "wave count diverged: {} vs {}",
-                r1.waves,
-                rn.waves
-            );
-            let d1 = r1.rendered_msgs(&names);
-            let dn = rn.rendered_msgs(&names);
-            check!(
-                d1 == dn,
-                "diagnostics diverged at jobs={jobs}:\n--- jobs=1\n{d1}\n--- jobs={jobs}\n{dn}"
-            );
-            let t1 = library_texts(&c1);
-            let tn = library_texts(&cn);
-            check!(
-                t1 == tn,
-                "library state diverged at jobs={jobs}: {} vs {} units",
-                t1.len(),
-                tn.len()
-            );
-        }
-    );
+/// Batch options that skip units whose stamps hit.
+fn incremental() -> BatchOptions {
+    BatchOptions {
+        incremental: true,
+        ..BatchOptions::default()
+    }
 }
 
 /// Re-running the identical batch with `incremental` must hit on every
-/// unit and leave the library byte-identical; the property holds at any
-/// worker count.
+/// unit and leave the library byte-identical.
 #[test]
 fn warm_rerun_is_equivalent_and_all_hits() {
     forall!(
@@ -174,11 +124,7 @@ fn warm_rerun_is_equivalent_and_all_hits() {
         |s| {
             let units = gen_design(s);
             let files = pack_and_shuffle(s, &units);
-            let jobs = s.usize_in(1, 4);
-            let opts = BatchOptions {
-                jobs,
-                incremental: true,
-            };
+            let opts = incremental();
             let c = Compiler::in_memory();
             let cold = c.compile_batch(&files, opts);
             let after_cold = library_texts(&c);
@@ -250,8 +196,7 @@ fn outcome(c: &Compiler, r: &BatchResult, names: &[String]) -> Outcome {
 /// The per-file parse memo is invisible in the output: a compiler that
 /// has compiled a design, then takes an edit of one file and its revert,
 /// gives at each step what a fresh compiler over a copy of its library
-/// gives, at one job and at two, while parsing only the file that
-/// changed.
+/// gives, while parsing only the file that changed.
 #[test]
 fn memoized_front_half_matches_a_fresh_compiler() {
     forall!(
@@ -261,28 +206,23 @@ fn memoized_front_half_matches_a_fresh_compiler() {
             let files = pack_and_shuffle(s, &units);
             let edited = edit_one_file(s, &files);
             let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
-            for jobs in [1, 2] {
-                let opts = BatchOptions {
-                    jobs,
-                    incremental: true,
-                };
-                let warm = Compiler::in_memory();
-                warm.compile_batch(&files, opts);
-                for step in [&edited, &files] {
-                    let snapshot = warm.libs.work().snapshot();
-                    let fresh = Compiler::new(EnvKind::Tree, Library::from_snapshot(&snapshot));
-                    let a = warm.compile_batch(step, opts);
-                    let b = fresh.compile_batch(step, opts);
-                    check!(
-                        a.cache.parsed <= 1 && b.cache.parsed == files.len() as u64,
-                        "jobs={jobs}: parsed {} and {} of {} files",
-                        a.cache.parsed,
-                        b.cache.parsed,
-                        files.len()
-                    );
-                    let (oa, ob) = (outcome(&warm, &a, &names), outcome(&fresh, &b, &names));
-                    check!(oa == ob, "jobs={jobs}: memoized {oa:?}\nfresh {ob:?}");
-                }
+            let opts = incremental();
+            let warm = Compiler::in_memory();
+            warm.compile_batch(&files, opts);
+            for step in [&edited, &files] {
+                let snapshot = warm.libs.work().snapshot();
+                let fresh = Compiler::new(EnvKind::Tree, Library::from_snapshot(&snapshot));
+                let a = warm.compile_batch(step, opts);
+                let b = fresh.compile_batch(step, opts);
+                check!(
+                    a.cache.parsed <= 1 && b.cache.parsed == files.len() as u64,
+                    "parsed {} and {} of {} files",
+                    a.cache.parsed,
+                    b.cache.parsed,
+                    files.len()
+                );
+                let (oa, ob) = (outcome(&warm, &a, &names), outcome(&fresh, &b, &names));
+                check!(oa == ob, "memoized {oa:?}\nfresh {ob:?}");
             }
         }
     );
@@ -308,10 +248,10 @@ fn copy_without_fronts(from: &Path, to: &Path) {
 
 /// A restart that reads the library's `fronts` file gives what a restart
 /// without it gives: after a cold build, for the same files and then for
-/// a one-file edit, each through a new compiler, at one job and at two.
-/// With the file, the same files parse nothing and the edit parses only
-/// the edited file (the restored ones get their trees, uncounted, at the
-/// first wave with jobs).
+/// a one-file edit, each through a new compiler. With the file, the same
+/// files parse nothing and the edit parses only the edited file (the
+/// restored ones get their trees, uncounted, at the first wave with units
+/// to analyze).
 #[test]
 fn restart_with_fronts_file_matches_restart_without() {
     let root = temp_root("fronts");
@@ -323,30 +263,25 @@ fn restart_with_fronts_file_matches_restart_without() {
             let files = pack_and_shuffle(s, &units);
             let edited = edit_one_file(s, &files);
             let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
-            for jobs in [1, 2] {
-                let opts = BatchOptions {
-                    jobs,
-                    incremental: true,
-                };
-                let _ = std::fs::remove_dir_all(&with);
-                Compiler::on_disk(&with)
-                    .expect("open library")
-                    .compile_batch(&files, opts);
-                for (step, most) in [(&files, 0), (&edited, 1)] {
-                    copy_without_fronts(&with, &without);
-                    let a = Compiler::on_disk(&with).expect("reopen library");
-                    let b = Compiler::on_disk(&without).expect("open the copy");
-                    let (ra, rb) = (a.compile_batch(step, opts), b.compile_batch(step, opts));
-                    check!(
-                        ra.cache.parsed <= most && rb.cache.parsed == files.len() as u64,
-                        "jobs={jobs}: parsed {} with the file and {} without, of {}",
-                        ra.cache.parsed,
-                        rb.cache.parsed,
-                        files.len()
-                    );
-                    let (oa, ob) = (outcome(&a, &ra, &names), outcome(&b, &rb, &names));
-                    check!(oa == ob, "jobs={jobs}: with {oa:?}\nwithout {ob:?}");
-                }
+            let opts = incremental();
+            let _ = std::fs::remove_dir_all(&with);
+            Compiler::on_disk(&with)
+                .expect("open library")
+                .compile_batch(&files, opts);
+            for (step, most) in [(&files, 0), (&edited, 1)] {
+                copy_without_fronts(&with, &without);
+                let a = Compiler::on_disk(&with).expect("reopen library");
+                let b = Compiler::on_disk(&without).expect("open the copy");
+                let (ra, rb) = (a.compile_batch(step, opts), b.compile_batch(step, opts));
+                check!(
+                    ra.cache.parsed <= most && rb.cache.parsed == files.len() as u64,
+                    "parsed {} with the file and {} without, of {}",
+                    ra.cache.parsed,
+                    rb.cache.parsed,
+                    files.len()
+                );
+                let (oa, ob) = (outcome(&a, &ra, &names), outcome(&b, &rb, &names));
+                check!(oa == ob, "with {oa:?}\nwithout {ob:?}");
             }
         }
     );
@@ -387,37 +322,29 @@ mod fixtures {
 /// still compiles after its entity and packages (depgraph e2e).
 #[test]
 fn out_of_order_file_list_compiles_cleanly() {
-    for jobs in [1, 4] {
-        let c = Compiler::in_memory();
-        let r = c.compile_batch(
-            &fixtures::out_of_order(),
-            BatchOptions {
-                jobs,
-                incremental: false,
-            },
-        );
-        assert!(
-            r.ok(),
-            "jobs={jobs}: {:?}",
-            r.units
-                .iter()
-                .flat_map(|u| u.msgs.iter().map(|m| m.to_string()))
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(r.units.len(), 5);
-        assert!(r.waves >= 3, "base → derived → rtl needs 3 stages");
-        // The out-of-order architecture must land in a later wave than
-        // its entity and its package chain.
-        let wave_of = |key: &str| {
-            r.units
-                .iter()
-                .find(|u| u.key == key)
-                .and_then(|u| u.wave)
-                .unwrap()
-        };
-        assert!(wave_of("arch.top.rtl") > wave_of("entity.top"));
-        assert!(wave_of("pkg.derived") > wave_of("pkg.base"));
-    }
+    let c = Compiler::in_memory();
+    let r = c.compile_batch(&fixtures::out_of_order(), BatchOptions::default());
+    assert!(
+        r.ok(),
+        "{:?}",
+        r.units
+            .iter()
+            .flat_map(|u| u.msgs.iter().map(|m| m.to_string()))
+            .collect::<Vec<_>>()
+    );
+    assert_eq!(r.units.len(), 5);
+    assert!(r.waves >= 3, "base → derived → rtl needs 3 stages");
+    // The out-of-order architecture must land in a later wave than its
+    // entity and its package chain.
+    let wave_of = |key: &str| {
+        r.units
+            .iter()
+            .find(|u| u.key == key)
+            .and_then(|u| u.wave)
+            .unwrap()
+    };
+    assert!(wave_of("arch.top.rtl") > wave_of("entity.top"));
+    assert!(wave_of("pkg.derived") > wave_of("pkg.base"));
 }
 
 /// Cold vs warm compile into the same on-disk library: identical VIF,
@@ -428,10 +355,7 @@ fn incremental_on_disk_cold_warm_equivalence() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    let opts = BatchOptions {
-        jobs: 2,
-        incremental: true,
-    };
+    let opts = incremental();
     let cold_c = Compiler::on_disk(&dir).unwrap();
     let cold = cold_c.compile_batch(&fixtures::out_of_order(), opts);
     assert!(cold.ok());
@@ -461,10 +385,7 @@ fn touch_invalidates_exactly_transitive_dependents() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    let opts = BatchOptions {
-        jobs: 1,
-        incremental: true,
-    };
+    let opts = incremental();
     let c = Compiler::on_disk(&dir).unwrap();
     assert!(c.compile_batch(&fixtures::out_of_order(), opts).ok());
 
@@ -503,8 +424,7 @@ fn touch_invalidates_exactly_transitive_dependents() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A dependency cycle is a diagnostic, not a hang, and the diagnostic is
-/// the same at every worker count.
+/// A dependency cycle is a diagnostic on each of its members, not a hang.
 #[test]
 fn cycles_diagnose_identically_at_any_worker_count() {
     let files: Vec<(String, String)> = vec![
@@ -513,28 +433,25 @@ fn cycles_diagnose_identically_at_any_worker_count() {
         ("c.vhd".into(), "use work.a;\npackage c is\nend c;\n".into()),
     ];
     let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
-    let mut rendered = Vec::new();
-    for jobs in [1, 4] {
-        let c = Compiler::in_memory();
-        let r = c.compile_batch(
-            &files,
-            BatchOptions {
-                jobs,
-                incremental: false,
-            },
+    let c = Compiler::in_memory();
+    let r = c.compile_batch(&files, BatchOptions::default());
+    assert!(!r.ok());
+    assert!(r.units.iter().all(|u| u.wave.is_none()));
+    let rendered = r.rendered_msgs(&names);
+    let lines: Vec<&str> = rendered.lines().collect();
+    assert_eq!(lines.len(), names.len(), "{rendered}");
+    for (line, name) in lines.iter().zip(&names) {
+        assert!(
+            line.starts_with(&format!("{name}:")) && line.contains("dependency cycle"),
+            "{rendered}"
         );
-        assert!(!r.ok());
-        assert!(r.units.iter().all(|u| u.wave.is_none()));
-        assert!(r.units[0].msgs[0].to_string().contains("dependency cycle"));
-        rendered.push(r.rendered_msgs(&names));
     }
-    assert_eq!(rendered[0], rendered[1]);
 }
 
 /// A file that fails to parse, listed first, leaves an empty entry in the
-/// batch's parsed units; the pooled workers index the units after it. The
-/// front error, the diagnostics and the library are the same at every
-/// worker count, and every unit of the later files still compiles.
+/// batch's parsed units, and the units after it are indexed past it: the
+/// front error names the first file, and every unit of the later files
+/// still compiles.
 #[test]
 fn front_errors_diagnose_identically_at_any_worker_count() {
     let files: Vec<(String, String)> = vec![
@@ -553,33 +470,14 @@ fn front_errors_diagnose_identically_at_any_worker_count() {
             "package p is\nconstant width : integer := 8;\nend p;\n".into(),
         ),
     ];
-    let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
-    let mut runs = Vec::new();
-    for jobs in [1, 4] {
-        let c = Compiler::in_memory();
-        let r = c.compile_batch(
-            &files,
-            BatchOptions {
-                jobs,
-                incremental: false,
-            },
-        );
-        let front: Vec<(usize, String)> = r
-            .front_errors
-            .iter()
-            .map(|(i, e)| (*i, e.to_string()))
-            .collect();
-        assert_eq!(front.len(), 1, "jobs={jobs}: {front:?}");
-        assert_eq!(front[0].0, 0);
-        assert_eq!(r.units.len(), 3, "jobs={jobs}: {:?}", r.units);
-        assert!(
-            r.units.iter().all(|u| u.msgs.is_empty()),
-            "jobs={jobs}: {}",
-            r.msgs()
-        );
-        runs.push((front, r.rendered_msgs(&names), library_texts(&c)));
-    }
-    assert_eq!(runs[0], runs[1]);
+    let c = Compiler::in_memory();
+    let r = c.compile_batch(&files, BatchOptions::default());
+    let front: Vec<usize> = r.front_errors.iter().map(|(i, _)| *i).collect();
+    assert_eq!(front, [0]);
+    assert_eq!(r.units.len(), 3, "{:?}", r.units);
+    assert!(r.units.iter().all(|u| u.msgs.is_empty()), "{}", r.msgs());
+    let keys: Vec<String> = library_texts(&c).into_iter().map(|(k, _)| k).collect();
+    assert_eq!(keys, ["arch.e.rtl", "entity.e", "pkg.p"]);
 }
 
 /// The library directory's file names and modification times.
@@ -604,10 +502,7 @@ fn listing(dir: &Path) -> Vec<(std::ffi::OsString, std::time::SystemTime)> {
 fn all_hit_restart_leaves_the_library_untouched() {
     let dir = temp_root("untouched");
     let _ = std::fs::remove_dir_all(&dir);
-    let opts = BatchOptions {
-        jobs: 2,
-        incremental: true,
-    };
+    let opts = incremental();
     let files = fixtures::out_of_order();
     let cold = Compiler::on_disk(&dir).expect("open library");
     assert!(cold.compile_batch(&files, opts).ok());
@@ -641,10 +536,7 @@ fn hostile_fronts_file_only_costs_parses() {
     let root = temp_root("hostile");
     let (lib, none, dir) = (root.join("lib"), root.join("none"), root.join("case"));
     let _ = std::fs::remove_dir_all(&root);
-    let opts = BatchOptions {
-        jobs: 2,
-        incremental: true,
-    };
+    let opts = incremental();
     let files = fixtures::out_of_order();
     let mut touched = files.clone();
     touched[4].1 = fixtures::BASE_TOUCHED.into();
@@ -714,45 +606,39 @@ fn hostile_fronts_file_only_costs_parses() {
 fn a_failed_stamps_write_commits_nothing() {
     let dir = temp_root("stamps-fail");
     let _ = std::fs::remove_dir_all(&dir);
-    for jobs in [1, 2] {
-        let opts = BatchOptions {
-            jobs,
-            incremental: true,
-        };
-        let files = fixtures::out_of_order();
-        let mut touched = files.clone();
-        touched[4].1 = fixtures::BASE_TOUCHED.into();
-        assert!(Compiler::on_disk(&dir)
-            .expect("open library")
-            .compile_batch(&files, opts)
-            .ok());
-        let base = std::fs::read(dir.join("pkg.base.vif")).expect("base text");
-        let stamps = dir.join("stamps");
-        let kept = std::fs::read(&stamps).expect("stamps file");
+    let opts = incremental();
+    let files = fixtures::out_of_order();
+    let mut touched = files.clone();
+    touched[4].1 = fixtures::BASE_TOUCHED.into();
+    assert!(Compiler::on_disk(&dir)
+        .expect("open library")
+        .compile_batch(&files, opts)
+        .ok());
+    let base = std::fs::read(dir.join("pkg.base.vif")).expect("base text");
+    let stamps = dir.join("stamps");
+    let kept = std::fs::read(&stamps).expect("stamps file");
 
-        let c = Compiler::on_disk(&dir).expect("reopen library");
-        std::fs::remove_file(&stamps).expect("remove stamps");
-        std::fs::create_dir_all(stamps.join("in-the-way")).expect("block stamps");
-        c.compile_batch(&touched, opts);
-        assert_eq!(
-            std::fs::read(dir.join("pkg.base.vif")).expect("base text"),
-            base,
-            "jobs={jobs}"
-        );
+    let c = Compiler::on_disk(&dir).expect("reopen library");
+    std::fs::remove_file(&stamps).expect("remove stamps");
+    std::fs::create_dir_all(stamps.join("in-the-way")).expect("block stamps");
+    c.compile_batch(&touched, opts);
+    assert_eq!(
+        std::fs::read(dir.join("pkg.base.vif")).expect("base text"),
+        base
+    );
 
-        std::fs::remove_dir_all(&stamps).expect("unblock stamps");
-        std::fs::write(&stamps, &kept).expect("restore stamps");
-        let r = Compiler::on_disk(&dir)
-            .expect("reopen library")
-            .compile_batch(&files, opts);
-        assert_eq!((r.cache.hits, r.cache.analyzed()), (5, 0), "jobs={jobs}");
-        let r = Compiler::on_disk(&dir)
-            .expect("reopen library")
-            .compile_batch(&touched, opts);
-        assert!(r.ok(), "jobs={jobs}");
-        assert_eq!(r.cache.analyzed(), 3, "jobs={jobs}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    std::fs::remove_dir_all(&stamps).expect("unblock stamps");
+    std::fs::write(&stamps, &kept).expect("restore stamps");
+    let r = Compiler::on_disk(&dir)
+        .expect("reopen library")
+        .compile_batch(&files, opts);
+    assert_eq!((r.cache.hits, r.cache.analyzed()), (5, 0));
+    let r = Compiler::on_disk(&dir)
+        .expect("reopen library")
+        .compile_batch(&touched, opts);
+    assert!(r.ok());
+    assert_eq!(r.cache.analyzed(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The VIF text of `pkg.base` as `fixtures::BASE_TOUCHED` compiles it,
@@ -774,34 +660,29 @@ fn touched_base() -> (String, Vec<(String, String)>) {
 fn a_put_text_between_processes_invalidates_its_dependents() {
     let dir = temp_root("put-text");
     let (base, want) = touched_base();
-    for jobs in [1, 2] {
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = BatchOptions {
-            jobs,
-            incremental: true,
-        };
-        let files = fixtures::out_of_order();
-        assert!(Compiler::on_disk(&dir)
-            .expect("open library")
-            .compile_batch(&files, opts)
-            .ok());
-        Library::on_disk("work", &dir)
-            .expect("reopen library")
-            .put_text("pkg.base", &base)
-            .expect("rewrite base");
-        let c = Compiler::on_disk(&dir).expect("reopen library");
-        let r = c.compile_batch(&files[..4], opts);
-        assert!(r.ok(), "jobs={jobs}");
-        let mut analyzed: Vec<&str> = r
-            .units
-            .iter()
-            .filter(|u| !u.skipped)
-            .map(|u| u.key.as_str())
-            .collect();
-        analyzed.sort_unstable();
-        assert_eq!(analyzed, ["arch.top.rtl", "pkg.derived"], "jobs={jobs}");
-        assert_eq!(library_texts(&c), want, "jobs={jobs}");
-    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = incremental();
+    let files = fixtures::out_of_order();
+    assert!(Compiler::on_disk(&dir)
+        .expect("open library")
+        .compile_batch(&files, opts)
+        .ok());
+    Library::on_disk("work", &dir)
+        .expect("reopen library")
+        .put_text("pkg.base", &base)
+        .expect("rewrite base");
+    let c = Compiler::on_disk(&dir).expect("reopen library");
+    let r = c.compile_batch(&files[..4], opts);
+    assert!(r.ok());
+    let mut analyzed: Vec<&str> = r
+        .units
+        .iter()
+        .filter(|u| !u.skipped)
+        .map(|u| u.key.as_str())
+        .collect();
+    analyzed.sort_unstable();
+    assert_eq!(analyzed, ["arch.top.rtl", "pkg.derived"]);
+    assert_eq!(library_texts(&c), want);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -814,10 +695,7 @@ fn a_put_text_between_processes_invalidates_its_dependents() {
 fn a_unit_file_missing_from_the_history_is_in_the_library() {
     let dir = temp_root("unlisted");
     let _ = std::fs::remove_dir_all(&dir);
-    let opts = BatchOptions {
-        jobs: 1,
-        incremental: true,
-    };
+    let opts = incremental();
     let files = fixtures::out_of_order();
     let cold = Compiler::on_disk(&dir).expect("open library");
     assert!(cold.compile_batch(&files, opts).ok());
@@ -844,77 +722,66 @@ fn a_unit_file_missing_from_the_history_is_in_the_library() {
 
 /// A restart whose units all hit opens no unit file: its stamps carry
 /// the dependencies' VIF text hashes, so with every `.vif` overwritten by
-/// bytes that do not parse it still hits every stamp, at one job and at
-/// two, and reads none of them.
+/// bytes that do not parse it still hits every stamp and reads none of
+/// them.
 #[test]
 fn all_hit_restart_reads_no_unit_file() {
     let root = temp_root("no-vif-read");
     let dir = root.join("lib");
-    for jobs in [1, 2] {
-        let _ = std::fs::remove_dir_all(&root);
-        let opts = BatchOptions {
-            jobs,
-            incremental: true,
-        };
-        let files = fixtures::out_of_order();
-        assert!(Compiler::on_disk(&dir)
-            .expect("open library")
-            .compile_batch(&files, opts)
-            .ok());
-        let garbage = b"\x00 not a unit (";
-        let mut overwritten = 0;
-        for entry in std::fs::read_dir(&dir).expect("library dir") {
-            let path = entry.expect("dir entry").path();
-            if path.extension().is_some_and(|e| e == "vif") {
-                std::fs::write(&path, garbage).expect("overwrite unit file");
-                overwritten += 1;
-            }
+    let _ = std::fs::remove_dir_all(&root);
+    let opts = incremental();
+    let files = fixtures::out_of_order();
+    assert!(Compiler::on_disk(&dir)
+        .expect("open library")
+        .compile_batch(&files, opts)
+        .ok());
+    let garbage = b"\x00 not a unit (";
+    let mut overwritten = 0;
+    for entry in std::fs::read_dir(&dir).expect("library dir") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|e| e == "vif") {
+            std::fs::write(&path, garbage).expect("overwrite unit file");
+            overwritten += 1;
         }
-        assert_eq!(overwritten, 5);
-        let r = Compiler::on_disk(&dir)
-            .expect("reopen library")
-            .compile_batch(&files, opts);
-        assert!(r.ok(), "jobs={jobs}: {:?}", r.units);
-        assert_eq!((r.cache.hits, r.cache.analyzed()), (5, 0), "jobs={jobs}");
     }
+    assert_eq!(overwritten, 5);
+    let r = Compiler::on_disk(&dir)
+        .expect("reopen library")
+        .compile_batch(&files, opts);
+    assert!(r.ok(), "{:?}", r.units);
+    assert_eq!((r.cache.hits, r.cache.analyzed()), (5, 0));
     let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A stamp hit needs the unit's own file: with one `.vif` deleted outside
-/// the compiler, a restart re-analyzes exactly that unit, at one job and
-/// at two, and writes the file back byte-identical, so its dependents
-/// still hit.
+/// the compiler, a restart re-analyzes exactly that unit and writes the
+/// file back byte-identical, so its dependents still hit.
 #[test]
 fn a_deleted_unit_file_is_analyzed_again() {
     let root = temp_root("deleted-vif");
     let dir = root.join("lib");
     let file = dir.join("pkg.derived.vif");
-    for jobs in [1, 2] {
-        let _ = std::fs::remove_dir_all(&root);
-        let opts = BatchOptions {
-            jobs,
-            incremental: true,
-        };
-        let files = fixtures::out_of_order();
-        assert!(Compiler::on_disk(&dir)
-            .expect("open library")
-            .compile_batch(&files, opts)
-            .ok());
-        let before = std::fs::read(&file).expect("unit file");
-        std::fs::remove_file(&file).expect("delete unit file");
-        let r = Compiler::on_disk(&dir)
-            .expect("reopen library")
-            .compile_batch(&files, opts);
-        assert!(r.ok(), "jobs={jobs}: {:?}", r.units);
-        let analyzed: Vec<&str> = r
-            .units
-            .iter()
-            .filter(|u| !u.skipped)
-            .map(|u| u.key.as_str())
-            .collect();
-        assert_eq!(analyzed, ["pkg.derived"], "jobs={jobs}");
-        assert_eq!((r.cache.hits, r.cache.misses), (4, 1), "jobs={jobs}");
-        assert_eq!(std::fs::read(&file).expect("unit file back"), before);
-    }
+    let _ = std::fs::remove_dir_all(&root);
+    let opts = incremental();
+    let files = fixtures::out_of_order();
+    assert!(Compiler::on_disk(&dir)
+        .expect("open library")
+        .compile_batch(&files, opts)
+        .ok());
+    let before = std::fs::read(&file).expect("unit file");
+    std::fs::remove_file(&file).expect("delete unit file");
+    let r = Compiler::on_disk(&dir)
+        .expect("reopen library")
+        .compile_batch(&files, opts);
+    assert!(r.ok(), "{:?}", r.units);
+    let analyzed: Vec<&str> = r
+        .units
+        .iter()
+        .filter(|u| !u.skipped)
+        .map(|u| u.key.as_str())
+        .collect();
+    assert_eq!(analyzed, ["pkg.derived"]);
+    assert_eq!((r.cache.hits, r.cache.misses), (4, 1));
+    assert_eq!(std::fs::read(&file).expect("unit file back"), before);
     let _ = std::fs::remove_dir_all(&root);
 }
