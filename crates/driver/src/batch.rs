@@ -28,9 +28,9 @@
 //! the memo outlives the process: each batch that changes the memo's set
 //! of files writes it to the library's `fronts` file (texts and unit
 //! fronts, no trees), and [`Compiler::on_disk`] reads it back, so a
-//! restart whose units all hit their stamps parses nothing. A batch that
-//! has units to analyze parses every restored file at its first wave with
-//! units to analyze.
+//! restart whose units all hit their stamps parses nothing. A restored
+//! file is parsed just before the batch analyzes its first unit, so a
+//! restart parses only the files that hold units it analyzes.
 //!
 //! [`Library::put`]: vhdl_vif::Library::put
 //! [`Library::text_hash`]: vhdl_vif::Library::text_hash
@@ -82,10 +82,13 @@ pub struct CacheStats {
     pub misses: u64,
     /// No stamp recorded (never compiled, or last compile failed).
     pub cold: u64,
-    /// Files parsed: their text was not in the last batch.
+    /// Files parsed: their text was not in the last batch, or a restart
+    /// read their fronts from the library's `fronts` file and analyzes a
+    /// unit of theirs.
     pub parsed: u64,
-    /// Files whose parse the last batch left in the memo, or whose fronts
-    /// a restart read from the library's `fronts` file.
+    /// Files not parsed: their parse the last batch left in the memo, or
+    /// a restart read their fronts from the library's `fronts` file and
+    /// analyzes none of their units.
     pub reused: u64,
 }
 
@@ -241,7 +244,7 @@ pub(crate) struct ParsedFile {
     /// make equal texts.
     text: Box<str>,
     /// The parsed units; unset for a file read from a `fronts` file until
-    /// a batch must analyze ([`ParsedFile::parse_restored`]).
+    /// a batch analyzes one of them ([`ParsedFile::parse_restored`]).
     units: OnceCell<Vec<ParseTree<SrcTok>>>,
     fronts: Vec<depgraph::UnitFront>,
     error: Option<FrontError>,
@@ -279,14 +282,18 @@ impl ParsedFile {
     }
 
     /// Parses the units of a file read from a `fronts` file, adding the
-    /// time to `parse_time`; a file with trees is left as it is.
-    fn parse_restored(&self, analyzer: &Analyzer, parse_time: &mut Duration) {
-        if self.units.get().is_none() {
-            let t0 = Instant::now();
-            let units = analyzer.parse_units(&self.text).unwrap_or_default();
-            *parse_time += t0.elapsed();
-            let _ = self.units.set(units);
+    /// time to `parse_time`, and says whether it did; a file with trees
+    /// is left as it is.
+    fn parse_restored(&self, analyzer: &Analyzer, parse_time: &mut Duration) -> bool {
+        if self.units.get().is_some() {
+            return false;
         }
+        let _t = ag_harness::trace::span("parse");
+        let t0 = Instant::now();
+        let units = analyzer.parse_units(&self.text).unwrap_or_default();
+        *parse_time += t0.elapsed();
+        let _ = self.units.set(units);
+        true
     }
 
     /// The parse tree of the file's `i`th unit, once it has trees.
@@ -468,10 +475,6 @@ impl Compiler {
             }
         }
 
-        // Files restored from the `fronts` file have no trees: the first
-        // wave with jobs parses them all, before any analysis.
-        let mut trees_ready = false;
-
         for (w, wave) in graph.waves.iter().enumerate() {
             // Stamp every unit of the wave against the current library
             // state and decide skip vs analyze: `(unit, stamp)` per job,
@@ -510,26 +513,19 @@ impl Compiler {
                 }
                 jobs.push((i, stamp));
             }
-            if !jobs.is_empty() && !trees_ready {
-                trees_ready = true;
-                let _t = ag_harness::trace::span("parse");
-                for file in &parsed {
-                    file.parse_restored(&self.analyzer, &mut phases.parse);
-                }
-            }
-
             // Every unit of the wave analyzes against the library as the
-            // earlier waves left it.
+            // earlier waves left it. A file restored from the `fronts` file
+            // has no trees until its first unit analyzes.
             let results: Vec<JobOut> = jobs
                 .iter()
                 .map(|&(i, _)| {
                     let meta = &graph.units[i];
-                    run_job(
-                        &self.analyzer,
-                        &self.libs,
-                        &parsed[meta.file],
-                        meta.unit_in_file,
-                    )
+                    let file = &parsed[meta.file];
+                    if file.parse_restored(&self.analyzer, &mut phases.parse) {
+                        cache.parsed += 1;
+                        cache.reused -= 1;
+                    }
+                    run_job(&self.analyzer, &self.libs, file, meta.unit_in_file)
                 })
                 .collect();
 
@@ -848,7 +844,8 @@ mod tests {
     fn forged_fronts_entry_is_a_diagnostic_not_a_panic() {
         // An entry whose text matches but whose fronts claim a unit the
         // text does not hold: the restart schedules it, and the unit gets
-        // an internal error instead of a tree.
+        // an internal error instead of a tree. Analyzing its units parses
+        // the restored file, so it counts as parsed.
         let dir = std::env::temp_dir().join(format!("vhdl-forged-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("temp dir");
@@ -864,7 +861,7 @@ mod tests {
         let c = Compiler::on_disk(&dir).expect("open library");
         let r = c.compile_batch(&[("e.vhd".into(), src.into())], BatchOptions::default());
         let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!((r.cache.parsed, r.cache.reused), (0, 1));
+        assert_eq!((r.cache.parsed, r.cache.reused), (1, 0));
         assert!(r.units[0].msgs.is_empty(), "{:?}", r.units[0].msgs);
         assert!(r.units[1].msgs[0].to_string().contains("internal:"));
     }

@@ -2,10 +2,12 @@
 //!
 //! The workspace is hermetic (path dependencies only), so the wire format
 //! is hand-rolled: recursive-descent parsing into [`Json`], escaping
-//! writer out. Numbers are `f64` — every count the protocol carries fits
+//! writer out. Both move strings a run at a time: the writer copies each
+//! run that needs no escape whole, the parser each run up to the next `"`
+//! or `\`. Numbers are `f64` — every count the protocol carries fits
 //! an `f64` exactly (they are all far below 2^53).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -91,7 +93,48 @@ impl Json {
 
     /// Renders compact JSON text.
     pub fn to_text(&self) -> String {
-        format!("{self}")
+        let mut out = String::new();
+        self.write(&mut out);
+        out
+    }
+
+    /// Appends the compact JSON text of `self` to `out`.
+    fn write(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => {
+                // Writing to a `String` cannot fail.
+                let _ = if n.fract() == 0.0 && n.abs() < 9e15 {
+                    write!(out, "{}", *n as i64)
+                } else {
+                    write!(out, "{n}")
+                };
+            }
+            Json::Str(s) => write_escaped(out, s),
+            Json::Arr(a) => {
+                out.push('[');
+                for (i, v) in a.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    v.write(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(m) => {
+                out.push('{');
+                for (i, (k, v)) in m.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_escaped(out, k);
+                    out.push(':');
+                    v.write(out);
+                }
+                out.push('}');
+            }
+        }
     }
 }
 
@@ -102,56 +145,38 @@ pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => write!(f, "null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(a) => {
-                write!(f, "[")?;
-                for (i, v) in a.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, "]")
-            }
-            Json::Obj(m) => {
-                write!(f, "{{")?;
-                for (i, (k, v)) in m.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
-                }
-                write!(f, "}}")
-            }
-        }
+        f.write_str(&self.to_text())
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Appends `s` as a quoted JSON string: each run of bytes that needs no
+/// escape is copied whole. Every escaped byte is ASCII, so a run ends on
+/// a character boundary.
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let bytes = s.as_bytes();
+    let mut i = 0;
+    loop {
+        let run = bytes[i..]
+            .iter()
+            .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - i);
+        out.push_str(&s[i..i + run]);
+        i += run;
+        let Some(&b) = bytes.get(i) else { break };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
+        i += 1;
     }
-    write!(f, "\"")
+    out.push('"');
 }
 
 /// Parses one JSON value from `text` (trailing whitespace allowed,
@@ -162,6 +187,7 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 /// A position-annotated description of the first syntax error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -182,6 +208,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -297,54 +324,53 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Reads a string, copying each run up to the next `"` or `\` whole.
     fn string(&mut self) -> Result<String, String> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            // Every byte that ends a run or an escape is ASCII, so each run
+            // starts and ends on a character boundary.
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let cp = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            // Surrogate pairs are not reassembled; the
-                            // protocol never emits them. Lone surrogates
-                            // become U+FFFD.
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                        }
-                        e => return Err(format!("bad escape `\\{}`", e as char)),
-                    }
+                // The `\` that opens an escape.
+                Some(_) => self.pos += 1,
+            }
+            let esc = self.peek().ok_or("unterminated escape")?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .ok_or("truncated \\u escape")?;
+                    let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+                    let cp = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                    self.pos += 4;
+                    // Surrogate pairs are not reassembled; the
+                    // protocol never emits them. Lone surrogates
+                    // become U+FFFD.
+                    out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                e => return Err(format!("bad escape `\\{}`", e as char)),
             }
         }
     }
@@ -370,6 +396,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ag_harness::{check_eq, forall, Config, Source};
 
     #[test]
     fn round_trip() {
@@ -441,5 +468,118 @@ mod tests {
             obj([("a", Json::u64(1)), ("b", Json::Null)]).to_text(),
             r#"{"a":1,"b":null}"#
         );
+    }
+
+    /// The writer as it was before runs were copied whole: one formatter
+    /// call per character. The property below holds the writer to it.
+    fn reference_text(v: &Json) -> String {
+        fn esc(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                let _ = match c {
+                    '"' => write!(out, "\\\""),
+                    '\\' => write!(out, "\\\\"),
+                    '\n' => write!(out, "\\n"),
+                    '\r' => write!(out, "\\r"),
+                    '\t' => write!(out, "\\t"),
+                    c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32),
+                    c => write!(out, "{c}"),
+                };
+            }
+            out.push('"');
+        }
+        let mut out = String::new();
+        match v {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(&b.to_string()),
+            Json::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => {
+                out.push_str(&(*n as i64).to_string())
+            }
+            Json::Num(n) => out.push_str(&n.to_string()),
+            Json::Str(s) => esc(&mut out, s),
+            Json::Arr(a) => {
+                let items: Vec<String> = a.iter().map(reference_text).collect();
+                out.push_str(&format!("[{}]", items.join(",")));
+            }
+            Json::Obj(m) => {
+                out.push('{');
+                for (i, (k, v)) in m.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    esc(&mut out, k);
+                    out.push(':');
+                    out.push_str(&reference_text(v));
+                }
+                out.push('}');
+            }
+        }
+        out
+    }
+
+    /// A string that mixes every control byte, `"`, `\\`, multi-byte
+    /// UTF-8 next to escapes, and long plain runs.
+    fn gen_string(s: &mut Source) -> String {
+        let mut out = String::new();
+        for _ in 0..s.usize_in(0, 8) {
+            match s.usize_in(0, 4) {
+                0 => out.push(char::from(s.u64_in(0, 0x1f) as u8)),
+                1 => out.push(*s.pick(&['"', '\\', '/', '\u{7f}'])),
+                2 => out.push(*s.pick(&['µ', 'é', '€', '𝄞', '\u{fffd}'])),
+                3 => {
+                    let n = s.usize_in(0, 600);
+                    let c = *s.pick(&['a', ' ', '{', ':', '0']);
+                    out.extend(std::iter::repeat_n(c, n));
+                }
+                _ => out.push_str(&s.string_of("ab\"\\\n\t\u{1}\u{1f}µ€𝄞", 12)),
+            }
+        }
+        out
+    }
+
+    fn gen_json(s: &mut Source, depth: usize) -> Json {
+        match s.usize_in(0, if depth == 0 { 3 } else { 5 }) {
+            0 => Json::Null,
+            1 => Json::Bool(s.bool()),
+            2 => Json::Num(if s.bool() {
+                s.i64_in(-(1 << 53), 1 << 53) as f64
+            } else {
+                s.f64_in(-1e6, 1e6)
+            }),
+            3 => Json::Str(gen_string(s)),
+            4 => Json::Arr(s.vec(0, 4, |s| gen_json(s, depth - 1))),
+            _ => Json::Obj(s.vec(0, 4, |s| (gen_string(s), gen_json(s, depth - 1)))),
+        }
+    }
+
+    #[test]
+    fn writer_matches_the_per_character_writer_and_round_trips() {
+        forall!(
+            Config::new("json::writer_matches_the_per_character_writer_and_round_trips").cases(256),
+            |s| {
+                let v = gen_json(s, 3);
+                let text = v.to_text();
+                check_eq!(text, reference_text(&v));
+                check_eq!(v.to_string(), text);
+                check_eq!(parse(&text), Ok(v.clone()));
+            }
+        );
+    }
+
+    #[test]
+    fn hostile_strings_after_long_runs_are_diagnosed() {
+        let run = "µa".repeat(4000);
+        for (text, want) in [
+            (format!("\"{run}"), "unterminated string".to_string()),
+            (format!("[\"{run}\\"), "unterminated escape".to_string()),
+            (format!("\"{run}\\q{run}\""), "bad escape `\\q`".to_string()),
+            (format!("\"{run}\\u12zz\""), "bad \\u escape".to_string()),
+            (format!("\"{run}\\u1"), "truncated \\u escape".to_string()),
+        ] {
+            assert_eq!(parse(&text), Err(want));
+        }
+        // A run that ends at an escape keeps both sides of it.
+        let text = format!("\"{run}\\n\\u00e9{run}\"");
+        assert_eq!(parse(&text), Ok(Json::Str(format!("{run}\né{run}"))));
     }
 }

@@ -542,9 +542,10 @@ fn finish_request(
     t0: Instant,
     reply: &Json,
 ) -> String {
-    let us = t0.elapsed().as_micros() as u64;
     let ok = reply.get("ok").and_then(Json::as_bool).unwrap_or(false);
     let reply_text = reply.to_text();
+    // The latency covers the reply's encoding.
+    let us = t0.elapsed().as_micros() as u64;
     let bytes_out = reply_text.len() as u64;
     shared
         .metrics

@@ -31,11 +31,13 @@ pub enum FrameRead {
 ///
 /// I/O errors, oversized frames, non-UTF-8 payloads, mid-frame stalls.
 pub fn read_frame(r: &mut impl Read) -> io::Result<FrameRead> {
-    let mut first = [0u8; 1];
-    loop {
-        match r.read(&mut first) {
+    // One read asks for the whole header; `read_exact` fetches what it
+    // did not deliver (nothing, in the usual case).
+    let mut head = [0u8; 4];
+    let got = loop {
+        match r.read(&mut head) {
             Ok(0) => return Ok(FrameRead::Eof),
-            Ok(_) => break,
+            Ok(n) => break n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
@@ -44,10 +46,9 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<FrameRead> {
             }
             Err(e) => return Err(e),
         }
-    }
-    let mut rest = [0u8; 3];
-    r.read_exact(&mut rest)?;
-    let len = u32::from_be_bytes([first[0], rest[0], rest[1], rest[2]]) as usize;
+    };
+    r.read_exact(&mut head[got..])?;
+    let len = u32::from_be_bytes(head) as usize;
     if len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -120,5 +121,58 @@ mod tests {
         write_frame(&mut buf, "complete").unwrap();
         buf.truncate(buf.len() - 2);
         assert!(read_frame(&mut &buf[..]).is_err());
+    }
+
+    /// Yields at most `chunk` bytes per call, then, once `data` is spent,
+    /// a timeout (a socket with a read timeout) or end of stream.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        chunk: usize,
+        time_out: bool,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.data.is_empty() && self.time_out {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.chunk).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_byte_at_a_time_still_reads_whole_frames() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, "{\"op\":\"stats\"}").unwrap();
+        write_frame(&mut buf, "second µ frame").unwrap();
+        let mut r = Trickle {
+            data: &buf,
+            chunk: 1,
+            time_out: false,
+        };
+        for want in ["{\"op\":\"stats\"}", "second µ frame"] {
+            match read_frame(&mut r).unwrap() {
+                FrameRead::Frame(t) => assert_eq!(t, want),
+                _ => panic!("expected a frame"),
+            }
+        }
+        assert!(matches!(read_frame(&mut r).unwrap(), FrameRead::Eof));
+    }
+
+    #[test]
+    fn a_timeout_inside_the_header_is_an_error_not_idle() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, "complete").unwrap();
+        let mut r = Trickle {
+            data: &buf[..2],
+            chunk: 4,
+            time_out: true,
+        };
+        assert!(read_frame(&mut r).is_err());
+        // Before the first header byte, the same timeout is `Idle`.
+        assert!(matches!(read_frame(&mut r).unwrap(), FrameRead::Idle));
     }
 }

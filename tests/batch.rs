@@ -248,10 +248,9 @@ fn copy_without_fronts(from: &Path, to: &Path) {
 
 /// A restart that reads the library's `fronts` file gives what a restart
 /// without it gives: after a cold build, for the same files and then for
-/// a one-file edit, each through a new compiler. With the file, the same
-/// files parse nothing and the edit parses only the edited file (the
-/// restored ones get their trees, uncounted, at the first wave with units
-/// to analyze).
+/// a one-file edit, each through a new compiler. With the file, a step
+/// parses each text the restored memo lacks and each restored file that
+/// holds a unit the step analyzes, and no other.
 #[test]
 fn restart_with_fronts_file_matches_restart_without() {
     let root = temp_root("fronts");
@@ -273,10 +272,29 @@ fn restart_with_fronts_file_matches_restart_without() {
                 let a = Compiler::on_disk(&with).expect("reopen library");
                 let b = Compiler::on_disk(&without).expect("open the copy");
                 let (ra, rb) = (a.compile_batch(step, opts), b.compile_batch(step, opts));
+                // Equal texts share one parse, so the count is of texts.
+                let mut want: Vec<&str> = step
+                    .iter()
+                    .map(|(_, t)| t.as_str())
+                    .filter(|t| !files.iter().any(|(_, f)| f == t))
+                    .collect();
+                check!(want.len() <= most, "{} new texts", want.len());
+                want.extend(
+                    ra.units
+                        .iter()
+                        .filter(|u| u.wave.is_some() && !u.skipped)
+                        .map(|u| step[u.file].1.as_str()),
+                );
+                want.sort_unstable();
+                want.dedup();
                 check!(
-                    ra.cache.parsed <= most && rb.cache.parsed == files.len() as u64,
-                    "parsed {} with the file and {} without, of {}",
+                    ra.cache.parsed == want.len() as u64
+                        && ra.cache.parsed + ra.cache.reused == files.len() as u64
+                        && rb.cache.parsed == files.len() as u64,
+                    "parsed {} (want {}) and reused {} with the file, parsed {} without, of {}",
                     ra.cache.parsed,
+                    want.len(),
+                    ra.cache.reused,
                     rb.cache.parsed,
                     files.len()
                 );
@@ -523,6 +541,54 @@ fn all_hit_restart_leaves_the_library_untouched() {
     assert_eq!((r.cache.parsed, r.cache.reused), (0, 5));
     assert_eq!(r.phases.parse, std::time::Duration::ZERO);
     assert_eq!(before, after);
+}
+
+/// A restart that analyzes some units parses only the restored files that
+/// hold them: after a cold build of the fixture and four unrelated
+/// packages into a disk library, a new compiler given the design with
+/// `base` edited parses `base.vhd`, then `derived.vhd` and `rtl.vhd` for
+/// the dependents it analyzes, and reuses the other six files unparsed.
+#[test]
+fn an_edit_after_a_restart_parses_only_the_files_it_analyzes() {
+    let dir = temp_root("lazy-parse");
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = incremental();
+    let mut files = fixtures::out_of_order();
+    for i in 0..4 {
+        files.push((
+            format!("extra{i}.vhd"),
+            format!("package extra{i} is\nconstant k{i} : integer := {i};\nend extra{i};\n"),
+        ));
+    }
+    assert!(Compiler::on_disk(&dir)
+        .expect("open library")
+        .compile_batch(&files, opts)
+        .ok());
+    let mut touched = files.clone();
+    touched[4].1 = fixtures::BASE_TOUCHED.into();
+    let c = Compiler::on_disk(&dir).expect("reopen library");
+    let r = c.compile_batch(&touched, opts);
+    let again = c.compile_batch(&touched, opts);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(r.ok());
+    let mut analyzed: Vec<(&str, &str)> = r
+        .units
+        .iter()
+        .filter(|u| !u.skipped)
+        .map(|u| (touched[u.file].0.as_str(), u.key.as_str()))
+        .collect();
+    analyzed.sort_unstable();
+    assert_eq!(
+        analyzed,
+        [
+            ("base.vhd", "pkg.base"),
+            ("derived.vhd", "pkg.derived"),
+            ("rtl.vhd", "arch.top.rtl")
+        ]
+    );
+    assert_eq!((r.cache.parsed, r.cache.reused), (3, 6));
+    // The same compiler keeps the parses: a rerun parses nothing.
+    assert_eq!((again.cache.parsed, again.cache.reused), (0, 9));
 }
 
 /// A damaged or forged `fronts` file costs parses, never a result: read
